@@ -336,7 +336,7 @@ func (c *Cell) Deploy(vc VCConfig) error {
 		c.nodes[id] = node
 		started = append(started, id)
 	}
-	c.installActuationSink(vc.Gateway)
+	c.installActuationSink(vc)
 	c.net.Start()
 	return nil
 }
@@ -347,7 +347,8 @@ func (c *Cell) Deploy(vc VCConfig) error {
 // the control loop closing just like the gas-plant gateway does. A full
 // gateway runtime (gateway.New) installs its own handler and replaces
 // the sink.
-func (c *Cell) installActuationSink(gw NodeID) {
+func (c *Cell) installActuationSink(vc VCConfig) {
+	gw := vc.Gateway
 	if gw == 0 || c.nodes[gw] != nil {
 		return
 	}
@@ -355,11 +356,16 @@ func (c *Cell) installActuationSink(gw NodeID) {
 	if link == nil {
 		return
 	}
+	ids := make(wire.IDs, len(vc.Tasks))
+	for i, t := range vc.Tasks {
+		ids[i] = t.ID
+	}
+	var taskIDs wire.Interner = ids
 	link.SetHandler(func(msg rtlink.Message) {
 		if msg.Kind != wire.KindActuate {
 			return
 		}
-		act, err := wire.DecodeActuate(msg.Payload)
+		act, err := wire.DecodeActuateInterned(msg.Payload, taskIDs)
 		if err != nil {
 			return
 		}

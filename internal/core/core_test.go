@@ -324,11 +324,11 @@ func TestMigratedStateMatchesSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.run(t, 3*time.Second)
-	src, err := r.nodes[ctrlA].replicas["lts"].logic.Snapshot()
+	src, err := r.nodes[ctrlA].replica("lts").logic.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst, err := r.nodes[spareID].replicas["lts"].logic.Snapshot()
+	dst, err := r.nodes[spareID].replica("lts").logic.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -276,7 +276,7 @@ func TestCorruptedCapsuleDroppedOnAir(t *testing.T) {
 		Src: ctrlA, Kind: wire.KindCapsule, Payload: enc,
 	})
 	r.run(t, time.Second)
-	if _, ok := r.nodes[spareID].replicas["lts"]; ok {
+	if r.nodes[spareID].replica("lts") != nil {
 		t.Fatal("corrupted capsule installed a replica")
 	}
 }
@@ -302,7 +302,7 @@ func TestMigrationDeniedBySchedulability(t *testing.T) {
 	if r.nodes[spareID].Stats().MigrationsIn != 0 {
 		t.Fatal("overloading migration admitted")
 	}
-	if _, ok := r.nodes[spareID].replicas["lts"]; ok {
+	if r.nodes[spareID].replica("lts") != nil {
 		t.Fatal("unschedulable replica installed")
 	}
 }
@@ -323,7 +323,7 @@ func TestVMCapsuleMigrationOverNetwork(t *testing.T) {
 	if r.nodes[spareID].Stats().MigrationsIn != 1 {
 		t.Fatal("VM migration did not complete")
 	}
-	if _, ok := r.nodes[spareID].replicas["lts"].logic.(*VMLogic); !ok {
+	if _, ok := r.nodes[spareID].replica("lts").logic.(*VMLogic); !ok {
 		t.Fatal("spare's replica is not VM-backed")
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"evm/internal/radio"
 	"evm/internal/rtlink"
@@ -14,8 +15,8 @@ import (
 // code capsule first (for VM tasks), then the serialized state. The
 // transfer rides ordinary RT-Link slots and is fragmented automatically.
 func (n *Node) MigrateTask(taskID string, dest radio.NodeID) error {
-	r, ok := n.replicas[taskID]
-	if !ok {
+	r := n.replica(taskID)
+	if r == nil {
 		return fmt.Errorf("core: node %v holds no task %s", n.id, taskID)
 	}
 	if vl, isVM := r.logic.(*VMLogic); isVM {
@@ -102,8 +103,8 @@ func (n *Node) onState(msg rtlink.Message) {
 	if err != nil {
 		return
 	}
-	r, ok := n.replicas[sx.TaskID]
-	if !ok {
+	r := n.replica(sx.TaskID)
+	if r == nil {
 		spec, specOK := n.cfg.TaskByID(sx.TaskID)
 		if !specOK {
 			return
@@ -130,8 +131,7 @@ func (n *Node) onState(msg rtlink.Message) {
 // HasReplica reports whether the node holds a replica of the task
 // (regardless of role).
 func (n *Node) HasReplica(taskID string) bool {
-	_, ok := n.replicas[taskID]
-	return ok
+	return n.replica(taskID) != nil
 }
 
 // ReplicaCount returns how many task replicas the node holds.
@@ -143,8 +143,8 @@ func (n *Node) ReplicaCount() int { return len(n.replicas) }
 // the export over the campus backbone when a cell can no longer host the
 // task locally.
 func (n *Node) ExportTask(taskID string) (wire.TaskExport, error) {
-	r, ok := n.replicas[taskID]
-	if !ok {
+	r := n.replica(taskID)
+	if r == nil {
 		return wire.TaskExport{}, fmt.Errorf("core: node %v holds no task %s", n.id, taskID)
 	}
 	blob, err := r.logic.Snapshot()
@@ -176,7 +176,7 @@ func (n *Node) ImportTask(spec TaskSpec, ex wire.TaskExport, activate bool) erro
 	if spec.ID != ex.TaskID {
 		return fmt.Errorf("core: export names task %q, spec %q", ex.TaskID, spec.ID)
 	}
-	if _, exists := n.replicas[spec.ID]; exists {
+	if n.replica(spec.ID) != nil {
 		return fmt.Errorf("core: node %v already holds task %s", n.id, spec.ID)
 	}
 	var logic TaskLogic
@@ -219,10 +219,11 @@ func (n *Node) ImportTask(spec TaskSpec, ex wire.TaskExport, activate bool) erro
 // rebalanced task resumed in its origin cell, so exactly one master
 // survives campus-wide.
 func (n *Node) RetireTask(taskID string) error {
-	if _, ok := n.replicas[taskID]; !ok {
+	if n.replica(taskID) == nil {
 		return fmt.Errorf("core: node %v holds no task %s", n.id, taskID)
 	}
-	delete(n.replicas, taskID)
+	i, _ := n.replicaIndex(taskID)
+	n.replicas = slices.Delete(slices.Clone(n.replicas), i, i+1)
 	kept := make(rtos.TaskSet, 0, len(n.taskset))
 	for _, t := range n.taskset {
 		if t.ID != rtos.TaskID(taskID) {
@@ -239,8 +240,8 @@ func (n *Node) RetireTask(taskID string) error {
 // its replica through the outage: the stale local state is overwritten
 // by the checkpoint the foreign host shipped back.
 func (n *Node) AdoptState(spec TaskSpec, ex wire.TaskExport) error {
-	r, ok := n.replicas[ex.TaskID]
-	if !ok {
+	r := n.replica(ex.TaskID)
+	if r == nil {
 		return n.ImportTask(spec, ex, false)
 	}
 	if len(ex.Blob) > 0 {
@@ -270,10 +271,10 @@ func (n *Node) ensureAdmitted(spec TaskSpec) bool {
 // installReplica creates (or replaces) the local replica in Backup role;
 // activation is the head's decision.
 func (n *Node) installReplica(spec TaskSpec, logic TaskLogic) *replica {
-	r, ok := n.replicas[spec.ID]
-	if !ok {
+	r := n.replica(spec.ID)
+	if r == nil {
 		r = &replica{spec: spec, activeNode: spec.Candidates[0], enabled: true}
-		n.replicas[spec.ID] = r
+		n.putReplica(r)
 	}
 	r.logic = logic
 	if r.role == 0 {

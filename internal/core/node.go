@@ -2,7 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"evm/internal/radio"
@@ -69,7 +70,12 @@ type Node struct {
 	id    radio.NodeID
 	graph *TransferGraph
 
-	replicas map[string]*replica
+	// replicas holds the node's task replicas sorted by task ID, so every
+	// iteration over them is reproducible; lookups binary-search it.
+	// putReplica and RetireTask replace the slice rather than edit it in
+	// place, so a loop over it keeps its snapshot even when a callback it
+	// makes installs or retires a replica.
+	replicas []*replica
 	taskset  rtos.TaskSet
 	head     *Head
 	stats    NodeStats
@@ -90,6 +96,13 @@ type Node struct {
 
 	// lastSensorAt is when the node last heard the gateway.
 	lastSensorAt time.Duration
+
+	// Per-cycle scratch: healthIn is the decode target of onHealth and
+	// healthOut the record buffer of sendHealthBundle. Neither handler
+	// re-enters itself (health bundles are broadcast, never dispatched
+	// locally).
+	healthIn  wire.HealthBundle
+	healthOut []wire.HealthRecord
 }
 
 // SetMigrationSink registers the facade-level migration observer.
@@ -118,7 +131,6 @@ func NewNode(net *rtlink.Network, link *rtlink.Link, cfg VCConfig) (*Node, error
 		cfg:           cfg,
 		id:            link.ID(),
 		graph:         graph,
-		replicas:      make(map[string]*replica),
 		computeFaults: make(map[string]float64),
 		modeTasks:     make(map[uint8]map[string]bool),
 	}
@@ -140,13 +152,13 @@ func NewNode(net *rtlink.Network, link *rtlink.Link, cfg VCConfig) (*Node, error
 			return nil, fmt.Errorf("core: node %v cannot schedule task %s", n.id, spec.ID)
 		}
 		n.taskset = grown
-		n.replicas[spec.ID] = &replica{
+		n.putReplica(&replica{
 			spec:       spec,
 			logic:      logic,
 			role:       role,
 			activeNode: spec.Candidates[0],
 			enabled:    true,
-		}
+		})
 	}
 	link.SetHandler(n.onMessage)
 	if n.id == cfg.Head {
@@ -175,7 +187,7 @@ func (n *Node) TaskSet() rtos.TaskSet { return append(rtos.TaskSet(nil), n.tasks
 
 // Role returns the node's role for a task (RoleDormant if no replica).
 func (n *Node) Role(taskID string) wire.Role {
-	if r, ok := n.replicas[taskID]; ok {
+	if r := n.replica(taskID); r != nil {
 		return r.role
 	}
 	return wire.RoleDormant
@@ -183,7 +195,7 @@ func (n *Node) Role(taskID string) wire.Role {
 
 // LastOutput returns the node's latest computed output for a task.
 func (n *Node) LastOutput(taskID string) (float64, bool) {
-	if r, ok := n.replicas[taskID]; ok {
+	if r := n.replica(taskID); r != nil {
 		return r.lastOutput, r.haveOutput
 	}
 	return 0, false
@@ -230,7 +242,7 @@ func (n *Node) Stop() {
 
 func (n *Node) minPeriod() time.Duration {
 	min := time.Duration(0)
-	for _, r := range n.sortedReplicas() {
+	for _, r := range n.replicas {
 		if min == 0 || r.spec.Period < min {
 			min = r.spec.Period
 		}
@@ -241,16 +253,30 @@ func (n *Node) minPeriod() time.Duration {
 	return min
 }
 
-// sortedReplicas returns the node's replicas in task-ID order. Every
-// behavior-visible iteration uses this so runs are reproducible
-// regardless of map layout.
-func (n *Node) sortedReplicas() []*replica {
-	out := make([]*replica, 0, len(n.replicas))
-	for _, r := range n.replicas {
-		out = append(out, r)
+// replicaIndex returns where the replica of taskID is, or would be
+// inserted, in n.replicas, and whether it is there.
+func (n *Node) replicaIndex(taskID string) (int, bool) {
+	return slices.BinarySearchFunc(n.replicas, taskID, func(r *replica, id string) int {
+		return strings.Compare(r.spec.ID, id)
+	})
+}
+
+// replica returns the node's replica of taskID, or nil.
+func (n *Node) replica(taskID string) *replica {
+	if i, ok := n.replicaIndex(taskID); ok {
+		return n.replicas[i]
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].spec.ID < out[j].spec.ID })
-	return out
+	return nil
+}
+
+// putReplica adds a replica for a task the node does not hold yet.
+func (n *Node) putReplica(r *replica) {
+	i, _ := n.replicaIndex(r.spec.ID)
+	grown := make([]*replica, len(n.replicas)+1)
+	copy(grown, n.replicas[:i])
+	grown[i] = r
+	copy(grown[i+1:], n.replicas[i:])
+	n.replicas = grown
 }
 
 // send transmits a message, dispatching locally when the destination is
@@ -304,19 +330,15 @@ func (n *Node) onSensor(msg rtlink.Message) {
 	}
 	n.lastSensorAt = n.eng.Now()
 	n.applyPendingMode()
-	byPort := make(map[uint8]float64, len(snap.Readings))
-	for _, rd := range snap.Readings {
-		byPort[rd.Port] = rd.Value
-	}
 	ran := false
-	for _, r := range n.sortedReplicas() {
+	for _, r := range n.replicas {
 		if !r.enabled {
 			continue
 		}
 		if r.role != wire.RoleActive && r.role != wire.RoleBackup {
 			continue
 		}
-		input, ok := byPort[r.spec.SensorPort]
+		input, ok := reading(snap.Readings, r.spec.SensorPort)
 		if !ok {
 			continue
 		}
@@ -331,6 +353,17 @@ func (n *Node) onSensor(msg rtlink.Message) {
 	if ran {
 		n.sendHealthBundle()
 	}
+}
+
+// reading returns the value of the last reading for port; a snapshot
+// holds a handful of readings, so a scan beats building a map per cycle.
+func reading(rds []wire.SensorReading, port uint8) (float64, bool) {
+	for i := len(rds) - 1; i >= 0; i-- {
+		if rds[i].Port == port {
+			return rds[i].Value, true
+		}
+	}
+	return 0, false
 }
 
 func (n *Node) runCycle(r *replica, input float64) {
@@ -382,8 +415,8 @@ func (n *Node) onStateSync(msg rtlink.Message) {
 	if err != nil {
 		return
 	}
-	r, ok := n.replicas[sx.TaskID]
-	if !ok || r.role != wire.RoleBackup {
+	r := n.replica(sx.TaskID)
+	if r == nil || r.role != wire.RoleBackup {
 		return
 	}
 	// Only accept state from the node we believe is the primary.
@@ -417,8 +450,8 @@ func (n *Node) sendHealthBundle() {
 	if b := n.link.Radio().Battery(); b != nil {
 		battery = b.RemainingFraction()
 	}
-	records := make([]wire.HealthRecord, 0, len(n.replicas))
-	for _, r := range n.sortedReplicas() {
+	records := n.healthOut[:0]
+	for _, r := range n.replicas {
 		if !r.enabled {
 			continue
 		}
@@ -433,6 +466,7 @@ func (n *Node) sendHealthBundle() {
 			HasOut: r.haveOutput,
 		})
 	}
+	n.healthOut = records
 	if len(records) == 0 {
 		return
 	}
@@ -452,32 +486,48 @@ func (n *Node) sendHealthBundle() {
 // assessment transfer: a backup compares the primary's announced output
 // with its own computation.
 func (n *Node) onHealth(msg rtlink.Message) {
-	hb, err := wire.DecodeHealthBundle(msg.Payload)
-	if err != nil {
+	hb := &n.healthIn
+	if err := wire.DecodeHealthBundleInto(msg.Payload, hb, (*taskIDs)(n)); err != nil {
 		return
 	}
 	if n.head != nil {
-		n.head.onHealthBundle(hb)
+		n.head.onHealthBundle(*hb)
 	}
 	for _, rec := range hb.Records {
-		for _, r := range n.sortedReplicas() {
-			if r.spec.ID != rec.TaskID {
-				continue
-			}
-			if radio.NodeID(hb.Node) != r.activeNode || hb.Node == uint16(n.id) {
-				continue
-			}
-			r.lastPrimaryAt = n.eng.Now()
-			if !rec.HasOut {
-				continue
-			}
-			r.lastPrimaryOut = rec.Output
-			r.havePrimary = true
-			if r.role == wire.RoleBackup {
-				n.checkDeviation(r, rec.Seq)
-			}
+		r := n.replica(rec.TaskID)
+		if r == nil || radio.NodeID(hb.Node) != r.activeNode || hb.Node == uint16(n.id) {
+			continue
+		}
+		r.lastPrimaryAt = n.eng.Now()
+		if !rec.HasOut {
+			continue
+		}
+		r.lastPrimaryOut = rec.Output
+		r.havePrimary = true
+		if r.role == wire.RoleBackup {
+			n.checkDeviation(r, rec.Seq)
 		}
 	}
+}
+
+// taskIDs interns decoded task IDs against the ID strings the node
+// already holds: its component's tasks, then its own replicas (adopted
+// foreign tasks among them). It needs no storage of its own.
+type taskIDs Node
+
+// Intern implements wire.Interner.
+func (t *taskIDs) Intern(b []byte) string {
+	for i := range t.cfg.Tasks {
+		if id := t.cfg.Tasks[i].ID; id == string(b) {
+			return id
+		}
+	}
+	for _, r := range t.replicas {
+		if r.spec.ID == string(b) {
+			return r.spec.ID
+		}
+	}
+	return string(b)
 }
 
 // checkDeviation judges one primary health record against the backup's
@@ -509,7 +559,7 @@ func (n *Node) checkDeviation(r *replica, primarySeq uint32) {
 // watchdogTick detects silent primaries (crash faults).
 func (n *Node) watchdogTick() {
 	now := n.eng.Now()
-	for _, r := range n.sortedReplicas() {
+	for _, r := range n.replicas {
 		if r.role != wire.RoleBackup || !r.enabled {
 			continue
 		}
@@ -556,28 +606,27 @@ func (n *Node) onRoleChange(msg rtlink.Message) {
 		return
 	}
 	n.stats.RoleChangesSeen++
-	for _, r := range n.sortedReplicas() {
-		if r.spec.ID != rc.TaskID {
-			continue
-		}
-		if rc.Seq != 0 && rc.Seq <= r.roleSeq {
-			continue // stale decision
-		}
-		r.roleSeq = rc.Seq
-		if rc.Role == wire.RoleActive {
-			// Everyone learns the new primary.
-			r.activeNode = radio.NodeID(rc.Node)
-			r.havePrimary = false
-			r.deviationCount = 0
-			r.lastPrimaryAt = n.eng.Now()
-		}
-		if radio.NodeID(rc.Node) == n.id {
-			r.role = rc.Role
-		} else if rc.Role == wire.RoleActive && r.role == wire.RoleActive {
-			// Someone else became primary: demote self to backup unless
-			// a separate decision says otherwise.
-			r.role = wire.RoleBackup
-		}
+	r := n.replica(rc.TaskID)
+	if r == nil {
+		return
+	}
+	if rc.Seq != 0 && rc.Seq <= r.roleSeq {
+		return // stale decision
+	}
+	r.roleSeq = rc.Seq
+	if rc.Role == wire.RoleActive {
+		// Everyone learns the new primary.
+		r.activeNode = radio.NodeID(rc.Node)
+		r.havePrimary = false
+		r.deviationCount = 0
+		r.lastPrimaryAt = n.eng.Now()
+	}
+	if radio.NodeID(rc.Node) == n.id {
+		r.role = rc.Role
+	} else if rc.Role == wire.RoleActive && r.role == wire.RoleActive {
+		// Someone else became primary: demote self to backup unless
+		// a separate decision says otherwise.
+		r.role = wire.RoleBackup
 	}
 }
 
@@ -601,7 +650,7 @@ func (n *Node) applyPendingMode() {
 	n.mode = n.pendingMode.Mode
 	n.pendingMode = nil
 	enabled, ok := n.modeTasks[n.mode]
-	for _, r := range n.sortedReplicas() {
+	for _, r := range n.replicas {
 		if !ok {
 			r.enabled = true
 			continue

@@ -25,8 +25,8 @@ import (
 // schedulability test: the capsule reprograms a task already admitted
 // with the same period and WCET.
 func (n *Node) StageCapsule(c vm.Capsule) error {
-	r, ok := n.replicas[c.TaskID]
-	if !ok {
+	r := n.replica(c.TaskID)
+	if r == nil {
 		return fmt.Errorf("core: node %v holds no replica of task %s to stage", n.id, c.TaskID)
 	}
 	logic, err := NewVMLogic(c, 0)
@@ -41,7 +41,7 @@ func (n *Node) StageCapsule(c vm.Capsule) error {
 // StagedVersion returns the version of the capsule staged for a task,
 // if any.
 func (n *Node) StagedVersion(taskID string) (uint8, bool) {
-	if r, ok := n.replicas[taskID]; ok && r.staged != nil {
+	if r := n.replica(taskID); r != nil && r.staged != nil {
 		return r.stagedVersion, true
 	}
 	return 0, false
@@ -50,7 +50,7 @@ func (n *Node) StagedVersion(taskID string) (uint8, bool) {
 // ClearStaged drops a staged capsule without activating it (rollout
 // abort before the commit point). No-op when nothing is staged.
 func (n *Node) ClearStaged(taskID string) {
-	if r, ok := n.replicas[taskID]; ok {
+	if r := n.replica(taskID); r != nil {
 		r.staged = nil
 		r.stagedVersion = 0
 	}
@@ -65,8 +65,8 @@ func (n *Node) ClearStaged(taskID string) {
 // replica's role and output sequence are untouched: an active master
 // keeps actuating, now running the new law.
 func (n *Node) ActivateStaged(taskID string) error {
-	r, ok := n.replicas[taskID]
-	if !ok {
+	r := n.replica(taskID)
+	if r == nil {
 		return fmt.Errorf("core: node %v holds no replica of task %s", n.id, taskID)
 	}
 	if r.staged == nil {
@@ -89,8 +89,8 @@ func (n *Node) ActivateStaged(taskID string) error {
 // the prior version left off; role and output sequence continue
 // unbroken. Reverting twice (or without a prior activation) is an error.
 func (n *Node) RevertCapsule(taskID string) error {
-	r, ok := n.replicas[taskID]
-	if !ok {
+	r := n.replica(taskID)
+	if r == nil {
 		return fmt.Errorf("core: node %v holds no replica of task %s", n.id, taskID)
 	}
 	if r.prev == nil {
@@ -105,8 +105,8 @@ func (n *Node) RevertCapsule(taskID string) error {
 // CapsuleVersion returns the version of the capsule currently executing
 // a task's replica. Tasks running native (non-VM) logic report ok=false.
 func (n *Node) CapsuleVersion(taskID string) (uint8, bool) {
-	r, ok := n.replicas[taskID]
-	if !ok {
+	r := n.replica(taskID)
+	if r == nil {
 		return 0, false
 	}
 	if vl, isVM := r.logic.(*VMLogic); isVM {

@@ -100,15 +100,15 @@ func TestActiveStateReplicationResyncsBackup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.nodes[ctrlB].replicas["lts"].logic.Restore(badState); err != nil {
+	if err := r.nodes[ctrlB].replica("lts").logic.Restore(badState); err != nil {
 		t.Fatal(err)
 	}
 	r.run(t, 5*time.Second)
-	snapA, err := r.nodes[ctrlA].replicas["lts"].logic.Snapshot()
+	snapA, err := r.nodes[ctrlA].replica("lts").logic.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	snapB, err := r.nodes[ctrlB].replicas["lts"].logic.Snapshot()
+	snapB, err := r.nodes[ctrlB].replica("lts").logic.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}

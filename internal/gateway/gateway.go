@@ -164,6 +164,7 @@ type Gateway struct {
 	ticker *sim.Ticker
 	stats  Stats
 	active map[string]radio.NodeID
+	ids    wire.Interner // canonical task IDs for decoded actuations
 
 	lastPollAt time.Duration
 	// actuateSink is the facade's event-bus observer for accepted
@@ -192,6 +193,7 @@ func New(eng *sim.Engine, link *rtlink.Link, ps *PlantServer, cfg Config) (*Gate
 	for task, node := range cfg.ActiveNode {
 		g.active[task] = node
 	}
+	g.ids = wire.IDs(sim.SortedKeys(cfg.ActiveNode))
 	link.SetHandler(g.onMessage)
 	return g, nil
 }
@@ -273,7 +275,7 @@ func (g *Gateway) onMessage(msg rtlink.Message) {
 }
 
 func (g *Gateway) onActuate(msg rtlink.Message) {
-	act, err := wire.DecodeActuate(msg.Payload)
+	act, err := wire.DecodeActuateInterned(msg.Payload, g.ids)
 	if err != nil {
 		return
 	}

@@ -45,11 +45,11 @@ func (e *ExceptionError) Error() string {
 	return fmt.Sprintf("modbus: exception %#02x on function %#02x", e.Code, e.Function)
 }
 
-// CRC16 computes the ModBus RTU CRC over data.
-func CRC16(data []byte) uint16 {
-	crc := uint16(0xFFFF)
-	for _, b := range data {
-		crc ^= uint16(b)
+// crcTable holds the CRC of every byte value, so CRC16 folds in a byte
+// per lookup instead of eight shift-and-xor rounds.
+var crcTable = func() (t [256]uint16) {
+	for b := range t {
+		crc := uint16(b)
 		for i := 0; i < 8; i++ {
 			if crc&1 != 0 {
 				crc = crc>>1 ^ 0xA001
@@ -57,6 +57,17 @@ func CRC16(data []byte) uint16 {
 				crc >>= 1
 			}
 		}
+		t[b] = crc
+	}
+	return t
+}()
+
+// CRC16 computes the ModBus RTU CRC over data (reflected polynomial
+// 0xA001, initial value 0xFFFF).
+func CRC16(data []byte) uint16 {
+	crc := uint16(0xFFFF)
+	for _, b := range data {
+		crc = crc>>8 ^ crcTable[byte(crc)^b]
 	}
 	return crc
 }
@@ -148,7 +159,7 @@ func (s *Server) Handle(frame []byte) ([]byte, error) {
 }
 
 func (s *Server) exception(fn, code byte) []byte {
-	return appendCRC([]byte{s.UnitID, fn | 0x80, code})
+	return appendCRC(append(make([]byte, 0, 5), s.UnitID, fn|0x80, code))
 }
 
 func (s *Server) readHolding(pdu []byte) ([]byte, error) {
@@ -160,7 +171,7 @@ func (s *Server) readHolding(pdu []byte) ([]byte, error) {
 	if count == 0 || count > 125 {
 		return s.exception(FuncReadHolding, ExcIllegalValue), nil
 	}
-	out := []byte{s.UnitID, FuncReadHolding, byte(count * 2)}
+	out := append(make([]byte, 0, 3+2*int(count)+2), s.UnitID, FuncReadHolding, byte(count*2))
 	for i := uint16(0); i < count; i++ {
 		v, ok := s.Regs.Read(addr + i)
 		if !ok {
@@ -181,7 +192,7 @@ func (s *Server) writeSingle(pdu []byte) ([]byte, error) {
 		return s.exception(FuncWriteSingle, ExcIllegalAddress), nil
 	}
 	// Echo per spec.
-	out := []byte{s.UnitID, FuncWriteSingle}
+	out := append(make([]byte, 0, 8), s.UnitID, FuncWriteSingle)
 	out = binary.BigEndian.AppendUint16(out, addr)
 	out = binary.BigEndian.AppendUint16(out, value)
 	return appendCRC(out), nil
@@ -207,7 +218,7 @@ func (s *Server) writeMultiple(pdu []byte) ([]byte, error) {
 		v := binary.BigEndian.Uint16(pdu[5+2*i:])
 		s.Regs.Write(addr+i, v)
 	}
-	out := []byte{s.UnitID, FuncWriteMultiple}
+	out := append(make([]byte, 0, 8), s.UnitID, FuncWriteMultiple)
 	out = binary.BigEndian.AppendUint16(out, addr)
 	out = binary.BigEndian.AppendUint16(out, count)
 	return appendCRC(out), nil
@@ -220,7 +231,7 @@ type Client struct {
 
 // ReadHoldingRequest builds a read request for count registers at addr.
 func (c *Client) ReadHoldingRequest(addr, count uint16) []byte {
-	out := []byte{c.UnitID, FuncReadHolding}
+	out := append(make([]byte, 0, 8), c.UnitID, FuncReadHolding)
 	out = binary.BigEndian.AppendUint16(out, addr)
 	out = binary.BigEndian.AppendUint16(out, count)
 	return appendCRC(out)
@@ -228,7 +239,7 @@ func (c *Client) ReadHoldingRequest(addr, count uint16) []byte {
 
 // WriteSingleRequest builds a single-register write.
 func (c *Client) WriteSingleRequest(addr, value uint16) []byte {
-	out := []byte{c.UnitID, FuncWriteSingle}
+	out := append(make([]byte, 0, 8), c.UnitID, FuncWriteSingle)
 	out = binary.BigEndian.AppendUint16(out, addr)
 	out = binary.BigEndian.AppendUint16(out, value)
 	return appendCRC(out)

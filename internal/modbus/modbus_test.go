@@ -20,6 +20,40 @@ func TestCRCKnownVector(t *testing.T) {
 	}
 }
 
+// crc16Bitwise is the textbook bit-at-a-time MODBUS CRC the table-driven
+// CRC16 must reproduce.
+func crc16Bitwise(data []byte) uint16 {
+	crc := uint16(0xFFFF)
+	for _, b := range data {
+		crc ^= uint16(b)
+		for i := 0; i < 8; i++ {
+			if crc&1 != 0 {
+				crc = crc>>1 ^ 0xA001
+			} else {
+				crc >>= 1
+			}
+		}
+	}
+	return crc
+}
+
+func TestCRCStandardCheckValue(t *testing.T) {
+	// CRC-16/MODBUS catalogue check value over the ASCII digits 1..9.
+	if got := CRC16([]byte("123456789")); got != 0x4B37 {
+		t.Fatalf("CRC(\"123456789\") = %#04x, want 0x4b37", got)
+	}
+	if got := CRC16(nil); got != 0xFFFF {
+		t.Fatalf("CRC(empty) = %#04x, want the 0xffff initial value", got)
+	}
+}
+
+func TestCRCMatchesBitwiseReference(t *testing.T) {
+	f := func(frame []byte) bool { return CRC16(frame) == crc16Bitwise(frame) }
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestReadWriteRoundTrip(t *testing.T) {
 	srv, cli := newPair()
 	resp, err := srv.Handle(cli.WriteSingleRequest(5, 1234))

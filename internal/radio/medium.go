@@ -1,9 +1,10 @@
 package radio
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"time"
 
@@ -120,20 +121,23 @@ type Stats struct {
 // Medium is the shared wireless channel. It owns all radios and performs
 // propagation, loss and collision resolution on the simulation engine.
 type Medium struct {
-	eng    *sim.Engine
-	rng    *sim.RNG
-	cfg    Config
-	radios map[NodeID]*Radio
-	// order lists attached IDs sorted ascending. Every loss/collision
-	// draw iterates radios through it so the PRNG stream assignment is
-	// independent of map layout — same seed, byte-identical runs.
-	order []NodeID
-	links map[linkKey]*linkState
-	stats Stats
+	eng *sim.Engine
+	rng *sim.RNG
+	cfg Config
+	// radios lists the attached radios sorted by ID. Every loss/collision
+	// draw iterates them in this order so the PRNG stream assignment is
+	// the same on every run — same seed, byte-identical runs; lookups by
+	// ID binary-search it.
+	radios []*Radio
+	links  map[linkKey]*linkState
+	stats  Stats
 	// forcedPER overrides the distance model when >= 0 (used by
 	// experiments that sweep loss rates directly).
 	forcedPER float64
 	seq       uint32
+	// free recycles transmissions whose delivery and sender-restore
+	// events have both fired.
+	free []*transmission
 }
 
 // NewMedium creates a medium on the given engine with its own PRNG stream.
@@ -142,7 +146,6 @@ func NewMedium(eng *sim.Engine, rng *sim.RNG, cfg Config) *Medium {
 		eng:       eng,
 		rng:       rng,
 		cfg:       cfg,
-		radios:    make(map[NodeID]*Radio),
 		links:     make(map[linkKey]*linkState),
 		forcedPER: -1,
 	}
@@ -168,7 +171,8 @@ func (m *Medium) ForcedPER() float64 { return m.forcedPER }
 // Attach creates and registers a radio for the node. Attaching a duplicate
 // ID returns an error.
 func (m *Medium) Attach(id NodeID, pos Position, battery *Battery, model EnergyModel) (*Radio, error) {
-	if _, ok := m.radios[id]; ok {
+	at, found := m.find(id)
+	if found {
 		return nil, fmt.Errorf("radio: node %v already attached", id)
 	}
 	r := &Radio{
@@ -180,33 +184,41 @@ func (m *Medium) Attach(id NodeID, pos Position, battery *Battery, model EnergyM
 		battery:   battery,
 		model:     model,
 	}
-	m.radios[id] = r
-	at := sort.Search(len(m.order), func(i int) bool { return m.order[i] >= id })
-	m.order = append(m.order, 0)
-	copy(m.order[at+1:], m.order[at:])
-	m.order[at] = id
+	m.radios = slices.Insert(m.radios, at, r)
 	return r, nil
+}
+
+// find returns where the radio of id is, or would be inserted, in
+// m.radios, and whether it is there.
+func (m *Medium) find(id NodeID) (int, bool) {
+	return slices.BinarySearchFunc(m.radios, id, func(r *Radio, id NodeID) int { return cmp.Compare(r.id, id) })
 }
 
 // Detach removes a node's radio from the medium (the rollback of Attach,
 // used when a runtime admission fails partway). Frames still in flight
 // toward the node are silently lost.
 func (m *Medium) Detach(id NodeID) {
-	if _, ok := m.radios[id]; !ok {
-		return
+	if at, ok := m.find(id); ok {
+		m.radios = slices.Delete(m.radios, at, at+1)
 	}
-	delete(m.radios, id)
-	at := sort.Search(len(m.order), func(i int) bool { return m.order[i] >= id })
-	m.order = append(m.order[:at], m.order[at+1:]...)
 }
 
 // Radio returns the radio attached for id, or nil.
-func (m *Medium) Radio(id NodeID) *Radio { return m.radios[id] }
+func (m *Medium) Radio(id NodeID) *Radio {
+	if at, ok := m.find(id); ok {
+		return m.radios[at]
+	}
+	return nil
+}
 
 // Nodes returns the IDs of all attached radios in ascending order, so
 // callers iterating the result stay deterministic without re-sorting.
 func (m *Medium) Nodes() []NodeID {
-	return sim.SortedKeys(m.radios)
+	ids := make([]NodeID, len(m.radios))
+	for i, r := range m.radios {
+		ids[i] = r.id
+	}
+	return ids
 }
 
 func (m *Medium) link(a, b NodeID) *linkState {
@@ -246,33 +258,82 @@ func (m *Medium) airTime(bytes int) time.Duration {
 	return time.Duration(secs * float64(time.Second))
 }
 
-// transmission tracks one frame in flight.
+// transmission tracks one frame in flight. Transmissions are recycled
+// once both of their events (delivery and sender restore) have fired, so
+// their bound callbacks are built once per transmission object rather
+// than once per frame.
 type transmission struct {
-	pkt      Packet
-	from     *Radio
-	start    time.Duration
-	end      time.Duration
+	med   *Medium
+	pkt   Packet
+	from  *Radio
+	start time.Duration
+	end   time.Duration
+	// collided marks receivers whose capture of this frame was
+	// destroyed; nil until the first collision.
 	collided map[NodeID]bool
+	// prev is the sender's radio state before the transmission, restored
+	// at the end of the air time.
+	prev State
+	// pending counts this transmission's unfired events.
+	pending               int
+	completeFn, restoreFn func()
+}
+
+func (m *Medium) newTransmission() *transmission {
+	if n := len(m.free); n > 0 {
+		tx := m.free[n-1]
+		m.free[n-1] = nil
+		m.free = m.free[:n-1]
+		return tx
+	}
+	tx := &transmission{med: m}
+	tx.completeFn = tx.complete
+	tx.restoreFn = tx.restore
+	return tx
+}
+
+// release returns the transmission to the free list once its last event
+// has fired. The payload is not reused: receivers may keep it.
+func (tx *transmission) release() {
+	tx.pending--
+	if tx.pending > 0 {
+		return
+	}
+	tx.pkt = Packet{}
+	tx.from = nil
+	tx.collided = nil
+	tx.med.free = append(tx.med.free, tx)
+}
+
+func (tx *transmission) markCollided(id NodeID) {
+	if tx.collided == nil {
+		tx.collided = make(map[NodeID]bool)
+	}
+	tx.collided[id] = true
 }
 
 // Transmit sends pkt from the radio. The caller must have put the radio in
 // TX state; Transmit enforces this. Delivery callbacks fire at the end of
-// the air time. The returned duration is the air time.
-func (m *Medium) transmit(from *Radio, pkt Packet) (time.Duration, error) {
+// the air time, after which the sender returns to state prev. The payload
+// is copied once here; every receiver then shares that copy read-only. The
+// returned duration is the air time.
+func (m *Medium) transmit(from *Radio, pkt Packet, prev State) (time.Duration, error) {
 	if from.state != StateTX {
 		return 0, fmt.Errorf("radio: node %v transmit in state %v", from.id, from.state)
 	}
 	m.seq++
 	pkt.Seq = m.seq
+	if pkt.Payload != nil {
+		pkt.Payload = append(make([]byte, 0, len(pkt.Payload)), pkt.Payload...)
+	}
 	m.stats.Sent++
 	air := m.airTime(pkt.AirBytes())
-	tx := &transmission{
-		pkt:      pkt,
-		from:     from,
-		start:    m.eng.Now(),
-		end:      m.eng.Now() + air,
-		collided: make(map[NodeID]bool),
-	}
+	tx := m.newTransmission()
+	tx.pkt = pkt
+	tx.from = from
+	tx.start = m.eng.Now()
+	tx.end = m.eng.Now() + air
+	tx.prev = prev
 	if t := m.eng.Tracer(); t != nil {
 		hop := "broadcast"
 		if pkt.Hop != Broadcast {
@@ -285,8 +346,8 @@ func (m *Medium) transmit(from *Radio, pkt Packet) (time.Duration, error) {
 	}
 	// Collision marking: any receiver already capturing another frame has
 	// both frames destroyed.
-	for _, id := range m.order {
-		r := m.radios[id]
+	for _, r := range m.radios {
+		id := r.id
 		if id == from.id {
 			continue
 		}
@@ -294,20 +355,31 @@ func (m *Medium) transmit(from *Radio, pkt Packet) (time.Duration, error) {
 			continue
 		}
 		if r.capture != nil && m.eng.Now() < r.capture.end {
-			r.capture.collided[id] = true
-			tx.collided[id] = true
+			r.capture.markCollided(id)
+			tx.markCollided(id)
 			continue
 		}
 		r.capture = tx
 	}
-	m.eng.At(tx.end+m.cfg.PropDelay, func() { m.complete(tx) })
+	tx.pending = 2
+	m.eng.Post(tx.end+m.cfg.PropDelay, 0, tx.completeFn)
+	m.eng.Post(tx.end, 0, tx.restoreFn)
 	return air, nil
 }
 
-func (m *Medium) complete(tx *transmission) {
-	for _, id := range m.order {
-		r := m.radios[id]
-		if id == tx.from.id {
+// restore returns the sender to the state it left for the transmission,
+// unless something else moved it out of TX meanwhile.
+func (tx *transmission) restore() {
+	if r := tx.from; r.state == StateTX {
+		r.SetState(tx.prev)
+	}
+	tx.release()
+}
+
+func (tx *transmission) complete() {
+	m := tx.med
+	for _, r := range m.radios {
+		if r.id == tx.from.id {
 			continue
 		}
 		if r.capture == tx {
@@ -315,6 +387,7 @@ func (m *Medium) complete(tx *transmission) {
 		}
 		m.deliverTo(tx, r)
 	}
+	tx.release()
 }
 
 func (m *Medium) deliverTo(tx *transmission, r *Radio) {
@@ -348,7 +421,7 @@ func (m *Medium) deliverTo(tx *transmission, r *Radio) {
 	m.stats.Delivered++
 	r.received++
 	if r.handler != nil {
-		r.handler(tx.pkt.Clone())
+		r.handler(tx.pkt)
 	}
 }
 

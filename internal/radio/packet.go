@@ -47,14 +47,3 @@ const Overhead = 17
 
 // AirBytes returns the number of bytes the frame occupies on air.
 func (p *Packet) AirBytes() int { return Overhead + len(p.Payload) }
-
-// Clone returns a deep copy of the packet (the payload is copied so
-// receivers can never alias the sender's buffer).
-func (p *Packet) Clone() Packet {
-	c := *p
-	if p.Payload != nil {
-		c.Payload = make([]byte, len(p.Payload))
-		copy(c.Payload, p.Payload)
-	}
-	return c
-}

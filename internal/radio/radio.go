@@ -51,8 +51,10 @@ func (r *Radio) Drops(reason DropReason) int {
 	return r.drops[reason]
 }
 
-// SetHandler installs the receive callback. The packet passed to the
-// handler is a private copy.
+// SetHandler installs the receive callback. The medium copies a payload
+// once per transmission, so no receiver aliases the sender's buffer; every
+// receiver of one transmission is handed that same copy, and must treat
+// the payload as read-only. A handler may keep the payload.
 func (r *Radio) SetHandler(fn func(Packet)) { r.handler = fn }
 
 // SetDriftPPM sets the local oscillator drift in parts per million.
@@ -111,16 +113,11 @@ func (r *Radio) Send(pkt Packet) (time.Duration, error) {
 	}
 	prev := r.state
 	r.SetState(StateTX)
-	air, err := r.med.transmit(r, pkt)
+	air, err := r.med.transmit(r, pkt, prev)
 	if err != nil {
 		r.SetState(prev)
 		return 0, err
 	}
-	r.med.eng.At(r.med.eng.Now()+air, func() {
-		if r.state == StateTX {
-			r.SetState(prev)
-		}
-	})
 	return air, nil
 }
 
@@ -153,8 +150,17 @@ func (r *Radio) ClockError() time.Duration {
 // sample. It returns the jitter applied to each node.
 func (m *Medium) BroadcastSync() map[NodeID]time.Duration {
 	out := make(map[NodeID]time.Duration, len(m.radios))
-	for _, id := range m.order {
-		r := m.radios[id]
+	m.sync(out)
+	return out
+}
+
+// Sync delivers the same pulse as BroadcastSync, drawing the same jitter
+// samples, without reporting them. The TDMA frame loop calls it every
+// frame.
+func (m *Medium) Sync() { m.sync(nil) }
+
+func (m *Medium) sync(out map[NodeID]time.Duration) {
+	for _, r := range m.radios {
 		if r.failed {
 			continue
 		}
@@ -164,7 +170,8 @@ func (m *Medium) BroadcastSync() map[NodeID]time.Duration {
 		}
 		r.clockOffset = j
 		r.lastSync = m.eng.Now()
-		out[id] = j
+		if out != nil {
+			out[r.id] = j
+		}
 	}
-	return out
 }

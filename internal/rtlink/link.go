@@ -25,7 +25,9 @@ type LinkStats struct {
 type Link struct {
 	net     *Network
 	r       *radio.Radio
-	txq     []fragment
+	txq     []fragment // txq[txHead:] is the queue; popping advances txHead
+	txHead  int
+	txBuf   []byte // encode buffer; the medium copies each frame it sends
 	nextID  uint16
 	reasm   *reassembler
 	handler func(Message)
@@ -55,9 +57,11 @@ func (l *Link) Radio() *radio.Radio { return l.r }
 func (l *Link) Stats() LinkStats { return l.stats }
 
 // QueueLen returns the number of fragments waiting for slots.
-func (l *Link) QueueLen() int { return len(l.txq) }
+func (l *Link) QueueLen() int { return len(l.txq) - l.txHead }
 
-// SetHandler installs the message delivery callback.
+// SetHandler installs the message delivery callback. A delivered payload
+// may be shared read-only by every receiver of one transmission: the
+// handler may keep it but must not mutate it.
 func (l *Link) SetHandler(fn func(Message)) { l.handler = fn }
 
 // SetRoute installs dst -> nextHop for multi-hop forwarding.
@@ -81,15 +85,15 @@ func (l *Link) Send(msg Message) error {
 	}
 	msg.Src = l.ID()
 	l.nextID++
-	frags, err := fragmentMessage(msg, l.nextID, l.net.cfg.MaxPayload)
+	q, err := appendFragments(l.txq, msg, l.nextID, l.net.cfg.MaxPayload)
 	if err != nil {
 		return err
 	}
-	if l.MaxQueue > 0 && len(l.txq)+len(frags) > l.MaxQueue {
+	if l.MaxQueue > 0 && len(q)-l.txHead > l.MaxQueue {
 		l.stats.QueueDrops++
-		return fmt.Errorf("rtlink: node %v queue full (%d)", l.ID(), len(l.txq))
+		return fmt.Errorf("rtlink: node %v queue full (%d)", l.ID(), l.QueueLen())
 	}
-	l.txq = append(l.txq, frags...)
+	l.txq = q
 	l.stats.MsgsSent++
 	return nil
 }
@@ -109,7 +113,7 @@ func (l *Link) FramesNeeded(payloadBytes, slotsOwned int) int {
 
 // transmitNext sends the head-of-line fragment in the current slot.
 func (l *Link) transmitNext() {
-	if len(l.txq) == 0 {
+	if l.QueueLen() == 0 {
 		return
 	}
 	if l.txBudget > 0 && l.txThisFrame >= l.txBudget {
@@ -117,13 +121,21 @@ func (l *Link) transmitNext() {
 		return // network reserve exhausted for this frame
 	}
 	l.txThisFrame++
-	f := l.txq[0]
-	l.txq = l.txq[1:]
+	f := l.txq[l.txHead]
+	l.txHead++
+	if 2*l.txHead >= len(l.txq) {
+		// Slide the rest to the front, so the backing array is reused
+		// and a queue that never drains does not grow without bound.
+		n := copy(l.txq, l.txq[l.txHead:])
+		clear(l.txq[n:]) // drop the sent chunks' references
+		l.txq, l.txHead = l.txq[:n], 0
+	}
+	l.txBuf = f.appendTo(l.txBuf[:0])
 	pkt := radio.Packet{
 		Dst:     f.dst,
 		Hop:     l.nextHop(f.dst),
 		Kind:    dataKind,
-		Payload: f.encode(),
+		Payload: l.txBuf,
 	}
 	if _, err := l.r.Send(pkt); err == nil {
 		l.stats.FragsSent++

@@ -51,55 +51,51 @@ type fragment struct {
 	chunk []byte
 }
 
-func (f *fragment) encode() []byte {
-	out := make([]byte, fragHeaderLen+len(f.chunk))
-	binary.BigEndian.PutUint16(out[0:2], uint16(f.src))
-	binary.BigEndian.PutUint16(out[2:4], uint16(f.dst))
-	out[4] = byte(f.kind)
-	binary.BigEndian.PutUint16(out[5:7], f.msgID)
-	out[7] = f.idx
-	out[8] = f.total
-	copy(out[fragHeaderLen:], f.chunk)
-	return out
+// appendTo appends the fragment's on-air encoding to dst.
+func (f *fragment) appendTo(dst []byte) []byte {
+	dst = binary.BigEndian.AppendUint16(dst, uint16(f.src))
+	dst = binary.BigEndian.AppendUint16(dst, uint16(f.dst))
+	dst = append(dst, byte(f.kind))
+	dst = binary.BigEndian.AppendUint16(dst, f.msgID)
+	dst = append(dst, f.idx, f.total)
+	return append(dst, f.chunk...)
 }
 
+// decodeFragment parses an on-air fragment. The chunk aliases b: frames
+// are shared read-only between receivers, so the fragment (and a
+// single-fragment message built from it) never needs a private copy.
 func decodeFragment(b []byte) (fragment, error) {
 	if len(b) < fragHeaderLen {
 		return fragment{}, errShortFrame
 	}
-	f := fragment{
+	return fragment{
 		src:   radio.NodeID(binary.BigEndian.Uint16(b[0:2])),
 		dst:   radio.NodeID(binary.BigEndian.Uint16(b[2:4])),
 		kind:  Kind(b[4]),
 		msgID: binary.BigEndian.Uint16(b[5:7]),
 		idx:   b[7],
 		total: b[8],
-	}
-	f.chunk = make([]byte, len(b)-fragHeaderLen)
-	copy(f.chunk, b[fragHeaderLen:])
-	return f, nil
+		chunk: b[fragHeaderLen:],
+	}, nil
 }
 
-// fragmentMessage splits a message into slot-sized fragments.
-func fragmentMessage(msg Message, msgID uint16, maxChunk int) ([]fragment, error) {
+// appendFragments splits a message into slot-sized fragments and appends
+// them to dst.
+func appendFragments(dst []fragment, msg Message, msgID uint16, maxChunk int) ([]fragment, error) {
 	if maxChunk <= 0 {
-		return nil, fmt.Errorf("rtlink: maxChunk %d", maxChunk)
+		return dst, fmt.Errorf("rtlink: maxChunk %d", maxChunk)
 	}
 	n := (len(msg.Payload) + maxChunk - 1) / maxChunk
 	if n == 0 {
 		n = 1
 	}
 	if n > 255 {
-		return nil, fmt.Errorf("rtlink: message of %d bytes needs %d fragments (max 255)", len(msg.Payload), n)
+		return dst, fmt.Errorf("rtlink: message of %d bytes needs %d fragments (max 255)", len(msg.Payload), n)
 	}
-	frags := make([]fragment, 0, n)
 	for i := 0; i < n; i++ {
 		lo := i * maxChunk
-		hi := lo + maxChunk
-		if hi > len(msg.Payload) {
-			hi = len(msg.Payload)
-		}
-		frags = append(frags, fragment{
+		hi := min(lo+maxChunk, len(msg.Payload))
+		dst = append(dst, fragment{
 			src:   msg.Src,
 			dst:   msg.Dst,
 			kind:  msg.Kind,
@@ -109,20 +105,27 @@ func fragmentMessage(msg Message, msgID uint16, maxChunk int) ([]fragment, error
 			chunk: msg.Payload[lo:hi],
 		})
 	}
-	return frags, nil
+	return dst, nil
 }
+
+// reasmWindow is how far, in message IDs mod 2^16, a source's newest
+// message may run ahead of one of its partial messages before the partial
+// is evicted. A source's fragments reach a receiver in send order up to
+// relay lag (queues are FIFO and the link never retransmits), so a partial
+// that far behind has lost a fragment for good. Evicting it bounds the
+// reassembler and keeps a wrapped message ID from splicing the stale
+// chunks into a new message.
+const reasmWindow = 1024
 
 // reassembler collects fragments into whole messages.
 type reassembler struct {
-	partial map[reasmKey]*reasmState
-}
-
-type reasmKey struct {
-	src   radio.NodeID
-	msgID uint16
+	// partial holds each source's incomplete messages in arrival order;
+	// a source with none has no entry.
+	partial map[radio.NodeID][]*reasmState
 }
 
 type reasmState struct {
+	msgID  uint16
 	total  uint8
 	have   int
 	chunks [][]byte
@@ -131,20 +134,31 @@ type reasmState struct {
 }
 
 func newReassembler() *reassembler {
-	return &reassembler{partial: make(map[reasmKey]*reasmState)}
+	return &reassembler{partial: make(map[radio.NodeID][]*reasmState)}
 }
 
 // add returns the completed message when the final fragment arrives.
 func (r *reassembler) add(f fragment) (Message, bool) {
+	if len(r.partial) > 0 {
+		r.evict(f.src, f.msgID)
+	}
 	if f.total <= 1 {
 		return Message{Src: f.src, Dst: f.dst, Kind: f.kind, Payload: f.chunk}, true
 	}
-	key := reasmKey{f.src, f.msgID}
-	st, ok := r.partial[key]
-	if !ok {
-		st = &reasmState{total: f.total, chunks: make([][]byte, f.total), kind: f.kind, dst: f.dst}
-		r.partial[key] = st
+	parts := r.partial[f.src]
+	at := -1
+	for i, st := range parts {
+		if st.msgID == f.msgID {
+			at = i
+			break
+		}
 	}
+	if at < 0 {
+		at = len(parts)
+		parts = append(parts, &reasmState{msgID: f.msgID, total: f.total, chunks: make([][]byte, f.total), kind: f.kind, dst: f.dst})
+		r.partial[f.src] = parts
+	}
+	st := parts[at]
 	if int(f.idx) < len(st.chunks) && st.chunks[f.idx] == nil {
 		st.chunks[f.idx] = f.chunk
 		st.have++
@@ -152,10 +166,38 @@ func (r *reassembler) add(f fragment) (Message, bool) {
 	if st.have < int(st.total) {
 		return Message{}, false
 	}
-	delete(r.partial, key)
-	var payload []byte
+	r.drop(f.src, at)
+	size := 0
+	for _, c := range st.chunks {
+		size += len(c)
+	}
+	payload := make([]byte, 0, size)
 	for _, c := range st.chunks {
 		payload = append(payload, c...)
 	}
 	return Message{Src: f.src, Dst: f.dst, Kind: st.kind, Payload: payload}, true
+}
+
+// evict drops src's partial messages that msgID has overtaken by more than
+// reasmWindow, comparing mod 2^16.
+func (r *reassembler) evict(src radio.NodeID, msgID uint16) {
+	parts := r.partial[src]
+	for i := len(parts) - 1; i >= 0; i-- {
+		if ahead := msgID - parts[i].msgID; ahead > reasmWindow && ahead < 1<<15 {
+			r.drop(src, i)
+			parts = r.partial[src]
+		}
+	}
+}
+
+// drop removes src's i-th partial message.
+func (r *reassembler) drop(src radio.NodeID, i int) {
+	parts := r.partial[src]
+	if len(parts) == 1 {
+		delete(r.partial, src)
+		return
+	}
+	copy(parts[i:], parts[i+1:])
+	parts[len(parts)-1] = nil
+	r.partial[src] = parts[:len(parts)-1]
 }

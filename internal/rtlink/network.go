@@ -1,6 +1,7 @@
 package rtlink
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strconv"
@@ -21,16 +22,29 @@ type Network struct {
 	med   *radio.Medium
 	cfg   Config
 	sched Schedule
-	links map[radio.NodeID]*Link
-	// order holds the joined node IDs sorted ascending. Frame-loop state
-	// changes (reserve replenish, sync wake/sleep) iterate it instead of
-	// the links map: map order is randomized, and per-frame radio state
-	// transitions must land in the same order every run.
-	order []radio.NodeID
+	// links holds the joined links sorted by node ID. Frame-loop state
+	// changes (reserve replenish, sync wake/sleep) iterate it in that
+	// order, so per-frame radio state transitions land in the same order
+	// every run; lookups by ID binary-search it.
+	links []*Link
 	// slots caches the sorted slot indices of sched, so per-frame slot
 	// scheduling is deterministic without re-sorting each frame.
 	slots []int
 	frame uint64
+
+	// The frame loop posts the same four callbacks every frame; they are
+	// bound once in NewNetwork instead of allocated per frame and per
+	// slot. An active frame reserves the engine sequence numbers its slot
+	// callbacks would take if all were posted at frame start, and queues
+	// them one slot at a time: each slot open queues its own close and
+	// the next open. Firing order is unchanged and the engine queue holds
+	// a few entries per network instead of two per slot.
+	frameFn, syncSleepFn, openSlotFn, closeSlotFn func()
+	frameSched                                    Schedule
+	frameSlots                                    []int
+	frameStart                                    time.Duration
+	frameSeq                                      uint64 // first reserved sequence number
+	openNext                                      int    // index into frameSlots of the next slot to open
 
 	started bool
 	stopped bool
@@ -52,14 +66,43 @@ func NewNetwork(med *radio.Medium, cfg Config, sched Schedule) (*Network, error)
 	if airTime > cfg.SlotDuration {
 		return nil, fmt.Errorf("rtlink: max fragment air time %v exceeds slot %v", airTime, cfg.SlotDuration)
 	}
-	return &Network{
+	n := &Network{
 		eng:   med.Engine(),
 		med:   med,
 		cfg:   cfg,
 		sched: sched,
 		slots: sim.SortedKeys(sched),
-		links: make(map[radio.NodeID]*Link),
-	}, nil
+	}
+	n.frameFn = n.runFrame
+	n.syncSleepFn = n.syncSleep
+	n.openSlotFn = n.openNextSlot
+	n.closeSlotFn = n.closeOpenSlot
+	return n, nil
+}
+
+// slotAt returns when the i-th slot of the current frame opens.
+func (n *Network) slotAt(i int) time.Duration {
+	return n.frameStart + time.Duration(n.frameSlots[i])*n.cfg.SlotDuration
+}
+
+// openNextSlot opens the frame's next slot after queuing, under their
+// reserved sequence numbers, that slot's close and the following open.
+func (n *Network) openNextSlot() {
+	i := n.openNext
+	n.openNext++
+	at := n.slotAt(i)
+	n.eng.PostReserved(at+n.cfg.SlotDuration, -1, n.frameSeq+2+2*uint64(i), n.closeSlotFn)
+	if i+1 < len(n.frameSlots) {
+		n.eng.PostReserved(n.slotAt(i+1), 0, n.frameSeq+1+2*uint64(i+1), n.openSlotFn)
+	}
+	n.openSlot(n.frameSched[n.frameSlots[i]])
+}
+
+// closeOpenSlot closes the slot openNextSlot opened last. A slot's close
+// falls due no later than the next slot's open and, at prio -1, fires
+// first on a tie, so it always runs between the two.
+func (n *Network) closeOpenSlot() {
+	n.closeSlot(n.frameSched[n.frameSlots[n.openNext-1]])
 }
 
 // Config returns the frame configuration.
@@ -75,7 +118,8 @@ func (n *Network) Frame() uint64 { return n.frame }
 func (n *Network) Schedule() Schedule { return n.sched }
 
 // SetSchedule swaps the slot schedule; it takes effect at the next frame
-// boundary (the EVM uses this for runtime slot reassignment).
+// boundary (the EVM uses this for runtime slot reassignment). The network
+// keeps s, so build a new schedule rather than editing one in place.
 func (n *Network) SetSchedule(s Schedule) error {
 	if err := s.Validate(n.cfg); err != nil {
 		return err
@@ -92,7 +136,8 @@ func (n *Network) Join(id radio.NodeID) (*Link, error) {
 	if r == nil {
 		return nil, fmt.Errorf("rtlink: node %v has no radio on the medium", id)
 	}
-	if _, ok := n.links[id]; ok {
+	at, found := n.find(id)
+	if found {
 		return nil, fmt.Errorf("rtlink: node %v already joined", id)
 	}
 	l := &Link{
@@ -102,29 +147,35 @@ func (n *Network) Join(id radio.NodeID) (*Link, error) {
 		routes: make(map[radio.NodeID]radio.NodeID),
 	}
 	r.SetHandler(l.onFrame)
-	n.links[id] = l
-	n.order = append(n.order, id)
-	slices.Sort(n.order)
+	n.links = slices.Insert(n.links, at, l)
 	return l, nil
+}
+
+// find returns where the link of id is, or would be inserted, in n.links,
+// and whether it is there.
+func (n *Network) find(id radio.NodeID) (int, bool) {
+	return slices.BinarySearchFunc(n.links, id, func(l *Link, id radio.NodeID) int { return cmp.Compare(l.r.ID(), id) })
 }
 
 // Leave removes a node's link layer (the rollback of Join, used when a
 // runtime admission fails partway). The node's radio stays attached; the
 // caller decides whether to detach it from the medium as well.
 func (n *Network) Leave(id radio.NodeID) {
-	l, ok := n.links[id]
+	at, ok := n.find(id)
 	if !ok {
 		return
 	}
-	l.r.SetHandler(nil)
-	delete(n.links, id)
-	if i := slices.Index(n.order, id); i >= 0 {
-		n.order = append(n.order[:i], n.order[i+1:]...)
-	}
+	n.links[at].r.SetHandler(nil)
+	n.links = slices.Delete(n.links, at, at+1)
 }
 
 // Link returns the link layer for id, or nil.
-func (n *Network) Link(id radio.NodeID) *Link { return n.links[id] }
+func (n *Network) Link(id radio.NodeID) *Link {
+	if at, ok := n.find(id); ok {
+		return n.links[at]
+	}
+	return nil
+}
 
 // Start begins the TDMA frame loop at the current virtual time.
 func (n *Network) Start() {
@@ -132,7 +183,7 @@ func (n *Network) Start() {
 		return
 	}
 	n.started = true
-	n.eng.At(n.eng.Now(), n.runFrame)
+	n.eng.Post(n.eng.Now(), 0, n.frameFn)
 }
 
 // Stop halts the frame loop after the current frame completes.
@@ -149,53 +200,58 @@ func (n *Network) runFrame() {
 		t.Complete("frame", "rtlink", "rtlink", frameStart, frameStart+n.cfg.FrameDuration(),
 			span.Arg{Key: "frame", Val: strconv.FormatUint(n.frame, 10)})
 	}
-	for _, id := range n.order {
-		n.links[id].txThisFrame = 0 // replenish network reserves
+	for _, l := range n.links {
+		l.txThisFrame = 0 // replenish network reserves
 	}
 	if active {
 		// Sync slot: every live node wakes to catch the AM pulse.
-		n.med.BroadcastSync()
-		for _, id := range n.order {
-			if l := n.links[id]; !l.r.Failed() {
+		n.med.Sync()
+		for _, l := range n.links {
+			if !l.r.Failed() {
 				l.r.SetState(radio.StateRX)
 			}
 		}
-		n.eng.AtPrio(frameStart+n.cfg.SlotDuration, -1, func() {
-			for _, id := range n.order {
-				if l := n.links[id]; !l.r.Failed() {
-					l.r.SetState(radio.StateSleep)
-				}
-			}
-		})
-		// Capture: SetSchedule applies next frame. Slots schedule in
-		// ascending order so engine insertion order (the tie-break for
-		// same-time, same-priority events) never depends on map order.
-		sched, slots := n.sched, n.slots
-		tracer := n.eng.Tracer()
-		for _, slot := range slots {
-			as := sched[slot]
-			at := frameStart + time.Duration(slot)*n.cfg.SlotDuration
-			if tracer != nil {
+		// Capture: SetSchedule applies next frame. Slots run in ascending
+		// order so engine insertion order (the tie-break for same-time,
+		// same-priority events) never depends on map order. The sequence
+		// numbers are the sync-sleep callback's, then each slot's open and
+		// close in turn.
+		n.frameSched, n.frameSlots, n.frameStart, n.openNext = n.sched, n.slots, frameStart, 0
+		n.frameSeq = n.eng.Reserve(1 + 2*len(n.slots))
+		n.eng.PostReserved(frameStart+n.cfg.SlotDuration, -1, n.frameSeq, n.syncSleepFn)
+		if tracer := n.eng.Tracer(); tracer != nil {
+			for _, slot := range n.slots {
+				at := frameStart + time.Duration(slot)*n.cfg.SlotDuration
 				tracer.Complete("slot", "rtlink", "rtlink", at, at+n.cfg.SlotDuration,
 					span.Arg{Key: "slot", Val: strconv.Itoa(slot)},
-					span.Arg{Key: "owner", Val: strconv.Itoa(int(as.Owner))})
+					span.Arg{Key: "owner", Val: strconv.Itoa(int(n.sched[slot].Owner))})
 			}
-			n.eng.AtPrio(at, 0, func() { n.openSlot(as) })
-			n.eng.AtPrio(at+n.cfg.SlotDuration, -1, func() { n.closeSlot(as) })
+		}
+		if len(n.slots) > 0 {
+			n.eng.PostReserved(n.slotAt(0), 0, n.frameSeq+1, n.openSlotFn)
 		}
 	}
-	n.eng.At(frameStart+n.cfg.FrameDuration(), n.runFrame)
+	n.eng.Post(frameStart+n.cfg.FrameDuration(), 0, n.frameFn)
+}
+
+// syncSleep ends the sync slot: every live node returns to sleep.
+func (n *Network) syncSleep() {
+	for _, l := range n.links {
+		if !l.r.Failed() {
+			l.r.SetState(radio.StateSleep)
+		}
+	}
 }
 
 // openSlot wakes the listeners and fires the owner's transmission.
 func (n *Network) openSlot(as SlotAssign) {
 	for _, id := range as.Listeners {
-		if l, ok := n.links[id]; ok && !l.r.Failed() {
+		if l := n.Link(id); l != nil && !l.r.Failed() {
 			l.r.SetState(radio.StateRX)
 		}
 	}
-	owner, ok := n.links[as.Owner]
-	if !ok || owner.r.Failed() {
+	owner := n.Link(as.Owner)
+	if owner == nil || owner.r.Failed() {
 		return
 	}
 	owner.transmitNext()
@@ -204,11 +260,11 @@ func (n *Network) openSlot(as SlotAssign) {
 // closeSlot returns all participants to sleep.
 func (n *Network) closeSlot(as SlotAssign) {
 	for _, id := range as.Listeners {
-		if l, ok := n.links[id]; ok && !l.r.Failed() {
+		if l := n.Link(id); l != nil && !l.r.Failed() {
 			l.r.SetState(radio.StateSleep)
 		}
 	}
-	if owner, ok := n.links[as.Owner]; ok && !owner.r.Failed() {
+	if owner := n.Link(as.Owner); owner != nil && !owner.r.Failed() {
 		owner.r.SetState(radio.StateSleep)
 	}
 }

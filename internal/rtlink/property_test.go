@@ -18,14 +18,14 @@ func TestFragmentationRoundTripProperty(t *testing.T) {
 			data = data[:chunk*255]
 		}
 		msg := Message{Src: 1, Dst: 2, Kind: 7, Payload: data}
-		frags, err := fragmentMessage(msg, 42, chunk)
+		frags, err := appendFragments(nil, msg, 42, chunk)
 		if err != nil {
 			return false
 		}
 		r := newReassembler()
 		for i, fr := range frags {
 			// Encode/decode each fragment as it would travel on air.
-			dec, err := decodeFragment(fr.encode())
+			dec, err := decodeFragment(fr.appendTo(nil))
 			if err != nil {
 				return false
 			}
@@ -53,7 +53,7 @@ func TestReassemblyShuffledOrderProperty(t *testing.T) {
 		if len(data) > 500 {
 			data = data[:500]
 		}
-		frags, err := fragmentMessage(Message{Src: 3, Dst: 4, Payload: data}, 7, 32)
+		frags, err := appendFragments(nil, Message{Src: 3, Dst: 4, Payload: data}, 7, 32)
 		if err != nil {
 			return false
 		}

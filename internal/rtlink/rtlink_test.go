@@ -100,7 +100,7 @@ func TestFragmentationLargeMessage(t *testing.T) {
 
 func TestFragmentMath(t *testing.T) {
 	msg := Message{Src: 1, Dst: 2, Kind: 3, Payload: make([]byte, 250)}
-	frags, err := fragmentMessage(msg, 42, 100)
+	frags, err := appendFragments(nil, msg, 42, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,19 +111,19 @@ func TestFragmentMath(t *testing.T) {
 		t.Fatalf("tail chunk = %d, want 50", len(frags[2].chunk))
 	}
 	// Empty payload still produces one fragment.
-	frags, err = fragmentMessage(Message{Dst: 2}, 1, 100)
+	frags, err = appendFragments(nil, Message{Dst: 2}, 1, 100)
 	if err != nil || len(frags) != 1 {
 		t.Fatalf("empty message fragments = %d err %v, want 1", len(frags), err)
 	}
 	// Oversize message rejected.
-	if _, err := fragmentMessage(Message{Payload: make([]byte, 100*256)}, 1, 100); err == nil {
+	if _, err := appendFragments(nil, Message{Payload: make([]byte, 100*256)}, 1, 100); err == nil {
 		t.Fatal("oversize message accepted")
 	}
 }
 
 func TestFragmentRoundTrip(t *testing.T) {
 	f := fragment{src: 10, dst: 20, kind: 5, msgID: 999, idx: 3, total: 7, chunk: []byte("data")}
-	got, err := decodeFragment(f.encode())
+	got, err := decodeFragment(f.appendTo(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,6 +156,57 @@ func TestReassemblerOutOfOrderAndDup(t *testing.T) {
 	}
 	if !bytes.Equal(msg.Payload, []byte{0, 1, 2}) {
 		t.Fatalf("payload = %v", msg.Payload)
+	}
+}
+
+// TestReassemblerEvictsStalePartial: a message that lost a fragment must
+// not linger for the life of the run, and once the source's 16-bit message
+// ID wraps, its stale chunks must not splice into the new message that
+// reuses the ID.
+func TestReassemblerEvictsStalePartial(t *testing.T) {
+	r := newReassembler()
+	frag := func(id uint16, idx uint8, b byte) fragment {
+		return fragment{src: 1, dst: 2, kind: 3, msgID: id, idx: idx, total: 3, chunk: []byte{b}}
+	}
+	// Message 7 loses its middle fragment.
+	r.add(frag(7, 0, 'a'))
+	r.add(frag(7, 2, 'c'))
+	for i := 1; i <= 1<<16; i++ {
+		id := uint16(7 + i)
+		var got Message
+		var done bool
+		for idx := uint8(0); idx < 3; idx++ {
+			got, done = r.add(frag(id, idx, 'x'+idx))
+		}
+		if !done || !bytes.Equal(got.Payload, []byte("xyz")) {
+			t.Fatalf("message %d (id %d): done=%v payload %q, want \"xyz\"", i, id, done, got.Payload)
+		}
+		if n := len(r.partial[1]); n > 1 {
+			t.Fatalf("message %d: %d partials held for one source", i, n)
+		}
+	}
+	if len(r.partial) != 0 {
+		t.Fatalf("stale partial never evicted: %d sources still held", len(r.partial))
+	}
+}
+
+// TestReassemblerToleratesInterleaving: a partial survives while newer
+// messages from the same source complete, as long as it stays within the
+// eviction window (relayed unicast lagging behind direct broadcasts).
+func TestReassemblerToleratesInterleaving(t *testing.T) {
+	r := newReassembler()
+	frag := func(id uint16, idx, total uint8) fragment {
+		return fragment{src: 1, dst: 2, msgID: id, idx: idx, total: total, chunk: []byte{idx}}
+	}
+	r.add(frag(65530, 0, 2))
+	for id := uint16(65531); id != 100; id++ { // wraps past zero
+		if _, done := r.add(frag(id, 0, 1)); !done {
+			t.Fatalf("single-fragment message %d not delivered", id)
+		}
+	}
+	msg, done := r.add(frag(65530, 1, 2))
+	if !done || !bytes.Equal(msg.Payload, []byte{0, 1}) {
+		t.Fatalf("lagging message: done=%v payload %v", done, msg.Payload)
 	}
 }
 

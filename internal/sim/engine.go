@@ -7,7 +7,6 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"time"
 
@@ -18,14 +17,12 @@ import (
 // requested horizon is reached.
 var ErrHorizon = errors.New("sim: event queue drained before horizon")
 
-// Event is a scheduled callback on the virtual timeline. Events are created
-// through Engine.At / Engine.After and may be cancelled until they fire.
+// Event is the cancellable handle of a scheduled callback on the virtual
+// timeline. Handles are created through Engine.At / Engine.After and may be
+// cancelled until they fire.
 type Event struct {
 	at       time.Duration
-	prio     int
-	seq      uint64
-	fn       func()
-	index    int // heap index, -1 once removed
+	index    int // queue index, -1 once fired or removed
 	canceled bool
 }
 
@@ -35,52 +32,112 @@ func (ev *Event) At() time.Duration { return ev.at }
 // Canceled reports whether Cancel was called on the event.
 func (ev *Event) Canceled() bool { return ev.canceled }
 
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	if h[i].prio != h[j].prio {
-		return h[i].prio < h[j].prio
-	}
-	return h[i].seq < h[j].seq
+// entry is one queued callback. Entries live by value in the queue, so
+// scheduling allocates nothing beyond the queue's own growth; ev links an
+// entry to its handle and is nil for callbacks scheduled with Post, which
+// have none.
+type entry struct {
+	at   time.Duration
+	prio int
+	seq  uint64
+	fn   func()
+	ev   *Event
 }
 
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-
-func (h *eventHeap) Push(x any) {
-	ev, ok := x.(*Event)
-	if !ok {
-		return
+// before is the queue order: time, then priority, then scheduling
+// sequence. seq is unique, so the order is total and any heap pops the
+// same sequence.
+func (a *entry) before(b *entry) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	ev.index = len(*h)
-	*h = append(*h, ev)
+	if a.prio != b.prio {
+		return a.prio < b.prio
+	}
+	return a.seq < b.seq
 }
 
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
+// eventQueue is a binary min-heap of entries ordered by before. It is
+// typed rather than built on container/heap, so pushes and pops neither
+// box through interfaces nor dispatch through method tables, and
+// comparisons read the entries in place.
+type eventQueue []entry
+
+// set stores x at index i and tells its handle where it now lives.
+func (q eventQueue) set(i int, x entry) {
+	q[i] = x
+	if x.ev != nil {
+		x.ev.index = i
+	}
+}
+
+func (q *eventQueue) push(x entry) {
+	*q = append(*q, x)
+	q.up(len(*q)-1, x)
+}
+
+// remove takes the entry at index i out of the queue and returns it; its
+// handle, if any, is marked removed.
+func (q *eventQueue) remove(i int) entry {
+	h := *q
+	x := h[i]
+	last := len(h) - 1
+	moved := h[last]
+	h[last] = entry{}
+	*q = h[:last]
+	if i != last {
+		if !q.down(i, moved) {
+			q.up(i, moved)
+		}
+	}
+	if x.ev != nil {
+		x.ev.index = -1
+	}
+	return x
+}
+
+// up places x, which belongs at index i, by sifting it toward the root.
+func (q eventQueue) up(i int, x entry) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !x.before(&q[p]) {
+			break
+		}
+		q.set(i, q[p])
+		i = p
+	}
+	q.set(i, x)
+}
+
+// down places x, which belongs at index i0, by sifting it toward the
+// leaves, and reports whether it moved.
+func (q eventQueue) down(i0 int, x entry) bool {
+	n := len(q)
+	i := i0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(&q[c]) {
+			c = r
+		}
+		if !q[c].before(&x) {
+			break
+		}
+		q.set(i, q[c])
+		i = c
+	}
+	q.set(i, x)
+	return i > i0
 }
 
 // Engine is a single-threaded discrete-event scheduler over virtual time.
 // The zero value is not usable; construct with New.
 type Engine struct {
-	now     time.Duration
-	queue   eventHeap
-	seq     uint64
-	stopped bool
+	now   time.Duration
+	queue eventQueue
+	seq   uint64
 	// tracer, when non-nil, records causal spans for this engine's run.
 	// Every subsystem holding an engine reference reaches it through
 	// Tracer(), so enabling tracing never changes constructor signatures.
@@ -122,54 +179,81 @@ func (e *Engine) After(d time.Duration, fn func()) *Event {
 	return e.atPrio(e.now+d, 0, fn)
 }
 
+// Post schedules fn at time t with tie-break priority prio, exactly like
+// AtPrio, but returns no handle, so the callback cannot be cancelled and
+// scheduling it allocates nothing. The per-slot and per-frame callbacks
+// of the TDMA loop use Post.
+func (e *Engine) Post(t time.Duration, prio int, fn func()) {
+	e.push(t, prio, fn, nil)
+}
+
+// Reserve sets aside n consecutive sequence numbers, as n Post calls
+// would consume them, and returns the first. A callback queued later with
+// PostReserved under one of them fires exactly where it would have had it
+// been posted at reservation time, provided it is queued before it falls
+// due. The TDMA loop uses this to queue a frame's slot callbacks one at a
+// time instead of all at frame start, which keeps the queue short.
+func (e *Engine) Reserve(n int) uint64 {
+	first := e.seq + 1
+	e.seq += uint64(n)
+	return first
+}
+
+// PostReserved queues fn like Post, under a sequence number from Reserve.
+func (e *Engine) PostReserved(t time.Duration, prio int, seq uint64, fn func()) {
+	e.queue.push(entry{at: max(t, e.now), prio: prio, seq: seq, fn: fn})
+}
+
 func (e *Engine) atPrio(t time.Duration, prio int, fn func()) *Event {
+	ev := &Event{}
+	e.push(t, prio, fn, ev)
+	return ev
+}
+
+// push queues fn with a fresh sequence number, so a re-queued handle
+// orders exactly like a newly created one.
+func (e *Engine) push(t time.Duration, prio int, fn func(), ev *Event) {
 	if t < e.now {
 		t = e.now
 	}
 	e.seq++
-	ev := &Event{at: t, prio: prio, seq: e.seq, fn: fn}
-	heap.Push(&e.queue, ev)
-	return ev
+	if ev != nil {
+		ev.at, ev.canceled = t, false
+	}
+	e.queue.push(entry{at: t, prio: prio, seq: e.seq, fn: fn, ev: ev})
 }
 
 // Cancel removes a pending event. Cancelling an already-fired or
 // already-cancelled event is a no-op.
 func (e *Engine) Cancel(ev *Event) {
-	if ev == nil || ev.canceled || ev.index < 0 {
-		if ev != nil {
-			ev.canceled = true
-		}
+	if ev == nil {
 		return
 	}
+	if !ev.canceled && ev.index >= 0 {
+		e.queue.remove(ev.index)
+	}
 	ev.canceled = true
-	heap.Remove(&e.queue, ev.index)
 }
 
 // Step fires the next event, advancing the clock to it. It returns false
 // when the queue is empty.
 func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
-		ev, ok := heap.Pop(&e.queue).(*Event)
-		if !ok {
-			return false
-		}
-		if ev.canceled {
-			continue
-		}
-		e.now = ev.at
-		if t := e.tracer; t != nil && t.Dispatch() {
-			// Dispatch spans are zero-width in virtual time (the clock
-			// does not advance inside a callback) but give every span
-			// recorded within the callback its causal parent.
-			id := t.Enter("dispatch", "sim", "engine", e.now)
-			ev.fn()
-			t.Exit(id, e.now)
-		} else {
-			ev.fn()
-		}
-		return true
+	if len(e.queue) == 0 {
+		return false
 	}
-	return false
+	x := e.queue.remove(0)
+	e.now = x.at
+	if t := e.tracer; t != nil && t.Dispatch() {
+		// Dispatch spans are zero-width in virtual time (the clock
+		// does not advance inside a callback) but give every span
+		// recorded within the callback its causal parent.
+		id := t.Enter("dispatch", "sim", "engine", e.now)
+		x.fn()
+		t.Exit(id, e.now)
+	} else {
+		x.fn()
+	}
+	return true
 }
 
 // RunUntil executes events until the virtual clock reaches horizon. Events
@@ -178,12 +262,7 @@ func (e *Engine) Step() bool {
 // horizon and ErrHorizon is returned.
 func (e *Engine) RunUntil(horizon time.Duration) error {
 	for len(e.queue) > 0 {
-		next := e.queue[0]
-		if next.canceled {
-			heap.Pop(&e.queue)
-			continue
-		}
-		if next.at >= horizon {
+		if e.queue[0].at >= horizon {
 			e.now = horizon
 			return nil
 		}
@@ -199,32 +278,29 @@ func (e *Engine) Run() {
 	}
 }
 
-// Ticker fires a callback at a fixed period until stopped.
+// Ticker fires a callback at a fixed period until stopped. It re-queues
+// its own handle after every fire, so a running ticker allocates nothing.
 type Ticker struct {
 	eng    *Engine
 	period time.Duration
 	fn     func()
-	ev     *Event
+	tickFn func() // t.tick, bound once
+	ev     Event
 	stop   bool
 }
 
 // Every schedules fn to fire every period, first at now+period.
 // The returned Ticker must be stopped to release it.
 func (e *Engine) Every(period time.Duration, fn func()) *Ticker {
-	t := &Ticker{eng: e, period: period, fn: fn}
-	t.schedule()
-	return t
+	return e.EveryAt(e.now+period, period, fn)
 }
 
 // EveryAt is like Every but fires first at the absolute time first.
 func (e *Engine) EveryAt(first, period time.Duration, fn func()) *Ticker {
 	t := &Ticker{eng: e, period: period, fn: fn}
-	t.ev = e.At(first, t.tick)
+	t.tickFn = t.tick
+	e.push(first, 0, t.tickFn, &t.ev)
 	return t
-}
-
-func (t *Ticker) schedule() {
-	t.ev = t.eng.After(t.period, t.tick)
 }
 
 func (t *Ticker) tick() {
@@ -233,14 +309,12 @@ func (t *Ticker) tick() {
 	}
 	t.fn()
 	if !t.stop {
-		t.schedule()
+		t.eng.push(t.eng.now+t.period, 0, t.tickFn, &t.ev)
 	}
 }
 
 // Stop cancels the ticker; pending fires are removed.
 func (t *Ticker) Stop() {
 	t.stop = true
-	if t.ev != nil {
-		t.eng.Cancel(t.ev)
-	}
+	t.eng.Cancel(&t.ev)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestHealthBundleRoundTrip(t *testing.T) {
@@ -32,6 +33,52 @@ func TestHealthBundleRoundTrip(t *testing.T) {
 		if out.Records[i] != in.Records[i] {
 			t.Fatalf("record %d: %+v vs %+v", i, out.Records[i], in.Records[i])
 		}
+	}
+}
+
+// TestHealthBundleDecodeIntoInterned: decoding into a kept bundle through
+// an Interner yields the same records as DecodeHealthBundle, hands back the
+// interner's own strings, and allocates nothing once the bundle's record
+// storage has grown.
+func TestHealthBundleDecodeIntoInterned(t *testing.T) {
+	in := HealthBundle{
+		Node:    7,
+		Battery: 0.83,
+		Records: []HealthRecord{
+			{TaskID: "lts-level", Role: RoleActive, Seq: 12, Output: 42.5, HasOut: true},
+			{TaskID: "chiller-temp", Role: RoleBackup, Seq: 11, Output: 50.1, HasOut: true},
+		},
+	}
+	b, err := in.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := IDs{"chiller-temp", "lts-level"}
+	var out HealthBundle
+	if err := DecodeHealthBundleInto(b, &out, ids); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := DecodeHealthBundle(b)
+	if out.Node != want.Node || out.Battery != want.Battery || len(out.Records) != len(want.Records) {
+		t.Fatalf("bundle mismatch: %+v vs %+v", out, want)
+	}
+	for i := range want.Records {
+		if out.Records[i] != want.Records[i] {
+			t.Fatalf("record %d: %+v vs %+v", i, out.Records[i], want.Records[i])
+		}
+	}
+	if unsafe.StringData(out.Records[0].TaskID) != unsafe.StringData(ids[1]) {
+		t.Fatal("decoded task ID is not the interned string")
+	}
+	var interner Interner = ids
+	if n := testing.AllocsPerRun(100, func() { _ = DecodeHealthBundleInto(b, &out, interner) }); n != 0 {
+		t.Fatalf("interned decode allocates %.0f times", n)
+	}
+	// An ID outside the set still decodes, into a fresh string.
+	in.Records[0].TaskID = "unknown"
+	b, _ = in.Encode()
+	if err := DecodeHealthBundleInto(b, &out, ids); err != nil || out.Records[0].TaskID != "unknown" {
+		t.Fatalf("unknown ID: %v %+v", err, out.Records)
 	}
 }
 

@@ -111,6 +111,7 @@ func (w *writer) str(s string) error {
 type reader struct {
 	buf []byte
 	off int
+	ids Interner // nil: every decoded string is a fresh allocation
 }
 
 func (r *reader) u8() (uint8, error) {
@@ -176,9 +177,34 @@ func (r *reader) str() (string, error) {
 	if r.off+int(n) > len(r.buf) {
 		return "", ErrTruncated
 	}
-	s := string(r.buf[r.off : r.off+int(n)])
+	b := r.buf[r.off : r.off+int(n)]
 	r.off += int(n)
-	return s, nil
+	if r.ids != nil {
+		return r.ids.Intern(b), nil
+	}
+	return string(b), nil
+}
+
+// An Interner returns a string equal to b, preferably one the caller
+// already holds. A receiver decodes the same few task IDs every control
+// cycle; decoding through an Interner reuses its canonical strings instead
+// of allocating one per message.
+type Interner interface {
+	Intern(b []byte) string
+}
+
+// IDs interns against a fixed set of strings; bytes outside the set get a
+// fresh string.
+type IDs []string
+
+// Intern implements Interner.
+func (ids IDs) Intern(b []byte) string {
+	for _, id := range ids {
+		if id == string(b) {
+			return id
+		}
+	}
+	return string(b)
 }
 
 // --- sensor snapshot ---------------------------------------------------------
@@ -269,7 +295,7 @@ type Actuate struct {
 
 // Encode packs the command.
 func (a Actuate) Encode() ([]byte, error) {
-	var w writer
+	w := writer{buf: make([]byte, 0, 1+8+4+1+len(a.TaskID))}
 	w.u8(a.Port)
 	w.f64(a.Value)
 	w.u32(a.Seq)
@@ -280,8 +306,12 @@ func (a Actuate) Encode() ([]byte, error) {
 }
 
 // DecodeActuate unpacks an actuation command.
-func DecodeActuate(b []byte) (Actuate, error) {
-	r := reader{buf: b}
+func DecodeActuate(b []byte) (Actuate, error) { return DecodeActuateInterned(b, nil) }
+
+// DecodeActuateInterned unpacks an actuation command, taking its task ID
+// from ids.
+func DecodeActuateInterned(b []byte, ids Interner) (Actuate, error) {
+	r := reader{buf: b, ids: ids}
 	var a Actuate
 	var err error
 	if a.Port, err = r.u8(); err != nil {
@@ -336,7 +366,11 @@ func (hb HealthBundle) Encode() ([]byte, error) {
 	if len(hb.Records) > 255 {
 		return nil, fmt.Errorf("wire: %d health records exceed 255", len(hb.Records))
 	}
-	var w writer
+	size := 2 + 8 + 1
+	for _, rec := range hb.Records {
+		size += 1 + 4 + 1 + 8 + 1 + len(rec.TaskID)
+	}
+	w := writer{buf: make([]byte, 0, size)}
 	w.u16(hb.Node)
 	w.f64(hb.Battery)
 	w.u8(uint8(len(hb.Records)))
@@ -358,44 +392,56 @@ func (hb HealthBundle) Encode() ([]byte, error) {
 
 // DecodeHealthBundle unpacks a bundle.
 func DecodeHealthBundle(b []byte) (HealthBundle, error) {
-	r := reader{buf: b}
 	var hb HealthBundle
+	err := DecodeHealthBundleInto(b, &hb, nil)
+	return hb, err
+}
+
+// DecodeHealthBundleInto unpacks a bundle into hb, reusing the storage of
+// hb.Records and taking task IDs from ids, so a receiver that keeps one
+// HealthBundle decodes every cycle without allocating. On error hb holds
+// what was decoded so far.
+func DecodeHealthBundleInto(b []byte, hb *HealthBundle, ids Interner) error {
+	r := reader{buf: b, ids: ids}
+	*hb = HealthBundle{Records: hb.Records[:0]}
 	var err error
 	if hb.Node, err = r.u16(); err != nil {
-		return hb, err
+		return err
 	}
 	if hb.Battery, err = r.f64(); err != nil {
-		return hb, err
+		return err
 	}
 	n, err := r.u8()
 	if err != nil {
-		return hb, err
+		return err
 	}
-	hb.Records = make([]HealthRecord, 0, n)
+	if hb.Records == nil {
+		hb.Records = make([]HealthRecord, 0, n)
+	}
 	for i := 0; i < int(n); i++ {
 		var rec HealthRecord
 		role, err := r.u8()
 		if err != nil {
-			return hb, err
+			return err
 		}
 		rec.Role = Role(role)
 		if rec.Seq, err = r.u32(); err != nil {
-			return hb, err
+			return err
 		}
 		hasOut, err := r.u8()
 		if err != nil {
-			return hb, err
+			return err
 		}
 		rec.HasOut = hasOut == 1
 		if rec.Output, err = r.f64(); err != nil {
-			return hb, err
+			return err
 		}
 		if rec.TaskID, err = r.str(); err != nil {
-			return hb, err
+			return err
 		}
 		hb.Records = append(hb.Records, rec)
 	}
-	return hb, nil
+	return nil
 }
 
 // Encode packs the health record.
