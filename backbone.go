@@ -598,6 +598,28 @@ func (b *Backbone) hop(path []int, i int, payload []byte, try int, onDeliver fun
 	})
 }
 
+// Metric keys the Runner counts from backbone events.
+const (
+	MetricBackboneDelivered = "backbone_delivered"
+	// MetricBackboneDropped counts per-hop backbone losses.
+	MetricBackboneDropped = "backbone_dropped"
+	// MetricBackboneLinkFaults counts backbone link severs (LinkDown
+	// steps taking effect; restores are the tail end of a fault already
+	// counted).
+	MetricBackboneLinkFaults = "backbone_link_faults"
+	// MetricBackboneReroutes counts retransmissions that picked a new
+	// path because the link set changed mid-transfer.
+	MetricBackboneReroutes = "backbone_reroutes"
+)
+
+// Runner counter bits the kinds below return from counters.
+var (
+	backboneReroutesCounter   = counter(MetricBackboneReroutes)
+	backboneLinkFaultsCounter = counter(MetricBackboneLinkFaults)
+	backboneDeliveredCounter  = counter(MetricBackboneDelivered)
+	backboneDroppedCounter    = counter(MetricBackboneDropped)
+)
+
 // BackboneEventKind classifies a BackboneEvent.
 type BackboneEventKind string
 
@@ -634,6 +656,20 @@ func (e BackboneEvent) String() string {
 	return fmt.Sprintf("%v backbone kind=%s from=%s to=%s bytes=%d", e.At, e.Kind, e.From, e.To, e.Bytes)
 }
 
+// backboneOutcomes declares each transfer outcome's series and counters.
+var backboneOutcomes = map[BackboneEventKind]struct {
+	series   string
+	counters counterSet
+}{
+	BackboneSend:    {"backbone_sent", 0},
+	BackboneDeliver: {"backbone_delivered", backboneDeliveredCounter},
+	BackboneDrop:    {"backbone_dropped", backboneDroppedCounter},
+	BackboneFail:    {"backbone_failed", 0},
+}
+
+func (e BackboneEvent) series() string       { return backboneOutcomes[e.Kind].series }
+func (e BackboneEvent) counters() counterSet { return backboneOutcomes[e.Kind].counters }
+
 // BackboneRouteEvent fires once per backbone transfer with the route the
 // transfer will follow (inclusive of both endpoint cells), and again —
 // marked Reroute — whenever a retransmission of the same transfer picks
@@ -660,6 +696,9 @@ func (e BackboneRouteEvent) String() string {
 		e.At, kind, e.From, e.To, strings.Join(e.Path, ">"), e.Bytes)
 }
 
+func (BackboneRouteEvent) series() string         { return "backbone_routes" }
+func (e BackboneRouteEvent) counters() counterSet { return only(e.Reroute, backboneReroutesCounter) }
+
 // BackboneLinkEvent fires when a backbone link is severed or restored by
 // link-level fault dynamics (FaultStep.LinkDown / FaultStep.LinkUp).
 type BackboneLinkEvent struct {
@@ -681,3 +720,6 @@ func (e BackboneLinkEvent) String() string {
 	}
 	return fmt.Sprintf("%v backbone-link a=%s b=%s state=%s", e.At, e.A, e.B, state)
 }
+
+func (BackboneLinkEvent) series() string         { return "backbone_links" }
+func (e BackboneLinkEvent) counters() counterSet { return only(!e.Up, backboneLinkFaultsCounter) }

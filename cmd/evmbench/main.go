@@ -29,7 +29,7 @@ import (
 func main() {
 	exp := flag.String("exp", "all", "experiment to run (e1..e10, fed, policy, pipe, sever, ota, grid or all)")
 	trend := flag.String("trend", "", "directory holding BENCH_pr*.json artifacts; print the cross-PR benchmark trend table and exit")
-	flag.StringVar(&eventDir, "events", "", "directory for per-run event CSVs from the grid sweep (empty = off)")
+	flag.StringVar(&eventDir, "events", "", "directory for per-run telemetry sample CSVs from the grid sweep (empty = off)")
 	flag.Parse()
 	if *trend != "" {
 		if err := trendTable(*trend); err != nil {
@@ -465,7 +465,7 @@ func e10Attestation() error {
 	return nil
 }
 
-// eventDir is the -events flag: per-run event CSV capture for the grid.
+// eventDir is the -events flag: per-run telemetry CSVs for the grid.
 var eventDir string
 
 // fedCampus demonstrates the federation subsystem: the two-cell
@@ -977,7 +977,7 @@ func gridSweep() error {
 		if err := os.MkdirAll(eventDir, 0o755); err != nil {
 			return err
 		}
-		fmt.Printf("  per-run event CSVs -> %s\n", eventDir)
+		fmt.Printf("  per-run telemetry CSVs -> %s\n", eventDir)
 	}
 	start := time.Now() //evm:allow-wallclock host benchmark stopwatch around whole runs; never read inside the simulation
 	results := (&evm.Runner{Workers: workers, EventDir: eventDir}).Run(specs)

@@ -27,7 +27,7 @@ func main() {
 	workers := flag.Int("workers", 0, "run concurrency (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 4096, "admission queue bound across tenants (backpressure past it)")
 	tenantQueue := flag.Int("tenant-queue", 0, "per-tenant queue share (0 = no per-tenant bound)")
-	eventDir := flag.String("event-dir", "", "flush per-run event CSVs under this directory")
+	eventDir := flag.String("event-dir", "", "flush each completed run's telemetry CSV to <dir>/<run-id>.csv (same bytes as /v1/runs/{id}/telemetry)")
 	drain := flag.Duration("drain-timeout", 30*time.Second, "bound on waiting for in-flight runs at shutdown")
 	runTTL := flag.Duration("run-ttl", 0, "evict finished runs this long after completion (410 Gone; 0 = keep forever)")
 	maxRuns := flag.Int("max-runs", 0, "cap the run table, evicting the oldest finished runs (0 = unbounded)")

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"time"
-
-	"evm/internal/trace"
 )
 
 // Event is one structured observation from a cell, stamped with virtual
@@ -22,7 +20,63 @@ type Event interface {
 	// String renders a stable one-line form suitable for logging and
 	// byte-comparison across runs.
 	String() string
+	// series and counters are the event kind's one declaration of what it
+	// means to observers, written next to its String method: the
+	// telemetry series it lands on (SeriesName, Sample rows) and the
+	// Runner counters it bumps. They are unexported, so the set of kinds
+	// is closed and none can fall through to a default.
+	series() string
+	counters() counterSet
 }
+
+// counterSet is a set of Runner counters, one bit each; an event kind's
+// counters method returns the ones it bumps.
+type counterSet uint64
+
+// runnerCounters lists every declared Runner counter key, bit i of a
+// counterSet naming runnerCounters[i]. The Runner reports all of them,
+// zero when no event bumped one.
+var runnerCounters []string
+
+// counter declares a Runner counter and returns its bit. Event kinds
+// declare theirs at package level, next to the kind.
+func counter(key string) counterSet {
+	if len(runnerCounters) == 64 {
+		panic("evm: more than 64 Runner counters")
+	}
+	runnerCounters = append(runnerCounters, key)
+	return 1 << (len(runnerCounters) - 1)
+}
+
+// only returns set when cond holds, else the empty set.
+func only(cond bool, set counterSet) counterSet {
+	if cond {
+		return set
+	}
+	return 0
+}
+
+// Metric keys the Runner counts from the cell event kinds in this file.
+const (
+	MetricFailovers      = "failovers"
+	MetricActuations     = "actuations"
+	MetricMigrations     = "migrations"
+	MetricJoins          = "joins"
+	MetricFaultsInjected = "faults_injected"
+	// MetricModeChanges counts synchronized mode switches issued by
+	// component heads.
+	MetricModeChanges = "mode_changes"
+)
+
+// Runner counter bits the kinds below return from counters.
+var (
+	failoversCounter      = counter(MetricFailovers)
+	actuationsCounter     = counter(MetricActuations)
+	migrationsCounter     = counter(MetricMigrations)
+	joinsCounter          = counter(MetricJoins)
+	modeChangesCounter    = counter(MetricModeChanges)
+	faultsInjectedCounter = counter(MetricFaultsInjected)
+)
 
 // FailoverEvent fires after the component head switches a task's master.
 type FailoverEvent struct {
@@ -39,6 +93,9 @@ func (e FailoverEvent) When() time.Duration { return e.At }
 func (e FailoverEvent) String() string {
 	return fmt.Sprintf("%v failover task=%s from=%d to=%d", e.At, e.Task, e.From, e.To)
 }
+
+func (FailoverEvent) series() string       { return "failovers" }
+func (FailoverEvent) counters() counterSet { return failoversCounter }
 
 // ActuationEvent fires when the gateway's operation switch accepts an
 // actuation and writes it to the plant.
@@ -59,6 +116,9 @@ func (e ActuationEvent) String() string {
 		e.At, e.Node, e.Task, e.Port, strconv.FormatFloat(e.Value, 'g', -1, 64))
 }
 
+func (ActuationEvent) series() string       { return "actuations" }
+func (ActuationEvent) counters() counterSet { return actuationsCounter }
+
 // MigrationEvent fires when a migrated task's state becomes ready on the
 // destination node.
 type MigrationEvent struct {
@@ -76,6 +136,9 @@ func (e MigrationEvent) String() string {
 	return fmt.Sprintf("%v migration task=%s from=%d to=%d", e.At, e.Task, e.From, e.To)
 }
 
+func (MigrationEvent) series() string       { return "migrations" }
+func (MigrationEvent) counters() counterSet { return migrationsCounter }
+
 // JoinEvent fires when the component head admits a member announcement.
 type JoinEvent struct {
 	At   time.Duration
@@ -89,6 +152,9 @@ func (e JoinEvent) When() time.Duration { return e.At }
 func (e JoinEvent) String() string {
 	return fmt.Sprintf("%v join node=%d", e.At, e.Node)
 }
+
+func (JoinEvent) series() string       { return "joins" }
+func (JoinEvent) counters() counterSet { return joinsCounter }
 
 // ModeChangeEvent fires when the component head issues a synchronized
 // task-set switch (planned reconfiguration, paper §1.1 item 4): the new
@@ -109,6 +175,9 @@ func (e ModeChangeEvent) When() time.Duration { return e.At }
 func (e ModeChangeEvent) String() string {
 	return fmt.Sprintf("%v mode-change head=%d mode=%d frame=%d", e.At, e.Node, e.Mode, e.AtFrame)
 }
+
+func (ModeChangeEvent) series() string       { return "mode_changes" }
+func (ModeChangeEvent) counters() counterSet { return modeChangesCounter }
 
 // FaultKind classifies a FaultEvent.
 type FaultKind string
@@ -146,6 +215,18 @@ func (e FaultEvent) When() time.Duration { return e.At }
 func (e FaultEvent) String() string {
 	return fmt.Sprintf("%v fault kind=%s node=%d task=%s value=%s",
 		e.At, e.Kind, e.Node, e.Task, strconv.FormatFloat(e.Value, 'g', -1, 64))
+}
+
+func (FaultEvent) series() string { return "faults" }
+
+// counters counts injections only: clears and restores are the tail end
+// of a fault already counted.
+func (e FaultEvent) counters() counterSet {
+	switch e.Kind {
+	case FaultCrash, FaultCompute, FaultPERBurst, FaultBatteryDrain, FaultClockDrift:
+		return faultsInjectedCounter
+	}
+	return 0
 }
 
 // Bus is a cell's typed event stream. Subscribe registers a callback that
@@ -269,63 +350,7 @@ func (l *EventLog) Count(pred func(Event) bool) int {
 // Close stops recording.
 func (l *EventLog) Close() { l.sub.Cancel() }
 
-// Recorder renders the log as trace time series: one cumulative counter
-// per event type, sampled at every event's virtual timestamp. Campus
-// streams are counted by their inner event type (CellEvent unwrapped).
-// Equal-seed runs produce byte-identical CSV from Recorder().WriteCSV.
-func (l *EventLog) Recorder() *trace.Recorder {
-	rec := trace.NewRecorder()
-	counts := make(map[string]float64)
-	for _, ev := range l.events {
-		name := SeriesName(ev)
-		counts[name]++
-		rec.Series(name).Add(ev.When(), counts[name])
-	}
-	return rec
-}
-
-// SeriesName maps an event to its stable telemetry series name — the
-// same key used by EventLog.Recorder CSV columns, Runner metrics and
-// evmd's flat telemetry samples. Campus streams are named by their inner
-// event type (CellEvent unwrapped).
-func SeriesName(ev Event) string {
-	if ce, ok := ev.(CellEvent); ok {
-		return SeriesName(ce.Inner)
-	}
-	switch ev.(type) {
-	case FailoverEvent:
-		return "failovers"
-	case ActuationEvent:
-		return "actuations"
-	case MigrationEvent:
-		return "migrations"
-	case JoinEvent:
-		return "joins"
-	case FaultEvent:
-		return "faults"
-	case InterCellMigrationEvent:
-		return "intercell_migrations"
-	case CellOverloadEvent:
-		return "cell_overloads"
-	case CellRecoveredEvent:
-		return "cell_recoveries"
-	case BackboneEvent:
-		return "backbone_transfers"
-	case BackboneRouteEvent:
-		return "backbone_routes"
-	case BackboneLinkEvent:
-		return "backbone_links"
-	case ModeChangeEvent:
-		return "mode_changes"
-	case RolloutEvent:
-		return "rollouts"
-	case CapsuleDeliveryEvent:
-		return "capsule_deliveries"
-	case RollbackEvent:
-		return "rollbacks"
-	case RebalanceAbortEvent:
-		return "rebalance_aborts"
-	default:
-		return "other"
-	}
-}
+// SeriesName maps an event to its stable telemetry series name, the
+// series its kind declares. Campus streams are named by their inner
+// event (CellEvent unwrapped).
+func SeriesName(ev Event) string { return ev.series() }

@@ -34,8 +34,10 @@ type Config struct {
 	// TenantQueueDepth bounds one tenant's share of the queue so a noisy
 	// tenant cannot occupy it wholesale (default: QueueDepth, i.e. off).
 	TenantQueueDepth int
-	// EventDir, when non-empty, flushes every run's event log as a CSV
-	// under <EventDir>/<runID>/ (the Runner's per-run recorder output).
+	// EventDir, when non-empty, flushes every completed run's telemetry
+	// samples to <EventDir>/<run ID>.csv, byte-identical to the run's
+	// GET /v1/runs/{id}/telemetry?format=csv. A failed flush fails the
+	// run with the write error.
 	EventDir string
 	// DrainTimeout bounds Drain when the caller passes zero (default 30s).
 	DrainTimeout time.Duration
@@ -317,13 +319,14 @@ func (s *Server) Submit(tenant string, specs ...evm.RunSpec) ([]*Run, error) {
 	runs := make([]*Run, len(specs))
 	for i, spec := range specs {
 		s.seq++
+		id := fmt.Sprintf("r-%06d", s.seq)
 		runs[i] = &Run{
-			ID:          fmt.Sprintf("r-%06d", s.seq),
+			ID:          id,
 			Tenant:      tenant,
 			Spec:        spec,
 			state:       RunQueued,
 			submittedAt: now,
-			stream:      newStream(),
+			stream:      newStream(id, tenant, spec),
 		}
 	}
 	s.mu.Unlock()
@@ -451,40 +454,29 @@ func (s *Server) execute(run *Run) {
 		Workers:   1,
 		Trace:     s.cfg.Trace,
 		HostStats: true,
-		Instrument: func(spec evm.RunSpec, exp *evm.Experiment) func(map[string]float64) {
-			var bus *evm.Bus
-			var now func() time.Duration
+		Instrument: func(_ evm.RunSpec, exp *evm.Experiment) func(map[string]float64) {
 			var cells []CellStatus
-			if exp.Campus != nil {
-				bus, now = exp.Campus.Events(), exp.Campus.Now
-				for _, c := range exp.Campus.Cells() {
-					cells = append(cells, CellStatus{Cell: c.Name(), Members: len(c.Members()), Nodes: len(c.Nodes())})
-				}
-			} else {
-				bus, now = exp.Cell.Events(), exp.Cell.Now
-				name := exp.Cell.Name()
+			for _, c := range exp.Cells() {
+				name := c.Name()
 				if name == "" {
 					name = "cell"
 				}
-				cells = []CellStatus{{Cell: name, Members: len(exp.Cell.Members()), Nodes: len(exp.Cell.Nodes())}}
+				cells = append(cells, CellStatus{Cell: name, Members: len(c.Members()), Nodes: len(c.Nodes())})
 			}
 			run.mu.Lock()
 			run.cells = cells
 			run.mu.Unlock()
-			sub := bus.Subscribe(func(ev evm.Event) { run.stream.observe(run, ev) })
+			sub := exp.Events().Subscribe(run.stream.observe)
 			return func(metrics map[string]float64) {
 				sub.Cancel()
-				run.stream.finalize(run, now(), metrics)
+				run.stream.finalize(exp.Now(), metrics)
 			}
 		},
 	}
-	if s.cfg.EventDir != "" {
-		dir := filepath.Join(s.cfg.EventDir, run.ID)
-		if err := os.MkdirAll(dir, 0o755); err == nil {
-			runner.EventDir = dir
-		}
-	}
 	res := runner.RunOne(run.Spec)
+	if res.Err == nil && s.cfg.EventDir != "" {
+		res.Err = flushSamples(s.cfg.EventDir, run)
+	}
 
 	run.mu.Lock()
 	run.finishedAt = s.cfg.Clock.Now()
@@ -509,6 +501,19 @@ func (s *Server) execute(run *Run) {
 	s.mu.Lock()
 	s.evictLocked(s.cfg.Clock.Now())
 	s.mu.Unlock()
+}
+
+// flushSamples writes the run's telemetry to <dir>/<run ID>.csv: the
+// bytes GET /v1/runs/{id}/telemetry?format=csv serves for the run.
+func flushSamples(dir string, run *Run) error {
+	err := os.MkdirAll(dir, 0o755)
+	if err == nil {
+		err = evm.WriteSamplesFile(filepath.Join(dir, run.ID+".csv"), run.Samples())
+	}
+	if err != nil {
+		return fmt.Errorf("evmd: flush telemetry: %w", err)
+	}
+	return nil
 }
 
 // Run returns the run record by ID (nil when unknown).
@@ -645,8 +650,8 @@ type DrainReport struct {
 // ErrDraining (HTTP 503), queued-but-unstarted runs are cancelled (their
 // streams close immediately), and in-flight runs — which are bounded by
 // their virtual-time horizons — are waited for up to timeout (zero =
-// Config.DrainTimeout). Event CSVs and telemetry are flushed by the runs
-// themselves as they complete. Drain is idempotent.
+// Config.DrainTimeout). Each run flushes its telemetry CSV
+// (Config.EventDir) itself as it completes. Drain is idempotent.
 func (s *Server) Drain(timeout time.Duration) DrainReport {
 	if timeout <= 0 {
 		timeout = s.cfg.DrainTimeout

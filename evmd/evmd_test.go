@@ -5,8 +5,10 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -258,7 +260,7 @@ func TestTenantQueueShare(t *testing.T) {
 	mk := func(tenant string, n int) []*Run {
 		runs := make([]*Run, n)
 		for i := range runs {
-			runs[i] = &Run{ID: fmt.Sprintf("%s-%d", tenant, i), Tenant: tenant, stream: newStream()}
+			runs[i] = &Run{ID: fmt.Sprintf("%s-%d", tenant, i), Tenant: tenant}
 		}
 		return runs
 	}
@@ -280,7 +282,7 @@ func TestFairQueueRoundRobin(t *testing.T) {
 	push := func(tenant string, ids ...string) {
 		runs := make([]*Run, len(ids))
 		for i, id := range ids {
-			runs[i] = &Run{ID: id, Tenant: tenant, stream: newStream()}
+			runs[i] = &Run{ID: id, Tenant: tenant}
 		}
 		if err := q.pushAll(runs); err != nil {
 			t.Fatal(err)
@@ -304,8 +306,9 @@ func TestFairQueueRoundRobin(t *testing.T) {
 }
 
 // TestGracefulShutdown: Drain refuses new submissions with 503, cancels
-// queued-but-unstarted runs, lets in-flight runs finish, and the event
-// CSVs of finished runs are flushed to EventDir.
+// queued-but-unstarted runs, lets in-flight runs finish, and the
+// telemetry of finished runs is flushed to EventDir, byte-identical to
+// what the telemetry endpoint serves.
 func TestGracefulShutdown(t *testing.T) {
 	dir := t.TempDir()
 	s := NewServer(Config{Workers: 1, QueueDepth: 64, EventDir: dir})
@@ -363,10 +366,23 @@ func TestGracefulShutdown(t *testing.T) {
 		switch st := waitState(t, run); st {
 		case RunDone:
 			doneRuns++
-			// Flushed CSV telemetry for every completed run.
-			matches, _ := filepath.Glob(filepath.Join(dir, run.ID, "*.csv"))
-			if len(matches) == 0 {
-				t.Fatalf("run %s completed but flushed no event CSV under %s", run.ID, dir)
+			// The flushed CSV is the telemetry endpoint's bytes.
+			flushed, err := os.ReadFile(filepath.Join(dir, run.ID+".csv"))
+			if err != nil {
+				t.Fatalf("run %s completed but flushed no telemetry CSV: %v", run.ID, err)
+			}
+			res, err := http.Get(ts.URL + "/v1/runs/" + run.ID + "/telemetry?format=csv")
+			if err != nil {
+				t.Fatal(err)
+			}
+			served, err := io.ReadAll(res.Body)
+			res.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(flushed) == 0 || !bytes.Equal(flushed, served) {
+				t.Fatalf("run %s: flushed CSV (%d bytes) differs from served telemetry (%d bytes)",
+					run.ID, len(flushed), len(served))
 			}
 		case RunCancelled:
 			cancelled++
@@ -386,6 +402,27 @@ func TestGracefulShutdown(t *testing.T) {
 	if int(s.Stats().Cancelled) != cancelled || rep.Cancelled != cancelled {
 		t.Fatalf("cancel counters disagree: stats %d, report %d, observed %d",
 			s.Stats().Cancelled, rep.Cancelled, cancelled)
+	}
+}
+
+// TestEventDirFlushFailureFailsRun: a telemetry flush that cannot write
+// fails the run with the error instead of silently dropping the CSV.
+func TestEventDirFlushFailureFailsRun(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "not-a-dir")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer(Config{Workers: 1, QueueDepth: 4, EventDir: file})
+	defer s.Drain(0)
+	runs, err := s.Submit("acme", evm.RunSpec{Scenario: evm.ScenarioEightController, Seed: 1, Horizon: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitState(t, runs[0]); st != RunFailed {
+		t.Fatalf("run ended %s, want %s", st, RunFailed)
+	}
+	if snap := runs[0].snapshot(); !strings.Contains(snap.Error, "not a directory") {
+		t.Fatalf("run error = %q, want the flush's not-a-directory error", snap.Error)
 	}
 }
 

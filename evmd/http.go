@@ -319,7 +319,7 @@ func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 	switch r.URL.Query().Get("format") {
 	case "", "csv":
 		w.Header().Set("Content-Type", "text/csv")
-		if err := WriteSamplesCSV(w, samples); err != nil {
+		if err := evm.WriteSamplesCSV(w, samples); err != nil {
 			return
 		}
 	case "ndjson":

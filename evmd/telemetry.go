@@ -1,10 +1,6 @@
 package evmd
 
 import (
-	"encoding/csv"
-	"io"
-	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -24,42 +20,6 @@ type EventRecord struct {
 	Event  string  `json:"event"`
 }
 
-// Sample is one flat telemetry measurement in the vpnctl-Metric style:
-// every field is a column, ready for CSV or a TSDB row. The daemon emits
-// one cumulative-count sample per event on its (cell, series) pair —
-// per-cell load, backbone drops, rollout phases — plus one sample per
-// final run metric (failover latency, qos_coverage, ...) stamped at the
-// horizon with series "metric.<name>".
-type Sample struct {
-	T        float64 `json:"t"` // virtual seconds
-	Run      string  `json:"run"`
-	Tenant   string  `json:"tenant"`
-	Scenario string  `json:"scenario"`
-	Seed     uint64  `json:"seed"`
-	Cell     string  `json:"cell,omitempty"`
-	Series   string  `json:"series"`
-	Value    float64 `json:"value"`
-}
-
-// sampleSeries refines evm.SeriesName for telemetry: backbone drops get
-// their own series (the bus folds deliver/drop into one event type), and
-// rollout events carry their phase as the series suffix so a dashboard
-// can plot rollout progress directly.
-func sampleSeries(ev evm.Event) string {
-	if ce, ok := ev.(evm.CellEvent); ok {
-		return sampleSeries(ce.Inner)
-	}
-	switch e := ev.(type) {
-	case evm.BackboneEvent:
-		if e.Kind == evm.BackboneDrop {
-			return "backbone_drops"
-		}
-	case evm.RolloutEvent:
-		return "rollout_phase." + string(e.Phase)
-	}
-	return evm.SeriesName(ev)
-}
-
 // stream is one run's append-only observation log: event records for
 // streaming subscribers and flat samples for telemetry export. Writers
 // (the run's worker goroutine) append under mu; readers follow the log
@@ -70,72 +30,37 @@ func sampleSeries(ev evm.Event) string {
 type stream struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
+	tel     *evm.Telemetry
 	events  []EventRecord
-	samples []Sample
-	counts  map[string]float64
+	samples []evm.Sample
 	closed  bool
 }
 
-func newStream() *stream {
-	s := &stream{counts: make(map[string]float64)}
+// newStream opens the observation log of one run, its samples stamped
+// with the run's identity.
+func newStream(id, tenant string, spec evm.RunSpec) *stream {
+	s := &stream{tel: evm.NewTelemetry(id, tenant, spec)}
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
 
-// observe appends one bus event as a stream record plus a cumulative
-// (cell, series) count sample. It runs synchronously on the simulation
-// goroutine, so ordering is the bus's deterministic publication order.
-func (s *stream) observe(run *Run, ev evm.Event) {
-	cell := ""
-	if ce, ok := ev.(evm.CellEvent); ok {
-		cell = ce.Cell
-	}
-	series := sampleSeries(ev)
-	rec := EventRecord{
-		T:      ev.When().Seconds(),
-		Cell:   cell,
-		Series: series,
-		Event:  ev.String(),
-	}
+// observe appends one bus event as a stream record plus its telemetry
+// sample. It runs synchronously on the simulation goroutine, so ordering
+// is the bus's deterministic publication order.
+func (s *stream) observe(ev evm.Event) {
+	sm := s.tel.Sample(ev) // tel is the writer's alone; readers never touch it
+	rec := EventRecord{T: sm.T, Cell: sm.Cell, Series: sm.Series, Event: ev.String()}
 	s.mu.Lock()
+	s.samples = append(s.samples, sm)
 	s.events = append(s.events, rec)
-	key := cell + "|" + series
-	s.counts[key]++
-	s.samples = append(s.samples, Sample{
-		T:        rec.T,
-		Run:      run.ID,
-		Tenant:   run.Tenant,
-		Scenario: run.Spec.Scenario,
-		Seed:     run.Spec.Seed,
-		Cell:     cell,
-		Series:   series,
-		Value:    s.counts[key],
-	})
 	s.cond.Broadcast()
 	s.mu.Unlock()
 }
 
-// finalize stamps every final run metric as a sample at the horizon.
-// Metric keys are emitted in sorted order so the sample log, like the
-// event log, is byte-deterministic.
-func (s *stream) finalize(run *Run, now time.Duration, metrics map[string]float64) {
-	keys := make([]string, 0, len(metrics))
-	for k := range metrics {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+// finalize appends every final run metric as a sample at the horizon.
+func (s *stream) finalize(now time.Duration, metrics map[string]float64) {
 	s.mu.Lock()
-	for _, k := range keys {
-		s.samples = append(s.samples, Sample{
-			T:        now.Seconds(),
-			Run:      run.ID,
-			Tenant:   run.Tenant,
-			Scenario: run.Spec.Scenario,
-			Seed:     run.Spec.Seed,
-			Series:   "metric." + k,
-			Value:    metrics[k],
-		})
-	}
+	s.samples = s.tel.AppendMetricSamples(s.samples, now, metrics)
 	s.cond.Broadcast()
 	s.mu.Unlock()
 }
@@ -189,10 +114,10 @@ func (s *stream) snapshotEvents() []EventRecord {
 }
 
 // snapshotSamples copies the samples seen so far.
-func (s *stream) snapshotSamples() []Sample {
+func (s *stream) snapshotSamples() []evm.Sample {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]Sample(nil), s.samples...)
+	return append([]evm.Sample(nil), s.samples...)
 }
 
 // Events returns the run's streamed event records so far (all of them
@@ -200,30 +125,7 @@ func (s *stream) snapshotSamples() []Sample {
 func (r *Run) Events() []EventRecord { return r.stream.snapshotEvents() }
 
 // Samples returns the run's flat telemetry samples so far.
-func (r *Run) Samples() []Sample { return r.stream.snapshotSamples() }
-
-// WriteSamplesCSV renders samples as one flat CSV table
-// (t,run,tenant,scenario,seed,cell,series,value).
-func WriteSamplesCSV(w io.Writer, samples []Sample) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"t", "run", "tenant", "scenario", "seed", "cell", "series", "value"}); err != nil {
-		return err
-	}
-	for _, sm := range samples {
-		rec := []string{
-			strconv.FormatFloat(sm.T, 'g', -1, 64),
-			sm.Run, sm.Tenant, sm.Scenario,
-			strconv.FormatUint(sm.Seed, 10),
-			sm.Cell, sm.Series,
-			strconv.FormatFloat(sm.Value, 'g', -1, 64),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
+func (r *Run) Samples() []evm.Sample { return r.stream.snapshotSamples() }
 
 // SerialEvents executes the spec synchronously on the calling goroutine
 // — no daemon, no queue — and returns exactly the event records evmd
@@ -232,15 +134,11 @@ func WriteSamplesCSV(w io.Writer, samples []Sample) error {
 // must be byte-identical to its SerialEvents output. evmload -verify and
 // the evmd test suite both compare against it.
 func SerialEvents(spec evm.RunSpec) ([]EventRecord, error) {
-	ref := &Run{ID: "serial", Tenant: "serial", Spec: spec, stream: newStream()}
+	ref := newStream("serial", "serial", spec)
 	runner := &evm.Runner{
 		Workers: 1,
 		Instrument: func(_ evm.RunSpec, exp *evm.Experiment) func(map[string]float64) {
-			bus := exp.Cell.Events
-			if exp.Campus != nil {
-				bus = exp.Campus.Events
-			}
-			sub := bus().Subscribe(func(ev evm.Event) { ref.stream.observe(ref, ev) })
+			sub := exp.Events().Subscribe(ref.observe)
 			return func(map[string]float64) { sub.Cancel() }
 		},
 	}
@@ -248,6 +146,6 @@ func SerialEvents(spec evm.RunSpec) ([]EventRecord, error) {
 	if res.Err != nil {
 		return nil, res.Err
 	}
-	ref.stream.close()
-	return ref.stream.snapshotEvents(), nil
+	ref.close()
+	return ref.snapshotEvents(), nil
 }

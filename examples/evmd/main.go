@@ -102,7 +102,7 @@ func run() error {
 	if len(tail) > 6 {
 		tail = tail[len(tail)-6:]
 	}
-	if err := evmd.WriteSamplesCSV(os.Stdout, tail); err != nil {
+	if err := evm.WriteSamplesCSV(os.Stdout, tail); err != nil {
 		return err
 	}
 

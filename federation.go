@@ -145,7 +145,7 @@ type Campus struct {
 	specs    []CellSpec
 	byName   map[string]int
 	backbone *Backbone
-	busImpl  *Bus
+	events   *Bus // the merged campus stream
 
 	policy    PlacementPolicy
 	rebalance RebalancePolicy
@@ -181,6 +181,7 @@ func NewCampus(cfg CampusConfig, specs ...CellSpec) (*Campus, error) {
 	}
 	c := &Campus{
 		cfg:        cfg,
+		events:     &Bus{},
 		eng:        sim.New(),
 		rng:        sim.NewRNG(cfg.Seed),
 		byName:     make(map[string]int, len(specs)),
@@ -227,7 +228,7 @@ func NewCampus(cfg CampusConfig, specs ...CellSpec) (*Campus, error) {
 		cellName := name
 		cell.Events().Subscribe(func(ev Event) {
 			//evm:allow-eventorder synchronous bus-to-bus bridge: cells share one engine, campus subscribers never publish back into a cell bus, so delivery cannot re-enter or reorder
-			c.bus().publish(CellEvent{Cell: cellName, Inner: ev})
+			c.events.publish(CellEvent{Cell: cellName, Inner: ev})
 		})
 		if err := cell.Deploy(cs.VC); err != nil {
 			c.Stop()
@@ -255,7 +256,7 @@ func NewCampus(cfg CampusConfig, specs ...CellSpec) (*Campus, error) {
 			c.taskKeys[t.ID] = key
 		}
 	}
-	c.backbone = newBackbone(c.eng, c.rng.Fork(), cfg.Backbone, names, c.bus())
+	c.backbone = newBackbone(c.eng, c.rng.Fork(), cfg.Backbone, names, c.events)
 	for _, l := range cfg.Links {
 		if err := c.backbone.AddLink(l.A, l.B, l.Config); err != nil {
 			c.Stop()
@@ -269,7 +270,7 @@ func NewCampus(cfg CampusConfig, specs ...CellSpec) (*Campus, error) {
 	// cell whose tasks are hosted elsewhere — waiting for the next
 	// coordinator tick would let the stale master actuate alongside the
 	// foreign copy for up to a full CheckPeriod.
-	c.bus().Subscribe(func(ev Event) {
+	c.events.Subscribe(func(ev Event) {
 		ce, ok := ev.(CellEvent)
 		if !ok {
 			return
@@ -297,18 +298,9 @@ func NewCampus(cfg CampusConfig, specs ...CellSpec) (*Campus, error) {
 	return c, nil
 }
 
-// bus lazily creates the campus event bus (needed before the struct is
-// fully built, during per-cell subscription wiring).
-func (c *Campus) bus() *Bus {
-	if c.busImpl == nil {
-		c.busImpl = &Bus{}
-	}
-	return c.busImpl
-}
-
 // Events returns the merged campus event stream: every cell's events
 // wrapped in CellEvent plus the federation-level events.
-func (c *Campus) Events() *Bus { return c.bus() }
+func (c *Campus) Events() *Bus { return c.events }
 
 // Backbone returns the inter-cell network.
 func (c *Campus) Backbone() *Backbone { return c.backbone }
@@ -530,7 +522,7 @@ func (c *Campus) tick() {
 				reason = "head-down"
 			}
 			sort.Strings(byCell[i])
-			c.bus().publish(CellOverloadEvent{
+			c.events.publish(CellOverloadEvent{
 				At: c.eng.Now(), Cell: c.cellName(i), Reason: reason, Tasks: byCell[i],
 			})
 		}
@@ -552,7 +544,7 @@ func (c *Campus) detectRecoveries() {
 			continue
 		}
 		if !down {
-			c.bus().publish(CellRecoveredEvent{At: c.eng.Now(), Cell: c.cellName(i)})
+			c.events.publish(CellRecoveredEvent{At: c.eng.Now(), Cell: c.cellName(i)})
 			c.demoteStaleMasters(i)
 		}
 		c.cellDown[i] = down
@@ -773,7 +765,7 @@ func (c *Campus) deliver(key string, p *taskPlacement, dst int, payload []byte) 
 		// its origin cell (e.g. affinity after the origin recovered):
 		// that delivery is a homecoming, not a foreign placement.
 		p.cell, p.node, p.foreign = dst, id, dst != p.origin
-		c.bus().publish(InterCellMigrationEvent{
+		c.events.publish(InterCellMigrationEvent{
 			At:       c.eng.Now(),
 			Task:     ex.TaskID,
 			FromCell: c.cellName(fromCell),
@@ -979,7 +971,7 @@ func (c *Campus) onCommit(key string, p *taskPlacement, hs *rebalanceHandshake) 
 	p.export, p.have = hs.export, true
 	c.eng.Tracer().Close(hs.spanID, c.eng.Now(), span.Arg{Key: "outcome", Val: "commit"})
 	c.finishHandshake(p, hs)
-	c.bus().publish(InterCellMigrationEvent{
+	c.events.publish(InterCellMigrationEvent{
 		At:        c.eng.Now(),
 		Task:      p.spec.ID,
 		FromCell:  c.cellName(host),
@@ -1008,7 +1000,7 @@ func (c *Campus) abortRebalance(p *taskPlacement, hs *rebalanceHandshake, reason
 	c.eng.Tracer().Close(hs.spanID, c.eng.Now(),
 		span.Arg{Key: "outcome", Val: "abort"}, span.Arg{Key: "reason", Val: reason})
 	c.finishHandshake(p, hs)
-	c.bus().publish(RebalanceAbortEvent{
+	c.events.publish(RebalanceAbortEvent{
 		At:     c.eng.Now(),
 		Task:   p.spec.ID,
 		Host:   c.cellName(p.cell),
@@ -1111,6 +1103,30 @@ func KillCellPlan(at time.Duration, cell *Cell) FaultPlan {
 
 // --- campus events ------------------------------------------------------------
 
+// Metric keys the Runner counts from campus events.
+const (
+	MetricInterCellMigrations = "intercell_migrations"
+	MetricCellOverloads       = "cell_overloads"
+	// MetricRebalances counts homeward inter-cell migrations (recovered
+	// origin cells taking tasks back); these are also included in
+	// MetricInterCellMigrations.
+	MetricRebalances = "rebalances"
+	// MetricCellRecoveries counts head-down -> head-up transitions.
+	MetricCellRecoveries = "cell_recoveries"
+	// MetricRebalanceAborts counts aborted prepare/commit rebalance
+	// handshakes (the foreign master kept the task).
+	MetricRebalanceAborts = "rebalance_aborts"
+)
+
+// Runner counter bits the kinds below return from counters.
+var (
+	cellOverloadsCounter       = counter(MetricCellOverloads)
+	cellRecoveriesCounter      = counter(MetricCellRecoveries)
+	rebalanceAbortsCounter     = counter(MetricRebalanceAborts)
+	interCellMigrationsCounter = counter(MetricInterCellMigrations)
+	rebalancesCounter          = counter(MetricRebalances)
+)
+
 // CellEvent wraps one cell's event for the merged campus stream,
 // attributing it to the cell by name.
 type CellEvent struct {
@@ -1125,6 +1141,11 @@ func (e CellEvent) When() time.Duration { return e.Inner.When() }
 func (e CellEvent) String() string {
 	return fmt.Sprintf("cell=%s %s", e.Cell, e.Inner.String())
 }
+
+// series and counters are the inner event's: campus streams are named
+// and counted by the wrapped kind.
+func (e CellEvent) series() string       { return e.Inner.series() }
+func (e CellEvent) counters() counterSet { return e.Inner.counters() }
 
 // CellOverloadEvent fires when the federation coordinator finds a cell
 // unable to keep its tasks alive locally: every candidate of at least
@@ -1145,6 +1166,9 @@ func (e CellOverloadEvent) String() string {
 		e.At, e.Cell, e.Reason, strings.Join(e.Tasks, "+"))
 }
 
+func (CellOverloadEvent) series() string       { return "cell_overloads" }
+func (CellOverloadEvent) counters() counterSet { return cellOverloadsCounter }
+
 // CellRecoveredEvent fires when a cell's head comes back after an
 // outage — the trigger window in which the RebalancePolicy may migrate
 // the cell's tasks home.
@@ -1160,6 +1184,9 @@ func (e CellRecoveredEvent) When() time.Duration { return e.At }
 func (e CellRecoveredEvent) String() string {
 	return fmt.Sprintf("%v cell-recovered cell=%s", e.At, e.Cell)
 }
+
+func (CellRecoveredEvent) series() string       { return "cell_recoveries" }
+func (CellRecoveredEvent) counters() counterSet { return cellRecoveriesCounter }
 
 // InterCellMigrationEvent fires when a task capsule shipped over the
 // backbone is re-deployed and activated in a peer cell. Rebalance marks
@@ -1187,6 +1214,11 @@ func (e InterCellMigrationEvent) String() string {
 		e.At, kind, e.Task, e.FromCell, e.From, e.ToCell, e.To)
 }
 
+func (InterCellMigrationEvent) series() string { return "intercell_migrations" }
+func (e InterCellMigrationEvent) counters() counterSet {
+	return interCellMigrationsCounter | only(e.Rebalance, rebalancesCounter)
+}
+
 // RebalanceAbortEvent fires when a prepare/commit rebalance handshake
 // aborts and the foreign master keeps the task: a lost leg
 // ("prepare-lost"/"commit-lost"), the handshake timeout ("timeout"), a
@@ -1209,3 +1241,6 @@ func (e RebalanceAbortEvent) String() string {
 	return fmt.Sprintf("%v rebalance-abort task=%s host=%s origin=%s reason=%s",
 		e.At, e.Task, e.Host, e.Origin, e.Reason)
 }
+
+func (RebalanceAbortEvent) series() string       { return "rebalance_aborts" }
+func (RebalanceAbortEvent) counters() counterSet { return rebalanceAbortsCounter }

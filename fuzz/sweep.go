@@ -80,15 +80,17 @@ func Sweep(corpus []Spec, seeds []uint64, workers int) SweepResult {
 	return out
 }
 
+// runSpec executes spec s at seed on the calling goroutine through r,
+// building the experiment from s.
+func runSpec(s Spec, seed uint64, r evm.Runner) evm.RunResult {
+	r.Build = func(run evm.RunSpec) (*evm.Experiment, error) { return buildExperiment(s, run) }
+	return r.RunOne(evm.RunSpec{Scenario: s.Name, Seed: seed})
+}
+
 // RunOnce executes one spec under the full checker set and returns the
 // violations observed (nil when every invariant held).
 func RunOnce(s Spec, seed uint64) ([]evm.Violation, error) {
-	r := &evm.Runner{
-		Workers:  1,
-		Build:    func(run evm.RunSpec) (*evm.Experiment, error) { return buildExperiment(s, run) },
-		Checkers: Checkers,
-	}
-	res := r.RunOne(evm.RunSpec{Scenario: s.Name, Seed: seed})
+	res := runSpec(s, seed, evm.Runner{Checkers: Checkers})
 	return res.Violations, res.Err
 }
 
@@ -97,19 +99,12 @@ func RunOnce(s Spec, seed uint64) ([]evm.Violation, error) {
 // determinism surface: equal (spec, seed) pairs yield equal slices.
 func EventStrings(s Spec, seed uint64) ([]string, error) {
 	var lines []string
-	r := &evm.Runner{
-		Workers: 1,
-		Build:   func(run evm.RunSpec) (*evm.Experiment, error) { return buildExperiment(s, run) },
+	res := runSpec(s, seed, evm.Runner{
 		Instrument: func(_ evm.RunSpec, exp *evm.Experiment) func(map[string]float64) {
-			bus := exp.Cell.Events
-			if exp.Campus != nil {
-				bus = exp.Campus.Events
-			}
-			sub := bus().Subscribe(func(ev evm.Event) { lines = append(lines, ev.String()) })
+			sub := exp.Events().Subscribe(func(ev evm.Event) { lines = append(lines, ev.String()) })
 			return func(map[string]float64) { sub.Cancel() }
 		},
-	}
-	res := r.RunOne(evm.RunSpec{Scenario: s.Name, Seed: seed})
+	})
 	return lines, res.Err
 }
 
@@ -119,12 +114,6 @@ func EventStrings(s Spec, seed uint64) ([]string, error) {
 // (which slot, which frame, which handshake leg) rather than only
 // replayed. Deterministic: equal (spec, seed) pairs yield equal bytes.
 func TraceJSON(s Spec, seed uint64) ([]byte, error) {
-	r := &evm.Runner{
-		Workers:  1,
-		Trace:    true,
-		Build:    func(run evm.RunSpec) (*evm.Experiment, error) { return buildExperiment(s, run) },
-		Checkers: Checkers,
-	}
-	res := r.RunOne(evm.RunSpec{Scenario: s.Name, Seed: seed})
+	res := runSpec(s, seed, evm.Runner{Trace: true, Checkers: Checkers})
 	return res.TraceJSON, res.Err
 }

@@ -30,11 +30,7 @@ func scenarioDigest(t *testing.T, scenario string, seed uint64) string {
 		Trace:    true,
 		Checkers: DefaultInvariants,
 		Instrument: func(_ RunSpec, exp *Experiment) func(map[string]float64) {
-			if exp.Campus != nil {
-				log = exp.Campus.Events().Log()
-			} else {
-				log = exp.Cell.Events().Log()
-			}
+			log = exp.Events().Log()
 			return nil
 		},
 	}

@@ -14,21 +14,11 @@ func replayScenario(t *testing.T, spec RunSpec) []Event {
 		t.Fatal(err)
 	}
 	defer exp.Cleanup()
-	var bus *Bus
-	if exp.Campus != nil {
-		bus = exp.Campus.Events()
-	} else {
-		bus = exp.Cell.Events()
-	}
-	log := bus.Log()
+	tgt := exp.target()
+	log := tgt.Events().Log()
 	defer log.Close()
 	if len(spec.Faults.Steps) > 0 {
-		if exp.Campus != nil {
-			err = exp.Campus.ApplyFaultPlan(spec.FaultCell, spec.Faults)
-		} else {
-			err = exp.Cell.ApplyFaultPlan(spec.Faults)
-		}
-		if err != nil {
+		if err := tgt.ApplyFaultPlan(spec.FaultCell, spec.Faults); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -39,11 +29,7 @@ func replayScenario(t *testing.T, spec RunSpec) []Event {
 	if horizon > 45*time.Second {
 		horizon = 45 * time.Second
 	}
-	if exp.Campus != nil {
-		exp.Campus.Run(horizon)
-	} else {
-		exp.Cell.Run(horizon)
-	}
+	tgt.Run(horizon)
 	return log.Events()
 }
 

@@ -487,7 +487,7 @@ func (c *Campus) StartRollout(spec RolloutSpec) (*Rollout, error) {
 	for _, task := range tasks {
 		c.otaActive[task] = true
 	}
-	c.bus().publish(RolloutEvent{
+	c.events.publish(RolloutEvent{
 		At: c.eng.Now(), Tasks: tasks, Version: spec.Version, Strategy: policy.Name(),
 		Phase: RolloutPhaseStart, Stage: -1, Cells: r.cellNames(r.cellIdxs),
 	})
@@ -589,7 +589,7 @@ func (r *Rollout) runStage() {
 				return // the catch-up cap tripped; fail() closed the rollout
 			}
 			r.finish(RolloutComplete, "")
-			r.c.bus().publish(RolloutEvent{
+			r.c.events.publish(RolloutEvent{
 				At: r.c.eng.Now(), Tasks: r.spec.Tasks, Version: r.spec.Version,
 				Strategy: r.policy.Name(), Phase: RolloutPhaseComplete, Stage: -1,
 				Cells: r.cellNames(r.cellIdxs),
@@ -749,7 +749,7 @@ func (r *Rollout) onPrepare(cell int, payload []byte) {
 			continue // retired mid-rollout; not this cell's to upgrade
 		}
 		err := node.StageCapsule(capsule)
-		r.c.bus().publish(CapsuleDeliveryEvent{
+		r.c.events.publish(CapsuleDeliveryEvent{
 			At: r.c.eng.Now(), Cell: r.c.cellName(cell), Node: id,
 			Task: msg.TaskID, Version: msg.Version, OK: err == nil,
 		})
@@ -770,7 +770,7 @@ func (r *Rollout) onPrepare(cell int, payload []byte) {
 // fully staged.
 func (r *Rollout) commitStage() {
 	batch := r.stages[r.stageIdx]
-	r.c.bus().publish(RolloutEvent{
+	r.c.events.publish(RolloutEvent{
 		At: r.c.eng.Now(), Tasks: r.spec.Tasks, Version: r.spec.Version,
 		Strategy: r.policy.Name(), Phase: RolloutPhaseStaged,
 		Stage: r.stageIdx, Cells: r.cellNames(batch),
@@ -845,7 +845,7 @@ func (r *Rollout) onCommit(cell int, payload []byte) {
 	if len(r.pendingCommit) == 0 {
 		r.c.eng.Cancel(r.stageTimer)
 		r.c.eng.Tracer().Close(r.stageSpan, r.c.eng.Now(), span.Arg{Key: "outcome", Val: "activated"})
-		r.c.bus().publish(RolloutEvent{
+		r.c.events.publish(RolloutEvent{
 			At: r.c.eng.Now(), Tasks: r.spec.Tasks, Version: r.spec.Version,
 			Strategy: r.policy.Name(), Phase: RolloutPhaseActivated,
 			Stage: r.stageIdx, Cells: r.cellNames(r.stages[r.stageIdx]),
@@ -875,7 +875,7 @@ func (r *Rollout) startHealthWindow() {
 	for _, task := range r.spec.Tasks {
 		watched[task] = true
 	}
-	r.healthSub = r.c.bus().Subscribe(func(ev Event) {
+	r.healthSub = r.c.events.Subscribe(func(ev Event) {
 		for _, ch := range r.checkers {
 			ch.Observe(ev)
 		}
@@ -929,7 +929,7 @@ func (r *Rollout) fail(reason string) {
 		return
 	}
 	r.finish(RolloutAborted, reason)
-	r.c.bus().publish(RolloutEvent{
+	r.c.events.publish(RolloutEvent{
 		At: r.c.eng.Now(), Tasks: r.spec.Tasks, Version: r.spec.Version,
 		Strategy: r.policy.Name(), Phase: RolloutPhaseAborted, Stage: r.stageIdx,
 		Cells: r.cellNames(r.cellIdxs), Reason: reason,
@@ -954,12 +954,12 @@ func (r *Rollout) rollback(reason string) {
 		if !was {
 			continue
 		}
-		r.c.bus().publish(RollbackEvent{
+		r.c.events.publish(RollbackEvent{
 			At: r.c.eng.Now(), Task: task, FromVersion: r.spec.Version,
 			ToVersion: r.prevVersion[task], Reason: reason, Cells: cells,
 		})
 	}
-	r.c.bus().publish(RolloutEvent{
+	r.c.events.publish(RolloutEvent{
 		At: r.c.eng.Now(), Tasks: r.spec.Tasks, Version: r.spec.Version,
 		Strategy: r.policy.Name(), Phase: RolloutPhaseRolledBack, Stage: r.stageIdx,
 		Cells: r.cellNames(r.cellIdxs), Reason: reason,
@@ -1008,6 +1008,26 @@ func (r *Rollout) finish(state RolloutState, reason string) {
 
 // --- OTA events ---------------------------------------------------------------
 
+// Metric keys the Runner counts from OTA events.
+const (
+	// MetricRollouts counts OTA rollouts started (RolloutEvent start
+	// phases).
+	MetricRollouts = "rollouts"
+	// MetricRollbacks counts per-task OTA rollbacks (health-window trips
+	// and mid-rollout failures reverting to the prior capsule version).
+	MetricRollbacks = "rollbacks"
+	// MetricCapsuleFrames counts per-replica capsule deliveries staged by
+	// rollout prepare legs.
+	MetricCapsuleFrames = "capsule_frames"
+)
+
+// Runner counter bits the kinds below return from counters.
+var (
+	rolloutsCounter      = counter(MetricRollouts)
+	capsuleFramesCounter = counter(MetricCapsuleFrames)
+	rollbacksCounter     = counter(MetricRollbacks)
+)
+
 // RolloutPhase classifies a RolloutEvent.
 type RolloutPhase string
 
@@ -1051,6 +1071,13 @@ func (e RolloutEvent) String() string {
 	return s
 }
 
+// series is rollout_phase.<phase>, so a dashboard plots rollout progress
+// directly.
+func (e RolloutEvent) series() string { return "rollout_phase." + string(e.Phase) }
+func (e RolloutEvent) counters() counterSet {
+	return only(e.Phase == RolloutPhaseStart, rolloutsCounter)
+}
+
 // CapsuleDeliveryEvent fires once per replica holder when a rollout's
 // prepare leg stages a capsule on it (OK=false when attested code failed
 // to instantiate or the node refused it).
@@ -1072,6 +1099,9 @@ func (e CapsuleDeliveryEvent) String() string {
 		e.At, e.Cell, e.Node, e.Task, e.Version, e.OK)
 }
 
+func (CapsuleDeliveryEvent) series() string       { return "capsule_deliveries" }
+func (CapsuleDeliveryEvent) counters() counterSet { return capsuleFramesCounter }
+
 // RollbackEvent fires when a rollout's health window trips (or a later
 // stage fails) and a task's replicas revert to the prior version.
 type RollbackEvent struct {
@@ -1091,3 +1121,6 @@ func (e RollbackEvent) String() string {
 	return fmt.Sprintf("%v rollback task=%s from=v%d to=v%d cells=%s reason=%s",
 		e.At, e.Task, e.FromVersion, e.ToVersion, strings.Join(e.Cells, "+"), e.Reason)
 }
+
+func (RollbackEvent) series() string       { return "rollbacks" }
+func (RollbackEvent) counters() counterSet { return rollbacksCounter }

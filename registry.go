@@ -5,6 +5,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"evm/internal/span"
 )
 
 // RunSpec names one point of an experiment grid: a registered scenario,
@@ -40,8 +42,9 @@ func (s RunSpec) Label() string {
 }
 
 // Experiment is one runnable scenario instance, produced by a
-// ScenarioBuilder. The Runner applies the spec's fault plan, advances the
-// cell to the horizon, collects Metrics and calls Cleanup.
+// ScenarioBuilder. Builders set exactly one of Cell and Campus; the
+// Runner applies the spec's fault plan, advances it to the horizon,
+// collects Metrics and calls Cleanup.
 type Experiment struct {
 	// Cell is the instrumented cell the run advances. Leave nil for
 	// campus scenarios, which set Campus instead.
@@ -67,6 +70,47 @@ type Experiment struct {
 	// Cleanup releases the experiment (stop feeds, runtimes); may be nil.
 	Cleanup func()
 }
+
+// runTarget is what a run advances: a campus, or a single cell adapted
+// by cellTarget. Runner, evmd and fuzz drive every experiment through
+// it, so none of them branches on the experiment's shape.
+type runTarget interface {
+	Events() *Bus
+	Now() time.Duration
+	Run(d time.Duration)
+	EnableTracing(seed uint64) *span.Tracer
+	// ApplyFaultPlan applies plan to the named cell ("" = the first).
+	ApplyFaultPlan(cell string, plan FaultPlan) error
+	Cells() []*Cell
+}
+
+// cellTarget runs a single cell as a one-cell target; the fault plan's
+// cell name is ignored.
+type cellTarget struct{ *Cell }
+
+func (t cellTarget) ApplyFaultPlan(_ string, plan FaultPlan) error {
+	return t.Cell.ApplyFaultPlan(plan)
+}
+
+func (t cellTarget) Cells() []*Cell { return []*Cell{t.Cell} }
+
+// target resolves what the experiment runs: Campus when set, else Cell.
+func (e *Experiment) target() runTarget {
+	if e.Campus != nil {
+		return e.Campus
+	}
+	return cellTarget{e.Cell}
+}
+
+// Events returns the experiment's event bus: the merged campus stream,
+// or the single cell's.
+func (e *Experiment) Events() *Bus { return e.target().Events() }
+
+// Cells lists the experiment's cells: the campus's, or the single cell.
+func (e *Experiment) Cells() []*Cell { return e.target().Cells() }
+
+// Now returns the experiment's virtual time.
+func (e *Experiment) Now() time.Duration { return e.target().Now() }
 
 // ScenarioBuilder constructs a fresh Experiment for one spec. Builders
 // must derive every random stream from spec.Seed so equal specs reproduce

@@ -3,6 +3,7 @@ package evm
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -42,51 +43,14 @@ type RunResult struct {
 	HostAllocBytes uint64
 }
 
-// Metric keys the Runner derives from the event bus on top of whatever
-// the scenario reports.
+// Metric keys the Runner derives from the event bus and the experiment
+// on top of whatever the scenario reports. Every event kind declares the
+// counters it bumps next to the kind (MetricFailovers, MetricRebalances,
+// ...); the Runner reports each declared counter, zero when unbumped.
 const (
-	MetricFailovers      = "failovers"
-	MetricActuations     = "actuations"
-	MetricMigrations     = "migrations"
-	MetricJoins          = "joins"
-	MetricFaultsInjected = "faults_injected"
 	// MetricFirstFailoverS is the virtual time of the first failover in
 	// seconds (absent when no failover occurred).
 	MetricFirstFailoverS = "first_failover_s"
-	// Campus-level metrics (zero on single-cell scenarios).
-	MetricInterCellMigrations = "intercell_migrations"
-	MetricCellOverloads       = "cell_overloads"
-	MetricBackboneDelivered   = "backbone_delivered"
-	// MetricBackboneDropped counts per-hop backbone losses.
-	MetricBackboneDropped = "backbone_dropped"
-	// MetricRebalances counts homeward inter-cell migrations (recovered
-	// origin cells taking tasks back); these are also included in
-	// MetricInterCellMigrations.
-	MetricRebalances = "rebalances"
-	// MetricCellRecoveries counts head-down -> head-up transitions.
-	MetricCellRecoveries = "cell_recoveries"
-	// MetricBackboneLinkFaults counts backbone link severs (LinkDown
-	// steps taking effect; restores are the tail end of a fault already
-	// counted).
-	MetricBackboneLinkFaults = "backbone_link_faults"
-	// MetricBackboneReroutes counts retransmissions that picked a new
-	// path because the link set changed mid-transfer.
-	MetricBackboneReroutes = "backbone_reroutes"
-	// MetricRollouts counts OTA rollouts started (RolloutEvent start
-	// phases).
-	MetricRollouts = "rollouts"
-	// MetricRollbacks counts per-task OTA rollbacks (health-window trips
-	// and mid-rollout failures reverting to the prior capsule version).
-	MetricRollbacks = "rollbacks"
-	// MetricCapsuleFrames counts per-replica capsule deliveries staged by
-	// rollout prepare legs.
-	MetricCapsuleFrames = "capsule_frames"
-	// MetricRebalanceAborts counts aborted prepare/commit rebalance
-	// handshakes (the foreign master kept the task).
-	MetricRebalanceAborts = "rebalance_aborts"
-	// MetricModeChanges counts synchronized mode switches issued by
-	// component heads.
-	MetricModeChanges = "mode_changes"
 	// MetricQoSCoverage is the post-horizon control-quality signal from
 	// EvaluateQoS: the fraction of tasks with a live Active controller.
 	// Reported by every scenario that exposes Experiment.QoS, so
@@ -106,11 +70,11 @@ const (
 type Runner struct {
 	// Workers is the concurrency (default: GOMAXPROCS).
 	Workers int
-	// EventDir, when non-empty, captures every run's event log and
-	// writes it as a CSV of cumulative per-type counters (one
-	// trace.Recorder series per event type, sampled at each event) to
-	// <EventDir>/<spec label>.csv — paper-style plots straight from a
-	// grid sweep.
+	// EventDir, when non-empty, writes every run's telemetry to
+	// <EventDir>/<sanitized spec label>.csv in the flat Sample format
+	// (WriteSamplesCSV): one cumulative (cell, series) count per event,
+	// then one "metric.<name>" row per final metric, with the spec label
+	// as the run column. Write errors land in RunResult.Err.
 	EventDir string
 	// Instrument, when non-nil, is invoked once per run on the worker
 	// goroutine, after the scenario is built and before the fault plan is
@@ -166,7 +130,7 @@ func (r *Runner) Run(specs []RunSpec) []RunResult {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				results[i] = r.runOne(specs[i])
+				results[i] = r.RunOne(specs[i])
 			}
 		}()
 	}
@@ -181,13 +145,11 @@ func (r *Runner) Run(specs []RunSpec) []RunResult {
 // RunOne executes a single spec synchronously on the calling goroutine
 // and returns its result. It is the single-run form of Run: evmd's
 // admission workers dispatch individual submissions through it while the
-// batch grid workflow keeps using Run.
-func (r *Runner) RunOne(spec RunSpec) RunResult { return r.runOne(spec) }
-
-// runOne wraps runSpec with optional host-side accounting. The wall-time
-// and alloc readings never enter Metrics: serial and parallel execution
-// must produce identical metric maps, and these depend on the host.
-func (r *Runner) runOne(spec RunSpec) RunResult {
+// batch grid workflow keeps using Run. It wraps runSpec with optional
+// host-side accounting; the wall-time and alloc readings never enter
+// Metrics: serial and parallel execution must produce identical metric
+// maps, and these depend on the host.
+func (r *Runner) RunOne(spec RunSpec) RunResult {
 	if !r.HostStats {
 		return r.runSpec(spec)
 	}
@@ -205,8 +167,8 @@ func (r *Runner) runOne(spec RunSpec) RunResult {
 }
 
 // runSpec executes a single grid point: build, instrument, fault, run,
-// measure, clean up. Campus experiments are driven through the campus
-// facade (merged event stream, cell-targeted fault plan, shared engine).
+// measure, clean up. Single cells and campuses run through the same
+// target (Experiment.target).
 func (r *Runner) runSpec(spec RunSpec) RunResult {
 	res := RunResult{Spec: spec}
 	var exp *Experiment
@@ -224,104 +186,28 @@ func (r *Runner) runSpec(spec RunSpec) RunResult {
 		defer exp.Cleanup()
 	}
 	res.Policy = exp.Policy
+	tgt := exp.target()
 	var tracer *span.Tracer
 	if r.Trace || r.TraceDir != "" {
-		if exp.Campus != nil {
-			tracer = exp.Campus.EnableTracing(spec.Seed)
-		} else {
-			tracer = exp.Cell.EnableTracing(spec.Seed)
-		}
+		tracer = tgt.EnableTracing(spec.Seed)
 	}
 	var finish func(map[string]float64)
 	if r.Instrument != nil {
 		finish = r.Instrument(spec, exp)
 	}
-	var bus *Bus
-	if exp.Campus != nil {
-		bus = exp.Campus.Events()
-	} else {
-		bus = exp.Cell.Events()
-	}
-	counts := map[string]float64{
-		MetricFailovers:           0,
-		MetricActuations:          0,
-		MetricMigrations:          0,
-		MetricJoins:               0,
-		MetricFaultsInjected:      0,
-		MetricInterCellMigrations: 0,
-		MetricCellOverloads:       0,
-		MetricBackboneDelivered:   0,
-		MetricBackboneDropped:     0,
-		MetricRebalances:          0,
-		MetricCellRecoveries:      0,
-		MetricBackboneLinkFaults:  0,
-		MetricBackboneReroutes:    0,
-		MetricRollouts:            0,
-		MetricRollbacks:           0,
-		MetricCapsuleFrames:       0,
-		MetricRebalanceAborts:     0,
-		MetricModeChanges:         0,
+	bus := tgt.Events()
+	counts := make(map[string]float64, len(runnerCounters))
+	for _, key := range runnerCounters {
+		counts[key] = 0
 	}
 	firstFailover := time.Duration(-1)
 	sub := bus.Subscribe(func(ev Event) {
-		if ce, ok := ev.(CellEvent); ok {
-			ev = ce.Inner // count campus streams by their inner type
+		set := ev.counters()
+		if set&failoversCounter != 0 && firstFailover < 0 {
+			firstFailover = ev.When()
 		}
-		switch ev.(type) {
-		case FailoverEvent:
-			counts[MetricFailovers]++
-			if firstFailover < 0 {
-				firstFailover = ev.When()
-			}
-		case ActuationEvent:
-			counts[MetricActuations]++
-		case MigrationEvent:
-			counts[MetricMigrations]++
-		case JoinEvent:
-			counts[MetricJoins]++
-		case InterCellMigrationEvent:
-			counts[MetricInterCellMigrations]++
-			if ev.(InterCellMigrationEvent).Rebalance {
-				counts[MetricRebalances]++
-			}
-		case CellOverloadEvent:
-			counts[MetricCellOverloads]++
-		case CellRecoveredEvent:
-			counts[MetricCellRecoveries]++
-		case RolloutEvent:
-			if ev.(RolloutEvent).Phase == RolloutPhaseStart {
-				counts[MetricRollouts]++
-			}
-		case RollbackEvent:
-			counts[MetricRollbacks]++
-		case CapsuleDeliveryEvent:
-			counts[MetricCapsuleFrames]++
-		case RebalanceAbortEvent:
-			counts[MetricRebalanceAborts]++
-		case ModeChangeEvent:
-			counts[MetricModeChanges]++
-		case BackboneLinkEvent:
-			if !ev.(BackboneLinkEvent).Up {
-				counts[MetricBackboneLinkFaults]++
-			}
-		case BackboneRouteEvent:
-			if ev.(BackboneRouteEvent).Reroute {
-				counts[MetricBackboneReroutes]++
-			}
-		case BackboneEvent:
-			switch ev.(BackboneEvent).Kind {
-			case BackboneDeliver:
-				counts[MetricBackboneDelivered]++
-			case BackboneDrop:
-				counts[MetricBackboneDropped]++
-			}
-		case FaultEvent:
-			// Count injections only — clears and restores are the tail
-			// end of a fault already counted.
-			switch ev.(FaultEvent).Kind {
-			case FaultCrash, FaultCompute, FaultPERBurst, FaultBatteryDrain, FaultClockDrift:
-				counts[MetricFaultsInjected]++
-			}
+		for ; set != 0; set &= set - 1 {
+			counts[runnerCounters[bits.TrailingZeros64(uint64(set))]]++
 		}
 	})
 	defer sub.Cancel()
@@ -341,12 +227,7 @@ func (r *Runner) runSpec(spec RunSpec) RunResult {
 		defer log.Close()
 	}
 	if len(spec.Faults.Steps) > 0 {
-		if exp.Campus != nil {
-			err = exp.Campus.ApplyFaultPlan(spec.FaultCell, spec.Faults)
-		} else {
-			err = exp.Cell.ApplyFaultPlan(spec.Faults)
-		}
-		if err != nil {
+		if err := tgt.ApplyFaultPlan(spec.FaultCell, spec.Faults); err != nil {
 			res.Err = err
 			return res
 		}
@@ -358,11 +239,7 @@ func (r *Runner) runSpec(spec RunSpec) RunResult {
 	if horizon <= 0 {
 		horizon = time.Minute
 	}
-	if exp.Campus != nil {
-		exp.Campus.Run(horizon)
-	} else {
-		exp.Cell.Run(horizon)
-	}
+	tgt.Run(horizon)
 	res.Metrics = counts
 	for _, c := range checkers {
 		res.Violations = append(res.Violations, c.Violations()...)
@@ -383,22 +260,24 @@ func (r *Runner) runSpec(spec RunSpec) RunResult {
 	if tracer != nil {
 		mergeSorted(res.Metrics, TraceMetrics(tracer))
 		var buf bytes.Buffer
-		if err := tracer.WriteJSON(&buf); err != nil {
-			if res.Err == nil {
-				res.Err = err
-			}
-		} else {
+		res.Err = tracer.WriteJSON(&buf)
+		if res.Err == nil {
 			res.TraceJSON = buf.Bytes()
 			if r.TraceDir != "" {
 				name := sanitizeLabel(spec.Label()) + ".trace.json"
-				if err := os.WriteFile(filepath.Join(r.TraceDir, name), res.TraceJSON, 0o644); err != nil && res.Err == nil {
-					res.Err = err
-				}
+				res.Err = os.WriteFile(filepath.Join(r.TraceDir, name), res.TraceJSON, 0o644)
 			}
 		}
 	}
 	if log != nil {
-		if err := writeEventCSV(r.EventDir, spec, log); err != nil && res.Err == nil {
+		tel := NewTelemetry(spec.Label(), "", spec)
+		samples := make([]Sample, 0, len(log.events)+len(res.Metrics))
+		for _, ev := range log.events {
+			samples = append(samples, tel.Sample(ev))
+		}
+		samples = tel.AppendMetricSamples(samples, tgt.Now(), res.Metrics)
+		path := filepath.Join(r.EventDir, sanitizeLabel(spec.Label())+".csv")
+		if err := WriteSamplesFile(path, samples); err != nil && res.Err == nil {
 			res.Err = err
 		}
 	}
@@ -411,22 +290,6 @@ func (r *Runner) runSpec(spec RunSpec) RunResult {
 // sanitizeLabel makes a spec label safe as a file name.
 func sanitizeLabel(label string) string {
 	return strings.NewReplacer("/", "_", " ", "_", "@", "_").Replace(label)
-}
-
-// writeEventCSV renders one run's event log through a trace.Recorder and
-// writes it as <dir>/<sanitized spec label>.csv.
-func writeEventCSV(dir string, spec RunSpec, log *EventLog) error {
-	name := sanitizeLabel(spec.Label()) + ".csv"
-	f, err := os.Create(filepath.Join(dir, name))
-	if err != nil {
-		return err
-	}
-	werr := log.Recorder().WriteCSV(f)
-	cerr := f.Close()
-	if werr != nil {
-		return werr
-	}
-	return cerr
 }
 
 // SpecGrid crosses scenarios x seeds x fault plans into a flat spec list

@@ -141,68 +141,69 @@ func refineryCells() []CellSpec {
 	return cells
 }
 
-// buildRefineryScenario assembles the 4x16 refinery campus on the
-// default full-mesh backbone. Fault plans from the RunSpec target the
-// cell named by FaultCell (default unit-a); spec.Policy selects the
-// placement policy (default least-loaded).
-func buildRefineryScenario(spec RunSpec) (*Experiment, error) {
+// campusScenario builds a federation experiment on the campus cfg
+// declares, under the spec's seed and placement policy, reporting
+// campusMetrics. choreography, when non-nil, returns a fault plan the
+// builder applies to faultCell before the run.
+func campusScenario(spec RunSpec, cfg CampusConfig, horizon time.Duration, cells []CellSpec,
+	faultCell string, choreography func(*Campus) FaultPlan) (*Experiment, error) {
 	policy, err := NewPlacementPolicy(spec.Policy)
 	if err != nil {
 		return nil, err
 	}
-	campus, err := NewCampus(CampusConfig{Seed: spec.Seed, Placement: policy}, refineryCells()...)
+	cfg.Seed, cfg.Placement = spec.Seed, policy
+	campus, err := NewCampus(cfg, cells...)
 	if err != nil {
 		return nil, err
+	}
+	if choreography != nil {
+		if err := campus.ApplyFaultPlan(faultCell, choreography(campus)); err != nil {
+			campus.Stop()
+			return nil, err
+		}
 	}
 	return &Experiment{
 		Campus:         campus,
 		Policy:         policy.Name(),
-		DefaultHorizon: 30 * time.Second,
+		DefaultHorizon: horizon,
 		Metrics:        campusMetrics(campus),
 		Cleanup:        campus.Stop,
 	}, nil
 }
 
-// buildRefineryRingScenario assembles the refinery on an explicit ring
-// backbone — the policy-comparison topology. Links a-b and d-a are
-// clean; the far side (b-c and c-d) drops 90% of hops, so reaching
-// unit-c from unit-a costs two hops with a near-certain retransmit.
-// Placement policies that ignore the backbone (least-loaded) ship tasks
-// into that path and strand them for extra coordinator ticks; the
-// campus-BQP policy prices hops and keeps every transfer on the clean
-// one-hop links. Homeward rebalancing is on: when a killed unit
-// recovers, its tasks migrate back.
-func buildRefineryRingScenario(spec RunSpec) (*Experiment, error) {
-	policy, err := NewPlacementPolicy(spec.Policy)
-	if err != nil {
-		return nil, err
-	}
-	cfg := CampusConfig{
-		Seed:      spec.Seed,
-		Placement: policy,
+// buildRefineryScenario assembles the 4x16 refinery campus on the
+// default full-mesh backbone. Fault plans from the RunSpec target the
+// cell named by FaultCell (default unit-a); spec.Policy selects the
+// placement policy (default least-loaded).
+func buildRefineryScenario(spec RunSpec) (*Experiment, error) {
+	return campusScenario(spec, CampusConfig{}, 30*time.Second, refineryCells(), "", nil)
+}
+
+// refineryRing is the refinery on an explicit ring backbone a-b-c-d-a
+// with homeward rebalancing: when a killed unit recovers, its tasks
+// migrate back. The far side (b-c and c-d) drops farPER of hops.
+func refineryRing(farPER float64, maxRetries int) CampusConfig {
+	return CampusConfig{
 		Rebalance: HomewardRebalance{},
-		Backbone: BackboneConfig{
-			RetryAfter: 150 * time.Millisecond,
-			MaxRetries: 2,
-		},
+		Backbone:  BackboneConfig{RetryAfter: 150 * time.Millisecond, MaxRetries: maxRetries},
 		Links: []BackboneLink{
 			{A: "unit-a", B: "unit-b"},
-			{A: "unit-b", B: "unit-c", Config: LinkConfig{PER: 0.9}},
-			{A: "unit-c", B: "unit-d", Config: LinkConfig{PER: 0.9}},
+			{A: "unit-b", B: "unit-c", Config: LinkConfig{PER: farPER}},
+			{A: "unit-c", B: "unit-d", Config: LinkConfig{PER: farPER}},
 			{A: "unit-d", B: "unit-a"},
 		},
 	}
-	campus, err := NewCampus(cfg, refineryCells()...)
-	if err != nil {
-		return nil, err
-	}
-	return &Experiment{
-		Campus:         campus,
-		Policy:         policy.Name(),
-		DefaultHorizon: 35 * time.Second,
-		Metrics:        campusMetrics(campus),
-		Cleanup:        campus.Stop,
-	}, nil
+}
+
+// buildRefineryRingScenario assembles the refinery on its ring backbone
+// — the policy-comparison topology. Links a-b and d-a are clean; the far
+// side drops 90% of hops, so reaching unit-c from unit-a costs two hops
+// with a near-certain retransmit. Placement policies that ignore the
+// backbone (least-loaded) ship tasks into that path and strand them for
+// extra coordinator ticks; the campus-BQP policy prices hops and keeps
+// every transfer on the clean one-hop links.
+func buildRefineryRingScenario(spec RunSpec) (*Experiment, error) {
+	return campusScenario(spec, refineryRing(0.9, 2), 35*time.Second, refineryCells(), "", nil)
 }
 
 // buildRefineryRingSeverScenario assembles the refinery on a clean ring
@@ -217,46 +218,16 @@ func buildRefineryRingScenario(spec RunSpec) (*Experiment, error) {
 // byte-identical and the invariant harness reports zero dual-master
 // ticks.
 func buildRefineryRingSeverScenario(spec RunSpec) (*Experiment, error) {
-	policy, err := NewPlacementPolicy(spec.Policy)
-	if err != nil {
-		return nil, err
-	}
-	cfg := CampusConfig{
-		Seed:      spec.Seed,
-		Placement: policy,
-		Rebalance: HomewardRebalance{},
-		Backbone: BackboneConfig{
-			RetryAfter: 150 * time.Millisecond,
-			MaxRetries: 4,
-		},
-		Links: []BackboneLink{
-			{A: "unit-a", B: "unit-b"},
-			{A: "unit-b", B: "unit-c"},
-			{A: "unit-c", B: "unit-d"},
-			{A: "unit-d", B: "unit-a"},
-		},
-	}
-	campus, err := NewCampus(cfg, refineryCells()...)
-	if err != nil {
-		return nil, err
-	}
-	choreography := RefineryOutagePlan(10*time.Second, 22*time.Second)
-	choreography.Name = "outage-and-sever"
-	choreography.Steps = append(choreography.Steps,
-		FaultStep{At: 12 * time.Second, LinkDown: &LinkRef{A: "unit-d", B: "unit-a"}},
-		FaultStep{At: 30 * time.Second, LinkUp: &LinkRef{A: "unit-d", B: "unit-a"}},
-	)
-	if err := campus.ApplyFaultPlan("unit-a", choreography); err != nil {
-		campus.Stop()
-		return nil, err
-	}
-	return &Experiment{
-		Campus:         campus,
-		Policy:         policy.Name(),
-		DefaultHorizon: 40 * time.Second,
-		Metrics:        campusMetrics(campus),
-		Cleanup:        campus.Stop,
-	}, nil
+	return campusScenario(spec, refineryRing(0, 4), 40*time.Second, refineryCells(), "unit-a",
+		func(*Campus) FaultPlan {
+			plan := RefineryOutagePlan(10*time.Second, 22*time.Second)
+			plan.Name = "outage-and-sever"
+			plan.Steps = append(plan.Steps,
+				FaultStep{At: 12 * time.Second, LinkDown: &LinkRef{A: "unit-d", B: "unit-a"}},
+				FaultStep{At: 30 * time.Second, LinkUp: &LinkRef{A: "unit-d", B: "unit-a"}},
+			)
+			return plan
+		})
 }
 
 // RefineryOutagePlan is the policy-experiment fault plan: unit-a dies
@@ -271,10 +242,6 @@ func RefineryOutagePlan(from, until time.Duration) FaultPlan {
 // every radio in west crashes and the coordinator ships west's loop over
 // the backbone into east, where it resumes actuating.
 func buildCampusFailoverScenario(spec RunSpec) (*Experiment, error) {
-	policy, err := NewPlacementPolicy(spec.Policy)
-	if err != nil {
-		return nil, err
-	}
 	unit := func(name, taskPrefix string) CellSpec {
 		return CellSpec{
 			Name: name,
@@ -309,20 +276,7 @@ func buildCampusFailoverScenario(spec RunSpec) (*Experiment, error) {
 			},
 		}
 	}
-	campus, err := NewCampus(CampusConfig{Seed: spec.Seed, Placement: policy},
-		unit("west", "w"), unit("east", "e"))
-	if err != nil {
-		return nil, err
-	}
-	if err := campus.ApplyFaultPlan("west", KillCellPlan(10*time.Second, campus.Cell("west"))); err != nil {
-		campus.Stop()
-		return nil, err
-	}
-	return &Experiment{
-		Campus:         campus,
-		Policy:         policy.Name(),
-		DefaultHorizon: 30 * time.Second,
-		Metrics:        campusMetrics(campus),
-		Cleanup:        campus.Stop,
-	}, nil
+	return campusScenario(spec, CampusConfig{}, 30*time.Second,
+		[]CellSpec{unit("west", "w"), unit("east", "e")}, "west",
+		func(c *Campus) FaultPlan { return KillCellPlan(10*time.Second, c.Cell("west")) })
 }

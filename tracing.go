@@ -31,20 +31,18 @@ import (
 // EnableTracing attaches a fresh tracer seeded with seed to the cell's
 // engine and installs the event-derived span families. Call it once,
 // before the cell runs; the returned tracer exports via WriteJSON.
-func (c *Cell) EnableTracing(seed uint64) *span.Tracer {
-	t := span.New(seed)
-	c.eng.SetTracer(t)
-	installEventSpans(c.Events(), t)
-	return t
+func (c *Cell) EnableTracing(seed uint64) *span.Tracer { return enableTracing(c.eng, c.Events(), seed) }
+
+// EnableTracing is Cell.EnableTracing for the campus's shared engine,
+// with the span families installed over the merged campus stream.
+func (c *Campus) EnableTracing(seed uint64) *span.Tracer {
+	return enableTracing(c.eng, c.Events(), seed)
 }
 
-// EnableTracing attaches a fresh tracer seeded with seed to the campus's
-// shared engine and installs the event-derived span families over the
-// merged campus stream. Call it once, before the campus runs.
-func (c *Campus) EnableTracing(seed uint64) *span.Tracer {
+func enableTracing(eng *sim.Engine, bus *Bus, seed uint64) *span.Tracer {
 	t := span.New(seed)
-	c.eng.SetTracer(t)
-	installEventSpans(c.Events(), t)
+	eng.SetTracer(t)
+	installEventSpans(bus, t)
 	return t
 }
 
