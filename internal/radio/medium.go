@@ -97,6 +97,10 @@ type linkState struct {
 	bad bool
 }
 
+// outOfRange marks the pair-table entries of radios too far apart to hear
+// each other. No loss is ever drawn on it.
+var outOfRange = new(linkState)
+
 type linkKey struct{ a, b NodeID }
 
 // Position is a 2-D node location in meters.
@@ -129,8 +133,17 @@ type Medium struct {
 	// the same on every run — same seed, byte-identical runs; lookups by
 	// ID binary-search it.
 	radios []*Radio
-	links  map[linkKey]*linkState
-	stats  Stats
+	// pairs holds, for each unordered pair of attached radios, its burst
+	// state or outOfRange (see pair), so the per-receiver work of a
+	// transmission reads the table instead of taking distances and
+	// hashing link keys. An in-range entry is nil until the pair's first
+	// loss draw fetches it from links. Attach and Detach drop the table;
+	// the next transmission rebuilds it and renumbers Radio.idx.
+	pairs []*linkState
+	// links is the canonical burst state of each unordered pair; it
+	// outlives pairs, so a pair's state survives Detach and re-Attach.
+	links map[linkKey]*linkState
+	stats Stats
 	// forcedPER overrides the distance model when >= 0 (used by
 	// experiments that sweep loss rates directly).
 	forcedPER float64
@@ -169,7 +182,9 @@ func (m *Medium) ForcePER(per float64) { m.forcedPER = per }
 func (m *Medium) ForcedPER() float64 { return m.forcedPER }
 
 // Attach creates and registers a radio for the node. Attaching a duplicate
-// ID returns an error.
+// ID returns an error. Attach and Detach must not be called from a
+// receive handler: the medium is then mid-way through one frame's
+// receivers.
 func (m *Medium) Attach(id NodeID, pos Position, battery *Battery, model EnergyModel) (*Radio, error) {
 	at, found := m.find(id)
 	if found {
@@ -185,6 +200,7 @@ func (m *Medium) Attach(id NodeID, pos Position, battery *Battery, model EnergyM
 		model:     model,
 	}
 	m.radios = slices.Insert(m.radios, at, r)
+	m.pairs = nil
 	return r, nil
 }
 
@@ -196,10 +212,12 @@ func (m *Medium) find(id NodeID) (int, bool) {
 
 // Detach removes a node's radio from the medium (the rollback of Attach,
 // used when a runtime admission fails partway). Frames still in flight
-// toward the node are silently lost.
+// toward or from the node are silently lost, and the detached radio can
+// no longer send.
 func (m *Medium) Detach(id NodeID) {
 	if at, ok := m.find(id); ok {
 		m.radios = slices.Delete(m.radios, at, at+1)
+		m.pairs = nil
 	}
 }
 
@@ -232,6 +250,33 @@ func (m *Medium) link(a, b NodeID) *linkState {
 		m.links[k] = ls
 	}
 	return ls
+}
+
+// index returns r's position in m.radios, rebuilding the pair table if
+// it was dropped, and whether r is attached.
+func (m *Medium) index(r *Radio) (int, bool) {
+	if m.pairs == nil {
+		n := len(m.radios)
+		m.pairs = make([]*linkState, n*(n-1)/2)
+		for i, a := range m.radios {
+			a.idx = int32(i)
+			for j, b := range m.radios[:i] {
+				if a.pos.Distance(b.pos) >= m.cfg.RangeM {
+					*m.pair(i, j) = outOfRange
+				}
+			}
+		}
+	}
+	i := int(r.idx)
+	return i, i < len(m.radios) && m.radios[i] == r
+}
+
+// pair returns the pair-table entry of radios[i] and radios[j], i != j.
+func (m *Medium) pair(i, j int) **linkState {
+	if i < j {
+		i, j = j, i
+	}
+	return &m.pairs[i*(i-1)/2+j]
 }
 
 // perFor returns the packet error rate between two radios.
@@ -321,6 +366,10 @@ func (m *Medium) transmit(from *Radio, pkt Packet, prev State) (time.Duration, e
 	if from.state != StateTX {
 		return 0, fmt.Errorf("radio: node %v transmit in state %v", from.id, from.state)
 	}
+	i, ok := m.index(from)
+	if !ok {
+		return 0, fmt.Errorf("radio: node %v is not attached", from.id)
+	}
 	m.seq++
 	pkt.Seq = m.seq
 	if pkt.Payload != nil {
@@ -346,17 +395,13 @@ func (m *Medium) transmit(from *Radio, pkt Packet, prev State) (time.Duration, e
 	}
 	// Collision marking: any receiver already capturing another frame has
 	// both frames destroyed.
-	for _, r := range m.radios {
-		id := r.id
-		if id == from.id {
-			continue
-		}
-		if from.pos.Distance(r.pos) >= m.cfg.RangeM {
+	for j, r := range m.radios {
+		if j == i || *m.pair(i, j) == outOfRange {
 			continue
 		}
 		if r.capture != nil && m.eng.Now() < r.capture.end {
-			r.capture.markCollided(id)
-			tx.markCollided(id)
+			r.capture.markCollided(r.id)
+			tx.markCollided(r.id)
 			continue
 		}
 		r.capture = tx
@@ -378,23 +423,25 @@ func (tx *transmission) restore() {
 
 func (tx *transmission) complete() {
 	m := tx.med
-	for _, r := range m.radios {
-		if r.id == tx.from.id {
-			continue
-		}
+	i, ok := m.index(tx.from)
+	for j, r := range m.radios {
 		if r.capture == tx {
 			r.capture = nil
 		}
-		m.deliverTo(tx, r)
+		if ok && j != i {
+			m.deliverTo(tx, r, m.pair(i, j))
+		}
 	}
 	tx.release()
 }
 
-func (m *Medium) deliverTo(tx *transmission, r *Radio) {
+// deliverTo resolves the frame at receiver r; pair is the sender's and
+// r's entry in the pair table.
+func (m *Medium) deliverTo(tx *transmission, r *Radio, pair **linkState) {
 	if tx.pkt.Hop != Broadcast && tx.pkt.Hop != r.id {
 		return
 	}
-	if tx.from.pos.Distance(r.pos) >= m.cfg.RangeM {
+	if *pair == outOfRange {
 		m.stats.DroppedRange++
 		r.drops[DropOutOfRange]++
 		m.traceDrop(tx, r, "out-of-range")
@@ -412,7 +459,7 @@ func (m *Medium) deliverTo(tx *transmission, r *Radio) {
 		r.drops[DropNotListening]++
 		return
 	}
-	if m.lossDraw(tx.from, r) {
+	if m.lossDraw(tx.from, r, pair) {
 		m.stats.DroppedLoss++
 		r.drops[DropLoss]++
 		m.traceDrop(tx, r, "loss")
@@ -441,8 +488,11 @@ func (m *Medium) traceDrop(tx *transmission, r *Radio, reason string) {
 
 // lossDraw decides whether the channel destroys the frame, combining the
 // distance PER with the Gilbert-Elliott burst overlay.
-func (m *Medium) lossDraw(tx, rx *Radio) bool {
-	ls := m.link(tx.id, rx.id)
+func (m *Medium) lossDraw(tx, rx *Radio, pair **linkState) bool {
+	if *pair == nil {
+		*pair = m.link(tx.id, rx.id)
+	}
+	ls := *pair
 	ge := m.cfg.Burst
 	// State transition per packet.
 	if ls.bad {

@@ -9,6 +9,7 @@ import (
 // simulation goroutine (the engine is single-threaded by design).
 type Radio struct {
 	id        NodeID
+	idx       int32 // position in the medium's radios when its pair table was built
 	med       *Medium
 	pos       Position
 	state     State
@@ -72,9 +73,10 @@ func (r *Radio) Fail() {
 func (r *Radio) Failed() bool { return r.failed }
 
 // Recover clears the failed flag, returning the radio to sleep state.
+// The time spent failed is not charged.
 func (r *Radio) Recover() {
-	r.failed = false
 	r.settle()
+	r.failed = false
 	r.state = StateSleep
 }
 

@@ -25,12 +25,18 @@ type Network struct {
 	// links holds the joined links sorted by node ID. Frame-loop state
 	// changes (reserve replenish, sync wake/sleep) iterate it in that
 	// order, so per-frame radio state transitions land in the same order
-	// every run; lookups by ID binary-search it.
+	// every run.
 	links []*Link
+	// byID indexes the joined links by node ID (nil where none joined),
+	// so the per-slot listener lookups are reads, not searches. The cell
+	// builders number nodes 1..N, so the table stays short.
+	byID []*Link
 	// slots caches the sorted slot indices of sched, so per-frame slot
-	// scheduling is deterministic without re-sorting each frame.
-	slots []int
-	frame uint64
+	// scheduling is deterministic without re-sorting each frame; assigns
+	// holds sched[slots[i]] at i, so slots open without a map lookup.
+	slots   []int
+	assigns []SlotAssign
+	frame   uint64
 
 	// The frame loop posts the same four callbacks every frame; they are
 	// bound once in NewNetwork instead of allocated per frame and per
@@ -40,8 +46,8 @@ type Network struct {
 	// the next open. Firing order is unchanged and the engine queue holds
 	// a few entries per network instead of two per slot.
 	frameFn, syncSleepFn, openSlotFn, closeSlotFn func()
-	frameSched                                    Schedule
 	frameSlots                                    []int
+	frameAssigns                                  []SlotAssign
 	frameStart                                    time.Duration
 	frameSeq                                      uint64 // first reserved sequence number
 	openNext                                      int    // index into frameSlots of the next slot to open
@@ -66,13 +72,8 @@ func NewNetwork(med *radio.Medium, cfg Config, sched Schedule) (*Network, error)
 	if airTime > cfg.SlotDuration {
 		return nil, fmt.Errorf("rtlink: max fragment air time %v exceeds slot %v", airTime, cfg.SlotDuration)
 	}
-	n := &Network{
-		eng:   med.Engine(),
-		med:   med,
-		cfg:   cfg,
-		sched: sched,
-		slots: sim.SortedKeys(sched),
-	}
+	n := &Network{eng: med.Engine(), med: med, cfg: cfg}
+	n.setSchedule(sched)
 	n.frameFn = n.runFrame
 	n.syncSleepFn = n.syncSleep
 	n.openSlotFn = n.openNextSlot
@@ -95,14 +96,14 @@ func (n *Network) openNextSlot() {
 	if i+1 < len(n.frameSlots) {
 		n.eng.PostReserved(n.slotAt(i+1), 0, n.frameSeq+1+2*uint64(i+1), n.openSlotFn)
 	}
-	n.openSlot(n.frameSched[n.frameSlots[i]])
+	n.openSlot(n.frameAssigns[i])
 }
 
 // closeOpenSlot closes the slot openNextSlot opened last. A slot's close
 // falls due no later than the next slot's open and, at prio -1, fires
 // first on a tie, so it always runs between the two.
 func (n *Network) closeOpenSlot() {
-	n.closeSlot(n.frameSched[n.frameSlots[n.openNext-1]])
+	n.closeSlot(n.frameAssigns[n.openNext-1])
 }
 
 // Config returns the frame configuration.
@@ -124,9 +125,17 @@ func (n *Network) SetSchedule(s Schedule) error {
 	if err := s.Validate(n.cfg); err != nil {
 		return err
 	}
+	n.setSchedule(s)
+	return nil
+}
+
+func (n *Network) setSchedule(s Schedule) {
 	n.sched = s
 	n.slots = sim.SortedKeys(s)
-	return nil
+	n.assigns = make([]SlotAssign, len(n.slots))
+	for i, slot := range n.slots {
+		n.assigns[i] = s[slot]
+	}
 }
 
 // Join creates the link layer for a node whose radio is already attached
@@ -148,6 +157,10 @@ func (n *Network) Join(id radio.NodeID) (*Link, error) {
 	}
 	r.SetHandler(l.onFrame)
 	n.links = slices.Insert(n.links, at, l)
+	if int(id) >= len(n.byID) {
+		n.byID = append(n.byID, make([]*Link, int(id)+1-len(n.byID))...)
+	}
+	n.byID[id] = l
 	return l, nil
 }
 
@@ -167,12 +180,13 @@ func (n *Network) Leave(id radio.NodeID) {
 	}
 	n.links[at].r.SetHandler(nil)
 	n.links = slices.Delete(n.links, at, at+1)
+	n.byID[id] = nil
 }
 
 // Link returns the link layer for id, or nil.
 func (n *Network) Link(id radio.NodeID) *Link {
-	if at, ok := n.find(id); ok {
-		return n.links[at]
+	if int(id) < len(n.byID) {
+		return n.byID[id]
 	}
 	return nil
 }
@@ -216,15 +230,15 @@ func (n *Network) runFrame() {
 		// same-priority events) never depends on map order. The sequence
 		// numbers are the sync-sleep callback's, then each slot's open and
 		// close in turn.
-		n.frameSched, n.frameSlots, n.frameStart, n.openNext = n.sched, n.slots, frameStart, 0
+		n.frameSlots, n.frameAssigns, n.frameStart, n.openNext = n.slots, n.assigns, frameStart, 0
 		n.frameSeq = n.eng.Reserve(1 + 2*len(n.slots))
 		n.eng.PostReserved(frameStart+n.cfg.SlotDuration, -1, n.frameSeq, n.syncSleepFn)
 		if tracer := n.eng.Tracer(); tracer != nil {
-			for _, slot := range n.slots {
+			for i, slot := range n.slots {
 				at := frameStart + time.Duration(slot)*n.cfg.SlotDuration
 				tracer.Complete("slot", "rtlink", "rtlink", at, at+n.cfg.SlotDuration,
 					span.Arg{Key: "slot", Val: strconv.Itoa(slot)},
-					span.Arg{Key: "owner", Val: strconv.Itoa(int(n.sched[slot].Owner))})
+					span.Arg{Key: "owner", Val: strconv.Itoa(int(n.assigns[i].Owner))})
 			}
 		}
 		if len(n.slots) > 0 {

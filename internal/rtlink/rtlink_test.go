@@ -10,7 +10,7 @@ import (
 )
 
 // testNet builds a mesh network of n nodes with a perfect channel.
-func testNet(t *testing.T, n int) (*sim.Engine, *Network) {
+func testNet(t testing.TB, n int) (*sim.Engine, *Network) {
 	t.Helper()
 	eng := sim.New()
 	rcfg := radio.DefaultConfig()

@@ -47,8 +47,8 @@ type GasPlantConfig struct {
 	SilenceWindow   int
 	// DormantAfter is the Indicator -> Dormant delay (paper: 200 s).
 	DormantAfter time.Duration
-	// PER forces a fixed link loss rate; negative keeps the distance
-	// model; 0 gives a perfect channel.
+	// PER forces a fixed link loss rate in [0,1]; 0 gives a perfect
+	// channel.
 	PER float64
 	// UseVM runs the control law as EVM byte code instead of native PID.
 	UseVM bool
@@ -163,6 +163,9 @@ func ltsVMFactory() (func() (TaskLogic, error), error) {
 func NewGasPlant(cfg GasPlantConfig) (*GasPlant, error) {
 	if cfg.ControlPeriod <= 0 {
 		return nil, fmt.Errorf("evm: control period %v", cfg.ControlPeriod)
+	}
+	if !(cfg.PER >= 0 && cfg.PER <= 1) {
+		return nil, fmt.Errorf("evm: packet error rate %g outside [0,1]", cfg.PER)
 	}
 	ids := []NodeID{GasGatewayID, GasCtrlAID, GasCtrlBID, GasHeadID, GasSensorID, GasActID}
 	// Three slots per node: after a fail-over one controller may hold two

@@ -1,6 +1,7 @@
 package evm
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -138,6 +139,27 @@ func TestGasPlantUnderPacketLoss(t *testing.T) {
 	level := s.Plant.LTSLevelPct()
 	if level < 35 || level > 65 {
 		t.Fatalf("closed loop under 10%% PER drifted to %.1f", level)
+	}
+}
+
+func TestGasPlantPERValidation(t *testing.T) {
+	for _, tc := range []struct {
+		per float64
+		ok  bool
+	}{
+		{0, true},
+		{0.2, true},
+		{1, true},
+		{-0.1, false},
+		{1.5, false},
+		{math.NaN(), false},
+		{math.Inf(1), false},
+	} {
+		cfg := DefaultGasPlantConfig()
+		cfg.PER = tc.per
+		if _, err := NewGasPlant(cfg); (err == nil) != tc.ok {
+			t.Errorf("PER %v: err = %v, want ok %v", tc.per, err, tc.ok)
+		}
 	}
 }
 
