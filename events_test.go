@@ -276,6 +276,35 @@ func TestAddNodeRuntimeRollsBackOnFailure(t *testing.T) {
 	cell.Run(time.Second)
 }
 
+func TestAddNodeRuntimeFromEventSubscriber(t *testing.T) {
+	cell, err := NewCellWith(CellConfig{Seed: 1}, WithNodes(1, 2, 3, 4, 5), WithPER(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	vc := testVC(4)
+	if err := cell.Deploy(vc); err != nil {
+		t.Fatal(err)
+	}
+	// The head publishes JoinEvent while the radio medium is delivering
+	// the join frame, so this admission runs inside a receive handler.
+	var admitErr error
+	cell.Events().Subscribe(func(ev Event) {
+		if j, ok := ev.(JoinEvent); ok && j.Node == 6 {
+			_, admitErr = cell.AddNodeRuntime(7, vc)
+		}
+	})
+	if _, err := cell.AddNodeRuntime(6, vc); err != nil {
+		t.Fatal(err)
+	}
+	cell.Run(5 * time.Second)
+	if admitErr != nil {
+		t.Fatalf("admission from subscriber: %v", admitErr)
+	}
+	if cell.Node(7) == nil || cell.Medium().Radio(7) == nil {
+		t.Fatal("node 7 not admitted from the JoinEvent subscriber")
+	}
+}
+
 func TestBusCancelDuringPublish(t *testing.T) {
 	b := &Bus{}
 	got := make(map[string]int)

@@ -53,17 +53,7 @@ func NewBattery(capacityMAH float64) *Battery {
 
 // Drain consumes currentMA for dur of virtual time.
 func (b *Battery) Drain(currentMA float64, dur time.Duration) {
-	b.consumedMAS += currentMA * seconds(dur)
-}
-
-// seconds returns d.Seconds(), bit for bit. Radios change state every
-// TDMA slot, so nearly every interval is under a second; for those the
-// whole-second part Seconds splits off is zero and one division does.
-func seconds(d time.Duration) float64 {
-	if 0 <= d && d < time.Second {
-		return float64(d) / 1e9
-	}
-	return d.Seconds()
+	b.consumedMAS += currentMA * dur.Seconds()
 }
 
 // ConsumeFraction instantly consumes the given fraction of the total

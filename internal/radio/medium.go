@@ -138,7 +138,10 @@ type Medium struct {
 	// transmission reads the table instead of taking distances and
 	// hashing link keys. An in-range entry is nil until the pair's first
 	// loss draw fetches it from links. Attach and Detach drop the table;
-	// the next transmission rebuilds it and renumbers Radio.idx.
+	// the next transmission rebuilds it and renumbers Radio.idx. They
+	// also replace radios rather than edit it in place, so a frame whose
+	// receive handler attaches or detaches a radio finishes delivery
+	// against the radios and table it started with.
 	pairs []*linkState
 	// links is the canonical burst state of each unordered pair; it
 	// outlives pairs, so a pair's state survives Detach and re-Attach.
@@ -182,9 +185,8 @@ func (m *Medium) ForcePER(per float64) { m.forcedPER = per }
 func (m *Medium) ForcedPER() float64 { return m.forcedPER }
 
 // Attach creates and registers a radio for the node. Attaching a duplicate
-// ID returns an error. Attach and Detach must not be called from a
-// receive handler: the medium is then mid-way through one frame's
-// receivers.
+// ID returns an error. A radio attached from a receive handler is not
+// reached by the frame being delivered.
 func (m *Medium) Attach(id NodeID, pos Position, battery *Battery, model EnergyModel) (*Radio, error) {
 	at, found := m.find(id)
 	if found {
@@ -199,7 +201,7 @@ func (m *Medium) Attach(id NodeID, pos Position, battery *Battery, model EnergyM
 		battery:   battery,
 		model:     model,
 	}
-	m.radios = slices.Insert(m.radios, at, r)
+	m.radios = slices.Concat(m.radios[:at], []*Radio{r}, m.radios[at:])
 	m.pairs = nil
 	return r, nil
 }
@@ -216,7 +218,8 @@ func (m *Medium) find(id NodeID) (int, bool) {
 // no longer send.
 func (m *Medium) Detach(id NodeID) {
 	if at, ok := m.find(id); ok {
-		m.radios = slices.Delete(m.radios, at, at+1)
+		m.radios[at].idx = -1
+		m.radios = slices.Concat(m.radios[:at], m.radios[at+1:])
 		m.pairs = nil
 	}
 }
@@ -262,21 +265,21 @@ func (m *Medium) index(r *Radio) (int, bool) {
 			a.idx = int32(i)
 			for j, b := range m.radios[:i] {
 				if a.pos.Distance(b.pos) >= m.cfg.RangeM {
-					*m.pair(i, j) = outOfRange
+					m.pairs[pairAt(i, j)] = outOfRange
 				}
 			}
 		}
 	}
-	i := int(r.idx)
-	return i, i < len(m.radios) && m.radios[i] == r
+	return int(r.idx), r.idx >= 0
 }
 
-// pair returns the pair-table entry of radios[i] and radios[j], i != j.
-func (m *Medium) pair(i, j int) **linkState {
+// pairAt returns where the pair-table entry of radios[i] and radios[j],
+// i != j, is.
+func pairAt(i, j int) int {
 	if i < j {
 		i, j = j, i
 	}
-	return &m.pairs[i*(i-1)/2+j]
+	return i*(i-1)/2 + j
 }
 
 // perFor returns the packet error rate between two radios.
@@ -396,7 +399,7 @@ func (m *Medium) transmit(from *Radio, pkt Packet, prev State) (time.Duration, e
 	// Collision marking: any receiver already capturing another frame has
 	// both frames destroyed.
 	for j, r := range m.radios {
-		if j == i || *m.pair(i, j) == outOfRange {
+		if j == i || m.pairs[pairAt(i, j)] == outOfRange {
 			continue
 		}
 		if r.capture != nil && m.eng.Now() < r.capture.end {
@@ -424,12 +427,14 @@ func (tx *transmission) restore() {
 func (tx *transmission) complete() {
 	m := tx.med
 	i, ok := m.index(tx.from)
-	for j, r := range m.radios {
+	radios, pairs := m.radios, m.pairs
+	for j, r := range radios {
 		if r.capture == tx {
 			r.capture = nil
 		}
-		if ok && j != i {
-			m.deliverTo(tx, r, m.pair(i, j))
+		// r.idx < 0: a receive handler detached r.
+		if ok && j != i && r.idx >= 0 {
+			m.deliverTo(tx, r, &pairs[pairAt(i, j)])
 		}
 	}
 	tx.release()

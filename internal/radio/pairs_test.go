@@ -69,6 +69,38 @@ func TestDetachedRadioIsNotReached(t *testing.T) {
 	}
 }
 
+func TestAttachAndDetachFromReceiveHandler(t *testing.T) {
+	eng, m := newTestMedium(t, perfectConfig())
+	a := attach(t, m, 10, Position{0, 0})
+	b := attach(t, m, 20, Position{5, 0})
+	c := attach(t, m, 30, Position{0, 5})
+	d := attach(t, m, 40, Position{5, 5})
+	for _, r := range []*Radio{b, c, d} {
+		r.SetState(StateRX)
+	}
+	// b's handler runs mid-way through the first frame's receivers: it
+	// attaches a radio below every other in ID order, so each position
+	// shifts, and detaches d, which the frame has not reached yet.
+	var early *Radio
+	b.SetHandler(func(Packet) {
+		if early == nil {
+			early = attach(t, m, 5, Position{5, 0})
+			m.Detach(40)
+		}
+	})
+	sendAt(t, eng, a, 0)
+	if b.Received() != 1 || c.Received() != 1 || d.Received() != 0 || early.Received() != 0 {
+		t.Fatalf("received b=%d c=%d d=%d early=%d, want 1, 1, 0 and 0",
+			b.Received(), c.Received(), d.Received(), early.Received())
+	}
+	early.SetState(StateRX)
+	sendAt(t, eng, a, 20*time.Millisecond)
+	if b.Received() != 2 || c.Received() != 2 || d.Received() != 0 || early.Received() != 1 {
+		t.Fatalf("next frame: received b=%d c=%d d=%d early=%d, want 2, 2, 0 and 1",
+			b.Received(), c.Received(), d.Received(), early.Received())
+	}
+}
+
 func TestBurstStateSurvivesDetachAndReattach(t *testing.T) {
 	cfg := perfectConfig()
 	cfg.Burst = GilbertElliott{PBad: 1} // no transitions: the state stays as set

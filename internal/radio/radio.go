@@ -9,7 +9,7 @@ import (
 // simulation goroutine (the engine is single-threaded by design).
 type Radio struct {
 	id        NodeID
-	idx       int32 // position in the medium's radios when its pair table was built
+	idx       int32 // position in the medium's radios when its pair table was built; -1 once detached
 	med       *Medium
 	pos       Position
 	state     State
@@ -105,6 +105,8 @@ func (r *Radio) SetState(s State) {
 
 // Send transmits a frame. The radio is put in TX for the air time and then
 // returned to the state it was in before the call. Returns the air time.
+// Send from a radio detached from its medium fails, and a frame whose
+// sender is detached while it is on the air reaches no receiver.
 func (r *Radio) Send(pkt Packet) (time.Duration, error) {
 	if r.failed {
 		return 0, fmt.Errorf("radio: node %v is failed", r.id)

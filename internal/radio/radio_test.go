@@ -238,23 +238,6 @@ func TestEnergyAccounting(t *testing.T) {
 	}
 }
 
-func TestSecondsMatchesDurationSeconds(t *testing.T) {
-	ds := []time.Duration{0, 1, time.Second - 1, time.Second, -1, -time.Second, 5*time.Hour + 3, math.MaxInt64, math.MinInt64}
-	rng := sim.NewRNG(1)
-	for i := 0; i < 10_000; i++ {
-		d := time.Duration(rng.Uint64())
-		if i%2 == 0 {
-			d %= 2 * time.Second // straddles both paths, either sign
-		}
-		ds = append(ds, d)
-	}
-	for _, d := range ds {
-		if got, want := seconds(d), d.Seconds(); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("seconds(%d) = %v, want %v", int64(d), got, want)
-		}
-	}
-}
-
 func TestRecoverDoesNotChargeFailedInterval(t *testing.T) {
 	eng, m := newTestMedium(t, perfectConfig())
 	a := attach(t, m, 1, Position{0, 0})
