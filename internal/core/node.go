@@ -446,10 +446,7 @@ func (n *Node) sendActuate(r *replica) {
 // sendHealthBundle broadcasts one health-assessment frame covering every
 // enabled replica on this node.
 func (n *Node) sendHealthBundle() {
-	battery := 1.0
-	if b := n.link.Radio().Battery(); b != nil {
-		battery = b.RemainingFraction()
-	}
+	battery := n.link.Radio().BatteryFraction()
 	records := n.healthOut[:0]
 	for _, r := range n.replicas {
 		if !r.enabled {

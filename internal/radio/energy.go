@@ -39,10 +39,17 @@ func (m EnergyModel) Current(s State) float64 {
 	}
 }
 
-// Battery integrates charge consumption over virtual time.
+// Battery integrates charge consumption over virtual time. Its radio
+// books the time it spends in each power state as integer nanoseconds;
+// a read converts that ledger to charge with the radio's energy model,
+// so the total depends on how long each state lasted, not on the order
+// or number of the intervals booked. Drain and ConsumeFraction add to a
+// separate charge term.
 type Battery struct {
 	CapacityMAH float64
-	consumedMAS float64 // milliamp-seconds
+	model       EnergyModel    // the attached radio's currents
+	ns          [StateTX]int64 // ns[s-1] is the time booked in state s
+	drainedMAS  float64        // milliamp-seconds from Drain and ConsumeFraction
 }
 
 // NewBattery returns a battery with the given capacity in mAh. Two AA
@@ -51,9 +58,21 @@ func NewBattery(capacityMAH float64) *Battery {
 	return &Battery{CapacityMAH: capacityMAH}
 }
 
+// charge books d of virtual time in radio state s.
+func (b *Battery) charge(s State, d time.Duration) { b.ns[s-1] += int64(d) }
+
+// consumedMAS returns the charge consumed so far in milliamp-seconds.
+func (b *Battery) consumedMAS() float64 {
+	mas := b.drainedMAS
+	for i, ns := range b.ns {
+		mas += b.model.Current(State(i+1)) * (float64(ns) / 1e9)
+	}
+	return mas
+}
+
 // Drain consumes currentMA for dur of virtual time.
 func (b *Battery) Drain(currentMA float64, dur time.Duration) {
-	b.consumedMAS += currentMA * dur.Seconds()
+	b.drainedMAS += currentMA * dur.Seconds()
 }
 
 // ConsumeFraction instantly consumes the given fraction of the total
@@ -64,11 +83,13 @@ func (b *Battery) ConsumeFraction(f float64) {
 	if f <= 0 {
 		return
 	}
-	b.consumedMAS += f * b.CapacityMAH * 3600
+	b.drainedMAS += f * b.CapacityMAH * 3600
 }
 
-// ConsumedMAH returns the total charge consumed so far.
-func (b *Battery) ConsumedMAH() float64 { return b.consumedMAS / 3600 }
+// ConsumedMAH returns the total charge consumed so far, as booked by the
+// radio up to its last state change (Radio.EnergyConsumedMAH reads it up
+// to now).
+func (b *Battery) ConsumedMAH() float64 { return b.consumedMAS() / 3600 }
 
 // RemainingFraction returns remaining charge in [0,1].
 func (b *Battery) RemainingFraction() float64 {
@@ -89,10 +110,11 @@ func (b *Battery) Depleted() bool { return b.RemainingFraction() <= 0 }
 // current observed over elapsed continues indefinitely. Returns 0 if no
 // charge has been consumed yet.
 func (b *Battery) LifetimeAt(elapsed time.Duration) time.Duration {
-	if b.consumedMAS <= 0 || elapsed <= 0 {
+	mas := b.consumedMAS()
+	if mas <= 0 || elapsed <= 0 {
 		return 0
 	}
-	avgMA := b.consumedMAS / elapsed.Seconds()
+	avgMA := mas / elapsed.Seconds()
 	hours := b.CapacityMAH / avgMA
 	return time.Duration(hours * float64(time.Hour))
 }

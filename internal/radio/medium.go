@@ -184,9 +184,10 @@ func (m *Medium) ForcePER(per float64) { m.forcedPER = per }
 // when the distance model is active.
 func (m *Medium) ForcedPER() float64 { return m.forcedPER }
 
-// Attach creates and registers a radio for the node. Attaching a duplicate
-// ID returns an error. A radio attached from a receive handler is not
-// reached by the frame being delivered.
+// Attach creates and registers a radio for the node, whose battery (if
+// any) it charges at model's currents. Attaching a duplicate ID returns
+// an error. A radio attached from a receive handler is not reached by
+// the frame being delivered.
 func (m *Medium) Attach(id NodeID, pos Position, battery *Battery, model EnergyModel) (*Radio, error) {
 	at, found := m.find(id)
 	if found {
@@ -198,8 +199,11 @@ func (m *Medium) Attach(id NodeID, pos Position, battery *Battery, model EnergyM
 		pos:       pos,
 		state:     StateSleep,
 		lastSince: m.eng.Now(),
+		chargedTo: m.eng.Now(),
 		battery:   battery,
-		model:     model,
+	}
+	if battery != nil {
+		battery.model = model
 	}
 	m.radios = slices.Concat(m.radios[:at], []*Radio{r}, m.radios[at:])
 	m.pairs = nil
@@ -418,8 +422,10 @@ func (m *Medium) transmit(from *Radio, pkt Packet, prev State) (time.Duration, e
 // restore returns the sender to the state it left for the transmission,
 // unless something else moved it out of TX meanwhile.
 func (tx *transmission) restore() {
-	if r := tx.from; r.state == StateTX {
-		r.SetState(tx.prev)
+	r := tx.from
+	r.applyWindows()
+	if r.state == StateTX {
+		r.enter(tx.prev, tx.med.eng.Now())
 	}
 	tx.release()
 }
@@ -459,6 +465,7 @@ func (m *Medium) deliverTo(tx *transmission, r *Radio, pair **linkState) {
 		return
 	}
 	// The receiver must have been in RX for the whole frame.
+	r.applyWindows()
 	if r.state != StateRX || r.lastSince > tx.start {
 		m.stats.DroppedNoRX++
 		r.drops[DropNotListening]++

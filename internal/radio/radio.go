@@ -14,12 +14,15 @@ type Radio struct {
 	pos       Position
 	state     State
 	lastSince time.Duration // when the current state was entered
+	chargedTo time.Duration // how far the battery has been charged
 	battery   *Battery
-	model     EnergyModel
-	handler   func(Packet)
-	capture   *transmission // frame currently being captured, if any
-	received  int
-	drops     [5]int // indexed by DropReason
+	// catchUp, when set, applies the state transitions the link layer's
+	// schedule made due since it last ran (see SetCatchUp).
+	catchUp  func()
+	handler  func(Packet)
+	capture  *transmission // frame currently being captured, if any
+	received int
+	drops    [5]int // indexed by DropReason
 
 	// Clock synchronization (AM carrier): offset of the local clock
 	// relative to global time, refreshed by sync pulses.
@@ -36,9 +39,15 @@ func (r *Radio) ID() NodeID { return r.id }
 func (r *Radio) Position() Position { return r.pos }
 
 // State returns the current power state.
-func (r *Radio) State() State { return r.state }
+func (r *Radio) State() State {
+	r.applyWindows()
+	return r.state
+}
 
-// Battery returns the attached battery (may be nil for mains-powered nodes).
+// Battery returns the attached battery (may be nil for mains-powered
+// nodes). A read of the battery itself reports the charge up to the
+// radio's last state change; EnergyConsumedMAH and BatteryFraction
+// report it up to now.
 func (r *Radio) Battery() *Battery { return r.battery }
 
 // Received returns the count of frames delivered to this radio.
@@ -64,9 +73,10 @@ func (r *Radio) SetDriftPPM(ppm float64) { r.driftPPM = ppm }
 // Fail marks the radio as failed: it stops transmitting and receiving and
 // drains no further energy. Models a node crash.
 func (r *Radio) Fail() {
-	r.settle()
+	r.applyWindows()
+	r.chargeTo(r.med.eng.Now())
 	r.failed = true
-	r.state = StateSleep
+	r.state, r.lastSince = StateSleep, r.chargedTo
 }
 
 // Failed reports whether the node has crashed.
@@ -75,32 +85,71 @@ func (r *Radio) Failed() bool { return r.failed }
 // Recover clears the failed flag, returning the radio to sleep state.
 // The time spent failed is not charged.
 func (r *Radio) Recover() {
-	r.settle()
+	r.applyWindows()
+	r.chargeTo(r.med.eng.Now())
 	r.failed = false
-	r.state = StateSleep
+	r.state, r.lastSince = StateSleep, r.chargedTo
 }
 
-// settle charges the battery for the time spent in the current state and
-// restarts the accounting window.
-func (r *Radio) settle() {
-	now := r.med.eng.Now()
-	if r.battery != nil && !r.failed {
-		r.battery.Drain(r.model.Current(r.state), now-r.lastSince)
+// SetCatchUp installs fn as the radio's catch-up hook (nil removes it).
+// A link layer whose schedule opens and closes RX windows without
+// changing the radio's state at those instants installs one: fn applies
+// every transition due so far, in order, through OpenWindow and
+// CloseWindows. The radio calls fn before anything reads or changes its
+// power state or charges its battery, so every observer sees the state
+// the schedule left.
+func (r *Radio) SetCatchUp(fn func()) { r.catchUp = fn }
+
+func (r *Radio) applyWindows() {
+	if r.catchUp != nil {
+		r.catchUp()
 	}
-	r.lastSince = now
+}
+
+// OpenWindow applies an RX window that opened at virtual time at, no
+// later than now: a live radio enters RX then.
+func (r *Radio) OpenWindow(at time.Duration) { r.enter(StateRX, at) }
+
+// CloseWindows puts a live radio to sleep at virtual time at, the close
+// of a slot it took part in, then applies a run of RX windows that all
+// opened and closed after at, the last at end, holding rx of RX time in
+// all. The radio sleeps between and after them, so the run costs O(1)
+// however many windows it holds.
+func (r *Radio) CloseWindows(at, rx, end time.Duration) {
+	r.enter(StateSleep, at)
+	if rx == 0 || r.failed {
+		return
+	}
+	if b := r.battery; b != nil {
+		b.charge(StateRX, rx)
+		b.charge(StateSleep, end-r.chargedTo-rx)
+	}
+	r.chargedTo, r.lastSince = end, end
+}
+
+// chargeTo charges the battery for the time in the current state up to
+// virtual time t. A failed radio is not charged.
+func (r *Radio) chargeTo(t time.Duration) {
+	if r.battery != nil && !r.failed {
+		r.battery.charge(r.state, t-r.chargedTo)
+	}
+	r.chargedTo = t
+}
+
+// enter moves a live radio into state s at virtual time at.
+func (r *Radio) enter(s State, at time.Duration) {
+	if r.failed || s == r.state {
+		return
+	}
+	r.chargeTo(at)
+	r.state, r.lastSince = s, at
 }
 
 // SetState transitions the power state, charging energy for the state
 // being left.
 func (r *Radio) SetState(s State) {
-	if r.failed {
-		return
-	}
-	if s == r.state {
-		return
-	}
-	r.settle()
-	r.state = s
+	r.applyWindows()
+	r.enter(s, r.med.eng.Now())
 }
 
 // Send transmits a frame. The radio is put in TX for the air time and then
@@ -108,6 +157,7 @@ func (r *Radio) SetState(s State) {
 // Send from a radio detached from its medium fails, and a frame whose
 // sender is detached while it is on the air reaches no receiver.
 func (r *Radio) Send(pkt Packet) (time.Duration, error) {
+	r.applyWindows() // before prev is taken: a window may have closed
 	if r.failed {
 		return 0, fmt.Errorf("radio: node %v is failed", r.id)
 	}
@@ -116,23 +166,48 @@ func (r *Radio) Send(pkt Packet) (time.Duration, error) {
 		pkt.Hop = pkt.Dst
 	}
 	prev := r.state
-	r.SetState(StateTX)
+	now := r.med.eng.Now()
+	r.enter(StateTX, now)
 	air, err := r.med.transmit(r, pkt, prev)
 	if err != nil {
-		r.SetState(prev)
+		r.enter(prev, now)
 		return 0, err
 	}
 	return air, nil
 }
 
-// EnergyConsumedMAH returns battery charge consumed so far including the
-// current (unsettled) state interval.
+// EnergyConsumedMAH returns battery charge consumed so far, up to now.
+// Reading it changes nothing the radio does.
 func (r *Radio) EnergyConsumedMAH() float64 {
 	if r.battery == nil {
 		return 0
 	}
-	r.settle()
+	r.applyWindows()
+	r.chargeTo(r.med.eng.Now())
 	return r.battery.ConsumedMAH()
+}
+
+// TimeIn returns how long the radio has spent in state s so far, up to
+// now, as its battery booked it: a failed radio books nothing, and a
+// mains-powered one (no battery) reports 0.
+func (r *Radio) TimeIn(s State) time.Duration {
+	if r.battery == nil {
+		return 0
+	}
+	r.applyWindows()
+	r.chargeTo(r.med.eng.Now())
+	return time.Duration(r.battery.ns[s-1])
+}
+
+// BatteryFraction returns the remaining battery charge in [0,1], up to
+// now; a mains-powered radio (no battery) reports 1.
+func (r *Radio) BatteryFraction() float64 {
+	if r.battery == nil {
+		return 1
+	}
+	r.applyWindows()
+	r.chargeTo(r.med.eng.Now())
+	return r.battery.RemainingFraction()
 }
 
 // --- AM-carrier time synchronization -----------------------------------

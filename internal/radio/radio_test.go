@@ -252,6 +252,34 @@ func TestRecoverDoesNotChargeFailedInterval(t *testing.T) {
 	}
 }
 
+// Reading the energy of a listening radio while a frame is on the air
+// must not change what it receives: the read charges the battery up to
+// now but leaves the time the radio entered RX alone.
+func TestEnergyReadDoesNotDropFrameInFlight(t *testing.T) {
+	eng, m := newTestMedium(t, perfectConfig())
+	a := attach(t, m, 1, Position{0, 0})
+	b := attach(t, m, 2, Position{5, 0})
+	got := 0
+	b.SetHandler(func(Packet) { got++ })
+	b.SetState(StateRX)
+	var air time.Duration
+	eng.At(time.Millisecond, func() {
+		var err error
+		if air, err = a.Send(Packet{Dst: 2, Payload: make([]byte, 40)}); err != nil {
+			t.Error(err)
+			return
+		}
+		eng.At(eng.Now()+air/2, func() { _ = b.EnergyConsumedMAH() })
+	})
+	eng.Run()
+	if got != 1 || b.Drops(DropNotListening) != 0 {
+		t.Fatalf("delivered %d, dropped %d as not listening; want 1 and 0", got, b.Drops(DropNotListening))
+	}
+	if rx, want := b.TimeIn(StateRX), time.Millisecond+air; rx != want {
+		t.Fatalf("RX time %v, want %v", rx, want)
+	}
+}
+
 func TestLifetimeExtrapolation(t *testing.T) {
 	b := NewBattery(2600)
 	b.Drain(1.0, time.Hour) // 1 mA average

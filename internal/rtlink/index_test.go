@@ -136,14 +136,63 @@ func TestIdleFramesDoNotAllocate(t *testing.T) {
 	}
 }
 
+// TestIdleFrameFiresOnlyFrameAndSyncSleep: in a mesh where nobody has
+// anything to send, an active frame dispatches two engine callbacks, the
+// frame start and the end of the sync slot; every listener's RX time
+// still comes out of the schedule, one slot per listened slot.
+func TestIdleFrameFiresOnlyFrameAndSyncSleep(t *testing.T) {
+	const nodes, frames = 16, 10
+	eng, net := testNet(t, nodes)
+	slot, frame := net.Config().SlotDuration, net.Config().FrameDuration()
+	net.Start()
+	for f := range frames {
+		for _, want := range []time.Duration{time.Duration(f) * frame, time.Duration(f)*frame + slot} {
+			if !eng.Step() || eng.Now() != want {
+				t.Fatalf("frame %d: callback at %v, want one at %v", f, eng.Now(), want)
+			}
+		}
+	}
+	if !eng.Step() || eng.Now() != frames*frame {
+		t.Fatalf("after %d idle frames the next callback fired at %v, want the frame start at %v", frames, eng.Now(), frames*frame)
+	}
+	// Each node heard the sync slot and the other nodes' slots in every
+	// frame before this one.
+	want := frames * nodes * slot
+	for id := radio.NodeID(1); id <= nodes; id++ {
+		if rx := net.Link(id).Radio().TimeIn(radio.StateRX); rx != want {
+			t.Fatalf("node %v spent %v in RX over %d frames, want %v", id, rx, frames, want)
+		}
+	}
+}
+
 // BenchmarkSlotLoop times one idle frame of a 16-node full mesh: the
-// sync slot, then 16 slots that each wake 15 listeners and put them back
-// to sleep.
+// frame and sync-sleep callbacks fire, and the 16 slots, each heard by 15
+// listeners, fire nothing; the listeners' RX windows come from the
+// schedule when their radios are next read.
 func BenchmarkSlotLoop(b *testing.B) {
 	eng, net := testNet(b, 16)
 	frame := net.Config().FrameDuration()
 	net.Start()
 	for b.Loop() {
+		_ = eng.RunUntil(eng.Now() + frame)
+	}
+}
+
+// BenchmarkBusyFrame times one frame of a 16-node full mesh in which every
+// node broadcasts a fragment, so all 16 slots fire and each frame reaches
+// 15 listeners.
+func BenchmarkBusyFrame(b *testing.B) {
+	const nodes = 16
+	eng, net := testNet(b, nodes)
+	frame := net.Config().FrameDuration()
+	payload := make([]byte, 32)
+	net.Start()
+	for b.Loop() {
+		for id := radio.NodeID(1); id <= nodes; id++ {
+			if err := net.Link(id).Send(Message{Dst: radio.Broadcast, Payload: payload}); err != nil {
+				b.Fatal(err)
+			}
+		}
 		_ = eng.RunUntil(eng.Now() + frame)
 	}
 }

@@ -2,6 +2,7 @@ package rtlink
 
 import (
 	"fmt"
+	"time"
 
 	"evm/internal/radio"
 )
@@ -39,6 +40,15 @@ type Link struct {
 	// reservation); 0 means unlimited.
 	txBudget    int
 	txThisFrame int
+	// listen holds the slots this node listens in, in the current
+	// frame's plan, and member those it listens in or owns. win is the
+	// plan index of the next member slot not yet closed on the radio, or
+	// a slot before it; inWin reports that the open of the RX window at
+	// win has been applied.
+	listen, member []uint64
+	win            int
+	inWin          bool
+	catchUpFn      func() // l.catchUp, bound once
 }
 
 // SetNetworkReservation caps the node's transmissions to n fragments per
@@ -93,8 +103,12 @@ func (l *Link) Send(msg Message) error {
 		l.stats.QueueDrops++
 		return fmt.Errorf("rtlink: node %v queue full (%d)", l.ID(), l.QueueLen())
 	}
+	idle := l.QueueLen() == 0
 	l.txq = q
 	l.stats.MsgsSent++
+	if idle {
+		l.net.wake(l)
+	}
 	return nil
 }
 
@@ -157,6 +171,9 @@ func (l *Link) onFrame(pkt radio.Packet) {
 		if _, ok := l.routes[f.dst]; ok {
 			l.txq = append(l.txq, f)
 			l.stats.FragsRelayed++
+			if l.QueueLen() == 1 {
+				l.net.wake(l)
+			}
 		}
 		return
 	}
@@ -170,4 +187,38 @@ func (l *Link) onFrame(pkt radio.Packet) {
 	}
 	// Broadcast fragments are also relayed by nodes with explicit routes?
 	// No: broadcast stays single-hop in this model.
+}
+
+// catchUp applies, in firing order, every transition of the radio that
+// the current frame's plan holds and the engine has passed: an RX window
+// opens at each slot the node listens in, and the radio goes to sleep
+// when any slot it listens in or owns closes. The radio calls it before
+// anything reads or changes its state or battery. However many slots
+// have closed since the last call, it costs O(1): the radio is asleep
+// after the first close, so the rest charge their RX time and the sleep
+// between in one step.
+func (l *Link) catchUp() {
+	i := nextIn(l.member, l.win)
+	if i < 0 {
+		return
+	}
+	n := l.net
+	c := n.closedUpTo()
+	if i < c {
+		// Member slots i.., up to c, have all closed; k of this node's
+		// windows follow i, the last at last.
+		if has(l.listen, i) && !l.inWin {
+			l.r.OpenWindow(n.slotAt(i))
+		}
+		k, last := spanIn(l.listen, i+1, c)
+		slot := n.cfg.SlotDuration
+		l.r.CloseWindows(n.slotAt(i)+slot, time.Duration(k)*slot, n.slotAt(max(i, last))+slot)
+		l.inWin = false
+		i = nextIn(l.member, c)
+	}
+	l.win = c
+	if i == c && !l.inWin && has(l.listen, c) && n.opened(c) {
+		l.r.OpenWindow(n.slotAt(c))
+		l.inWin = true
+	}
 }

@@ -1,8 +1,8 @@
 package rtlink
 
 import (
-	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 	"strconv"
 	"time"
@@ -17,43 +17,136 @@ const dataKind radio.Kind = 1
 
 // Network drives the TDMA frame structure for a set of links sharing a
 // medium. One Network corresponds to one synchronized RT-Link cell.
+//
+// Within an active frame the engine runs only the frame callback, the
+// end of the sync slot and the opens of slots whose owner has a fragment
+// queued. A slot's listeners get their RX window, and its owner and
+// listeners their return to sleep at its close, from the frame's plan,
+// not from an event: each Link applies the transitions the engine has
+// gone past, in the engine's firing order, before anything reads or
+// changes its radio (see Link.catchUp).
 type Network struct {
 	eng   *sim.Engine
 	med   *radio.Medium
 	cfg   Config
 	sched Schedule
-	// links holds the joined links sorted by node ID. Frame-loop state
-	// changes (reserve replenish, sync wake/sleep) iterate it in that
-	// order, so per-frame radio state transitions land in the same order
-	// every run.
-	links []*Link
-	// byID indexes the joined links by node ID (nil where none joined),
-	// so the per-slot listener lookups are reads, not searches. The cell
+	// byID indexes the joined links by node ID (nil where none joined).
+	// Frame-loop state changes (reserve replenish, sync wake/sleep)
+	// iterate it, so they land in node-ID order every run. The cell
 	// builders number nodes 1..N, so the table stays short.
 	byID []*Link
-	// slots caches the sorted slot indices of sched, so per-frame slot
-	// scheduling is deterministic without re-sorting each frame; assigns
-	// holds sched[slots[i]] at i, so slots open without a map lookup.
-	slots   []int
-	assigns []SlotAssign
-	frame   uint64
+	// plan is sched resolved for the frame loop; an active frame
+	// captures it, so SetSchedule applies from the next frame.
+	plan  *plan
+	frame uint64
 
-	// The frame loop posts the same four callbacks every frame; they are
-	// bound once in NewNetwork instead of allocated per frame and per
-	// slot. An active frame reserves the engine sequence numbers its slot
-	// callbacks would take if all were posted at frame start, and queues
-	// them one slot at a time: each slot open queues its own close and
-	// the next open. Firing order is unchanged and the engine queue holds
-	// a few entries per network instead of two per slot.
-	frameFn, syncSleepFn, openSlotFn, closeSlotFn func()
-	frameSlots                                    []int
-	frameAssigns                                  []SlotAssign
-	frameStart                                    time.Duration
-	frameSeq                                      uint64 // first reserved sequence number
-	openNext                                      int    // index into frameSlots of the next slot to open
+	// The frame loop posts the same three callbacks every frame; they
+	// are bound once in NewNetwork. An active frame reserves the engine
+	// sequence numbers its sync-sleep callback and each slot's open and
+	// close would take if all were posted at frame start, and queues
+	// only the opens of slots that transmit (see queueFrom and wake).
+	// The reserved positions of the rest tell the links' catch-up where
+	// each RX window opened and closed.
+	frameFn, syncSleepFn, openSlotFn func()
+	fp                               *plan // the current active frame's plan
+	frameStart                       time.Duration
+	frameSeq                         uint64 // first reserved sequence number
+	queued                           []bool // queued[i]: slot i's open is in the engine queue
+	closedN                          int    // how many of the frame's slots had closed at the last look
 
 	started bool
 	stopped bool
+}
+
+// plan is a schedule resolved for the frame loop, built once per
+// SetSchedule. Its slot i is the schedule's i-th slot in ascending
+// order. sets holds three bit sets of plan indices per node ID, words
+// words each: the slots the node listens in, the slots it owns, and
+// their union, the slots whose close puts its radio to sleep.
+type plan struct {
+	slots   []int
+	assigns []SlotAssign
+	words   int
+	sets    []uint64
+}
+
+func newPlan(s Schedule) *plan {
+	p := &plan{slots: sim.SortedKeys(s)}
+	p.assigns = make([]SlotAssign, len(p.slots))
+	var top radio.NodeID
+	for i, slot := range p.slots {
+		as := s[slot]
+		p.assigns[i] = as
+		top = max(top, as.Owner)
+		for _, id := range as.Listeners {
+			top = max(top, id)
+		}
+	}
+	p.words = (len(p.slots) + 63) / 64
+	p.sets = make([]uint64, 3*p.words*(int(top)+1))
+	for i, as := range p.assigns {
+		w, bit := i/64, uint64(1)<<(i%64)
+		p.owning(as.Owner)[w] |= bit
+		p.member(as.Owner)[w] |= bit
+		for _, id := range as.Listeners {
+			p.listening(id)[w] |= bit
+			p.member(id)[w] |= bit
+		}
+	}
+	return p
+}
+
+// listening returns the bit set of the slots id listens in.
+func (p *plan) listening(id radio.NodeID) []uint64 { return p.set(3 * int(id)) }
+
+// owning returns the bit set of the slots id owns.
+func (p *plan) owning(id radio.NodeID) []uint64 { return p.set(3*int(id) + 1) }
+
+// member returns the bit set of the slots id listens in or owns.
+func (p *plan) member(id radio.NodeID) []uint64 { return p.set(3*int(id) + 2) }
+
+func (p *plan) set(k int) []uint64 {
+	if at := k * p.words; at < len(p.sets) {
+		return p.sets[at : at+p.words]
+	}
+	return nil
+}
+
+// has reports whether set holds plan index i.
+func has(set []uint64, i int) bool { return i/64 < len(set) && set[i/64]&(1<<(i%64)) != 0 }
+
+// nextIn returns the first plan index at or after i in set, or -1.
+func nextIn(set []uint64, i int) int {
+	for w := i / 64; w < len(set); w++ {
+		word := set[w]
+		if w == i/64 {
+			word &= ^uint64(0) << (i % 64)
+		}
+		if word != 0 {
+			return w*64 + bits.TrailingZeros64(word)
+		}
+	}
+	return -1
+}
+
+// spanIn returns how many plan indices in [lo, hi) set holds, and the
+// last of them (-1 if none).
+func spanIn(set []uint64, lo, hi int) (count, last int) {
+	last = -1
+	for w := lo / 64; w*64 < hi && w < len(set); w++ {
+		word := set[w]
+		if w == lo/64 {
+			word &= ^uint64(0) << (lo % 64)
+		}
+		if end := hi - w*64; end < 64 {
+			word &= 1<<end - 1
+		}
+		if word != 0 {
+			count += bits.OnesCount64(word)
+			last = w*64 + 63 - bits.LeadingZeros64(word)
+		}
+	}
+	return count, last
 }
 
 // NewNetwork creates a TDMA network over the medium. The schedule may be
@@ -76,34 +169,33 @@ func NewNetwork(med *radio.Medium, cfg Config, sched Schedule) (*Network, error)
 	n.setSchedule(sched)
 	n.frameFn = n.runFrame
 	n.syncSleepFn = n.syncSleep
-	n.openSlotFn = n.openNextSlot
-	n.closeSlotFn = n.closeOpenSlot
+	n.openSlotFn = n.openSlot
 	return n, nil
 }
 
-// slotAt returns when the i-th slot of the current frame opens.
+// slotAt returns when slot i of the current frame's plan opens.
 func (n *Network) slotAt(i int) time.Duration {
-	return n.frameStart + time.Duration(n.frameSlots[i])*n.cfg.SlotDuration
+	return n.frameStart + time.Duration(n.fp.slots[i])*n.cfg.SlotDuration
 }
 
-// openNextSlot opens the frame's next slot after queuing, under their
-// reserved sequence numbers, that slot's close and the following open.
-func (n *Network) openNextSlot() {
-	i := n.openNext
-	n.openNext++
-	at := n.slotAt(i)
-	n.eng.PostReserved(at+n.cfg.SlotDuration, -1, n.frameSeq+2+2*uint64(i), n.closeSlotFn)
-	if i+1 < len(n.frameSlots) {
-		n.eng.PostReserved(n.slotAt(i+1), 0, n.frameSeq+1+2*uint64(i+1), n.openSlotFn)
+// opened reports whether the open of the frame's slot i has passed.
+func (n *Network) opened(i int) bool {
+	return n.eng.Passed(n.slotAt(i), 0, n.frameSeq+1+2*uint64(i))
+}
+
+// closedUpTo returns how many of the frame's slots have closed: slot i
+// has iff i is below the result. A slot's close falls due no later than
+// the next slot's open and, at prio -1, sorts first on a tie, so at most
+// the slot at the result is open. The count only grows within a frame,
+// so a call costs O(1) amortized.
+func (n *Network) closedUpTo() int {
+	for c := n.closedN; c < len(n.fp.slots); c++ {
+		if !n.eng.Passed(n.slotAt(c)+n.cfg.SlotDuration, -1, n.frameSeq+2+2*uint64(c)) {
+			break
+		}
+		n.closedN++
 	}
-	n.openSlot(n.frameAssigns[i])
-}
-
-// closeOpenSlot closes the slot openNextSlot opened last. A slot's close
-// falls due no later than the next slot's open and, at prio -1, fires
-// first on a tie, so it always runs between the two.
-func (n *Network) closeOpenSlot() {
-	n.closeSlot(n.frameAssigns[n.openNext-1])
+	return n.closedN
 }
 
 // Config returns the frame configuration.
@@ -131,11 +223,7 @@ func (n *Network) SetSchedule(s Schedule) error {
 
 func (n *Network) setSchedule(s Schedule) {
 	n.sched = s
-	n.slots = sim.SortedKeys(s)
-	n.assigns = make([]SlotAssign, len(n.slots))
-	for i, slot := range n.slots {
-		n.assigns[i] = s[slot]
-	}
+	n.plan = newPlan(s)
 }
 
 // Join creates the link layer for a node whose radio is already attached
@@ -145,8 +233,7 @@ func (n *Network) Join(id radio.NodeID) (*Link, error) {
 	if r == nil {
 		return nil, fmt.Errorf("rtlink: node %v has no radio on the medium", id)
 	}
-	at, found := n.find(id)
-	if found {
+	if n.Link(id) != nil {
 		return nil, fmt.Errorf("rtlink: node %v already joined", id)
 	}
 	l := &Link{
@@ -155,8 +242,16 @@ func (n *Network) Join(id radio.NodeID) (*Link, error) {
 		reasm:  newReassembler(),
 		routes: make(map[radio.NodeID]radio.NodeID),
 	}
+	// A link joining mid-frame takes the transitions of this frame's
+	// windows that are still to come: a window already open when it
+	// joins still closes on it.
+	if n.fp != nil {
+		l.listen, l.member, l.win = n.fp.listening(id), n.fp.member(id), n.closedUpTo()
+		l.inWin = has(l.listen, l.win) && n.opened(l.win)
+	}
+	l.catchUpFn = l.catchUp
 	r.SetHandler(l.onFrame)
-	n.links = slices.Insert(n.links, at, l)
+	r.SetCatchUp(l.catchUpFn)
 	if int(id) >= len(n.byID) {
 		n.byID = append(n.byID, make([]*Link, int(id)+1-len(n.byID))...)
 	}
@@ -164,22 +259,18 @@ func (n *Network) Join(id radio.NodeID) (*Link, error) {
 	return l, nil
 }
 
-// find returns where the link of id is, or would be inserted, in n.links,
-// and whether it is there.
-func (n *Network) find(id radio.NodeID) (int, bool) {
-	return slices.BinarySearchFunc(n.links, id, func(l *Link, id radio.NodeID) int { return cmp.Compare(l.r.ID(), id) })
-}
-
 // Leave removes a node's link layer (the rollback of Join, used when a
-// runtime admission fails partway). The node's radio stays attached; the
-// caller decides whether to detach it from the medium as well.
+// runtime admission fails partway). The node's radio stays attached, in
+// the state the windows so far left it; the caller decides whether to
+// detach it from the medium as well.
 func (n *Network) Leave(id radio.NodeID) {
-	at, ok := n.find(id)
-	if !ok {
+	l := n.Link(id)
+	if l == nil {
 		return
 	}
-	n.links[at].r.SetHandler(nil)
-	n.links = slices.Delete(n.links, at, at+1)
+	l.catchUp()
+	l.r.SetCatchUp(nil)
+	l.r.SetHandler(nil)
 	n.byID[id] = nil
 }
 
@@ -214,71 +305,104 @@ func (n *Network) runFrame() {
 		t.Complete("frame", "rtlink", "rtlink", frameStart, frameStart+n.cfg.FrameDuration(),
 			span.Arg{Key: "frame", Val: strconv.FormatUint(n.frame, 10)})
 	}
-	for _, l := range n.links {
+	for _, l := range n.byID {
+		if l == nil {
+			continue
+		}
 		l.txThisFrame = 0 // replenish network reserves
+		if active {
+			// Apply the last frame's windows before its plan goes.
+			l.catchUp()
+			l.listen, l.member = n.plan.listening(l.r.ID()), n.plan.member(l.r.ID())
+			l.win, l.inWin = 0, false
+		}
 	}
 	if active {
+		// Capture: SetSchedule applies next frame. The sequence numbers
+		// are the sync-sleep callback's, then each slot's open and close
+		// in turn, slots in ascending order, so engine insertion order
+		// (the tie-break for same-time, same-priority events) never
+		// depends on map order.
+		n.fp, n.frameStart, n.closedN = n.plan, frameStart, 0
+		n.frameSeq = n.eng.Reserve(1 + 2*len(n.fp.slots))
+		n.eng.PostReserved(frameStart+n.cfg.SlotDuration, -1, n.frameSeq, n.syncSleepFn)
 		// Sync slot: every live node wakes to catch the AM pulse.
 		n.med.Sync()
-		for _, l := range n.links {
-			if !l.r.Failed() {
+		for _, l := range n.byID {
+			if l != nil && !l.r.Failed() {
 				l.r.SetState(radio.StateRX)
 			}
 		}
-		// Capture: SetSchedule applies next frame. Slots run in ascending
-		// order so engine insertion order (the tie-break for same-time,
-		// same-priority events) never depends on map order. The sequence
-		// numbers are the sync-sleep callback's, then each slot's open and
-		// close in turn.
-		n.frameSlots, n.frameAssigns, n.frameStart, n.openNext = n.slots, n.assigns, frameStart, 0
-		n.frameSeq = n.eng.Reserve(1 + 2*len(n.slots))
-		n.eng.PostReserved(frameStart+n.cfg.SlotDuration, -1, n.frameSeq, n.syncSleepFn)
 		if tracer := n.eng.Tracer(); tracer != nil {
-			for i, slot := range n.slots {
+			for i, slot := range n.fp.slots {
 				at := frameStart + time.Duration(slot)*n.cfg.SlotDuration
 				tracer.Complete("slot", "rtlink", "rtlink", at, at+n.cfg.SlotDuration,
 					span.Arg{Key: "slot", Val: strconv.Itoa(slot)},
-					span.Arg{Key: "owner", Val: strconv.Itoa(int(n.assigns[i].Owner))})
+					span.Arg{Key: "owner", Val: strconv.Itoa(int(n.fp.assigns[i].Owner))})
 			}
 		}
-		if len(n.slots) > 0 {
-			n.eng.PostReserved(n.slotAt(0), 0, n.frameSeq+1, n.openSlotFn)
-		}
+		n.queued = slices.Grow(n.queued[:0], len(n.fp.slots))[:len(n.fp.slots)]
+		clear(n.queued)
+		n.queueFrom(0)
 	}
 	n.eng.Post(frameStart+n.cfg.FrameDuration(), 0, n.frameFn)
 }
 
 // syncSleep ends the sync slot: every live node returns to sleep.
 func (n *Network) syncSleep() {
-	for _, l := range n.links {
-		if !l.r.Failed() {
+	for _, l := range n.byID {
+		if l != nil && !l.r.Failed() {
 			l.r.SetState(radio.StateSleep)
 		}
 	}
 }
 
-// openSlot wakes the listeners and fires the owner's transmission.
-func (n *Network) openSlot(as SlotAssign) {
-	for _, id := range as.Listeners {
-		if l := n.Link(id); l != nil && !l.r.Failed() {
-			l.r.SetState(radio.StateRX)
+// queueFrom queues the open of the frame's first slot from i on whose
+// owner has a fragment queued, unless a slot before it is queued
+// already: that slot's open scans on from there when it fires.
+func (n *Network) queueFrom(i int) {
+	for ; i < len(n.fp.slots); i++ {
+		if n.queued[i] {
+			return
+		}
+		if o := n.Link(n.fp.assigns[i].Owner); o != nil && o.QueueLen() > 0 {
+			n.queue(i)
+			return
 		}
 	}
-	owner := n.Link(as.Owner)
-	if owner == nil || owner.r.Failed() {
+}
+
+// queue posts the open of the frame's slot i at its reserved position.
+func (n *Network) queue(i int) {
+	n.queued[i] = true
+	n.eng.PostReserved(n.slotAt(i), 0, n.frameSeq+1+2*uint64(i), n.openSlotFn)
+}
+
+// wake queues the open of l's next owned slot in this frame, if any, when
+// l's queue has just become non-empty. Every other slot that must fire
+// is queued by the frame start or the open before it.
+func (n *Network) wake(l *Link) {
+	if n.fp == nil {
 		return
 	}
-	owner.transmitNext()
-}
-
-// closeSlot returns all participants to sleep.
-func (n *Network) closeSlot(as SlotAssign) {
-	for _, id := range as.Listeners {
-		if l := n.Link(id); l != nil && !l.r.Failed() {
-			l.r.SetState(radio.StateSleep)
+	set := n.fp.owning(l.ID())
+	for i := nextIn(set, 0); i >= 0; i = nextIn(set, i+1) {
+		if !n.opened(i) {
+			if !n.queued[i] {
+				n.queue(i)
+			}
+			return
 		}
 	}
-	if owner := n.Link(as.Owner); owner != nil && !owner.r.Failed() {
-		owner.r.SetState(radio.StateSleep)
+}
+
+// openSlot fires the owner's transmission in the slot opening now, then
+// queues the next slot that transmits. A live owner sends its
+// head-of-line fragment, or counts a reserve deferral.
+func (n *Network) openSlot() {
+	i, _ := slices.BinarySearch(n.fp.slots, int((n.eng.Now()-n.frameStart)/n.cfg.SlotDuration))
+	if owner := n.Link(n.fp.assigns[i].Owner); owner != nil && !owner.r.Failed() {
+		owner.transmitNext()
 	}
+	n.queueFrom(i + 1)
 }

@@ -8,6 +8,7 @@ package sim
 
 import (
 	"errors"
+	"math"
 	"time"
 
 	"evm/internal/span"
@@ -37,17 +38,22 @@ func (ev *Event) Canceled() bool { return ev.canceled }
 // entry to its handle and is nil for callbacks scheduled with Post, which
 // have none.
 type entry struct {
+	key
+	fn func()
+	ev *Event
+}
+
+// key is an entry's position in the queue order.
+type key struct {
 	at   time.Duration
 	prio int
 	seq  uint64
-	fn   func()
-	ev   *Event
 }
 
 // before is the queue order: time, then priority, then scheduling
 // sequence. seq is unique, so the order is total and any heap pops the
 // same sequence.
-func (a *entry) before(b *entry) bool {
+func (a *key) before(b *key) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -100,7 +106,7 @@ func (q *eventQueue) remove(i int) entry {
 func (q eventQueue) up(i int, x entry) {
 	for i > 0 {
 		p := (i - 1) / 2
-		if !x.before(&q[p]) {
+		if !x.before(&q[p].key) {
 			break
 		}
 		q.set(i, q[p])
@@ -119,10 +125,10 @@ func (q eventQueue) down(i0 int, x entry) bool {
 		if c >= n {
 			break
 		}
-		if r := c + 1; r < n && q[r].before(&q[c]) {
+		if r := c + 1; r < n && q[r].before(&q[c].key) {
 			c = r
 		}
-		if !q[c].before(&x) {
+		if !q[c].before(&x.key) {
 			break
 		}
 		q.set(i, q[c])
@@ -138,6 +144,10 @@ type Engine struct {
 	now   time.Duration
 	queue eventQueue
 	seq   uint64
+	// pos is the key of the latest callback that fired, or, after
+	// RunUntil, a key before every callback at the horizon. Passed
+	// compares against it.
+	pos key
 	// tracer, when non-nil, records causal spans for this engine's run.
 	// Every subsystem holding an engine reference reaches it through
 	// Tracer(), so enabling tracing never changes constructor signatures.
@@ -146,7 +156,7 @@ type Engine struct {
 
 // New returns an engine with the virtual clock at zero.
 func New() *Engine {
-	return &Engine{}
+	return &Engine{pos: key{prio: math.MinInt}}
 }
 
 // Now returns the current virtual time.
@@ -188,20 +198,34 @@ func (e *Engine) Post(t time.Duration, prio int, fn func()) {
 }
 
 // Reserve sets aside n consecutive sequence numbers, as n Post calls
-// would consume them, and returns the first. A callback queued later with
-// PostReserved under one of them fires exactly where it would have had it
-// been posted at reservation time, provided it is queued before it falls
-// due. The TDMA loop uses this to queue a frame's slot callbacks one at a
-// time instead of all at frame start, which keeps the queue short.
+// would consume them, and returns the first. Each reserved number, with
+// a time and a priority, names a position in the firing order. A
+// callback queued later with PostReserved at that position fires exactly
+// where it would have had it been posted at reservation time, provided
+// it is queued while Passed still reports false for it. A position may
+// also stay empty: the TDMA loop reserves one open per slot of a frame
+// and queues only the opens of slots that transmit, and Passed tells
+// lazily applied per-slot state changes which of the empty positions
+// the engine has gone past.
 func (e *Engine) Reserve(n int) uint64 {
 	first := e.seq + 1
 	e.seq += uint64(n)
 	return first
 }
 
-// PostReserved queues fn like Post, under a sequence number from Reserve.
+// PostReserved queues fn like Post, at the position (t, prio, seq); seq
+// must come from Reserve, and each position may be queued at most once.
 func (e *Engine) PostReserved(t time.Duration, prio int, seq uint64, fn func()) {
-	e.queue.push(entry{at: max(t, e.now), prio: prio, seq: seq, fn: fn})
+	e.queue.push(entry{key: key{max(t, e.now), prio, seq}, fn: fn})
+}
+
+// Passed reports whether a callback queued at (at, prio, seq) would
+// already have fired, or be firing now: whether that position is at or
+// before the latest callback that fired. After RunUntil(h) every
+// position before h has passed and none at h has, just as callbacks at
+// h have not fired.
+func (e *Engine) Passed(at time.Duration, prio int, seq uint64) bool {
+	return !e.pos.before(&key{at, prio, seq})
 }
 
 func (e *Engine) atPrio(t time.Duration, prio int, fn func()) *Event {
@@ -220,7 +244,7 @@ func (e *Engine) push(t time.Duration, prio int, fn func(), ev *Event) {
 	if ev != nil {
 		ev.at, ev.canceled = t, false
 	}
-	e.queue.push(entry{at: t, prio: prio, seq: e.seq, fn: fn, ev: ev})
+	e.queue.push(entry{key: key{t, prio, e.seq}, fn: fn, ev: ev})
 }
 
 // Cancel removes a pending event. Cancelling an already-fired or
@@ -243,6 +267,11 @@ func (e *Engine) Step() bool {
 	}
 	x := e.queue.remove(0)
 	e.now = x.at
+	// A callback queued in the past fires at the current time, possibly
+	// ordered before the last one; the position never moves back.
+	if e.pos.before(&x.key) {
+		e.pos = x.key
+	}
 	if t := e.tracer; t != nil && t.Dispatch() {
 		// Dispatch spans are zero-width in virtual time (the clock
 		// does not advance inside a callback) but give every span
@@ -263,13 +292,22 @@ func (e *Engine) Step() bool {
 func (e *Engine) RunUntil(horizon time.Duration) error {
 	for len(e.queue) > 0 {
 		if e.queue[0].at >= horizon {
-			e.now = horizon
+			e.rest(horizon)
 			return nil
 		}
 		e.Step()
 	}
-	e.now = horizon
+	e.rest(horizon)
 	return ErrHorizon
+}
+
+// rest leaves the clock at horizon, positioned before every callback
+// there.
+func (e *Engine) rest(horizon time.Duration) {
+	e.now = horizon
+	if k := (key{horizon, math.MinInt, 0}); e.pos.before(&k) {
+		e.pos = k
+	}
 }
 
 // Run executes events until the queue is empty.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 )
@@ -164,5 +165,46 @@ func TestPending(t *testing.T) {
 	e.Run()
 	if e.Pending() != 0 {
 		t.Fatalf("Pending = %d after Run, want 0", e.Pending())
+	}
+}
+
+// TestPassed: a position has passed once a callback at or after it in
+// the queue order has fired. RunUntil(h) passes every position before h
+// and none at h, as callbacks at h do not fire; a callback queued in the
+// past fires late but does not move the position back.
+func TestPassed(t *testing.T) {
+	const ms = time.Millisecond
+	e := New()
+	if e.Passed(0, -1, 0) {
+		t.Fatal("fresh engine reports a position at time 0 as passed")
+	}
+	first := e.Reserve(3)
+	var inside []bool
+	e.PostReserved(2*ms, 0, first+1, func() {
+		inside = append(inside, e.Passed(2*ms, 0, first+1), e.Passed(2*ms, 0, first+2), e.Passed(2*ms, -1, first+2))
+		// Queued in the past: fires now, after this callback.
+		e.AtPrio(ms, -5, func() {})
+	})
+	if err := e.RunUntil(2 * ms); err != nil {
+		t.Fatal(err)
+	}
+	if !e.Passed(2*ms-1, 7, first+2) || e.Passed(2*ms, -9, 0) {
+		t.Fatal("RunUntil(2ms) must pass every position before 2ms and none at it")
+	}
+	e.Run()
+	if want := []bool{true, false, true}; !slices.Equal(inside, want) {
+		t.Fatalf("Passed inside the callback at (2ms, 0, first+1) = %v, want %v", inside, want)
+	}
+	if !e.Passed(2*ms, 0, first+1) {
+		t.Fatal("position moved back after a callback queued in the past fired")
+	}
+	// Position first+2 was reserved and never queued: it passes once the
+	// engine moves beyond it.
+	if e.Passed(2*ms, 0, first+2) {
+		t.Fatal("empty reserved position passed before the engine reached it")
+	}
+	_ = e.RunUntil(3 * ms)
+	if !e.Passed(2*ms, 0, first+2) {
+		t.Fatal("empty reserved position not passed after the engine moved beyond it")
 	}
 }
