@@ -207,17 +207,24 @@ func (l *Link) catchUp() {
 	if i < c {
 		// Member slots i.., up to c, have all closed; k of this node's
 		// windows follow i, the last at last.
-		if has(l.listen, i) && !l.inWin {
+		if !l.inWin && has(l.listen, i) {
 			l.r.OpenWindow(n.slotAt(i))
 		}
-		k, last := spanIn(l.listen, i+1, c)
 		slot := n.cfg.SlotDuration
-		l.r.CloseWindows(n.slotAt(i)+slot, time.Duration(k)*slot, n.slotAt(max(i, last))+slot)
+		closeAt, k, end := n.slotAt(i)+slot, 0, time.Duration(0)
+		if i+1 < c {
+			var last int
+			if k, last = spanIn(l.listen, i+1, c); k > 0 {
+				end = n.slotAt(last) + slot
+			}
+		}
+		l.r.CloseWindows(closeAt, time.Duration(k)*slot, end)
 		l.inWin = false
-		i = nextIn(l.member, c)
 	}
+	// Every member slot before c has closed and none after c has
+	// opened, so only slot c's window can be open.
 	l.win = c
-	if i == c && !l.inWin && has(l.listen, c) && n.opened(c) {
+	if !l.inWin && has(l.listen, c) && n.opened(c) {
 		l.r.OpenWindow(n.slotAt(c))
 		l.inWin = true
 	}

@@ -113,17 +113,21 @@ func (p *plan) set(k int) []uint64 {
 }
 
 // has reports whether set holds plan index i.
-func has(set []uint64, i int) bool { return i/64 < len(set) && set[i/64]&(1<<(i%64)) != 0 }
+func has(set []uint64, i int) bool {
+	w := uint(i) / 64
+	return w < uint(len(set)) && set[w]&(1<<(uint(i)%64)) != 0
+}
 
 // nextIn returns the first plan index at or after i in set, or -1.
 func nextIn(set []uint64, i int) int {
-	for w := i / 64; w < len(set); w++ {
+	first := uint(i) / 64
+	for w := first; w < uint(len(set)); w++ {
 		word := set[w]
-		if w == i/64 {
-			word &= ^uint64(0) << (i % 64)
+		if w == first {
+			word &= ^uint64(0) << (uint(i) % 64)
 		}
 		if word != 0 {
-			return w*64 + bits.TrailingZeros64(word)
+			return int(w*64) + bits.TrailingZeros64(word)
 		}
 	}
 	return -1
@@ -133,17 +137,18 @@ func nextIn(set []uint64, i int) int {
 // last of them (-1 if none).
 func spanIn(set []uint64, lo, hi int) (count, last int) {
 	last = -1
-	for w := lo / 64; w*64 < hi && w < len(set); w++ {
+	first := uint(lo) / 64
+	for w := first; int(w*64) < hi && w < uint(len(set)); w++ {
 		word := set[w]
-		if w == lo/64 {
-			word &= ^uint64(0) << (lo % 64)
+		if w == first {
+			word &= ^uint64(0) << (uint(lo) % 64)
 		}
-		if end := hi - w*64; end < 64 {
+		if end := uint(hi) - w*64; end < 64 {
 			word &= 1<<end - 1
 		}
 		if word != 0 {
 			count += bits.OnesCount64(word)
-			last = w*64 + 63 - bits.LeadingZeros64(word)
+			last = int(w*64) + 63 - bits.LeadingZeros64(word)
 		}
 	}
 	return count, last
