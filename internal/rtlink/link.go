@@ -40,15 +40,14 @@ type Link struct {
 	// reservation); 0 means unlimited.
 	txBudget    int
 	txThisFrame int
-	// listen holds the slots this node listens in, in the current
-	// frame's plan, and member those it listens in or owns. win is the
-	// plan index of the next member slot not yet closed on the radio, or
-	// a slot before it; inWin reports that the open of the RX window at
-	// win has been applied.
-	listen, member []uint64
-	win            int
-	inWin          bool
-	catchUpFn      func() // l.catchUp, bound once
+	// sets holds two bit sets of the current frame's plan indices: the
+	// slots this node listens in, then those it listens in or owns (see
+	// listen and member). win is the plan index of the next member slot
+	// not yet closed on the radio, or a slot before it; inWin reports
+	// that the open of the RX window at win has been applied.
+	sets  []uint64
+	win   int32
+	inWin bool
 }
 
 // SetNetworkReservation caps the node's transmissions to n fragments per
@@ -198,7 +197,8 @@ func (l *Link) onFrame(pkt radio.Packet) {
 // after the first close, so the rest charge their RX time and the sleep
 // between in one step.
 func (l *Link) catchUp() {
-	i := nextIn(l.member, l.win)
+	listen, member := l.listen(), l.member()
+	i := nextIn(member, int(l.win))
 	if i < 0 {
 		return
 	}
@@ -207,14 +207,14 @@ func (l *Link) catchUp() {
 	if i < c {
 		// Member slots i.., up to c, have all closed; k of this node's
 		// windows follow i, the last at last.
-		if !l.inWin && has(l.listen, i) {
+		if !l.inWin && has(listen, i) {
 			l.r.OpenWindow(n.slotAt(i))
 		}
 		slot := n.cfg.SlotDuration
 		closeAt, k, end := n.slotAt(i)+slot, 0, time.Duration(0)
 		if i+1 < c {
 			var last int
-			if k, last = spanIn(l.listen, i+1, c); k > 0 {
+			if k, last = spanIn(listen, i+1, c); k > 0 {
 				end = n.slotAt(last) + slot
 			}
 		}
@@ -223,9 +223,16 @@ func (l *Link) catchUp() {
 	}
 	// Every member slot before c has closed and none after c has
 	// opened, so only slot c's window can be open.
-	l.win = c
-	if !l.inWin && has(l.listen, c) && n.opened(c) {
+	l.win = int32(c)
+	if !l.inWin && has(listen, c) && n.opened(c) {
 		l.r.OpenWindow(n.slotAt(c))
 		l.inWin = true
 	}
 }
+
+// listen returns the bit set of the slots l listens in, in the current
+// frame's plan.
+func (l *Link) listen() []uint64 { return l.sets[:len(l.sets)/2] }
+
+// member returns the bit set of the slots l listens in or owns.
+func (l *Link) member() []uint64 { return l.sets[len(l.sets)/2:] }

@@ -61,8 +61,8 @@ type Network struct {
 // plan is a schedule resolved for the frame loop, built once per
 // SetSchedule. Its slot i is the schedule's i-th slot in ascending
 // order. sets holds three bit sets of plan indices per node ID, words
-// words each: the slots the node listens in, the slots it owns, and
-// their union, the slots whose close puts its radio to sleep.
+// words each: the slots the node listens in, the slots it listens in or
+// owns (whose close puts its radio to sleep), and the slots it owns.
 type plan struct {
 	slots   []int
 	assigns []SlotAssign
@@ -97,17 +97,18 @@ func newPlan(s Schedule) *plan {
 }
 
 // listening returns the bit set of the slots id listens in.
-func (p *plan) listening(id radio.NodeID) []uint64 { return p.set(3 * int(id)) }
-
-// owning returns the bit set of the slots id owns.
-func (p *plan) owning(id radio.NodeID) []uint64 { return p.set(3*int(id) + 1) }
+func (p *plan) listening(id radio.NodeID) []uint64 { return p.sets3(id, 0, 1) }
 
 // member returns the bit set of the slots id listens in or owns.
-func (p *plan) member(id radio.NodeID) []uint64 { return p.set(3*int(id) + 2) }
+func (p *plan) member(id radio.NodeID) []uint64 { return p.sets3(id, 1, 2) }
 
-func (p *plan) set(k int) []uint64 {
-	if at := k * p.words; at < len(p.sets) {
-		return p.sets[at : at+p.words]
+// owning returns the bit set of the slots id owns.
+func (p *plan) owning(id radio.NodeID) []uint64 { return p.sets3(id, 2, 3) }
+
+// sets3 returns sets from..to-1 of id's three, back to back.
+func (p *plan) sets3(id radio.NodeID, from, to int) []uint64 {
+	if at := 3 * int(id) * p.words; at < len(p.sets) {
+		return p.sets[at+from*p.words : at+to*p.words]
 	}
 	return nil
 }
@@ -251,12 +252,12 @@ func (n *Network) Join(id radio.NodeID) (*Link, error) {
 	// windows that are still to come: a window already open when it
 	// joins still closes on it.
 	if n.fp != nil {
-		l.listen, l.member, l.win = n.fp.listening(id), n.fp.member(id), n.closedUpTo()
-		l.inWin = has(l.listen, l.win) && n.opened(l.win)
+		c := n.closedUpTo()
+		l.sets, l.win = n.fp.sets3(id, 0, 2), int32(c)
+		l.inWin = has(l.listen(), c) && n.opened(c)
 	}
-	l.catchUpFn = l.catchUp
 	r.SetHandler(l.onFrame)
-	r.SetCatchUp(l.catchUpFn)
+	r.SetCatchUp(l.catchUp)
 	if int(id) >= len(n.byID) {
 		n.byID = append(n.byID, make([]*Link, int(id)+1-len(n.byID))...)
 	}
@@ -318,8 +319,7 @@ func (n *Network) runFrame() {
 		if active {
 			// Apply the last frame's windows before its plan goes.
 			l.catchUp()
-			l.listen, l.member = n.plan.listening(l.r.ID()), n.plan.member(l.r.ID())
-			l.win, l.inWin = 0, false
+			l.sets, l.win, l.inWin = n.plan.sets3(l.r.ID(), 0, 2), 0, false
 		}
 	}
 	if active {
