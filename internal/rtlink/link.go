@@ -210,15 +210,12 @@ func (l *Link) catchUp() {
 		if !l.inWin && has(listen, i) {
 			l.r.OpenWindow(n.slotAt(i))
 		}
-		slot := n.cfg.SlotDuration
-		closeAt, k, end := n.slotAt(i)+slot, 0, time.Duration(0)
+		k, last := 0, i
 		if i+1 < c {
-			var last int
-			if k, last = spanIn(listen, i+1, c); k > 0 {
-				end = n.slotAt(last) + slot
-			}
+			k, last = spanIn(listen, i+1, c)
 		}
-		l.r.CloseWindows(closeAt, time.Duration(k)*slot, end)
+		slot := n.cfg.SlotDuration
+		l.r.CloseWindows(n.slotAt(i)+slot, time.Duration(k)*slot, n.slotAt(max(i, last))+slot)
 		l.inWin = false
 	}
 	// Every member slot before c has closed and none after c has

@@ -191,8 +191,8 @@ func (e *Engine) After(d time.Duration, fn func()) *Event {
 
 // Post schedules fn at time t with tie-break priority prio, exactly like
 // AtPrio, but returns no handle, so the callback cannot be cancelled and
-// scheduling it allocates nothing. The per-slot and per-frame callbacks
-// of the TDMA loop use Post.
+// scheduling it allocates nothing. The TDMA loop's per-frame callbacks
+// and the medium's per-transmission callbacks use Post.
 func (e *Engine) Post(t time.Duration, prio int, fn func()) {
 	e.push(t, prio, fn, nil)
 }
@@ -203,10 +203,10 @@ func (e *Engine) Post(t time.Duration, prio int, fn func()) {
 // callback queued later with PostReserved at that position fires exactly
 // where it would have had it been posted at reservation time, provided
 // it is queued while Passed still reports false for it. A position may
-// also stay empty: the TDMA loop reserves one open per slot of a frame
-// and queues only the opens of slots that transmit, and Passed tells
-// lazily applied per-slot state changes which of the empty positions
-// the engine has gone past.
+// also stay empty: the TDMA loop reserves an open and a close position
+// for each slot of a frame and queues only the opens of slots that
+// transmit, and Passed tells its lazily applied per-slot state changes
+// which of the empty positions the engine has gone past.
 func (e *Engine) Reserve(n int) uint64 {
 	first := e.seq + 1
 	e.seq += uint64(n)
