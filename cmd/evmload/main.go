@@ -64,8 +64,6 @@ func main() {
 	queue := flag.Int("queue", 0, "in-process daemon queue bound (0 = max(n, 1024))")
 	allow429 := flag.Bool("allow-429", false, "treat backpressure rejections as expected (stress mode)")
 	timeout := flag.Duration("timeout", 10*time.Minute, "overall completion deadline")
-	benchJSON := flag.String("bench-json", "", "merge admission latency percentiles and throughput into this BENCH_pr*.json artifact")
-	benchPR := flag.Int("bench-pr", 7, "pr number stamped on -bench-json when creating the file")
 	flag.Parse()
 
 	base := *addr
@@ -233,91 +231,10 @@ func main() {
 			fmt.Printf("  determinism        %s\n", compared)
 		}
 	}
-	if *benchJSON != "" {
-		rows := []benchRow{
-			{Name: "EvmloadAdmission/p50", Iters: accepted, NsPerOp: float64(pct(0.50))},
-			{Name: "EvmloadAdmission/p95", Iters: accepted, NsPerOp: float64(pct(0.95))},
-			{Name: "EvmloadAdmission/p99", Iters: accepted, NsPerOp: float64(pct(0.99))},
-			{Name: "EvmloadThroughput", Iters: accepted,
-				NsPerOp: float64(totalWall) / float64(max(accepted, 1)),
-				Extra: map[string]float64{
-					"runs-per-sec":    round1(float64(accepted) / totalWall.Seconds()),
-					"submits-per-sec": round1(float64(*n) / submitWall.Seconds()),
-				}},
-		}
-		if err := mergeBench(*benchJSON, *benchPR, rows); err != nil {
-			fmt.Printf("evmload: FAIL — bench artifact: %v\n", err)
-			failures++
-		} else {
-			fmt.Printf("  bench artifact     %d rows merged into %s\n", len(rows), *benchJSON)
-		}
-	}
 	if failures > 0 {
 		os.Exit(1)
 	}
 	fmt.Printf("evmload: PASS\n")
-}
-
-// benchRow is one BENCH_pr*.json benchmark entry; Extra flattens into
-// the same JSON object, matching the metric columns the go-bench
-// renderer emits (and the evmbench -trend reader consumes).
-type benchRow struct {
-	Name    string  `json:"name"`
-	Iters   int     `json:"iters"`
-	NsPerOp float64 `json:"ns_per_op"`
-	Extra   map[string]float64
-}
-
-func (r benchRow) MarshalJSON() ([]byte, error) {
-	m := map[string]any{"name": r.Name, "iters": r.Iters, "ns_per_op": r.NsPerOp}
-	for k, v := range r.Extra {
-		m[k] = v
-	}
-	return json.Marshal(m)
-}
-
-func round1(v float64) float64 { return float64(int(v*10+0.5)) / 10 }
-
-// mergeBench inserts rows into the BENCH artifact at path, replacing
-// same-named entries, so the load harness composes with the go-bench
-// rows CI renders first.
-func mergeBench(path string, pr int, rows []benchRow) error {
-	artifact := struct {
-		PR         int               `json:"pr"`
-		Benchmarks []json.RawMessage `json:"benchmarks"`
-	}{PR: pr}
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &artifact); err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-	}
-	replaced := make(map[string]bool, len(rows))
-	for _, r := range rows {
-		replaced[r.Name] = true
-	}
-	kept := artifact.Benchmarks[:0]
-	for _, raw := range artifact.Benchmarks {
-		var probe struct {
-			Name string `json:"name"`
-		}
-		if json.Unmarshal(raw, &probe) == nil && replaced[probe.Name] {
-			continue
-		}
-		kept = append(kept, raw)
-	}
-	artifact.Benchmarks = kept
-	for _, r := range rows {
-		raw, err := json.Marshal(r)
-		if err != nil {
-			return err
-		}
-		artifact.Benchmarks = append(artifact.Benchmarks, raw)
-	}
-	out, err := json.MarshalIndent(artifact, "", " ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }
 
 // checkMetrics scrapes GET /metrics and cross-checks the daemon's own

@@ -1,0 +1,113 @@
+package paperexp
+
+import (
+	"reflect"
+	"strings"
+	"testing"
+	"unicode"
+
+	"evm"
+	"evm/internal/sim"
+)
+
+// BenchmarkPaper sweeps every table entry's parameter points over their
+// seed grids; one op is one sweep, and each metric is reported as its
+// P50 over the grid, so the figures do not depend on -benchtime.
+func BenchmarkPaper(b *testing.B) {
+	for _, e := range Table() {
+		for _, p := range e.Params {
+			b.Run(e.Name+"/"+p.Label, func(b *testing.B) {
+				var sum map[string]evm.MetricSummary
+				for i := 0; i < b.N; i++ {
+					var err error
+					if sum, err = e.Sweep(p); err != nil {
+						b.Fatal(err)
+					}
+				}
+				for _, k := range sim.SortedKeys(sum) {
+					b.ReportMetric(sum[k].P50, k)
+				}
+			})
+		}
+	}
+}
+
+// TestTableNames pins the -exp names evmbench has always accepted.
+func TestTableNames(t *testing.T) {
+	seen := map[string]bool{}
+	for _, e := range Table() {
+		if seen[e.Name] {
+			t.Errorf("duplicate entry %q", e.Name)
+		}
+		seen[e.Name] = true
+		if len(e.Params) == 0 || len(e.Seeds) == 0 || e.Run == nil {
+			t.Errorf("%s: needs params, seeds and a run function", e.Name)
+		}
+	}
+	for _, name := range []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10",
+		"fed", "policy", "pipe", "sever", "ota"} {
+		if _, ok := Lookup(name); !ok {
+			t.Errorf("entry %q missing", name)
+		}
+	}
+}
+
+// TestTableDeterministic runs every entry at each parameter point and
+// its first seed twice: the metric maps must be equal, non-empty, and
+// keyed by valid b.ReportMetric units.
+func TestTableDeterministic(t *testing.T) {
+	for _, e := range Table() {
+		for _, p := range e.Params {
+			seed := e.Seeds[0]
+			first, err := e.Run(p, seed)
+			if err != nil {
+				t.Fatalf("%s %s seed %d: %v", e.Name, p.Label, seed, err)
+			}
+			again, err := e.Run(p, seed)
+			if err != nil {
+				t.Fatalf("%s %s seed %d, second run: %v", e.Name, p.Label, seed, err)
+			}
+			if !reflect.DeepEqual(first, again) {
+				t.Errorf("%s %s seed %d: metrics differ between runs:\n%v\n%v", e.Name, p.Label, seed, first, again)
+			}
+			if len(first) == 0 {
+				t.Errorf("%s %s seed %d: no metrics", e.Name, p.Label, seed)
+			}
+			for k := range first {
+				if k == "" || strings.ContainsFunc(k, unicode.IsSpace) {
+					t.Errorf("%s %s: metric %q is not a valid benchmark unit", e.Name, p.Label, k)
+				}
+			}
+		}
+	}
+}
+
+// Allocation caps for two paper runs at their first seed, over every
+// parameter point, set just above the measured counts as the root
+// package's hotPathAllocBudget is. E1 (1000 s of Fig. 6) measures
+// 168,549, and 168,562 under -race; ota (three 30 s rollouts plus the
+// bad-capsule rollback) measures 57,335, and up to 57,878 under -race.
+const (
+	fig6AllocBudget = 172_000
+	otaAllocBudget  = 59_000
+)
+
+func TestPaperAllocBudget(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		budget float64
+	}{{"e1", fig6AllocBudget}, {"ota", otaAllocBudget}} {
+		e, _ := Lookup(c.name)
+		got := testing.AllocsPerRun(1, func() {
+			for _, p := range e.Params {
+				if _, err := e.Run(p, e.Seeds[0]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		t.Logf("%s: %.0f allocs per run (budget %.0f)", c.name, got, c.budget)
+		if got > c.budget {
+			t.Errorf("%s made %.0f allocations, budget %.0f", c.name, got, c.budget)
+		}
+	}
+}

@@ -1,6 +1,6 @@
 // Package trace records time series and summary statistics from
 // simulation runs and renders them as CSV — the raw material for every
-// figure and table in EXPERIMENTS.md.
+// figure and table in README's "Paper experiments" section.
 package trace
 
 import (
