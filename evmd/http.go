@@ -266,8 +266,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 // handleEvents streams the run's event records from the start: SSE when
 // the client asks for text/event-stream (or ?format=sse), NDJSON
-// otherwise. The stream ends when the run completes; a disconnected
-// client unblocks via the context watcher.
+// otherwise. Each wakeup writes every record logged since the last one
+// and flushes once. The stream ends when the run completes; a
+// disconnected client unblocks via the context watcher.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	run := s.fetchRun(w, r)
 	if run == nil {
@@ -290,20 +291,23 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		run.stream.wake()
 	}()
 	enc := json.NewEncoder(w)
-	for i := 0; ; i++ {
-		rec, ok := run.stream.next(i, func() bool { return ctx.Err() != nil })
+	for i := 0; ; {
+		recs, ok := run.stream.from(i, func() bool { return ctx.Err() != nil })
 		if !ok {
 			return
 		}
-		if sse {
-			fmt.Fprint(w, "data: ")
+		for _, rec := range recs {
+			if sse {
+				fmt.Fprint(w, "data: ")
+			}
+			if err := enc.Encode(rec); err != nil {
+				return
+			}
+			if sse {
+				fmt.Fprint(w, "\n")
+			}
 		}
-		if err := enc.Encode(rec); err != nil {
-			return
-		}
-		if sse {
-			fmt.Fprint(w, "\n")
-		}
+		i += len(recs)
 		if flusher != nil {
 			flusher.Flush()
 		}

@@ -73,19 +73,21 @@ func (s *stream) close() {
 	s.mu.Unlock()
 }
 
-// next returns the record at index i, blocking until it exists. ok is
-// false once the stream is closed and fully drained, or when cancel
-// (checked after every wakeup) reports the reader is gone; callers pair
-// it with a goroutine that broadcasts on context cancellation.
-func (s *stream) next(i int, cancelled func() bool) (EventRecord, bool) {
+// from returns every record from index i on that exists, blocking until
+// there is at least one. ok is false once the stream is closed and fully
+// drained, or when cancel (checked after every wakeup) reports the reader
+// is gone; callers pair it with a goroutine that broadcasts on context
+// cancellation. The records are returned without a copy: the log only
+// appends, so the writer never touches an index below its length again.
+func (s *stream) from(i int, cancelled func() bool) ([]EventRecord, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
-		if i < len(s.events) {
-			return s.events[i], true
+		if n := len(s.events); i < n {
+			return s.events[i:n:n], true
 		}
 		if s.closed || (cancelled != nil && cancelled()) {
-			return EventRecord{}, false
+			return nil, false
 		}
 		s.cond.Wait()
 	}

@@ -63,28 +63,37 @@ func testSpec() TaskSpec {
 	}
 }
 
-func newRig(t *testing.T, cfg VCConfig) *rig {
-	t.Helper()
+// newMesh builds a loss-free RT-Link full mesh over ids, two TX slots
+// per node, its radios 3 m apart in rows of eight, all in range.
+func newMesh(tb testing.TB, ids []radio.NodeID) (*sim.Engine, *radio.Medium, *rtlink.Network) {
+	tb.Helper()
 	eng := sim.New()
 	rcfg := radio.DefaultConfig()
 	rcfg.RefPER = 0
 	rcfg.Burst = radio.GilbertElliott{}
 	med := radio.NewMedium(eng, sim.NewRNG(77), rcfg)
-	ids := []radio.NodeID{gwID, ctrlA, ctrlB, headID, spareID}
 	for i, id := range ids {
-		if _, err := med.Attach(id, radio.Position{X: float64(i * 3)}, radio.NewBattery(2600), radio.DefaultEnergyModel()); err != nil {
-			t.Fatal(err)
+		pos := radio.Position{X: float64(i % 8 * 3), Y: float64(i / 8 * 3)}
+		if _, err := med.Attach(id, pos, radio.NewBattery(2600), radio.DefaultEnergyModel()); err != nil {
+			tb.Fatal(err)
 		}
 	}
 	lcfg := rtlink.DefaultConfig()
 	sched, err := rtlink.BuildMeshScheduleK(ids, lcfg, 2)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	net, err := rtlink.NewNetwork(med, lcfg, sched)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	return eng, med, net
+}
+
+func newRig(t *testing.T, cfg VCConfig) *rig {
+	t.Helper()
+	ids := []radio.NodeID{gwID, ctrlA, ctrlB, headID, spareID}
+	eng, med, net := newMesh(t, ids)
 	r := &rig{
 		eng:    eng,
 		net:    net,
@@ -509,5 +518,59 @@ func TestLossyChannelStillFailsOver(t *testing.T) {
 	r.run(t, 30*time.Second)
 	if !fired {
 		t.Fatal("failover lost under 20% PER")
+	}
+}
+
+// A member decodes a health bundle only when its sender is the primary
+// one of its replicas observes; any other bundle, truncated or not, is
+// dropped without touching the node. Once a role change makes the sender
+// that primary, the same bundle is decoded and applied.
+func TestHealthBundleFilteredBySender(t *testing.T) {
+	r := newRig(t, defaultCfg())
+	r.ticker.Stop() // no sensor traffic, so no other health bundles
+	r.run(t, time.Second)
+	b := r.nodes[ctrlB]
+	rep := b.replica("lts")
+	full, err := wire.HealthBundle{Node: uint16(spareID), Battery: 1, Records: []wire.HealthRecord{
+		{TaskID: "lts", Role: wire.RoleActive, Seq: 7, Output: 42, HasOut: true},
+	}}.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	deliver := func(payload []byte) {
+		b.onMessage(rtlink.Message{Src: spareID, Dst: radio.Broadcast, Kind: wire.KindHealth, Payload: payload})
+	}
+	type observed struct {
+		at     time.Duration
+		out    float64
+		have   bool
+		bundle uint16
+	}
+	seen := func() observed {
+		return observed{rep.lastPrimaryAt, rep.lastPrimaryOut, rep.havePrimary, b.healthIn.Node}
+	}
+
+	was := seen()
+	for _, p := range [][]byte{full, full[:1], full[:len(full)-1]} {
+		deliver(p)
+		if got := seen(); got != was {
+			t.Fatalf("bundle of %d bytes from an unobserved sender: %+v, want %+v untouched", len(p), got, was)
+		}
+	}
+
+	rc, err := wire.RoleChange{Node: uint16(spareID), TaskID: "lts", Role: wire.RoleActive, Seq: 100}.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.onMessage(rtlink.Message{Src: headID, Kind: wire.KindRoleChange, Payload: rc})
+	r.run(t, 100*time.Millisecond)
+	was = seen()
+	deliver(full[:len(full)-1]) // a truncated bundle fails to decode: nothing applies
+	if got := seen(); got.at != was.at || got.have {
+		t.Fatalf("truncated bundle from the primary applied: %+v, was %+v", got, was)
+	}
+	deliver(full)
+	if want := (observed{r.eng.Now(), 42, true, uint16(spareID)}); seen() != want {
+		t.Fatalf("bundle from the primary: %+v, want %+v", seen(), want)
 	}
 }

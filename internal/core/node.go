@@ -97,10 +97,14 @@ type Node struct {
 	// lastSensorAt is when the node last heard the gateway.
 	lastSensorAt time.Duration
 
-	// Per-cycle scratch: healthIn is the decode target of onHealth and
-	// healthOut the record buffer of sendHealthBundle. Neither handler
-	// re-enters itself (health bundles are broadcast, never dispatched
-	// locally).
+	// Per-cycle scratch: sensorIn is the decode target of onSensor,
+	// healthIn that of onHealth, and healthOut the record buffer of
+	// sendHealthBundle. None of them re-enters itself, so each may keep
+	// reading its buffer while the work it does sends messages: a node
+	// dispatches locally only what it addresses to itself, never a
+	// broadcast, and only the gateway sends snapshots; every other
+	// message reaches a handler through the radio, in a later event.
+	sensorIn  wire.SensorSnapshot
 	healthIn  wire.HealthBundle
 	healthOut []wire.HealthRecord
 }
@@ -324,8 +328,8 @@ func (n *Node) onMessage(msg rtlink.Message) {
 
 // onSensor runs one control cycle for every replica fed by the snapshot.
 func (n *Node) onSensor(msg rtlink.Message) {
-	snap, err := wire.DecodeSnapshot(msg.Payload)
-	if err != nil {
+	snap := &n.sensorIn
+	if err := wire.DecodeSnapshotInto(msg.Payload, snap); err != nil {
 		return
 	}
 	n.lastSensorAt = n.eng.Now()
@@ -481,8 +485,13 @@ func (n *Node) sendHealthBundle() {
 
 // onHealth implements the passive observation side of the health-
 // assessment transfer: a backup compares the primary's announced output
-// with its own computation.
+// with its own computation. Every node hears every bundle, but only the
+// head and the observers of the sender read one, so a member drops the
+// rest on the sender field alone.
 func (n *Node) onHealth(msg rtlink.Message) {
+	if n.head == nil && !n.observes(msg.Payload) {
+		return
+	}
 	hb := &n.healthIn
 	if err := wire.DecodeHealthBundleInto(msg.Payload, hb, (*taskIDs)(n)); err != nil {
 		return
@@ -505,6 +514,22 @@ func (n *Node) onHealth(msg rtlink.Message) {
 			n.checkDeviation(r, rec.Seq)
 		}
 	}
+}
+
+// observes reports whether the health bundle in payload can touch one of
+// the node's replicas, which onHealth's loop does only when the bundle's
+// sender is another node and a replica's activeNode.
+func (n *Node) observes(payload []byte) bool {
+	src, err := wire.HealthBundleSender(payload)
+	if err != nil || src == uint16(n.id) {
+		return false
+	}
+	for _, r := range n.replicas {
+		if r.activeNode == radio.NodeID(src) {
+			return true
+		}
+	}
+	return false
 }
 
 // taskIDs interns decoded task IDs against the ID strings the node

@@ -85,11 +85,12 @@ func TestTableDeterministic(t *testing.T) {
 // Allocation caps for two paper runs at their first seed, over every
 // parameter point, set just above the measured counts as the root
 // package's hotPathAllocBudget is. E1 (1000 s of Fig. 6) measures
-// 168,549, and 168,562 under -race; ota (three 30 s rollouts plus the
-// bad-capsule rollback) measures 57,335, and up to 57,878 under -race.
+// 148,551, and up to 148,567 under -race; ota (three 30 s rollouts plus
+// the bad-capsule rollback) measures 45,721, and up to 46,268 under
+// -race.
 const (
-	fig6AllocBudget = 172_000
-	otaAllocBudget  = 59_000
+	fig6AllocBudget = 152_000
+	otaAllocBudget  = 47_500
 )
 
 func TestPaperAllocBudget(t *testing.T) {

@@ -62,9 +62,6 @@ type Config struct {
 	RefPER float64
 	// Burst enables a Gilbert-Elliott two-state burst-loss overlay.
 	Burst GilbertElliott
-	// PropDelay is a fixed propagation delay (effectively zero at
-	// sensor-network scales but kept explicit).
-	PropDelay time.Duration
 }
 
 // DefaultConfig returns 802.15.4-like parameters.
@@ -74,7 +71,6 @@ func DefaultConfig() Config {
 		RangeM:     30,
 		RefPER:     0.02,
 		Burst:      DefaultGilbertElliott(),
-		PropDelay:  0,
 	}
 }
 
@@ -151,8 +147,7 @@ type Medium struct {
 	// experiments that sweep loss rates directly).
 	forcedPER float64
 	seq       uint32
-	// free recycles transmissions whose delivery and sender-restore
-	// events have both fired.
+	// free recycles transmissions whose completion has fired.
 	free []*transmission
 }
 
@@ -311,9 +306,8 @@ func (m *Medium) airTime(bytes int) time.Duration {
 }
 
 // transmission tracks one frame in flight. Transmissions are recycled
-// once both of their events (delivery and sender restore) have fired, so
-// their bound callbacks are built once per transmission object rather
-// than once per frame.
+// once their completion has fired, so the bound callback is built once
+// per transmission object rather than once per frame.
 type transmission struct {
 	med   *Medium
 	pkt   Packet
@@ -325,10 +319,8 @@ type transmission struct {
 	collided map[NodeID]bool
 	// prev is the sender's radio state before the transmission, restored
 	// at the end of the air time.
-	prev State
-	// pending counts this transmission's unfired events.
-	pending               int
-	completeFn, restoreFn func()
+	prev       State
+	completeFn func()
 }
 
 func (m *Medium) newTransmission() *transmission {
@@ -340,21 +332,7 @@ func (m *Medium) newTransmission() *transmission {
 	}
 	tx := &transmission{med: m}
 	tx.completeFn = tx.complete
-	tx.restoreFn = tx.restore
 	return tx
-}
-
-// release returns the transmission to the free list once its last event
-// has fired. The payload is not reused: receivers may keep it.
-func (tx *transmission) release() {
-	tx.pending--
-	if tx.pending > 0 {
-		return
-	}
-	tx.pkt = Packet{}
-	tx.from = nil
-	tx.collided = nil
-	tx.med.free = append(tx.med.free, tx)
 }
 
 func (tx *transmission) markCollided(id NodeID) {
@@ -395,7 +373,7 @@ func (m *Medium) transmit(from *Radio, pkt Packet, prev State) (time.Duration, e
 		if pkt.Hop != Broadcast {
 			hop = strconv.Itoa(int(pkt.Hop))
 		}
-		t.Complete("tx", "radio", "radio", tx.start, tx.end+m.cfg.PropDelay,
+		t.Complete("tx", "radio", "radio", tx.start, tx.end,
 			span.Arg{Key: "from", Val: strconv.Itoa(int(from.id))},
 			span.Arg{Key: "hop", Val: hop},
 			span.Arg{Key: "bytes", Val: strconv.Itoa(pkt.AirBytes())})
@@ -413,23 +391,16 @@ func (m *Medium) transmit(from *Radio, pkt Packet, prev State) (time.Duration, e
 		}
 		r.capture = tx
 	}
-	tx.pending = 2
-	m.eng.Post(tx.end+m.cfg.PropDelay, 0, tx.completeFn)
-	m.eng.Post(tx.end, 0, tx.restoreFn)
+	m.eng.Post(tx.end, 0, tx.completeFn)
 	return air, nil
 }
 
-// restore returns the sender to the state it left for the transmission,
-// unless something else moved it out of TX meanwhile.
-func (tx *transmission) restore() {
-	r := tx.from
-	r.applyWindows()
-	if r.state == StateTX {
-		r.enter(tx.prev, tx.med.eng.Now())
-	}
-	tx.release()
-}
-
+// complete ends the frame at the end of its air time: it resolves the
+// frame at every receiver, then returns the sender to the state it left
+// for the transmission, unless something else moved it out of TX
+// meanwhile. Receive handlers therefore see the sender still in TX. The
+// payload is not reused when the transmission is recycled: receivers
+// may keep it.
 func (tx *transmission) complete() {
 	m := tx.med
 	i, ok := m.index(tx.from)
@@ -443,7 +414,13 @@ func (tx *transmission) complete() {
 			m.deliverTo(tx, r, &pairs[pairAt(i, j)])
 		}
 	}
-	tx.release()
+	from := tx.from
+	from.applyWindows()
+	if from.state == StateTX {
+		from.enter(tx.prev, m.eng.Now())
+	}
+	*tx = transmission{med: m, completeFn: tx.completeFn}
+	m.free = append(m.free, tx)
 }
 
 // deliverTo resolves the frame at receiver r; pair is the sender's and

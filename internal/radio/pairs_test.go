@@ -152,3 +152,32 @@ func BenchmarkMediumBroadcast(b *testing.B) {
 		i++
 	}
 }
+
+// A transmission is one engine event: its receivers hear the frame while
+// the sender is still in TX, and the sender is back in the state it sent
+// from once the event has fired.
+func TestTransmissionIsOneEvent(t *testing.T) {
+	for _, prev := range []State{StateSleep, StateIdle, StateRX} {
+		eng, m := newTestMedium(t, perfectConfig())
+		a := attach(t, m, 1, Position{0, 0})
+		b := attach(t, m, 2, Position{5, 0})
+		b.SetState(StateRX)
+		a.SetState(prev)
+		var seen []State
+		b.SetHandler(func(Packet) { seen = append(seen, a.State()) })
+		before := eng.Pending()
+		if _, err := a.Send(Packet{Dst: Broadcast, Payload: []byte("x")}); err != nil {
+			t.Fatal(err)
+		}
+		if got := eng.Pending() - before; got != 1 {
+			t.Errorf("from %v: Send queued %d events, want 1", prev, got)
+		}
+		eng.Run()
+		if len(seen) != 1 || seen[0] != StateTX {
+			t.Errorf("from %v: receive handler saw the sender in %v, want [tx]", prev, seen)
+		}
+		if got := a.State(); got != prev {
+			t.Errorf("sender in %v after the frame, want %v", got, prev)
+		}
+	}
+}

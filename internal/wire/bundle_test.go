@@ -92,6 +92,11 @@ func TestHealthBundleTruncation(t *testing.T) {
 		if _, err := DecodeHealthBundle(b[:cut]); !errors.Is(err, ErrTruncated) {
 			t.Fatalf("cut %d accepted", cut)
 		}
+		// The sender field alone survives any cut that keeps it.
+		node, err := HealthBundleSender(b[:cut])
+		if cut < 2 && !errors.Is(err, ErrTruncated) || cut >= 2 && (err != nil || node != in.Node) {
+			t.Fatalf("cut %d: sender %d, %v", cut, node, err)
+		}
 	}
 }
 
@@ -181,6 +186,15 @@ func TestSensorSnapshotTimestamp(t *testing.T) {
 	}
 	if out.At != 0 {
 		t.Fatalf("legacy At = %v, want 0", out.At)
+	}
+	// Decoding into a kept snapshot gives the same result and, once its
+	// readings have grown, allocates nothing.
+	kept := SensorSnapshot{Readings: make([]SensorReading, 0, 4)}
+	if err := DecodeSnapshotInto(b, &kept); err != nil || kept.At != in.At || len(kept.Readings) != 1 || kept.Readings[0] != in.Readings[0] {
+		t.Fatalf("decode into: %+v, %v", kept, err)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = DecodeSnapshotInto(b, &kept) }); n != 0 {
+		t.Fatalf("decode into a kept snapshot allocates %.0f times", n)
 	}
 }
 

@@ -246,30 +246,41 @@ func EncodeSensors(readings []SensorReading) ([]byte, error) {
 
 // DecodeSnapshot unpacks a sensor snapshot.
 func DecodeSnapshot(b []byte) (SensorSnapshot, error) {
-	r := reader{buf: b}
 	var s SensorSnapshot
+	err := DecodeSnapshotInto(b, &s)
+	return s, err
+}
+
+// DecodeSnapshotInto unpacks a snapshot into s, reusing the storage of
+// s.Readings, so a receiver that keeps one SensorSnapshot decodes every
+// cycle without allocating. On error s holds what was decoded so far.
+func DecodeSnapshotInto(b []byte, s *SensorSnapshot) error {
+	r := reader{buf: b}
+	*s = SensorSnapshot{Readings: s.Readings[:0]}
 	at, err := r.u64()
 	if err != nil {
-		return s, err
+		return err
 	}
 	s.At = time.Duration(at)
 	n, err := r.u8()
 	if err != nil {
-		return s, err
+		return err
 	}
-	s.Readings = make([]SensorReading, 0, n)
+	if s.Readings == nil {
+		s.Readings = make([]SensorReading, 0, n)
+	}
 	for i := 0; i < int(n); i++ {
 		port, err := r.u8()
 		if err != nil {
-			return s, err
+			return err
 		}
 		v, err := r.f64()
 		if err != nil {
-			return s, err
+			return err
 		}
 		s.Readings = append(s.Readings, SensorReading{Port: port, Value: v})
 	}
-	return s, nil
+	return nil
 }
 
 // DecodeSensors unpacks just the readings of a snapshot.
@@ -395,6 +406,14 @@ func DecodeHealthBundle(b []byte) (HealthBundle, error) {
 	var hb HealthBundle
 	err := DecodeHealthBundleInto(b, &hb, nil)
 	return hb, err
+}
+
+// HealthBundleSender returns the sender field of an encoded bundle, its
+// first two bytes, without decoding the rest, so a receiver can drop a
+// bundle it has no use for before paying for its records.
+func HealthBundleSender(b []byte) (uint16, error) {
+	r := reader{buf: b}
+	return r.u16()
 }
 
 // DecodeHealthBundleInto unpacks a bundle into hb, reusing the storage of
