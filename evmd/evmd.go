@@ -16,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -219,6 +220,7 @@ type Stats struct {
 	RejectedDraining    int64 `json:"rejected_draining"`
 	Completed           int64 `json:"completed"`
 	Failed              int64 `json:"failed"`
+	Panics              int64 `json:"panics"`
 	Cancelled           int64 `json:"cancelled"`
 	Evicted             int64 `json:"evicted"`
 	Draining            bool  `json:"draining"`
@@ -243,6 +245,7 @@ type Server struct {
 	refused  atomic.Int64 // draining
 	done     atomic.Int64
 	failed   atomic.Int64
+	panics   atomic.Int64 // failed runs that panicked
 	cancels  atomic.Int64
 	evicted  atomic.Int64
 	draining atomic.Bool
@@ -473,7 +476,7 @@ func (s *Server) execute(run *Run) {
 			}
 		},
 	}
-	res := runner.RunOne(run.Spec)
+	res := s.runOne(runner, run.Spec)
 	if res.Err == nil && s.cfg.EventDir != "" {
 		res.Err = flushSamples(s.cfg.EventDir, run)
 	}
@@ -501,6 +504,19 @@ func (s *Server) execute(run *Run) {
 	s.mu.Lock()
 	s.evictLocked(s.cfg.Clock.Now())
 	s.mu.Unlock()
+}
+
+// runOne runs one spec, turning a panic anywhere in it (scenario
+// builder, policy, simulation) into a failed result carrying the panic
+// value and stack, so one bad run cannot take the daemon down.
+func (s *Server) runOne(runner *evm.Runner, spec evm.RunSpec) (res evm.RunResult) {
+	defer func() {
+		if v := recover(); v != nil {
+			s.panics.Add(1)
+			res = evm.RunResult{Spec: spec, Err: fmt.Errorf("evmd: run panicked: %v\n%s", v, debug.Stack())}
+		}
+	}()
+	return runner.RunOne(spec)
 }
 
 // flushSamples writes the run's telemetry to <dir>/<run ID>.csv: the
@@ -627,6 +643,7 @@ func (s *Server) Stats() Stats {
 		RejectedDraining:    s.refused.Load(),
 		Completed:           s.done.Load(),
 		Failed:              s.failed.Load(),
+		Panics:              s.panics.Load(),
 		Cancelled:           s.cancels.Load(),
 		Evicted:             s.evicted.Load(),
 		Draining:            s.draining.Load(),

@@ -532,3 +532,48 @@ func BenchmarkSubmissionThroughput(b *testing.B) {
 		b.ReportMetric(float64(b.N)/elapsed.Seconds(), "runs/sec")
 	}
 }
+
+// TestPanickingRunFailsWithoutKillingDaemon: a scenario builder that
+// panics fails its own run (the panic and stack in its error, its event
+// stream closed) and the worker goes on to serve the next run.
+func TestPanickingRunFailsWithoutKillingDaemon(t *testing.T) {
+	const scenario = "evmd-test-panic"
+	if err := evm.RegisterScenario(scenario, func(evm.RunSpec) (*evm.Experiment, error) {
+		panic("builder exploded")
+	}); err != nil && !strings.Contains(err.Error(), "already registered") {
+		t.Fatal(err)
+	}
+	s := NewServer(Config{Workers: 1, QueueDepth: 4})
+	defer s.Drain(0)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	bad, err := s.Submit("acme", evm.RunSpec{Scenario: scenario, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := s.Submit("acme", evm.RunSpec{Scenario: evm.ScenarioEightController, Seed: 1, Horizon: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitState(t, bad[0]); st != RunFailed {
+		t.Fatalf("panicking run ended %s, want %s", st, RunFailed)
+	}
+	if msg := bad[0].snapshot().Error; !strings.Contains(msg, "panic") || !strings.Contains(msg, "builder exploded") {
+		t.Fatalf("run error = %q, want the panic value", msg)
+	}
+	if _, ok := bad[0].stream.from(0, nil); ok {
+		t.Fatal("panicked run's event stream still open")
+	}
+	if st := waitState(t, good[0]); st != RunDone {
+		t.Fatalf("run after the panic ended %s, want %s", st, RunDone)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if !strings.Contains(string(body), "\nevmd_run_panics_total 1\n") {
+		t.Fatalf("/metrics lacks evmd_run_panics_total 1:\n%s", body)
+	}
+}

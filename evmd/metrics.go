@@ -125,6 +125,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeCounter(&b, "evmd_submissions_rejected_draining_total", "Specs refused while draining.", st.RejectedDraining)
 	writeCounter(&b, "evmd_runs_completed_total", "Runs finished successfully.", st.Completed)
 	writeCounter(&b, "evmd_runs_failed_total", "Runs finished with an error.", st.Failed)
+	writeCounter(&b, "evmd_run_panics_total", "Failed runs that panicked (recovered; the daemon keeps serving).", st.Panics)
 	writeCounter(&b, "evmd_runs_cancelled_total", "Queued runs cancelled by drain.", st.Cancelled)
 	writeCounter(&b, "evmd_runs_evicted_total", "Finished runs evicted by the retention policy.", st.Evicted)
 	s.admitHist.write(&b, "evmd_admission_latency_seconds", "POST /v1/runs handler latency.")

@@ -50,39 +50,42 @@ type CampusConfig struct {
 	// Placement picks the destination cell when a task escalates across
 	// the backbone (nil = LeastLoadedPolicy, the pre-policy behavior).
 	Placement PlacementPolicy
-	// Rebalance, when set, migrates foreign tasks home once their origin
+	// Rebalance migrates every foreign task home as soon as its origin
 	// cell recovers, via a prepare/commit handshake over the backbone.
-	// Nil keeps tasks where fail-over put them; either way the
+	// False keeps tasks where fail-over put them; either way the
 	// coordinator demotes a recovered cell's stale master as soon as its
 	// radios come back, so the foreign copy stays the single master.
-	Rebalance RebalancePolicy
-	// CheckPeriod is the federation coordinator's scan-and-checkpoint
-	// cadence (default 1 s): each tick snapshots every task's state and
-	// escalates fail-over for stranded tasks.
-	CheckPeriod time.Duration
-	// HandshakeTimeout bounds one prepare/commit rebalance exchange
-	// (default 10 x CheckPeriod): if the handshake has not committed by
-	// then it aborts and the foreign master keeps the task.
-	HandshakeTimeout time.Duration
+	Rebalance bool
 	// Capsules is the campus's versioned capsule store for over-the-air
 	// rollouts (nil = an empty store, created on first use).
 	Capsules *CapsuleStore
 	// UnsafeSkipStaleMasterDemotion disables the coordinator's
 	// stale-master demotion on cell recovery, re-introducing the
 	// pre-handshake dual-master bug (a recovered origin master resumes
-	// actuating alongside the foreign copy when no RebalancePolicy is
-	// set). It exists only as a seeded fault for validating violation
-	// detection end to end — the fuzz shrinker's self-test depends on it.
-	// Never set it outside tests.
+	// actuating alongside the foreign copy when Rebalance is false). It
+	// exists only as a seeded fault for validating violation detection
+	// end to end — the fuzz shrinker's self-test depends on it. Never set
+	// it outside tests.
 	UnsafeSkipStaleMasterDemotion bool
 }
+
+// checkPeriod is the federation coordinator's scan-and-checkpoint
+// cadence: each tick snapshots every task's state and escalates
+// fail-over for stranded tasks.
+const checkPeriod = time.Second
+
+// handshakeTimeout bounds one prepare/commit rebalance exchange: if the
+// handshake has not committed by then it aborts and the foreign master
+// keeps the task.
+const handshakeTimeout = 10 * checkPeriod
 
 // taskPlacement is the coordinator's view of one control task: where it
 // runs now, its origin cell, and the latest state checkpoint used for
 // cross-cell transfer.
 type taskPlacement struct {
-	origin int // cell index the task was declared in
-	cell   int // cell index the task currently runs in
+	key    string // "<origin-cell>/<task-id>", the task table's sort key
+	origin int    // cell index the task was declared in
+	cell   int    // cell index the task currently runs in
 	node   NodeID
 	spec   TaskSpec
 
@@ -99,6 +102,8 @@ type taskPlacement struct {
 	// none). Stale callbacks from an aborted handshake compare against
 	// it and drop themselves.
 	hs *rebalanceHandshake
+	// ota marks a capsule rollout of the task in flight (one at a time).
+	ota bool
 }
 
 // rebalanceHandshake tracks one prepare/commit exchange rehoming a
@@ -130,7 +135,7 @@ type rebalanceHandshake struct {
 // shipped over the backbone and re-deployed in a peer cell chosen by
 // the campus PlacementPolicy. The hosting cell's head adopts foreign
 // tasks (registering an in-cell backup candidate) so later fail-over is
-// local, and a RebalancePolicy migrates tasks home when their origin
+// local, and with Rebalance set tasks migrate home when their origin
 // cell recovers.
 //
 // All cell event streams, plus the campus-level CellOverloadEvent,
@@ -147,19 +152,20 @@ type Campus struct {
 	backbone *Backbone
 	events   *Bus // the merged campus stream
 
-	policy    PlacementPolicy
-	rebalance RebalancePolicy
+	policy PlacementPolicy
 
-	placements map[string]*taskPlacement // key: originCell + "/" + taskID
-	taskKeys   map[string]string         // task ID -> placement key
-	cellDown   []bool                    // head-down state, for recovery events
-	feeds      []*sim.Ticker
-	ticker     *sim.Ticker
+	// tasks is the coordinator's task table, fixed by NewCampus and
+	// sorted by placement key: every walk of it (escalation order, the
+	// float load sums policies compare) follows that order, so runs
+	// reproduce byte for byte. byTask indexes it by task ID.
+	tasks    []*taskPlacement
+	byTask   map[string]*taskPlacement
+	cellDown []bool // head-down state, for recovery events
+	feeds    []*sim.Ticker
+	ticker   *sim.Ticker
 
-	// OTA rollout state: the versioned capsule store and the set of
-	// tasks with a rollout in flight (one rollout per task at a time).
-	capsules  *CapsuleStore
-	otaActive map[string]bool
+	// capsules is the versioned capsule store for OTA rollouts.
+	capsules *CapsuleStore
 }
 
 // NewCampus builds the federation: cells in spec order on one shared
@@ -169,29 +175,20 @@ func NewCampus(cfg CampusConfig, specs ...CellSpec) (*Campus, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("evm: campus needs at least one cell")
 	}
-	if cfg.CheckPeriod <= 0 {
-		cfg.CheckPeriod = time.Second
-	}
-	if cfg.HandshakeTimeout <= 0 {
-		cfg.HandshakeTimeout = 10 * cfg.CheckPeriod
-	}
 	cfg.Backbone = cfg.Backbone.withDefaults()
 	if err := cfg.Backbone.validate(); err != nil {
 		return nil, err
 	}
 	c := &Campus{
-		cfg:        cfg,
-		events:     &Bus{},
-		eng:        sim.New(),
-		rng:        sim.NewRNG(cfg.Seed),
-		byName:     make(map[string]int, len(specs)),
-		placements: make(map[string]*taskPlacement),
-		taskKeys:   make(map[string]string),
-		policy:     cfg.Placement,
-		rebalance:  cfg.Rebalance,
-		cellDown:   make([]bool, len(specs)),
-		capsules:   cfg.Capsules,
-		otaActive:  make(map[string]bool),
+		cfg:      cfg,
+		events:   &Bus{},
+		eng:      sim.New(),
+		rng:      sim.NewRNG(cfg.Seed),
+		byName:   make(map[string]int, len(specs)),
+		byTask:   make(map[string]*taskPlacement),
+		policy:   cfg.Placement,
+		cellDown: make([]bool, len(specs)),
+		capsules: cfg.Capsules,
 	}
 	if c.policy == nil {
 		c.policy = LeastLoadedPolicy{}
@@ -245,17 +242,18 @@ func NewCampus(cfg CampusConfig, specs ...CellSpec) (*Campus, error) {
 		for _, t := range cs.VC.Tasks {
 			// Task IDs must be campus-unique: a cell cannot host a
 			// foreign replica of a task ID its own head arbitrates.
-			if _, dup := c.taskKeys[t.ID]; dup {
+			if _, dup := c.byTask[t.ID]; dup {
 				c.Stop()
 				return nil, fmt.Errorf("evm: task %q declared in more than one cell", t.ID)
 			}
-			key := name + "/" + t.ID
-			c.placements[key] = &taskPlacement{
-				origin: i, cell: i, node: t.Candidates[0], spec: t,
+			p := &taskPlacement{
+				key: name + "/" + t.ID, origin: i, cell: i, node: t.Candidates[0], spec: t,
 			}
-			c.taskKeys[t.ID] = key
+			c.tasks = append(c.tasks, p)
+			c.byTask[t.ID] = p
 		}
 	}
+	sort.SliceStable(c.tasks, func(i, j int) bool { return c.tasks[i].key < c.tasks[j].key })
 	c.backbone = newBackbone(c.eng, c.rng.Fork(), cfg.Backbone, names, c.events)
 	for _, l := range cfg.Links {
 		if err := c.backbone.AddLink(l.A, l.B, l.Config); err != nil {
@@ -269,7 +267,7 @@ func NewCampus(cfg CampusConfig, specs ...CellSpec) (*Campus, error) {
 	// and demote stale origin masters the moment a radio recovers in a
 	// cell whose tasks are hosted elsewhere — waiting for the next
 	// coordinator tick would let the stale master actuate alongside the
-	// foreign copy for up to a full CheckPeriod.
+	// foreign copy for up to a full coordinator tick.
 	c.events.Subscribe(func(ev Event) {
 		ce, ok := ev.(CellEvent)
 		if !ok {
@@ -281,11 +279,7 @@ func NewCampus(cfg CampusConfig, specs ...CellSpec) (*Campus, error) {
 		}
 		switch inner := ce.Inner.(type) {
 		case FailoverEvent:
-			key, ok := c.taskKeys[inner.Task]
-			if !ok {
-				return
-			}
-			if p := c.placements[key]; p.cell == idx {
+			if p, ok := c.byTask[inner.Task]; ok && p.cell == idx {
 				p.node = inner.To
 			}
 		case FaultEvent:
@@ -294,7 +288,7 @@ func NewCampus(cfg CampusConfig, specs ...CellSpec) (*Campus, error) {
 			}
 		}
 	})
-	c.ticker = c.eng.Every(cfg.CheckPeriod, c.tick)
+	c.ticker = c.eng.Every(checkPeriod, c.tick)
 	return c, nil
 }
 
@@ -422,26 +416,14 @@ type TaskPlacement struct {
 // TaskPlacements returns the coordinator's current placement of every
 // task, keyed "<origin-cell>/<task-id>".
 func (c *Campus) TaskPlacements() map[string]TaskPlacement {
-	out := make(map[string]TaskPlacement, len(c.placements))
-	//evm:allow-maporder keyed map copy: each entry is written independently and cellName is a pure index lookup, so visit order cannot be observed
-	for key, p := range c.placements {
-		out[key] = TaskPlacement{Cell: c.cellName(p.cell), Node: p.node, Foreign: p.foreign}
+	out := make(map[string]TaskPlacement, len(c.tasks))
+	for _, p := range c.tasks {
+		out[p.key] = TaskPlacement{Cell: c.cellName(p.cell), Node: p.node, Foreign: p.foreign}
 	}
 	return out
 }
 
 func (c *Campus) cellName(i int) string { return c.cells[i].Name() }
-
-// sortedPlacementKeys returns placement keys in stable order; every
-// coordinator iteration uses it so runs reproduce byte-for-byte.
-func (c *Campus) sortedPlacementKeys() []string {
-	keys := make([]string, 0, len(c.placements))
-	for k := range c.placements {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
 
 // nodeFailed reports whether a node's radio is gone or crashed.
 func (c *Campus) nodeFailed(cell int, id NodeID) bool {
@@ -458,17 +440,11 @@ func (c *Campus) headDown(cell int) bool {
 // every task's state, escalate fail-over for stranded tasks — tasks
 // whose current node is dead while the hosting cell has no usable local
 // candidate (or no live head to arbitrate one) — and offer foreign
-// tasks of healthy origin cells to the rebalance policy.
+// tasks of healthy origin cells home when Rebalance is set.
 func (c *Campus) tick() {
 	c.detectRecoveries()
-	type stranded struct {
-		key    string
-		p      *taskPlacement
-		reason string
-	}
-	var found []stranded
-	for _, key := range c.sortedPlacementKeys() {
-		p := c.placements[key]
+	var found []*taskPlacement
+	for _, p := range c.tasks {
 		if p.migrating {
 			continue
 		}
@@ -499,17 +475,13 @@ func (c *Campus) tick() {
 		if candidateAlive && !headDown {
 			continue
 		}
-		reason := "candidates-exhausted"
-		if headDown {
-			reason = "head-down"
-		}
-		found = append(found, stranded{key: key, p: p, reason: reason})
+		found = append(found, p)
 	}
 	if len(found) > 0 {
 		// One overload event per affected cell, in cell order.
 		byCell := make(map[int][]string)
-		for _, s := range found {
-			byCell[s.p.cell] = append(byCell[s.p.cell], s.p.spec.ID)
+		for _, p := range found {
+			byCell[p.cell] = append(byCell[p.cell], p.spec.ID)
 		}
 		cellIdxs := make([]int, 0, len(byCell))
 		for i := range byCell {
@@ -526,16 +498,16 @@ func (c *Campus) tick() {
 				At: c.eng.Now(), Cell: c.cellName(i), Reason: reason, Tasks: byCell[i],
 			})
 		}
-		for _, s := range found {
-			c.escalate(s.key, s.p)
+		for _, p := range found {
+			c.escalate(p)
 		}
 	}
 	c.rebalanceTick()
 }
 
 // detectRecoveries publishes CellRecoveredEvent on a cell's head-down ->
-// head-up transition and demotes the cell's stale masters — even with a
-// nil RebalancePolicy, so a recovered cell can never run a second master
+// head-up transition and demotes the cell's stale masters — even with
+// Rebalance false, so a recovered cell can never run a second master
 // for a task that failed over to a peer.
 func (c *Campus) detectRecoveries() {
 	for i := range c.cells {
@@ -554,9 +526,9 @@ func (c *Campus) detectRecoveries() {
 // demoteStaleMasters retires the origin-cell mastership of every task
 // currently hosted in a peer cell: after an outage the pre-outage master
 // still holds an Active replica and would resume actuating alongside the
-// foreign copy (a permanent split-brain when no RebalancePolicy is
-// configured). Called on every radio recovery in the cell and again on
-// CellRecoveredEvent; RetireMaster no-ops once the mastership is gone.
+// foreign copy (a permanent split-brain when Rebalance is false). Called
+// on every radio recovery in the cell and again on CellRecoveredEvent;
+// RetireMaster no-ops once the mastership is gone.
 func (c *Campus) demoteStaleMasters(origin int) {
 	if c.cfg.UnsafeSkipStaleMasterDemotion {
 		return
@@ -568,8 +540,7 @@ func (c *Campus) demoteStaleMasters(origin int) {
 	if hn == nil || hn.Head() == nil {
 		return
 	}
-	for _, key := range c.sortedPlacementKeys() {
-		p := c.placements[key]
+	for _, p := range c.tasks {
 		if p.origin != origin || !p.foreign {
 			continue
 		}
@@ -585,11 +556,10 @@ func (c *Campus) demoteStaleMasters(origin int) {
 func (c *Campus) loads() (count []int, util []float64) {
 	count = make([]int, len(c.cells))
 	util = make([]float64, len(c.cells))
-	// Sorted placement order: the per-cell utilization sums are float
+	// Task-table order: the per-cell utilization sums are float
 	// accumulations, and placement policies compare them — a map-order
 	// sum could flip a policy tie between same-seed runs.
-	for _, key := range sim.SortedKeys(c.placements) {
-		q := c.placements[key]
+	for _, q := range c.tasks {
 		u := q.spec.RTOSTask().Utilization()
 		count[q.cell]++
 		if q.migrating {
@@ -606,23 +576,12 @@ func (c *Campus) loads() (count []int, util []float64) {
 // cell the task currently occupies (hop distances are measured from it).
 func (c *Campus) cellCondition(i, from, origin int, taskID string, count []int, util []float64) CellCondition {
 	capacity := 0.0
-	var nodes []NodeLoad
-	head := c.specs[i].VC.Head
 	for _, id := range c.cells[i].ids {
-		n := c.cells[i].nodes[id]
-		if n == nil || c.nodeFailed(i, id) {
-			continue
+		if c.cells[i].nodes[id] != nil && !c.nodeFailed(i, id) {
+			capacity++
 		}
-		capacity++
-		nodes = append(nodes, NodeLoad{
-			Node:     id,
-			Replicas: n.ReplicaCount(),
-			Eligible: !n.HasReplica(taskID),
-			Head:     id == head,
-		})
 	}
 	return CellCondition{
-		Nodes:         nodes,
 		Index:         i,
 		Name:          c.cellName(i),
 		Placed:        count[i],
@@ -635,11 +594,10 @@ func (c *Campus) cellCondition(i, from, origin int, taskID string, count []int, 
 }
 
 // placementRequest assembles the policy view for one stranded task.
-func (c *Campus) placementRequest(key string, p *taskPlacement) PlacementRequest {
+func (c *Campus) placementRequest(p *taskPlacement) PlacementRequest {
 	count, util := c.loads()
 	req := PlacementRequest{
 		Task:   p.spec,
-		Key:    key,
 		Origin: p.origin,
 		From:   p.cell,
 	}
@@ -649,9 +607,8 @@ func (c *Campus) placementRequest(key string, p *taskPlacement) PlacementRequest
 		}
 		req.Cells = append(req.Cells, c.cellCondition(i, p.cell, p.origin, p.spec.ID, count, util))
 	}
-	for _, k := range c.sortedPlacementKeys() {
-		q := c.placements[k]
-		if k == key || (!q.foreign && !q.migrating) {
+	for _, q := range c.tasks {
+		if q == p || (!q.foreign && !q.migrating) {
 			continue
 		}
 		cell := q.cell
@@ -659,15 +616,15 @@ func (c *Campus) placementRequest(key string, p *taskPlacement) PlacementRequest
 			cell = q.dest
 		}
 		req.Displaced = append(req.Displaced, DisplacedTask{
-			Key: k, Cell: cell, Util: q.spec.RTOSTask().Utilization(),
+			Cell: cell, Util: q.spec.RTOSTask().Utilization(),
 		})
 	}
 	return req
 }
 
 // escalate ships one stranded task to a peer cell over the backbone.
-func (c *Campus) escalate(key string, p *taskPlacement) {
-	dst, ok := c.policy.PickCell(c.placementRequest(key, p))
+func (c *Campus) escalate(p *taskPlacement) {
+	dst, ok := c.policy.PickCell(c.placementRequest(p))
 	if !ok {
 		return // no peer can host it; retry next tick
 	}
@@ -695,7 +652,7 @@ func (c *Campus) escalate(key string, p *taskPlacement) {
 		span.Arg{Key: "to", Val: c.cellName(dst)})
 	c.backbone.Send(src, dst, payload,
 		func(b []byte) {
-			c.deliver(key, p, dst, b)
+			c.deliver(p, dst, b)
 			// dst != src is guaranteed above, so landing in dst means a
 			// host admitted the task; anything else retries next tick.
 			outcome := "no-host"
@@ -742,7 +699,7 @@ func (c *Campus) destNodes(cell int, taskID string) []NodeID {
 // attest + admit + restore via core.ImportTask, activate it, publish
 // the InterCellMigrationEvent, and have the hosting cell's head adopt
 // the task so subsequent fail-over is local.
-func (c *Campus) deliver(key string, p *taskPlacement, dst int, payload []byte) {
+func (c *Campus) deliver(p *taskPlacement, dst int, payload []byte) {
 	p.migrating = false
 	ex, err := wire.DecodeTaskExport(payload)
 	if err != nil {
@@ -814,14 +771,13 @@ func (c *Campus) adoptForeign(dst int, p *taskPlacement, ex wire.TaskExport) {
 	headNode.Head().AdoptTask(adopted, p.node)
 }
 
-// rebalanceTick offers every settled foreign task whose origin cell is
-// healthy again to the rebalance policy, and ships accepted tasks home.
+// rebalanceTick ships every settled foreign task whose origin cell is
+// healthy again back home.
 func (c *Campus) rebalanceTick() {
-	if c.rebalance == nil {
+	if !c.cfg.Rebalance {
 		return
 	}
-	for _, key := range c.sortedPlacementKeys() {
-		p := c.placements[key]
+	for _, p := range c.tasks {
 		if !p.foreign || p.migrating || !p.have {
 			continue
 		}
@@ -835,17 +791,7 @@ func (c *Campus) rebalanceTick() {
 		if c.homeHost(origin, p.spec) == 0 {
 			continue
 		}
-		count, util := c.loads()
-		req := RebalanceRequest{
-			Task:   p.spec,
-			Key:    key,
-			Origin: c.cellCondition(origin, p.cell, origin, p.spec.ID, count, util),
-			Host:   c.cellCondition(p.cell, p.cell, origin, p.spec.ID, count, util),
-		}
-		if !c.rebalance.Rehome(req) {
-			continue
-		}
-		c.startRebalance(key, p)
+		c.startRebalance(p)
 	}
 }
 
@@ -853,7 +799,7 @@ func (c *Campus) rebalanceTick() {
 // task: the prepare leg carries the latest checkpoint from the hosting
 // cell to the recovered origin. The placement stays migrating (shielded
 // from escalation and re-offers) until the handshake commits or aborts.
-func (c *Campus) startRebalance(key string, p *taskPlacement) {
+func (c *Campus) startRebalance(p *taskPlacement) {
 	exPayload, err := p.export.Encode()
 	if err != nil {
 		return
@@ -872,13 +818,13 @@ func (c *Campus) startRebalance(key string, p *taskPlacement) {
 		span.Arg{Key: "task", Val: p.spec.ID},
 		span.Arg{Key: "host", Val: c.cellName(p.cell)},
 		span.Arg{Key: "origin", Val: c.cellName(p.origin)})
-	hs.deadline = c.eng.After(c.cfg.HandshakeTimeout, func() { c.abortRebalance(p, hs, "timeout") })
+	hs.deadline = c.eng.After(handshakeTimeout, func() { c.abortRebalance(p, hs, "timeout") })
 	leg := c.eng.Tracer().Open("prepare-leg", "federation", "federation", c.eng.Now(),
 		span.Arg{Key: "task", Val: p.spec.ID})
 	c.backbone.Send(p.cell, p.origin, prep,
 		func(b []byte) {
 			c.eng.Tracer().Close(leg, c.eng.Now(), span.Arg{Key: "outcome", Val: "delivered"})
-			c.onPrepare(key, p, hs, b)
+			c.onPrepare(p, hs, b)
 		},
 		func() {
 			c.eng.Tracer().Close(leg, c.eng.Now(), span.Arg{Key: "outcome", Val: "lost"})
@@ -892,7 +838,7 @@ func (c *Campus) startRebalance(key string, p *taskPlacement) {
 // precondition lost since the handshake opened — origin head down again,
 // no eligible home host, restore failure — aborts, keeping the foreign
 // master.
-func (c *Campus) onPrepare(key string, p *taskPlacement, hs *rebalanceHandshake, payload []byte) {
+func (c *Campus) onPrepare(p *taskPlacement, hs *rebalanceHandshake, payload []byte) {
 	if p.hs != hs {
 		return // aborted while the prepare leg was in flight
 	}
@@ -940,7 +886,7 @@ func (c *Campus) onPrepare(key string, p *taskPlacement, hs *rebalanceHandshake,
 	c.backbone.Send(origin, p.cell, commit,
 		func([]byte) {
 			c.eng.Tracer().Close(leg, c.eng.Now(), span.Arg{Key: "outcome", Val: "delivered"})
-			c.onCommit(key, p, hs)
+			c.onCommit(p, hs)
 		},
 		func() {
 			c.eng.Tracer().Close(leg, c.eng.Now(), span.Arg{Key: "outcome", Val: "lost"})
@@ -953,7 +899,7 @@ func (c *Campus) onPrepare(key string, p *taskPlacement, hs *rebalanceHandshake,
 // prepared home replica is promoted by the origin head, so no instant
 // ever has two masters. If the origin relapsed while the commit leg was
 // in flight the handshake aborts instead and the foreign master stays.
-func (c *Campus) onCommit(key string, p *taskPlacement, hs *rebalanceHandshake) {
+func (c *Campus) onCommit(p *taskPlacement, hs *rebalanceHandshake) {
 	if p.hs != hs {
 		return
 	}
@@ -1068,7 +1014,7 @@ func RecoverNodesPlan(name string, at time.Duration, ids ...NodeID) FaultPlan {
 
 // OutageWindowPlan crashes every listed radio at from and recovers them
 // at until: the whole-cell outage window that drives escalation out and
-// — with a RebalancePolicy — migration back home.
+// — with Rebalance set — migration back home.
 func OutageWindowPlan(name string, from, until time.Duration, ids ...NodeID) FaultPlan {
 	steps := make([]FaultStep, 0, 2*len(ids))
 	for _, id := range ids {
@@ -1170,8 +1116,8 @@ func (CellOverloadEvent) series() string       { return "cell_overloads" }
 func (CellOverloadEvent) counters() counterSet { return cellOverloadsCounter }
 
 // CellRecoveredEvent fires when a cell's head comes back after an
-// outage — the trigger window in which the RebalancePolicy may migrate
-// the cell's tasks home.
+// outage — the trigger window in which Rebalance migrates the cell's
+// tasks home.
 type CellRecoveredEvent struct {
 	At   time.Duration
 	Cell string

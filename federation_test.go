@@ -295,7 +295,7 @@ func TestSyntheticFeedPublishesActuationEvents(t *testing.T) {
 }
 
 // TestNilRebalancePolicyDemotesStaleMasterOnRecovery is the regression
-// test for the permanent dual-master: with no RebalancePolicy a task
+// test for the permanent dual-master: with Rebalance false a task
 // stays foreign after its origin cell recovers, and before the fix the
 // recovered origin's stale master resumed actuating alongside the
 // foreign copy forever. The coordinator must now demote the stale
@@ -360,7 +360,7 @@ func TestNilRebalancePolicyDemotesStaleMasterOnRecovery(t *testing.T) {
 func TestRebalanceAbortKeepsForeignMaster(t *testing.T) {
 	campus, err := NewCampus(CampusConfig{
 		Seed:      1,
-		Rebalance: HomewardRebalance{},
+		Rebalance: true,
 		Links:     []BackboneLink{{A: "n", B: "s"}},
 	}, smallUnit("n", "n"), smallUnit("s", "s"))
 	if err != nil {
@@ -496,5 +496,48 @@ func TestRefineryRingSeverAcceptance(t *testing.T) {
 		if lines[i] != again[i] {
 			t.Fatalf("campus event %d differs:\n  run1: %s\n  run2: %s", i, lines[i], again[i])
 		}
+	}
+}
+
+// TestCoordinatorWalksTasksInKeyOrder: the coordinator's task table is
+// ordered by placement key ("<origin-cell>/<task-id>"), not by cell
+// declaration order. Cells declared west, mid, east lose west and east
+// in the same fault step; both stranded tasks escalate in the same tick,
+// east's first.
+func TestCoordinatorWalksTasksInKeyOrder(t *testing.T) {
+	campus, err := NewCampus(CampusConfig{Seed: 1},
+		smallUnit("west", "w"), smallUnit("mid", "m"), smallUnit("east", "e"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer campus.Stop()
+	log := campus.Events().Log()
+	for _, cell := range []string{"west", "east"} {
+		if err := campus.ApplyFaultPlan(cell, KillCellPlan(10*time.Second, campus.Cell(cell))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	campus.Run(15 * time.Second)
+
+	var sends []BackboneEvent
+	var moved []string
+	for _, ev := range log.Events() {
+		switch e := ev.(type) {
+		case BackboneEvent:
+			if e.Kind == BackboneSend {
+				sends = append(sends, e)
+			}
+		case InterCellMigrationEvent:
+			moved = append(moved, e.Task)
+		}
+	}
+	if len(sends) < 2 || sends[0].At != sends[1].At {
+		t.Fatalf("backbone sends = %v, want two escalations in one tick", sends)
+	}
+	if sends[0].From != "east" || sends[1].From != "west" {
+		t.Fatalf("escalation order = %s then %s, want east then west (key order)", sends[0].From, sends[1].From)
+	}
+	if want := []string{"e-loop", "w-loop"}; !reflect.DeepEqual(moved, want) {
+		t.Fatalf("migrations = %v, want %v", moved, want)
 	}
 }

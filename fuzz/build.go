@@ -264,12 +264,10 @@ func buildCampus(s Spec, run evm.RunSpec) (*evm.Experiment, error) {
 	cfg := evm.CampusConfig{
 		Seed:      run.Seed,
 		Placement: policy,
+		Rebalance: s.Rebalance,
 		Capsules:  store,
 
 		UnsafeSkipStaleMasterDemotion: s.UnsafeSkipDemotion,
-	}
-	if s.Rebalance {
-		cfg.Rebalance = evm.HomewardRebalance{}
 	}
 	for _, l := range s.Links {
 		cfg.Links = append(cfg.Links, evm.BackboneLink{

@@ -13,7 +13,7 @@ import (
 // seededDualMasterSpec hand-builds a spec that trips the
 // single-master-per-task invariant on purpose: UnsafeSkipDemotion
 // disables the coordinator's stale-master demotion (the test hook
-// behind the historical nil-RebalancePolicy bug), so when cell c0
+// behind the historical Rebalance-false bug), so when cell c0
 // blacks out, its tasks escalate to a peer, and on recovery the old
 // master resumes actuating alongside the foreign replica. Three noise
 // faults ride along so the shrinker has something real to strip.

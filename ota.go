@@ -221,45 +221,22 @@ func (CanaryCellPolicy) Stages(cells []RolloutCell) [][]int {
 
 // --- rollout policy registry --------------------------------------------------
 
-var rolloutRegistry = struct {
-	sync.RWMutex
-	builders map[string]func() RolloutPolicy
-}{builders: make(map[string]func() RolloutPolicy)}
+var rolloutRegistry = registry[func() RolloutPolicy]{kind: "rollout policy"}
 
 // RegisterRolloutPolicy adds a named rollout strategy to the global
 // registry, making it addressable from RolloutSpec.Strategy.
 func RegisterRolloutPolicy(name string, build func() RolloutPolicy) error {
-	if name == "" || build == nil {
-		return fmt.Errorf("evm: rollout policy needs a name and a builder")
-	}
-	rolloutRegistry.Lock()
-	defer rolloutRegistry.Unlock()
-	if _, dup := rolloutRegistry.builders[name]; dup {
-		return fmt.Errorf("evm: rollout policy %q already registered", name)
-	}
-	rolloutRegistry.builders[name] = build
-	return nil
+	return rolloutRegistry.add(name, build)
 }
 
 // MustRegisterRolloutPolicy is RegisterRolloutPolicy that panics on
 // error — for package init blocks.
 func MustRegisterRolloutPolicy(name string, build func() RolloutPolicy) {
-	if err := RegisterRolloutPolicy(name, build); err != nil {
-		panic(err)
-	}
+	rolloutRegistry.mustAdd(name, build)
 }
 
 // RolloutPolicies lists the registered strategy names, sorted.
-func RolloutPolicies() []string {
-	rolloutRegistry.RLock()
-	defer rolloutRegistry.RUnlock()
-	out := make([]string, 0, len(rolloutRegistry.builders))
-	for name := range rolloutRegistry.builders {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+func RolloutPolicies() []string { return rolloutRegistry.names() }
 
 // NewRolloutPolicy instantiates a registered strategy by name. The empty
 // name returns the default (canary-cell).
@@ -267,11 +244,9 @@ func NewRolloutPolicy(name string) (RolloutPolicy, error) {
 	if name == "" {
 		return CanaryCellPolicy{}, nil
 	}
-	rolloutRegistry.RLock()
-	build := rolloutRegistry.builders[name]
-	rolloutRegistry.RUnlock()
-	if build == nil {
-		return nil, fmt.Errorf("evm: unknown rollout policy %q (registered: %v)", name, RolloutPolicies())
+	build, err := rolloutRegistry.get(name)
+	if err != nil {
+		return nil, err
 	}
 	return build(), nil
 }
@@ -293,9 +268,6 @@ type RolloutSpec struct {
 	Version uint8
 	// Strategy names the RolloutPolicy ("" = canary-cell).
 	Strategy string
-	// Source names the cell whose gateway disseminates the capsules
-	// ("" = the first cell).
-	Source string
 	// HealthWindow is how long each stage is observed after activation
 	// before the next stage starts (default 3 s). A violation from the
 	// health checkers or a missed-actuation signal during the window
@@ -303,18 +275,19 @@ type RolloutSpec struct {
 	// ActuationBound could never observe a bound-length silence, so it
 	// is extended to ActuationBound plus one task period when needed.
 	HealthWindow time.Duration
-	// StageTimeout bounds one stage's prepare/commit exchange (default
-	// 10 s): a stage not fully activated by then aborts the rollout.
-	StageTimeout time.Duration
 	// ActuationBound is the missed-actuation threshold inside the health
 	// window: a target task silent for longer trips the rollback.
 	// Default: 8x the longest target task period (at least 2 s).
 	ActuationBound time.Duration
-	// Checkers builds the invariant checkers replayed over the health
-	// window (nil = single-master, demoted-silence and the
-	// actuation-deadline timing checker at ActuationBound).
-	Checkers func() []InvariantChecker
 }
+
+// rolloutSource is the cell whose gateway disseminates every rollout's
+// capsules: the first cell.
+const rolloutSource = 0
+
+// stageTimeout bounds one stage's prepare/commit exchange: a stage not
+// fully activated by then aborts the rollout.
+const stageTimeout = 10 * time.Second
 
 // RolloutState is a rollout's lifecycle position.
 type RolloutState string
@@ -333,7 +306,6 @@ type Rollout struct {
 	c      *Campus
 	spec   RolloutSpec
 	policy RolloutPolicy
-	src    int
 
 	capsules map[string][]byte           // task -> encoded capsule at target version
 	targets  map[int]map[string][]NodeID // cell -> task -> replica holders
@@ -411,20 +383,9 @@ func (c *Campus) StartRollout(spec RolloutSpec) (*Rollout, error) {
 	if spec.HealthWindow <= 0 {
 		spec.HealthWindow = 3 * time.Second
 	}
-	if spec.StageTimeout <= 0 {
-		spec.StageTimeout = 10 * time.Second
-	}
 	policy, err := NewRolloutPolicy(spec.Strategy)
 	if err != nil {
 		return nil, err
-	}
-	src := 0
-	if spec.Source != "" {
-		i, ok := c.byName[spec.Source]
-		if !ok {
-			return nil, fmt.Errorf("evm: unknown source cell %q", spec.Source)
-		}
-		src = i
 	}
 	tasks := append([]string(nil), spec.Tasks...)
 	sort.Strings(tasks)
@@ -432,11 +393,11 @@ func (c *Campus) StartRollout(spec RolloutSpec) (*Rollout, error) {
 	var maxPeriod time.Duration
 	capsules := make(map[string][]byte, len(tasks))
 	for _, task := range tasks {
-		key, known := c.taskKeys[task]
+		p, known := c.byTask[task]
 		if !known {
 			return nil, fmt.Errorf("evm: rollout names unknown task %q", task)
 		}
-		if c.otaActive[task] {
+		if p.ota {
 			return nil, fmt.Errorf("evm: task %q already has a rollout in flight", task)
 		}
 		cap, ok := c.Capsules().Get(task, spec.Version)
@@ -448,9 +409,7 @@ func (c *Campus) StartRollout(spec RolloutSpec) (*Rollout, error) {
 			return nil, err
 		}
 		capsules[task] = enc
-		if p := c.placements[key].spec.Period; p > maxPeriod {
-			maxPeriod = p
-		}
+		maxPeriod = max(maxPeriod, p.spec.Period)
 	}
 	if spec.ActuationBound <= 0 {
 		spec.ActuationBound = 8 * maxPeriod
@@ -470,7 +429,7 @@ func (c *Campus) StartRollout(spec RolloutSpec) (*Rollout, error) {
 		spec.HealthWindow = spec.ActuationBound + slack
 	}
 	r := &Rollout{
-		c: c, spec: spec, policy: policy, src: src,
+		c: c, spec: spec, policy: policy,
 		capsules:    capsules,
 		state:       RolloutRunning,
 		prevVersion: make(map[string]uint8),
@@ -481,11 +440,8 @@ func (c *Campus) StartRollout(spec RolloutSpec) (*Rollout, error) {
 		return nil, fmt.Errorf("evm: no replica of %v found in any cell", spec.Tasks)
 	}
 	r.stages = r.validStages(policy.Stages(r.rolloutCells()))
-	if c.otaActive == nil {
-		c.otaActive = make(map[string]bool)
-	}
 	for _, task := range tasks {
-		c.otaActive[task] = true
+		c.byTask[task].ota = true
 	}
 	c.events.publish(RolloutEvent{
 		At: c.eng.Now(), Tasks: tasks, Version: spec.Version, Strategy: policy.Name(),
@@ -528,7 +484,7 @@ func (r *Rollout) rolloutCells() []RolloutCell {
 			cc.Replicas += len(nodes)
 		}
 		for _, task := range r.spec.Tasks {
-			if p := r.c.placements[r.c.taskKeys[task]]; p.cell == i {
+			if r.c.byTask[task].cell == i {
 				cc.Masters++
 			}
 		}
@@ -608,7 +564,7 @@ func (r *Rollout) runStage() {
 			r.pendingPrepare[pendKey(cell, task)] = true
 		}
 	}
-	r.stageTimer = r.c.eng.After(r.spec.StageTimeout, func() { r.fail("stage-timeout") })
+	r.stageTimer = r.c.eng.After(stageTimeout, func() { r.fail("stage-timeout") })
 	for _, cell := range batch {
 		for _, task := range r.stageTasks(cell) {
 			if r.state != RolloutRunning {
@@ -622,12 +578,12 @@ func (r *Rollout) runStage() {
 				r.fail("encode")
 				return
 			}
-			if cell == r.src {
+			if cell == rolloutSource {
 				r.onPrepare(cell, payload)
 				continue
 			}
 			cell := cell
-			r.c.backbone.Send(r.src, cell, payload,
+			r.c.backbone.Send(rolloutSource, cell, payload,
 				func(b []byte) { r.onPrepare(cell, b) },
 				func() { r.fail("prepare-lost") })
 		}
@@ -802,12 +758,12 @@ func (r *Rollout) commitStage() {
 				r.fail("encode")
 				return
 			}
-			if cell == r.src {
+			if cell == rolloutSource {
 				r.onCommit(cell, payload)
 				continue
 			}
 			cell := cell
-			r.c.backbone.Send(r.src, cell, payload,
+			r.c.backbone.Send(rolloutSource, cell, payload,
 				func(b []byte) { r.onCommit(cell, b) },
 				func() { r.fail("commit-lost") })
 		}
@@ -855,17 +811,14 @@ func (r *Rollout) onCommit(cell int, payload []byte) {
 }
 
 // startHealthWindow observes the campus for HealthWindow after a stage
-// activates: the spec's invariant checkers replay the live stream and
-// every target task's actuations are timestamped.
+// activates: the single-master, demoted-silence and actuation-deadline
+// (at ActuationBound) checkers replay the live stream and every target
+// task's actuations are timestamped.
 func (r *Rollout) startHealthWindow() {
-	if r.spec.Checkers != nil {
-		r.checkers = r.spec.Checkers()
-	} else {
-		r.checkers = []InvariantChecker{
-			NewSingleMasterInvariant(0),
-			NewDemotedSilenceInvariant(0),
-			NewActuationDeadlineInvariant(r.spec.ActuationBound),
-		}
+	r.checkers = []InvariantChecker{
+		NewSingleMasterInvariant(0),
+		NewDemotedSilenceInvariant(0),
+		NewActuationDeadlineInvariant(r.spec.ActuationBound),
 	}
 	r.healthStart = r.c.eng.Now()
 	r.healthSpan = r.c.eng.Tracer().Open("health-window", "ota", "ota", r.c.eng.Now(),
@@ -1002,7 +955,7 @@ func (r *Rollout) finish(state RolloutState, reason string) {
 		}
 	}
 	for _, task := range r.spec.Tasks {
-		delete(r.c.otaActive, task)
+		r.c.byTask[task].ota = false
 	}
 }
 

@@ -542,9 +542,6 @@ func TestRolloutRejectsBadSpecs(t *testing.T) {
 	if _, err := campus.StartRollout(RolloutSpec{Tasks: []string{"a-press-0"}, Version: 2, Strategy: "zigzag"}); err == nil {
 		t.Fatal("unknown strategy accepted")
 	}
-	if _, err := campus.StartRollout(RolloutSpec{Tasks: []string{"a-press-0"}, Version: 2, Source: "mars"}); err == nil {
-		t.Fatal("unknown source cell accepted")
-	}
 	if _, err := campus.StartRollout(OTACampusRolloutSpec("")); err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,6 @@
 package evm
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-
-	"evm/internal/bqp"
-)
+import "evm/internal/bqp"
 
 // Built-in placement policy names for RunSpec.Policy and
 // NewPlacementPolicy.
@@ -16,25 +10,9 @@ const (
 	PolicyAffinity    = "affinity"
 )
 
-// NodeLoad is one live runtime's entry in a CellCondition, so policies
-// can pre-pick the host node, not just the cell. The built-in policies
-// ignore it (the coordinator picks the host after the cell decision);
-// custom policies can use it to weigh intra-cell balance.
-type NodeLoad struct {
-	// Node is the runtime's ID inside its cell.
-	Node NodeID
-	// Replicas counts the task replicas currently installed on the node.
-	Replicas int
-	// Eligible marks the node able to take the request's task (live and
-	// not already holding a replica of it).
-	Eligible bool
-	// Head marks the cell's configured head (host of last resort).
-	Head bool
-}
-
-// CellCondition is one cell's entry in a placement or rebalance request:
-// the coordinator's deterministic snapshot of the cell's load, capacity
-// and backbone distance at decision time.
+// CellCondition is one cell's entry in a placement request: the
+// coordinator's deterministic snapshot of the cell's load, capacity and
+// backbone distance at decision time.
 type CellCondition struct {
 	// Index is the cell's position in campus declaration order.
 	Index int
@@ -56,10 +34,6 @@ type CellCondition struct {
 	Hops int
 	// Origin marks the task's declared home cell.
 	Origin bool
-	// Nodes snapshots the cell's live runtimes in member order: per-node
-	// replica counts and task eligibility, for policies that pre-pick
-	// the host.
-	Nodes []NodeLoad
 }
 
 // PlacementRequest asks a PlacementPolicy to pick the destination cell
@@ -68,8 +42,6 @@ type CellCondition struct {
 type PlacementRequest struct {
 	// Task is the stranded task's spec.
 	Task TaskSpec
-	// Key is the coordinator placement key ("<origin-cell>/<task-id>").
-	Key string
 	// Origin and From are campus cell indices: where the task was
 	// declared and where it is stranded now.
 	Origin int
@@ -77,15 +49,14 @@ type PlacementRequest struct {
 	// Cells are the candidate destinations (every cell but From).
 	Cells []CellCondition
 	// Displaced lists every other task currently placed outside its
-	// origin cell (or in flight), sorted by Key — context for policies
-	// that reoptimize the whole campus assignment.
+	// origin cell (or in flight), in "<origin-cell>/<task-id>" order —
+	// context for policies that reoptimize the whole campus assignment.
 	Displaced []DisplacedTask
 }
 
 // DisplacedTask is one task running outside its origin cell, as seen by
 // a placement policy.
 type DisplacedTask struct {
-	Key string
 	// Cell is the index of the cell currently hosting the task (the
 	// transfer destination if a move is in flight).
 	Cell int
@@ -106,41 +77,6 @@ type PlacementPolicy interface {
 	// listed cell should (or can) take the task.
 	PickCell(req PlacementRequest) (int, bool)
 }
-
-// RebalanceRequest asks a RebalancePolicy whether a task displaced from
-// its origin cell should migrate home now that the origin is healthy
-// again.
-type RebalanceRequest struct {
-	Task TaskSpec
-	Key  string
-	// Origin describes the recovered home cell; Host the cell currently
-	// running the task. Origin.Hops is measured from the host cell.
-	Origin CellCondition
-	Host   CellCondition
-}
-
-// RebalancePolicy is the federation coordinator's cell-recovery hook:
-// every coordinator tick, each foreign task whose origin cell is healthy
-// (live head, reachable, with an eligible host) is offered to the
-// policy; an accepted task is checkpointed, shipped home over the
-// backbone and re-activated by the origin cell's head, and the foreign
-// replicas are retired. A nil policy keeps PR-2 behavior: recovered
-// cells never get their tasks back.
-type RebalancePolicy interface {
-	Name() string
-	// Rehome reports whether the task should migrate back to its origin.
-	Rehome(req RebalanceRequest) bool
-}
-
-// HomewardRebalance migrates every foreign task home as soon as its
-// origin cell is healthy again.
-type HomewardRebalance struct{}
-
-// Name implements RebalancePolicy.
-func (HomewardRebalance) Name() string { return "homeward" }
-
-// Rehome implements RebalancePolicy.
-func (HomewardRebalance) Rehome(RebalanceRequest) bool { return true }
 
 // viable reports whether a cell can take the task at all.
 func (c CellCondition) viable() bool { return c.EligibleHosts > 0 && c.Hops >= 0 }
@@ -286,45 +222,22 @@ func (CampusBQPPolicy) PickCell(req PlacementRequest) (int, bool) {
 
 // --- policy registry ----------------------------------------------------------
 
-var policyRegistry = struct {
-	sync.RWMutex
-	builders map[string]func() PlacementPolicy
-}{builders: make(map[string]func() PlacementPolicy)}
+var policyRegistry = registry[func() PlacementPolicy]{kind: "placement policy"}
 
 // RegisterPlacementPolicy adds a named placement policy to the global
 // registry, making it addressable from RunSpec.Policy.
 func RegisterPlacementPolicy(name string, build func() PlacementPolicy) error {
-	if name == "" || build == nil {
-		return fmt.Errorf("evm: placement policy needs a name and a builder")
-	}
-	policyRegistry.Lock()
-	defer policyRegistry.Unlock()
-	if _, dup := policyRegistry.builders[name]; dup {
-		return fmt.Errorf("evm: placement policy %q already registered", name)
-	}
-	policyRegistry.builders[name] = build
-	return nil
+	return policyRegistry.add(name, build)
 }
 
 // MustRegisterPlacementPolicy is RegisterPlacementPolicy that panics on
 // error — for package init blocks.
 func MustRegisterPlacementPolicy(name string, build func() PlacementPolicy) {
-	if err := RegisterPlacementPolicy(name, build); err != nil {
-		panic(err)
-	}
+	policyRegistry.mustAdd(name, build)
 }
 
 // PlacementPolicies lists the registered policy names, sorted.
-func PlacementPolicies() []string {
-	policyRegistry.RLock()
-	defer policyRegistry.RUnlock()
-	out := make([]string, 0, len(policyRegistry.builders))
-	for name := range policyRegistry.builders {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+func PlacementPolicies() []string { return policyRegistry.names() }
 
 // NewPlacementPolicy instantiates a registered policy by name. The empty
 // name returns the campus default (least-loaded).
@@ -332,11 +245,9 @@ func NewPlacementPolicy(name string) (PlacementPolicy, error) {
 	if name == "" {
 		return LeastLoadedPolicy{}, nil
 	}
-	policyRegistry.RLock()
-	build := policyRegistry.builders[name]
-	policyRegistry.RUnlock()
-	if build == nil {
-		return nil, fmt.Errorf("evm: unknown placement policy %q (registered: %v)", name, PlacementPolicies())
+	build, err := policyRegistry.get(name)
+	if err != nil {
+		return nil, err
 	}
 	return build(), nil
 }

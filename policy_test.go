@@ -261,9 +261,8 @@ func TestAddLinkValidation(t *testing.T) {
 
 // TestRebalanceHomeAfterRecovery drives the whole-cell kill + recovery
 // acceptance run: unit-a dies at 10s, its four loops escalate out, the
-// cell recovers at 22s, CellRecoveredEvent fires, and the
-// RebalancePolicy ships every task home over the backbone, where it
-// resumes actuating.
+// cell recovers at 22s, CellRecoveredEvent fires, and Rebalance ships
+// every task home over the backbone, where it resumes actuating.
 func TestRebalanceHomeAfterRecovery(t *testing.T) {
 	exp, err := BuildScenario(RunSpec{Scenario: ScenarioRefineryRing, Seed: 2, Policy: PolicyCampusBQP})
 	if err != nil {
@@ -441,7 +440,7 @@ func TestEscalationBackToOriginIsHomecoming(t *testing.T) {
 	campus, err := NewCampus(CampusConfig{
 		Seed:      1,
 		Placement: AffinityPolicy{},
-		Rebalance: HomewardRebalance{},
+		Rebalance: true,
 	}, unit("west", "w", 6), unit("east", "e", 6))
 	if err != nil {
 		t.Fatal(err)
@@ -604,80 +603,6 @@ func TestPolicyDeterminism(t *testing.T) {
 		if !reflect.DeepEqual(serial[i].Metrics, parallel[i].Metrics) {
 			t.Fatalf("%s: metrics diverge:\n  serial:   %v\n  parallel: %v",
 				specs[i].Label(), serial[i].Metrics, parallel[i].Metrics)
-		}
-	}
-}
-
-// TestPoliciesIgnorePerNodeLoads: the per-node load snapshot added to
-// CellCondition is advisory for custom policies — every built-in policy
-// must pick the same cell whether or not it is populated, so existing
-// scenarios are byte-identical before and after the change.
-func TestPoliciesIgnorePerNodeLoads(t *testing.T) {
-	base := PlacementRequest{
-		Task:   TaskSpec{ID: "t", Period: 250 * time.Millisecond, WCET: 5 * time.Millisecond},
-		Origin: 0,
-		From:   0,
-		Cells: []CellCondition{
-			{Index: 1, Name: "b", Placed: 4, EligibleHosts: 3, Utilization: 0.2, Capacity: 5, Hops: 1},
-			{Index: 2, Name: "c", Placed: 2, EligibleHosts: 2, Utilization: 0.1, Capacity: 5, Hops: 2},
-			{Index: 3, Name: "d", Placed: 6, EligibleHosts: 4, Utilization: 0.3, Capacity: 5, Hops: 1, Origin: true},
-		},
-		Displaced: []DisplacedTask{{Key: "x/t2", Cell: 1, Util: 0.1}},
-	}
-	loaded := base
-	loaded.Cells = append([]CellCondition(nil), base.Cells...)
-	for i := range loaded.Cells {
-		loaded.Cells[i].Nodes = []NodeLoad{
-			{Node: 2, Replicas: 9, Eligible: false, Head: true},
-			{Node: 3, Replicas: 0, Eligible: true},
-		}
-	}
-	for _, name := range PlacementPolicies() {
-		policy, err := NewPlacementPolicy(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotBare, okBare := policy.PickCell(base)
-		gotLoaded, okLoaded := policy.PickCell(loaded)
-		if gotBare != gotLoaded || okBare != okLoaded {
-			t.Fatalf("%s: pick (%d,%v) with node loads vs (%d,%v) without",
-				name, gotLoaded, okLoaded, gotBare, okBare)
-		}
-	}
-}
-
-// TestCellConditionExposesPerNodeLoad: the coordinator's snapshot lists
-// every live runtime with its replica count, head flag and eligibility
-// for the requested task.
-func TestCellConditionExposesPerNodeLoad(t *testing.T) {
-	campus, err := NewCampus(CampusConfig{Seed: 1},
-		smallUnit("n", "n"), smallUnit("s", "s"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer campus.Stop()
-	campus.Run(2 * time.Second)
-	count, util := campus.loads()
-	cc := campus.cellCondition(1, 0, 0, "s-loop", count, util)
-	if len(cc.Nodes) != 5 {
-		t.Fatalf("node loads = %+v, want the 5 live runtimes (gateway has none)", cc.Nodes)
-	}
-	byID := make(map[NodeID]NodeLoad, len(cc.Nodes))
-	for _, nl := range cc.Nodes {
-		byID[nl.Node] = nl
-	}
-	if !byID[2].Head || byID[3].Head {
-		t.Fatalf("head flag wrong: %+v", cc.Nodes)
-	}
-	// Candidates 3 and 4 hold s-loop replicas: loaded and ineligible.
-	for _, id := range []NodeID{3, 4} {
-		if byID[id].Eligible || byID[id].Replicas != 1 {
-			t.Fatalf("node %d = %+v, want 1 replica and ineligible for s-loop", id, byID[id])
-		}
-	}
-	for _, id := range []NodeID{2, 5, 6} {
-		if !byID[id].Eligible || byID[id].Replicas != 0 {
-			t.Fatalf("node %d = %+v, want empty and eligible", id, byID[id])
 		}
 	}
 }

@@ -2,10 +2,11 @@ package evm
 
 import (
 	"fmt"
-	"sort"
+	"reflect"
 	"sync"
 	"time"
 
+	"evm/internal/sim"
 	"evm/internal/span"
 )
 
@@ -118,53 +119,81 @@ func (e *Experiment) Now() time.Duration { return e.target().Now() }
 // Runner calls builders from several goroutines.
 type ScenarioBuilder func(spec RunSpec) (*Experiment, error)
 
-var scenarioRegistry = struct {
-	sync.RWMutex
-	builders map[string]ScenarioBuilder
-}{builders: make(map[string]ScenarioBuilder)}
+// registry is a concurrent-safe table of named builders. One instance
+// each backs the scenario, placement-policy and rollout-policy
+// registries; kind names the entries in error messages.
+type registry[T any] struct {
+	kind     string
+	mu       sync.RWMutex
+	builders map[string]T
+}
+
+// add registers build under name. An empty name, a nil builder or a
+// name already taken is an error. Every T is a func type, which a type
+// parameter cannot compare with nil, so reflect makes the nil check.
+func (r *registry[T]) add(name string, build T) error {
+	if name == "" || reflect.ValueOf(build).IsNil() {
+		return fmt.Errorf("evm: %s needs a name and a builder", r.kind)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, dup := r.builders[name]; dup {
+		return fmt.Errorf("evm: %s %q already registered", r.kind, name)
+	}
+	if r.builders == nil {
+		r.builders = make(map[string]T)
+	}
+	r.builders[name] = build
+	return nil
+}
+
+// mustAdd is add that panics on error, for package init blocks.
+func (r *registry[T]) mustAdd(name string, build T) {
+	if err := r.add(name, build); err != nil {
+		panic(err)
+	}
+}
+
+// names lists the registered names, sorted.
+func (r *registry[T]) names() []string {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return sim.SortedKeys(r.builders)
+}
+
+// get returns the builder registered under name.
+func (r *registry[T]) get(name string) (T, error) {
+	r.mu.RLock()
+	build, ok := r.builders[name]
+	r.mu.RUnlock()
+	if !ok {
+		return build, fmt.Errorf("evm: unknown %s %q (registered: %v)", r.kind, name, r.names())
+	}
+	return build, nil
+}
+
+var scenarioRegistry = registry[ScenarioBuilder]{kind: "scenario"}
 
 // RegisterScenario adds a named scenario to the global registry.
 // Registering a duplicate name or a nil builder is an error.
 func RegisterScenario(name string, build ScenarioBuilder) error {
-	if name == "" || build == nil {
-		return fmt.Errorf("evm: scenario needs a name and a builder")
-	}
-	scenarioRegistry.Lock()
-	defer scenarioRegistry.Unlock()
-	if _, dup := scenarioRegistry.builders[name]; dup {
-		return fmt.Errorf("evm: scenario %q already registered", name)
-	}
-	scenarioRegistry.builders[name] = build
-	return nil
+	return scenarioRegistry.add(name, build)
 }
 
 // MustRegisterScenario is RegisterScenario that panics on error — for
 // package init blocks.
 func MustRegisterScenario(name string, build ScenarioBuilder) {
-	if err := RegisterScenario(name, build); err != nil {
-		panic(err)
-	}
+	scenarioRegistry.mustAdd(name, build)
 }
 
 // Scenarios lists the registered scenario names, sorted.
-func Scenarios() []string {
-	scenarioRegistry.RLock()
-	defer scenarioRegistry.RUnlock()
-	out := make([]string, 0, len(scenarioRegistry.builders))
-	for name := range scenarioRegistry.builders {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+func Scenarios() []string { return scenarioRegistry.names() }
 
 // BuildScenario instantiates the spec's scenario from the registry.
 func BuildScenario(spec RunSpec) (*Experiment, error) {
-	scenarioRegistry.RLock()
-	build := scenarioRegistry.builders[spec.Scenario]
-	scenarioRegistry.RUnlock()
-	if build == nil {
-		return nil, fmt.Errorf("evm: unknown scenario %q (registered: %v)", spec.Scenario, Scenarios())
+	build, err := scenarioRegistry.get(spec.Scenario)
+	if err != nil {
+		return nil, err
 	}
 	exp, err := build(spec)
 	if err != nil {

@@ -334,14 +334,6 @@ func (s *GasPlant) InjectPrimaryFault() {
 	_ = s.Cell.ApplyFaultPlan(PrimaryFaultPlan(0))
 }
 
-// ClearPrimaryFault removes the injected fault.
-func (s *GasPlant) ClearPrimaryFault() {
-	_ = s.Cell.ApplyFaultPlan(FaultPlan{
-		Name:  "primary-clear",
-		Steps: []FaultStep{{ClearCompute: &TaskRef{Node: GasCtrlAID, Task: LTSTaskID}}},
-	})
-}
-
 // CrashPrimary fails Ctrl-A's radio (silent crash).
 func (s *GasPlant) CrashPrimary() {
 	_ = s.Cell.ApplyFaultPlan(PrimaryCrashPlan(0))

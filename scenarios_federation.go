@@ -184,7 +184,7 @@ func buildRefineryScenario(spec RunSpec) (*Experiment, error) {
 // migrate back. The far side (b-c and c-d) drops farPER of hops.
 func refineryRing(farPER float64, maxRetries int) CampusConfig {
 	return CampusConfig{
-		Rebalance: HomewardRebalance{},
+		Rebalance: true,
 		Backbone:  BackboneConfig{RetryAfter: 150 * time.Millisecond, MaxRetries: maxRetries},
 		Links: []BackboneLink{
 			{A: "unit-a", B: "unit-b"},
