@@ -10,7 +10,7 @@ import (
 // replica steps, health bundles and actuations. The per-slot TDMA loop
 // (engine, radio, RT-Link, wire codec, EVM node) allocates nothing in
 // steady state, so the count is construction plus about one payload per
-// message. The cap sits just above the measured 3,382 (3,395 under
+// message. The cap sits just above the measured 3,352 (3,365 under
 // -race); a change that puts allocation back on the per-slot path fails
 // here.
 const hotPathAllocBudget = 3500

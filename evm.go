@@ -308,7 +308,8 @@ func (c *Cell) Nodes() []*Node {
 // configured gateway, and starts the TDMA network. On failure no runtime
 // is left running: nodes started before the error are stopped again.
 func (c *Cell) Deploy(vc VCConfig) error {
-	if err := vc.Validate(); err != nil {
+	graph, err := vc.TransferGraph()
+	if err != nil {
 		return err
 	}
 	var started []NodeID
@@ -327,7 +328,7 @@ func (c *Cell) Deploy(vc VCConfig) error {
 		if link == nil {
 			return fail(fmt.Errorf("evm: node %v not joined", id))
 		}
-		node, err := core.NewNode(c.net, link, vc)
+		node, err := core.NewNode(c.net, link, vc, graph)
 		if err != nil {
 			return fail(err)
 		}
@@ -433,7 +434,12 @@ func (c *Cell) AddNodeRuntime(id NodeID, vc VCConfig) (*Node, error) {
 		_ = c.net.SetSchedule(oldSched)
 		c.med.Detach(id)
 	}
-	node, err := core.NewNode(c.net, link, vc)
+	graph, err := vc.TransferGraph()
+	if err != nil {
+		rollback()
+		return nil, err
+	}
+	node, err := core.NewNode(c.net, link, vc, graph)
 	if err != nil {
 		rollback()
 		return nil, err

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -435,6 +436,28 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if got := s.Stats().Accepted; got != 0 {
 		t.Fatalf("accepted = %d after rejected submit", got)
+	}
+}
+
+// TestSubmitRejectsBadHorizon: a negative horizon_ms, or one too large
+// for a time.Duration, gets 400 and admits nothing; the bound itself
+// still fits.
+func TestSubmitRejectsBadHorizon(t *testing.T) {
+	s := NewServer(Config{Workers: 1, QueueDepth: 4})
+	defer s.Drain(0)
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	for _, ms := range []int64{-1, -5000, maxHorizonMS + 1, math.MaxInt64} {
+		resp, body := postJSON(t, srv.URL+"/v1/runs", SubmitRequest{Tenant: "acme", Scenario: evm.ScenarioEightController, HorizonMS: ms})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("horizon_ms %d: status %d (%s), want 400", ms, resp.StatusCode, body)
+		}
+	}
+	if got := s.Stats().Accepted; got != 0 {
+		t.Fatalf("accepted = %d after rejected submits", got)
+	}
+	if d := time.Duration(maxHorizonMS) * time.Millisecond; d <= 0 || d/time.Millisecond != time.Duration(maxHorizonMS) {
+		t.Fatalf("maxHorizonMS %d overflows a time.Duration", maxHorizonMS)
 	}
 }
 

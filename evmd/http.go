@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"strings"
@@ -21,7 +22,7 @@ type SubmitRequest struct {
 	Seed     uint64   `json:"seed"`
 	Seeds    []uint64 `json:"seeds,omitempty"`
 	// HorizonMS bounds the run in virtual milliseconds (0 = scenario
-	// default).
+	// default); a negative value, or one above maxHorizonMS, is rejected.
 	HorizonMS int64 `json:"horizon_ms,omitempty"`
 	// Policy names the placement policy for campus scenarios.
 	Policy string `json:"policy,omitempty"`
@@ -30,6 +31,9 @@ type SubmitRequest struct {
 	// Faults is an optional declarative fault plan.
 	Faults *FaultPlanSpec `json:"faults,omitempty"`
 }
+
+// maxHorizonMS is the largest horizon_ms a time.Duration holds.
+const maxHorizonMS = math.MaxInt64 / int64(time.Millisecond)
 
 // FaultPlanSpec is the JSON form of an evm.FaultPlan (the subset that
 // round-trips cleanly over the wire).
@@ -211,6 +215,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Scenario == "" {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("evmd: submission needs a scenario"))
+		return
+	}
+	if req.HorizonMS < 0 || req.HorizonMS > maxHorizonMS {
+		httpError(w, http.StatusBadRequest, fmt.Errorf("evmd: horizon_ms %d outside [0, %d]", req.HorizonMS, maxHorizonMS))
 		return
 	}
 	runs, err := s.Submit(req.Tenant, req.Specs()...)

@@ -15,7 +15,8 @@ import (
 // cycle and broadcast a health bundle, and every bundle reaches the 15
 // other nodes, of which only the head and the sender's backup read it.
 // One op is one 250 ms TDMA frame in steady state; deliveries/op counts
-// the frames handed to receivers.
+// the frames handed to receivers, and ns/delivery divides the time of
+// the whole cycle by them.
 func BenchmarkHealthFanout(b *testing.B) {
 	const nodes, tasks = 16, 7
 	const gw, head radio.NodeID = 1, nodes
@@ -35,6 +36,10 @@ func BenchmarkHealthFanout(b *testing.B) {
 		cfg.Tasks = append(cfg.Tasks, spec)
 		readings[i] = wire.SensorReading{Port: uint8(i), Value: 50}
 	}
+	graph, err := cfg.TransferGraph()
+	if err != nil {
+		b.Fatal(err)
+	}
 	var gwLink *rtlink.Link
 	for _, id := range ids {
 		link, err := net.Join(id)
@@ -45,7 +50,7 @@ func BenchmarkHealthFanout(b *testing.B) {
 			gwLink = link
 			continue
 		}
-		node, err := NewNode(net, link, cfg)
+		node, err := NewNode(net, link, cfg, graph)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -72,5 +77,7 @@ func BenchmarkHealthFanout(b *testing.B) {
 	for b.Loop() {
 		cycle()
 	}
-	b.ReportMetric(float64(med.Stats().Delivered-before)/float64(b.N), "deliveries/op")
+	delivered := float64(med.Stats().Delivered - before)
+	b.ReportMetric(delivered/float64(b.N), "deliveries/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/delivered, "ns/delivery")
 }

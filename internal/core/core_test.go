@@ -94,6 +94,10 @@ func newRig(t *testing.T, cfg VCConfig) *rig {
 	t.Helper()
 	ids := []radio.NodeID{gwID, ctrlA, ctrlB, headID, spareID}
 	eng, med, net := newMesh(t, ids)
+	graph, err := cfg.TransferGraph()
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := &rig{
 		eng:    eng,
 		net:    net,
@@ -119,7 +123,7 @@ func newRig(t *testing.T, cfg VCConfig) *rig {
 			})
 			continue
 		}
-		node, err := NewNode(net, link, cfg)
+		node, err := NewNode(net, link, cfg, graph)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -115,17 +115,11 @@ func (n *Node) SetMigrationSink(fn func(taskID string, from radio.NodeID)) {
 }
 
 // NewNode builds the EVM runtime for one member node. The node creates a
-// replica for every task that lists it as a candidate.
-func NewNode(net *rtlink.Network, link *rtlink.Link, cfg VCConfig) (*Node, error) {
+// replica for every task that lists it as a candidate. graph is cfg's
+// object-transfer graph (cfg.TransferGraph); it is read-only, so every
+// node of one deployment shares it.
+func NewNode(net *rtlink.Network, link *rtlink.Link, cfg VCConfig, graph *TransferGraph) (*Node, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	edges := cfg.Transfers
-	if edges == nil {
-		edges = cfg.DefaultTransfers()
-	}
-	graph, err := NewTransferGraph(edges)
-	if err != nil {
 		return nil, err
 	}
 	n := &Node{

@@ -139,6 +139,19 @@ func (c VCConfig) Validate() error {
 	return nil
 }
 
+// TransferGraph validates the VC and builds its object-transfer graph
+// from Transfers, or from DefaultTransfers when Transfers is nil.
+func (c VCConfig) TransferGraph() (*TransferGraph, error) {
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
+	edges := c.Transfers
+	if edges == nil {
+		edges = c.DefaultTransfers()
+	}
+	return NewTransferGraph(edges)
+}
+
 // DefaultTransfers derives the object-transfer graph: directional sensor
 // flow gateway -> every candidate, directional actuation candidate ->
 // gateway, and health-assessment edges among each task's candidates.

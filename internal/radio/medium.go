@@ -147,19 +147,24 @@ type Medium struct {
 	// experiments that sweep loss rates directly).
 	forcedPER float64
 	seq       uint32
+	// lossless reports that no frame can be lost on a pair in the Good
+	// burst state: it never turns Bad, loses nothing there, and the
+	// pair's PER is exactly 0 (see lossDraw).
+	lossless bool
 	// free recycles transmissions whose completion has fired.
 	free []*transmission
 }
 
 // NewMedium creates a medium on the given engine with its own PRNG stream.
 func NewMedium(eng *sim.Engine, rng *sim.RNG, cfg Config) *Medium {
-	return &Medium{
-		eng:       eng,
-		rng:       rng,
-		cfg:       cfg,
-		links:     make(map[linkKey]*linkState),
-		forcedPER: -1,
+	m := &Medium{
+		eng:   eng,
+		rng:   rng,
+		cfg:   cfg,
+		links: make(map[linkKey]*linkState),
 	}
+	m.ForcePER(-1)
+	return m
 }
 
 // Engine returns the simulation engine the medium runs on.
@@ -173,7 +178,11 @@ func (m *Medium) Stats() Stats { return m.stats }
 
 // ForcePER overrides the distance-based loss model with a fixed packet
 // error rate on every link. Pass a negative value to restore the model.
-func (m *Medium) ForcePER(per float64) { m.forcedPER = per }
+func (m *Medium) ForcePER(per float64) {
+	m.forcedPER = per
+	ge := m.cfg.Burst
+	m.lossless = ge.GoodToBad <= 0 && ge.PGood <= 0 && (per == 0 || per < 0 && m.cfg.RefPER == 0)
+}
 
 // ForcedPER returns the forced packet error rate, or a negative value
 // when the distance model is active.
@@ -442,8 +451,7 @@ func (m *Medium) deliverTo(tx *transmission, r *Radio, pair **linkState) {
 		return
 	}
 	// The receiver must have been in RX for the whole frame.
-	r.applyWindows()
-	if r.state != StateRX || r.lastSince > tx.start {
+	if !r.listeningSince(tx.start) {
 		m.stats.DroppedNoRX++
 		r.drops[DropNotListening]++
 		return
@@ -476,12 +484,19 @@ func (m *Medium) traceDrop(tx *transmission, r *Radio, reason string) {
 }
 
 // lossDraw decides whether the channel destroys the frame, combining the
-// distance PER with the Gilbert-Elliott burst overlay.
+// distance PER with the Gilbert-Elliott burst overlay. It makes two
+// draws from the medium's stream. On a lossless medium both outcomes
+// are certain for a pair in the Good state, so it skips the two values
+// instead of drawing them.
 func (m *Medium) lossDraw(tx, rx *Radio, pair **linkState) bool {
 	if *pair == nil {
 		*pair = m.link(tx.id, rx.id)
 	}
 	ls := *pair
+	if m.lossless && !ls.bad {
+		m.rng.Skip(2)
+		return false
+	}
 	ge := m.cfg.Burst
 	// State transition per packet.
 	if ls.bad {

@@ -31,7 +31,9 @@ type Kind uint8
 
 // Packet is a link-layer frame. Src/Dst are end-to-end addresses; Hop is
 // the link-layer next hop chosen by the routing layer (Broadcast means
-// every listener delivers the frame).
+// every listener delivers the frame). The medium numbers its
+// transmissions from 1 in Seq, wrapping, and hands every receiver of one
+// transmission the same Seq and Payload.
 type Packet struct {
 	Src     NodeID
 	Dst     NodeID

@@ -16,9 +16,9 @@ type Radio struct {
 	lastSince time.Duration // when the current state was entered
 	chargedTo time.Duration // how far the battery has been charged
 	battery   *Battery
-	// catchUp, when set, applies the state transitions the link layer's
-	// schedule made due since it last ran (see SetCatchUp).
-	catchUp  func()
+	// windows, when set, is the link layer's schedule of RX windows,
+	// applied lazily (see SetWindows).
+	windows  Windows
 	handler  func(Packet)
 	capture  *transmission // frame currently being captured, if any
 	received int
@@ -91,19 +91,48 @@ func (r *Radio) Recover() {
 	r.state, r.lastSince = StateSleep, r.chargedTo
 }
 
-// SetCatchUp installs fn as the radio's catch-up hook (nil removes it).
-// A link layer whose schedule opens and closes RX windows without
-// changing the radio's state at those instants installs one: fn applies
-// every transition due so far, in order, through OpenWindow and
-// CloseWindows. The radio calls fn before anything reads or changes its
-// power state or charges its battery, so every observer sees the state
-// the schedule left.
-func (r *Radio) SetCatchUp(fn func()) { r.catchUp = fn }
+// Windows is a link layer's schedule of RX windows, applied lazily: the
+// schedule opens and closes windows without changing the radio's state at
+// those instants, and the radio asks it to catch up, or whether it is
+// listening, when that state matters.
+type Windows interface {
+	// CatchUp applies every transition due so far, in order, through
+	// OpenWindow and CloseWindows.
+	CatchUp()
+	// PendingRX reports when the RX window that the schedule holds open
+	// now opened, if CatchUp has not applied that window yet: CatchUp
+	// would put the radio in RX at that time, with no transition
+	// after it. ok is false when no such window is pending.
+	PendingRX() (at time.Duration, ok bool)
+}
+
+// SetWindows installs w as the radio's schedule of RX windows (nil
+// removes it). The radio calls w.CatchUp before anything reads or changes
+// its power state or charges its battery, so every observer sees the
+// state the schedule left. The one exception is whether a frame found
+// the radio listening: w.PendingRX answers that when it can, without
+// applying anything.
+func (r *Radio) SetWindows(w Windows) { r.windows = w }
 
 func (r *Radio) applyWindows() {
-	if r.catchUp != nil {
-		r.catchUp()
+	if r.windows != nil {
+		r.windows.CatchUp()
 	}
+}
+
+// listeningSince reports whether the radio has been in RX since t or
+// earlier. A window the schedule holds open, not yet applied, answers
+// it without applying anything when the radio is live and has changed
+// state no later than the window opened; otherwise the radio applies
+// its windows and looks.
+func (r *Radio) listeningSince(t time.Duration) bool {
+	if w := r.windows; w != nil {
+		if at, ok := w.PendingRX(); ok && at <= t && !r.failed && r.lastSince <= at {
+			return true
+		}
+		w.CatchUp()
+	}
+	return r.state == StateRX && r.lastSince <= t
 }
 
 // OpenWindow applies an RX window that opened at virtual time at, no

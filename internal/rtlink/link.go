@@ -155,20 +155,25 @@ func (l *Link) transmitNext() {
 	}
 }
 
-// onFrame handles a radio frame addressed to this node's hop.
+// onFrame handles a radio frame addressed to this node's hop. The first
+// receiver of a transmission decodes its fragment into the network's
+// memo, and every other receiver reads it there. A frame shorter than the
+// header is rejected before the memo is read.
 func (l *Link) onFrame(pkt radio.Packet) {
-	if pkt.Kind != dataKind {
+	b := pkt.Payload
+	if pkt.Kind != dataKind || len(b) < fragHeaderLen {
 		return
 	}
-	f, err := decodeFragment(pkt.Payload)
-	if err != nil {
-		return
+	n := l.net
+	if k := (memoKey{pkt.Seq, &b[0], len(b)}); k != n.lastKey {
+		n.remember(k, b)
 	}
+	f := &n.last
 	l.stats.FragsReceived++
 	if f.dst != l.ID() && f.dst != radio.Broadcast {
 		// Relay toward the destination if a route exists.
 		if _, ok := l.routes[f.dst]; ok {
-			l.txq = append(l.txq, f)
+			l.txq = append(l.txq, *f)
 			l.stats.FragsRelayed++
 			if l.QueueLen() == 1 {
 				l.net.wake(l)
@@ -176,7 +181,7 @@ func (l *Link) onFrame(pkt radio.Packet) {
 		}
 		return
 	}
-	msg, done := l.reasm.add(f)
+	msg, done := l.reasm.add(*f)
 	if !done {
 		return
 	}
@@ -188,15 +193,15 @@ func (l *Link) onFrame(pkt radio.Packet) {
 	// No: broadcast stays single-hop in this model.
 }
 
-// catchUp applies, in firing order, every transition of the radio that
+// CatchUp applies, in firing order, every transition of the radio that
 // the current frame's plan holds and the engine has passed: an RX window
 // opens at each slot the node listens in, and the radio goes to sleep
-// when any slot it listens in or owns closes. The radio calls it before
-// anything reads or changes its state or battery. However many slots
-// have closed since the last call, it costs O(1): the radio is asleep
-// after the first close, so the rest charge their RX time and the sleep
-// between in one step.
-func (l *Link) catchUp() {
+// when any slot it listens in or owns closes. The radio calls it (as its
+// radio.Windows) before anything reads or changes its state or battery.
+// However many slots have closed since the last call, it costs O(1): the
+// radio is asleep after the first close, so the rest charge their RX
+// time and the sleep between in one step.
+func (l *Link) CatchUp() {
 	listen, member := l.listen(), l.member()
 	i := nextIn(member, int(l.win))
 	if i < 0 {
@@ -225,6 +230,25 @@ func (l *Link) catchUp() {
 		l.r.OpenWindow(n.slotAt(c))
 		l.inWin = true
 	}
+}
+
+// PendingRX implements radio.Windows: it reports when the window of the
+// frame's open slot c opened, if l listens in c and CatchUp has not
+// applied that window yet. CatchUp would then end by opening it, so a
+// frame on the air since then finds a live radio listening, unless
+// something changed the radio's state after the window opened; the
+// radio checks that. A link that joined while c was open counts the
+// window as applied (see Network.Join), so it is never pending.
+func (l *Link) PendingRX() (time.Duration, bool) {
+	n := l.net
+	if n.fp == nil {
+		return 0, false
+	}
+	c := n.closedUpTo()
+	if (l.inWin && int(l.win) == c) || !has(l.listen(), c) || !n.opened(c) {
+		return 0, false
+	}
+	return n.slotAt(c), true
 }
 
 // listen returns the bit set of the slots l listens in, in the current

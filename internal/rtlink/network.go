@@ -24,7 +24,7 @@ const dataKind radio.Kind = 1
 // listeners their return to sleep at its close, from the frame's plan,
 // not from an event: each Link applies the transitions the engine has
 // gone past, in the engine's firing order, before anything reads or
-// changes its radio (see Link.catchUp).
+// changes its radio (see Link.CatchUp).
 type Network struct {
 	eng   *sim.Engine
 	med   *radio.Medium
@@ -53,6 +53,12 @@ type Network struct {
 	frameSeq                         uint64 // first reserved sequence number
 	queued                           []bool // queued[i]: slot i's open is in the engine queue
 	closedN                          int    // how many of the frame's slots had closed at the last look
+
+	// last is the fragment of the latest transmission a link decoded;
+	// every other receiver of that transmission reads it from here (see
+	// Link.onFrame). lastKey names the transmission.
+	last    fragment
+	lastKey memoKey
 
 	started bool
 	stopped bool
@@ -204,6 +210,28 @@ func (n *Network) closedUpTo() int {
 	return n.closedN
 }
 
+// memoKey names a transmission: every receiver of one is handed the
+// same packet, with the medium's per-transmission Seq and one payload
+// that no receiver may change, so Seq with the payload's backing array
+// and length tells one transmission from another.
+type memoKey struct {
+	seq uint32
+	buf *byte
+	n   int
+}
+
+// remember decodes b, the payload of the transmission k names, into the
+// memo (see Link.onFrame). The medium numbers its transmissions from 1,
+// so a packet with Seq 0 was built by hand: its fragment is kept under
+// no key, and the next such packet is decoded again.
+func (n *Network) remember(k memoKey, b []byte) {
+	if k.seq == 0 {
+		k = memoKey{}
+	}
+	n.last, _ = decodeFragment(b)
+	n.lastKey = k
+}
+
 // Config returns the frame configuration.
 func (n *Network) Config() Config { return n.cfg }
 
@@ -257,7 +285,7 @@ func (n *Network) Join(id radio.NodeID) (*Link, error) {
 		l.inWin = has(l.listen(), c) && n.opened(c)
 	}
 	r.SetHandler(l.onFrame)
-	r.SetCatchUp(l.catchUp)
+	r.SetWindows(l)
 	if int(id) >= len(n.byID) {
 		n.byID = append(n.byID, make([]*Link, int(id)+1-len(n.byID))...)
 	}
@@ -274,8 +302,8 @@ func (n *Network) Leave(id radio.NodeID) {
 	if l == nil {
 		return
 	}
-	l.catchUp()
-	l.r.SetCatchUp(nil)
+	l.CatchUp()
+	l.r.SetWindows(nil)
 	l.r.SetHandler(nil)
 	n.byID[id] = nil
 }
@@ -318,7 +346,7 @@ func (n *Network) runFrame() {
 		l.txThisFrame = 0 // replenish network reserves
 		if active {
 			// Apply the last frame's windows before its plan goes.
-			l.catchUp()
+			l.CatchUp()
 			l.sets, l.win, l.inWin = n.plan.sets3(l.r.ID(), 0, 2), 0, false
 		}
 	}

@@ -309,7 +309,14 @@ func reschedule(s Schedule) func(*world) {
 func compareWorlds(t *testing.T, name string, spec cellSpec, script []step, horizons []time.Duration) []string {
 	t.Helper()
 	got := newWorld(t, spec, false).run(script, horizons)
-	want := newWorld(t, spec, true).run(script, horizons)
+	sameLog(t, name, "the eager reference", got, newWorld(t, spec, true).run(script, horizons))
+	return got
+}
+
+// sameLog fails on the first line where got differs from want, the log
+// of ref.
+func sameLog(t *testing.T, name, ref string, got, want []string) {
+	t.Helper()
 	for i := range max(len(got), len(want)) {
 		var g, w string
 		if i < len(got) {
@@ -319,10 +326,9 @@ func compareWorlds(t *testing.T, name string, spec cellSpec, script []step, hori
 			w = want[i]
 		}
 		if g != w {
-			t.Fatalf("%s: line %d differs from the eager reference:\n got  %s\n want %s", name, i, g, w)
+			t.Fatalf("%s: line %d differs from %s:\n got  %s\n want %s", name, i, ref, g, w)
 		}
 	}
-	return got
 }
 
 // meshSpec is an n-node mesh on a 3 m line, one slot each, in a frame of

@@ -26,6 +26,13 @@ func (r *RNG) Uint64() uint64 {
 	return z ^ (z >> 31)
 }
 
+// Skip advances the stream past n values, exactly as n calls of Uint64,
+// Float64 or Bool would, without computing them. A pending NormFloat64
+// spare stays pending, as it would under those calls.
+func (r *RNG) Skip(n uint64) {
+	r.state += n * 0x9e3779b97f4a7c15
+}
+
 // Float64 returns a uniform value in [0,1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)

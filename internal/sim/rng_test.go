@@ -132,3 +132,31 @@ func TestShufflePermutation(t *testing.T) {
 		t.Fatalf("shuffle lost elements: %v", xs)
 	}
 }
+
+// TestRNGSkip: Skip(n) leaves the stream where n Bool calls would, for
+// the next Uint64, Float64 and NormFloat64, and leaves a pending normal
+// spare pending.
+func TestRNGSkip(t *testing.T) {
+	for _, n := range []uint64{0, 1, 2, 3, 17, 1000} {
+		for _, spare := range []bool{false, true} {
+			skipped, drawn := NewRNG(n+9), NewRNG(n+9)
+			if spare {
+				skipped.NormFloat64()
+				drawn.NormFloat64()
+			}
+			skipped.Skip(n)
+			for range n {
+				drawn.Bool(0.5)
+			}
+			if s, d := skipped.NormFloat64(), drawn.NormFloat64(); s != d {
+				t.Fatalf("n=%d spare=%v: NormFloat64 %v after Skip, %v after draws", n, spare, s, d)
+			}
+			if s, d := skipped.Float64(), drawn.Float64(); s != d {
+				t.Fatalf("n=%d spare=%v: Float64 %v after Skip, %v after draws", n, spare, s, d)
+			}
+			if s, d := skipped.Uint64(), drawn.Uint64(); s != d {
+				t.Fatalf("n=%d spare=%v: Uint64 %x after Skip, %x after draws", n, spare, s, d)
+			}
+		}
+	}
+}
