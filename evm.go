@@ -473,11 +473,13 @@ func (c *Cell) StartSensorFeed(src NodeID, period time.Duration, sample func() [
 	if period <= 0 {
 		return nil, fmt.Errorf("evm: feed period %v", period)
 	}
+	var buf []byte // the link copies each snapshot in Send
 	tk := c.eng.Every(period, func() {
-		payload, err := wire.EncodeSensors(sample())
+		payload, err := wire.SensorSnapshot{Readings: sample()}.AppendTo(buf[:0])
 		if err != nil {
 			return
 		}
+		buf = payload
 		_ = link.Send(rtlink.Message{Dst: radio.Broadcast, Kind: wire.KindSensor, Payload: payload})
 	})
 	return tk, nil
@@ -503,11 +505,13 @@ func (c *Cell) StartSensorFeedTo(src NodeID, period time.Duration, sample func()
 			return nil, fmt.Errorf("evm: feed destination %v not joined", dst)
 		}
 	}
+	var buf []byte // the link copies each snapshot in Send
 	tk := c.eng.Every(period, func() {
-		payload, err := wire.EncodeSensors(sample())
+		payload, err := wire.SensorSnapshot{Readings: sample()}.AppendTo(buf[:0])
 		if err != nil {
 			return
 		}
+		buf = payload
 		for _, dst := range dsts {
 			_ = link.Send(rtlink.Message{Dst: dst, Kind: wire.KindSensor, Payload: payload})
 		}

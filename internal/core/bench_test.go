@@ -9,22 +9,23 @@ import (
 	"evm/internal/wire"
 )
 
-// BenchmarkHealthFanout times one control cycle of a 16-node mesh: the
-// gateway broadcasts a sensor snapshot to the other 15 nodes, the 14
-// controllers (a primary and a backup for each of 7 tasks) each run a
-// cycle and broadcast a health bundle, and every bundle reaches the 15
-// other nodes, of which only the head and the sender's backup read it.
-// One op is one 250 ms TDMA frame in steady state; deliveries/op counts
-// the frames handed to receivers, and ns/delivery divides the time of
-// the whole cycle by them.
-func BenchmarkHealthFanout(b *testing.B) {
+// newFanout builds a 16-node mesh with the medium's loss forced to per:
+// node 1 is a bare gateway link and node 16 the head, and 14 controllers
+// hold a primary and a backup for each of 7 tasks. It returns the medium
+// and one control cycle: the gateway broadcasts a sensor snapshot to the
+// other 15 nodes, the controllers each run a cycle and broadcast a health
+// bundle, and every bundle reaches the 15 other nodes, of which only the
+// head and the sender's backup read it. A cycle is one 250 ms TDMA frame;
+// the mesh has run four of them, so it is in steady state.
+func newFanout(tb testing.TB, per float64) (*radio.Medium, func()) {
 	const nodes, tasks = 16, 7
 	const gw, head radio.NodeID = 1, nodes
 	ids := make([]radio.NodeID, nodes)
 	for i := range ids {
 		ids[i] = radio.NodeID(i + 1)
 	}
-	eng, med, net := newMesh(b, ids)
+	eng, med, net := newMesh(tb, ids)
+	med.ForcePER(per)
 	cfg := VCConfig{Name: "fanout", Head: head, Gateway: gw}
 	readings := make([]wire.SensorReading, tasks)
 	for i := range tasks {
@@ -38,13 +39,13 @@ func BenchmarkHealthFanout(b *testing.B) {
 	}
 	graph, err := cfg.TransferGraph()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	var gwLink *rtlink.Link
 	for _, id := range ids {
 		link, err := net.Join(id)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if id == gw {
 			gwLink = link
@@ -52,19 +53,19 @@ func BenchmarkHealthFanout(b *testing.B) {
 		}
 		node, err := NewNode(net, link, cfg, graph)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		node.Start()
 	}
-	snapshot, err := wire.EncodeSensors(readings)
+	snapshot, err := wire.SensorSnapshot{Readings: readings}.Encode()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	frame := net.Config().FrameDuration()
 	net.Start()
 	cycle := func() {
 		if err := gwLink.Send(rtlink.Message{Dst: radio.Broadcast, Kind: wire.KindSensor, Payload: snapshot}); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		_ = eng.RunUntil(eng.Now() + frame)
 	}
@@ -73,6 +74,37 @@ func BenchmarkHealthFanout(b *testing.B) {
 	for range 4 {
 		cycle()
 	}
+	return med, cycle
+}
+
+// TestControlCycleDoesNotAllocate pins the per-message path at zero
+// allocations: snapshot fan-out, replica steps, actuations and health
+// bundles, on a lossless channel and at 10% loss, where drops share the
+// recycled transmission buffers. Each measured run is 40 cycles, because
+// AllocsPerRun divides the count by its runs and would hide fewer
+// allocations than runs.
+func TestControlCycleDoesNotAllocate(t *testing.T) {
+	for _, per := range []float64{0, 0.1} {
+		med, cycle := newFanout(t, per)
+		allocs := testing.AllocsPerRun(1, func() {
+			for range 40 {
+				cycle()
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("PER %v: 40 control cycles allocated %v times, want 0", per, allocs)
+		}
+		if s := med.Stats(); per > 0 && s.DroppedLoss == 0 {
+			t.Errorf("PER %v: no frame was lost, so the lossy path went unmeasured", per)
+		}
+	}
+}
+
+// benchFanout times newFanout's control cycle. deliveries/op counts the
+// frames handed to receivers, and ns/delivery divides the time of the
+// whole cycle by them.
+func benchFanout(b *testing.B, per float64) {
+	med, cycle := newFanout(b, per)
 	before := med.Stats().Delivered
 	for b.Loop() {
 		cycle()
@@ -81,3 +113,11 @@ func BenchmarkHealthFanout(b *testing.B) {
 	b.ReportMetric(delivered/float64(b.N), "deliveries/op")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/delivered, "ns/delivery")
 }
+
+// BenchmarkHealthFanout times one control cycle of the 16-node mesh on a
+// lossless channel.
+func BenchmarkHealthFanout(b *testing.B) { benchFanout(b, 0) }
+
+// BenchmarkHealthFanoutLossy is BenchmarkHealthFanout at 10% loss, where
+// loss draws are made and dropped frames share the recycled buffers.
+func BenchmarkHealthFanoutLossy(b *testing.B) { benchFanout(b, 0.1) }

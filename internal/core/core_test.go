@@ -132,7 +132,7 @@ func newRig(t *testing.T, cfg VCConfig) *rig {
 	}
 	// The gateway stub broadcasts the sensor snapshot every 250 ms.
 	r.ticker = eng.Every(250*time.Millisecond, func() {
-		payload, err := wire.EncodeSensors([]wire.SensorReading{{Port: 0, Value: r.sensor()}})
+		payload, err := wire.SensorSnapshot{Readings: []wire.SensorReading{{Port: 0, Value: r.sensor()}}}.Encode()
 		if err != nil {
 			return
 		}

@@ -98,15 +98,18 @@ type Node struct {
 	lastSensorAt time.Duration
 
 	// Per-cycle scratch: sensorIn is the decode target of onSensor,
-	// healthIn that of onHealth, and healthOut the record buffer of
-	// sendHealthBundle. None of them re-enters itself, so each may keep
-	// reading its buffer while the work it does sends messages: a node
-	// dispatches locally only what it addresses to itself, never a
-	// broadcast, and only the gateway sends snapshots; every other
-	// message reaches a handler through the radio, in a later event.
+	// healthIn that of onHealth, healthOut the record buffer of
+	// sendHealthBundle, and out the encode buffer of sendActuate and
+	// sendHealthBundle, which the link copies in Send. None of them
+	// re-enters itself, so each may keep reading its buffer while the
+	// work it does sends messages: a node dispatches locally only what
+	// it addresses to itself, never a broadcast, and only the gateway
+	// sends snapshots; every other message reaches a handler through
+	// the radio, in a later event.
 	sensorIn  wire.SensorSnapshot
 	healthIn  wire.HealthBundle
 	healthOut []wire.HealthRecord
+	out       []byte
 }
 
 // SetMigrationSink registers the facade-level migration observer.
@@ -433,10 +436,11 @@ func (n *Node) sendActuate(r *replica) {
 		Value:  r.lastOutput,
 		TaskID: r.spec.ID,
 		Seq:    r.outSeq,
-	}.Encode()
+	}.AppendTo(n.out[:0])
 	if err != nil {
 		return
 	}
+	n.out = payload
 	n.send(rtlink.Message{Dst: n.cfg.Gateway, Kind: wire.KindActuate, Payload: payload})
 	n.stats.ActuationsSent++
 }
@@ -469,10 +473,11 @@ func (n *Node) sendHealthBundle() {
 		Node:    uint16(n.id),
 		Battery: battery,
 		Records: records,
-	}.Encode()
+	}.AppendTo(n.out[:0])
 	if err != nil {
 		return
 	}
+	n.out = payload
 	n.send(rtlink.Message{Dst: radio.Broadcast, Kind: wire.KindHealth, Payload: payload})
 	n.stats.HealthSent++
 }

@@ -74,7 +74,7 @@ func TestTemporalConditionalDiscardsStaleInput(t *testing.T) {
 	}
 
 	// Un-timestamped snapshots (At=0) are treated as fresh.
-	legacy, err := wire.EncodeSensors([]wire.SensorReading{{Port: 0, Value: 50}})
+	legacy, err := wire.SensorSnapshot{Readings: []wire.SensorReading{{Port: 0, Value: 50}}}.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -167,6 +167,10 @@ type Gateway struct {
 	ids    wire.Interner // canonical task IDs for decoded actuations
 
 	lastPollAt time.Duration
+	// readings and snap are pollOnce's reading list and encode buffer,
+	// reused every poll; the link copies the snapshot in Send.
+	readings []wire.SensorReading
+	snap     []byte
 	// actuateSink is the facade's event-bus observer for accepted
 	// actuations (ActuationEvent on evm.Cell.Events).
 	actuateSink func(src radio.NodeID, taskID string, port uint8, value float64)
@@ -227,7 +231,7 @@ func (g *Gateway) LastPollAt() time.Duration { return g.lastPollAt }
 func (g *Gateway) pollOnce() {
 	g.lastPollAt = g.eng.Now()
 	g.ps.Refresh()
-	readings := make([]wire.SensorReading, 0, len(g.cfg.Sensors))
+	readings := g.readings[:0]
 	for _, sm := range g.cfg.Sensors {
 		resp, err := g.ps.Srv.Handle(g.cli.ReadHoldingRequest(sm.Reg, 1))
 		if err != nil {
@@ -244,11 +248,13 @@ func (g *Gateway) pollOnce() {
 			Value: modbus.FromReg(vals[0], sm.Scale) - sm.Offset,
 		})
 	}
-	payload, err := wire.SensorSnapshot{At: g.eng.Now(), Readings: readings}.Encode()
+	g.readings = readings
+	payload, err := wire.SensorSnapshot{At: g.eng.Now(), Readings: readings}.AppendTo(g.snap[:0])
 	if err != nil {
 		g.stats.ModbusErrors++
 		return
 	}
+	g.snap = payload
 	if err := g.link.Send(rtlink.Message{
 		Dst:     radio.Broadcast,
 		Kind:    wire.KindSensor,

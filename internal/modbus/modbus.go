@@ -94,20 +94,19 @@ func checkCRC(frame []byte) ([]byte, error) {
 // RegisterMap is a bank of 16-bit holding registers with an allowed
 // address window.
 type RegisterMap struct {
-	regs map[uint16]uint16
-	max  uint16
+	regs []uint16 // regs[addr] for every address in the window
 	// OnWrite, when set, observes every successful register write.
 	OnWrite func(addr, value uint16)
 }
 
 // NewRegisterMap creates a map accepting addresses [0, maxAddr].
 func NewRegisterMap(maxAddr uint16) *RegisterMap {
-	return &RegisterMap{regs: make(map[uint16]uint16), max: maxAddr}
+	return &RegisterMap{regs: make([]uint16, int(maxAddr)+1)}
 }
 
 // Read returns the register value (unset registers read as zero).
 func (m *RegisterMap) Read(addr uint16) (uint16, bool) {
-	if addr > m.max {
+	if int(addr) >= len(m.regs) {
 		return 0, false
 	}
 	return m.regs[addr], true
@@ -115,7 +114,7 @@ func (m *RegisterMap) Read(addr uint16) (uint16, bool) {
 
 // Write sets a register value.
 func (m *RegisterMap) Write(addr, value uint16) bool {
-	if addr > m.max {
+	if int(addr) >= len(m.regs) {
 		return false
 	}
 	m.regs[addr] = value
@@ -129,10 +128,13 @@ func (m *RegisterMap) Write(addr, value uint16) bool {
 type Server struct {
 	UnitID byte
 	Regs   *RegisterMap
+	out    []byte // response buffer, reused by every Handle
 }
 
 // Handle processes one request frame and returns the response frame.
 // Frames addressed to other units return nil (silent, per RTU semantics).
+// The response is built in a buffer the server owns: it stays valid until
+// the next call to Handle.
 func (s *Server) Handle(frame []byte) ([]byte, error) {
 	body, err := checkCRC(frame)
 	if err != nil {
@@ -158,8 +160,21 @@ func (s *Server) Handle(frame []byte) ([]byte, error) {
 	}
 }
 
+// reply starts a response frame in the server's buffer.
+func (s *Server) reply(fn byte) []byte {
+	s.out = append(s.out[:0], s.UnitID, fn)
+	return s.out
+}
+
+// finish appends the CRC to a response frame, keeping its storage for
+// the next.
+func (s *Server) finish(out []byte) []byte {
+	s.out = appendCRC(out)
+	return s.out
+}
+
 func (s *Server) exception(fn, code byte) []byte {
-	return appendCRC(append(make([]byte, 0, 5), s.UnitID, fn|0x80, code))
+	return s.finish(append(s.reply(fn|0x80), code))
 }
 
 func (s *Server) readHolding(pdu []byte) ([]byte, error) {
@@ -171,7 +186,7 @@ func (s *Server) readHolding(pdu []byte) ([]byte, error) {
 	if count == 0 || count > 125 {
 		return s.exception(FuncReadHolding, ExcIllegalValue), nil
 	}
-	out := append(make([]byte, 0, 3+2*int(count)+2), s.UnitID, FuncReadHolding, byte(count*2))
+	out := append(s.reply(FuncReadHolding), byte(count*2))
 	for i := uint16(0); i < count; i++ {
 		v, ok := s.Regs.Read(addr + i)
 		if !ok {
@@ -179,7 +194,7 @@ func (s *Server) readHolding(pdu []byte) ([]byte, error) {
 		}
 		out = binary.BigEndian.AppendUint16(out, v)
 	}
-	return appendCRC(out), nil
+	return s.finish(out), nil
 }
 
 func (s *Server) writeSingle(pdu []byte) ([]byte, error) {
@@ -192,10 +207,9 @@ func (s *Server) writeSingle(pdu []byte) ([]byte, error) {
 		return s.exception(FuncWriteSingle, ExcIllegalAddress), nil
 	}
 	// Echo per spec.
-	out := append(make([]byte, 0, 8), s.UnitID, FuncWriteSingle)
-	out = binary.BigEndian.AppendUint16(out, addr)
+	out := binary.BigEndian.AppendUint16(s.reply(FuncWriteSingle), addr)
 	out = binary.BigEndian.AppendUint16(out, value)
-	return appendCRC(out), nil
+	return s.finish(out), nil
 }
 
 func (s *Server) writeMultiple(pdu []byte) ([]byte, error) {
@@ -218,31 +232,38 @@ func (s *Server) writeMultiple(pdu []byte) ([]byte, error) {
 		v := binary.BigEndian.Uint16(pdu[5+2*i:])
 		s.Regs.Write(addr+i, v)
 	}
-	out := append(make([]byte, 0, 8), s.UnitID, FuncWriteMultiple)
-	out = binary.BigEndian.AppendUint16(out, addr)
+	out := binary.BigEndian.AppendUint16(s.reply(FuncWriteMultiple), addr)
 	out = binary.BigEndian.AppendUint16(out, count)
-	return appendCRC(out), nil
+	return s.finish(out), nil
 }
 
-// Client builds requests for and parses responses from a Server.
+// Client builds requests for and parses responses from a Server. It
+// builds every request in one buffer of its own, and parses register
+// values into another, so a request stays valid until the next request
+// is built and parsed values until the next response is parsed.
 type Client struct {
 	UnitID byte
+	req    []byte
+	vals   []uint16
 }
 
 // ReadHoldingRequest builds a read request for count registers at addr.
 func (c *Client) ReadHoldingRequest(addr, count uint16) []byte {
-	out := append(make([]byte, 0, 8), c.UnitID, FuncReadHolding)
-	out = binary.BigEndian.AppendUint16(out, addr)
-	out = binary.BigEndian.AppendUint16(out, count)
-	return appendCRC(out)
+	return c.request(FuncReadHolding, addr, count)
 }
 
 // WriteSingleRequest builds a single-register write.
 func (c *Client) WriteSingleRequest(addr, value uint16) []byte {
-	out := append(make([]byte, 0, 8), c.UnitID, FuncWriteSingle)
-	out = binary.BigEndian.AppendUint16(out, addr)
-	out = binary.BigEndian.AppendUint16(out, value)
-	return appendCRC(out)
+	return c.request(FuncWriteSingle, addr, value)
+}
+
+// request builds a request of two 16-bit fields in the client's buffer.
+func (c *Client) request(fn byte, a, b uint16) []byte {
+	out := append(c.req[:0], c.UnitID, fn)
+	out = binary.BigEndian.AppendUint16(out, a)
+	out = binary.BigEndian.AppendUint16(out, b)
+	c.req = appendCRC(out)
+	return c.req
 }
 
 // ParseReadResponse extracts register values from a read response.
@@ -258,9 +279,6 @@ func (c *Client) ParseReadResponse(frame []byte) ([]uint16, error) {
 		return nil, ErrUnitID
 	}
 	if body[1]&0x80 != 0 {
-		if len(body) < 3 {
-			return nil, ErrMalformed
-		}
 		return nil, &ExceptionError{Function: body[1] &^ 0x80, Code: body[2]}
 	}
 	if body[1] != FuncReadHolding {
@@ -270,11 +288,11 @@ func (c *Client) ParseReadResponse(frame []byte) ([]uint16, error) {
 	if n%2 != 0 || len(body) != 3+n {
 		return nil, ErrMalformed
 	}
-	vals := make([]uint16, n/2)
-	for i := range vals {
-		vals[i] = binary.BigEndian.Uint16(body[3+2*i:])
+	c.vals = c.vals[:0]
+	for i := 3; i < len(body); i += 2 {
+		c.vals = append(c.vals, binary.BigEndian.Uint16(body[i:]))
 	}
-	return vals, nil
+	return c.vals, nil
 }
 
 // CheckWriteResponse validates a write echo (single or multiple).
@@ -290,6 +308,10 @@ func (c *Client) CheckWriteResponse(frame []byte) error {
 		return ErrUnitID
 	}
 	if body[1]&0x80 != 0 {
+		// An exception carries its code in a third byte.
+		if len(body) < 3 {
+			return ErrMalformed
+		}
 		return &ExceptionError{Function: body[1] &^ 0x80, Code: body[2]}
 	}
 	return nil

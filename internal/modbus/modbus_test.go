@@ -249,3 +249,89 @@ func TestZeroCountRejected(t *testing.T) {
 		t.Fatalf("err = %v, want illegal-value", err)
 	}
 }
+
+// TestShortExceptionFrameRejected: a CRC-valid response of unit and
+// function with the exception bit set, but no exception code, is
+// malformed for both parsers; CheckWriteResponse used to read past it.
+func TestShortExceptionFrameRejected(t *testing.T) {
+	_, cli := newPair()
+	frame := appendCRC([]byte{9, FuncWriteSingle | 0x80})
+	if err := cli.CheckWriteResponse(frame); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("CheckWriteResponse = %v, want ErrMalformed", err)
+	}
+	if _, err := cli.ParseReadResponse(frame); !errors.Is(err, ErrShort) {
+		t.Fatalf("ParseReadResponse = %v, want ErrShort", err)
+	}
+}
+
+// TestFramesLiveInOwnedBuffers: the client builds every request in one
+// buffer and the server every response in another, so a frame is valid
+// until its owner builds the next one.
+func TestFramesLiveInOwnedBuffers(t *testing.T) {
+	srv, cli := newPair()
+	req := cli.ReadHoldingRequest(1, 1)
+	again := cli.WriteSingleRequest(1, 5)
+	if &req[0] != &again[0] {
+		t.Fatal("the client built its second request in a new buffer")
+	}
+	resp, err := srv.Handle(again)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, err := srv.Handle(cli.ReadHoldingRequest(1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &resp[0] != &next[0] {
+		t.Fatal("the server built its second response in a new buffer")
+	}
+	vals, err := cli.ParseReadResponse(next)
+	if err != nil || len(vals) != 1 || vals[0] != 5 {
+		t.Fatalf("read back %v, %v; want [5]", vals, err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		resp, err := srv.Handle(cli.WriteSingleRequest(2, 7))
+		if err != nil || cli.CheckWriteResponse(resp) != nil {
+			t.Fatal("write failed")
+		}
+		if resp, err = srv.Handle(cli.ReadHoldingRequest(2, 1)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cli.ParseReadResponse(resp); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a write and a read allocated %v times, want 0", allocs)
+	}
+}
+
+// FuzzModbus: arbitrary frames through Server.Handle, ParseReadResponse
+// and CheckWriteResponse never panic, and every response the server
+// gives carries a valid CRC. Seeds are well-formed requests of each
+// function, exceptions and short frames.
+func FuzzModbus(f *testing.F) {
+	_, cli := newPair()
+	f.Add(append([]byte(nil), cli.ReadHoldingRequest(5, 3)...))
+	f.Add(append([]byte(nil), cli.WriteSingleRequest(7, 42)...))
+	f.Add(appendCRC([]byte{9, FuncWriteMultiple, 0, 20, 0, 2, 4, 0, 7, 0, 8}))
+	f.Add(appendCRC([]byte{9, 0x55, 0, 0}))
+	f.Add(appendCRC([]byte{9, FuncReadHolding | 0x80, ExcIllegalAddress}))
+	f.Add(appendCRC([]byte{9, FuncWriteSingle | 0x80}))
+	f.Add(appendCRC([]byte{9, FuncReadHolding, 4, 0, 1, 0, 2}))
+	f.Add([]byte{9, 3})
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		srv, cli := newPair()
+		resp, err := srv.Handle(frame)
+		if resp != nil {
+			if err != nil {
+				t.Fatalf("Handle(%x) returned a response and an error %v", frame, err)
+			}
+			if _, err := checkCRC(resp); err != nil {
+				t.Fatalf("Handle(%x) = %x: %v", frame, resp, err)
+			}
+		}
+		_, _ = cli.ParseReadResponse(frame)
+		_ = cli.CheckWriteResponse(frame)
+	})
+}

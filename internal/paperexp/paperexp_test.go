@@ -82,33 +82,47 @@ func TestTableDeterministic(t *testing.T) {
 	}
 }
 
-// Allocation caps for two paper runs at their first seed, over every
-// parameter point, set just above the measured counts as the root
-// package's hotPathAllocBudget is. E1 (1000 s of Fig. 6) measures
-// 148,521, and up to 148,536 under -race; ota (three 30 s rollouts plus
-// the bad-capsule rollback) measures 44,924, and up to 45,483 under
-// -race.
+// Allocation caps for paper runs at their first seed, set just above the
+// measured counts as the root package's hotPathAllocBudget is. E1 (1000 s
+// of Fig. 6, every parameter point) measures 12,581, and up to 12,594
+// under -race; E2's PER 0.1 point, the lossy path, measures 1,890 (1,903
+// under -race); ota (three 30 s rollouts plus the bad-capsule rollback)
+// measures 22,006, and up to 22,554 under -race.
 const (
-	fig6AllocBudget = 152_000
-	otaAllocBudget  = 46_500
+	fig6AllocBudget    = 12_800
+	e2LossyAllocBudget = 2_000
+	otaAllocBudget     = 23_000
 )
 
 func TestPaperAllocBudget(t *testing.T) {
 	for _, c := range []struct {
-		name   string
-		budget float64
-	}{{"e1", fig6AllocBudget}, {"ota", otaAllocBudget}} {
+		name  string
+		point string // the one parameter point to run; "" runs them all
+		cap   float64
+	}{
+		{"e1", "", fig6AllocBudget},
+		{"e2", "per=0.1", e2LossyAllocBudget},
+		{"ota", "", otaAllocBudget},
+	} {
 		e, _ := Lookup(c.name)
+		ran := 0
 		got := testing.AllocsPerRun(1, func() {
 			for _, p := range e.Params {
+				if c.point != "" && p.Label != c.point {
+					continue
+				}
+				ran++
 				if _, err := e.Run(p, e.Seeds[0]); err != nil {
 					t.Fatal(err)
 				}
 			}
 		})
-		t.Logf("%s: %.0f allocs per run (budget %.0f)", c.name, got, c.budget)
-		if got > c.budget {
-			t.Errorf("%s made %.0f allocations, budget %.0f", c.name, got, c.budget)
+		if ran == 0 {
+			t.Fatalf("%s has no parameter point %q", c.name, c.point)
+		}
+		t.Logf("%s %s: %.0f allocs per run (budget %.0f)", c.name, c.point, got, c.cap)
+		if got > c.cap {
+			t.Errorf("%s %s made %.0f allocations, budget %.0f", c.name, c.point, got, c.cap)
 		}
 	}
 }

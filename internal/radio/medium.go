@@ -315,14 +315,17 @@ func (m *Medium) airTime(bytes int) time.Duration {
 }
 
 // transmission tracks one frame in flight. Transmissions are recycled
-// once their completion has fired, so the bound callback is built once
-// per transmission object rather than once per frame.
+// once their completion has fired, so the bound callback and the payload
+// buffer are built once per transmission object rather than once per
+// frame.
 type transmission struct {
 	med   *Medium
 	pkt   Packet
 	from  *Radio
 	start time.Duration
 	end   time.Duration
+	// buf holds the frame's copy of the payload; pkt.Payload is buf.
+	buf []byte
 	// collided marks receivers whose capture of this frame was
 	// destroyed; nil until the first collision.
 	collided map[NodeID]bool
@@ -354,8 +357,10 @@ func (tx *transmission) markCollided(id NodeID) {
 // Transmit sends pkt from the radio. The caller must have put the radio in
 // TX state; Transmit enforces this. Delivery callbacks fire at the end of
 // the air time, after which the sender returns to state prev. The payload
-// is copied once here; every receiver then shares that copy read-only. The
-// returned duration is the air time.
+// is copied once here into the transmission's buffer, so the caller may
+// reuse its own as soon as Transmit returns; every receiver then borrows
+// that copy read-only until its handler returns. The returned duration
+// is the air time.
 func (m *Medium) transmit(from *Radio, pkt Packet, prev State) (time.Duration, error) {
 	if from.state != StateTX {
 		return 0, fmt.Errorf("radio: node %v transmit in state %v", from.id, from.state)
@@ -366,12 +371,13 @@ func (m *Medium) transmit(from *Radio, pkt Packet, prev State) (time.Duration, e
 	}
 	m.seq++
 	pkt.Seq = m.seq
-	if pkt.Payload != nil {
-		pkt.Payload = append(make([]byte, 0, len(pkt.Payload)), pkt.Payload...)
-	}
 	m.stats.Sent++
 	air := m.airTime(pkt.AirBytes())
 	tx := m.newTransmission()
+	if pkt.Payload != nil {
+		tx.buf = append(tx.buf[:0], pkt.Payload...)
+		pkt.Payload = tx.buf
+	}
 	tx.pkt = pkt
 	tx.from = from
 	tx.start = m.eng.Now()
@@ -408,8 +414,8 @@ func (m *Medium) transmit(from *Radio, pkt Packet, prev State) (time.Duration, e
 // frame at every receiver, then returns the sender to the state it left
 // for the transmission, unless something else moved it out of TX
 // meanwhile. Receive handlers therefore see the sender still in TX. The
-// payload is not reused when the transmission is recycled: receivers
-// may keep it.
+// payload buffer is reused when the transmission is recycled, which is
+// why a handler only borrows it.
 func (tx *transmission) complete() {
 	m := tx.med
 	i, ok := m.index(tx.from)
@@ -428,7 +434,7 @@ func (tx *transmission) complete() {
 	if from.state == StateTX {
 		from.enter(tx.prev, m.eng.Now())
 	}
-	*tx = transmission{med: m, completeFn: tx.completeFn}
+	*tx = transmission{med: m, buf: tx.buf, completeFn: tx.completeFn}
 	m.free = append(m.free, tx)
 }
 

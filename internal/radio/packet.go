@@ -33,7 +33,9 @@ type Kind uint8
 // the link-layer next hop chosen by the routing layer (Broadcast means
 // every listener delivers the frame). The medium numbers its
 // transmissions from 1 in Seq, wrapping, and hands every receiver of one
-// transmission the same Seq and Payload.
+// transmission the same Seq and Payload. A received Payload is borrowed:
+// it lives in a buffer the medium recycles once every receiver's handler
+// has returned, so anything kept past the handler must be a copy.
 type Packet struct {
 	Src     NodeID
 	Dst     NodeID

@@ -128,28 +128,58 @@ func TestBurstStateSurvivesDetachAndReattach(t *testing.T) {
 	}
 }
 
-// BenchmarkMediumBroadcast times one broadcast frame from each of 16
-// radios in turn to the 15 others, all listening, on a lossy channel.
-func BenchmarkMediumBroadcast(b *testing.B) {
+// broadcaster returns one broadcast of a 64-byte frame on a 16-radio
+// medium with the default lossy channel, every radio listening; each call
+// sends from the next radio in turn and runs the engine until the frame
+// has reached the other 15.
+func broadcaster(tb testing.TB) func() {
 	eng := sim.New()
 	m := NewMedium(eng, sim.NewRNG(1), DefaultConfig())
 	radios := make([]*Radio, 16)
 	for i := range radios {
 		r, err := m.Attach(NodeID(i+1), Position{X: float64(i % 4 * 5), Y: float64(i / 4 * 5)}, NewBattery(2600), DefaultEnergyModel())
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		r.SetState(StateRX)
 		radios[i] = r
 	}
 	payload := make([]byte, 64)
 	i := 0
-	for b.Loop() {
+	return func() {
 		if _, err := radios[i%len(radios)].Send(Packet{Dst: Broadcast, Payload: payload}); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		eng.Run()
 		i++
+	}
+}
+
+// TestMediumBroadcastDoesNotAllocate: once every pair has drawn its
+// first loss and a transmission exists to recycle, a broadcast costs no
+// allocation, payload copy included. A run is 32 broadcasts, so
+// AllocsPerRun's division by runs cannot hide one.
+func TestMediumBroadcastDoesNotAllocate(t *testing.T) {
+	broadcast := broadcaster(t)
+	for range 16 {
+		broadcast()
+	}
+	allocs := testing.AllocsPerRun(1, func() {
+		for range 32 {
+			broadcast()
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("32 broadcasts allocated %v times, want 0", allocs)
+	}
+}
+
+// BenchmarkMediumBroadcast times one broadcast frame from each of 16
+// radios in turn to the 15 others, all listening, on a lossy channel.
+func BenchmarkMediumBroadcast(b *testing.B) {
+	broadcast := broadcaster(b)
+	for b.Loop() {
+		broadcast()
 	}
 }
 

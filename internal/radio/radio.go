@@ -62,9 +62,11 @@ func (r *Radio) Drops(reason DropReason) int {
 }
 
 // SetHandler installs the receive callback. The medium copies a payload
-// once per transmission, so no receiver aliases the sender's buffer; every
-// receiver of one transmission is handed that same copy, and must treat
-// the payload as read-only. A handler may keep the payload.
+// once per transmission into a buffer of its own, so no receiver aliases
+// the sender's buffer; every receiver of one transmission is handed that
+// same copy and must treat it as read-only. The handler borrows the
+// payload until it returns: the medium reuses the buffer for a later
+// transmission, so a handler that keeps the bytes must copy them.
 func (r *Radio) SetHandler(fn func(Packet)) { r.handler = fn }
 
 // SetDriftPPM sets the local oscillator drift in parts per million.

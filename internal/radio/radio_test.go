@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"time"
@@ -35,7 +36,10 @@ func TestDeliveryPerfectChannel(t *testing.T) {
 	a := attach(t, m, 1, Position{0, 0})
 	b := attach(t, m, 2, Position{5, 0})
 	var got []Packet
-	b.SetHandler(func(p Packet) { got = append(got, p) })
+	b.SetHandler(func(p Packet) {
+		p.Payload = bytes.Clone(p.Payload) // the handler only borrows it
+		got = append(got, p)
+	})
 	b.SetState(StateRX)
 	eng.At(time.Millisecond, func() {
 		if _, err := a.Send(Packet{Dst: 2, Payload: []byte("hello")}); err != nil {
@@ -54,19 +58,24 @@ func TestDeliveryPerfectChannel(t *testing.T) {
 	}
 }
 
+// TestPayloadIsCopied: the medium copies the payload at Send, so a
+// sender that reuses its buffer at once does not change what is on the
+// air.
 func TestPayloadIsCopied(t *testing.T) {
 	eng, m := newTestMedium(t, perfectConfig())
 	a := attach(t, m, 1, Position{0, 0})
 	b := attach(t, m, 2, Position{5, 0})
 	buf := []byte("mutable")
-	var got Packet
-	b.SetHandler(func(p Packet) { got = p })
+	var got string
+	b.SetHandler(func(p Packet) { got = string(p.Payload) })
 	b.SetState(StateRX)
-	eng.At(0, func() { _, _ = a.Send(Packet{Dst: 2, Payload: buf}) })
+	eng.At(0, func() {
+		_, _ = a.Send(Packet{Dst: 2, Payload: buf})
+		buf[0] = 'X'
+	})
 	eng.Run()
-	buf[0] = 'X'
-	if string(got.Payload) != "mutable" {
-		t.Fatal("receiver payload aliases sender buffer")
+	if got != "mutable" {
+		t.Fatalf("received %q: receiver payload aliases sender buffer", got)
 	}
 }
 

@@ -178,21 +178,46 @@ func BenchmarkSlotLoop(b *testing.B) {
 	}
 }
 
-// BenchmarkBusyFrame times one frame of a 16-node full mesh in which every
-// node broadcasts a fragment, so all 16 slots fire and each frame reaches
-// 15 listeners.
-func BenchmarkBusyFrame(b *testing.B) {
+// busyFrame returns one frame of a 16-node full mesh in which every node
+// broadcasts a fragment, so all 16 slots fire and each frame reaches 15
+// listeners.
+func busyFrame(tb testing.TB) func() {
 	const nodes = 16
-	eng, net := testNet(b, nodes)
+	eng, net := testNet(tb, nodes)
 	frame := net.Config().FrameDuration()
 	payload := make([]byte, 32)
 	net.Start()
-	for b.Loop() {
+	return func() {
 		for id := radio.NodeID(1); id <= nodes; id++ {
 			if err := net.Link(id).Send(Message{Dst: radio.Broadcast, Payload: payload}); err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 		}
 		_ = eng.RunUntil(eng.Now() + frame)
+	}
+}
+
+// TestBusyFrameDoesNotAllocate: once the links' frame buffers and the
+// medium's transmissions exist, a frame in which every slot sends costs
+// no allocation. A run is 10 frames, so AllocsPerRun's division by runs
+// cannot hide one.
+func TestBusyFrameDoesNotAllocate(t *testing.T) {
+	frame := busyFrame(t)
+	frame()
+	allocs := testing.AllocsPerRun(1, func() {
+		for range 10 {
+			frame()
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("10 busy frames of a 16-node mesh allocated %v times, want 0", allocs)
+	}
+}
+
+// BenchmarkBusyFrame times one busy frame (see busyFrame).
+func BenchmarkBusyFrame(b *testing.B) {
+	frame := busyFrame(b)
+	for b.Loop() {
+		frame()
 	}
 }

@@ -24,11 +24,16 @@ type LinkStats struct {
 // one fragment per owned slot, a reassembler, and a static next-hop
 // routing table for multi-hop forwarding.
 type Link struct {
-	net     *Network
-	r       *radio.Radio
-	txq     []fragment // txq[txHead:] is the queue; popping advances txHead
+	net *Network
+	r   *radio.Radio
+	// txq[txHead:] is the queue of encoded fragments, each in a frame
+	// buffer the link owns; popping advances txHead. A sent frame's
+	// buffer goes back to spare once the medium has copied it, so a
+	// steady flow of messages reuses the same few buffers.
+	txq     [][]byte
 	txHead  int
-	txBuf   []byte // encode buffer; the medium copies each frame it sends
+	spare   [][]byte
+	split   []fragment // Send's scratch list of a message's fragments
 	nextID  uint16
 	reasm   *reassembler
 	handler func(Message)
@@ -69,8 +74,10 @@ func (l *Link) Stats() LinkStats { return l.stats }
 func (l *Link) QueueLen() int { return len(l.txq) - l.txHead }
 
 // SetHandler installs the message delivery callback. A delivered payload
-// may be shared read-only by every receiver of one transmission: the
-// handler may keep it but must not mutate it.
+// may be shared read-only by every receiver of one transmission, and the
+// handler borrows it until it returns: a single-fragment payload lives in
+// the medium's recycled transmission buffer, so a handler that keeps the
+// bytes must copy them.
 func (l *Link) SetHandler(fn func(Message)) { l.handler = fn }
 
 // SetRoute installs dst -> nextHop for multi-hop forwarding.
@@ -87,28 +94,44 @@ func (l *Link) nextHop(dst radio.NodeID) radio.NodeID {
 	return dst // assume one hop
 }
 
-// Send queues a message for transmission in this node's owned slots.
+// Send queues a message for transmission in this node's owned slots. It
+// encodes the message's fragments into frame buffers the link owns, so
+// the caller may reuse msg.Payload as soon as Send returns.
 func (l *Link) Send(msg Message) error {
 	if l.r.Failed() {
 		return fmt.Errorf("rtlink: node %v is failed", l.ID())
 	}
 	msg.Src = l.ID()
 	l.nextID++
-	q, err := appendFragments(l.txq, msg, l.nextID, l.net.cfg.MaxPayload)
+	frags, err := appendFragments(l.split[:0], msg, l.nextID, l.net.cfg.MaxPayload)
 	if err != nil {
 		return err
 	}
-	if l.MaxQueue > 0 && len(q)-l.txHead > l.MaxQueue {
+	defer clear(frags) // drop the references to msg.Payload
+	l.split = frags
+	if l.MaxQueue > 0 && l.QueueLen()+len(frags) > l.MaxQueue {
 		l.stats.QueueDrops++
 		return fmt.Errorf("rtlink: node %v queue full (%d)", l.ID(), l.QueueLen())
 	}
 	idle := l.QueueLen() == 0
-	l.txq = q
+	for i := range frags {
+		l.txq = append(l.txq, frags[i].appendTo(l.frameBuf()))
+	}
 	l.stats.MsgsSent++
 	if idle {
 		l.net.wake(l)
 	}
 	return nil
+}
+
+// frameBuf returns an empty frame buffer, a spare one if there is one.
+func (l *Link) frameBuf() []byte {
+	if n := len(l.spare); n > 0 {
+		b := l.spare[n-1]
+		l.spare = l.spare[:n-1]
+		return b
+	}
+	return make([]byte, 0, fragHeaderLen+l.net.cfg.MaxPayload)
 }
 
 // FramesNeeded returns how many TDMA frames a payload of the given size
@@ -134,31 +157,34 @@ func (l *Link) transmitNext() {
 		return // network reserve exhausted for this frame
 	}
 	l.txThisFrame++
-	f := l.txq[l.txHead]
+	b := l.txq[l.txHead]
 	l.txHead++
 	if 2*l.txHead >= len(l.txq) {
 		// Slide the rest to the front, so the backing array is reused
 		// and a queue that never drains does not grow without bound.
 		n := copy(l.txq, l.txq[l.txHead:])
-		clear(l.txq[n:]) // drop the sent chunks' references
 		l.txq, l.txHead = l.txq[:n], 0
 	}
-	l.txBuf = f.appendTo(l.txBuf[:0])
+	dst := fragmentDst(b)
 	pkt := radio.Packet{
-		Dst:     f.dst,
-		Hop:     l.nextHop(f.dst),
+		Dst:     dst,
+		Hop:     l.nextHop(dst),
 		Kind:    dataKind,
-		Payload: l.txBuf,
+		Payload: b,
 	}
 	if _, err := l.r.Send(pkt); err == nil {
 		l.stats.FragsSent++
 	}
+	// The medium has copied the frame, so its buffer is free again.
+	l.spare = append(l.spare, b[:0])
 }
 
 // onFrame handles a radio frame addressed to this node's hop. The first
 // receiver of a transmission decodes its fragment into the network's
 // memo, and every other receiver reads it there. A frame shorter than the
-// header is rejected before the memo is read.
+// header is rejected before the memo is read. The frame is borrowed (see
+// radio.Radio.SetHandler): a relay queues a copy of it, and the
+// reassembler copies the chunks of a multi-fragment message.
 func (l *Link) onFrame(pkt radio.Packet) {
 	b := pkt.Payload
 	if pkt.Kind != dataKind || len(b) < fragHeaderLen {
@@ -173,7 +199,7 @@ func (l *Link) onFrame(pkt radio.Packet) {
 	if f.dst != l.ID() && f.dst != radio.Broadcast {
 		// Relay toward the destination if a route exists.
 		if _, ok := l.routes[f.dst]; ok {
-			l.txq = append(l.txq, *f)
+			l.txq = append(l.txq, append(l.frameBuf(), b...))
 			l.stats.FragsRelayed++
 			if l.QueueLen() == 1 {
 				l.net.wake(l)

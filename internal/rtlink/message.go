@@ -63,7 +63,9 @@ func (f *fragment) appendTo(dst []byte) []byte {
 
 // decodeFragment parses an on-air fragment. The chunk aliases b: frames
 // are shared read-only between receivers, so the fragment (and a
-// single-fragment message built from it) never needs a private copy.
+// single-fragment message built from it) borrows the frame for as long
+// as the frame's handler runs, and whatever keeps the chunk longer
+// copies it.
 func decodeFragment(b []byte) (fragment, error) {
 	if len(b) < fragHeaderLen {
 		return fragment{}, errShortFrame
@@ -79,8 +81,11 @@ func decodeFragment(b []byte) (fragment, error) {
 	}, nil
 }
 
+// fragmentDst returns the destination field of an encoded fragment.
+func fragmentDst(b []byte) radio.NodeID { return radio.NodeID(binary.BigEndian.Uint16(b[2:4])) }
+
 // appendFragments splits a message into slot-sized fragments and appends
-// them to dst.
+// them to dst. Their chunks alias msg.Payload.
 func appendFragments(dst []fragment, msg Message, msgID uint16, maxChunk int) ([]fragment, error) {
 	if maxChunk <= 0 {
 		return dst, fmt.Errorf("rtlink: maxChunk %d", maxChunk)
@@ -160,7 +165,9 @@ func (r *reassembler) add(f fragment) (Message, bool) {
 	}
 	st := parts[at]
 	if int(f.idx) < len(st.chunks) && st.chunks[f.idx] == nil {
-		st.chunks[f.idx] = f.chunk
+		// The chunk aliases a borrowed frame, so the partial message
+		// keeps a copy.
+		st.chunks[f.idx] = append(make([]byte, 0, len(f.chunk)), f.chunk...)
 		st.have++
 	}
 	if st.have < int(st.total) {

@@ -45,7 +45,7 @@ func testNet(t testing.TB, n int) (*sim.Engine, *Network) {
 func TestUnicastOneFrame(t *testing.T) {
 	eng, net := testNet(t, 3)
 	var got []Message
-	net.Link(2).SetHandler(func(m Message) { got = append(got, m) })
+	net.Link(2).SetHandler(func(m Message) { got = append(got, kept(m)) })
 	if err := net.Link(1).Send(Message{Dst: 2, Kind: 9, Payload: []byte("ping")}); err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestFragmentationLargeMessage(t *testing.T) {
 	}
 	var got Message
 	done := false
-	net.Link(2).SetHandler(func(m Message) { got = m; done = true })
+	net.Link(2).SetHandler(func(m Message) { got = kept(m); done = true })
 	if err := net.Link(1).Send(Message{Dst: 2, Payload: payload}); err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestMultiHopRelay(t *testing.T) {
 	net.Link(1).SetRoute(3, 2)
 	net.Link(2).SetRoute(3, 3)
 	var got []Message
-	net.Link(3).SetHandler(func(m Message) { got = append(got, m) })
+	net.Link(3).SetHandler(func(m Message) { got = append(got, kept(m)) })
 	if err := net.Link(1).Send(Message{Dst: 3, Payload: []byte("hop")}); err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,90 @@
+package vm
+
+import (
+	"errors"
+	"fmt"
+	"reflect"
+	"testing"
+)
+
+// fuzzCap is FuzzVMDecodeRun's step cap.
+const fuzzCap = 2000
+
+// countingHost serves IN reads and takes OUT writes, counting both, so
+// the fuzz target can check that no run made more host calls than it had
+// steps.
+type countingHost struct{ calls int }
+
+func (h *countingHost) In(port uint8) (int64, error) {
+	h.calls++
+	return int64(port) * QOne, nil
+}
+
+func (h *countingHost) Out(uint8, int64) error {
+	h.calls++
+	return nil
+}
+
+// FuzzVMDecodeRun: vm.Decode never panics on arbitrary bytes. Its input,
+// or, when it is not an attested capsule, a capsule built around it as
+// code, then runs under a step cap: the interpreter never panics and
+// never runs past the cap. Run(cap) must leave the interpreter exactly
+// where cap single steps leave a second one, and no run may make more
+// host calls than steps. Seeds are encoded capsules of small programs,
+// an endless loop among them, and short or damaged inputs.
+func FuzzVMDecodeRun(f *testing.F) {
+	for _, src := range []string{
+		"IN 0\nPUSH 2\nMUL\nOUT 1\nHALT",
+		"loop:\nIN 0\nOUT 1\nJMP loop",
+		"PUSH 1\nPUSH 0\nDIV\nHALT",
+		"CALL sub\nHALT\nsub:\nPUSH 7\nPUSH 3\nSTORE\nRET",
+	} {
+		code, err := Assemble(src)
+		if err != nil {
+			f.Fatal(err)
+		}
+		c := Capsule{TaskID: "fuzz", Version: 1, Code: code}
+		enc, err := c.Encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
+		f.Add(code)
+	}
+	f.Add([]byte{})
+	f.Add([]byte{0x45, 0x56, 1, 200})
+	f.Add([]byte{byte(OpPush64), 1, 2})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		c, err := Decode(b)
+		if err != nil {
+			c = Capsule{TaskID: "fuzz", Code: b}
+			enc, err := c.Encode()
+			if err != nil {
+				return // more code than a capsule holds
+			}
+			if c, err = Decode(enc); err != nil {
+				t.Fatalf("a capsule Encode built does not decode: %v", err)
+			}
+		}
+		host := &countingHost{}
+		in := New(c.Code, host)
+		runErr := in.Run(fuzzCap)
+		if host.calls > fuzzCap {
+			t.Fatalf("%d host calls under a cap of %d steps", host.calls, fuzzCap)
+		}
+		stepped := New(c.Code, &countingHost{})
+		var stepErr error
+		for range fuzzCap {
+			if stepErr = stepped.Run(1); !errors.Is(stepErr, ErrGasExhausted) {
+				break
+			}
+		}
+		if !reflect.DeepEqual(in.Snapshot(), stepped.Snapshot()) {
+			t.Fatalf("Run(%d) ended at pc %d, depth %d; %d single steps at pc %d, depth %d",
+				fuzzCap, in.PC(), in.Depth(), fuzzCap, stepped.PC(), stepped.Depth())
+		}
+		if fmt.Sprint(runErr) != fmt.Sprint(stepErr) {
+			t.Fatalf("Run(%d) returned %v, single steps %v", fuzzCap, runErr, stepErr)
+		}
+	})
+}

@@ -175,8 +175,8 @@ func TestSensorSnapshotTimestamp(t *testing.T) {
 	if out.At != in.At || len(out.Readings) != 1 || out.Readings[0] != in.Readings[0] {
 		t.Fatalf("snapshot mismatch: %+v", out)
 	}
-	// Legacy encoder produces At == 0.
-	legacy, err := EncodeSensors(in.Readings)
+	// A snapshot encoded without a timestamp decodes with At == 0.
+	legacy, err := SensorSnapshot{Readings: in.Readings}.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}

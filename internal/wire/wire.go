@@ -224,11 +224,16 @@ type SensorSnapshot struct {
 }
 
 // Encode packs the snapshot.
-func (s SensorSnapshot) Encode() ([]byte, error) {
+func (s SensorSnapshot) Encode() ([]byte, error) { return s.AppendTo(nil) }
+
+// AppendTo appends the packed snapshot to dst, so a sender that keeps one
+// buffer encodes every cycle without allocating. On error it returns dst
+// unchanged.
+func (s SensorSnapshot) AppendTo(dst []byte) ([]byte, error) {
 	if len(s.Readings) > 255 {
-		return nil, fmt.Errorf("wire: %d readings exceed 255", len(s.Readings))
+		return dst, fmt.Errorf("wire: %d readings exceed 255", len(s.Readings))
 	}
-	w := writer{buf: make([]byte, 0, 9+9*len(s.Readings))}
+	w := writer{buf: dst}
 	w.u64(uint64(s.At))
 	w.u8(uint8(len(s.Readings)))
 	for _, rd := range s.Readings {
@@ -236,12 +241,6 @@ func (s SensorSnapshot) Encode() ([]byte, error) {
 		w.f64(rd.Value)
 	}
 	return w.buf, nil
-}
-
-// EncodeSensors packs an un-timestamped snapshot (At = 0 means "age
-// unknown"; temporal checks treat it as fresh).
-func EncodeSensors(readings []SensorReading) ([]byte, error) {
-	return SensorSnapshot{Readings: readings}.Encode()
 }
 
 // DecodeSnapshot unpacks a sensor snapshot.
@@ -305,13 +304,17 @@ type Actuate struct {
 }
 
 // Encode packs the command.
-func (a Actuate) Encode() ([]byte, error) {
-	w := writer{buf: make([]byte, 0, 1+8+4+1+len(a.TaskID))}
+func (a Actuate) Encode() ([]byte, error) { return a.AppendTo(nil) }
+
+// AppendTo appends the packed command to dst. On error it returns dst
+// unchanged.
+func (a Actuate) AppendTo(dst []byte) ([]byte, error) {
+	w := writer{buf: dst}
 	w.u8(a.Port)
 	w.f64(a.Value)
 	w.u32(a.Seq)
 	if err := w.str(a.TaskID); err != nil {
-		return nil, err
+		return dst, err
 	}
 	return w.buf, nil
 }
@@ -373,15 +376,15 @@ type HealthRecord struct {
 }
 
 // Encode packs the bundle.
-func (hb HealthBundle) Encode() ([]byte, error) {
+func (hb HealthBundle) Encode() ([]byte, error) { return hb.AppendTo(nil) }
+
+// AppendTo appends the packed bundle to dst. On error it returns dst
+// unchanged.
+func (hb HealthBundle) AppendTo(dst []byte) ([]byte, error) {
 	if len(hb.Records) > 255 {
-		return nil, fmt.Errorf("wire: %d health records exceed 255", len(hb.Records))
+		return dst, fmt.Errorf("wire: %d health records exceed 255", len(hb.Records))
 	}
-	size := 2 + 8 + 1
-	for _, rec := range hb.Records {
-		size += 1 + 4 + 1 + 8 + 1 + len(rec.TaskID)
-	}
-	w := writer{buf: make([]byte, 0, size)}
+	w := writer{buf: dst}
 	w.u16(hb.Node)
 	w.f64(hb.Battery)
 	w.u8(uint8(len(hb.Records)))
@@ -395,7 +398,7 @@ func (hb HealthBundle) Encode() ([]byte, error) {
 		}
 		w.f64(rec.Output)
 		if err := w.str(rec.TaskID); err != nil {
-			return nil, err
+			return dst, err
 		}
 	}
 	return w.buf, nil

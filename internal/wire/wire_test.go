@@ -8,7 +8,7 @@ import (
 
 func TestSensorsRoundTrip(t *testing.T) {
 	in := []SensorReading{{Port: 0, Value: 50.25}, {Port: 3, Value: -12.5}}
-	b, err := EncodeSensors(in)
+	b, err := SensorSnapshot{Readings: in}.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +22,7 @@ func TestSensorsRoundTrip(t *testing.T) {
 }
 
 func TestSensorsTruncated(t *testing.T) {
-	b, err := EncodeSensors([]SensorReading{{Port: 1, Value: 5}})
+	b, err := SensorSnapshot{Readings: []SensorReading{{Port: 1, Value: 5}}}.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
