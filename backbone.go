@@ -3,7 +3,6 @@ package evm
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -20,11 +19,9 @@ import (
 // retransmit end-to-end from the source after RetryAfter, up to
 // MaxRetries attempts).
 //
-// The zero value describes an implicit full mesh: every cell pair is
-// one hop apart with the Latency/BandwidthBPS/PER below. The first
-// Backbone.AddLink call switches the backbone to an explicit per-link
-// topology where only added links exist and transfers follow
-// shortest-path multi-hop routes.
+// The link fields describe the full-mesh link every cell pair gets when
+// CampusConfig.Links is empty, and the defaults an explicit link's zero
+// Latency and BandwidthBPS inherit.
 type BackboneConfig struct {
 	// Latency is the one-way gateway-to-gateway propagation delay of a
 	// default (mesh) link.
@@ -87,8 +84,8 @@ type LinkConfig struct {
 	PER float64
 }
 
-// BackboneLink declares one explicit link between two named cells — the
-// declarative form of Backbone.AddLink for CampusConfig.Links.
+// BackboneLink declares one explicit link between two named cells, an
+// entry of CampusConfig.Links.
 type BackboneLink struct {
 	A, B   string
 	Config LinkConfig
@@ -105,15 +102,17 @@ type BackboneStats struct {
 	Forwarded int
 }
 
-// Backbone is the inter-cell network of a Campus. It starts as an
-// implicit full mesh of identical links between every cell gateway; an
-// explicit topology built with AddLink replaces the mesh, and transfers
-// then follow deterministic weighted shortest-path routes — links are
-// priced by expected delay, latency / (1 - PER), so a clean multi-hop
-// detour beats a lossy short-cut (equal-weight links reduce to min-hop
-// with lowest-index tie-breaks) — with per-hop delay and loss. It runs
-// on the shared simulation engine with its own PRNG fork so loss draws
-// never perturb any cell's radio stream.
+// Backbone is the inter-cell network of a Campus. Its topology is fixed
+// when the campus is built: the links of CampusConfig.Links, or a full
+// mesh of identical links between every cell gateway when Links is
+// empty. Transfers follow deterministic weighted shortest-path routes —
+// links are priced by expected delay, latency / (1 - PER), so a clean
+// multi-hop detour beats a lossy short-cut (equal-weight links reduce to
+// min-hop with lowest-index tie-breaks; on the mesh every route is the
+// direct hop) — with per-hop delay and loss. Links can be severed and
+// restored (SetLinkDown, SetLinkUp) but never added. It runs on the
+// shared simulation engine with its own PRNG fork so loss draws never
+// perturb any cell's radio stream.
 type Backbone struct {
 	eng   *sim.Engine
 	rng   *sim.RNG
@@ -122,18 +121,47 @@ type Backbone struct {
 	bus   *Bus
 	stats BackboneStats
 
-	// explicit per-link topology; nil until the first AddLink.
-	links map[int]map[int]LinkConfig
+	// links[a][b] is the link between cells a and b (nil = none), kept
+	// symmetric.
+	links [][]*LinkConfig
 	// down marks severed links (kept symmetric); a downed link is removed
 	// from the route table and drops frames still in flight on it.
-	down map[int]map[int]bool
-	// next[from][to] is the cached next-hop matrix (-1 = unreachable);
-	// nil when stale.
+	down [][]bool
+	// next[from][to] is the next-hop matrix (-1 = unreachable), recomputed
+	// whenever a link goes down or comes back.
 	next [][]int
 }
 
-func newBackbone(eng *sim.Engine, rng *sim.RNG, cfg BackboneConfig, names []string, bus *Bus) *Backbone {
-	return &Backbone{eng: eng, rng: rng, cfg: cfg, names: names, bus: bus}
+// newBackbone builds the backbone over the named cells: the given links,
+// or the full mesh of cfg's link when there are none.
+func newBackbone(eng *sim.Engine, rng *sim.RNG, cfg BackboneConfig, names []string, links []BackboneLink, bus *Bus) (*Backbone, error) {
+	n := len(names)
+	b := &Backbone{
+		eng: eng, rng: rng, cfg: cfg, names: names, bus: bus,
+		links: make([][]*LinkConfig, n), down: make([][]bool, n), next: make([][]int, n),
+	}
+	for i := range n {
+		b.links[i] = make([]*LinkConfig, n)
+		b.down[i] = make([]bool, n)
+		b.next[i] = make([]int, n)
+	}
+	if len(links) == 0 {
+		mesh := &LinkConfig{Latency: cfg.Latency, BandwidthBPS: cfg.BandwidthBPS, PER: cfg.PER}
+		for i := range n {
+			for j := range n {
+				if i != j {
+					b.links[i][j] = mesh
+				}
+			}
+		}
+	}
+	for _, l := range links {
+		if err := b.addLink(l); err != nil {
+			return nil, err
+		}
+	}
+	b.computeRoutes()
+	return b, nil
 }
 
 // Config returns the backbone configuration.
@@ -141,10 +169,6 @@ func (b *Backbone) Config() BackboneConfig { return b.cfg }
 
 // Stats returns a copy of the backbone counters.
 func (b *Backbone) Stats() BackboneStats { return b.stats }
-
-// Mesh reports whether the backbone still uses the implicit full mesh
-// (no explicit link added yet).
-func (b *Backbone) Mesh() bool { return b.links == nil }
 
 // cellIndex resolves a cell name.
 func (b *Backbone) cellIndex(name string) (int, bool) {
@@ -156,18 +180,16 @@ func (b *Backbone) cellIndex(name string) (int, bool) {
 	return 0, false
 }
 
-// AddLink adds (or replaces) a bidirectional link between two named
-// cells. The first call switches the backbone from the implicit full
-// mesh to the explicit topology: from then on only added links exist
-// and transfers route across them hop by hop. Zero LinkConfig fields
-// inherit the backbone defaults; call before the campus runs.
-func (b *Backbone) AddLink(a, c string, cfg LinkConfig) error {
-	ai, ci, err := b.resolveLink(a, c)
+// addLink adds (or replaces) a bidirectional link between two named
+// cells. Zero LinkConfig fields inherit the backbone defaults.
+func (b *Backbone) addLink(l BackboneLink) error {
+	ai, ci, err := b.resolveLink(l.A, l.B)
 	if err != nil {
 		return err
 	}
+	cfg := l.Config
 	if cfg.PER < 0 || cfg.PER >= 1 {
-		return fmt.Errorf("evm: backbone link %s-%s PER %g outside [0,1)", a, c, cfg.PER)
+		return fmt.Errorf("evm: backbone link %s-%s PER %g outside [0,1)", l.A, l.B, cfg.PER)
 	}
 	if cfg.Latency <= 0 {
 		cfg.Latency = b.cfg.Latency
@@ -175,35 +197,8 @@ func (b *Backbone) AddLink(a, c string, cfg LinkConfig) error {
 	if cfg.BandwidthBPS <= 0 {
 		cfg.BandwidthBPS = b.cfg.BandwidthBPS
 	}
-	if b.links == nil {
-		b.links = make(map[int]map[int]LinkConfig)
-	}
-	for _, pair := range [][2]int{{ai, ci}, {ci, ai}} {
-		m := b.links[pair[0]]
-		if m == nil {
-			m = make(map[int]LinkConfig)
-			b.links[pair[0]] = m
-		}
-		m[pair[1]] = cfg
-	}
-	b.next = nil // invalidate routes
+	b.links[ai][ci], b.links[ci][ai] = &cfg, &cfg
 	return nil
-}
-
-// materializeMesh converts the implicit full mesh into the equivalent
-// explicit topology (every cell pair one mesh link apart), so link-level
-// dynamics can sever individual mesh links and BFS reroutes the rest.
-func (b *Backbone) materializeMesh() {
-	b.links = make(map[int]map[int]LinkConfig, len(b.names))
-	for i := range b.names {
-		b.links[i] = make(map[int]LinkConfig, len(b.names)-1)
-		for j := range b.names {
-			if i != j {
-				b.links[i][j] = b.meshLink()
-			}
-		}
-	}
-	b.next = nil
 }
 
 // resolveLink validates a named cell pair and returns its indices.
@@ -223,115 +218,42 @@ func (b *Backbone) resolveLink(a, c string) (int, int, error) {
 }
 
 // SetLinkDown severs the link between two named cells: the link leaves
-// the BFS route table (routes recompute deterministically on the next
-// transfer), frames still in flight on it drop on arrival, and a
-// BackboneLinkEvent records the change. Severing a link of the implicit
-// full mesh first materializes the mesh into the equivalent explicit
-// topology, so the remaining mesh links keep forwarding multi-hop.
-func (b *Backbone) SetLinkDown(a, c string) error {
-	ai, ci, err := b.resolveLink(a, c)
-	if err != nil {
-		return err
-	}
-	if b.links == nil {
-		b.materializeMesh()
-	}
-	if _, ok := b.links[ai][ci]; !ok {
-		return fmt.Errorf("evm: no backbone link %s-%s to sever", a, c)
-	}
-	if b.down[ai][ci] {
-		return nil // already down
-	}
-	if b.down == nil {
-		b.down = make(map[int]map[int]bool)
-	}
-	for _, pair := range [][2]int{{ai, ci}, {ci, ai}} {
-		m := b.down[pair[0]]
-		if m == nil {
-			m = make(map[int]bool)
-			b.down[pair[0]] = m
-		}
-		m[pair[1]] = true
-	}
-	b.next = nil // invalidate routes
-	b.bus.publish(BackboneLinkEvent{At: b.eng.Now(), A: b.names[ai], B: b.names[ci], Up: false})
-	return nil
-}
+// the route table (routes recompute deterministically), frames still in
+// flight on it drop on arrival, and a BackboneLinkEvent records the
+// change. Severing a severed link is a no-op.
+func (b *Backbone) SetLinkDown(a, c string) error { return b.setLink(a, c, false) }
 
 // SetLinkUp restores a previously severed link and publishes the
 // matching BackboneLinkEvent. Restoring a live link is a no-op.
-func (b *Backbone) SetLinkUp(a, c string) error {
+func (b *Backbone) SetLinkUp(a, c string) error { return b.setLink(a, c, true) }
+
+// setLink moves an existing link to the given state, recomputing routes
+// and publishing a BackboneLinkEvent when the state changes.
+func (b *Backbone) setLink(a, c string, up bool) error {
 	ai, ci, err := b.resolveLink(a, c)
 	if err != nil {
 		return err
 	}
-	if b.links == nil {
-		return nil // implicit mesh: nothing was ever severed
+	if b.links[ai][ci] == nil {
+		verb := "sever"
+		if up {
+			verb = "restore"
+		}
+		return fmt.Errorf("evm: no backbone link %s-%s to %s", a, c, verb)
 	}
-	if _, ok := b.links[ai][ci]; !ok {
-		return fmt.Errorf("evm: no backbone link %s-%s to restore", a, c)
+	if b.down[ai][ci] != up {
+		return nil // already in that state
 	}
-	if !b.down[ai][ci] {
-		return nil
-	}
-	delete(b.down[ai], ci)
-	delete(b.down[ci], ai)
-	b.next = nil
-	b.bus.publish(BackboneLinkEvent{At: b.eng.Now(), A: b.names[ai], B: b.names[ci], Up: true})
+	b.down[ai][ci], b.down[ci][ai] = !up, !up
+	b.computeRoutes()
+	b.bus.publish(BackboneLinkEvent{At: b.eng.Now(), A: b.names[ai], B: b.names[ci], Up: up})
 	return nil
 }
 
 // LinkDown reports whether the link between two named cells is severed.
 func (b *Backbone) LinkDown(a, c string) bool {
-	ai, ok := b.cellIndex(a)
-	if !ok {
-		return false
-	}
-	ci, ok := b.cellIndex(c)
-	if !ok {
-		return false
-	}
-	return b.down[ai][ci]
-}
-
-// linkDown reports whether a directed cell-index pair is severed.
-func (b *Backbone) linkDown(from, to int) bool { return b.down[from][to] }
-
-// hasLink reports whether a cell-index pair is linked in the current
-// topology, severed or not (every pair is linked on the implicit mesh).
-func (b *Backbone) hasLink(ai, ci int) bool {
-	if b.links == nil {
-		return true
-	}
-	_, ok := b.links[ai][ci]
-	return ok
-}
-
-// meshLink is the implicit full-mesh link configuration.
-func (b *Backbone) meshLink() LinkConfig {
-	return LinkConfig{Latency: b.cfg.Latency, BandwidthBPS: b.cfg.BandwidthBPS, PER: b.cfg.PER}
-}
-
-// linkConfig returns the link between two adjacent cells.
-func (b *Backbone) linkConfig(from, to int) LinkConfig {
-	if b.links == nil {
-		return b.meshLink()
-	}
-	return b.links[from][to]
-}
-
-// neighbors returns a cell's live explicit neighbors in ascending order
-// (severed links are not neighbors).
-func (b *Backbone) neighbors(of int) []int {
-	out := make([]int, 0, len(b.links[of]))
-	//evm:allow-maporder linkDown is a pure predicate and the result is sorted before return, so visit order cannot leak out
-	for n := range b.links[of] {
-		if !b.linkDown(of, n) {
-			out = append(out, n)
-		}
-	}
-	sort.Ints(out)
-	return out
+	ai, ci, err := b.resolveLink(a, c)
+	return err == nil && b.down[ai][ci]
 }
 
 // linkWeight prices one traversal of a link: its expected one-way delay
@@ -339,27 +261,25 @@ func (b *Backbone) neighbors(of int) []int {
 // as expensive as its retry amplification, so a clean three-hop detour
 // can beat a 90%-loss direct hop (3x20 ms = 60 ms vs 20 ms / 0.1 =
 // 200 ms) while uniform clean links still reduce to min-hop routing.
-func linkWeight(link LinkConfig) float64 {
+func linkWeight(link *LinkConfig) float64 {
 	return link.Latency.Seconds() / (1 - link.PER)
 }
 
 // computeRoutes fills the next-hop matrix with weighted shortest paths
-// (Dijkstra over linkWeight). Tie-breaks are deterministic: equal-cost
-// routes prefer fewer hops, then the lowest-index predecessor — so
-// uniform link weights reduce to min-hop routing with lowest-index
-// detours, and recomputation after a link change is reproducible.
+// (Dijkstra over linkWeight, neighbors visited in index order).
+// Tie-breaks are deterministic: equal-cost routes prefer fewer hops, then
+// the lowest-index predecessor — so uniform link weights reduce to
+// min-hop routing with lowest-index detours, and recomputation after a
+// link change is reproducible.
 func (b *Backbone) computeRoutes() {
 	n := len(b.names)
-	b.next = make([][]int, n)
+	dist := make([]float64, n)
+	hops := make([]int, n)
+	prev := make([]int, n)
+	done := make([]bool, n)
 	for src := 0; src < n; src++ {
-		b.next[src] = make([]int, n)
-		dist := make([]float64, n)
-		hops := make([]int, n)
-		prev := make([]int, n)
-		done := make([]bool, n)
-		for i := range prev {
-			dist[i] = -1 // unreached
-			prev[i] = -1
+		for i := range n {
+			dist[i], hops[i], prev[i], done[i] = -1, 0, -1, false // -1: unreached
 		}
 		dist[src], prev[src] = 0, src
 		for {
@@ -377,11 +297,11 @@ func (b *Backbone) computeRoutes() {
 				break
 			}
 			done[cur] = true
-			for _, nb := range b.neighbors(cur) {
-				if done[nb] {
+			for nb, link := range b.links[cur] {
+				if link == nil || b.down[cur][nb] || done[nb] {
 					continue
 				}
-				nd := dist[cur] + linkWeight(b.linkConfig(cur, nb))
+				nd := dist[cur] + linkWeight(link)
 				nh := hops[cur] + 1
 				better := dist[nb] < 0 || nd < dist[nb] ||
 					(nd == dist[nb] && nh < hops[nb]) || //evm:allow-floatacc deliberate tie-break on exactly-equal path weights; the same weights sum in the same order on every run
@@ -410,23 +330,15 @@ func (b *Backbone) computeRoutes() {
 // another (inclusive of both endpoints), or nil when the backbone has
 // no route.
 func (b *Backbone) Route(from, to int) []int {
-	if from == to || from < 0 || to < 0 || from >= len(b.names) || to >= len(b.names) {
+	h := b.Hops(from, to)
+	if h <= 0 {
 		return nil
 	}
-	if b.links == nil {
-		return []int{from, to}
-	}
-	if b.next == nil {
-		b.computeRoutes()
-	}
-	path := []int{from}
+	path := make([]int, 1, h+1)
+	path[0] = from
 	for cur := from; cur != to; {
-		nxt := b.next[cur][to]
-		if nxt < 0 {
-			return nil
-		}
-		path = append(path, nxt)
-		cur = nxt
+		cur = b.next[cur][to]
+		path = append(path, cur)
 	}
 	return path
 }
@@ -437,11 +349,16 @@ func (b *Backbone) Hops(from, to int) int {
 	if from == to {
 		return 0
 	}
-	path := b.Route(from, to)
-	if path == nil {
+	if from < 0 || to < 0 || from >= len(b.names) || to >= len(b.names) {
 		return -1
 	}
-	return len(path) - 1
+	h := 0
+	for cur := from; cur != to; h++ {
+		if cur = b.next[cur][to]; cur < 0 {
+			return -1
+		}
+	}
+	return h
 }
 
 // pathNames renders a route as cell names.
@@ -454,7 +371,7 @@ func (b *Backbone) pathNames(path []int) []string {
 }
 
 // transferTime returns one hop's latency plus serialization for a payload.
-func (b *Backbone) transferTime(link LinkConfig, bytes int) time.Duration {
+func (b *Backbone) transferTime(link *LinkConfig, bytes int) time.Duration {
 	ser := time.Duration(float64(bytes*8) / link.BandwidthBPS * float64(time.Second))
 	return link.Latency + ser
 }
@@ -557,7 +474,7 @@ func (b *Backbone) retry(prev []int, payload []byte, try int, onDeliver func([]b
 // link's loss, and forward or deliver.
 func (b *Backbone) hop(path []int, i int, payload []byte, try int, onDeliver func([]byte), onFail func()) {
 	from, to := path[0], path[len(path)-1]
-	link := b.linkConfig(path[i], path[i+1])
+	link := b.links[path[i]][path[i+1]]
 	if t := b.eng.Tracer(); t != nil {
 		now := b.eng.Now()
 		t.Complete("backbone-hop", "backbone", "backbone", now, now+b.transferTime(link, len(payload)),
@@ -566,7 +483,7 @@ func (b *Backbone) hop(path []int, i int, payload []byte, try int, onDeliver fun
 			span.Arg{Key: "try", Val: strconv.Itoa(try)})
 	}
 	b.eng.After(b.transferTime(link, len(payload)), func() {
-		lost := b.linkDown(path[i], path[i+1])
+		lost := b.down[path[i]][path[i+1]]
 		if !lost && link.PER > 0 && b.rng.Bool(link.PER) {
 			lost = true
 		}

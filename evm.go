@@ -466,29 +466,15 @@ func (c *Cell) AddNodeRuntime(id NodeID, vc VCConfig) (*Node, error) {
 // period — a stand-in for a plant gateway in examples and experiments.
 // Stop the returned ticker to end the feed.
 func (c *Cell) StartSensorFeed(src NodeID, period time.Duration, sample func() []SensorReading) (*sim.Ticker, error) {
-	link := c.net.Link(src)
-	if link == nil {
-		return nil, fmt.Errorf("evm: node %v not joined", src)
-	}
-	if period <= 0 {
-		return nil, fmt.Errorf("evm: feed period %v", period)
-	}
-	var buf []byte // the link copies each snapshot in Send
-	tk := c.eng.Every(period, func() {
-		payload, err := wire.SensorSnapshot{Readings: sample()}.AppendTo(buf[:0])
-		if err != nil {
-			return
-		}
-		buf = payload
-		_ = link.Send(rtlink.Message{Dst: radio.Broadcast, Kind: wire.KindSensor, Payload: payload})
-	})
-	return tk, nil
+	return c.StartSensorFeedTo(src, period, sample, Broadcast)
 }
 
-// StartSensorFeedTo is StartSensorFeed for multi-hop cells: instead of a
-// single-hop broadcast (which only a line cell's immediate neighbors
-// hear), each sample is unicast to every listed destination so the
-// link-layer line routes relay it station by station.
+// StartSensorFeedTo is StartSensorFeed with explicit destinations: each
+// sample is sent to every listed destination in turn. Multi-hop cells
+// list unicast destinations, since a single-hop broadcast reaches only a
+// line cell's immediate neighbors and the link-layer line routes relay
+// unicasts station by station. A Broadcast destination is one
+// single-hop send; StartSensorFeed is that form.
 func (c *Cell) StartSensorFeedTo(src NodeID, period time.Duration, sample func() []SensorReading, dsts ...NodeID) (*sim.Ticker, error) {
 	link := c.net.Link(src)
 	if link == nil {
@@ -501,7 +487,7 @@ func (c *Cell) StartSensorFeedTo(src NodeID, period time.Duration, sample func()
 		return nil, fmt.Errorf("evm: unicast feed needs at least one destination")
 	}
 	for _, dst := range dsts {
-		if c.net.Link(dst) == nil {
+		if dst != Broadcast && c.net.Link(dst) == nil {
 			return nil, fmt.Errorf("evm: feed destination %v not joined", dst)
 		}
 	}

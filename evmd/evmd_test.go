@@ -461,6 +461,37 @@ func TestSubmitRejectsBadHorizon(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsBadFaultTimes: a fault step's at_ms or per_for_ms
+// outside [0, maxHorizonMS] gets 400 and admits nothing — unchecked, a
+// too-large at_ms wraps to a near-zero fault offset; the bound itself
+// still fits.
+func TestSubmitRejectsBadFaultTimes(t *testing.T) {
+	s := NewServer(Config{Workers: 1, QueueDepth: 4})
+	defer s.Drain(0)
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	submit := func(step FaultStepSpec) (*http.Response, []byte) {
+		return postJSON(t, srv.URL+"/v1/runs", SubmitRequest{
+			Tenant: "acme", Scenario: evm.ScenarioEightController, HorizonMS: 1000,
+			Faults: &FaultPlanSpec{Steps: []FaultStepSpec{step}},
+		})
+	}
+	for _, ms := range []int64{-1, maxHorizonMS + 1, 18446744073710, math.MaxInt64} {
+		if resp, body := submit(FaultStepSpec{AtMS: ms, CrashNode: 2}); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("at_ms %d: status %d (%s), want 400", ms, resp.StatusCode, body)
+		}
+		if resp, body := submit(FaultStepSpec{AtMS: 500, PER: 0.5, PERForMS: ms}); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("per_for_ms %d: status %d (%s), want 400", ms, resp.StatusCode, body)
+		}
+	}
+	if got := s.Stats().Accepted; got != 0 {
+		t.Fatalf("accepted = %d after rejected submits", got)
+	}
+	if resp, body := submit(FaultStepSpec{AtMS: maxHorizonMS, CrashNode: 2}); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("at_ms at the bound: status %d (%s), want 202", resp.StatusCode, body)
+	}
+}
+
 // TestStreamFollowsLiveRun: a subscriber attached before the run starts
 // receives the full stream and the handler terminates when the run does.
 func TestStreamFollowsLiveRun(t *testing.T) {

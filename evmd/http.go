@@ -42,7 +42,8 @@ type FaultPlanSpec struct {
 	Steps []FaultStepSpec `json:"steps"`
 }
 
-// FaultStepSpec is one JSON fault step.
+// FaultStepSpec is one JSON fault step. AtMS and PERForMS are rejected
+// outside [0, maxHorizonMS], as horizon_ms is.
 type FaultStepSpec struct {
 	AtMS        int64 `json:"at_ms"`
 	CrashNode   int   `json:"crash_node,omitempty"`
@@ -78,6 +79,38 @@ func (f *FaultPlanSpec) plan() evm.FaultPlan {
 		p.Steps = append(p.Steps, step)
 	}
 	return p
+}
+
+// validate rejects a request the daemon cannot run as given: no
+// scenario, or a millisecond field (horizon_ms, a fault step's at_ms or
+// per_for_ms) that is negative or would overflow a time.Duration.
+func (req *SubmitRequest) validate() error {
+	if req.Scenario == "" {
+		return fmt.Errorf("evmd: submission needs a scenario")
+	}
+	if err := checkMS("horizon_ms", req.HorizonMS); err != nil {
+		return err
+	}
+	if req.Faults == nil {
+		return nil
+	}
+	for i, st := range req.Faults.Steps {
+		if err := checkMS(fmt.Sprintf("faults.steps[%d].at_ms", i), st.AtMS); err != nil {
+			return err
+		}
+		if err := checkMS(fmt.Sprintf("faults.steps[%d].per_for_ms", i), st.PERForMS); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkMS rejects a millisecond field outside [0, maxHorizonMS].
+func checkMS(field string, ms int64) error {
+	if ms < 0 || ms > maxHorizonMS {
+		return fmt.Errorf("evmd: %s %d outside [0, %d]", field, ms, maxHorizonMS)
+	}
+	return nil
 }
 
 // Specs expands the request into concrete run specs.
@@ -213,12 +246,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("evmd: bad submit body: %w", err))
 		return
 	}
-	if req.Scenario == "" {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("evmd: submission needs a scenario"))
-		return
-	}
-	if req.HorizonMS < 0 || req.HorizonMS > maxHorizonMS {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("evmd: horizon_ms %d outside [0, %d]", req.HorizonMS, maxHorizonMS))
+	if err := req.validate(); err != nil {
+		httpError(w, http.StatusBadRequest, err)
 		return
 	}
 	runs, err := s.Submit(req.Tenant, req.Specs()...)

@@ -44,8 +44,10 @@ type CampusConfig struct {
 	Seed uint64
 	// Backbone configures the inter-cell network (zero value = defaults).
 	Backbone BackboneConfig
-	// Links declares an explicit per-link backbone topology (applied via
-	// Backbone.AddLink in order). Empty keeps the implicit full mesh.
+	// Links fixes the backbone topology: only the listed links exist (a
+	// later entry for the same pair replaces an earlier one). Empty
+	// gives the full mesh of Backbone's default link. Links cannot be
+	// added after NewCampus; they can only be severed and restored.
 	Links []BackboneLink
 	// Placement picks the destination cell when a task escalates across
 	// the backbone (nil = LeastLoadedPolicy, the pre-policy behavior).
@@ -254,13 +256,12 @@ func NewCampus(cfg CampusConfig, specs ...CellSpec) (*Campus, error) {
 		}
 	}
 	sort.SliceStable(c.tasks, func(i, j int) bool { return c.tasks[i].key < c.tasks[j].key })
-	c.backbone = newBackbone(c.eng, c.rng.Fork(), cfg.Backbone, names, c.events)
-	for _, l := range cfg.Links {
-		if err := c.backbone.AddLink(l.A, l.B, l.Config); err != nil {
-			c.Stop()
-			return nil, err
-		}
+	bb, err := newBackbone(c.eng, c.rng.Fork(), cfg.Backbone, names, cfg.Links, c.events)
+	if err != nil {
+		c.Stop()
+		return nil, err
 	}
+	c.backbone = bb
 	// Track local fail-overs so checkpoints follow the task to its new
 	// master (adopted foreign tasks are arbitrated by the hosting cell's
 	// head, so any placement currently in the event's cell moves here),
@@ -370,7 +371,7 @@ func (c *Campus) ApplyFaultPlan(cell string, p FaultPlan) error {
 				// The topology is fixed after NewCampus, so a link absent
 				// now will be absent at fire time too — reject instead of
 				// silently no-opping the sever.
-				if !c.backbone.hasLink(ai, ci) {
+				if c.backbone.links[ai][ci] == nil {
 					return fmt.Errorf("evm: fault step %d targets nonexistent backbone link %s-%s", i, l.A, l.B)
 				}
 			}

@@ -244,7 +244,7 @@ func shrinkHorizon(s *Spec, try func(Spec) bool) bool {
 }
 
 // shrinkKnobs zeroes the remaining incidental complexity: explicit
-// links (back to the implicit mesh), link and cell loss, the placement
+// links (back to the full mesh), link and cell loss, the placement
 // policy, rebalancing, and — last — the seeded-bug switch itself (the
 // oracle rejects that one whenever the switch is what makes it fail).
 func shrinkKnobs(s *Spec, try func(Spec) bool) bool {

@@ -52,7 +52,7 @@ const (
 )
 
 // Topology names for Spec.Topology (documentation only — the built
-// campus follows Links; an empty Links slice is the implicit full mesh).
+// campus follows Links; an empty Links slice is the full mesh).
 const (
 	TopologyMesh   = "mesh"
 	TopologyRing   = "ring"

@@ -32,7 +32,6 @@ var codecs = []struct {
 }{
 	{"snapshot", reencode(DecodeSnapshot)},
 	{"actuate", reencode(DecodeActuate)},
-	{"health", reencode(DecodeHealth)},
 	{"bundle", reencode(DecodeHealthBundle)},
 	{"fault-report", reencode(DecodeFaultReport)},
 	{"role-change", reencode(DecodeRoleChange)},
@@ -54,7 +53,9 @@ func fuzzSeeds() []encoder {
 		SensorSnapshot{Readings: []SensorReading{{Port: 0, Value: 50.25}, {Port: 3, Value: -12.5}}},
 		SensorSnapshot{At: 42 * time.Second, Readings: []SensorReading{{Port: 5, Value: -19.5}}},
 		Actuate{Port: 2, Value: 11.48, TaskID: "lts-level", Seq: 99},
-		Health{Node: 7, TaskID: "lts-level", Role: RoleBackup, Seq: 12, Output: 42.5, HasOut: true, Battery: 0.83},
+		HealthBundle{Node: 7, Battery: 0.83, Records: []HealthRecord{
+			{TaskID: "lts-level", Role: RoleBackup, Seq: 12, Output: 42.5, HasOut: true},
+		}},
 		HealthBundle{Node: 7, Battery: 0.83, Records: []HealthRecord{
 			{TaskID: "lts-level", Role: RoleActive, Seq: 12, Output: 42.5, HasOut: true},
 			{TaskID: "chiller-temp", Role: RoleBackup, Seq: 11, Output: 50.1, HasOut: true},

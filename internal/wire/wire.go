@@ -27,7 +27,6 @@ const (
 	KindCapsule     rtlink.Kind = 15 // code migration
 	KindState       rtlink.Kind = 16 // task state migration
 	KindJoin        rtlink.Kind = 17 // new node -> head
-	KindAdmit       rtlink.Kind = 18 // head -> new node
 	KindModeChange  rtlink.Kind = 19 // head -> all: planned mode switch
 	KindMigrateCmd  rtlink.Kind = 20 // head -> holder: ship task to dest
 	KindStateSync   rtlink.Kind = 21 // primary -> backups: active state replication
@@ -345,18 +344,6 @@ func DecodeActuateInterned(b []byte, ids Interner) (Actuate, error) {
 
 // --- health assessment ---------------------------------------------------------
 
-// Health is one task's health-assessment record: the controller's role
-// and latest computed output, which backups passively observe (§3.1.2).
-type Health struct {
-	Node    uint16
-	TaskID  string
-	Role    Role
-	Seq     uint32
-	Output  float64
-	HasOut  bool
-	Battery float64 // remaining fraction [0,1]
-}
-
 // HealthBundle aggregates all of one node's per-task health records into
 // a single frame so a node's per-cycle traffic stays within its slot
 // budget regardless of how many tasks it holds.
@@ -464,58 +451,6 @@ func DecodeHealthBundleInto(b []byte, hb *HealthBundle, ids Interner) error {
 		hb.Records = append(hb.Records, rec)
 	}
 	return nil
-}
-
-// Encode packs the health record.
-func (h Health) Encode() ([]byte, error) {
-	var w writer
-	w.u16(h.Node)
-	w.u8(uint8(h.Role))
-	w.u32(h.Seq)
-	if h.HasOut {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
-	w.f64(h.Output)
-	w.f64(h.Battery)
-	if err := w.str(h.TaskID); err != nil {
-		return nil, err
-	}
-	return w.buf, nil
-}
-
-// DecodeHealth unpacks a health record.
-func DecodeHealth(b []byte) (Health, error) {
-	r := reader{buf: b}
-	var h Health
-	var err error
-	if h.Node, err = r.u16(); err != nil {
-		return h, err
-	}
-	role, err := r.u8()
-	if err != nil {
-		return h, err
-	}
-	h.Role = Role(role)
-	if h.Seq, err = r.u32(); err != nil {
-		return h, err
-	}
-	hasOut, err := r.u8()
-	if err != nil {
-		return h, err
-	}
-	h.HasOut = hasOut == 1
-	if h.Output, err = r.f64(); err != nil {
-		return h, err
-	}
-	if h.Battery, err = r.f64(); err != nil {
-		return h, err
-	}
-	if h.TaskID, err = r.str(); err != nil {
-		return h, err
-	}
-	return h, nil
 }
 
 // --- fault report ---------------------------------------------------------------
@@ -651,15 +586,8 @@ func DecodeStateXfer(b []byte) (StateXfer, error) {
 	if sx.TaskID, err = r.str(); err != nil {
 		return sx, err
 	}
-	n, err := r.u32()
-	if err != nil {
-		return sx, err
-	}
-	if r.off+int(n) > len(r.buf) {
-		return sx, ErrTruncated
-	}
-	sx.Blob = append([]byte(nil), r.buf[r.off:r.off+int(n)]...)
-	return sx, nil
+	sx.Blob, err = r.blob()
+	return sx, err
 }
 
 // --- membership ---------------------------------------------------------------

@@ -3,7 +3,6 @@ package wire
 import (
 	"errors"
 	"testing"
-	"testing/quick"
 )
 
 func TestSensorsRoundTrip(t *testing.T) {
@@ -38,21 +37,6 @@ func TestActuateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	out, err := DecodeActuate(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != in {
-		t.Fatalf("round trip: %+v vs %+v", out, in)
-	}
-}
-
-func TestHealthRoundTrip(t *testing.T) {
-	in := Health{Node: 7, TaskID: "lts-level", Role: RoleBackup, Seq: 12, Output: 42.5, HasOut: true, Battery: 0.83}
-	b, err := in.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := DecodeHealth(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,21 +126,6 @@ func TestLongTaskIDRejected(t *testing.T) {
 	}
 }
 
-func TestHealthProperty(t *testing.T) {
-	f := func(node uint16, seq uint32, out float64, hasOut bool) bool {
-		h := Health{Node: node, TaskID: "t", Role: RoleActive, Seq: seq, Output: out, HasOut: hasOut, Battery: 1}
-		b, err := h.Encode()
-		if err != nil {
-			return false
-		}
-		got, err := DecodeHealth(b)
-		return err == nil && got == h
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRoleStrings(t *testing.T) {
 	for _, r := range []Role{RoleDormant, RoleBackup, RoleActive, RoleIndicator} {
 		if r.String() == "" {
@@ -171,8 +140,8 @@ func TestRoleStrings(t *testing.T) {
 }
 
 func TestEmptyDecodes(t *testing.T) {
-	if _, err := DecodeHealth(nil); !errors.Is(err, ErrTruncated) {
-		t.Fatal("nil health decoded")
+	if _, err := DecodeHealthBundle(nil); !errors.Is(err, ErrTruncated) {
+		t.Fatal("nil health bundle decoded")
 	}
 	if _, err := DecodeActuate([]byte{1}); !errors.Is(err, ErrTruncated) {
 		t.Fatal("short actuate decoded")

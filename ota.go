@@ -146,12 +146,10 @@ type RolloutCell struct {
 // hosting replicas of the target tasks: Stages partitions the listed
 // cells into ordered batches — each batch prepares, commits and passes
 // its health window before the next begins. Implementations must be
-// deterministic; the coordinator re-validates the plan (unknown or
-// duplicate cells are dropped, unlisted cells are appended as a final
-// stage) so a buggy policy can delay an upgrade but never skip a
-// replica.
+// deterministic and list every cell exactly once. The built-ins are the
+// only policies a rollout runs (RolloutSpec.Strategy names one).
 type RolloutPolicy interface {
-	// Name returns the policy's registry name.
+	// Name returns the policy's built-in name.
 	Name() string
 	// Stages partitions the cells (given in declaration order) into
 	// ordered batches of cell indices.
@@ -219,42 +217,26 @@ func (CanaryCellPolicy) Stages(cells []RolloutCell) [][]int {
 	return [][]int{{canary.Index}, rest}
 }
 
-// --- rollout policy registry --------------------------------------------------
+// --- built-in rollout policies -------------------------------------------------
 
-var rolloutRegistry = registry[func() RolloutPolicy]{kind: "rollout policy"}
-
-// RegisterRolloutPolicy adds a named rollout strategy to the global
-// registry, making it addressable from RolloutSpec.Strategy.
-func RegisterRolloutPolicy(name string, build func() RolloutPolicy) error {
-	return rolloutRegistry.add(name, build)
+// rolloutPolicies is the table of built-in rollout strategies, the names
+// RolloutSpec.Strategy resolves through NewRolloutPolicy.
+var rolloutPolicies = map[string]RolloutPolicy{
+	RolloutCanaryCell: CanaryCellPolicy{},
+	RolloutCellByCell: CellByCellPolicy{},
+	RolloutAllAtOnce:  AllAtOncePolicy{},
 }
 
-// MustRegisterRolloutPolicy is RegisterRolloutPolicy that panics on
-// error — for package init blocks.
-func MustRegisterRolloutPolicy(name string, build func() RolloutPolicy) {
-	rolloutRegistry.mustAdd(name, build)
-}
+// RolloutPolicies lists the built-in strategy names, sorted.
+func RolloutPolicies() []string { return sim.SortedKeys(rolloutPolicies) }
 
-// RolloutPolicies lists the registered strategy names, sorted.
-func RolloutPolicies() []string { return rolloutRegistry.names() }
-
-// NewRolloutPolicy instantiates a registered strategy by name. The empty
-// name returns the default (canary-cell).
+// NewRolloutPolicy returns a built-in strategy by name. The empty name
+// returns the default (canary-cell).
 func NewRolloutPolicy(name string) (RolloutPolicy, error) {
 	if name == "" {
 		return CanaryCellPolicy{}, nil
 	}
-	build, err := rolloutRegistry.get(name)
-	if err != nil {
-		return nil, err
-	}
-	return build(), nil
-}
-
-func init() {
-	MustRegisterRolloutPolicy(RolloutCanaryCell, func() RolloutPolicy { return CanaryCellPolicy{} })
-	MustRegisterRolloutPolicy(RolloutCellByCell, func() RolloutPolicy { return CellByCellPolicy{} })
-	MustRegisterRolloutPolicy(RolloutAllAtOnce, func() RolloutPolicy { return AllAtOncePolicy{} })
+	return lookup("rollout policy", rolloutPolicies, name)
 }
 
 // --- rollout coordinator ------------------------------------------------------
@@ -313,8 +295,8 @@ type Rollout struct {
 	stages   [][]int
 
 	stageIdx       int
-	pendingPrepare map[string]bool // "<cell>/<task>"
-	pendingCommit  map[string]bool
+	pendingPrepare map[stageLeg]bool
+	pendingCommit  map[stageLeg]bool
 	activated      []rolloutActivation
 	prevVersion    map[string]uint8 // task -> version before first activation
 	catchUps       int              // post-plan rescan rounds consumed
@@ -350,7 +332,7 @@ func (r *Rollout) State() RolloutState { return r.state }
 // Reason explains a rolled-back or aborted rollout ("" otherwise).
 func (r *Rollout) Reason() string { return r.reason }
 
-// Stages returns the validated stage plan as cell names.
+// Stages returns the stage plan as cell names.
 func (r *Rollout) Stages() [][]string {
 	out := make([][]string, len(r.stages))
 	for i, batch := range r.stages {
@@ -439,7 +421,7 @@ func (c *Campus) StartRollout(spec RolloutSpec) (*Rollout, error) {
 	if len(r.cellIdxs) == 0 {
 		return nil, fmt.Errorf("evm: no replica of %v found in any cell", spec.Tasks)
 	}
-	r.stages = r.validStages(policy.Stages(r.rolloutCells()))
+	r.stages = policy.Stages(r.rolloutCells())
 	for _, task := range tasks {
 		c.byTask[task].ota = true
 	}
@@ -493,39 +475,6 @@ func (r *Rollout) rolloutCells() []RolloutCell {
 	return out
 }
 
-// validStages sanitizes a policy's plan: unknown and duplicate cells are
-// dropped, cells the policy missed are appended as one final stage.
-func (r *Rollout) validStages(stages [][]int) [][]int {
-	targeted := make(map[int]bool, len(r.cellIdxs))
-	for _, i := range r.cellIdxs {
-		targeted[i] = true
-	}
-	seen := make(map[int]bool)
-	var out [][]int
-	for _, batch := range stages {
-		var keep []int
-		for _, cell := range batch {
-			if targeted[cell] && !seen[cell] {
-				seen[cell] = true
-				keep = append(keep, cell)
-			}
-		}
-		if len(keep) > 0 {
-			out = append(out, keep)
-		}
-	}
-	var missing []int
-	for _, i := range r.cellIdxs {
-		if !seen[i] {
-			missing = append(missing, i)
-		}
-	}
-	if len(missing) > 0 {
-		out = append(out, missing)
-	}
-	return out
-}
-
 func (r *Rollout) cellNames(idxs []int) []string {
 	out := make([]string, len(idxs))
 	for i, idx := range idxs {
@@ -557,11 +506,11 @@ func (r *Rollout) runStage() {
 	r.stageSpan = r.c.eng.Tracer().Open("rollout-stage", "ota", "ota", r.c.eng.Now(),
 		span.Arg{Key: "stage", Val: strconv.Itoa(r.stageIdx)},
 		span.Arg{Key: "cells", Val: strings.Join(r.cellNames(batch), "+")})
-	r.pendingPrepare = make(map[string]bool)
-	r.pendingCommit = make(map[string]bool)
+	r.pendingPrepare = make(map[stageLeg]bool)
+	r.pendingCommit = make(map[stageLeg]bool)
 	for _, cell := range batch {
 		for _, task := range r.stageTasks(cell) {
-			r.pendingPrepare[pendKey(cell, task)] = true
+			r.pendingPrepare[stageLeg{cell, task}] = true
 		}
 	}
 	r.stageTimer = r.c.eng.After(stageTimeout, func() { r.fail("stage-timeout") })
@@ -601,10 +550,10 @@ func (r *Rollout) stageTasks(cell int) []string {
 	return out
 }
 
-func pendKey(cell int, task string) string { return fmt.Sprintf("%d/%s", cell, task) }
-
-func nodeKey(cell int, node NodeID, task string) string {
-	return fmt.Sprintf("%d/%d/%s", cell, node, task)
+// stageLeg is one task's prepare or commit leg to one cell of a stage.
+type stageLeg struct {
+	cell int
+	task string
 }
 
 // catchUpRounds bounds how many post-plan rescans a rollout runs before
@@ -623,16 +572,16 @@ const catchUpRounds = 3
 // catchUpRounds, the rollout fails — activated stages roll back —
 // rather than completing with mixed versions.
 func (r *Rollout) addCatchUpStage() bool {
-	upgraded := make(map[string]bool, len(r.activated))
+	upgraded := make(map[rolloutActivation]bool, len(r.activated))
 	for _, a := range r.activated {
-		upgraded[nodeKey(a.cell, a.node, a.task)] = true
+		upgraded[a] = true
 	}
 	extra := make(map[int]map[string][]NodeID)
 	for i, cell := range r.c.cells {
 		for _, task := range r.spec.Tasks {
 			for _, id := range cell.ids {
 				n := cell.nodes[id]
-				if n == nil || !n.HasReplica(task) || upgraded[nodeKey(i, id, task)] {
+				if n == nil || !n.HasReplica(task) || upgraded[rolloutActivation{cell: i, node: id, task: task}] {
 					continue
 				}
 				if v, ok := n.CapsuleVersion(task); ok && v == r.spec.Version {
@@ -716,7 +665,7 @@ func (r *Rollout) onPrepare(cell int, payload []byte) {
 		live = append(live, id)
 	}
 	r.targets[cell][msg.TaskID] = live
-	delete(r.pendingPrepare, pendKey(cell, msg.TaskID))
+	delete(r.pendingPrepare, stageLeg{cell, msg.TaskID})
 	if len(r.pendingPrepare) == 0 {
 		r.commitStage()
 	}
@@ -733,7 +682,7 @@ func (r *Rollout) commitStage() {
 	})
 	for _, cell := range batch {
 		for _, task := range r.stageTasks(cell) {
-			r.pendingCommit[pendKey(cell, task)] = true
+			r.pendingCommit[stageLeg{cell, task}] = true
 		}
 	}
 	if len(r.pendingCommit) == 0 {
@@ -797,7 +746,7 @@ func (r *Rollout) onCommit(cell int, payload []byte) {
 		}
 		r.activated = append(r.activated, rolloutActivation{cell: cell, node: id, task: msg.TaskID})
 	}
-	delete(r.pendingCommit, pendKey(cell, msg.TaskID))
+	delete(r.pendingCommit, stageLeg{cell, msg.TaskID})
 	if len(r.pendingCommit) == 0 {
 		r.c.eng.Cancel(r.stageTimer)
 		r.c.eng.Tracer().Close(r.stageSpan, r.c.eng.Now(), span.Arg{Key: "outcome", Val: "activated"})

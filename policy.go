@@ -1,6 +1,9 @@
 package evm
 
-import "evm/internal/bqp"
+import (
+	"evm/internal/bqp"
+	"evm/internal/sim"
+)
 
 // Built-in placement policy names for RunSpec.Policy and
 // NewPlacementPolicy.
@@ -71,7 +74,7 @@ type DisplacedTask struct {
 // coordinator re-validates the pick and drops invalid ones (the task
 // retries next tick).
 type PlacementPolicy interface {
-	// Name returns the policy's registry name.
+	// Name returns the policy's name.
 	Name() string
 	// PickCell returns the destination cell index, or false when no
 	// listed cell should (or can) take the task.
@@ -220,40 +223,25 @@ func (CampusBQPPolicy) PickCell(req PlacementRequest) (int, bool) {
 	return cells[sol.Assign[self]].Index, true
 }
 
-// --- policy registry ----------------------------------------------------------
+// --- built-in policies --------------------------------------------------------
 
-var policyRegistry = registry[func() PlacementPolicy]{kind: "placement policy"}
-
-// RegisterPlacementPolicy adds a named placement policy to the global
-// registry, making it addressable from RunSpec.Policy.
-func RegisterPlacementPolicy(name string, build func() PlacementPolicy) error {
-	return policyRegistry.add(name, build)
+// placementPolicies is the table of built-in placement policies, the names
+// RunSpec.Policy resolves through NewPlacementPolicy.
+var placementPolicies = map[string]PlacementPolicy{
+	PolicyLeastLoaded: LeastLoadedPolicy{},
+	PolicyCampusBQP:   CampusBQPPolicy{},
+	PolicyAffinity:    AffinityPolicy{},
 }
 
-// MustRegisterPlacementPolicy is RegisterPlacementPolicy that panics on
-// error — for package init blocks.
-func MustRegisterPlacementPolicy(name string, build func() PlacementPolicy) {
-	policyRegistry.mustAdd(name, build)
-}
+// PlacementPolicies lists the built-in policy names, sorted.
+func PlacementPolicies() []string { return sim.SortedKeys(placementPolicies) }
 
-// PlacementPolicies lists the registered policy names, sorted.
-func PlacementPolicies() []string { return policyRegistry.names() }
-
-// NewPlacementPolicy instantiates a registered policy by name. The empty
-// name returns the campus default (least-loaded).
+// NewPlacementPolicy returns a built-in policy by name. The empty name
+// returns the campus default (least-loaded). A custom policy is passed as
+// a value through CampusConfig.Placement instead.
 func NewPlacementPolicy(name string) (PlacementPolicy, error) {
 	if name == "" {
 		return LeastLoadedPolicy{}, nil
 	}
-	build, err := policyRegistry.get(name)
-	if err != nil {
-		return nil, err
-	}
-	return build(), nil
-}
-
-func init() {
-	MustRegisterPlacementPolicy(PolicyLeastLoaded, func() PlacementPolicy { return LeastLoadedPolicy{} })
-	MustRegisterPlacementPolicy(PolicyCampusBQP, func() PlacementPolicy { return CampusBQPPolicy{} })
-	MustRegisterPlacementPolicy(PolicyAffinity, func() PlacementPolicy { return AffinityPolicy{} })
+	return lookup("placement policy", placementPolicies, name)
 }

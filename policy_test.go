@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// TestPlacementPolicyRegistry covers the policy registry surface: the
+// TestPlacementPolicyRegistry covers the built-in policy table: the
 // three built-ins are listed, the empty name resolves to the default,
 // and unknown names error.
 func TestPlacementPolicyRegistry(t *testing.T) {
@@ -29,9 +29,6 @@ func TestPlacementPolicyRegistry(t *testing.T) {
 	}
 	if _, err := NewPlacementPolicy("no-such-policy"); err == nil {
 		t.Fatal("unknown policy name accepted")
-	}
-	if err := RegisterPlacementPolicy(PolicyAffinity, func() PlacementPolicy { return AffinityPolicy{} }); err == nil {
-		t.Fatal("duplicate policy registration accepted")
 	}
 }
 
@@ -173,9 +170,6 @@ func TestRingBackboneRouting(t *testing.T) {
 	}
 	defer campus.Stop()
 	bb := campus.Backbone()
-	if bb.Mesh() {
-		t.Fatal("explicit links left the backbone in mesh mode")
-	}
 	// a -> c has two 2-hop routes; BFS over ascending neighbors picks b.
 	if got := bb.Route(0, 2); !reflect.DeepEqual(got, []int{0, 1, 2}) {
 		t.Fatalf("route a->c = %v, want [0 1 2]", got)
@@ -215,7 +209,8 @@ func TestRingBackboneRouting(t *testing.T) {
 	}
 }
 
-// TestAddLinkValidation covers the AddLink error paths.
+// TestAddLinkValidation covers the error paths of CampusConfig.Links:
+// every bad link fails NewCampus, and a valid one replaces the mesh.
 func TestAddLinkValidation(t *testing.T) {
 	unit := func(name string) CellSpec {
 		return CellSpec{
@@ -233,29 +228,32 @@ func TestAddLinkValidation(t *testing.T) {
 			},
 		}
 	}
-	campus, err := NewCampus(CampusConfig{Seed: 1}, unit("x"), unit("y"))
+	build := func(links ...BackboneLink) (*Campus, error) {
+		return NewCampus(CampusConfig{Seed: 1, Links: links}, unit("x"), unit("y"), unit("z"))
+	}
+	for _, tc := range []struct {
+		name string
+		link BackboneLink
+	}{
+		{"link to unknown cell", BackboneLink{A: "x", B: "nowhere"}},
+		{"self-link", BackboneLink{A: "x", B: "x"}},
+		{"PER outside [0,1)", BackboneLink{A: "x", B: "y", Config: LinkConfig{PER: 1.5}}},
+	} {
+		if campus, err := build(tc.link); err == nil {
+			campus.Stop()
+			t.Fatalf("%s accepted", tc.name)
+		}
+	}
+	campus, err := build(BackboneLink{A: "x", B: "y"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer campus.Stop()
-	bb := campus.Backbone()
-	if err := bb.AddLink("x", "nowhere", LinkConfig{}); err == nil {
-		t.Fatal("link to unknown cell accepted")
+	if got := campus.Backbone().Hops(0, 2); got != -1 {
+		t.Fatalf("hops x->z = %d, want -1: explicit links replace the mesh", got)
 	}
-	if err := bb.AddLink("x", "x", LinkConfig{}); err == nil {
-		t.Fatal("self-link accepted")
-	}
-	if err := bb.AddLink("x", "y", LinkConfig{PER: 1.5}); err == nil {
-		t.Fatal("PER outside [0,1) accepted")
-	}
-	if !bb.Mesh() {
-		t.Fatal("rejected links switched the backbone out of mesh mode")
-	}
-	if err := bb.AddLink("x", "y", LinkConfig{}); err != nil {
-		t.Fatal(err)
-	}
-	if bb.Mesh() {
-		t.Fatal("AddLink did not switch to the explicit topology")
+	if got := campus.Backbone().Hops(0, 1); got != 1 {
+		t.Fatalf("hops x->y = %d, want 1", got)
 	}
 }
 

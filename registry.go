@@ -2,7 +2,6 @@ package evm
 
 import (
 	"fmt"
-	"reflect"
 	"sync"
 	"time"
 
@@ -119,79 +118,61 @@ func (e *Experiment) Now() time.Duration { return e.target().Now() }
 // Runner calls builders from several goroutines.
 type ScenarioBuilder func(spec RunSpec) (*Experiment, error)
 
-// registry is a concurrent-safe table of named builders. One instance
-// each backs the scenario, placement-policy and rollout-policy
-// registries; kind names the entries in error messages.
-type registry[T any] struct {
-	kind     string
-	mu       sync.RWMutex
-	builders map[string]T
-}
-
-// add registers build under name. An empty name, a nil builder or a
-// name already taken is an error. Every T is a func type, which a type
-// parameter cannot compare with nil, so reflect makes the nil check.
-func (r *registry[T]) add(name string, build T) error {
-	if name == "" || reflect.ValueOf(build).IsNil() {
-		return fmt.Errorf("evm: %s needs a name and a builder", r.kind)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.builders[name]; dup {
-		return fmt.Errorf("evm: %s %q already registered", r.kind, name)
-	}
-	if r.builders == nil {
-		r.builders = make(map[string]T)
-	}
-	r.builders[name] = build
-	return nil
-}
-
-// mustAdd is add that panics on error, for package init blocks.
-func (r *registry[T]) mustAdd(name string, build T) {
-	if err := r.add(name, build); err != nil {
-		panic(err)
-	}
-}
-
-// names lists the registered names, sorted.
-func (r *registry[T]) names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return sim.SortedKeys(r.builders)
-}
-
-// get returns the builder registered under name.
-func (r *registry[T]) get(name string) (T, error) {
-	r.mu.RLock()
-	build, ok := r.builders[name]
-	r.mu.RUnlock()
+// lookup returns the table entry under name; kind names the table in the
+// error for an unknown name.
+func lookup[T any](kind string, table map[string]T, name string) (T, error) {
+	v, ok := table[name]
 	if !ok {
-		return build, fmt.Errorf("evm: unknown %s %q (registered: %v)", r.kind, name, r.names())
+		return v, fmt.Errorf("evm: unknown %s %q (registered: %v)", kind, name, sim.SortedKeys(table))
 	}
-	return build, nil
+	return v, nil
 }
 
-var scenarioRegistry = registry[ScenarioBuilder]{kind: "scenario"}
+// scenarioRegistry is the global, concurrent-safe table of named
+// scenario builders.
+var scenarioRegistry struct {
+	mu       sync.RWMutex
+	builders map[string]ScenarioBuilder
+}
 
 // RegisterScenario adds a named scenario to the global registry.
 // Registering a duplicate name or a nil builder is an error.
 func RegisterScenario(name string, build ScenarioBuilder) error {
-	return scenarioRegistry.add(name, build)
+	if name == "" || build == nil {
+		return fmt.Errorf("evm: scenario needs a name and a builder")
+	}
+	scenarioRegistry.mu.Lock()
+	defer scenarioRegistry.mu.Unlock()
+	if _, dup := scenarioRegistry.builders[name]; dup {
+		return fmt.Errorf("evm: scenario %q already registered", name)
+	}
+	if scenarioRegistry.builders == nil {
+		scenarioRegistry.builders = make(map[string]ScenarioBuilder)
+	}
+	scenarioRegistry.builders[name] = build
+	return nil
 }
 
 // MustRegisterScenario is RegisterScenario that panics on error — for
 // package init blocks.
 func MustRegisterScenario(name string, build ScenarioBuilder) {
-	scenarioRegistry.mustAdd(name, build)
+	if err := RegisterScenario(name, build); err != nil {
+		panic(err)
+	}
 }
 
 // Scenarios lists the registered scenario names, sorted.
-func Scenarios() []string { return scenarioRegistry.names() }
+func Scenarios() []string {
+	scenarioRegistry.mu.RLock()
+	defer scenarioRegistry.mu.RUnlock()
+	return sim.SortedKeys(scenarioRegistry.builders)
+}
 
 // BuildScenario instantiates the spec's scenario from the registry.
 func BuildScenario(spec RunSpec) (*Experiment, error) {
-	build, err := scenarioRegistry.get(spec.Scenario)
+	scenarioRegistry.mu.RLock()
+	build, err := lookup("scenario", scenarioRegistry.builders, spec.Scenario)
+	scenarioRegistry.mu.RUnlock()
 	if err != nil {
 		return nil, err
 	}
