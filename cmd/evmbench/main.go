@@ -5,7 +5,7 @@
 //
 //	evmbench            # everything, then the grid sweep
 //	evmbench -exp e3    # only the MAC lifetime comparison
-//	evmbench -exp grid  # the parallel Runner sweep over the registry
+//	evmbench -exp grid  # the parallel Runner sweep over the scenario table
 package main
 
 import (
@@ -75,7 +75,7 @@ func render(e paperexp.Experiment) error {
 	return nil
 }
 
-// gridSweep exercises the scenario registry and the parallel Runner: a
+// gridSweep exercises the scenario table and the parallel Runner: a
 // scenario x seed x fault-plan grid fans out across worker goroutines and
 // the per-run metrics are aggregated per scenario (the ROADMAP's
 // "hundreds of seeded runs" workflow).
@@ -86,7 +86,7 @@ func gridSweep() error {
 	if workers < 4 {
 		workers = 4
 	}
-	fmt.Printf("=== grid: registry sweep on the parallel Runner (%d workers) ===\n", workers)
+	fmt.Printf("=== grid: scenario-table sweep on the parallel Runner (%d workers) ===\n", workers)
 	crash := evm.FaultPlan{
 		Name:  "crash-2",
 		Steps: []evm.FaultStep{{At: 10 * time.Second, CrashNode: 2}},

@@ -222,6 +222,9 @@ func newCell(name string, eng *sim.Engine, rng *sim.RNG, cfg CellConfig, spec ce
 			return nil, err
 		}
 	}
+	if spec.line {
+		installLineRoutes(net, spec.lineOrderOrIDs())
+	}
 	c.net = net
 	if spec.hasPER && spec.per > 0 {
 		med.ForcePER(spec.per)
@@ -238,10 +241,7 @@ func buildCellSchedule(spec cellSpec, cfg CellConfig) (rtlink.Schedule, error) {
 	if !spec.line {
 		return rtlink.BuildMeshScheduleK(spec.ids, cfg.Link, cfg.SlotsPerNode)
 	}
-	order := spec.lineOrder
-	if len(order) == 0 {
-		order = spec.ids
-	}
+	order := spec.lineOrderOrIDs()
 	if cfg.SlotsPerNode*len(order)+1 > cfg.Link.SlotsPerFrame {
 		return nil, fmt.Errorf("evm: line of %d x %d rounds does not fit in %d slots",
 			len(order), cfg.SlotsPerNode, cfg.Link.SlotsPerFrame)
@@ -257,6 +257,34 @@ func buildCellSchedule(spec cellSpec, cfg CellConfig) (rtlink.Schedule, error) {
 		}
 	}
 	return sched, nil
+}
+
+// installLineRoutes installs the static next-hop routing table of a
+// multi-hop line cell: every station learns, for every other station,
+// the line neighbor leading toward it, so unicast traffic (sensor
+// snapshots outward, actuations back to the gateway, fault reports to
+// the head) is relayed hop by hop through the intermediate stations.
+// order is the station sequence along the line.
+func installLineRoutes(net *rtlink.Network, order []NodeID) {
+	for i, id := range order {
+		link := net.Link(id)
+		for j, dst := range order {
+			if i == j {
+				continue
+			}
+			next := dst
+			switch {
+			case j > i+1:
+				next = order[i+1]
+			case j < i-1:
+				next = order[i-1]
+			}
+			// Adjacent destinations get an explicit identity route too:
+			// the entry is what marks this station as a relay for
+			// fragments passing through it.
+			link.SetRoute(dst, next)
+		}
+	}
 }
 
 // NewCell builds a cell with the given member IDs placed on a line with
@@ -503,42 +531,6 @@ func (c *Cell) StartSensorFeedTo(src NodeID, period time.Duration, sample func()
 		}
 	})
 	return tk, nil
-}
-
-// InstallLineRoutes installs the static next-hop routing table of a
-// multi-hop line cell: every station learns, for every other station,
-// the line neighbor leading toward it, so unicast traffic (sensor
-// snapshots outward, actuations back to the gateway, fault reports to
-// the head) is relayed hop by hop through the intermediate stations.
-// order is the station sequence along the line (empty = member order);
-// it must match the WithLineSchedule order.
-func (c *Cell) InstallLineRoutes(order ...NodeID) error {
-	if len(order) == 0 {
-		order = c.ids
-	}
-	for i, id := range order {
-		link := c.net.Link(id)
-		if link == nil {
-			return fmt.Errorf("evm: node %v not joined", id)
-		}
-		for j, dst := range order {
-			if i == j {
-				continue
-			}
-			next := dst
-			switch {
-			case j > i+1:
-				next = order[i+1]
-			case j < i-1:
-				next = order[i-1]
-			}
-			// Adjacent destinations get an explicit identity route too:
-			// the entry is what marks this station as a relay for
-			// fragments passing through it.
-			link.SetRoute(dst, next)
-		}
-	}
-	return nil
 }
 
 // Run advances virtual time by d.

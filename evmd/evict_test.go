@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -158,9 +160,8 @@ func TestEvictionTTL(t *testing.T) {
 	}
 }
 
-// TestFuzzEndpoint: POST /v1/fuzz generates, registers and admits a
-// sweep slice; repeating the identical request is idempotent at the
-// registry layer and admits a fresh batch of runs.
+// TestFuzzEndpoint: POST /v1/fuzz generates and admits a sweep slice,
+// and rejects an unknown generator profile.
 func TestFuzzEndpoint(t *testing.T) {
 	s := NewServer(Config{Workers: 4, QueueDepth: 64})
 	defer s.Drain(0)
@@ -189,16 +190,64 @@ func TestFuzzEndpoint(t *testing.T) {
 		t.Fatalf("%d fuzz runs failed: %+v", st.Failed, s.Runs("fz", RunFailed))
 	}
 
-	// Same request again: the specs re-register as no-ops and the runs
-	// re-admit.
-	resp, body = postJSON(t, ts.URL+"/v1/fuzz", req)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("repeat fuzz status = %d, body %s", resp.StatusCode, body)
-	}
-	waitFinished(t, s, 8)
-
 	resp, body = postJSON(t, ts.URL+"/v1/fuzz", FuzzRequest{GenSeed: 1, Profile: "nope"})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad profile status = %d, body %s", resp.StatusCode, body)
+	}
+}
+
+// TestFuzzBatchesLeaveScenarioTable: generated specs travel with their
+// runs. Two fuzz batches from different generator seeds run to done, and
+// GET /v1/scenarios still lists exactly the fixed table pinned by the
+// root scenario golden, before and after.
+func TestFuzzBatchesLeaveScenarioTable(t *testing.T) {
+	raw, err := os.ReadFile("../testdata/golden/scenarios.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		if name, _, _ := strings.Cut(line, " "); !slices.Contains(want, name) {
+			want = append(want, name)
+		}
+	}
+	s := NewServer(Config{Workers: 2, QueueDepth: 64})
+	defer s.Drain(0)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	listed := func() []string {
+		t.Helper()
+		_, body := getBody(t, ts.URL+"/v1/scenarios")
+		var out struct{ Scenarios []string }
+		if err := json.Unmarshal(body, &out); err != nil {
+			t.Fatal(err)
+		}
+		return out.Scenarios
+	}
+	if got := listed(); !slices.Equal(got, want) {
+		t.Errorf("GET /v1/scenarios = %v, want the fixed table %v", got, want)
+	}
+	var runs []RunStatus
+	for _, genSeed := range []uint64{3, 40} {
+		resp, body := postJSON(t, ts.URL+"/v1/fuzz", FuzzRequest{Tenant: "fz", GenSeed: genSeed, Count: 2})
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("fuzz gen_seed=%d status = %d, body %s", genSeed, resp.StatusCode, body)
+		}
+		var fr FuzzResponse
+		if err := json.Unmarshal(body, &fr); err != nil {
+			t.Fatal(err)
+		}
+		runs = append(runs, fr.Runs...)
+	}
+	if len(runs) != 4 {
+		t.Fatalf("admitted %d runs, want 4", len(runs))
+	}
+	for _, st := range runs {
+		if got := waitState(t, s.Run(st.ID)); got != RunDone {
+			t.Fatalf("run %s (%s) ended %s: %s", st.ID, st.Scenario, got, s.Run(st.ID).snapshot().Error)
+		}
+	}
+	if got := listed(); !slices.Equal(got, want) {
+		t.Fatalf("after two fuzz batches GET /v1/scenarios = %v, want the fixed table %v", got, want)
 	}
 }

@@ -122,6 +122,10 @@ type Run struct {
 	Tenant string
 	Spec   evm.RunSpec
 
+	// build resolves Spec (nil = the fixed scenario table). A fuzz run
+	// carries its generated batch's builder, so the generated specs live
+	// and are evicted with their runs.
+	build  evm.ScenarioBuilder
 	stream *stream
 
 	mu          sync.Mutex
@@ -296,8 +300,14 @@ var (
 
 // Submit admits one run per spec, all under the same tenant, atomically:
 // either every spec is queued or none is (ErrQueueFull/ErrDraining).
-// Scenario names are validated against the registry before admission.
+// Every spec must name a built-in scenario.
 func (s *Server) Submit(tenant string, specs ...evm.RunSpec) ([]*Run, error) {
+	return s.admit(tenant, nil, specs)
+}
+
+// admit is Submit for runs that carry build (nil = the fixed scenario
+// table, whose names are checked before admission).
+func (s *Server) admit(tenant string, build evm.ScenarioBuilder, specs []evm.RunSpec) ([]*Run, error) {
 	if tenant == "" {
 		tenant = "default"
 	}
@@ -308,13 +318,11 @@ func (s *Server) Submit(tenant string, specs ...evm.RunSpec) ([]*Run, error) {
 		s.refused.Add(int64(len(specs)))
 		return nil, ErrDraining
 	}
-	known := make(map[string]bool)
-	for _, name := range evm.Scenarios() {
-		known[name] = true
-	}
-	for _, spec := range specs {
-		if !known[spec.Scenario] {
-			return nil, fmt.Errorf("evmd: unknown scenario %q", spec.Scenario)
+	if build == nil {
+		for _, spec := range specs {
+			if _, err := evm.LookupScenario(spec.Scenario); err != nil {
+				return nil, fmt.Errorf("evmd: unknown scenario %q", spec.Scenario)
+			}
 		}
 	}
 	now := s.cfg.Clock.Now()
@@ -327,6 +335,7 @@ func (s *Server) Submit(tenant string, specs ...evm.RunSpec) ([]*Run, error) {
 			ID:          id,
 			Tenant:      tenant,
 			Spec:        spec,
+			build:       build,
 			state:       RunQueued,
 			submittedAt: now,
 			stream:      newStream(id, tenant, spec),
@@ -455,6 +464,7 @@ func (s *Server) execute(run *Run) {
 
 	runner := &evm.Runner{
 		Workers:   1,
+		Build:     run.build,
 		Trace:     s.cfg.Trace,
 		HostStats: true,
 		Instrument: func(_ evm.RunSpec, exp *evm.Experiment) func(map[string]float64) {

@@ -591,17 +591,12 @@ func BenchmarkSubmissionThroughput(b *testing.B) {
 // panics fails its own run (the panic and stack in its error, its event
 // stream closed) and the worker goes on to serve the next run.
 func TestPanickingRunFailsWithoutKillingDaemon(t *testing.T) {
-	const scenario = "evmd-test-panic"
-	if err := evm.RegisterScenario(scenario, func(evm.RunSpec) (*evm.Experiment, error) {
-		panic("builder exploded")
-	}); err != nil && !strings.Contains(err.Error(), "already registered") {
-		t.Fatal(err)
-	}
 	s := NewServer(Config{Workers: 1, QueueDepth: 4})
 	defer s.Drain(0)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	bad, err := s.Submit("acme", evm.RunSpec{Scenario: scenario, Seed: 1})
+	explode := func(evm.RunSpec) (*evm.Experiment, error) { panic("builder exploded") }
+	bad, err := s.admit("acme", explode, []evm.RunSpec{{Scenario: "evmd-test-panic", Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package evmd
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 
@@ -11,9 +10,10 @@ import (
 )
 
 // FuzzRequest is the POST /v1/fuzz body: generate Count scenario specs
-// from consecutive generator seeds starting at GenSeed, register them,
-// and admit one run per (spec, run seed) pair for the tenant — the
-// daemon-side form of an evmfuzz sweep slice.
+// from consecutive generator seeds starting at GenSeed and admit one run
+// per (spec, run seed) pair for the tenant — the daemon-side form of an
+// evmfuzz sweep slice. The runs carry their generated specs; the
+// daemon's scenario table never grows.
 type FuzzRequest struct {
 	Tenant  string   `json:"tenant"`
 	GenSeed uint64   `json:"gen_seed"`
@@ -23,8 +23,8 @@ type FuzzRequest struct {
 	Profile string `json:"profile,omitempty"`
 }
 
-// maxFuzzCount bounds one request's registry growth; sweeps larger than
-// this belong in the evmfuzz CLI, not a daemon run table.
+// maxFuzzCount bounds one request's batch; sweeps larger than this
+// belong in the evmfuzz CLI, not a daemon run table.
 const maxFuzzCount = 256
 
 // FuzzResponse acknowledges an admitted fuzz submission (HTTP 202).
@@ -64,28 +64,25 @@ func (s *Server) handleFuzz(w http.ResponseWriter, r *http.Request) {
 		names []string
 		specs []evm.RunSpec
 	)
+	byName := make(map[string]fuzz.Spec, req.Count)
 	for i := 0; i < req.Count; i++ {
 		spec := fuzz.GenerateWith(req.GenSeed+uint64(i), prof)
-		if err := fuzz.EnsureRegistered(spec); err != nil {
+		if err := spec.Validate(); err != nil {
 			httpError(w, http.StatusInternalServerError, err)
 			return
 		}
+		byName[spec.Name] = spec
 		names = append(names, spec.Name)
 		for _, seed := range seeds {
 			specs = append(specs, evm.RunSpec{Scenario: spec.Name, Seed: seed})
 		}
 	}
-	runs, err := s.Submit(req.Tenant, specs...)
+	build := func(run evm.RunSpec) (*evm.Experiment, error) {
+		return fuzz.Builder(byName[run.Scenario])(run)
+	}
+	runs, err := s.admit(req.Tenant, build, specs)
 	if err != nil {
-		switch {
-		case errors.Is(err, ErrDraining):
-			httpError(w, http.StatusServiceUnavailable, err)
-		case errors.Is(err, ErrQueueFull):
-			w.Header().Set("Retry-After", "1")
-			httpError(w, http.StatusTooManyRequests, err)
-		default:
-			httpError(w, http.StatusBadRequest, err)
-		}
+		admissionError(w, err)
 		return
 	}
 	resp := FuzzResponse{Scenarios: names, Runs: make([]RunStatus, len(runs))}

@@ -145,7 +145,7 @@ type SubmitResponse struct {
 // Handler mounts the daemon's HTTP API:
 //
 //	POST /v1/runs                  submit (202; 429 backpressure; 503 draining)
-//	POST /v1/fuzz                  generate + register + submit fuzz specs (202)
+//	POST /v1/fuzz                  generate + submit fuzz specs (202)
 //	GET  /v1/runs                  list run snapshots (?tenant=, ?state=)
 //	GET  /v1/runs/{id}             one run snapshot (410 once evicted)
 //	GET  /v1/runs/{id}/events      stream events (SSE or NDJSON; replays from start)
@@ -153,7 +153,7 @@ type SubmitResponse struct {
 //	GET  /v1/runs/{id}/trace       Chrome-trace JSON (Config.Trace; Perfetto-loadable)
 //	GET  /v1/tenants               tenant names
 //	GET  /v1/tenants/{id}          tenant status table
-//	GET  /v1/scenarios             registered scenarios and policies
+//	GET  /v1/scenarios             built-in scenarios and policies
 //	GET  /v1/stats                 daemon counters
 //	GET  /v1/healthz               liveness: 200 while the process serves
 //	GET  /v1/readyz                readiness: 200 serving / 503 draining
@@ -252,15 +252,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	runs, err := s.Submit(req.Tenant, req.Specs()...)
 	if err != nil {
-		switch {
-		case errors.Is(err, ErrDraining):
-			httpError(w, http.StatusServiceUnavailable, err)
-		case errors.Is(err, ErrQueueFull):
-			w.Header().Set("Retry-After", "1")
-			httpError(w, http.StatusTooManyRequests, err)
-		default:
-			httpError(w, http.StatusBadRequest, err)
-		}
+		admissionError(w, err)
 		return
 	}
 	resp := SubmitResponse{Runs: make([]RunStatus, len(runs))}
@@ -269,6 +261,20 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	resp.QueueDepth, _ = s.queue.depths()
 	writeJSON(w, http.StatusAccepted, resp)
+}
+
+// admissionError answers a refused submission: 503 while draining, 429
+// with Retry-After under backpressure, 400 for a bad request.
+func admissionError(w http.ResponseWriter, err error) {
+	switch {
+	case errors.Is(err, ErrDraining):
+		httpError(w, http.StatusServiceUnavailable, err)
+	case errors.Is(err, ErrQueueFull):
+		w.Header().Set("Retry-After", "1")
+		httpError(w, http.StatusTooManyRequests, err)
+	default:
+		httpError(w, http.StatusBadRequest, err)
+	}
 }
 
 func (s *Server) handleListRuns(w http.ResponseWriter, r *http.Request) {

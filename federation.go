@@ -61,14 +61,6 @@ type CampusConfig struct {
 	// Capsules is the campus's versioned capsule store for over-the-air
 	// rollouts (nil = an empty store, created on first use).
 	Capsules *CapsuleStore
-	// UnsafeSkipStaleMasterDemotion disables the coordinator's
-	// stale-master demotion on cell recovery, re-introducing the
-	// pre-handshake dual-master bug (a recovered origin master resumes
-	// actuating alongside the foreign copy when Rebalance is false). It
-	// exists only as a seeded fault for validating violation detection
-	// end to end — the fuzz shrinker's self-test depends on it. Never set
-	// it outside tests.
-	UnsafeSkipStaleMasterDemotion bool
 }
 
 // checkPeriod is the federation coordinator's scan-and-checkpoint
@@ -531,9 +523,6 @@ func (c *Campus) detectRecoveries() {
 // on every radio recovery in the cell and again on CellRecoveredEvent;
 // RetireMaster no-ops once the mastership is gone.
 func (c *Campus) demoteStaleMasters(origin int) {
-	if c.cfg.UnsafeSkipStaleMasterDemotion {
-		return
-	}
 	if c.headDown(origin) {
 		return
 	}
@@ -999,16 +988,6 @@ func KillNodesPlan(name string, at time.Duration, ids ...NodeID) FaultPlan {
 	steps := make([]FaultStep, 0, len(ids))
 	for _, id := range ids {
 		steps = append(steps, FaultStep{At: at, CrashNode: id})
-	}
-	return FaultPlan{Name: name, Steps: steps}
-}
-
-// RecoverNodesPlan returns a fault plan that recovers every listed radio
-// at offset at — the counterpart of KillNodesPlan for outage windows.
-func RecoverNodesPlan(name string, at time.Duration, ids ...NodeID) FaultPlan {
-	steps := make([]FaultStep, 0, len(ids))
-	for _, id := range ids {
-		steps = append(steps, FaultStep{At: at, RecoverNode: id})
 	}
 	return FaultPlan{Name: name, Steps: steps}
 }

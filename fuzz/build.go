@@ -1,9 +1,7 @@
 package fuzz
 
 import (
-	"encoding/json"
 	"fmt"
-	"sync"
 	"time"
 
 	"evm"
@@ -30,7 +28,8 @@ func LineOrder(c CellGen) []evm.NodeID {
 }
 
 // Builder returns a ScenarioBuilder that reconstructs the spec's system
-// for any run seed — the registry-bypass hook for Runner corpus sweeps.
+// for any run seed. Generated specs run only this way, through
+// Runner.Build; the built-in scenario table never holds them.
 func Builder(s Spec) evm.ScenarioBuilder {
 	return func(run evm.RunSpec) (*evm.Experiment, error) { return buildExperiment(s, run) }
 }
@@ -39,38 +38,6 @@ func Builder(s Spec) evm.ScenarioBuilder {
 // invariant set plus the timing invariants at their default bounds.
 func Checkers() []evm.InvariantChecker {
 	return append(evm.DefaultInvariants(), evm.TimingInvariants(0, 0)...)
-}
-
-var registered = struct {
-	sync.Mutex
-	specs map[string]string
-}{specs: make(map[string]string)}
-
-// EnsureRegistered registers the spec as an ordinary scenario under its
-// name, so plain RunSpecs (and evmd submissions) can reference it
-// through the global registry. Re-registering an identical spec is a
-// no-op; a different spec under a taken name is an error.
-func EnsureRegistered(s Spec) error {
-	if err := s.Validate(); err != nil {
-		return err
-	}
-	js, err := json.Marshal(s)
-	if err != nil {
-		return err
-	}
-	registered.Lock()
-	defer registered.Unlock()
-	if prev, ok := registered.specs[s.Name]; ok {
-		if prev == string(js) {
-			return nil
-		}
-		return fmt.Errorf("fuzz: scenario %q already registered with a different spec", s.Name)
-	}
-	if err := evm.RegisterScenario(s.Name, Builder(s)); err != nil {
-		return err
-	}
-	registered.specs[s.Name] = string(js)
-	return nil
 }
 
 func buildExperiment(s Spec, run evm.RunSpec) (*evm.Experiment, error) {
@@ -266,8 +233,6 @@ func buildCampus(s Spec, run evm.RunSpec) (*evm.Experiment, error) {
 		Placement: policy,
 		Rebalance: s.Rebalance,
 		Capsules:  store,
-
-		UnsafeSkipStaleMasterDemotion: s.UnsafeSkipDemotion,
 	}
 	for _, l := range s.Links {
 		cfg.Links = append(cfg.Links, evm.BackboneLink{
@@ -360,10 +325,6 @@ func buildMultihop(s Spec, run evm.RunSpec) (*evm.Experiment, error) {
 		DormantAfter: 5 * time.Second,
 	}
 	if err := cell.Deploy(vc); err != nil {
-		cell.Stop()
-		return nil, err
-	}
-	if err := cell.InstallLineRoutes(order...); err != nil {
 		cell.Stop()
 		return nil, err
 	}

@@ -1,13 +1,16 @@
 package fuzz
 
 import (
+	"os"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"evm"
 )
 
-// TestRandomFieldSpecPinned pins the shape of the registered
+// TestRandomFieldSpecPinned pins the shape of the pinned
 // random-field-multihop scenario. The spec is a pure function of
 // RandomFieldSeed, so any drift here means the generator changed and
 // the scenario silently became a different experiment.
@@ -44,13 +47,13 @@ func TestRandomFieldSpecPinned(t *testing.T) {
 	}
 }
 
-// TestRandomFieldScheduleFeasible runs the registered scenario through
-// the invariant-checked Runner and demands a feasible outcome: zero
-// invariant or timing violations (actuations keep arriving across the
-// crash within the failover bound), real multi-hop relaying, and a
+// TestRandomFieldScheduleFeasible runs the pinned spec through the
+// invariant-checked Runner's Build hook and demands a feasible outcome:
+// zero invariant or timing violations (actuations keep arriving across
+// the crash within the failover bound), real multi-hop relaying, and a
 // line-schedule duty cycle that fits the TDMA frame.
 func TestRandomFieldScheduleFeasible(t *testing.T) {
-	r := evm.Runner{Workers: 1, Checkers: Checkers}
+	r := evm.Runner{Workers: 1, Checkers: Checkers, Build: Builder(RandomFieldSpec())}
 	res := r.RunOne(evm.RunSpec{Scenario: ScenarioRandomFieldMultihop, Seed: 1, Horizon: 25 * time.Second})
 	if res.Err != nil {
 		t.Fatalf("run failed: %v", res.Err)
@@ -90,5 +93,24 @@ func TestRandomFieldStreamDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("event %d differs:\n%s\n%s", i, a[i], b[i])
 		}
+	}
+}
+
+// TestScenarioTableExcludesGenerated: importing fuzz adds nothing to the
+// built-in scenario table; it lists exactly the names the root scenario
+// golden pins, and the pinned multi-hop field is not among them.
+func TestScenarioTableExcludesGenerated(t *testing.T) {
+	raw, err := os.ReadFile("../testdata/golden/scenarios.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		if name, _, _ := strings.Cut(line, " "); !slices.Contains(want, name) {
+			want = append(want, name)
+		}
+	}
+	if got := evm.Scenarios(); !slices.Equal(got, want) {
+		t.Fatalf("evm.Scenarios() = %v, want %v", got, want)
 	}
 }

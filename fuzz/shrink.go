@@ -268,7 +268,6 @@ func shrinkKnobs(s *Spec, try func(Spec) bool) bool {
 		},
 		func(c Spec) Spec { c.Policy = ""; return c },
 		func(c Spec) Spec { c.Rebalance = false; return c },
-		func(c Spec) Spec { c.UnsafeSkipDemotion = false; return c },
 	}
 	for _, mk := range cands {
 		cand := mk(*s)

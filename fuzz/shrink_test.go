@@ -4,48 +4,43 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"evm"
 )
 
-// seededDualMasterSpec hand-builds a spec that trips the
-// single-master-per-task invariant on purpose: UnsafeSkipDemotion
-// disables the coordinator's stale-master demotion (the test hook
-// behind the historical Rebalance-false bug), so when cell c0
-// blacks out, its tasks escalate to a peer, and on recovery the old
-// master resumes actuating alongside the foreign replica. Three noise
-// faults ride along so the shrinker has something real to strip.
-func seededDualMasterSpec() Spec {
+// seededLostLoopSpec hand-builds a spec that trips the
+// failover-latency invariant through an ordinary fault plan: both
+// controllers of loop c0-loop-0 (nodes 3 and 4) crash for good at 10 s,
+// so no replica can take the loop over. Drift, PER-burst and battery
+// noise ride along so the shrinker has something real to strip.
+func seededLostLoopSpec() Spec {
 	return Spec{
-		Name:     "fuzz-seeded-dual-master",
-		Topology: TopologyMesh,
-		Cells: []CellGen{
-			{Name: "c0", Tasks: 1, Spares: 2, PeriodMS: 250, Placement: PlacementGrid},
-			{Name: "c1", Tasks: 1, Spares: 2, PeriodMS: 250, Placement: PlacementGrid},
-			{Name: "c2", Tasks: 1, Spares: 2, PeriodMS: 500, Placement: PlacementGrid},
-		},
-		HorizonMS:          30_000,
-		UnsafeSkipDemotion: true,
+		Name:      "fuzz-seeded-lost-loop",
+		Topology:  TopologyMesh,
+		Cells:     []CellGen{{Name: "c0", Tasks: 2, Spares: 2, PeriodMS: 250, Placement: PlacementGrid}},
+		HorizonMS: 30_000,
 		Faults: []FaultGen{
-			{AtMS: 6_000, Kind: KindDrift, Cell: "c1", Node: 5, PPM: 180},
-			{AtMS: 8_000, Kind: KindPERBurst, Cell: "c2", PER: 0.2, ForMS: 2_000},
-			{AtMS: 10_500, Kind: KindOutage, Cell: "c0", ForMS: 8_000},
-			{AtMS: 21_000, Kind: KindBattery, Cell: "c1", Node: 6, Fraction: 0.4},
+			{AtMS: 6_000, Kind: KindDrift, Cell: "c0", Node: 5, PPM: 180},
+			{AtMS: 8_000, Kind: KindPERBurst, Cell: "c0", PER: 0.2, ForMS: 1_000},
+			{AtMS: 10_000, Kind: KindCrash, Cell: "c0", Node: 3},
+			{AtMS: 10_000, Kind: KindCrash, Cell: "c0", Node: 4},
+			{AtMS: 21_000, Kind: KindBattery, Cell: "c0", Node: 6, Fraction: 0.4},
 		},
 	}
 }
 
 // TestShrinkConvergesOnSeededViolation is the end-to-end shrinker
-// proof: the seeded dual-master spec fails, Shrink strips the noise
-// down to a minimal still-failing spec, and the emitted repro replays
-// to the same violation class.
+// proof: the seeded lost-loop spec fails, Shrink strips the noise down
+// to the two crash steps the failure needs, and the emitted repro
+// replays to the same violation class.
 func TestShrinkConvergesOnSeededViolation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs dozens of simulations; skipped in -short")
 	}
-	s := seededDualMasterSpec()
+	s := seededLostLoopSpec()
 	if err := s.Validate(); err != nil {
 		t.Fatalf("seeded spec invalid: %v", err)
 	}
@@ -55,34 +50,26 @@ func TestShrinkConvergesOnSeededViolation(t *testing.T) {
 		t.Fatalf("seeded spec failed to run: %v", err)
 	}
 	if len(viols) == 0 {
-		t.Fatal("seeded spec no longer violates any invariant — the dual-master hook lost its teeth")
+		t.Fatal("seeded spec no longer violates any invariant — losing both controllers of a loop went unnoticed")
 	}
-	sawDual := false
 	for _, v := range viols {
-		if v.Checker == "single-master-per-task" {
-			sawDual = true
-		}
+		t.Logf("violation: %s", v)
 	}
-	if !sawDual {
-		t.Fatalf("expected a single-master-per-task violation, got %v", viols)
+	if !slices.ContainsFunc(viols, func(v evm.Violation) bool { return v.Checker == "failover-latency" }) {
+		t.Fatalf("expected a failover-latency violation, got %v", viols)
 	}
 
 	sr := Shrink(s, seed, viols)
 	t.Logf("shrink: %d attempts, %d accepted → %d cell(s), %d fault(s), %v horizon",
 		sr.Attempts, sr.Accepted, len(sr.Spec.Cells), len(sr.Spec.Faults), sr.Spec.Horizon())
-	if len(sr.Spec.Cells) > 3 {
-		t.Errorf("shrunk spec still has %d cells (want ≤ 3)", len(sr.Spec.Cells))
-	}
-	if len(sr.Spec.Faults) > 5 {
-		t.Errorf("shrunk spec still has %d fault steps (want ≤ 5)", len(sr.Spec.Faults))
-	}
-	// The outage is the only fault the failure actually needs; the
+	// The two crashes are the only faults the failure needs; the
 	// shrinker must have discovered that.
-	if len(sr.Spec.Faults) != 1 || sr.Spec.Faults[0].Kind != KindOutage {
-		t.Errorf("want the lone cell-outage to survive shrinking, got %+v", sr.Spec.Faults)
+	want := []FaultGen{
+		{AtMS: 10_000, Kind: KindCrash, Cell: "c0", Node: 3},
+		{AtMS: 10_000, Kind: KindCrash, Cell: "c0", Node: 4},
 	}
-	if !sr.Spec.UnsafeSkipDemotion {
-		t.Error("shrinker dropped UnsafeSkipDemotion yet the spec still failed — oracle is broken")
+	if !slices.Equal(sr.Spec.Faults, want) {
+		t.Errorf("want the two crash steps to survive shrinking, got %+v", sr.Spec.Faults)
 	}
 	if len(sr.Violations) == 0 {
 		t.Fatal("shrink result carries no violations")
@@ -104,15 +91,15 @@ func TestShrinkConvergesOnSeededViolation(t *testing.T) {
 
 	// The generated regression test must be a self-contained Go file
 	// that embeds the spec and asserts zero violations.
-	src, err := RegressionTest(rep, "TestSeededDualMasterRepro")
+	src, err := RegressionTest(rep, "TestSeededLostLoopRepro")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
 		"package fuzz_test",
-		"func TestSeededDualMasterRepro(t *testing.T)",
+		"func TestSeededLostLoopRepro(t *testing.T)",
 		"fuzz.RunOnce",
-		"single-master-per-task",
+		"failover-latency",
 	} {
 		if !bytes.Contains(src, []byte(want)) {
 			t.Errorf("regression test source missing %q:\n%s", want, src)
@@ -129,7 +116,7 @@ func TestShrinkerRejectsDifferentFailure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations; skipped in -short")
 	}
-	s := seededDualMasterSpec()
+	s := seededLostLoopSpec()
 	fake := []evm.Violation{{Checker: "route-monotonicity", Detail: "synthetic"}}
 	sr := Shrink(s, 1, fake)
 	if sr.Accepted != 0 {
@@ -159,7 +146,7 @@ func sameJSON(t *testing.T, a, b Spec) bool {
 // TestReproJSONRoundTrip: a repro survives the disk round-trip with
 // its spec and seed byte-for-byte intact.
 func TestReproJSONRoundTrip(t *testing.T) {
-	s := seededDualMasterSpec()
+	s := seededLostLoopSpec()
 	rep := NewRepro(s, 9, nil)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "r.json")

@@ -165,11 +165,6 @@ type Spec struct {
 	HorizonMS int64       `json:"horizon_ms"`
 	Faults    []FaultGen  `json:"faults,omitempty"`
 	Rollout   *RolloutGen `json:"rollout,omitempty"`
-	// UnsafeSkipDemotion re-introduces the pre-handshake dual-master
-	// bug (CampusConfig.UnsafeSkipStaleMasterDemotion) — the seeded
-	// violation the shrinker self-test minimizes. Never set outside
-	// tests.
-	UnsafeSkipDemotion bool `json:"unsafe_skip_demotion,omitempty"`
 }
 
 // Horizon returns the spec's run length.

@@ -2,7 +2,6 @@ package fuzz
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 )
 
@@ -48,27 +47,6 @@ func TestEventStringsDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("event %d differs:\n%s\n%s", i, a[i], b[i])
 		}
-	}
-}
-
-// TestEnsureRegisteredIdempotentAndConflicting: re-registering the
-// byte-identical spec is a no-op, re-registering a different spec under
-// the same name is an error (it would silently change what a stored
-// run name means).
-func TestEnsureRegisteredIdempotentAndConflicting(t *testing.T) {
-	s := Generate(4)
-	s.Name = "fuzz-test-ensure-registered"
-	if err := EnsureRegistered(s); err != nil {
-		t.Fatal(err)
-	}
-	if err := EnsureRegistered(s); err != nil {
-		t.Fatalf("idempotent re-register failed: %v", err)
-	}
-	altered := s
-	altered.HorizonMS += 500
-	err := EnsureRegistered(altered)
-	if err == nil || !strings.Contains(err.Error(), "different spec") {
-		t.Fatalf("conflicting re-register: got %v", err)
 	}
 }
 

@@ -180,9 +180,6 @@ func (n *Node) Head() *Head { return n.head }
 // Link exposes the underlying RT-Link layer.
 func (n *Node) Link() *rtlink.Link { return n.link }
 
-// Graph returns the VC's object-transfer graph.
-func (n *Node) Graph() *TransferGraph { return n.graph }
-
 // TaskSet returns the node's admitted real-time task set.
 func (n *Node) TaskSet() rtos.TaskSet { return append(rtos.TaskSet(nil), n.taskset...) }
 

@@ -124,9 +124,6 @@ func samePair(a, b Transfer) bool {
 	return (a.From == b.From && a.To == b.To) || (a.From == b.To && a.To == b.From)
 }
 
-// Edges returns a copy of the edge list.
-func (g *TransferGraph) Edges() []Transfer { return append([]Transfer(nil), g.edges...) }
-
 // AllowedSend reports whether data may flow from -> to under the graph
 // (directional respects direction; bidirectional and health allow both).
 func (g *TransferGraph) AllowedSend(from, to radio.NodeID) bool {

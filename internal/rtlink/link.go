@@ -134,19 +134,6 @@ func (l *Link) frameBuf() []byte {
 	return make([]byte, 0, fragHeaderLen+l.net.cfg.MaxPayload)
 }
 
-// FramesNeeded returns how many TDMA frames a payload of the given size
-// occupies for a node owning slotsPerFrame slots.
-func (l *Link) FramesNeeded(payloadBytes, slotsOwned int) int {
-	if slotsOwned <= 0 {
-		return 0
-	}
-	frags := (payloadBytes + l.net.cfg.MaxPayload - 1) / l.net.cfg.MaxPayload
-	if frags == 0 {
-		frags = 1
-	}
-	return (frags + slotsOwned - 1) / slotsOwned
-}
-
 // transmitNext sends the head-of-line fragment in the current slot.
 func (l *Link) transmitNext() {
 	if l.QueueLen() == 0 {

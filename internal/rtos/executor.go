@@ -2,7 +2,6 @@ package rtos
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"evm/internal/sim"
@@ -300,14 +299,4 @@ func (ex *Executor) chunkDone(j *job, chunk time.Duration) {
 		ex.OnComplete(j.task, j.release, ex.eng.Now())
 	}
 	ex.dispatch()
-}
-
-// TaskIDs returns the IDs of the current task set, sorted.
-func (ex *Executor) TaskIDs() []TaskID {
-	ids := make([]TaskID, 0, len(ex.tasks))
-	for _, t := range ex.tasks {
-		ids = append(ids, t.ID)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }

@@ -2,15 +2,15 @@ package evm
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"evm/internal/sim"
 	"evm/internal/span"
 )
 
-// RunSpec names one point of an experiment grid: a registered scenario,
-// a seed, a fault plan and a horizon. Specs are plain data — build them
+// RunSpec names one point of an experiment grid: a scenario (built-in,
+// or one the Runner's Build resolves), a seed, a fault plan and a
+// horizon. Specs are plain data — build them
 // by hand or with SpecGrid and hand them to a Runner.
 type RunSpec struct {
 	Scenario string
@@ -123,59 +123,47 @@ type ScenarioBuilder func(spec RunSpec) (*Experiment, error)
 func lookup[T any](kind string, table map[string]T, name string) (T, error) {
 	v, ok := table[name]
 	if !ok {
-		return v, fmt.Errorf("evm: unknown %s %q (registered: %v)", kind, name, sim.SortedKeys(table))
+		return v, fmt.Errorf("evm: unknown %s %q (built-in: %v)", kind, name, sim.SortedKeys(table))
 	}
 	return v, nil
 }
 
-// scenarioRegistry is the global, concurrent-safe table of named
-// scenario builders.
-var scenarioRegistry struct {
-	mu       sync.RWMutex
-	builders map[string]ScenarioBuilder
+// scenarios is the fixed table of built-in scenarios, the names
+// RunSpec.Scenario resolves through BuildScenario. A custom or generated
+// scenario is a ScenarioBuilder handed to Runner.Build instead.
+var scenarios = map[string]ScenarioBuilder{
+	ScenarioGasPlant:          buildGasPlantScenario,
+	ScenarioEightController:   buildEightControllerScenario,
+	ScenarioCapacity:          buildCapacityScenario,
+	ScenarioRefinery:          buildRefineryScenario,
+	ScenarioCampusFailover:    buildCampusFailoverScenario,
+	ScenarioRefineryRing:      buildRefineryRingScenario,
+	ScenarioRefineryRingSever: buildRefineryRingSeverScenario,
+	ScenarioOTACampus:         buildOTACampusScenario,
+	ScenarioModeChangeLine:    buildModeChangeLineScenario,
+	ScenarioPipeline:          buildPipelineScenario,
+	ScenarioRandomField:       buildRandomFieldScenario,
 }
 
-// RegisterScenario adds a named scenario to the global registry.
-// Registering a duplicate name or a nil builder is an error.
-func RegisterScenario(name string, build ScenarioBuilder) error {
-	if name == "" || build == nil {
-		return fmt.Errorf("evm: scenario needs a name and a builder")
-	}
-	scenarioRegistry.mu.Lock()
-	defer scenarioRegistry.mu.Unlock()
-	if _, dup := scenarioRegistry.builders[name]; dup {
-		return fmt.Errorf("evm: scenario %q already registered", name)
-	}
-	if scenarioRegistry.builders == nil {
-		scenarioRegistry.builders = make(map[string]ScenarioBuilder)
-	}
-	scenarioRegistry.builders[name] = build
-	return nil
+// Scenarios lists the built-in scenario names, sorted.
+func Scenarios() []string { return sim.SortedKeys(scenarios) }
+
+// LookupScenario returns the built-in scenario's builder by name.
+func LookupScenario(name string) (ScenarioBuilder, error) {
+	return lookup("scenario", scenarios, name)
 }
 
-// MustRegisterScenario is RegisterScenario that panics on error — for
-// package init blocks.
-func MustRegisterScenario(name string, build ScenarioBuilder) {
-	if err := RegisterScenario(name, build); err != nil {
-		panic(err)
-	}
-}
-
-// Scenarios lists the registered scenario names, sorted.
-func Scenarios() []string {
-	scenarioRegistry.mu.RLock()
-	defer scenarioRegistry.mu.RUnlock()
-	return sim.SortedKeys(scenarioRegistry.builders)
-}
-
-// BuildScenario instantiates the spec's scenario from the registry.
+// BuildScenario instantiates the spec's built-in scenario.
 func BuildScenario(spec RunSpec) (*Experiment, error) {
-	scenarioRegistry.mu.RLock()
-	build, err := lookup("scenario", scenarioRegistry.builders, spec.Scenario)
-	scenarioRegistry.mu.RUnlock()
+	build, err := LookupScenario(spec.Scenario)
 	if err != nil {
 		return nil, err
 	}
+	return buildChecked(build, spec)
+}
+
+// buildChecked runs build and rejects an experiment with nothing to run.
+func buildChecked(build ScenarioBuilder, spec RunSpec) (*Experiment, error) {
 	exp, err := build(spec)
 	if err != nil {
 		return nil, err

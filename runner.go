@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/bits"
-	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -85,10 +84,10 @@ type Runner struct {
 	// evmd's streaming layer hangs off this hook. Instrument must not
 	// advance the experiment itself.
 	Instrument func(spec RunSpec, exp *Experiment) func(metrics map[string]float64)
-	// Build, when non-nil, replaces the global scenario registry for
-	// spec resolution. Corpus sweeps (the fuzz package) run thousands of
-	// generated specs through one Runner without registering each as a
-	// named scenario.
+	// Build, when non-nil, resolves every spec instead of the built-in
+	// scenario table (BuildScenario). Custom and generated scenarios run
+	// this way: the fuzz package's corpus sweeps, pinned multi-hop field
+	// and evmd's fuzz submissions.
 	Build ScenarioBuilder
 	// Checkers, when non-nil, supplies a fresh set of invariant checkers
 	// per run. They observe the live event stream (no stored log needed)
@@ -99,9 +98,6 @@ type Runner struct {
 	// (span_<name>_p50_ms, ...) merge into RunResult.Metrics, and the
 	// Chrome-trace JSON export lands in RunResult.TraceJSON.
 	Trace bool
-	// TraceDir, when non-empty, implies Trace and additionally writes
-	// each run's export to <TraceDir>/<sanitized spec label>.trace.json.
-	TraceDir string
 	// HostStats enables wall-time and allocation accounting per run,
 	// reported in RunResult.HostWallMS / HostAllocBytes.
 	HostStats bool
@@ -174,7 +170,7 @@ func (r *Runner) runSpec(spec RunSpec) RunResult {
 	var exp *Experiment
 	var err error
 	if r.Build != nil {
-		exp, err = r.Build(spec)
+		exp, err = buildChecked(r.Build, spec)
 	} else {
 		exp, err = BuildScenario(spec)
 	}
@@ -188,7 +184,7 @@ func (r *Runner) runSpec(spec RunSpec) RunResult {
 	res.Policy = exp.Policy
 	tgt := exp.target()
 	var tracer *span.Tracer
-	if r.Trace || r.TraceDir != "" {
+	if r.Trace {
 		tracer = tgt.EnableTracing(spec.Seed)
 	}
 	var finish func(map[string]float64)
@@ -263,10 +259,6 @@ func (r *Runner) runSpec(spec RunSpec) RunResult {
 		res.Err = tracer.WriteJSON(&buf)
 		if res.Err == nil {
 			res.TraceJSON = buf.Bytes()
-			if r.TraceDir != "" {
-				name := sanitizeLabel(spec.Label()) + ".trace.json"
-				res.Err = os.WriteFile(filepath.Join(r.TraceDir, name), res.TraceJSON, 0o644)
-			}
 		}
 	}
 	if log != nil {

@@ -108,20 +108,33 @@ func TestRunnerUnknownScenario(t *testing.T) {
 	}
 }
 
-func TestRegistryRejectsDuplicates(t *testing.T) {
-	if err := RegisterScenario(ScenarioGasPlant, func(RunSpec) (*Experiment, error) { return nil, nil }); err == nil {
-		t.Fatal("duplicate registration accepted")
+// TestRunnerRejectsEmptyExperiment: a custom builder that returns no
+// cell or campus fails its run instead of panicking the worker.
+func TestRunnerRejectsEmptyExperiment(t *testing.T) {
+	for _, exp := range []*Experiment{nil, {}} {
+		r := Runner{Build: func(RunSpec) (*Experiment, error) { return exp, nil }}
+		if res := r.RunOne(RunSpec{Scenario: "empty", Seed: 1}); res.Err == nil {
+			t.Fatalf("experiment %v ran without a cell or campus", exp)
+		}
 	}
-	if err := RegisterScenario("", nil); err == nil {
-		t.Fatal("empty registration accepted")
-	}
+}
+
+// TestScenarioTableHoldsBuiltins: the fixed scenario table lists the
+// built-in scenarios and resolves their builders by name.
+func TestScenarioTableHoldsBuiltins(t *testing.T) {
 	found := false
 	for _, name := range Scenarios() {
 		if name == ScenarioGasPlant {
 			found = true
 		}
+		if build, err := LookupScenario(name); err != nil || build == nil {
+			t.Fatalf("LookupScenario(%q): nil builder or %v", name, err)
+		}
 	}
 	if !found {
 		t.Fatalf("built-in scenario missing from %v", Scenarios())
+	}
+	if _, err := LookupScenario("no-such-thing"); err == nil {
+		t.Fatal("unknown scenario resolved")
 	}
 }

@@ -5,21 +5,15 @@ import (
 	"time"
 )
 
-// Built-in scenario names registered with the global registry.
+// Built-in scenario names (the fixed table in registry.go).
 const (
 	ScenarioGasPlant        = "gas-plant"
 	ScenarioEightController = "eight-controller"
 	ScenarioCapacity        = "capacity"
 )
 
-func init() {
-	MustRegisterScenario(ScenarioGasPlant, buildGasPlantScenario)
-	MustRegisterScenario(ScenarioEightController, buildEightControllerScenario)
-	MustRegisterScenario(ScenarioCapacity, buildCapacityScenario)
-}
-
 // buildGasPlantScenario wraps the paper's hardware-in-loop testbed
-// (Fig. 5) as a registry scenario: closed-loop plant, gateway, and the
+// (Fig. 5) as a built-in scenario: closed-loop plant, gateway, and the
 // three-task Virtual Component, with an 8-cycle deviation window so
 // injected faults resolve within grid-sized horizons.
 func buildGasPlantScenario(spec RunSpec) (*Experiment, error) {

@@ -5,7 +5,7 @@ import (
 	"time"
 )
 
-// Federation scenario names registered with the global registry.
+// Federation scenario names (the fixed table in registry.go).
 const (
 	// ScenarioRefinery is a 4-cell x 16-node campus: four process units,
 	// each a full TDMA cell with its own gateway, head, four control
@@ -45,13 +45,6 @@ func RefineryMembers() []NodeID {
 		ids[i] = NodeID(i + 1)
 	}
 	return ids
-}
-
-func init() {
-	MustRegisterScenario(ScenarioRefinery, buildRefineryScenario)
-	MustRegisterScenario(ScenarioCampusFailover, buildCampusFailoverScenario)
-	MustRegisterScenario(ScenarioRefineryRing, buildRefineryRingScenario)
-	MustRegisterScenario(ScenarioRefineryRingSever, buildRefineryRingSeverScenario)
 }
 
 // campusPID is the shared synthetic control law for federation cells.

@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// OTA scenario names registered with the global registry.
+// OTA scenario names (the fixed table in registry.go).
 const (
 	// ScenarioOTACampus is the over-the-air acceptance workload: a 4-cell
 	// campus running a VM control law on every loop receives a staged
@@ -72,11 +72,6 @@ const otaLawBad = `
 	IN 0
 	DROP
 	HALT`
-
-func init() {
-	MustRegisterScenario(ScenarioOTACampus, buildOTACampusScenario)
-	MustRegisterScenario(ScenarioModeChangeLine, buildModeChangeLineScenario)
-}
 
 // OTACampusTasks lists the task IDs of the ota-campus scenario: two
 // pressure loops per unit.
@@ -346,9 +341,6 @@ func buildModeChangeLineScenario(spec RunSpec) (*Experiment, error) {
 		DormantAfter: 5 * time.Second,
 	}
 	if err := cell.Deploy(vc); err != nil {
-		return nil, err
-	}
-	if err := cell.InstallLineRoutes(line...); err != nil {
 		return nil, err
 	}
 	for _, n := range cell.Nodes() {

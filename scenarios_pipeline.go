@@ -30,17 +30,14 @@ const (
 // PipelineTaskID names the booster-pressure loop.
 const PipelineTaskID = "booster-loop"
 
-func init() {
-	MustRegisterScenario(ScenarioPipeline, buildPipelineScenario)
-}
-
 // pipelineLine returns the station sequence along the pipeline.
 func pipelineLine() []NodeID {
 	return []NodeID{PipeGateway, PipeRelay, PipeHead, PipeBackup, PipePrimary}
 }
 
-// buildPipelineScenario assembles the line cell, installs the per-hop
-// routes and starts the unicast sensor feed toward both controllers.
+// buildPipelineScenario assembles the line cell (which installs its own
+// per-hop routes) and starts the unicast sensor feed toward both
+// controllers.
 func buildPipelineScenario(spec RunSpec) (*Experiment, error) {
 	line := pipelineLine()
 	cell, err := NewCellWith(CellConfig{Seed: spec.Seed},
@@ -71,9 +68,6 @@ func buildPipelineScenario(spec RunSpec) (*Experiment, error) {
 		DormantAfter: 5 * time.Second,
 	}
 	if err := cell.Deploy(vc); err != nil {
-		return nil, err
-	}
-	if err := cell.InstallLineRoutes(line...); err != nil {
 		return nil, err
 	}
 	feed, err := cell.StartSensorFeedTo(PipeGateway, 250*time.Millisecond,

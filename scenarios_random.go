@@ -19,10 +19,6 @@ const ScenarioRandomField = "random-field"
 // RandomFieldNodes is the member count of the random-field cell.
 const RandomFieldNodes = 50
 
-func init() {
-	MustRegisterScenario(ScenarioRandomField, buildRandomFieldScenario)
-}
-
 // randomFieldLink widens the default 50-slot frame so all 50 members own
 // SlotsPerNode slots: 102 slots of 5 ms = a 510 ms frame, paired with
 // 1 s control loops.

@@ -129,15 +129,25 @@ func WithSlotsPerNode(k int) CellOption {
 // WithLineSchedule replaces the default full-mesh TDMA schedule with a
 // multi-hop line schedule (rtlink.BuildLineSchedule): each node's slots
 // are heard only by its immediate line neighbors, so messages between
-// distant stations must be relayed hop by hop (see
-// Cell.InstallLineRoutes). order gives the station sequence along the
-// line; empty means member order. The cell's slot budget (SlotsPerNode /
-// WithSlotsPerNode) becomes the number of line rounds per frame.
+// distant stations are relayed hop by hop along static line routes the
+// cell installs at construction. order gives the station sequence along
+// the line; empty means member order. The cell's slot budget
+// (SlotsPerNode / WithSlotsPerNode) becomes the number of line rounds
+// per frame.
 func WithLineSchedule(order ...NodeID) CellOption {
 	return func(s *cellSpec) {
 		s.line = true
 		s.lineOrder = append([]NodeID(nil), order...)
 	}
+}
+
+// lineOrderOrIDs is the station sequence of a line cell: the
+// WithLineSchedule order, or member order when it names none.
+func (s *cellSpec) lineOrderOrIDs() []NodeID {
+	if len(s.lineOrder) == 0 {
+		return s.ids
+	}
+	return s.lineOrder
 }
 
 func (s *cellSpec) validate() error {
