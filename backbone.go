@@ -164,9 +164,6 @@ func newBackbone(eng *sim.Engine, rng *sim.RNG, cfg BackboneConfig, names []stri
 	return b, nil
 }
 
-// Config returns the backbone configuration.
-func (b *Backbone) Config() BackboneConfig { return b.cfg }
-
 // Stats returns a copy of the backbone counters.
 func (b *Backbone) Stats() BackboneStats { return b.stats }
 

@@ -1,6 +1,7 @@
 package evm
 
 import (
+	"errors"
 	"testing"
 	"time"
 )
@@ -210,28 +211,51 @@ func TestEventStreamDeterministic(t *testing.T) {
 }
 
 func TestDeployStopsStartedNodesOnFailure(t *testing.T) {
-	cell, err := NewCellWith(CellConfig{Seed: 1}, WithNodes(1, 2, 3, 4), WithPER(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	vc := testVC(4)
+	// The second node's logic factory fails after the first node started.
+	failing := testVC(4)
 	calls := 0
-	vc.Tasks[0].MakeLogic = func() (TaskLogic, error) {
+	failing.Tasks[0].MakeLogic = func() (TaskLogic, error) {
 		calls++
 		if calls >= 2 {
 			return nil, errTestLogic
 		}
 		return NewPIDLogic(PIDParams{Kp: 1, OutMin: 0, OutMax: 100, Setpoint: 50, CutoffHz: 0.4, RateHz: 4})
 	}
-	if err := cell.Deploy(vc); err == nil {
-		t.Fatal("Deploy succeeded despite failing logic factory")
+	// An invalid VC (a controller on the gateway) fails before any node.
+	onGateway := testVC(4)
+	onGateway.Tasks[0].Candidates = []NodeID{2, onGateway.Gateway}
+	invalid := onGateway.Validate()
+	if invalid == nil {
+		t.Fatal("VCConfig.Validate accepted a controller on the gateway")
 	}
-	if len(cell.nodes) != 0 {
-		t.Fatalf("%d node runtimes leaked after failed Deploy", len(cell.nodes))
-	}
-	// The started-then-stopped node must not leave its watchdog ticking.
-	if p := cell.Engine().Pending(); p != 0 {
-		t.Fatalf("%d events still pending after failed Deploy (leaked watchdog?)", p)
+	for _, tc := range []struct {
+		name    string
+		vc      VCConfig
+		wantErr func(error) bool
+	}{
+		{"failing logic factory", failing, func(err error) bool { return errors.Is(err, errTestLogic) }},
+		{"candidate on gateway", onGateway, func(err error) bool { return err.Error() == invalid.Error() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cell, err := NewCellWith(CellConfig{Seed: 1}, WithNodes(1, 2, 3, 4), WithPER(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = cell.Deploy(tc.vc)
+			if err == nil {
+				t.Fatal("Deploy succeeded")
+			}
+			if !tc.wantErr(err) {
+				t.Fatalf("Deploy error = %v", err)
+			}
+			if len(cell.nodes) != 0 {
+				t.Fatalf("%d node runtimes leaked after failed Deploy", len(cell.nodes))
+			}
+			// A started-then-stopped node must not leave its watchdog ticking.
+			if p := cell.Engine().Pending(); p != 0 {
+				t.Fatalf("%d events still pending after failed Deploy (leaked watchdog?)", p)
+			}
+		})
 	}
 }
 
@@ -242,38 +266,52 @@ type logicError struct{}
 func (*logicError) Error() string { return "logic factory exploded" }
 
 func TestAddNodeRuntimeRollsBackOnFailure(t *testing.T) {
-	// 7 nodes x 7 slots + sync = 50 fills the default frame exactly, so
-	// admitting an 8th node cannot fit a schedule and must roll back.
-	cell, err := NewCellWith(CellConfig{Seed: 1},
-		WithNodes(1, 2, 3, 4, 5, 6, 7),
-		WithSlotsPerNode(7),
-		WithPER(0))
-	if err != nil {
-		t.Fatal(err)
+	// An invalid VC (a controller on the gateway) fails in NewNode, after
+	// the radio, schedule and link are in place.
+	onGateway := testVC(4)
+	onGateway.Tasks[0].Candidates = []NodeID{8, onGateway.Gateway}
+	for _, tc := range []struct {
+		name  string
+		slots int
+		vc    VCConfig
+	}{
+		// 7 nodes x 7 slots + sync = 50 fills the default frame exactly,
+		// so admitting an 8th node cannot fit a schedule.
+		{"full TDMA frame", 7, testVC(4)},
+		{"candidate on gateway", 2, onGateway},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cell, err := NewCellWith(CellConfig{Seed: 1},
+				WithNodes(1, 2, 3, 4, 5, 6, 7),
+				WithSlotsPerNode(tc.slots),
+				WithPER(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := cell.Deploy(testVC(4)); err != nil {
+				t.Fatal(err)
+			}
+			oldSched := cell.Network().Schedule()
+			before := len(cell.Members())
+			if _, err := cell.AddNodeRuntime(8, tc.vc); err == nil {
+				t.Fatal("AddNodeRuntime succeeded")
+			}
+			if got := len(cell.Members()); got != before {
+				t.Fatalf("member list grew to %d after failed admission", got)
+			}
+			if cell.Medium().Radio(8) != nil {
+				t.Fatal("radio leaked on the medium after failed admission")
+			}
+			if cell.Network().Link(8) != nil {
+				t.Fatal("link leaked after failed admission")
+			}
+			if got := cell.Network().Schedule(); len(got) != len(oldSched) {
+				t.Fatalf("schedule not restored: %d slots, want %d", len(got), len(oldSched))
+			}
+			// The cell still runs after the rollback.
+			cell.Run(time.Second)
+		})
 	}
-	vc := testVC(4)
-	if err := cell.Deploy(vc); err != nil {
-		t.Fatal(err)
-	}
-	oldSched := cell.Network().Schedule()
-	before := len(cell.Members())
-	if _, err := cell.AddNodeRuntime(8, vc); err == nil {
-		t.Fatal("AddNodeRuntime succeeded despite full TDMA frame")
-	}
-	if got := len(cell.Members()); got != before {
-		t.Fatalf("member list grew to %d after failed admission", got)
-	}
-	if cell.Medium().Radio(8) != nil {
-		t.Fatal("radio leaked on the medium after failed admission")
-	}
-	if cell.Network().Link(8) != nil {
-		t.Fatal("link leaked after failed admission")
-	}
-	if got := cell.Network().Schedule(); len(got) != len(oldSched) {
-		t.Fatalf("schedule not restored: %d slots, want %d", len(got), len(oldSched))
-	}
-	// The cell still works: a later valid admission is unaffected.
-	cell.Run(time.Second)
 }
 
 func TestAddNodeRuntimeFromEventSubscriber(t *testing.T) {

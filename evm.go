@@ -56,8 +56,6 @@ type (
 	Head = core.Head
 	// Role is a controller's role for a task.
 	Role = wire.Role
-	// Transfer is an object-transfer relation.
-	Transfer = core.Transfer
 	// QoSReport summarizes component service level.
 	QoSReport = core.QoSReport
 	// SensorReading is one sensor port sample.
@@ -105,8 +103,6 @@ type CellConfig struct {
 	// Seed drives every random stream; equal seeds reproduce runs
 	// bit-for-bit.
 	Seed uint64
-	// Radio overrides the medium model (zero value = defaults).
-	Radio radio.Config
 	// Link overrides the TDMA framing (zero value = defaults).
 	Link rtlink.Config
 	// SlotsPerNode is the TX slots each node owns per frame (default 2:
@@ -118,18 +114,11 @@ type CellConfig struct {
 }
 
 func (c CellConfig) withDefaults() CellConfig {
-	if c.Radio.BitrateBPS == 0 {
-		c.Radio = radio.DefaultConfig()
-	}
 	if c.Link.SlotsPerFrame == 0 {
 		c.Link = rtlink.DefaultConfig()
 	}
 	if c.SlotsPerNode == 0 {
 		c.SlotsPerNode = 2
-	}
-	if c.PerfectChannel {
-		c.Radio.RefPER = 0
-		c.Radio.Burst = radio.GilbertElliott{}
 	}
 	return c
 }
@@ -189,7 +178,12 @@ func newCell(name string, eng *sim.Engine, rng *sim.RNG, cfg CellConfig, spec ce
 		cfg.PerfectChannel = true
 	}
 	cfg = cfg.withDefaults()
-	med := radio.NewMedium(eng, rng.Fork(), cfg.Radio)
+	rcfg := radio.DefaultConfig()
+	if cfg.PerfectChannel {
+		rcfg.RefPER = 0
+		rcfg.Burst = radio.GilbertElliott{}
+	}
+	med := radio.NewMedium(eng, rng.Fork(), rcfg)
 	c := &Cell{
 		name:      name,
 		cfg:       cfg,
@@ -336,8 +330,9 @@ func (c *Cell) Nodes() []*Node {
 // configured gateway, and starts the TDMA network. On failure no runtime
 // is left running: nodes started before the error are stopped again.
 func (c *Cell) Deploy(vc VCConfig) error {
-	graph, err := vc.TransferGraph()
-	if err != nil {
+	// NewNode validates too, but a cell whose only member is the gateway
+	// builds no node, so only this check rejects an invalid vc there.
+	if err := vc.Validate(); err != nil {
 		return err
 	}
 	var started []NodeID
@@ -356,7 +351,7 @@ func (c *Cell) Deploy(vc VCConfig) error {
 		if link == nil {
 			return fail(fmt.Errorf("evm: node %v not joined", id))
 		}
-		node, err := core.NewNode(c.net, link, vc, graph)
+		node, err := core.NewNode(c.net, link, vc)
 		if err != nil {
 			return fail(err)
 		}
@@ -462,12 +457,7 @@ func (c *Cell) AddNodeRuntime(id NodeID, vc VCConfig) (*Node, error) {
 		_ = c.net.SetSchedule(oldSched)
 		c.med.Detach(id)
 	}
-	graph, err := vc.TransferGraph()
-	if err != nil {
-		rollback()
-		return nil, err
-	}
-	node, err := core.NewNode(c.net, link, vc, graph)
+	node, err := core.NewNode(c.net, link, vc)
 	if err != nil {
 		rollback()
 		return nil, err

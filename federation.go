@@ -292,9 +292,6 @@ func (c *Campus) Events() *Bus { return c.events }
 // Backbone returns the inter-cell network.
 func (c *Campus) Backbone() *Backbone { return c.backbone }
 
-// PlacementPolicy returns the campus placement policy.
-func (c *Campus) PlacementPolicy() PlacementPolicy { return c.policy }
-
 // Engine returns the shared virtual-time engine.
 func (c *Campus) Engine() *sim.Engine { return c.eng }
 
@@ -1004,16 +1001,6 @@ func OutageWindowPlan(name string, from, until time.Duration, ids ...NodeID) Fau
 		steps = append(steps, FaultStep{At: until, RecoverNode: id})
 	}
 	return FaultPlan{Name: name, Steps: steps}
-}
-
-// LinkOutagePlan severs the backbone link between two named cells at
-// from and restores it at until — the link-level counterpart of
-// OutageWindowPlan. Apply through Campus.ApplyFaultPlan.
-func LinkOutagePlan(name string, from, until time.Duration, a, b string) FaultPlan {
-	return FaultPlan{Name: name, Steps: []FaultStep{
-		{At: from, LinkDown: &LinkRef{A: a, B: b}},
-		{At: until, LinkUp: &LinkRef{A: a, B: b}},
-	}}
 }
 
 // KillCellPlan returns a fault plan that crashes every member radio of

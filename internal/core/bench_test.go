@@ -37,10 +37,6 @@ func newFanout(tb testing.TB, per float64) (*radio.Medium, func()) {
 		cfg.Tasks = append(cfg.Tasks, spec)
 		readings[i] = wire.SensorReading{Port: uint8(i), Value: 50}
 	}
-	graph, err := cfg.TransferGraph()
-	if err != nil {
-		tb.Fatal(err)
-	}
 	var gwLink *rtlink.Link
 	for _, id := range ids {
 		link, err := net.Join(id)
@@ -51,7 +47,7 @@ func newFanout(tb testing.TB, per float64) (*radio.Medium, func()) {
 			gwLink = link
 			continue
 		}
-		node, err := NewNode(net, link, cfg, graph)
+		node, err := NewNode(net, link, cfg)
 		if err != nil {
 			tb.Fatal(err)
 		}

@@ -94,10 +94,6 @@ func newRig(t *testing.T, cfg VCConfig) *rig {
 	t.Helper()
 	ids := []radio.NodeID{gwID, ctrlA, ctrlB, headID, spareID}
 	eng, med, net := newMesh(t, ids)
-	graph, err := cfg.TransferGraph()
-	if err != nil {
-		t.Fatal(err)
-	}
 	r := &rig{
 		eng:    eng,
 		net:    net,
@@ -123,7 +119,7 @@ func newRig(t *testing.T, cfg VCConfig) *rig {
 			})
 			continue
 		}
-		node, err := NewNode(net, link, cfg, graph)
+		node, err := NewNode(net, link, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

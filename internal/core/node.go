@@ -63,12 +63,11 @@ type replica struct {
 // observes primaries when in Backup role, reports faults to the VC head,
 // and accepts migrated code/state.
 type Node struct {
-	eng   *sim.Engine
-	link  *rtlink.Link
-	net   *rtlink.Network
-	cfg   VCConfig
-	id    radio.NodeID
-	graph *TransferGraph
+	eng  *sim.Engine
+	link *rtlink.Link
+	net  *rtlink.Network
+	cfg  VCConfig
+	id   radio.NodeID
 
 	// replicas holds the node's task replicas sorted by task ID, so every
 	// iteration over them is reproducible; lookups binary-search it.
@@ -118,10 +117,8 @@ func (n *Node) SetMigrationSink(fn func(taskID string, from radio.NodeID)) {
 }
 
 // NewNode builds the EVM runtime for one member node. The node creates a
-// replica for every task that lists it as a candidate. graph is cfg's
-// object-transfer graph (cfg.TransferGraph); it is read-only, so every
-// node of one deployment shares it.
-func NewNode(net *rtlink.Network, link *rtlink.Link, cfg VCConfig, graph *TransferGraph) (*Node, error) {
+// replica for every task that lists it as a candidate.
+func NewNode(net *rtlink.Network, link *rtlink.Link, cfg VCConfig) (*Node, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -131,7 +128,6 @@ func NewNode(net *rtlink.Network, link *rtlink.Link, cfg VCConfig, graph *Transf
 		net:           net,
 		cfg:           cfg,
 		id:            link.ID(),
-		graph:         graph,
 		computeFaults: make(map[string]float64),
 		modeTasks:     make(map[uint8]map[string]bool),
 	}
@@ -179,9 +175,6 @@ func (n *Node) Head() *Head { return n.head }
 
 // Link exposes the underlying RT-Link layer.
 func (n *Node) Link() *rtlink.Link { return n.link }
-
-// TaskSet returns the node's admitted real-time task set.
-func (n *Node) TaskSet() rtos.TaskSet { return append(rtos.TaskSet(nil), n.taskset...) }
 
 // Role returns the node's role for a task (RoleDormant if no replica).
 func (n *Node) Role(taskID string) wire.Role {

@@ -1,3 +1,13 @@
+// Package core implements the Embedded Virtual Machine runtime: Virtual
+// Components spanning physical nodes, primary/backup control replication,
+// passive fault detection, head arbitration and fail-over, task state
+// migration in attested capsules, membership management, mode changes and
+// BQP-based runtime re-optimization.
+//
+// This is the paper's primary contribution (§3): "an EVM is the
+// distributed runtime system that dynamically selects primary-backup sets
+// of controllers to guarantee QoS given spatial and temporal constraints
+// of the underlying wireless network".
 package core
 
 import (
@@ -91,8 +101,12 @@ func (s TaskSpec) RTOSTask() rtos.Task {
 	return rtos.Task{ID: rtos.TaskID(s.ID), Period: s.Period, WCET: s.WCET}
 }
 
-// VCConfig describes a Virtual Component: its members, head, tasks and
-// object-transfer graph.
+// VCConfig describes a Virtual Component: its head, gateway and tasks.
+// The object-transfer relations of §3.1.2 follow from the task list and
+// are enforced where data moves: sensor snapshots flow from the gateway
+// and actuations back to it, each replica observes the health of its
+// task's current primary (Node.onHealth), and MaxInputAge discards stale
+// sensor data (Node.onSensor).
 type VCConfig struct {
 	Name string
 	// Head is the arbiter node ("the head of the Virtual Component",
@@ -101,10 +115,6 @@ type VCConfig struct {
 	// Gateway is the plant bridge node (excluded from task placement).
 	Gateway radio.NodeID
 	Tasks   []TaskSpec
-	// Transfers is the object-transfer graph; if nil a default graph is
-	// derived (health assessment among each task's candidates,
-	// directional transfers to/from the gateway).
-	Transfers []Transfer
 	// DormantAfter is how long a demoted primary stays Indicator before
 	// the head sets it Dormant (paper: T3 - T2 = 200 s).
 	DormantAfter time.Duration
@@ -137,54 +147,6 @@ func (c VCConfig) Validate() error {
 		return fmt.Errorf("core: negative DormantAfter")
 	}
 	return nil
-}
-
-// TransferGraph validates the VC and builds its object-transfer graph
-// from Transfers, or from DefaultTransfers when Transfers is nil.
-func (c VCConfig) TransferGraph() (*TransferGraph, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	edges := c.Transfers
-	if edges == nil {
-		edges = c.DefaultTransfers()
-	}
-	return NewTransferGraph(edges)
-}
-
-// DefaultTransfers derives the object-transfer graph: directional sensor
-// flow gateway -> every candidate, directional actuation candidate ->
-// gateway, and health-assessment edges among each task's candidates.
-func (c VCConfig) DefaultTransfers() []Transfer {
-	var out []Transfer
-	addedHealth := make(map[[2]radio.NodeID]bool)
-	for _, t := range c.Tasks {
-		for _, cand := range t.Candidates {
-			out = append(out,
-				Transfer{Type: TransferDirectional, From: c.Gateway, To: cand},
-				Transfer{Type: TransferDirectional, From: cand, To: c.Gateway},
-			)
-			if t.MaxInputAge > 0 {
-				out = append(out, Transfer{
-					Type: TransferTemporal, From: c.Gateway, To: cand, MaxAge: t.MaxInputAge,
-				})
-			}
-		}
-		for i := 0; i < len(t.Candidates); i++ {
-			for j := i + 1; j < len(t.Candidates); j++ {
-				a, b := t.Candidates[i], t.Candidates[j]
-				key := [2]radio.NodeID{a, b}
-				if a > b {
-					key = [2]radio.NodeID{b, a}
-				}
-				if !addedHealth[key] {
-					addedHealth[key] = true
-					out = append(out, Transfer{Type: TransferHealth, From: a, To: b})
-				}
-			}
-		}
-	}
-	return out
 }
 
 // TaskByID returns the spec for a task ID.

@@ -77,7 +77,6 @@ type GasPlant struct {
 	GW    *gateway.Gateway
 	VC    VCConfig
 
-	cfg GasPlantConfig
 	rec *trace.Recorder
 	// actLatencies collects gateway-measured sensor-to-actuation
 	// latencies (experiment E5).
@@ -257,7 +256,7 @@ func NewGasPlant(cfg GasPlantConfig) (*GasPlant, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &GasPlant{Cell: cell, Plant: p, GW: gw, VC: vc, cfg: cfg, rec: trace.NewRecorder()}
+	s := &GasPlant{Cell: cell, Plant: p, GW: gw, VC: vc, rec: trace.NewRecorder()}
 	// Publish accepted actuations on the cell's event bus; the latency
 	// series (experiment E5) is itself a bus subscriber now.
 	gw.SetActuateSink(func(src radio.NodeID, task string, port uint8, value float64) {

@@ -50,9 +50,9 @@ func Grid(cols, rows int) Placement {
 }
 
 // RandomUniform scatters nodes uniformly over a sideM x sideM square.
-// Nodes can land out of radio range of each other; combine with a larger
-// CellConfig.Radio.RangeM or accept the resulting loss as part of the
-// experiment.
+// Nodes can land out of radio range of each other (radio.DefaultConfig's
+// RangeM, 30 m): keep the square small enough, or accept the resulting
+// loss as part of the experiment.
 func RandomUniform(sideM float64) Placement {
 	return Placement{
 		name:   fmt.Sprintf("uniform(%g)", sideM),
