@@ -123,7 +123,7 @@ func TestOverTheAirReprogramming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cell, err := NewCell(CellConfig{Seed: 5, PerfectChannel: true}, []NodeID{1, 2, 3, 4})
+	cell, err := NewCellWith(CellConfig{Seed: 5}, WithNodes(1, 2, 3, 4), WithPER(0))
 	if err != nil {
 		t.Fatal(err)
 	}

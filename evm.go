@@ -13,7 +13,7 @@
 //
 // Quick start:
 //
-//	cell, err := evm.NewCell(evm.CellConfig{Seed: 1}, []evm.NodeID{1, 2, 3, 4})
+//	cell, err := evm.NewCellWith(evm.CellConfig{Seed: 1}, evm.WithNodes(1, 2, 3, 4))
 //	// configure a Virtual Component and deploy it:
 //	err = cell.Deploy(vcConfig)
 //	cell.Run(10 * time.Second)
@@ -105,22 +105,6 @@ type CellConfig struct {
 	Seed uint64
 	// Link overrides the TDMA framing (zero value = defaults).
 	Link rtlink.Config
-	// SlotsPerNode is the TX slots each node owns per frame (default 2:
-	// controllers send an actuation and a health record every cycle).
-	SlotsPerNode int
-	// PerfectChannel disables stochastic loss (useful for unit tests
-	// and deterministic examples).
-	PerfectChannel bool
-}
-
-func (c CellConfig) withDefaults() CellConfig {
-	if c.Link.SlotsPerFrame == 0 {
-		c.Link = rtlink.DefaultConfig()
-	}
-	if c.SlotsPerNode == 0 {
-		c.SlotsPerNode = 2
-	}
-	return c
 }
 
 // Cell is one synchronized TDMA cell: the engine, medium, network and the
@@ -130,7 +114,6 @@ func (c CellConfig) withDefaults() CellConfig {
 // other on the air.
 type Cell struct {
 	name  string
-	cfg   CellConfig
 	eng   *sim.Engine
 	rng   *sim.RNG
 	med   *radio.Medium
@@ -138,7 +121,11 @@ type Cell struct {
 	ids   []NodeID
 	nodes map[NodeID]*Node
 
-	placement Placement
+	// link and slotsPerNode are the TDMA framing and per-member TX slot
+	// budget the schedule was built with; AddNodeRuntime reuses both.
+	link         rtlink.Config
+	slotsPerNode int
+	placement    Placement
 	// prng feeds random placements (nil for deterministic ones).
 	prng *sim.RNG
 	bus  *Bus
@@ -153,7 +140,8 @@ type Cell struct {
 //		evm.WithSlotsPerNode(3),
 //		evm.WithPER(0.1))
 //
-// Defaults: Line(3) placement, the CellConfig slot budget, and the
+// Defaults: Line(3) placement, two TX slots per member (a controller
+// sends an actuation and a health record every cycle), and the
 // distance-based loss model.
 func NewCellWith(cfg CellConfig, opts ...CellOption) (*Cell, error) {
 	spec := cellSpec{placement: Line(3)}
@@ -171,29 +159,29 @@ func NewCellWith(cfg CellConfig, opts ...CellOption) (*Cell, error) {
 // per-cell fork of the campus RNG, giving every cell an isolated medium
 // and loss stream on one deterministic timeline.
 func newCell(name string, eng *sim.Engine, rng *sim.RNG, cfg CellConfig, spec cellSpec) (*Cell, error) {
-	if spec.slotsPerNode > 0 {
-		cfg.SlotsPerNode = spec.slotsPerNode
+	if cfg.Link.SlotsPerFrame == 0 {
+		cfg.Link = rtlink.DefaultConfig()
 	}
-	if spec.hasPER && spec.per == 0 {
-		cfg.PerfectChannel = true
+	if spec.slotsPerNode == 0 {
+		spec.slotsPerNode = 2
 	}
-	cfg = cfg.withDefaults()
 	rcfg := radio.DefaultConfig()
-	if cfg.PerfectChannel {
+	if spec.hasPER && spec.per == 0 {
 		rcfg.RefPER = 0
 		rcfg.Burst = radio.GilbertElliott{}
 	}
 	med := radio.NewMedium(eng, rng.Fork(), rcfg)
 	c := &Cell{
-		name:      name,
-		cfg:       cfg,
-		eng:       eng,
-		rng:       rng,
-		med:       med,
-		ids:       spec.ids,
-		nodes:     make(map[NodeID]*Node),
-		placement: spec.placement,
-		bus:       &Bus{},
+		name:         name,
+		link:         cfg.Link,
+		slotsPerNode: spec.slotsPerNode,
+		eng:          eng,
+		rng:          rng,
+		med:          med,
+		ids:          spec.ids,
+		nodes:        make(map[NodeID]*Node),
+		placement:    spec.placement,
+		bus:          &Bus{},
 	}
 	if spec.placement.random {
 		c.prng = rng.Fork()
@@ -203,7 +191,7 @@ func newCell(name string, eng *sim.Engine, rng *sim.RNG, cfg CellConfig, spec ce
 			return nil, err
 		}
 	}
-	sched, err := buildCellSchedule(spec, cfg)
+	sched, err := buildCellSchedule(spec, cfg.Link)
 	if err != nil {
 		return nil, err
 	}
@@ -227,25 +215,25 @@ func newCell(name string, eng *sim.Engine, rng *sim.RNG, cfg CellConfig, spec ce
 }
 
 // buildCellSchedule derives the cell's TDMA schedule from its options:
-// the default full mesh with SlotsPerNode TX slots per member, or — with
-// WithLineSchedule — SlotsPerNode interleaved rounds of a multi-hop line
-// schedule in which each slot is heard only by the owner's immediate
-// line neighbors.
-func buildCellSchedule(spec cellSpec, cfg CellConfig) (rtlink.Schedule, error) {
+// the default full mesh with the cell's slot budget of TX slots per
+// member, or — with WithLineSchedule — that many interleaved rounds of a
+// multi-hop line schedule in which each slot is heard only by the
+// owner's immediate line neighbors.
+func buildCellSchedule(spec cellSpec, link rtlink.Config) (rtlink.Schedule, error) {
 	if !spec.line {
-		return rtlink.BuildMeshScheduleK(spec.ids, cfg.Link, cfg.SlotsPerNode)
+		return rtlink.BuildMeshScheduleK(spec.ids, link, spec.slotsPerNode)
 	}
 	order := spec.lineOrderOrIDs()
-	if cfg.SlotsPerNode*len(order)+1 > cfg.Link.SlotsPerFrame {
+	if spec.slotsPerNode*len(order)+1 > link.SlotsPerFrame {
 		return nil, fmt.Errorf("evm: line of %d x %d rounds does not fit in %d slots",
-			len(order), cfg.SlotsPerNode, cfg.Link.SlotsPerFrame)
+			len(order), spec.slotsPerNode, link.SlotsPerFrame)
 	}
-	base, err := rtlink.BuildLineSchedule(order, cfg.Link)
+	base, err := rtlink.BuildLineSchedule(order, link)
 	if err != nil {
 		return nil, err
 	}
-	sched := make(rtlink.Schedule, cfg.SlotsPerNode*len(order))
-	for round := 0; round < cfg.SlotsPerNode; round++ {
+	sched := make(rtlink.Schedule, spec.slotsPerNode*len(order))
+	for round := 0; round < spec.slotsPerNode; round++ {
 		for slot, as := range base {
 			sched[slot+round*len(order)] = as
 		}
@@ -279,13 +267,6 @@ func installLineRoutes(net *rtlink.Network, order []NodeID) {
 			link.SetRoute(dst, next)
 		}
 	}
-}
-
-// NewCell builds a cell with the given member IDs placed on a line with
-// 3 m spacing (well inside radio range) and a full-mesh TDMA schedule.
-// It is shorthand for NewCellWith(cfg, WithNodes(ids...)).
-func NewCell(cfg CellConfig, ids []NodeID) (*Cell, error) {
-	return NewCellWith(cfg, WithNodes(ids...))
 }
 
 // Name returns the cell's campus name ("" for standalone cells).
@@ -437,7 +418,7 @@ func (c *Cell) AddNodeRuntime(id NodeID, vc VCConfig) (*Node, error) {
 	}
 	oldSched := c.net.Schedule()
 	grown := append(append([]NodeID(nil), c.ids...), id)
-	sched, err := rtlink.BuildMeshScheduleK(grown, c.cfg.Link, c.cfg.SlotsPerNode)
+	sched, err := rtlink.BuildMeshScheduleK(grown, c.link, c.slotsPerNode)
 	if err != nil {
 		c.med.Detach(id)
 		return nil, err

@@ -17,6 +17,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -298,15 +299,21 @@ var (
 	ErrDraining = errors.New("evmd: draining, not accepting submissions")
 )
 
+// placementPolicies is the fixed table of placement policy names a
+// submission may set.
+var placementPolicies = evm.PlacementPolicies()
+
 // Submit admits one run per spec, all under the same tenant, atomically:
 // either every spec is queued or none is (ErrQueueFull/ErrDraining).
-// Every spec must name a built-in scenario.
+// Every spec must name a built-in scenario, and its placement policy,
+// when set, one of evm.PlacementPolicies.
 func (s *Server) Submit(tenant string, specs ...evm.RunSpec) ([]*Run, error) {
 	return s.admit(tenant, nil, specs)
 }
 
 // admit is Submit for runs that carry build (nil = the fixed scenario
-// table, whose names are checked before admission).
+// table, whose names are checked before admission). Placement policy
+// names are checked either way.
 func (s *Server) admit(tenant string, build evm.ScenarioBuilder, specs []evm.RunSpec) ([]*Run, error) {
 	if tenant == "" {
 		tenant = "default"
@@ -318,11 +325,14 @@ func (s *Server) admit(tenant string, build evm.ScenarioBuilder, specs []evm.Run
 		s.refused.Add(int64(len(specs)))
 		return nil, ErrDraining
 	}
-	if build == nil {
-		for _, spec := range specs {
+	for _, spec := range specs {
+		if build == nil {
 			if _, err := evm.LookupScenario(spec.Scenario); err != nil {
 				return nil, fmt.Errorf("evmd: unknown scenario %q", spec.Scenario)
 			}
+		}
+		if spec.Policy != "" && !slices.Contains(placementPolicies, spec.Policy) {
+			return nil, fmt.Errorf("evmd: unknown placement policy %q", spec.Policy)
 		}
 	}
 	now := s.cfg.Clock.Now()

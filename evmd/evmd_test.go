@@ -439,6 +439,31 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsBadPolicy: an unknown placement policy gets 400 and
+// admits nothing, like an unknown scenario, instead of taking a worker
+// and ending failed; a built-in name is still admitted.
+func TestSubmitRejectsBadPolicy(t *testing.T) {
+	s := NewServer(Config{Workers: 1, QueueDepth: 4})
+	defer s.Drain(0)
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	submit := func(policy string) (*http.Response, []byte) {
+		return postJSON(t, srv.URL+"/v1/runs", SubmitRequest{
+			Tenant: "acme", Scenario: evm.ScenarioCampusFailover, HorizonMS: 1000, Policy: policy,
+		})
+	}
+	resp, body := submit("no-such-policy")
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "unknown placement policy") {
+		t.Fatalf("unknown policy: status %d (%s), want 400", resp.StatusCode, body)
+	}
+	if got := s.Stats().Accepted; got != 0 {
+		t.Fatalf("accepted = %d after rejected submit", got)
+	}
+	if resp, body := submit(evm.PolicyAffinity); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("built-in policy: status %d (%s), want 202", resp.StatusCode, body)
+	}
+}
+
 // TestSubmitRejectsBadHorizon: a negative horizon_ms, or one too large
 // for a time.Duration, gets 400 and admits nothing; the bound itself
 // still fits.

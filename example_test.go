@@ -10,8 +10,8 @@ import (
 // Example deploys a minimal Virtual Component, injects a compute fault on
 // the primary and lets the EVM fail the task over to the backup.
 func Example() {
-	cell, err := evm.NewCell(evm.CellConfig{Seed: 7, PerfectChannel: true},
-		[]evm.NodeID{1, 2, 3, 4})
+	cell, err := evm.NewCellWith(evm.CellConfig{Seed: 7},
+		evm.WithNodes(1, 2, 3, 4), evm.WithPER(0))
 	if err != nil {
 		fmt.Println(err)
 		return

@@ -25,7 +25,7 @@ type FeedSpec struct {
 type CellSpec struct {
 	// Name identifies the cell in campus events ("cell-<i>" if empty).
 	Name string
-	// Config is the cell's TDMA/radio configuration. Seed is ignored:
+	// Config is the cell's TDMA framing. Seed is ignored:
 	// campus cells draw from forks of the campus seed so the whole
 	// campus reproduces from one number.
 	Config CellConfig
@@ -49,9 +49,10 @@ type CampusConfig struct {
 	// gives the full mesh of Backbone's default link. Links cannot be
 	// added after NewCampus; they can only be severed and restored.
 	Links []BackboneLink
-	// Placement picks the destination cell when a task escalates across
-	// the backbone (nil = LeastLoadedPolicy, the pre-policy behavior).
-	Placement PlacementPolicy
+	// Placement names the policy that picks the destination cell when a
+	// task escalates across the backbone: one of PlacementPolicies
+	// ("" = least-loaded).
+	Placement string
 	// Rebalance migrates every foreign task home as soon as its origin
 	// cell recovers, via a prepare/commit handshake over the backbone.
 	// False keeps tasks where fail-over put them; either way the
@@ -127,7 +128,7 @@ type rebalanceHandshake struct {
 // fail-over across cells — when a cell exhausts local migration
 // candidates (or its head dies), the task capsule is checkpointed,
 // shipped over the backbone and re-deployed in a peer cell chosen by
-// the campus PlacementPolicy. The hosting cell's head adopts foreign
+// the campus placement policy. The hosting cell's head adopts foreign
 // tasks (registering an in-cell backup candidate) so later fail-over is
 // local, and with Rebalance set tasks migrate home when their origin
 // cell recovers.
@@ -146,7 +147,8 @@ type Campus struct {
 	backbone *Backbone
 	events   *Bus // the merged campus stream
 
-	policy PlacementPolicy
+	// pick is the placement policy named by CampusConfig.Placement.
+	pick func(placementRequest) (int, bool)
 
 	// tasks is the coordinator's task table, fixed by NewCampus and
 	// sorted by placement key: every walk of it (escalation order, the
@@ -173,6 +175,13 @@ func NewCampus(cfg CampusConfig, specs ...CellSpec) (*Campus, error) {
 	if err := cfg.Backbone.validate(); err != nil {
 		return nil, err
 	}
+	if cfg.Placement == "" {
+		cfg.Placement = PolicyLeastLoaded
+	}
+	pick, err := lookup("placement policy", placementPolicies, cfg.Placement)
+	if err != nil {
+		return nil, err
+	}
 	c := &Campus{
 		cfg:      cfg,
 		events:   &Bus{},
@@ -180,12 +189,9 @@ func NewCampus(cfg CampusConfig, specs ...CellSpec) (*Campus, error) {
 		rng:      sim.NewRNG(cfg.Seed),
 		byName:   make(map[string]int, len(specs)),
 		byTask:   make(map[string]*taskPlacement),
-		policy:   cfg.Placement,
+		pick:     pick,
 		cellDown: make([]bool, len(specs)),
 		capsules: cfg.Capsules,
-	}
-	if c.policy == nil {
-		c.policy = LeastLoadedPolicy{}
 	}
 	names := make([]string, len(specs))
 	for i, cs := range specs {
@@ -538,7 +544,7 @@ func (c *Campus) demoteStaleMasters(origin int) {
 // loads returns per-cell placement counts and utilization sums. Counts
 // attribute an in-flight transfer to both endpoints (the legacy
 // least-loaded accounting); utilization attributes it to the
-// destination only, matching how DisplacedTask records it so capacity
+// destination only, matching how displacedTask records it so capacity
 // arithmetic stays consistent.
 func (c *Campus) loads() (count []int, util []float64) {
 	count = make([]int, len(c.cells))
@@ -559,18 +565,17 @@ func (c *Campus) loads() (count []int, util []float64) {
 	return count, util
 }
 
-// cellCondition snapshots one cell for a policy request. from is the
-// cell the task currently occupies (hop distances are measured from it).
-func (c *Campus) cellCondition(i, from, origin int, taskID string, count []int, util []float64) CellCondition {
+// condition snapshots one cell for a policy request. from is the cell
+// the task currently occupies (hop distances are measured from it).
+func (c *Campus) condition(i, from, origin int, taskID string, count []int, util []float64) cellCondition {
 	capacity := 0.0
 	for _, id := range c.cells[i].ids {
 		if c.cells[i].nodes[id] != nil && !c.nodeFailed(i, id) {
 			capacity++
 		}
 	}
-	return CellCondition{
+	return cellCondition{
 		Index:         i,
-		Name:          c.cellName(i),
 		Placed:        count[i],
 		EligibleHosts: len(c.destNodes(i, taskID)),
 		Utilization:   util[i],
@@ -580,19 +585,15 @@ func (c *Campus) cellCondition(i, from, origin int, taskID string, count []int, 
 	}
 }
 
-// placementRequest assembles the policy view for one stranded task.
-func (c *Campus) placementRequest(p *taskPlacement) PlacementRequest {
+// request assembles the policy view for one stranded task.
+func (c *Campus) request(p *taskPlacement) placementRequest {
 	count, util := c.loads()
-	req := PlacementRequest{
-		Task:   p.spec,
-		Origin: p.origin,
-		From:   p.cell,
-	}
+	req := placementRequest{Task: p.spec}
 	for i := range c.cells {
 		if i == p.cell {
 			continue
 		}
-		req.Cells = append(req.Cells, c.cellCondition(i, p.cell, p.origin, p.spec.ID, count, util))
+		req.Cells = append(req.Cells, c.condition(i, p.cell, p.origin, p.spec.ID, count, util))
 	}
 	for _, q := range c.tasks {
 		if q == p || (!q.foreign && !q.migrating) {
@@ -602,7 +603,7 @@ func (c *Campus) placementRequest(p *taskPlacement) PlacementRequest {
 		if q.migrating {
 			cell = q.dest
 		}
-		req.Displaced = append(req.Displaced, DisplacedTask{
+		req.Displaced = append(req.Displaced, displacedTask{
 			Cell: cell, Util: q.spec.RTOSTask().Utilization(),
 		})
 	}
@@ -611,14 +612,9 @@ func (c *Campus) placementRequest(p *taskPlacement) PlacementRequest {
 
 // escalate ships one stranded task to a peer cell over the backbone.
 func (c *Campus) escalate(p *taskPlacement) {
-	dst, ok := c.policy.PickCell(c.placementRequest(p))
+	dst, ok := c.pick(c.request(p))
 	if !ok {
 		return // no peer can host it; retry next tick
-	}
-	// Re-validate the policy's pick; an invalid cell retries next tick.
-	if dst < 0 || dst >= len(c.cells) || dst == p.cell ||
-		c.backbone.Hops(p.cell, dst) < 0 || len(c.destNodes(dst, p.spec.ID)) == 0 {
-		return
 	}
 	ex := p.export
 	if !p.have {
@@ -640,7 +636,7 @@ func (c *Campus) escalate(p *taskPlacement) {
 	c.backbone.Send(src, dst, payload,
 		func(b []byte) {
 			c.deliver(p, dst, b)
-			// dst != src is guaranteed above, so landing in dst means a
+			// The request never lists src, so landing in dst means a
 			// host admitted the task; anything else retries next tick.
 			outcome := "no-host"
 			if p.cell == dst {

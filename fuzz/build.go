@@ -192,13 +192,9 @@ func faultPlans(s Spec) []cellPlan {
 // buildCampus assembles the spec's campus: capsule store (for VM/OTA
 // specs), backbone links, policy, fault plans and the scheduled rollout.
 func buildCampus(s Spec, run evm.RunSpec) (*evm.Experiment, error) {
-	policyName := run.Policy
-	if policyName == "" {
-		policyName = s.Policy
-	}
-	policy, err := evm.NewPlacementPolicy(policyName)
-	if err != nil {
-		return nil, err
+	policy := run.Policy
+	if policy == "" {
+		policy = s.Policy
 	}
 	var store *evm.CapsuleStore
 	var taskIDs []string
@@ -265,7 +261,6 @@ func buildCampus(s Spec, run evm.RunSpec) (*evm.Experiment, error) {
 	}
 	return &evm.Experiment{
 		Campus:         campus,
-		Policy:         policy.Name(),
 		DefaultHorizon: s.Horizon(),
 		Metrics: func() map[string]float64 {
 			placements := campus.TaskPlacements()

@@ -141,7 +141,7 @@ type RolloutGen struct {
 	// law, 3 the seeded never-actuating law (health window must trip
 	// and roll back).
 	Version uint8 `json:"version"`
-	// Strategy names the RolloutPolicy ("" = canary-cell).
+	// Strategy names the rollout strategy ("" = canary-cell).
 	Strategy string `json:"strategy,omitempty"`
 }
 

@@ -14,9 +14,6 @@ func runSpec(spec evm.RunSpec, keys ...string) (map[string]float64, error) {
 	if r.Err != nil {
 		return nil, r.Err
 	}
-	if spec.Policy != "" && r.Policy != spec.Policy {
-		return nil, fmt.Errorf("builder resolved policy %q, want %q", r.Policy, spec.Policy)
-	}
 	m := make(map[string]float64, len(keys))
 	for _, k := range keys {
 		if v, ok := r.Metrics[k]; ok {

@@ -427,7 +427,7 @@ func runAttestation(p Param, seed uint64) (map[string]float64, error) {
 // replication every p.X cycles (paper §3: "state is shared either
 // passively or actively").
 func runStateSharing(p Param, seed uint64) (map[string]float64, error) {
-	cell, err := evm.NewCell(evm.CellConfig{Seed: seed, SlotsPerNode: 3}, []evm.NodeID{1, 2, 3, 4})
+	cell, err := evm.NewCellWith(evm.CellConfig{Seed: seed}, evm.WithNodes(1, 2, 3, 4), evm.WithSlotsPerNode(3))
 	if err != nil {
 		return nil, err
 	}

@@ -18,20 +18,12 @@ import (
 // attested code capsules per task; Campus.StartRollout disseminates a
 // registered version campus-wide over the backbone (wire.CapsuleMsg
 // prepare/commit legs) and in-cell to every replica of the task, staged
-// by a pluggable RolloutPolicy; each stage activates atomically per cell
+// by a built-in strategy; each stage activates atomically per cell
 // and is followed by a health window — an invariant violation or a
 // missed-actuation signal during the window rolls every upgraded replica
 // back to the prior version and publishes a RollbackEvent.
 
 // --- capsule store ------------------------------------------------------------
-
-// CapsuleInfo is one registered capsule version as reported by the store.
-type CapsuleInfo struct {
-	TaskID   string
-	Version  uint8
-	Checksum uint64
-	Bytes    int
-}
 
 // CapsuleStore is the versioned capsule registry of a campus: every
 // version of every task's control law, keyed (task, version), with the
@@ -86,84 +78,29 @@ func (s *CapsuleStore) Get(taskID string, version uint8) (Capsule, bool) {
 	return c, ok
 }
 
-// Latest returns the highest registered version of a task's capsule.
-func (s *CapsuleStore) Latest(taskID string) (Capsule, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var best Capsule
-	found := false
-	//evm:allow-maporder strict max over distinct version keys is commutative; the winner is the same in any visit order
-	for v, c := range s.byTask[taskID] {
-		if !found || v > best.Version {
-			best, found = c, true
-		}
-	}
-	if found {
-		best.Code = append([]byte(nil), best.Code...)
-	}
-	return best, found
-}
+// --- rollout strategies -------------------------------------------------------
 
-// Versions lists a task's registered capsules, ascending by version.
-func (s *CapsuleStore) Versions(taskID string) []CapsuleInfo {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]CapsuleInfo, 0, len(s.byTask[taskID]))
-	for _, c := range s.byTask[taskID] {
-		out = append(out, CapsuleInfo{
-			TaskID: c.TaskID, Version: c.Version, Checksum: c.Checksum(), Bytes: len(c.Code),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Version < out[j].Version })
-	return out
-}
-
-// --- rollout policies ---------------------------------------------------------
-
-// Built-in rollout strategy names for RolloutSpec.Strategy and
-// NewRolloutPolicy.
+// Built-in rollout strategy names for RolloutSpec.Strategy.
 const (
 	RolloutCanaryCell = "canary-cell"
 	RolloutCellByCell = "cell-by-cell"
 	RolloutAllAtOnce  = "all-at-once"
 )
 
-// RolloutCell is one cell's entry in a rollout-policy request: how many
-// replicas of the rollout's tasks it hosts and how many of them are
+// rolloutCell is one hosting cell as a rollout strategy sees it: how
+// many replicas of the rollout's tasks it hosts and how many of them are
 // masters (the blast radius of upgrading the cell).
-type RolloutCell struct {
+type rolloutCell struct {
 	// Index is the cell's position in campus declaration order.
 	Index int
-	// Name is the cell name.
-	Name string
 	// Replicas counts the replicas of the rollout's tasks in the cell.
 	Replicas int
 	// Masters counts the rollout tasks whose master runs in the cell.
 	Masters int
 }
 
-// RolloutPolicy decides how a capsule rollout is staged across the cells
-// hosting replicas of the target tasks: Stages partitions the listed
-// cells into ordered batches — each batch prepares, commits and passes
-// its health window before the next begins. Implementations must be
-// deterministic and list every cell exactly once. The built-ins are the
-// only policies a rollout runs (RolloutSpec.Strategy names one).
-type RolloutPolicy interface {
-	// Name returns the policy's built-in name.
-	Name() string
-	// Stages partitions the cells (given in declaration order) into
-	// ordered batches of cell indices.
-	Stages(cells []RolloutCell) [][]int
-}
-
-// AllAtOncePolicy upgrades every hosting cell in a single stage.
-type AllAtOncePolicy struct{}
-
-// Name implements RolloutPolicy.
-func (AllAtOncePolicy) Name() string { return RolloutAllAtOnce }
-
-// Stages implements RolloutPolicy.
-func (AllAtOncePolicy) Stages(cells []RolloutCell) [][]int {
+// allAtOnceStages upgrades every hosting cell in a single stage.
+func allAtOnceStages(cells []rolloutCell) [][]int {
 	batch := make([]int, len(cells))
 	for i, cc := range cells {
 		batch[i] = cc.Index
@@ -171,14 +108,8 @@ func (AllAtOncePolicy) Stages(cells []RolloutCell) [][]int {
 	return [][]int{batch}
 }
 
-// CellByCellPolicy upgrades one cell per stage, in declaration order.
-type CellByCellPolicy struct{}
-
-// Name implements RolloutPolicy.
-func (CellByCellPolicy) Name() string { return RolloutCellByCell }
-
-// Stages implements RolloutPolicy.
-func (CellByCellPolicy) Stages(cells []RolloutCell) [][]int {
+// cellByCellStages upgrades one cell per stage, in declaration order.
+func cellByCellStages(cells []rolloutCell) [][]int {
 	out := make([][]int, len(cells))
 	for i, cc := range cells {
 		out[i] = []int{cc.Index}
@@ -186,19 +117,13 @@ func (CellByCellPolicy) Stages(cells []RolloutCell) [][]int {
 	return out
 }
 
-// CanaryCellPolicy upgrades the cell with the smallest blast radius
+// canaryCellStages upgrades the cell with the smallest blast radius
 // first — fewest master replicas, then fewest replicas, then lowest
 // index — and, once the canary survives its health window, the rest in
 // one batch.
-type CanaryCellPolicy struct{}
-
-// Name implements RolloutPolicy.
-func (CanaryCellPolicy) Name() string { return RolloutCanaryCell }
-
-// Stages implements RolloutPolicy.
-func (CanaryCellPolicy) Stages(cells []RolloutCell) [][]int {
+func canaryCellStages(cells []rolloutCell) [][]int {
 	if len(cells) <= 1 {
-		return AllAtOncePolicy{}.Stages(cells)
+		return allAtOnceStages(cells)
 	}
 	canary := cells[0]
 	for _, cc := range cells[1:] {
@@ -217,26 +142,15 @@ func (CanaryCellPolicy) Stages(cells []RolloutCell) [][]int {
 	return [][]int{{canary.Index}, rest}
 }
 
-// --- built-in rollout policies -------------------------------------------------
-
-// rolloutPolicies is the table of built-in rollout strategies, the names
-// RolloutSpec.Strategy resolves through NewRolloutPolicy.
-var rolloutPolicies = map[string]RolloutPolicy{
-	RolloutCanaryCell: CanaryCellPolicy{},
-	RolloutCellByCell: CellByCellPolicy{},
-	RolloutAllAtOnce:  AllAtOncePolicy{},
-}
-
-// RolloutPolicies lists the built-in strategy names, sorted.
-func RolloutPolicies() []string { return sim.SortedKeys(rolloutPolicies) }
-
-// NewRolloutPolicy returns a built-in strategy by name. The empty name
-// returns the default (canary-cell).
-func NewRolloutPolicy(name string) (RolloutPolicy, error) {
-	if name == "" {
-		return CanaryCellPolicy{}, nil
-	}
-	return lookup("rollout policy", rolloutPolicies, name)
+// rolloutStrategies is the fixed table of rollout strategies, the names
+// RolloutSpec.Strategy resolves through. Each partitions the hosting
+// cells (given in declaration order) into ordered batches of cell
+// indices, listing every cell exactly once; each batch prepares, commits
+// and passes its health window before the next begins.
+var rolloutStrategies = map[string]func([]rolloutCell) [][]int{
+	RolloutCanaryCell: canaryCellStages,
+	RolloutCellByCell: cellByCellStages,
+	RolloutAllAtOnce:  allAtOnceStages,
 }
 
 // --- rollout coordinator ------------------------------------------------------
@@ -248,7 +162,8 @@ type RolloutSpec struct {
 	Tasks []string
 	// Version is the capsule version to roll out.
 	Version uint8
-	// Strategy names the RolloutPolicy ("" = canary-cell).
+	// Strategy names the staging: RolloutCanaryCell (the default when
+	// empty), RolloutCellByCell or RolloutAllAtOnce.
 	Strategy string
 	// HealthWindow is how long each stage is observed after activation
 	// before the next stage starts (default 3 s). A violation from the
@@ -285,9 +200,8 @@ const (
 // Rollout is one in-flight (or finished) campus rollout. All methods are
 // driven by the campus engine; inspect State after the campus has run.
 type Rollout struct {
-	c      *Campus
-	spec   RolloutSpec
-	policy RolloutPolicy
+	c    *Campus
+	spec RolloutSpec // Strategy resolved: never empty
 
 	capsules map[string][]byte           // task -> encoded capsule at target version
 	targets  map[int]map[string][]NodeID // cell -> task -> replica holders
@@ -365,7 +279,10 @@ func (c *Campus) StartRollout(spec RolloutSpec) (*Rollout, error) {
 	if spec.HealthWindow <= 0 {
 		spec.HealthWindow = 3 * time.Second
 	}
-	policy, err := NewRolloutPolicy(spec.Strategy)
+	if spec.Strategy == "" {
+		spec.Strategy = RolloutCanaryCell
+	}
+	stages, err := lookup("rollout policy", rolloutStrategies, spec.Strategy)
 	if err != nil {
 		return nil, err
 	}
@@ -411,7 +328,7 @@ func (c *Campus) StartRollout(spec RolloutSpec) (*Rollout, error) {
 		spec.HealthWindow = spec.ActuationBound + slack
 	}
 	r := &Rollout{
-		c: c, spec: spec, policy: policy,
+		c: c, spec: spec,
 		capsules:    capsules,
 		state:       RolloutRunning,
 		prevVersion: make(map[string]uint8),
@@ -421,18 +338,18 @@ func (c *Campus) StartRollout(spec RolloutSpec) (*Rollout, error) {
 	if len(r.cellIdxs) == 0 {
 		return nil, fmt.Errorf("evm: no replica of %v found in any cell", spec.Tasks)
 	}
-	r.stages = policy.Stages(r.rolloutCells())
+	r.stages = stages(r.rolloutCells())
 	for _, task := range tasks {
 		c.byTask[task].ota = true
 	}
 	c.events.publish(RolloutEvent{
-		At: c.eng.Now(), Tasks: tasks, Version: spec.Version, Strategy: policy.Name(),
+		At: c.eng.Now(), Tasks: tasks, Version: spec.Version, Strategy: spec.Strategy,
 		Phase: RolloutPhaseStart, Stage: -1, Cells: r.cellNames(r.cellIdxs),
 	})
 	r.spanID = c.eng.Tracer().Open("rollout", "ota", "ota", c.eng.Now(),
 		span.Arg{Key: "tasks", Val: strings.Join(tasks, "+")},
 		span.Arg{Key: "version", Val: strconv.Itoa(int(spec.Version))},
-		span.Arg{Key: "strategy", Val: policy.Name()})
+		span.Arg{Key: "strategy", Val: spec.Strategy})
 	r.runStage()
 	return r, nil
 }
@@ -457,11 +374,11 @@ func (r *Rollout) collectTargets() {
 	}
 }
 
-// rolloutCells snapshots the targeted cells for the policy request.
-func (r *Rollout) rolloutCells() []RolloutCell {
-	out := make([]RolloutCell, 0, len(r.cellIdxs))
+// rolloutCells snapshots the targeted cells for the strategy.
+func (r *Rollout) rolloutCells() []rolloutCell {
+	out := make([]rolloutCell, 0, len(r.cellIdxs))
 	for _, i := range r.cellIdxs {
-		cc := RolloutCell{Index: i, Name: r.c.cellName(i)}
+		cc := rolloutCell{Index: i}
 		for _, nodes := range r.targets[i] {
 			cc.Replicas += len(nodes)
 		}
@@ -496,7 +413,7 @@ func (r *Rollout) runStage() {
 			r.finish(RolloutComplete, "")
 			r.c.events.publish(RolloutEvent{
 				At: r.c.eng.Now(), Tasks: r.spec.Tasks, Version: r.spec.Version,
-				Strategy: r.policy.Name(), Phase: RolloutPhaseComplete, Stage: -1,
+				Strategy: r.spec.Strategy, Phase: RolloutPhaseComplete, Stage: -1,
 				Cells: r.cellNames(r.cellIdxs),
 			})
 			return
@@ -677,7 +594,7 @@ func (r *Rollout) commitStage() {
 	batch := r.stages[r.stageIdx]
 	r.c.events.publish(RolloutEvent{
 		At: r.c.eng.Now(), Tasks: r.spec.Tasks, Version: r.spec.Version,
-		Strategy: r.policy.Name(), Phase: RolloutPhaseStaged,
+		Strategy: r.spec.Strategy, Phase: RolloutPhaseStaged,
 		Stage: r.stageIdx, Cells: r.cellNames(batch),
 	})
 	for _, cell := range batch {
@@ -752,7 +669,7 @@ func (r *Rollout) onCommit(cell int, payload []byte) {
 		r.c.eng.Tracer().Close(r.stageSpan, r.c.eng.Now(), span.Arg{Key: "outcome", Val: "activated"})
 		r.c.events.publish(RolloutEvent{
 			At: r.c.eng.Now(), Tasks: r.spec.Tasks, Version: r.spec.Version,
-			Strategy: r.policy.Name(), Phase: RolloutPhaseActivated,
+			Strategy: r.spec.Strategy, Phase: RolloutPhaseActivated,
 			Stage: r.stageIdx, Cells: r.cellNames(r.stages[r.stageIdx]),
 		})
 		r.startHealthWindow()
@@ -833,7 +750,7 @@ func (r *Rollout) fail(reason string) {
 	r.finish(RolloutAborted, reason)
 	r.c.events.publish(RolloutEvent{
 		At: r.c.eng.Now(), Tasks: r.spec.Tasks, Version: r.spec.Version,
-		Strategy: r.policy.Name(), Phase: RolloutPhaseAborted, Stage: r.stageIdx,
+		Strategy: r.spec.Strategy, Phase: RolloutPhaseAborted, Stage: r.stageIdx,
 		Cells: r.cellNames(r.cellIdxs), Reason: reason,
 	})
 }
@@ -863,7 +780,7 @@ func (r *Rollout) rollback(reason string) {
 	}
 	r.c.events.publish(RolloutEvent{
 		At: r.c.eng.Now(), Tasks: r.spec.Tasks, Version: r.spec.Version,
-		Strategy: r.policy.Name(), Phase: RolloutPhaseRolledBack, Stage: r.stageIdx,
+		Strategy: r.spec.Strategy, Phase: RolloutPhaseRolledBack, Stage: r.stageIdx,
 		Cells: r.cellNames(r.cellIdxs), Reason: reason,
 	})
 }

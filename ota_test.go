@@ -1,9 +1,13 @@
 package evm
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"evm/internal/sim"
 )
 
 // --- capsule store ------------------------------------------------------------
@@ -43,16 +47,8 @@ func TestCapsuleStoreRegisterAndLookup(t *testing.T) {
 	if again.Code[0] == got.Code[0] {
 		t.Fatal("store returned aliased capsule bytes")
 	}
-	latest, ok := store.Latest("loop")
-	if !ok || latest.Version != 2 {
-		t.Fatalf("Latest(loop) = v%d, %t, want v2", latest.Version, ok)
-	}
-	infos := store.Versions("loop")
-	if len(infos) != 2 || infos[0].Version != 1 || infos[1].Version != 2 {
-		t.Fatalf("Versions(loop) = %+v", infos)
-	}
-	if infos[0].Checksum != v1.Checksum() {
-		t.Fatalf("stored checksum %x, want %x", infos[0].Checksum, v1.Checksum())
+	if v2got, ok := store.Get("loop", 2); !ok || v2got.Checksum() != v2.Checksum() {
+		t.Fatalf("Get(loop, 2) checksum %x, want %x", v2got.Checksum(), v2.Checksum())
 	}
 	if _, ok := store.Get("loop", 9); ok {
 		t.Fatal("Get of unregistered version succeeded")
@@ -62,51 +58,108 @@ func TestCapsuleStoreRegisterAndLookup(t *testing.T) {
 // --- rollout policies ---------------------------------------------------------
 
 func TestRolloutPolicyStages(t *testing.T) {
-	cells := []RolloutCell{
-		{Index: 0, Name: "a", Replicas: 4, Masters: 2},
-		{Index: 1, Name: "b", Replicas: 2, Masters: 1},
-		{Index: 2, Name: "c", Replicas: 6, Masters: 1},
+	cells := []rolloutCell{
+		{Index: 0, Replicas: 4, Masters: 2},
+		{Index: 1, Replicas: 2, Masters: 1},
+		{Index: 2, Replicas: 6, Masters: 1},
 	}
-	if got := (AllAtOncePolicy{}).Stages(cells); len(got) != 1 || len(got[0]) != 3 {
+	if got := allAtOnceStages(cells); len(got) != 1 || len(got[0]) != 3 {
 		t.Fatalf("all-at-once stages = %v", got)
 	}
-	got := (CellByCellPolicy{}).Stages(cells)
+	got := cellByCellStages(cells)
 	if len(got) != 3 || got[0][0] != 0 || got[1][0] != 1 || got[2][0] != 2 {
 		t.Fatalf("cell-by-cell stages = %v", got)
 	}
 	// Canary picks the smallest blast radius: fewest masters, then fewest
 	// replicas — cell b (1 master, 2 replicas) beats c (1 master, 6).
-	canary := (CanaryCellPolicy{}).Stages(cells)
+	canary := canaryCellStages(cells)
 	if len(canary) != 2 || len(canary[0]) != 1 || canary[0][0] != 1 {
 		t.Fatalf("canary stages = %v, want [[1] [0 2]]", canary)
 	}
 	if len(canary[1]) != 2 || canary[1][0] != 0 || canary[1][1] != 2 {
 		t.Fatalf("canary rest = %v, want [0 2]", canary[1])
 	}
-	if got := (CanaryCellPolicy{}).Stages(cells[:1]); len(got) != 1 {
+	if got := canaryCellStages(cells[:1]); len(got) != 1 {
 		t.Fatalf("single-cell canary stages = %v, want one batch", got)
 	}
 }
 
-func TestRolloutPolicyRegistry(t *testing.T) {
-	names := RolloutPolicies()
-	for _, want := range []string{RolloutAllAtOnce, RolloutCanaryCell, RolloutCellByCell} {
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
+// TestRolloutPlansListEachCellOnce is the contract every built-in rollout
+// strategy keeps, checked over seeded random hosting sets: the plan's
+// batches are non-empty and together list each hosting cell exactly
+// once. The coordinator runs the plan as given.
+func TestRolloutPlansListEachCellOnce(t *testing.T) {
+	rng := sim.NewRNG(11)
+	for i := 0; i < 2000; i++ {
+		var cells []rolloutCell
+		for c := 0; c < 8; c++ {
+			if rng.Bool(0.5) {
+				replicas := 1 + rng.Intn(6)
+				cells = append(cells, rolloutCell{Index: c, Replicas: replicas, Masters: rng.Intn(replicas + 1)})
 			}
 		}
-		if !found {
-			t.Fatalf("built-in %q missing from the table %v", want, names)
+		if len(cells) == 0 {
+			continue
+		}
+		for _, name := range sim.SortedKeys(rolloutStrategies) {
+			plan := rolloutStrategies[name](cells)
+			seen := make(map[int]int, len(cells))
+			for _, batch := range plan {
+				if len(batch) == 0 {
+					t.Fatalf("set %d: %s plan %v has an empty batch", i, name, plan)
+				}
+				for _, c := range batch {
+					seen[c]++
+				}
+			}
+			if len(seen) != len(cells) {
+				t.Fatalf("set %d: %s plan %v lists %d cells, want %d", i, name, plan, len(seen), len(cells))
+			}
+			for _, cc := range cells {
+				if seen[cc.Index] != 1 {
+					t.Fatalf("set %d: %s plan %v lists cell %d %d times", i, name, plan, cc.Index, seen[cc.Index])
+				}
+			}
 		}
 	}
-	p, err := NewRolloutPolicy("")
-	if err != nil || p.Name() != RolloutCanaryCell {
-		t.Fatalf("default policy = %v, %v; want canary-cell", p, err)
+}
+
+// TestRolloutPolicyRegistry covers the strategy table: the three
+// built-ins are listed, StartRollout resolves the empty name to
+// canary-cell, and an unknown name is refused before anything starts.
+func TestRolloutPolicyRegistry(t *testing.T) {
+	names := sim.SortedKeys(rolloutStrategies)
+	if want := []string{RolloutAllAtOnce, RolloutCanaryCell, RolloutCellByCell}; !slices.Equal(names, want) {
+		t.Fatalf("strategy table = %v, want %v", names, want)
 	}
-	if _, err := NewRolloutPolicy("no-such-strategy"); err == nil {
-		t.Fatal("unknown strategy resolved")
+	campus, err := NewOTACampus(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer campus.Stop()
+	if _, err := campus.StartRollout(OTACampusRolloutSpec("no-such-strategy")); err == nil ||
+		!strings.Contains(err.Error(), `unknown rollout policy "no-such-strategy"`) {
+		t.Fatalf("unknown strategy: err = %v", err)
+	}
+	log := campus.Events().Log()
+	rollout, err := campus.StartRollout(OTACampusRolloutSpec(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := canaryCellStages(rollout.rolloutCells()); !reflect.DeepEqual(rollout.stages, want) {
+		t.Fatalf("default stages = %v, want the canary plan %v", rollout.stages, want)
+	}
+	starts := 0
+	for _, ev := range log.Events() {
+		if re, ok := ev.(RolloutEvent); ok {
+			starts++
+			if re.Strategy != RolloutCanaryCell {
+				t.Fatalf("default rollout reports strategy %q, want %q", re.Strategy, RolloutCanaryCell)
+			}
+		}
+	}
+	if starts == 0 {
+		t.Fatal("no RolloutEvent published")
 	}
 }
 

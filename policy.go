@@ -5,22 +5,20 @@ import (
 	"evm/internal/sim"
 )
 
-// Built-in placement policy names for RunSpec.Policy and
-// NewPlacementPolicy.
+// Built-in placement policy names for CampusConfig.Placement and
+// RunSpec.Policy.
 const (
 	PolicyLeastLoaded = "least-loaded"
 	PolicyCampusBQP   = "campus-bqp"
 	PolicyAffinity    = "affinity"
 )
 
-// CellCondition is one cell's entry in a placement request: the
+// cellCondition is one cell's entry in a placement request: the
 // coordinator's deterministic snapshot of the cell's load, capacity and
 // backbone distance at decision time.
-type CellCondition struct {
+type cellCondition struct {
 	// Index is the cell's position in campus declaration order.
 	Index int
-	// Name is the cell name.
-	Name string
 	// Placed counts the tasks the coordinator currently places in the
 	// cell, including transfers already in flight toward it.
 	Placed int
@@ -39,27 +37,22 @@ type CellCondition struct {
 	Origin bool
 }
 
-// PlacementRequest asks a PlacementPolicy to pick the destination cell
-// for one stranded task. Cells lists every cell except the one the task
-// is stranded in, in campus declaration order.
-type PlacementRequest struct {
+// placementRequest is what a placement policy sees of one stranded task.
+// Cells lists every cell except the one the task is stranded in, in
+// campus declaration order.
+type placementRequest struct {
 	// Task is the stranded task's spec.
 	Task TaskSpec
-	// Origin and From are campus cell indices: where the task was
-	// declared and where it is stranded now.
-	Origin int
-	From   int
-	// Cells are the candidate destinations (every cell but From).
-	Cells []CellCondition
+	// Cells are the candidate destinations.
+	Cells []cellCondition
 	// Displaced lists every other task currently placed outside its
 	// origin cell (or in flight), in "<origin-cell>/<task-id>" order —
-	// context for policies that reoptimize the whole campus assignment.
-	Displaced []DisplacedTask
+	// context for campus-bqp, which reoptimizes the whole assignment.
+	Displaced []displacedTask
 }
 
-// DisplacedTask is one task running outside its origin cell, as seen by
-// a placement policy.
-type DisplacedTask struct {
+// displacedTask is one task running outside its origin cell.
+type displacedTask struct {
 	// Cell is the index of the cell currently hosting the task (the
 	// transfer destination if a move is in flight).
 	Cell int
@@ -67,33 +60,14 @@ type DisplacedTask struct {
 	Util float64
 }
 
-// PlacementPolicy decides which cell hosts a task the federation
-// coordinator escalates across the backbone. Implementations must be
-// deterministic — equal requests must produce equal picks — and must
-// only return cells with EligibleHosts > 0 and Hops >= 0; the
-// coordinator re-validates the pick and drops invalid ones (the task
-// retries next tick).
-type PlacementPolicy interface {
-	// Name returns the policy's name.
-	Name() string
-	// PickCell returns the destination cell index, or false when no
-	// listed cell should (or can) take the task.
-	PickCell(req PlacementRequest) (int, bool)
-}
+// viable reports whether a cell can take the task at all. Every built-in
+// picks only viable cells, so a pick always has a route and a host.
+func (c cellCondition) viable() bool { return c.EligibleHosts > 0 && c.Hops >= 0 }
 
-// viable reports whether a cell can take the task at all.
-func (c CellCondition) viable() bool { return c.EligibleHosts > 0 && c.Hops >= 0 }
-
-// LeastLoadedPolicy picks the live cell carrying the fewest tasks
+// pickLeastLoaded picks the live cell carrying the fewest tasks
 // (counting transfers in flight), lowest index on ties — the campus
-// default, byte-identical to the pre-policy coordinator.
-type LeastLoadedPolicy struct{}
-
-// Name implements PlacementPolicy.
-func (LeastLoadedPolicy) Name() string { return PolicyLeastLoaded }
-
-// PickCell implements PlacementPolicy.
-func (LeastLoadedPolicy) PickCell(req PlacementRequest) (int, bool) {
+// default.
+func pickLeastLoaded(req placementRequest) (int, bool) {
 	best, bestLoad, found := 0, 0, false
 	for _, cc := range req.Cells {
 		if !cc.viable() {
@@ -106,23 +80,17 @@ func (LeastLoadedPolicy) PickCell(req PlacementRequest) (int, bool) {
 	return best, found
 }
 
-// AffinityPolicy is sticky-home with spillover: a task goes back to its
+// pickAffinity is sticky-home with spillover: a task goes back to its
 // origin cell whenever the origin can host it; otherwise it spills to
 // the nearest cell by backbone hops, fewest placed tasks then lowest
 // index on ties.
-type AffinityPolicy struct{}
-
-// Name implements PlacementPolicy.
-func (AffinityPolicy) Name() string { return PolicyAffinity }
-
-// PickCell implements PlacementPolicy.
-func (AffinityPolicy) PickCell(req PlacementRequest) (int, bool) {
+func pickAffinity(req placementRequest) (int, bool) {
 	for _, cc := range req.Cells {
 		if cc.Origin && cc.viable() {
 			return cc.Index, true
 		}
 	}
-	best := CellCondition{}
+	best := cellCondition{}
 	found := false
 	for _, cc := range req.Cells {
 		if !cc.viable() {
@@ -138,7 +106,12 @@ func (AffinityPolicy) PickCell(req PlacementRequest) (int, bool) {
 	return best.Index, found
 }
 
-// CampusBQPPolicy reoptimizes task placement across cells with the
+// hopCostWeight prices one backbone hop in units of placed tasks: a
+// two-hop destination must be at least eight tasks lighter than an
+// adjacent one before the solver prefers it.
+const hopCostWeight = 8
+
+// pickCampusBQP reoptimizes task placement across cells with the
 // internal BQP solver (the paper's §3.1.1 op 7 lifted to campus scope):
 // cells are the assignment targets, every displaced task is a variable,
 // placement cost combines backbone distance with cell load, cell CPU
@@ -146,19 +119,8 @@ func (AffinityPolicy) PickCell(req PlacementRequest) (int, bool) {
 // spreads displaced tasks. The deterministic greedy solver keeps equal
 // seeds reproducing equal campuses; infeasible instances fall back to
 // least-loaded.
-type CampusBQPPolicy struct{}
-
-// Name implements PlacementPolicy.
-func (CampusBQPPolicy) Name() string { return PolicyCampusBQP }
-
-// hopCostWeight prices one backbone hop in units of placed tasks: a
-// two-hop destination must be at least eight tasks lighter than an
-// adjacent one before the solver prefers it.
-const hopCostWeight = 8
-
-// PickCell implements PlacementPolicy.
-func (CampusBQPPolicy) PickCell(req PlacementRequest) (int, bool) {
-	var cells []CellCondition
+func pickCampusBQP(req placementRequest) (int, bool) {
+	var cells []cellCondition
 	for _, cc := range req.Cells {
 		if cc.viable() {
 			cells = append(cells, cc)
@@ -218,30 +180,20 @@ func (CampusBQPPolicy) PickCell(req PlacementRequest) (int, bool) {
 	}
 	sol, err := bqp.SolveGreedy(p)
 	if err != nil {
-		return LeastLoadedPolicy{}.PickCell(req)
+		return pickLeastLoaded(req)
 	}
 	return cells[sol.Assign[self]].Index, true
 }
 
-// --- built-in policies --------------------------------------------------------
-
-// placementPolicies is the table of built-in placement policies, the names
-// RunSpec.Policy resolves through NewPlacementPolicy.
-var placementPolicies = map[string]PlacementPolicy{
-	PolicyLeastLoaded: LeastLoadedPolicy{},
-	PolicyCampusBQP:   CampusBQPPolicy{},
-	PolicyAffinity:    AffinityPolicy{},
+// placementPolicies is the fixed table of placement policies, the names
+// CampusConfig.Placement and RunSpec.Policy resolve through. Each pick
+// function returns the destination cell index, or false when no listed
+// cell can take the task; equal requests give equal picks.
+var placementPolicies = map[string]func(placementRequest) (int, bool){
+	PolicyLeastLoaded: pickLeastLoaded,
+	PolicyCampusBQP:   pickCampusBQP,
+	PolicyAffinity:    pickAffinity,
 }
 
 // PlacementPolicies lists the built-in policy names, sorted.
 func PlacementPolicies() []string { return sim.SortedKeys(placementPolicies) }
-
-// NewPlacementPolicy returns a built-in policy by name. The empty name
-// returns the campus default (least-loaded). A custom policy is passed as
-// a value through CampusConfig.Placement instead.
-func NewPlacementPolicy(name string) (PlacementPolicy, error) {
-	if name == "" {
-		return LeastLoadedPolicy{}, nil
-	}
-	return lookup("placement policy", placementPolicies, name)
-}

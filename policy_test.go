@@ -5,38 +5,32 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"evm/internal/sim"
 )
 
 // TestPlacementPolicyRegistry covers the built-in policy table: the
-// three built-ins are listed, the empty name resolves to the default,
-// and unknown names error.
+// three built-ins are listed and NewCampus refuses an unknown name.
 func TestPlacementPolicyRegistry(t *testing.T) {
-	names := PlacementPolicies()
-	for _, want := range []string{PolicyLeastLoaded, PolicyCampusBQP, PolicyAffinity} {
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("built-in policy %q not registered (got %v)", want, names)
-		}
+	want := []string{PolicyAffinity, PolicyCampusBQP, PolicyLeastLoaded}
+	if names := PlacementPolicies(); !reflect.DeepEqual(names, want) {
+		t.Fatalf("PlacementPolicies() = %v, want %v", names, want)
 	}
-	p, err := NewPlacementPolicy("")
-	if err != nil || p.Name() != PolicyLeastLoaded {
-		t.Fatalf("empty policy name = %v, %v; want least-loaded", p, err)
-	}
-	if _, err := NewPlacementPolicy("no-such-policy"); err == nil {
+	campus, err := NewCampus(CampusConfig{Seed: 1, Placement: "no-such-policy"}, refineryCells()...)
+	if err == nil {
+		campus.Stop()
 		t.Fatal("unknown policy name accepted")
+	}
+	if !strings.Contains(err.Error(), `unknown placement policy "no-such-policy"`) {
+		t.Fatalf("unknown policy error = %v", err)
 	}
 }
 
-// TestLeastLoadedPolicyMatchesLegacyCoordinator guards the refactor: an
-// explicit LeastLoadedPolicy produces a campus event stream
-// byte-identical to the default (nil-policy) configuration.
+// TestLeastLoadedPolicyMatchesLegacyCoordinator: naming least-loaded
+// explicitly produces a campus event stream byte-identical to leaving
+// CampusConfig.Placement empty.
 func TestLeastLoadedPolicyMatchesLegacyCoordinator(t *testing.T) {
-	run := func(policy PlacementPolicy) []string {
+	run := func(policy string) []string {
 		campus, err := NewCampus(CampusConfig{Seed: 42, Placement: policy}, refineryCells()...)
 		if err != nil {
 			t.Fatal(err)
@@ -50,13 +44,74 @@ func TestLeastLoadedPolicyMatchesLegacyCoordinator(t *testing.T) {
 		campus.Run(25 * time.Second)
 		return log.Strings()
 	}
-	def := run(nil)
-	explicit := run(LeastLoadedPolicy{})
+	def := run("")
+	explicit := run(PolicyLeastLoaded)
 	if len(def) == 0 {
 		t.Fatal("no campus events recorded")
 	}
 	if !reflect.DeepEqual(def, explicit) {
 		t.Fatal("explicit least-loaded policy diverges from the default coordinator")
+	}
+}
+
+// TestPlacementPicksAreViable is the contract every built-in placement
+// policy keeps, checked over seeded random requests: a pick is a listed
+// cell with eligible hosts and a backbone route, a policy declines only
+// when no listed cell has both, and equal requests give equal picks.
+// Campus.escalate relies on it: it ships the task to the pick unchecked.
+func TestPlacementPicksAreViable(t *testing.T) {
+	rng := sim.NewRNG(7)
+	task := TaskSpec{ID: "t", Period: 250 * time.Millisecond, WCET: 5 * time.Millisecond}
+	for i := 0; i < 3000; i++ {
+		n := 1 + rng.Intn(7)
+		from, origin := rng.Intn(n), rng.Intn(n)
+		req := placementRequest{Task: task}
+		for c := 0; c < n; c++ {
+			if c == from {
+				continue
+			}
+			req.Cells = append(req.Cells, cellCondition{
+				Index:         c,
+				Placed:        rng.Intn(8),
+				EligibleHosts: rng.Intn(3),
+				Utilization:   rng.Float64() * 2,
+				Capacity:      float64(rng.Intn(6)),
+				Hops:          rng.Intn(4) - 1,
+				Origin:        c == origin,
+			})
+		}
+		for d := rng.Intn(5); d > 0; d-- {
+			req.Displaced = append(req.Displaced, displacedTask{Cell: rng.Intn(n), Util: rng.Float64() * 0.5})
+		}
+		anyViable := false
+		for _, cc := range req.Cells {
+			anyViable = anyViable || cc.viable()
+		}
+		for _, name := range PlacementPolicies() {
+			pick := placementPolicies[name]
+			dst, ok := pick(req)
+			if again, okAgain := pick(req); again != dst || okAgain != ok {
+				t.Fatalf("request %d: %s picked (%d, %t) then (%d, %t)", i, name, dst, ok, again, okAgain)
+			}
+			if ok != anyViable {
+				t.Fatalf("request %d: %s found=%t, but a viable cell exists=%t (%+v)", i, name, ok, anyViable, req.Cells)
+			}
+			if !ok {
+				continue
+			}
+			listed := false
+			for _, cc := range req.Cells {
+				if cc.Index == dst {
+					listed = true
+					if !cc.viable() {
+						t.Fatalf("request %d: %s picked cell %d without a host or route: %+v", i, name, dst, cc)
+					}
+				}
+			}
+			if !listed || dst == from {
+				t.Fatalf("request %d: %s picked unlisted cell %d (from %d)", i, name, dst, from)
+			}
+		}
 	}
 }
 
@@ -437,7 +492,7 @@ func TestEscalationBackToOriginIsHomecoming(t *testing.T) {
 	}
 	campus, err := NewCampus(CampusConfig{
 		Seed:      1,
-		Placement: AffinityPolicy{},
+		Placement: PolicyAffinity,
 		Rebalance: true,
 	}, unit("west", "w", 6), unit("east", "e", 6))
 	if err != nil {

@@ -23,9 +23,9 @@ type RunSpec struct {
 	// FaultCell names the cell the plan targets in campus scenarios
 	// ("" = the first cell). Ignored by single-cell scenarios.
 	FaultCell string
-	// Policy names the placement policy campus scenarios resolve through
-	// NewPlacementPolicy ("" = the least-loaded default). Ignored by
-	// single-cell scenarios.
+	// Policy names the placement policy of campus scenarios, one of
+	// PlacementPolicies ("" = least-loaded); a campus scenario refuses
+	// an unknown name. Ignored by single-cell scenarios.
 	Policy string
 }
 
@@ -53,10 +53,6 @@ type Experiment struct {
 	// Runner drives its shared engine and observes the merged campus
 	// event stream.
 	Campus *Campus
-	// Policy records the placement policy the builder resolved for a
-	// campus scenario (display/aggregation aid; "" for single-cell
-	// scenarios or the default policy).
-	Policy string
 	// DefaultHorizon is used when the spec leaves Horizon zero.
 	DefaultHorizon time.Duration
 	// Metrics extracts the per-run measurements after the horizon.

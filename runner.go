@@ -22,9 +22,6 @@ type RunResult struct {
 	Spec    RunSpec
 	Err     error
 	Metrics map[string]float64
-	// Policy is the placement policy the scenario builder resolved
-	// (Experiment.Policy; "" for single-cell scenarios).
-	Policy string
 	// Violations holds every invariant breach the Runner's checkers
 	// (Runner.Checkers) observed on the live event stream; nil when no
 	// checkers were configured or all invariants held.
@@ -181,7 +178,6 @@ func (r *Runner) runSpec(spec RunSpec) RunResult {
 	if exp.Cleanup != nil {
 		defer exp.Cleanup()
 	}
-	res.Policy = exp.Policy
 	tgt := exp.target()
 	var tracer *span.Tracer
 	if r.Trace {

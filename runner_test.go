@@ -2,6 +2,7 @@ package evm
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -136,5 +137,36 @@ func TestScenarioTableHoldsBuiltins(t *testing.T) {
 	}
 	if _, err := LookupScenario("no-such-thing"); err == nil {
 		t.Fatal("unknown scenario resolved")
+	}
+}
+
+// TestCampusScenariosRefuseUnknownPolicy: every built-in scenario that
+// builds a campus refuses a RunSpec.Policy naming no built-in placement
+// policy, rather than silently running another one.
+func TestCampusScenariosRefuseUnknownPolicy(t *testing.T) {
+	campuses := 0
+	for _, name := range Scenarios() {
+		exp, err := BuildScenario(RunSpec{Scenario: name, Seed: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		isCampus := exp.Campus != nil
+		if exp.Cleanup != nil {
+			exp.Cleanup()
+		}
+		if !isCampus {
+			continue
+		}
+		campuses++
+		exp, err = BuildScenario(RunSpec{Scenario: name, Seed: 1, Policy: "no-such-policy"})
+		if err == nil {
+			t.Fatalf("%s: unknown placement policy accepted", name)
+		}
+		if !strings.Contains(err.Error(), `unknown placement policy "no-such-policy"`) {
+			t.Fatalf("%s: error %v, want the unknown-policy error", name, err)
+		}
+	}
+	if campuses == 0 {
+		t.Fatal("no built-in scenario builds a campus")
 	}
 }

@@ -18,7 +18,7 @@ func buildEightControllerVC(t *testing.T, seed uint64) (*Cell, VCConfig) {
 		ids = append(ids, i) // 8 controllers
 	}
 	ids = append(ids, 10) // head
-	cell, err := NewCell(CellConfig{Seed: seed, PerfectChannel: true, SlotsPerNode: 3}, ids)
+	cell, err := NewCellWith(CellConfig{Seed: seed}, WithNodes(ids...), WithSlotsPerNode(3), WithPER(0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -163,18 +163,12 @@ func NewGasPlant(cfg GasPlantConfig) (*GasPlant, error) {
 	if cfg.ControlPeriod <= 0 {
 		return nil, fmt.Errorf("evm: control period %v", cfg.ControlPeriod)
 	}
-	if !(cfg.PER >= 0 && cfg.PER <= 1) {
-		return nil, fmt.Errorf("evm: packet error rate %g outside [0,1]", cfg.PER)
-	}
 	ids := []NodeID{GasGatewayID, GasCtrlAID, GasCtrlBID, GasHeadID, GasSensorID, GasActID}
 	// Three slots per node: after a fail-over one controller may hold two
 	// active tasks (two actuations + one health bundle per cycle).
-	cell, err := NewCell(CellConfig{Seed: cfg.Seed, PerfectChannel: cfg.PER == 0, SlotsPerNode: 3}, ids)
+	cell, err := NewCellWith(CellConfig{Seed: cfg.Seed}, WithNodes(ids...), WithSlotsPerNode(3), WithPER(cfg.PER))
 	if err != nil {
 		return nil, err
-	}
-	if cfg.PER > 0 {
-		cell.Medium().ForcePER(cfg.PER)
 	}
 
 	factory := ltsPIDFactory(cfg)

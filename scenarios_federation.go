@@ -140,11 +140,7 @@ func refineryCells() []CellSpec {
 // builder applies to faultCell before the run.
 func campusScenario(spec RunSpec, cfg CampusConfig, horizon time.Duration, cells []CellSpec,
 	faultCell string, choreography func(*Campus) FaultPlan) (*Experiment, error) {
-	policy, err := NewPlacementPolicy(spec.Policy)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Seed, cfg.Placement = spec.Seed, policy
+	cfg.Seed, cfg.Placement = spec.Seed, spec.Policy
 	campus, err := NewCampus(cfg, cells...)
 	if err != nil {
 		return nil, err
@@ -157,7 +153,6 @@ func campusScenario(spec RunSpec, cfg CampusConfig, horizon time.Duration, cells
 	}
 	return &Experiment{
 		Campus:         campus,
-		Policy:         policy.Name(),
 		DefaultHorizon: horizon,
 		Metrics:        campusMetrics(campus),
 		Cleanup:        campus.Stop,

@@ -163,13 +163,19 @@ func otaUnit(letter string) CellSpec {
 // backbone (every link drops 20% of hops, so rollout legs retransmit),
 // with capsule versions v1 and v2 registered for every loop.
 func NewOTACampus(seed uint64) (*Campus, error) {
+	return newOTACampus(seed, "")
+}
+
+// newOTACampus is NewOTACampus under the named placement policy.
+func newOTACampus(seed uint64, policy string) (*Campus, error) {
 	store := NewCapsuleStore()
 	if err := RegisterOTACapsules(store, OTACampusTasks()); err != nil {
 		return nil, err
 	}
 	cfg := CampusConfig{
-		Seed:     seed,
-		Capsules: store,
+		Seed:      seed,
+		Placement: policy,
+		Capsules:  store,
 		Backbone: BackboneConfig{
 			RetryAfter: 150 * time.Millisecond,
 			MaxRetries: 6,
@@ -200,7 +206,7 @@ func OTACampusRolloutSpec(strategy string) RolloutSpec {
 // health window. Metrics report the rollout's terminal state and how
 // many loop masters ended up executing v2.
 func buildOTACampusScenario(spec RunSpec) (*Experiment, error) {
-	campus, err := NewOTACampus(spec.Seed)
+	campus, err := newOTACampus(spec.Seed, spec.Policy)
 	if err != nil {
 		return nil, err
 	}

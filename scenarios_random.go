@@ -20,7 +20,7 @@ const ScenarioRandomField = "random-field"
 const RandomFieldNodes = 50
 
 // randomFieldLink widens the default 50-slot frame so all 50 members own
-// SlotsPerNode slots: 102 slots of 5 ms = a 510 ms frame, paired with
+// the default two TX slots: 102 slots of 5 ms = a 510 ms frame, paired with
 // 1 s control loops.
 func randomFieldLink() rtlink.Config {
 	cfg := rtlink.DefaultConfig()

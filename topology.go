@@ -113,7 +113,7 @@ func WithPlacement(p Placement) CellOption {
 // overriding the distance-loss curve (radio range remains a hard cutoff,
 // and the Gilbert-Elliott burst overlay stays active for rates > 0).
 // WithPER(0) yields a fully perfect channel — loss curve and burst
-// overlay disabled, the option form of CellConfig.PerfectChannel.
+// overlay disabled.
 func WithPER(per float64) CellOption {
 	return func(s *cellSpec) {
 		s.per = per
@@ -121,7 +121,9 @@ func WithPER(per float64) CellOption {
 	}
 }
 
-// WithSlotsPerNode sets the TX slots each member owns per TDMA frame.
+// WithSlotsPerNode sets the TX slots each member owns per TDMA frame
+// (default 2: a controller sends an actuation and a health record every
+// cycle). Runtimes admitted later with AddNodeRuntime get the same budget.
 func WithSlotsPerNode(k int) CellOption {
 	return func(s *cellSpec) { s.slotsPerNode = k }
 }
@@ -132,8 +134,7 @@ func WithSlotsPerNode(k int) CellOption {
 // distant stations are relayed hop by hop along static line routes the
 // cell installs at construction. order gives the station sequence along
 // the line; empty means member order. The cell's slot budget
-// (SlotsPerNode / WithSlotsPerNode) becomes the number of line rounds
-// per frame.
+// (WithSlotsPerNode) becomes the number of line rounds per frame.
 func WithLineSchedule(order ...NodeID) CellOption {
 	return func(s *cellSpec) {
 		s.line = true
@@ -158,7 +159,7 @@ func (s *cellSpec) validate() error {
 		return fmt.Errorf("evm: placement %s holds at most %d nodes, got %d",
 			s.placement.name, s.placement.capacity, len(s.ids))
 	}
-	if s.hasPER && (s.per < 0 || s.per > 1) {
+	if s.hasPER && !(s.per >= 0 && s.per <= 1) { // NaN fails both
 		return fmt.Errorf("evm: packet error rate %g outside [0,1]", s.per)
 	}
 	if s.slotsPerNode < 0 {
