@@ -13,7 +13,7 @@ import (
 // transmissions, the gateway's ModBus frames) allocate nothing in steady
 // state, so the count is construction plus the event bus's boxed
 // actuation events and the trace's growth. The cap sits just above the
-// measured 694 (707 under -race); a change that puts allocation back on
+// measured 688 (701 under -race); a change that puts allocation back on
 // the per-slot or per-message path fails here.
 const hotPathAllocBudget = 750
 
@@ -30,5 +30,43 @@ func TestHotPathAllocBudget(t *testing.T) {
 	t.Logf("allocs per run: %.0f (budget %d)", got, hotPathAllocBudget)
 	if got > hotPathAllocBudget {
 		t.Fatalf("gas-plant run made %.0f allocations, budget %d: something allocates on the per-slot or per-message path again", got, hotPathAllocBudget)
+	}
+}
+
+// TestCheckpointTickDoesNotAllocate: in steady state the coordinator's
+// once-a-second checkpoint of every task refreshes each placement's
+// export in place. A byte-code task's state is appended into the
+// export's Blob and its capsule copied from the logic's kept encoding;
+// a PID task appends its eight floats. So a tick over a healthy campus
+// allocates nothing. Several ticks per run keep the integer division
+// from hiding an allocation.
+func TestCheckpointTickDoesNotAllocate(t *testing.T) {
+	campus, err := NewCampus(CampusConfig{Seed: 1}, refineryUnit("a"), otaUnit("b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer campus.Stop()
+	campus.Run(5 * time.Second) // every export has been filled at least once
+	vm, pid := 0, 0
+	for _, p := range campus.tasks {
+		if !p.have {
+			t.Fatalf("task %s has no checkpoint after 5 s", p.spec.ID)
+		}
+		if len(p.export.Capsule) > 0 {
+			vm++
+		} else {
+			pid++
+		}
+	}
+	if vm == 0 || pid == 0 {
+		t.Fatalf("campus checkpoints %d byte-code and %d PID tasks, want both", vm, pid)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		for range 5 {
+			campus.tick()
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("5 checkpoint ticks: %v allocs, want 0", allocs)
 	}
 }

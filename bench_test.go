@@ -17,7 +17,7 @@ func BenchmarkVMInterpreterStep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	logic, err := core.NewVMLogic(vm.Capsule{TaskID: "x", Code: code}, 0)
+	logic, err := core.NewVMLogic(vm.Capsule{TaskID: "x", Code: code})
 	if err != nil {
 		b.Fatal(err)
 	}

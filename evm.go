@@ -90,7 +90,7 @@ func AssembleCapsule(taskID string, version uint8, src string) (Capsule, error) 
 }
 
 // NewVMLogic instantiates a capsule as task logic.
-func NewVMLogic(c Capsule) (*VMLogic, error) { return core.NewVMLogic(c, 0) }
+func NewVMLogic(c Capsule) (*VMLogic, error) { return core.NewVMLogic(c) }
 
 // EvaluateQoS reports component coverage (see the paper's QoS
 // degradation claim).

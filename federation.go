@@ -84,7 +84,7 @@ type taskPlacement struct {
 	node   NodeID
 	spec   TaskSpec
 
-	export    wire.TaskExport // latest checkpoint
+	export    wire.TaskExport // latest checkpoint, refreshed in place by tick
 	have      bool
 	foreign   bool // true once migrated out of its origin cell
 	migrating bool // transfer in flight on the backbone
@@ -447,9 +447,11 @@ func (c *Campus) tick() {
 		cell := c.cells[p.cell]
 		if !c.nodeFailed(p.cell, p.node) {
 			if n := cell.nodes[p.node]; n != nil && n.HasReplica(p.spec.ID) {
-				if ex, err := n.ExportTask(p.spec.ID); err == nil {
-					p.export, p.have = ex, true
-				}
+				// The checkpoint is refreshed in place, reusing p.export's
+				// buffers. Its readers, escalate and startRebalance,
+				// Encode it (a copy) at once, and a placement in transfer
+				// is skipped above, so no reader sees it change.
+				p.have = n.ExportTask(p.spec.ID, &p.export) == nil
 			}
 			continue
 		}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math"
 	"testing"
+
+	"evm"
 )
 
 // TestGenerateDeterministicAndValid locks the generator's contract: the
@@ -25,6 +27,45 @@ func TestGenerateDeterministicAndValid(t *testing.T) {
 			if err := a.Validate(); err != nil {
 				t.Fatalf("seed %d: invalid spec: %v\n%s", seed, err, ja)
 			}
+		}
+	}
+}
+
+// TestValidateRejectsUnknownNames: a placement policy or rollout
+// strategy outside the built-in names is an error, not a silent default
+// (an unknown strategy used to run as "no rollout"). Every built-in name,
+// and "" for each default, still validates.
+func TestValidateRejectsUnknownNames(t *testing.T) {
+	var base Spec
+	for seed := uint64(1); base.Rollout == nil; seed++ {
+		if seed > 300 {
+			t.Fatal("no generated spec with a rollout in seeds 1..300")
+		}
+		base = Generate(seed)
+	}
+	withPolicy := func(p string) Spec { s := base; s.Policy = p; return s }
+	withStrategy := func(name string) Spec {
+		s, r := base, *base.Rollout
+		r.Strategy = name
+		s.Rollout = &r
+		return s
+	}
+	for _, p := range append([]string{""}, evm.PlacementPolicies()...) {
+		if err := withPolicy(p).Validate(); err != nil {
+			t.Errorf("policy %q: %v", p, err)
+		}
+	}
+	for _, name := range []string{"", evm.RolloutCanaryCell, evm.RolloutCellByCell, evm.RolloutAllAtOnce} {
+		if err := withStrategy(name).Validate(); err != nil {
+			t.Errorf("strategy %q: %v", name, err)
+		}
+	}
+	for _, bad := range []string{"bogus", "Least-Loaded", "canary"} {
+		if withPolicy(bad).Validate() == nil {
+			t.Errorf("policy %q validated", bad)
+		}
+		if withStrategy(bad).Validate() == nil {
+			t.Errorf("strategy %q validated", bad)
 		}
 	}
 }

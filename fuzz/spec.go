@@ -16,7 +16,10 @@ package fuzz
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"time"
+
+	"evm"
 )
 
 // Fault kinds understood by FaultGen.
@@ -259,6 +262,9 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("fuzz: link %s—%s latency %d ms", l.A, l.B, l.LatencyMS)
 		}
 	}
+	if s.Policy != "" && !slices.Contains(evm.PlacementPolicies(), s.Policy) {
+		return fmt.Errorf("fuzz: spec %s: unknown placement policy %q", s.Name, s.Policy)
+	}
 	if len(s.Links) > 0 && !s.connected() {
 		return fmt.Errorf("fuzz: spec %s backbone does not connect all %d cells", s.Name, len(s.Cells))
 	}
@@ -276,6 +282,11 @@ func (s Spec) Validate() error {
 		}
 		if r.Version != 2 && r.Version != 3 {
 			return fmt.Errorf("fuzz: rollout version %d (2 = good law, 3 = seeded bad law)", r.Version)
+		}
+		switch r.Strategy {
+		case "", evm.RolloutCanaryCell, evm.RolloutCellByCell, evm.RolloutAllAtOnce:
+		default:
+			return fmt.Errorf("fuzz: unknown rollout strategy %q", r.Strategy)
 		}
 		for _, c := range s.Cells {
 			if !c.VM {

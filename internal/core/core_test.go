@@ -333,11 +333,11 @@ func TestMigratedStateMatchesSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.run(t, 3*time.Second)
-	src, err := r.nodes[ctrlA].replica("lts").logic.Snapshot()
+	src, err := r.nodes[ctrlA].replica("lts").logic.AppendSnapshot(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst, err := r.nodes[spareID].replica("lts").logic.Snapshot()
+	dst, err := r.nodes[spareID].replica("lts").logic.AppendSnapshot(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,21 +5,30 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"evm/internal/control"
 	"evm/internal/vm"
 )
 
-// TaskLogic is the executable body of a control task. Implementations
-// must support state snapshot/restore so the EVM can migrate a running
-// task between nodes (or let a backup resume from replicated state).
+// TaskLogic is the executable body of a control task. Its mutable state
+// moves only as bytes, so the EVM can migrate a running task between
+// nodes, let a backup resume from replicated state and checkpoint it for
+// cross-cell transfer. The buffers belong to the caller:
+//
+//   - AppendSnapshot appends the encoded state to dst and returns the
+//     extended slice, like the append built-in. A caller that keeps a
+//     buffer and passes buf[:0] each time snapshots without allocating.
+//   - Restore borrows b for the call only: the caller may overwrite b
+//     once Restore returns, so an implementation copies what it keeps.
+//     On error it should leave the task's state as it was.
 type TaskLogic interface {
 	// Step consumes one sensor sample and produces the actuator command.
 	Step(input, dt float64) (float64, error)
-	// Snapshot serializes the task's mutable state.
-	Snapshot() ([]byte, error)
-	// Restore loads state produced by Snapshot.
-	Restore([]byte) error
+	// AppendSnapshot appends the task's mutable state to dst.
+	AppendSnapshot(dst []byte) ([]byte, error)
+	// Restore loads state produced by AppendSnapshot.
+	Restore(b []byte) error
 }
 
 // --- PID logic ---------------------------------------------------------------
@@ -61,15 +70,15 @@ func (l *PIDLogic) Step(input, dt float64) (float64, error) {
 
 const pidStateLen = 8 * 8
 
-// Snapshot implements TaskLogic.
-func (l *PIDLogic) Snapshot() ([]byte, error) {
-	out := make([]byte, 0, pidStateLen)
+// AppendSnapshot implements TaskLogic: eight big-endian float64s.
+func (l *PIDLogic) AppendSnapshot(dst []byte) ([]byte, error) {
 	integ, prevErr, primed := l.ctl.PID.State()
 	fs := l.ctl.Filter.State()
-	for _, v := range []float64{l.Setpoint, integ, prevErr, b2f(primed), fs[0], fs[1], fs[2], fs[3]} {
-		out = binary.BigEndian.AppendUint64(out, math.Float64bits(v))
+	dst = slices.Grow(dst, pidStateLen)
+	for _, v := range [...]float64{l.Setpoint, integ, prevErr, b2f(primed), fs[0], fs[1], fs[2], fs[3]} {
+		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(v))
 	}
-	return out, nil
+	return dst, nil
 }
 
 // Restore implements TaskLogic.
@@ -77,7 +86,7 @@ func (l *PIDLogic) Restore(b []byte) error {
 	if len(b) != pidStateLen {
 		return fmt.Errorf("core: pid state of %d bytes, want %d", len(b), pidStateLen)
 	}
-	vals := make([]float64, 8)
+	var vals [8]float64
 	for i := range vals {
 		vals[i] = math.Float64frombits(binary.BigEndian.Uint64(b[i*8:]))
 	}
@@ -138,28 +147,42 @@ func (h *vmHost) Out(port uint8, v int64) error {
 // state) and runs it to completion under a gas bound.
 type VMLogic struct {
 	capsule vm.Capsule
+	// encoded is the capsule's encoding, made on first use and kept: the
+	// capsule never changes, and every checkpoint ships it.
+	encoded []byte
 	interp  *vm.Interp
-	host    *vmHost
-	gas     int
+	host    vmHost
 }
 
 var _ TaskLogic = (*VMLogic)(nil)
 
 // NewVMLogic instantiates the capsule after attestation-style re-encoding
 // checks (the capsule is assumed already attested by the migration path).
-func NewVMLogic(c vm.Capsule, gas int) (*VMLogic, error) {
+// Each Step runs under vm.DefaultGas.
+func NewVMLogic(c vm.Capsule) (*VMLogic, error) {
 	if len(c.Code) == 0 {
 		return nil, errors.New("core: empty capsule")
 	}
-	if gas <= 0 {
-		gas = vm.DefaultGas
-	}
-	h := &vmHost{}
-	return &VMLogic{capsule: c, interp: vm.New(c.Code, h), host: h, gas: gas}, nil
+	l := &VMLogic{capsule: c}
+	l.interp = vm.New(c.Code, &l.host)
+	return l, nil
 }
 
 // Capsule returns the code capsule backing the logic.
 func (l *VMLogic) Capsule() vm.Capsule { return l.capsule }
+
+// encodedCapsule returns the capsule's encoding. The slice is the
+// logic's own: callers read it or copy it, never modify it.
+func (l *VMLogic) encodedCapsule() ([]byte, error) {
+	if l.encoded == nil {
+		enc, err := l.capsule.Encode()
+		if err != nil {
+			return nil, err
+		}
+		l.encoded = enc
+	}
+	return l.encoded, nil
+}
 
 // Step implements TaskLogic.
 func (l *VMLogic) Step(input, dt float64) (float64, error) {
@@ -167,7 +190,7 @@ func (l *VMLogic) Step(input, dt float64) (float64, error) {
 	l.host.dtMS = int64(dt * 1000)
 	l.host.hasOut = false
 	l.interp.Reset()
-	if err := l.interp.Run(l.gas); err != nil {
+	if err := l.interp.Run(vm.DefaultGas); err != nil {
 		return 0, fmt.Errorf("capsule %s: %w", l.capsule.TaskID, err)
 	}
 	if !l.host.hasOut {
@@ -176,16 +199,11 @@ func (l *VMLogic) Step(input, dt float64) (float64, error) {
 	return vm.FromQ(l.host.output), nil
 }
 
-// Snapshot implements TaskLogic.
-func (l *VMLogic) Snapshot() ([]byte, error) {
-	return l.interp.Snapshot().MarshalBinary()
+// AppendSnapshot implements TaskLogic: the interpreter's state as
+// vm.Interp.AppendState encodes it.
+func (l *VMLogic) AppendSnapshot(dst []byte) ([]byte, error) {
+	return l.interp.AppendState(dst), nil
 }
 
 // Restore implements TaskLogic.
-func (l *VMLogic) Restore(b []byte) error {
-	var st vm.State
-	if err := st.UnmarshalBinary(b); err != nil {
-		return err
-	}
-	return l.interp.Restore(st)
-}
+func (l *VMLogic) Restore(b []byte) error { return l.interp.LoadState(b) }

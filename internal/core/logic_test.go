@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"math"
+	"math/rand/v2"
 	"testing"
 	"time"
 
@@ -21,7 +23,7 @@ func TestPIDLogicStepAndSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	blob, err := a.Snapshot()
+	blob, err := a.AppendSnapshot(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +85,7 @@ func proportionalCapsule(t *testing.T) vm.Capsule {
 }
 
 func TestVMLogicControlLaw(t *testing.T) {
-	l, err := NewVMLogic(proportionalCapsule(t), 0)
+	l, err := NewVMLogic(proportionalCapsule(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,18 +106,18 @@ func TestVMLogicControlLaw(t *testing.T) {
 }
 
 func TestVMLogicSnapshotRestore(t *testing.T) {
-	a, err := NewVMLogic(proportionalCapsule(t), 0)
+	a, err := NewVMLogic(proportionalCapsule(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := a.Step(40, 0.25); err != nil {
 		t.Fatal(err)
 	}
-	blob, err := a.Snapshot()
+	blob, err := a.AppendSnapshot(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewVMLogic(proportionalCapsule(t), 0)
+	b, err := NewVMLogic(proportionalCapsule(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +173,7 @@ func piCapsule(t *testing.T) vm.Capsule {
 }
 
 func TestVMPIControllerAccumulatesIntegral(t *testing.T) {
-	l, err := NewVMLogic(piCapsule(t), 0)
+	l, err := NewVMLogic(piCapsule(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +197,7 @@ func TestVMPIControllerAccumulatesIntegral(t *testing.T) {
 }
 
 func TestVMPIControllerIntegralMigrates(t *testing.T) {
-	a, err := NewVMLogic(piCapsule(t), 0)
+	a, err := NewVMLogic(piCapsule(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,11 +206,11 @@ func TestVMPIControllerIntegralMigrates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	blob, err := a.Snapshot()
+	blob, err := a.AppendSnapshot(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewVMLogic(piCapsule(t), 0)
+	b, err := NewVMLogic(piCapsule(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +230,7 @@ func TestVMPIControllerIntegralMigrates(t *testing.T) {
 	}
 	// A fresh replica without the state behaves differently (proves the
 	// state actually matters).
-	fresh, err := NewVMLogic(piCapsule(t), 0)
+	fresh, err := NewVMLogic(piCapsule(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +248,7 @@ func TestVMLogicNoOutputErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := NewVMLogic(vm.Capsule{TaskID: "x", Code: code}, 0)
+	l, err := NewVMLogic(vm.Capsule{TaskID: "x", Code: code})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +258,7 @@ func TestVMLogicNoOutputErrors(t *testing.T) {
 }
 
 func TestVMLogicEmptyCapsuleRejected(t *testing.T) {
-	if _, err := NewVMLogic(vm.Capsule{TaskID: "x"}, 0); err == nil {
+	if _, err := NewVMLogic(vm.Capsule{TaskID: "x"}); err == nil {
 		t.Fatal("empty capsule accepted")
 	}
 }
@@ -313,7 +315,7 @@ func TestVMCapsuleMigrationOverNetwork(t *testing.T) {
 	// installs it.
 	cfg := defaultCfg()
 	cap := proportionalCapsule(t)
-	cfg.Tasks[0].MakeLogic = func() (TaskLogic, error) { return NewVMLogic(cap, 0) }
+	cfg.Tasks[0].MakeLogic = func() (TaskLogic, error) { return NewVMLogic(cap) }
 	r := newRig(t, cfg)
 	r.run(t, 3_000_000_000) // 3s
 	if err := r.nodes[ctrlA].MigrateTask("lts", spareID); err != nil {
@@ -325,5 +327,98 @@ func TestVMCapsuleMigrationOverNetwork(t *testing.T) {
 	}
 	if _, ok := r.nodes[spareID].replica("lts").logic.(*VMLogic); !ok {
 		t.Fatal("spare's replica is not VM-backed")
+	}
+}
+
+// TestSnapshotRoundTripProperty: after a random run of random inputs, a
+// PID or byte-code task's snapshot restores into a fresh logic that
+// re-snapshots to the same bytes and steps identically. Restore borrows
+// its input: the blob is overwritten right after it returns. The
+// snapshot appends: a prefix already in dst survives.
+func TestSnapshotRoundTripProperty(t *testing.T) {
+	factories := map[string]func() (TaskLogic, error){
+		"pid":   pidFactory,
+		"vm-pi": func() (TaskLogic, error) { return NewVMLogic(piCapsule(t)) },
+		"vm-p":  func() (TaskLogic, error) { return NewVMLogic(proportionalCapsule(t)) },
+	}
+	rng := rand.New(rand.NewPCG(7, 11))
+	for name, mk := range factories {
+		for trial := range 100 {
+			a, err := mk()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for range rng.IntN(60) {
+				if _, err := a.Step(100*rng.Float64(), 0.05+rng.Float64()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			prefix := []byte{0xAB}
+			snap, err := a.AppendSnapshot(prefix)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if snap[0] != 0xAB {
+				t.Fatalf("%s trial %d: AppendSnapshot overwrote dst", name, trial)
+			}
+			blob := snap[1:]
+			want := bytes.Clone(blob)
+			b, err := mk()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Restore(blob); err != nil {
+				t.Fatalf("%s trial %d: %v", name, trial, err)
+			}
+			for i := range blob {
+				blob[i] = 0xFF
+			}
+			got, err := b.AppendSnapshot(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s trial %d: restored state re-snapshots differently", name, trial)
+			}
+			for range 5 {
+				in, dt := 100*rng.Float64(), 0.25
+				outA, errA := a.Step(in, dt)
+				outB, errB := b.Step(in, dt)
+				if outA != outB || (errA == nil) != (errB == nil) {
+					t.Fatalf("%s trial %d: futures diverge: %v/%v vs %v/%v", name, trial, outA, errA, outB, errB)
+				}
+			}
+		}
+	}
+}
+
+// TestSnapshotRestoreDoesNotAllocate: both built-in logics snapshot into
+// a buffer the caller keeps and restore without allocating.
+func TestSnapshotRestoreDoesNotAllocate(t *testing.T) {
+	pid, err := pidFactory()
+	if err != nil {
+		t.Fatal(err)
+	}
+	vml, err := NewVMLogic(piCapsule(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range []TaskLogic{pid, vml} {
+		if _, err := l.Step(55, 0.25); err != nil {
+			t.Fatal(err)
+		}
+		buf, err := l.AppendSnapshot(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			buf, _ = l.AppendSnapshot(buf[:0])
+			if err := l.Restore(buf); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%T: AppendSnapshot + Restore made %v allocs, want 0", l, allocs)
+		}
 	}
 }

@@ -20,11 +20,13 @@ func (n *Node) MigrateTask(taskID string, dest radio.NodeID) error {
 		return fmt.Errorf("core: node %v holds no task %s", n.id, taskID)
 	}
 	if vl, isVM := r.logic.(*VMLogic); isVM {
-		if err := n.sendCapsule(vl.Capsule(), dest); err != nil {
+		enc, err := vl.encodedCapsule()
+		if err != nil {
 			return err
 		}
+		n.send(rtlink.Message{Dst: dest, Kind: wire.KindCapsule, Payload: enc})
 	}
-	blob, err := r.logic.Snapshot()
+	blob, err := r.logic.AppendSnapshot(nil)
 	if err != nil {
 		return fmt.Errorf("snapshot %s: %w", taskID, err)
 	}
@@ -34,15 +36,6 @@ func (n *Node) MigrateTask(taskID string, dest radio.NodeID) error {
 	}
 	n.send(rtlink.Message{Dst: dest, Kind: wire.KindState, Payload: payload})
 	n.stats.MigrationsOut++
-	return nil
-}
-
-func (n *Node) sendCapsule(c vm.Capsule, dest radio.NodeID) error {
-	enc, err := c.Encode()
-	if err != nil {
-		return err
-	}
-	n.send(rtlink.Message{Dst: dest, Kind: wire.KindCapsule, Payload: enc})
 	return nil
 }
 
@@ -59,7 +52,12 @@ func (n *Node) DeployCapsule(c vm.Capsule, dest radio.NodeID) error {
 		return fmt.Errorf("core: deploy to self — install directly")
 	}
 	n.stats.MigrationsOut++
-	return n.sendCapsule(c, dest)
+	enc, err := c.Encode()
+	if err != nil {
+		return err
+	}
+	n.send(rtlink.Message{Dst: dest, Kind: wire.KindCapsule, Payload: enc})
+	return nil
 }
 
 // onMigrateCmd executes a head-ordered migration.
@@ -85,7 +83,7 @@ func (n *Node) onCapsule(msg rtlink.Message) {
 	if !ok {
 		return
 	}
-	logic, err := NewVMLogic(c, 0)
+	logic, err := NewVMLogic(c)
 	if err != nil {
 		return
 	}
@@ -138,29 +136,32 @@ func (n *Node) HasReplica(taskID string) bool {
 func (n *Node) ReplicaCount() int { return len(n.replicas) }
 
 // ExportTask packages this node's replica of a task for out-of-band
-// transfer: the serialized state, the output sequence number and, for
-// byte-code tasks, the encoded code capsule. The federation layer ships
-// the export over the campus backbone when a cell can no longer host the
-// task locally.
-func (n *Node) ExportTask(taskID string) (wire.TaskExport, error) {
+// transfer into ex, which the caller owns: the serialized state, the
+// output sequence number and, for byte-code tasks, the encoded code
+// capsule. The state and capsule bytes are written over ex.Blob and
+// ex.Capsule, so an export refreshed in place allocates only when the
+// state outgrows it; on error ex holds no usable checkpoint. The
+// federation layer ships the export over the campus backbone when a cell
+// can no longer host the task locally.
+func (n *Node) ExportTask(taskID string, ex *wire.TaskExport) error {
 	r := n.replica(taskID)
 	if r == nil {
-		return wire.TaskExport{}, fmt.Errorf("core: node %v holds no task %s", n.id, taskID)
+		return fmt.Errorf("core: node %v holds no task %s", n.id, taskID)
 	}
-	blob, err := r.logic.Snapshot()
-	if err != nil {
-		return wire.TaskExport{}, fmt.Errorf("snapshot %s: %w", taskID, err)
-	}
-	ex := wire.TaskExport{TaskID: taskID, Seq: r.outSeq, Blob: blob}
+	ex.TaskID, ex.Seq, ex.Capsule = taskID, r.outSeq, ex.Capsule[:0]
 	if vl, isVM := r.logic.(*VMLogic); isVM {
-		c := vl.Capsule()
-		enc, err := c.Encode()
+		enc, err := vl.encodedCapsule()
 		if err != nil {
-			return wire.TaskExport{}, err
+			return err
 		}
-		ex.Capsule = enc
+		ex.Capsule = append(ex.Capsule, enc...)
 	}
-	return ex, nil
+	blob, err := r.logic.AppendSnapshot(ex.Blob[:0])
+	if err != nil {
+		return fmt.Errorf("snapshot %s: %w", taskID, err)
+	}
+	ex.Blob = blob
+	return nil
 }
 
 // ImportTask installs a replica of a foreign task delivered out-of-band
@@ -185,7 +186,7 @@ func (n *Node) ImportTask(spec TaskSpec, ex wire.TaskExport, activate bool) erro
 		if err != nil {
 			return fmt.Errorf("core: capsule attestation: %w", err)
 		}
-		logic, err = NewVMLogic(c, 0)
+		logic, err = NewVMLogic(c)
 		if err != nil {
 			return err
 		}

@@ -99,12 +99,13 @@ type Node struct {
 	// Per-cycle scratch: sensorIn is the decode target of onSensor,
 	// healthIn that of onHealth, healthOut the record buffer of
 	// sendHealthBundle, and out the encode buffer of sendActuate and
-	// sendHealthBundle, which the link copies in Send. None of them
-	// re-enters itself, so each may keep reading its buffer while the
-	// work it does sends messages: a node dispatches locally only what
-	// it addresses to itself, never a broadcast, and only the gateway
-	// sends snapshots; every other message reaches a handler through
-	// the radio, in a later event.
+	// sendHealthBundle, which the link copies in Send, and the snapshot
+	// buffer of replicateState, which the StateXfer encoder copies. None
+	// of them re-enters itself, so each may keep reading its buffer while
+	// the work it does sends messages: a node dispatches locally only
+	// what it addresses to itself, never a broadcast, and only the
+	// gateway sends snapshots; every other message reaches a handler
+	// through the radio, in a later event.
 	sensorIn  wire.SensorSnapshot
 	healthIn  wire.HealthBundle
 	healthOut []wire.HealthRecord
@@ -384,10 +385,11 @@ func (n *Node) runCycle(r *replica, input float64) {
 // snapshot to every other candidate so backups stay consistent even when
 // they missed cycles.
 func (n *Node) replicateState(r *replica) {
-	blob, err := r.logic.Snapshot()
+	blob, err := r.logic.AppendSnapshot(n.out[:0])
 	if err != nil {
 		return
 	}
+	n.out = blob
 	payload, err := wire.StateXfer{TaskID: r.spec.ID, Seq: r.outSeq, Blob: blob}.Encode()
 	if err != nil {
 		return

@@ -29,7 +29,7 @@ func (n *Node) StageCapsule(c vm.Capsule) error {
 	if r == nil {
 		return fmt.Errorf("core: node %v holds no replica of task %s to stage", n.id, c.TaskID)
 	}
-	logic, err := NewVMLogic(c, 0)
+	logic, err := NewVMLogic(c)
 	if err != nil {
 		return fmt.Errorf("core: stage %s v%d: %w", c.TaskID, c.Version, err)
 	}
@@ -72,7 +72,7 @@ func (n *Node) ActivateStaged(taskID string) error {
 	if r.staged == nil {
 		return fmt.Errorf("core: node %v has no staged capsule for task %s", n.id, taskID)
 	}
-	if blob, err := r.logic.Snapshot(); err == nil {
+	if blob, err := r.logic.AppendSnapshot(nil); err == nil {
 		_ = r.staged.Restore(blob) // best effort: incompatible layouts start fresh
 	}
 	r.prev = r.logic

@@ -36,7 +36,7 @@ func vmRig(t *testing.T) *rig {
 	cfg := defaultCfg()
 	spec := testSpec()
 	spec.MakeLogic = func() (TaskLogic, error) {
-		return NewVMLogic(otaCapsule(t, "lts", 1, "50.0", "2.0"), 0)
+		return NewVMLogic(otaCapsule(t, "lts", 1, "50.0", "2.0"))
 	}
 	cfg.Tasks = []TaskSpec{spec}
 	r := newRig(t, cfg)
@@ -189,7 +189,7 @@ func TestActivateCarriesStateAcrossCompatibleLayouts(t *testing.T) {
 	}
 	cfg := defaultCfg()
 	spec := testSpec()
-	spec.MakeLogic = func() (TaskLogic, error) { return NewVMLogic(counter(1, "1.0"), 0) }
+	spec.MakeLogic = func() (TaskLogic, error) { return NewVMLogic(counter(1, "1.0")) }
 	cfg.Tasks = []TaskSpec{spec}
 	r := newRig(t, cfg)
 	r.run(t, 3*time.Second)

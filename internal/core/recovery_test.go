@@ -96,7 +96,7 @@ func TestActiveStateReplicationResyncsBackup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	badState, err := bad.Snapshot()
+	badState, err := bad.AppendSnapshot(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +104,11 @@ func TestActiveStateReplicationResyncsBackup(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.run(t, 5*time.Second)
-	snapA, err := r.nodes[ctrlA].replica("lts").logic.Snapshot()
+	snapA, err := r.nodes[ctrlA].replica("lts").logic.AppendSnapshot(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snapB, err := r.nodes[ctrlB].replica("lts").logic.Snapshot()
+	snapB, err := r.nodes[ctrlB].replica("lts").logic.AppendSnapshot(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestStateSyncRejectedFromNonPrimary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := bad.Snapshot()
+	blob, err := bad.AppendSnapshot(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -169,9 +169,11 @@ func runControlCycle(_ Param, seed uint64) (map[string]float64, error) {
 type blobLogic struct{ state []byte }
 
 func (l *blobLogic) Step(input, dt float64) (float64, error) { return input, nil }
-func (l *blobLogic) Snapshot() ([]byte, error)               { return l.state, nil }
+func (l *blobLogic) AppendSnapshot(dst []byte) ([]byte, error) {
+	return append(dst, l.state...), nil
+}
 func (l *blobLogic) Restore(b []byte) error {
-	l.state = append([]byte(nil), b...)
+	l.state = append(l.state[:0], b...)
 	return nil
 }
 

@@ -1,9 +1,9 @@
 package vm
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
-	"reflect"
 	"testing"
 )
 
@@ -79,12 +79,56 @@ func FuzzVMDecodeRun(f *testing.F) {
 				break
 			}
 		}
-		if !reflect.DeepEqual(in.Snapshot(), stepped.Snapshot()) {
+		if !bytes.Equal(in.AppendState(nil), stepped.AppendState(nil)) {
 			t.Fatalf("Run(%d) ended at pc %d, depth %d; %d single steps at pc %d, depth %d",
 				fuzzCap, in.PC(), in.Depth(), fuzzCap, stepped.PC(), stepped.Depth())
 		}
 		if fmt.Sprint(runErr) != fmt.Sprint(stepErr) {
 			t.Fatalf("Run(%d) returned %v, single steps %v", fuzzCap, runErr, stepErr)
+		}
+	})
+}
+
+// FuzzVMLoadState: LoadState never panics on arbitrary bytes. Input it
+// rejects leaves the interpreter's state exactly as it was; input it
+// accepts re-encodes to itself, so the decoder admits only what
+// AppendState can produce. The interpreter is stopped inside a call with
+// some memory set, so "unchanged" is not an empty state. Seeds are
+// encodings of reachable states and damaged or foreign-sized ones.
+func FuzzVMLoadState(f *testing.F) {
+	code, err := Assemble("PUSH -5\nCALL sub\nHALT\nsub:\nPUSH 7\nRET")
+	if err != nil {
+		f.Fatal(err)
+	}
+	fresh := func() *Interp {
+		in := New(code, nil)
+		_ = in.Run(2)
+		_ = in.SetMem(3, 77)
+		return in
+	}
+	for steps := range 5 {
+		in := New(code, nil)
+		_ = in.Run(steps)
+		good := in.AppendState(nil)
+		f.Add(good)
+		f.Add(good[:len(good)-8])
+	}
+	short := New(code, nil)
+	short.mem = short.mem[:0]
+	f.Add(short.AppendState(nil))
+	f.Add([]byte{})
+	f.Add([]byte{0x45, 0x56, 0x4d, 0x53, 0, 0, 0, 0, 1})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		in := fresh()
+		before := in.AppendState(nil)
+		if err := in.LoadState(b); err != nil {
+			if !bytes.Equal(in.AppendState(nil), before) {
+				t.Fatalf("rejected input (%v) changed the interpreter", err)
+			}
+			return
+		}
+		if got := in.AppendState(nil); !bytes.Equal(got, b) {
+			t.Fatalf("accepted input re-encodes differently:\n in %x\nout %x", b, got)
 		}
 	})
 }

@@ -3,125 +3,93 @@ package vm
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
+	"slices"
 )
 
-// State is a portable snapshot of a running interpreter: the task control
-// state the EVM migrates between nodes (paper §4: "migration of the task
-// control block, stack, data and timing/precedence-related metadata").
-type State struct {
-	PC     int
-	Data   []int64
-	Ret    []int64
-	Mem    []int64
-	Halted bool
-}
-
-// Snapshot captures the interpreter's execution state.
-func (in *Interp) Snapshot() State {
-	return State{
-		PC:     in.pc,
-		Data:   append([]int64(nil), in.data...),
-		Ret:    append([]int64(nil), in.ret...),
-		Mem:    append([]int64(nil), in.mem...),
-		Halted: in.halted,
-	}
-}
-
-// Restore loads a snapshot into the interpreter. The code is unchanged;
-// the caller is responsible for pairing a snapshot with the capsule it
-// came from.
-func (in *Interp) Restore(st State) error {
-	if st.PC < 0 || st.PC > len(in.code) {
-		return fmt.Errorf("vm: restore pc %d out of range", st.PC)
-	}
-	if len(st.Data) > DefaultStackDepth || len(st.Ret) > DefaultStackDepth {
-		return ErrStackOverflow
-	}
-	in.pc = st.PC
-	in.data = append(in.data[:0], st.Data...)
-	in.ret = append(in.ret[:0], st.Ret...)
-	in.mem = append([]int64(nil), st.Mem...)
-	in.halted = st.Halted
-	return nil
-}
+// The interpreter's execution state is the task control state the EVM
+// migrates between nodes (paper §4: "migration of the task control block,
+// stack, data and timing/precedence-related metadata"). It moves only as
+// bytes, in this big-endian layout:
+//
+//	magic u32 | pc u32 | halted u8 |
+//	len(data) u32, data i64... | len(ret) u32, ret i64... | len(mem) u32, mem i64...
+//
+// The code is not part of the state; the caller pairs a state with the
+// capsule it came from.
 
 const stateMagic = 0x45564d53 // "EVMS"
 
+// stateHeader is the fixed part of an encoding: magic, pc, halted.
+const stateHeader = 4 + 4 + 1
+
 var errBadState = errors.New("vm: malformed state encoding")
 
-// MarshalBinary encodes the state deterministically (used to size and
-// transfer migration payloads).
-func (st State) MarshalBinary() ([]byte, error) {
-	size := 4 + 4 + 1 + 4*3 + 8*(len(st.Data)+len(st.Ret)+len(st.Mem))
-	out := make([]byte, 0, size)
-	var scratch [8]byte
-	put32 := func(v uint32) {
-		binary.BigEndian.PutUint32(scratch[:4], v)
-		out = append(out, scratch[:4]...)
-	}
-	put64 := func(v uint64) {
-		binary.BigEndian.PutUint64(scratch[:8], v)
-		out = append(out, scratch[:8]...)
-	}
-	put32(stateMagic)
-	put32(uint32(st.PC))
-	if st.Halted {
-		out = append(out, 1)
+// AppendState appends the interpreter's execution state (pc, both stacks,
+// memory, halted flag) to dst and returns the extended slice. It
+// allocates only when dst lacks the capacity, and then once.
+func (in *Interp) AppendState(dst []byte) []byte {
+	dst = slices.Grow(dst, stateHeader+3*4+8*(len(in.data)+len(in.ret)+len(in.mem)))
+	dst = binary.BigEndian.AppendUint32(dst, stateMagic)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(in.pc))
+	if in.halted {
+		dst = append(dst, 1)
 	} else {
-		out = append(out, 0)
+		dst = append(dst, 0)
 	}
-	for _, sl := range [][]int64{st.Data, st.Ret, st.Mem} {
-		put32(uint32(len(sl)))
+	for _, sl := range [...][]int64{in.data, in.ret, in.mem} {
+		dst = binary.BigEndian.AppendUint32(dst, uint32(len(sl)))
 		for _, v := range sl {
-			put64(uint64(v))
+			dst = binary.BigEndian.AppendUint64(dst, uint64(v))
 		}
 	}
-	return out, nil
+	return dst
 }
 
-// UnmarshalBinary decodes a state produced by MarshalBinary.
-func (st *State) UnmarshalBinary(b []byte) error {
-	off := 0
-	get32 := func() (uint32, error) {
+// LoadState replaces the interpreter's execution state with one encoded
+// by AppendState. The whole encoding is checked first: the pc must lie in
+// the code, each stack must fit DefaultStackDepth, the memory must have
+// exactly the interpreter's word count, the halted flag must be 0 or 1
+// and nothing may trail the memory. On error the interpreter is left
+// unchanged. LoadState decodes into the interpreter's own slices, so it
+// allocates nothing and keeps no reference to b.
+func (in *Interp) LoadState(b []byte) error {
+	if len(b) < stateHeader || binary.BigEndian.Uint32(b) != stateMagic || b[8] > 1 {
+		return errBadState
+	}
+	pc := binary.BigEndian.Uint32(b[4:])
+	if uint64(pc) > uint64(len(in.code)) {
+		return errBadState
+	}
+	// Find the three length-prefixed sections before changing anything.
+	var words [3][]byte
+	off := stateHeader
+	for i, limit := range [...]int{DefaultStackDepth, DefaultStackDepth, len(in.mem)} {
 		if off+4 > len(b) {
-			return 0, errBadState
-		}
-		v := binary.BigEndian.Uint32(b[off:])
-		off += 4
-		return v, nil
-	}
-	magic, err := get32()
-	if err != nil || magic != stateMagic {
-		return errBadState
-	}
-	pc, err := get32()
-	if err != nil {
-		return err
-	}
-	if off >= len(b) {
-		return errBadState
-	}
-	halted := b[off] == 1
-	off++
-	slices := make([][]int64, 3)
-	for i := range slices {
-		n, err := get32()
-		if err != nil {
-			return err
-		}
-		if n > 1<<20 || off+int(n)*8 > len(b) {
 			return errBadState
 		}
-		sl := make([]int64, n)
-		for j := range sl {
-			sl[j] = int64(binary.BigEndian.Uint64(b[off:]))
-			off += 8
+		n := binary.BigEndian.Uint32(b[off:])
+		off += 4
+		if n > uint32(limit) || off+8*int(n) > len(b) {
+			return errBadState
 		}
-		slices[i] = sl
+		words[i] = b[off : off+8*int(n)]
+		off += 8 * int(n)
 	}
-	st.PC = int(pc)
-	st.Halted = halted
-	st.Data, st.Ret, st.Mem = slices[0], slices[1], slices[2]
+	if len(words[2]) != 8*len(in.mem) || off != len(b) {
+		return errBadState
+	}
+	in.pc = int(pc)
+	in.halted = b[8] == 1
+	in.data = loadWords(in.data[:0], words[0])
+	in.ret = loadWords(in.ret[:0], words[1])
+	loadWords(in.mem[:0], words[2])
 	return nil
+}
+
+// loadWords appends the big-endian words in b to dst.
+func loadWords(dst []int64, b []byte) []int64 {
+	for i := 0; i < len(b); i += 8 {
+		dst = append(dst, int64(binary.BigEndian.Uint64(b[i:])))
+	}
+	return dst
 }

@@ -1,11 +1,14 @@
 package vm
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"math"
+	"math/rand/v2"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 // testHost records OUT writes and serves IN reads from a map.
@@ -301,11 +304,11 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		t.Fatalf("expected gas exhaustion, got %v", err)
 	}
 	_ = in.SetMem(3, 77)
-	snap := in.Snapshot()
+	snap := in.AppendState(nil)
 
-	// "Migrate": restore into a fresh interpreter with the same code.
+	// "Migrate": load into a fresh interpreter with the same code.
 	dst := New(mustAssemble(t, src), nil)
-	if err := dst.Restore(snap); err != nil {
+	if err := dst.LoadState(snap); err != nil {
 		t.Fatal(err)
 	}
 	if err := dst.Run(DefaultGas); err != nil {
@@ -323,52 +326,152 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 }
 
+// goldenCallSrc, run two steps, stops inside sub before PUSH 7;
+// goldenCallInterp then sets mem[3] = 77 and mem[255] = -2.
+const goldenCallSrc = "PUSH -5\nCALL sub\nHALT\nsub:\nPUSH 7\nRET"
+
+// goldenCallState pins the state encoding: a migration's payload length
+// sets its backbone transfer time, so any drift in the format would move
+// the scenario goldens. Magic "EVMS", pc 6, not halted, data [-5],
+// ret [5], then the 256 memory words.
+var goldenCallState = "45564d53" + "00000006" + "00" +
+	"00000001" + "fffffffffffffffb" +
+	"00000001" + "0000000000000005" +
+	"00000100" + strings.Repeat("0000000000000000", 3) + "000000000000004d" +
+	strings.Repeat("0000000000000000", 251) + "fffffffffffffffe"
+
+func goldenCallInterp(t *testing.T) *Interp {
+	t.Helper()
+	in := New(mustAssemble(t, goldenCallSrc), nil)
+	if err := in.Run(2); !errors.Is(err, ErrGasExhausted) {
+		t.Fatalf("expected gas exhaustion, got %v", err)
+	}
+	if err := in.SetMem(3, 77); err != nil {
+		t.Fatal(err)
+	}
+	if err := in.SetMem(255, -2); err != nil {
+		t.Fatal(err)
+	}
+	return in
+}
+
 func TestStateBinaryRoundTrip(t *testing.T) {
-	st := State{PC: 12, Data: []int64{1, -2, 3}, Ret: []int64{9}, Mem: []int64{0, 5}, Halted: true}
-	b, err := st.MarshalBinary()
-	if err != nil {
+	in := goldenCallInterp(t)
+	b := in.AppendState(nil)
+	if got := hex.EncodeToString(b); got != goldenCallState {
+		t.Fatalf("state encoding drifted:\n got %s\nwant %s", got, goldenCallState)
+	}
+	// Appending keeps what dst already holds.
+	if got := in.AppendState([]byte{0xAA}); got[0] != 0xAA || !bytes.Equal(got[1:], b) {
+		t.Fatal("AppendState overwrote its destination's prefix")
+	}
+	dst := New(mustAssemble(t, goldenCallSrc), nil)
+	if err := dst.LoadState(b); err != nil {
 		t.Fatal(err)
 	}
-	var got State
-	if err := got.UnmarshalBinary(b); err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(dst.AppendState(nil), b) {
+		t.Fatal("loaded state re-encodes differently")
 	}
-	if got.PC != 12 || !got.Halted || len(got.Data) != 3 || got.Data[1] != -2 ||
-		len(got.Ret) != 1 || got.Mem[1] != 5 {
-		t.Fatalf("round trip mismatch: %+v", got)
+	// The loaded interpreter finishes the call like the original.
+	for _, it := range []*Interp{in, dst} {
+		if err := it.Run(DefaultGas); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := got.UnmarshalBinary(b[:5]); err == nil {
-		t.Fatal("truncated state accepted")
-	}
-	b[0] ^= 0xFF
-	if err := got.UnmarshalBinary(b); err == nil {
-		t.Fatal("bad magic accepted")
+	if !bytes.Equal(in.AppendState(nil), dst.AppendState(nil)) {
+		t.Fatal("resumed runs diverge")
 	}
 }
 
-func TestStateMarshalProperty(t *testing.T) {
-	f := func(pc uint8, data []int64, mem []int64) bool {
-		st := State{PC: int(pc), Data: data, Mem: mem}
-		b, err := st.MarshalBinary()
-		if err != nil {
-			return false
-		}
-		var got State
-		if err := got.UnmarshalBinary(b); err != nil {
-			return false
-		}
-		if got.PC != st.PC || len(got.Data) != len(data) || len(got.Mem) != len(mem) {
-			return false
-		}
-		for i := range data {
-			if got.Data[i] != data[i] {
-				return false
-			}
-		}
-		return true
+// TestLoadStateRejects: every malformed or foreign-sized state is
+// refused and leaves the interpreter exactly as it was. A memory of any
+// other word count than the interpreter's own is refused: with none,
+// every LOAD and STORE would fail.
+func TestLoadStateRejects(t *testing.T) {
+	good := goldenCallInterp(t).AppendState(nil)
+	memAt := stateHeader + 4 + 8 + 4 + 8 // offset of the memory length
+	withMem := func(words int) []byte {
+		b := append([]byte(nil), good[:memAt]...)
+		b = binary.BigEndian.AppendUint32(b, uint32(words))
+		return append(b, make([]byte, 8*words)...)
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
+	set := func(off int, v byte) []byte {
+		b := append([]byte(nil), good...)
+		b[off] = v
+		return b
+	}
+	deepStack := binary.BigEndian.AppendUint32(append([]byte(nil), good[:stateHeader]...), DefaultStackDepth+1)
+	deepStack = append(deepStack, make([]byte, 8*(DefaultStackDepth+1))...)
+	deepStack = append(deepStack, good[stateHeader+4+8:]...)
+	cases := map[string][]byte{
+		"empty":         nil,
+		"truncated":     good[:len(good)-1],
+		"header only":   good[:stateHeader],
+		"trailing byte": append(append([]byte(nil), good...), 0),
+		"bad magic":     set(0, 0x00),
+		"halted 2":      set(8, 2),
+		"pc past code":  set(7, byte(len(mustAssemble(t, goldenCallSrc))+1)),
+		"0-word mem":    withMem(0),
+		"255-word mem":  withMem(DefaultMemWords - 1),
+		"257-word mem":  withMem(DefaultMemWords + 1),
+		"deep stack":    deepStack,
+	}
+	for name, b := range cases {
+		in := New(mustAssemble(t, goldenCallSrc), nil)
+		if err := in.Run(1); !errors.Is(err, ErrGasExhausted) {
+			t.Fatal(err)
+		}
+		before := in.AppendState(nil)
+		if err := in.LoadState(b); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if !bytes.Equal(in.AppendState(nil), before) {
+			t.Errorf("%s: rejected state changed the interpreter", name)
+		}
+	}
+}
+
+// TestStateCodecDoesNotAllocate: a checkpoint appends into a buffer its
+// owner keeps, and a load decodes into the interpreter's own slices.
+func TestStateCodecDoesNotAllocate(t *testing.T) {
+	in := goldenCallInterp(t)
+	buf := in.AppendState(nil)
+	dst := New(mustAssemble(t, goldenCallSrc), nil)
+	allocs := testing.AllocsPerRun(100, func() {
+		buf = in.AppendState(buf[:0])
+		if err := dst.LoadState(buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("AppendState + LoadState: %v allocs, want 0", allocs)
+	}
+}
+
+// TestStateMarshalProperty: after a random run of random byte code, the
+// state loads into a fresh interpreter on the same code and re-encodes
+// to the same bytes, whatever the run left (mid-call, halted, faulted).
+func TestStateMarshalProperty(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	for i := range 2000 {
+		code := make([]byte, 1+rng.IntN(48))
+		for j := range code {
+			// Mostly core opcodes, so runs get somewhere.
+			code[j] = byte(rng.IntN(int(OpDivQ) + 2))
+		}
+		in := New(code, &countingHost{})
+		for a := range 4 {
+			_ = in.SetMem(rng.IntN(DefaultMemWords), rng.Int64()>>a)
+		}
+		_ = in.Run(rng.IntN(64))
+		b := in.AppendState(nil)
+		dst := New(code, &countingHost{})
+		if err := dst.LoadState(b); err != nil {
+			t.Fatalf("run %d (code %x): %v", i, code, err)
+		}
+		if got := dst.AppendState(nil); !bytes.Equal(got, b) {
+			t.Fatalf("run %d (code %x): state re-encodes differently", i, code)
+		}
 	}
 }
 

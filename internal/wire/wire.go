@@ -824,7 +824,7 @@ func DecodeCapsuleMsg(b []byte) (CapsuleMsg, error) {
 type TaskExport struct {
 	TaskID string
 	Seq    uint32
-	// Blob is the serialized task state (TaskLogic.Snapshot).
+	// Blob is the serialized task state (TaskLogic.AppendSnapshot).
 	Blob []byte
 	// Capsule is the encoded vm.Capsule for byte-code tasks; empty for
 	// tasks re-instantiated from the campus spec catalog.

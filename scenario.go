@@ -153,7 +153,7 @@ func ltsVMFactory() (func() (TaskLogic, error), error) {
 	}
 	capsule := vm.Capsule{TaskID: LTSTaskID, Version: 1, Code: code}
 	return func() (TaskLogic, error) {
-		return core.NewVMLogic(capsule, 0)
+		return core.NewVMLogic(capsule)
 	}, nil
 }
 
