@@ -31,6 +31,7 @@ func main() {
 	drain := flag.Duration("drain-timeout", 30*time.Second, "bound on waiting for in-flight runs at shutdown")
 	runTTL := flag.Duration("run-ttl", 0, "evict finished runs this long after completion (410 Gone; 0 = keep forever)")
 	maxRuns := flag.Int("max-runs", 0, "cap the run table, evicting the oldest finished runs (0 = unbounded)")
+	maxHorizon := flag.Duration("max-horizon", evmd.DefaultMaxHorizon, "refuse submissions whose horizon_ms exceeds this much virtual time (400)")
 	traceRuns := flag.Bool("trace", true, "record per-run causal traces, served at /v1/runs/{id}/trace")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	flag.Parse()
@@ -43,6 +44,7 @@ func main() {
 		DrainTimeout:     *drain,
 		RunTTL:           *runTTL,
 		MaxRuns:          *maxRuns,
+		MaxHorizon:       *maxHorizon,
 		Trace:            *traceRuns,
 		EnablePprof:      *pprofOn,
 	})

@@ -52,6 +52,11 @@ type Config struct {
 	// runs are never evicted, so the table may transiently exceed the cap
 	// under a burst of in-flight work). Zero means unbounded.
 	MaxRuns int
+	// MaxHorizon caps a submitted run's virtual horizon; a spec asking
+	// for more is refused at admission (HTTP 400 naming the cap). A zero
+	// horizon means the scenario's default, which the cap does not
+	// bound. Default DefaultMaxHorizon (one hour of virtual time).
+	MaxHorizon time.Duration
 	// Clock supplies the host time used for run timestamps, TTL eviction
 	// and drain timeouts. Nil means the real wall clock; tests inject a
 	// fake so TTL behavior is exercised without sleeping.
@@ -66,6 +71,10 @@ type Config struct {
 	// internals and belong behind an operator flag.
 	EnablePprof bool
 }
+
+// DefaultMaxHorizon is Config.MaxHorizon when none is set: an hour of
+// virtual time, far past every built-in scenario's default horizon.
+const DefaultMaxHorizon = time.Hour
 
 // Clock abstracts the host wall clock at the daemon boundary. The
 // simulation itself never sees it — runs advance on virtual time — but
@@ -94,6 +103,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TenantQueueDepth <= 0 || c.TenantQueueDepth > c.QueueDepth {
 		c.TenantQueueDepth = c.QueueDepth
+	}
+	if c.MaxHorizon <= 0 {
+		c.MaxHorizon = DefaultMaxHorizon
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 30 * time.Second
@@ -135,7 +147,6 @@ type Run struct {
 	startedAt   time.Time
 	finishedAt  time.Time
 	cells       []CellStatus
-	metrics     map[string]float64
 	trace       []byte // Chrome-trace JSON (Config.Trace)
 	allocBytes  uint64 // host alloc delta over the run
 	err         string
@@ -196,9 +207,9 @@ func (r *Run) snapshot() RunStatus {
 	}
 	st.AllocBytes = r.allocBytes
 	st.Trace = len(r.trace) > 0
-	if r.metrics != nil {
-		st.Metrics = make(map[string]float64, len(r.metrics))
-		for k, v := range r.metrics {
+	if metrics := r.stream.final(); metrics != nil {
+		st.Metrics = make(map[string]float64, len(metrics))
+		for k, v := range metrics {
 			st.Metrics[k] = v
 		}
 	}
@@ -305,15 +316,16 @@ var placementPolicies = evm.PlacementPolicies()
 
 // Submit admits one run per spec, all under the same tenant, atomically:
 // either every spec is queued or none is (ErrQueueFull/ErrDraining).
-// Every spec must name a built-in scenario, and its placement policy,
-// when set, one of evm.PlacementPolicies.
+// Every spec must name a built-in scenario, ask for no more than
+// Config.MaxHorizon, and set its placement policy, if at all, to one of
+// evm.PlacementPolicies.
 func (s *Server) Submit(tenant string, specs ...evm.RunSpec) ([]*Run, error) {
 	return s.admit(tenant, nil, specs)
 }
 
 // admit is Submit for runs that carry build (nil = the fixed scenario
-// table, whose names are checked before admission). Placement policy
-// names are checked either way.
+// table, whose names are checked before admission). Horizons and
+// placement policy names are checked either way.
 func (s *Server) admit(tenant string, build evm.ScenarioBuilder, specs []evm.RunSpec) ([]*Run, error) {
 	if tenant == "" {
 		tenant = "default"
@@ -330,6 +342,10 @@ func (s *Server) admit(tenant string, build evm.ScenarioBuilder, specs []evm.Run
 			if _, err := evm.LookupScenario(spec.Scenario); err != nil {
 				return nil, fmt.Errorf("evmd: unknown scenario %q", spec.Scenario)
 			}
+		}
+		if spec.Horizon > s.cfg.MaxHorizon {
+			return nil, fmt.Errorf("evmd: horizon %v exceeds the daemon's cap of %v (horizon_ms at most %d)",
+				spec.Horizon, s.cfg.MaxHorizon, s.cfg.MaxHorizon.Milliseconds())
 		}
 		if spec.Policy != "" && !slices.Contains(placementPolicies, spec.Policy) {
 			return nil, fmt.Errorf("evmd: unknown placement policy %q", spec.Policy)
@@ -348,7 +364,7 @@ func (s *Server) admit(tenant string, build evm.ScenarioBuilder, specs []evm.Run
 			build:       build,
 			state:       RunQueued,
 			submittedAt: now,
-			stream:      newStream(id, tenant, spec),
+			stream:      newStream(),
 		}
 	}
 	s.mu.Unlock()
@@ -503,7 +519,6 @@ func (s *Server) execute(run *Run) {
 
 	run.mu.Lock()
 	run.finishedAt = s.cfg.Clock.Now()
-	run.metrics = res.Metrics
 	run.trace = res.TraceJSON
 	run.allocBytes = res.HostAllocBytes
 	wall := run.finishedAt.Sub(run.startedAt)

@@ -486,6 +486,46 @@ func TestSubmitRejectsBadHorizon(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsHorizonAboveCap: a horizon_ms above Config.MaxHorizon
+// gets 400 naming the cap and admits nothing, over HTTP and through
+// Submit; the cap itself is admitted. Without a configured cap, a
+// ten-year horizon meets DefaultMaxHorizon.
+func TestSubmitRejectsHorizonAboveCap(t *testing.T) {
+	const tenYearsMS = 10 * 365 * 24 * int64(time.Hour/time.Millisecond)
+	for _, c := range []struct {
+		cap   time.Duration
+		tooMS int64
+	}{
+		{0, tenYearsMS},
+		{3 * time.Second, 3001},
+	} {
+		s := NewServer(Config{Workers: 1, QueueDepth: 4, MaxHorizon: c.cap})
+		srv := httptest.NewServer(s.Handler())
+		limit := c.cap
+		if limit == 0 {
+			limit = DefaultMaxHorizon
+		}
+		resp, body := postJSON(t, srv.URL+"/v1/runs", SubmitRequest{Tenant: "acme", Scenario: evm.ScenarioEightController, HorizonMS: c.tooMS})
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), limit.String()) {
+			t.Fatalf("cap %v, horizon_ms %d: status %d (%s), want 400 naming %v", c.cap, c.tooMS, resp.StatusCode, body, limit)
+		}
+		if _, err := s.Submit("acme", evm.RunSpec{Scenario: evm.ScenarioEightController, Horizon: limit + time.Millisecond}); err == nil {
+			t.Fatalf("cap %v: Submit admitted a horizon past it", c.cap)
+		}
+		if got := s.Stats().Accepted; got != 0 {
+			t.Fatalf("cap %v: accepted = %d after rejected submits", c.cap, got)
+		}
+		if c.cap != 0 {
+			resp, body := postJSON(t, srv.URL+"/v1/runs", SubmitRequest{Tenant: "acme", Scenario: evm.ScenarioEightController, HorizonMS: c.cap.Milliseconds()})
+			if resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("horizon_ms at the cap: status %d (%s), want 202", resp.StatusCode, body)
+			}
+		}
+		srv.Close()
+		s.Drain(0)
+	}
+}
+
 // TestSubmitRejectsBadFaultTimes: a fault step's at_ms or per_for_ms
 // outside [0, maxHorizonMS] gets 400 and admits nothing — unchecked, a
 // too-large at_ms wraps to a near-zero fault offset; the bound itself

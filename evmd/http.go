@@ -22,7 +22,8 @@ type SubmitRequest struct {
 	Seed     uint64   `json:"seed"`
 	Seeds    []uint64 `json:"seeds,omitempty"`
 	// HorizonMS bounds the run in virtual milliseconds (0 = scenario
-	// default); a negative value, or one above maxHorizonMS, is rejected.
+	// default); a negative value is rejected, and so is one above the
+	// daemon's Config.MaxHorizon.
 	HorizonMS int64 `json:"horizon_ms,omitempty"`
 	// Policy names the placement policy for campus scenarios.
 	Policy string `json:"policy,omitempty"`

@@ -20,47 +20,48 @@ type EventRecord struct {
 	Event  string  `json:"event"`
 }
 
-// stream is one run's append-only observation log: event records for
-// streaming subscribers and flat samples for telemetry export. Writers
-// (the run's worker goroutine) append under mu; readers follow the log
-// by index and block on cond until more arrives or the stream closes.
-// Late subscribers replay from the start — runs are deterministic and
+// stream is one run's append-only observation log: the event records,
+// then, once the run is finalized, the virtual time it ended at and its
+// final metric map. That is all a finished run keeps of its telemetry:
+// samples are derived from it on request (Run.Samples). Writers (the
+// run's worker goroutine) append under mu; readers follow the log by
+// index and block on cond until more arrives or the stream closes. Late
+// subscribers replay from the start — runs are deterministic and
 // bounded, so replay-from-zero is both cheap and the property the
 // determinism tests lean on.
 type stream struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
-	tel     *evm.Telemetry
 	events  []EventRecord
-	samples []evm.Sample
+	horizon time.Duration      // set once, by finalize
+	metrics map[string]float64 // set once, by finalize; the run status shares it
 	closed  bool
 }
 
-// newStream opens the observation log of one run, its samples stamped
-// with the run's identity.
-func newStream(id, tenant string, spec evm.RunSpec) *stream {
-	s := &stream{tel: evm.NewTelemetry(id, tenant, spec)}
+// newStream opens the observation log of one run.
+func newStream() *stream {
+	s := &stream{}
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
 
-// observe appends one bus event as a stream record plus its telemetry
-// sample. It runs synchronously on the simulation goroutine, so ordering
-// is the bus's deterministic publication order.
+// observe appends one bus event as a stream record. It runs
+// synchronously on the simulation goroutine, so ordering is the bus's
+// deterministic publication order.
 func (s *stream) observe(ev evm.Event) {
-	sm := s.tel.Sample(ev) // tel is the writer's alone; readers never touch it
-	rec := EventRecord{T: sm.T, Cell: sm.Cell, Series: sm.Series, Event: ev.String()}
+	t, cell, series := evm.EventRow(ev)
+	rec := EventRecord{T: t, Cell: cell, Series: series, Event: ev.String()}
 	s.mu.Lock()
-	s.samples = append(s.samples, sm)
 	s.events = append(s.events, rec)
 	s.cond.Broadcast()
 	s.mu.Unlock()
 }
 
-// finalize appends every final run metric as a sample at the horizon.
+// finalize records the run's end: the virtual time its final metrics are
+// sampled at, and the metric map itself, which nothing writes afterwards.
 func (s *stream) finalize(now time.Duration, metrics map[string]float64) {
 	s.mu.Lock()
-	s.samples = s.tel.AppendMetricSamples(s.samples, now, metrics)
+	s.horizon, s.metrics = now, metrics
 	s.cond.Broadcast()
 	s.mu.Unlock()
 }
@@ -101,11 +102,20 @@ func (s *stream) wake() {
 	s.mu.Unlock()
 }
 
-// lens returns the current event and sample counts.
+// lens returns the current event and sample counts: one sample per
+// event record, plus one per final metric once the run is finalized.
 func (s *stream) lens() (events, samples int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.events), len(s.samples)
+	return len(s.events), len(s.events) + len(s.metrics)
+}
+
+// final returns the run's final metric map (nil until finalize). The map
+// is shared, not copied: callers only read it.
+func (s *stream) final() map[string]float64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.metrics
 }
 
 // snapshotEvents copies the event records seen so far.
@@ -115,19 +125,27 @@ func (s *stream) snapshotEvents() []EventRecord {
 	return append([]EventRecord(nil), s.events...)
 }
 
-// snapshotSamples copies the samples seen so far.
-func (s *stream) snapshotSamples() []evm.Sample {
+// samples folds the records seen so far — then, once the run is
+// finalized, its metrics — through tel into flat samples.
+func (s *stream) samples(tel *evm.Telemetry) []evm.Sample {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]evm.Sample(nil), s.samples...)
+	out := make([]evm.Sample, 0, len(s.events)+len(s.metrics))
+	for _, rec := range s.events {
+		out = append(out, tel.Row(rec.T, rec.Cell, rec.Series))
+	}
+	return tel.AppendMetricSamples(out, s.horizon, s.metrics)
 }
 
 // Events returns the run's streamed event records so far (all of them
 // once the run finishes).
 func (r *Run) Events() []EventRecord { return r.stream.snapshotEvents() }
 
-// Samples returns the run's flat telemetry samples so far.
-func (r *Run) Samples() []evm.Sample { return r.stream.snapshotSamples() }
+// Samples returns the run's flat telemetry samples so far, derived from
+// its event records and, once it has finished, its final metrics.
+func (r *Run) Samples() []evm.Sample {
+	return r.stream.samples(evm.NewTelemetry(r.ID, r.Tenant, r.Spec))
+}
 
 // SerialEvents executes the spec synchronously on the calling goroutine
 // — no daemon, no queue — and returns exactly the event records evmd
@@ -136,7 +154,7 @@ func (r *Run) Samples() []evm.Sample { return r.stream.snapshotSamples() }
 // must be byte-identical to its SerialEvents output. evmload -verify and
 // the evmd test suite both compare against it.
 func SerialEvents(spec evm.RunSpec) ([]EventRecord, error) {
-	ref := newStream("serial", "serial", spec)
+	ref := newStream()
 	runner := &evm.Runner{
 		Workers: 1,
 		Instrument: func(_ evm.RunSpec, exp *evm.Experiment) func(map[string]float64) {

@@ -52,7 +52,7 @@ type replica struct {
 	// OTA staging (see ota.go): staged holds an attested-but-inactive
 	// capsule logic awaiting the rollout commit point; prev retains the
 	// previously active logic (state intact) for rollback.
-	staged        TaskLogic
+	staged        *VMLogic
 	stagedVersion uint8
 	prev          TaskLogic
 	prevVersion   uint8

@@ -57,11 +57,13 @@ func (n *Node) ClearStaged(taskID string) {
 }
 
 // ActivateStaged swaps the replica onto its staged capsule — the commit
-// point of a rollout. The outgoing logic's state snapshot is restored
-// into the new logic when the layouts are compatible (VM capsules share
-// the persistent-memory convention, so controller state carries over);
-// the outgoing logic itself is retained, state intact, so RevertCapsule
-// can restore the previous version with full state continuity. The
+// point of a rollout. The outgoing logic's state carries into the new
+// logic when the layouts are compatible (VM capsules share the
+// persistent-memory convention, so controller state carries over): a VM
+// capsule's state is copied interpreter to interpreter, native logic's
+// goes through its snapshot bytes. The outgoing logic itself is
+// retained, state intact, so RevertCapsule can restore the previous
+// version with full state continuity. The
 // replica's role and output sequence are untouched: an active master
 // keeps actuating, now running the new law.
 func (n *Node) ActivateStaged(taskID string) error {
@@ -72,8 +74,11 @@ func (n *Node) ActivateStaged(taskID string) error {
 	if r.staged == nil {
 		return fmt.Errorf("core: node %v has no staged capsule for task %s", n.id, taskID)
 	}
-	if blob, err := r.logic.AppendSnapshot(nil); err == nil {
-		_ = r.staged.Restore(blob) // best effort: incompatible layouts start fresh
+	// Best effort: a state the staged logic refuses leaves it fresh.
+	if vl, ok := r.logic.(*VMLogic); ok {
+		_ = r.staged.interp.CopyStateFrom(vl.interp)
+	} else if blob, err := r.logic.AppendSnapshot(nil); err == nil {
+		_ = r.staged.Restore(blob)
 	}
 	r.prev = r.logic
 	r.prevVersion, _ = n.CapsuleVersion(taskID)

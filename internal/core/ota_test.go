@@ -210,3 +210,82 @@ func TestActivateCarriesStateAcrossCompatibleLayouts(t *testing.T) {
 		t.Fatalf("accumulator reset across activation: %v -> %v", before, after)
 	}
 }
+
+// TestActivateRefusedStateStartsFresh: when the outgoing interpreter's
+// state does not fit the staged capsule (here its pc lies past the new,
+// shorter code), activation leaves the staged logic fresh instead of
+// carrying a partial state.
+func TestActivateRefusedStateStartsFresh(t *testing.T) {
+	counter, err := vm.Assemble(`
+		PUSH 0
+		LOAD
+		PUSHQ 1.0
+		ADD
+		PUSH 0
+		STORE
+		PUSH 0
+		LOAD
+		OUT 0
+		HALT`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reader, err := vm.Assemble(`
+		PUSH 0
+		LOAD
+		OUT 0
+		HALT`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := defaultCfg()
+	spec := testSpec()
+	spec.MakeLogic = func() (TaskLogic, error) { return NewVMLogic(vm.Capsule{TaskID: "lts", Version: 1, Code: counter}) }
+	cfg.Tasks = []TaskSpec{spec}
+	r := newRig(t, cfg)
+	r.run(t, 3*time.Second)
+	primary := r.nodes[ctrlA]
+	if out, ok := primary.LastOutput("lts"); !ok || out <= 0 {
+		t.Fatalf("accumulator output = %v, %t", out, ok)
+	}
+	if err := primary.StageCapsule(vm.Capsule{TaskID: "lts", Version: 2, Code: reader}); err != nil {
+		t.Fatal(err)
+	}
+	if err := primary.ActivateStaged("lts"); err != nil {
+		t.Fatal(err)
+	}
+	r.run(t, time.Second)
+	if out, _ := primary.LastOutput("lts"); out != 0 {
+		t.Fatalf("reader output = %v after a refused state, want 0 from fresh memory", out)
+	}
+}
+
+// TestVMActivationDoesNotAllocate gates the commit point of a VM-to-VM
+// upgrade at zero allocations: the outgoing interpreter's state is copied
+// into the staged one, with no snapshot blob in between. Each activation
+// stages the logic that is not running, so the two alternate.
+func TestVMActivationDoesNotAllocate(t *testing.T) {
+	r := vmRig(t)
+	r.run(t, time.Second)
+	primary := r.nodes[ctrlA]
+	var logics [2]*VMLogic
+	for i := range logics {
+		l, err := NewVMLogic(otaCapsule(t, "lts", uint8(i+2), "50.0", "2.0"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		logics[i] = l
+	}
+	rep := primary.replica("lts")
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		rep.staged, rep.stagedVersion = logics[i%2], uint8(i%2+2)
+		i++
+		if err := primary.ActivateStaged("lts"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("VM-to-VM activation allocates %v times, want 0", allocs)
+	}
+}

@@ -93,3 +93,22 @@ func loadWords(dst []int64, b []byte) []int64 {
 	}
 	return dst
 }
+
+// CopyStateFrom replaces the interpreter's execution state with src's,
+// as AppendState on src then LoadState on in would, without the bytes.
+// LoadState's checks hold: src's pc must lie in this interpreter's code,
+// its stacks must fit DefaultStackDepth and its memory must have exactly
+// this interpreter's word count. On error the interpreter is left
+// unchanged. It copies into the interpreter's own slices, so it
+// allocates nothing.
+func (in *Interp) CopyStateFrom(src *Interp) error {
+	if src.pc > len(in.code) || len(src.data) > DefaultStackDepth || len(src.ret) > DefaultStackDepth ||
+		len(src.mem) != len(in.mem) {
+		return errBadState
+	}
+	in.pc, in.halted = src.pc, src.halted
+	in.data = append(in.data[:0], src.data...)
+	in.ret = append(in.ret[:0], src.ret...)
+	copy(in.mem, src.mem)
+	return nil
+}

@@ -582,3 +582,59 @@ func TestProgramFallsOffEndHalts(t *testing.T) {
 		t.Fatal("program end did not halt")
 	}
 }
+
+// TestCopyStateFromMatchesBytes: copying state interpreter to
+// interpreter gives what AppendState then LoadState gives, allocates
+// nothing, and, like LoadState, refuses a pc past the target's code or a
+// memory of another word count, leaving the target unchanged.
+func TestCopyStateFromMatchesBytes(t *testing.T) {
+	code, err := Assemble(`
+		PUSH 7
+		PUSH 0
+		STORE
+		PUSH 1
+		PUSH 2
+		HALT`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := New(code, nil)
+	if err := src.Run(DefaultGas); err != nil {
+		t.Fatal(err)
+	}
+	want := New(code, nil)
+	if err := want.LoadState(src.AppendState(nil)); err != nil {
+		t.Fatal(err)
+	}
+	got := New(code, nil)
+	if err := got.CopyStateFrom(src); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.AppendState(nil), want.AppendState(nil)) {
+		t.Fatalf("copied state %x, loaded state %x", got.AppendState(nil), want.AppendState(nil))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = got.CopyStateFrom(src) }); allocs != 0 {
+		t.Fatalf("CopyStateFrom allocates %v times, want 0", allocs)
+	}
+
+	short := New(code[:1], nil)
+	fresh := short.AppendState(nil)
+	if err := short.LoadState(src.AppendState(nil)); err == nil {
+		t.Fatal("LoadState accepted a pc past the code")
+	}
+	if err := short.CopyStateFrom(src); err == nil {
+		t.Fatal("CopyStateFrom accepted a pc past the code")
+	}
+	if !bytes.Equal(short.AppendState(nil), fresh) {
+		t.Fatal("a refused copy changed the interpreter")
+	}
+	small := New(code, nil)
+	small.mem = make([]int64, 8)
+	fresh = small.AppendState(nil)
+	if err := small.CopyStateFrom(src); err == nil {
+		t.Fatal("CopyStateFrom accepted a memory of another word count")
+	}
+	if !bytes.Equal(small.AppendState(nil), fresh) {
+		t.Fatal("a refused copy changed the interpreter")
+	}
+}

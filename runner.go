@@ -188,10 +188,7 @@ func (r *Runner) runSpec(spec RunSpec) RunResult {
 		finish = r.Instrument(spec, exp)
 	}
 	bus := tgt.Events()
-	counts := make(map[string]float64, len(runnerCounters))
-	for _, key := range runnerCounters {
-		counts[key] = 0
-	}
+	counts := make([]uint64, len(runnerCounters)) // by counter bit; named after the run
 	firstFailover := time.Duration(-1)
 	sub := bus.Subscribe(func(ev Event) {
 		set := ev.counters()
@@ -199,7 +196,7 @@ func (r *Runner) runSpec(spec RunSpec) RunResult {
 			firstFailover = ev.When()
 		}
 		for ; set != 0; set &= set - 1 {
-			counts[runnerCounters[bits.TrailingZeros64(uint64(set))]]++
+			counts[bits.TrailingZeros64(uint64(set))]++
 		}
 	})
 	defer sub.Cancel()
@@ -232,7 +229,10 @@ func (r *Runner) runSpec(spec RunSpec) RunResult {
 		horizon = time.Minute
 	}
 	tgt.Run(horizon)
-	res.Metrics = counts
+	res.Metrics = make(map[string]float64, len(runnerCounters))
+	for bit, key := range runnerCounters {
+		res.Metrics[key] = float64(counts[bit])
+	}
 	for _, c := range checkers {
 		res.Violations = append(res.Violations, c.Violations()...)
 	}

@@ -29,8 +29,13 @@ type Sample struct {
 	Value    float64 `json:"value"`
 }
 
-// Telemetry folds one run's event stream into Samples. Feed it every
-// event in publication order; equal-seed runs yield identical samples.
+// Telemetry folds one run's rows into Samples. A row is one observation
+// of the run's event stream: its virtual time in seconds, the cell it is
+// attributed to ("" outside a campus) and its series (EventRow). Row is
+// the one fold every sample surface goes through: Sample for a live bus
+// event, Runner.EventDir for a recorded log, evmd for the event records a
+// run keeps. Feed it the rows in publication order; equal-seed runs yield
+// identical samples.
 type Telemetry struct {
 	run    Sample // the run's identity columns, copied into every sample
 	counts map[seriesKey]float64
@@ -47,21 +52,30 @@ func NewTelemetry(run, tenant string, spec RunSpec) *Telemetry {
 	}
 }
 
-// Sample returns the event's sample: its series (SeriesName), the cell
-// a campus stream attributes it to, and the count of events seen so far
-// on that (cell, series) pair, this one included.
-func (t *Telemetry) Sample(ev Event) Sample {
-	sm := t.run
-	sm.T = ev.When().Seconds()
+// EventRow returns the telemetry row of an event: its virtual time in
+// seconds, the cell a campus stream attributes it to, and its series
+// (SeriesName).
+func EventRow(ev Event) (t float64, cell, series string) {
 	if ce, ok := ev.(CellEvent); ok {
-		sm.Cell = ce.Cell
+		cell = ce.Cell
 	}
-	sm.Series = ev.series()
-	key := seriesKey{sm.Cell, sm.Series}
+	return ev.When().Seconds(), cell, ev.series()
+}
+
+// Row returns the sample of one row at virtual time at (seconds): the
+// count of rows seen so far on its (cell, series) pair, this one
+// included.
+func (t *Telemetry) Row(at float64, cell, series string) Sample {
+	sm := t.run
+	sm.T, sm.Cell, sm.Series = at, cell, series
+	key := seriesKey{cell, series}
 	t.counts[key]++
 	sm.Value = t.counts[key]
 	return sm
 }
+
+// Sample returns the sample of the event's row (EventRow).
+func (t *Telemetry) Sample(ev Event) Sample { return t.Row(EventRow(ev)) }
 
 // AppendMetricSamples appends one "metric.<name>" sample per final run
 // metric to dst, stamped at now, in sorted key order, and returns the
