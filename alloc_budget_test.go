@@ -11,11 +11,13 @@ import (
 // (engine, radio, RT-Link, wire codec, EVM node) and the message path
 // through it (encode buffers, link frame buffers, the medium's recycled
 // transmissions, the gateway's ModBus frames) allocate nothing in steady
-// state, so the count is construction plus the event bus's boxed
-// actuation events and the trace's growth. The cap sits just above the
-// measured 688 (701 under -race); a change that puts allocation back on
-// the per-slot or per-message path fails here.
-const hotPathAllocBudget = 750
+// state, and a plant records nothing until Record, so the count is
+// construction plus the event bus's boxed actuation events (one per
+// accepted actuation; TestSteadyStateAllocatesOnlyActuationEvents pins
+// that). The cap sits just above the measured 592 (606 under -race) and
+// below the 688 of an always-recording plant; a change that puts
+// allocation back on the per-slot or per-message path fails here.
+const hotPathAllocBudget = 650
 
 func TestHotPathAllocBudget(t *testing.T) {
 	got := testing.AllocsPerRun(5, func() {

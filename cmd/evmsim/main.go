@@ -46,6 +46,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	s.Record()
 
 	// The whole experiment is declarative: the fault is a plan applied to
 	// the cell, and observability rides the typed event bus.

@@ -36,6 +36,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	s.Record()
 	// Narrate the timeline from the typed event bus as it unfolds.
 	s.Cell.Events().Subscribe(func(ev evm.Event) {
 		switch e := ev.(type) {

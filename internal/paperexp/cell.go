@@ -153,6 +153,7 @@ func runControlCycle(_ Param, seed uint64) (map[string]float64, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.Record()
 	s.Run(120 * time.Second)
 	st := trace.DurationStats(s.ActuationLatencies())
 	ms := float64(time.Millisecond)

@@ -70,16 +70,19 @@ func DefaultGasPlantConfig() GasPlantConfig {
 }
 
 // GasPlant is the deployed Fig. 5 testbed: the plant, the gateway and a
-// Virtual Component of controllers.
+// Virtual Component of controllers. It records nothing until Record is
+// called: a run that reads neither the Fig. 6(b) series nor the E5
+// latencies pays for neither.
 type GasPlant struct {
 	Cell  *Cell
 	Plant *plant.Plant
 	GW    *gateway.Gateway
 	VC    VCConfig
 
+	// rec holds the Fig. 6(b) series; nil until Record.
 	rec *trace.Recorder
 	// actLatencies collects gateway-measured sensor-to-actuation
-	// latencies (experiment E5).
+	// latencies (experiment E5) from Record on.
 	actLatencies []time.Duration
 }
 
@@ -250,51 +253,82 @@ func NewGasPlant(cfg GasPlantConfig) (*GasPlant, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &GasPlant{Cell: cell, Plant: p, GW: gw, VC: vc, rec: trace.NewRecorder()}
-	// Publish accepted actuations on the cell's event bus; the latency
-	// series (experiment E5) is itself a bus subscriber now.
+	s := &GasPlant{Cell: cell, Plant: p, GW: gw, VC: vc}
+	// Publish accepted actuations on the cell's event bus.
 	gw.SetActuateSink(func(src radio.NodeID, task string, port uint8, value float64) {
 		cell.bus.publish(ActuationEvent{At: cell.Now(), Node: src, Task: task, Port: port, Value: value})
-	})
-	cell.Events().Subscribe(func(ev Event) {
-		if _, ok := ev.(ActuationEvent); ok {
-			s.actLatencies = append(s.actLatencies, cell.Now()-gw.LastPollAt())
-		}
 	})
 
 	// Plant dynamics integrate at a finer step than the control cycle.
 	const plantDT = 50 * time.Millisecond
 	cell.Engine().Every(plantDT, func() { p.Step(plantDT.Seconds()) })
-	// Record the Fig. 6(b) series once per second of plant time.
-	cell.Engine().Every(time.Second, s.record)
 	gw.Start()
 	return s, nil
 }
 
-func (s *GasPlant) record() {
-	now := s.Cell.Now()
-	f := s.Plant.Flows()
-	s.rec.Series("lts_level_pct").Add(now, s.Plant.LTSLevelPct())
-	s.rec.Series("sepliq_kmolh").Add(now, f.SepLiq)
-	s.rec.Series("ltsliq_kmolh").Add(now, f.LTSLiq)
-	s.rec.Series("towerfeed_kmolh").Add(now, f.TowerFeed)
-	s.rec.Series("valve_pct").Add(now, s.Plant.ValveOpenPct())
-	s.rec.Series("lts_temp_c").Add(now, s.Plant.LTSTempC())
-	s.rec.Series("chiller_duty_pct").Add(now, s.Plant.ChillerDutyPct())
-	s.rec.Series("bottoms_c3_frac").Add(now, s.Plant.BottomsC3())
-	s.rec.Series("reboil_duty_pct").Add(now, s.Plant.ReboilDutyPct())
-	active := 0.0
-	if id, ok := s.Cell.Node(GasHeadID).Head().ActiveNode(LTSTaskID); ok {
-		active = float64(id)
-	}
-	s.rec.Series("active_node").Add(now, active)
+// fig6Series names the Fig. 6(b) series in recording (and CSV column)
+// order.
+var fig6Series = [...]string{
+	"lts_level_pct", "sepliq_kmolh", "ltsliq_kmolh", "towerfeed_kmolh", "valve_pct",
+	"lts_temp_c", "chiller_duty_pct", "bottoms_c3_frac", "reboil_duty_pct", "active_node",
 }
 
-// Recorder returns the Fig. 6(b) time series.
-func (s *GasPlant) Recorder() *trace.Recorder { return s.rec }
+// Record starts recording, from the moment it is called, the Fig. 6(b)
+// series (LTS level, the three flows, valve, LTS temperature, chiller
+// and reboil duty, bottoms propane and the LTS loop's active node,
+// sampled once per second of plant time, first one second after the
+// call) and the E5 latency of every accepted actuation: the time from
+// the gateway's latest sensor poll to the actuation's arrival. Call it
+// right after NewGasPlant to record the whole run. A second call does
+// nothing.
+func (s *GasPlant) Record() {
+	if s.rec != nil {
+		return
+	}
+	s.rec = trace.NewRecorder()
+	var series [len(fig6Series)]*trace.Series
+	for i, name := range fig6Series {
+		series[i] = s.rec.Series(name)
+	}
+	s.Cell.Engine().Every(time.Second, func() {
+		now := s.Cell.Now()
+		f := s.Plant.Flows()
+		active := 0.0
+		if id, ok := s.Cell.Node(GasHeadID).Head().ActiveNode(LTSTaskID); ok {
+			active = float64(id)
+		}
+		for i, v := range [len(fig6Series)]float64{
+			s.Plant.LTSLevelPct(), f.SepLiq, f.LTSLiq, f.TowerFeed, s.Plant.ValveOpenPct(),
+			s.Plant.LTSTempC(), s.Plant.ChillerDutyPct(), s.Plant.BottomsC3(), s.Plant.ReboilDutyPct(), active,
+		} {
+			series[i].Add(now, v)
+		}
+	})
+	s.onActuation(func(lat time.Duration) { s.actLatencies = append(s.actLatencies, lat) })
+}
 
-// ActuationLatencies returns gateway-measured sensor-to-actuation
-// latencies.
+// onActuation calls fn with the sensor-to-actuation latency of every
+// actuation the gateway accepts from now on.
+func (s *GasPlant) onActuation(fn func(time.Duration)) {
+	s.Cell.Events().Subscribe(func(ev Event) {
+		if _, ok := ev.(ActuationEvent); ok {
+			fn(s.Cell.Now() - s.GW.LastPollAt())
+		}
+	})
+}
+
+// Recorder returns the Fig. 6(b) series recorded since Record was
+// called; without Record it returns an empty recorder.
+func (s *GasPlant) Recorder() *trace.Recorder {
+	if s.rec == nil {
+		return trace.NewRecorder()
+	}
+	return s.rec
+}
+
+// ActuationLatencies returns a copy of the gateway-measured
+// sensor-to-actuation latencies, in arrival order, of the actuations
+// accepted since Record was called; without Record it returns none.
 func (s *GasPlant) ActuationLatencies() []time.Duration {
 	return append([]time.Duration(nil), s.actLatencies...)
 }
@@ -353,8 +387,8 @@ type Fig6Result struct {
 
 // RunFig6 executes the full Fig. 6(b) timeline: steady state, primary
 // fault at faultAt, detection and fail-over by the EVM, recovery until
-// horizon. It returns the shape summary and leaves the series in
-// Recorder().
+// horizon. It returns the shape summary; after Record, the series are
+// in Recorder().
 func (s *GasPlant) RunFig6(faultAt, horizon time.Duration) (Fig6Result, error) {
 	if faultAt >= horizon {
 		return Fig6Result{}, fmt.Errorf("evm: fault at %v after horizon %v", faultAt, horizon)

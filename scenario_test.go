@@ -42,6 +42,7 @@ func TestFig6ShapeReproduced(t *testing.T) {
 	cfg := DefaultGasPlantConfig()
 	cfg.DeviationWindow = 240 // 60 s at 250 ms cycles
 	s := newGasPlant(t, cfg)
+	s.Record()
 	res, err := s.RunFig6(120*time.Second, 600*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -99,6 +100,7 @@ func TestControlLatencyWithinThird(t *testing.T) {
 	// Paper objective 5: control cycle <= 250 ms with latency <= 1/3 of
 	// the cycle.
 	s := newGasPlant(t, DefaultGasPlantConfig())
+	s.Record()
 	s.Run(60 * time.Second)
 	lats := s.ActuationLatencies()
 	if len(lats) == 0 {

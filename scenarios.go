@@ -24,18 +24,22 @@ func buildGasPlantScenario(spec RunSpec) (*Experiment, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Summed in arrival order, as a kept list would be, so the mean is
+	// the same float without keeping one.
+	var latSum float64
+	var latN int
+	s.onActuation(func(lat time.Duration) {
+		latSum += lat.Seconds()
+		latN++
+	})
 	return &Experiment{
 		Cell:           s.Cell,
 		DefaultHorizon: 120 * time.Second,
 		Metrics: func() map[string]float64 {
 			gw := s.GW.Stats()
-			lat := s.ActuationLatencies()
 			meanLat := 0.0
-			for _, l := range lat {
-				meanLat += l.Seconds()
-			}
-			if len(lat) > 0 {
-				meanLat /= float64(len(lat))
+			if latN > 0 {
+				meanLat = latSum / float64(latN)
 			}
 			return map[string]float64{
 				"lts_level_pct":      s.Plant.LTSLevelPct(),
