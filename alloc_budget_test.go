@@ -11,13 +11,13 @@ import (
 // (engine, radio, RT-Link, wire codec, EVM node) and the message path
 // through it (encode buffers, link frame buffers, the medium's recycled
 // transmissions, the gateway's ModBus frames) allocate nothing in steady
-// state, and a plant records nothing until Record, so the count is
-// construction plus the event bus's boxed actuation events (one per
-// accepted actuation; TestSteadyStateAllocatesOnlyActuationEvents pins
-// that). The cap sits just above the measured 592 (606 under -race) and
-// below the 688 of an always-recording plant; a change that puts
-// allocation back on the per-slot or per-message path fails here.
-const hotPathAllocBudget = 650
+// state, a plant records nothing until Record, and every actuation is
+// published as the cell's one borrowed *ActuationEvent, so the count is
+// construction and warm-up (TestSteadyStateAllocatesNothing pins the
+// warm loop at zero). The cap sits just above the measured 355 (368
+// under -race); a change that puts allocation back on the per-slot,
+// per-message or per-actuation path fails here.
+const hotPathAllocBudget = 400
 
 func TestHotPathAllocBudget(t *testing.T) {
 	got := testing.AllocsPerRun(5, func() {

@@ -14,6 +14,13 @@ import (
 // The event bus is the only observation surface: the per-object callback
 // fields it replaced (Head.OnFailover, Gateway.OnActuate,
 // Node.OnMigrationIn) have been removed.
+//
+// A subscriber borrows each event for the length of its callback. Most
+// kinds are values, but *ActuationEvent, published once per control
+// cycle, points at a buffer the cell reuses for the next actuation:
+// read its fields, or copy the struct, but do not keep the pointer (or
+// a CellEvent wrapping it) after the callback returns. EventLog keeps
+// copies, so a logged event stays valid.
 type Event interface {
 	// When returns the virtual time at which the event occurred.
 	When() time.Duration
@@ -98,7 +105,10 @@ func (FailoverEvent) series() string       { return "failovers" }
 func (FailoverEvent) counters() counterSet { return failoversCounter }
 
 // ActuationEvent fires when the gateway's operation switch accepts an
-// actuation and writes it to the plant.
+// actuation and writes it to the plant. It is published as a borrowed
+// *ActuationEvent that the cell rewrites for every actuation, so the
+// control loop allocates nothing per cycle; a subscriber that keeps one
+// copies the struct.
 type ActuationEvent struct {
 	At    time.Duration
 	Node  NodeID
@@ -108,16 +118,16 @@ type ActuationEvent struct {
 }
 
 // When implements Event.
-func (e ActuationEvent) When() time.Duration { return e.At }
+func (e *ActuationEvent) When() time.Duration { return e.At }
 
 // String implements Event.
-func (e ActuationEvent) String() string {
+func (e *ActuationEvent) String() string {
 	return fmt.Sprintf("%v actuation node=%d task=%s port=%d value=%s",
 		e.At, e.Node, e.Task, e.Port, strconv.FormatFloat(e.Value, 'g', -1, 64))
 }
 
-func (ActuationEvent) series() string       { return "actuations" }
-func (ActuationEvent) counters() counterSet { return actuationsCounter }
+func (*ActuationEvent) series() string       { return "actuations" }
+func (*ActuationEvent) counters() counterSet { return actuationsCounter }
 
 // MigrationEvent fires when a migrated task's state becomes ready on the
 // destination node.
@@ -269,8 +279,9 @@ func (s *Subscription) Cancel() {
 	}
 }
 
-// Subscribe registers fn for every subsequent event. Do not call Cell.Run
-// from inside a callback.
+// Subscribe registers fn for every subsequent event. fn borrows each
+// event for the call only (see Event): to keep one, copy it, as
+// EventLog does. Do not call Cell.Run from inside a callback.
 func (b *Bus) Subscribe(fn func(Event)) *Subscription {
 	sub := &Subscription{bus: b, fn: fn}
 	b.subs = append(b.subs, sub)
@@ -309,11 +320,30 @@ func (b *Bus) publish(ev Event) {
 // experiment post-processing and determinism checks.
 func (b *Bus) Log() *EventLog {
 	l := &EventLog{}
-	l.sub = b.Subscribe(func(ev Event) { l.events = append(l.events, ev) })
+	l.sub = b.Subscribe(func(ev Event) { l.events = append(l.events, keep(ev)) })
 	return l
 }
 
-// EventLog records every event published after Bus.Log was called.
+// keep returns ev in a form that outlives the callback it was delivered
+// to: a borrowed *ActuationEvent, bare or wrapped in a CellEvent, is
+// copied; every other kind is a value and is returned as is.
+func keep(ev Event) Event {
+	switch e := ev.(type) {
+	case *ActuationEvent:
+		c := *e
+		return &c
+	case CellEvent:
+		if act, ok := e.Inner.(*ActuationEvent); ok {
+			e.Inner = keep(act)
+			return e
+		}
+	}
+	return ev
+}
+
+// EventLog records every event published after Bus.Log was called. It
+// keeps a copy of each borrowed event, so what it returns stays valid
+// however many events the bus publishes later.
 type EventLog struct {
 	sub    *Subscription
 	events []Event

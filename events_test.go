@@ -2,6 +2,7 @@ package evm
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -385,5 +386,47 @@ func TestPERBurstRestoresForcedRate(t *testing.T) {
 	cell.Run(2 * time.Second)
 	if got := cell.Medium().ForcedPER(); got != 0.3 {
 		t.Fatalf("post-burst forced PER = %g, want the pre-burst 0.3", got)
+	}
+}
+
+// TestLoggedEventsSurviveLaterPublishes: a cell publishes every
+// actuation through one *ActuationEvent it rewrites, so an EventLog must
+// keep copies. After a gas-plant run and a campus-failover run, the log
+// renders exactly the strings a subscriber captured live, and replaying
+// it through the invariant checkers finds exactly the violations the
+// live checkers found. The checkers include a 100 ms actuation deadline,
+// shorter than every task period, so the violations depend on the time
+// of each logged actuation.
+func TestLoggedEventsSurviveLaterPublishes(t *testing.T) {
+	checkers := func() []InvariantChecker {
+		return append(DefaultInvariants(), NewActuationDeadlineInvariant(100*time.Millisecond))
+	}
+	for _, spec := range []RunSpec{
+		{Scenario: ScenarioGasPlant, Seed: 1, Horizon: 20 * time.Second},
+		{Scenario: ScenarioCampusFailover, Seed: 1, Horizon: 20 * time.Second},
+	} {
+		var live []string
+		var log *EventLog
+		res := (&Runner{
+			Checkers: checkers,
+			Instrument: func(_ RunSpec, exp *Experiment) func(map[string]float64) {
+				exp.Events().Subscribe(func(ev Event) { live = append(live, ev.String()) })
+				log = exp.Events().Log()
+				return nil
+			},
+		}).RunOne(spec)
+		if res.Err != nil {
+			t.Fatalf("%s: %v", spec.Scenario, res.Err)
+		}
+		if res.Metrics[MetricActuations] == 0 || len(res.Violations) == 0 {
+			t.Fatalf("%s: %v actuations and %d live violations, want some of each",
+				spec.Scenario, res.Metrics[MetricActuations], len(res.Violations))
+		}
+		if got := log.Strings(); !reflect.DeepEqual(got, live) {
+			t.Errorf("%s: the log renders %d events that differ from the %d captured live", spec.Scenario, len(got), len(live))
+		}
+		if got := CheckEvents(log.Events(), checkers()...); !reflect.DeepEqual(got, res.Violations) {
+			t.Errorf("%s: replaying the log finds %d violations, live checking %d", spec.Scenario, len(got), len(res.Violations))
+		}
 	}
 }

@@ -129,6 +129,9 @@ type Cell struct {
 	// prng feeds random placements (nil for deterministic ones).
 	prng *sim.RNG
 	bus  *Bus
+	// act is the one ActuationEvent every accepted actuation is written
+	// into and published by address (see publishActuation).
+	act ActuationEvent
 }
 
 // NewCellWith builds a cell from functional options: membership, node
@@ -285,7 +288,7 @@ func (c *Cell) Network() *rtlink.Network { return c.net }
 func (c *Cell) Medium() *radio.Medium { return c.med }
 
 // Events returns the cell's typed event bus. Subscriptions observe
-// structured FailoverEvent / ActuationEvent / MigrationEvent / JoinEvent /
+// structured FailoverEvent / *ActuationEvent / MigrationEvent / JoinEvent /
 // FaultEvent records with virtual timestamps, in deterministic order.
 func (c *Cell) Events() *Bus { return c.bus }
 
@@ -348,7 +351,7 @@ func (c *Cell) Deploy(vc VCConfig) error {
 
 // installActuationSink puts a minimal actuation receiver on a gateway
 // node that hosts no runtime: accepted actuations are published as
-// ActuationEvent on the cell's bus, so synthetic-feed scenarios observe
+// actuation events on the cell's bus, so synthetic-feed scenarios observe
 // the control loop closing just like the gas-plant gateway does. A full
 // gateway runtime (gateway.New) installs its own handler and replaces
 // the sink.
@@ -374,10 +377,16 @@ func (c *Cell) installActuationSink(vc VCConfig) {
 		if err != nil {
 			return
 		}
-		c.bus.publish(ActuationEvent{
-			At: c.eng.Now(), Node: msg.Src, Task: act.TaskID, Port: act.Port, Value: act.Value,
-		})
+		c.publishActuation(msg.Src, act.TaskID, act.Port, act.Value)
 	})
+}
+
+// publishActuation publishes an accepted actuation on the cell's bus. It
+// rewrites the cell's one ActuationEvent and publishes its address, so a
+// control cycle allocates nothing; subscribers borrow it (see Event).
+func (c *Cell) publishActuation(src NodeID, task string, port uint8, value float64) {
+	c.act = ActuationEvent{At: c.eng.Now(), Node: src, Task: task, Port: port, Value: value}
+	c.bus.publish(&c.act)
 }
 
 // wireNodeEvents connects a node runtime to the cell's event bus.

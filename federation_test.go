@@ -41,7 +41,7 @@ func TestCampusFailoverResumesTaskInPeerCell(t *testing.T) {
 				mig = &e
 			}
 		case CellEvent:
-			if act, ok := e.Inner.(ActuationEvent); ok &&
+			if act, ok := e.Inner.(*ActuationEvent); ok &&
 				e.Cell == "east" && act.Task == "w-loop" {
 				resumed++
 			}
@@ -288,7 +288,7 @@ func TestSyntheticFeedPublishesActuationEvents(t *testing.T) {
 	defer exp.Cleanup()
 	log := exp.Cell.Events().Log()
 	exp.Cell.Run(10 * time.Second)
-	acts := log.Count(func(ev Event) bool { _, ok := ev.(ActuationEvent); return ok })
+	acts := log.Count(func(ev Event) bool { _, ok := ev.(*ActuationEvent); return ok })
 	if acts == 0 {
 		t.Fatal("synthetic-feed scenario published no ActuationEvent")
 	}
@@ -326,7 +326,7 @@ func TestNilRebalancePolicyDemotesStaleMasterOnRecovery(t *testing.T) {
 		if !isCell {
 			continue
 		}
-		act, isAct := ce.Inner.(ActuationEvent)
+		act, isAct := ce.Inner.(*ActuationEvent)
 		if !isAct || act.Task != "w-loop" || act.At < 21*time.Second {
 			continue
 		}
@@ -391,7 +391,7 @@ func TestRebalanceAbortKeepsForeignMaster(t *testing.T) {
 				rebalances = append(rebalances, e)
 			}
 		case CellEvent:
-			if act, ok := e.Inner.(ActuationEvent); ok && e.Cell == "s" && act.Task == "n-loop" &&
+			if act, ok := e.Inner.(*ActuationEvent); ok && e.Cell == "s" && act.Task == "n-loop" &&
 				act.At > 12500*time.Millisecond && act.At < 14500*time.Millisecond {
 				foreignActsDuringAbort++
 			}

@@ -146,6 +146,8 @@ func (h *vmHost) Out(port uint8, v int64) error {
 // the program (memory persists across cycles — it is the controller
 // state) and runs it to completion under a gas bound.
 type VMLogic struct {
+	// capsule.Code is the interpreter's own copy of the code, so the
+	// logic holds the program once.
 	capsule vm.Capsule
 	// encoded is the capsule's encoding, made on first use and kept: the
 	// capsule never changes, and every checkpoint ships it.
@@ -163,12 +165,15 @@ func NewVMLogic(c vm.Capsule) (*VMLogic, error) {
 	if len(c.Code) == 0 {
 		return nil, errors.New("core: empty capsule")
 	}
-	l := &VMLogic{capsule: c}
+	l := &VMLogic{}
 	l.interp = vm.New(c.Code, &l.host)
+	c.Code = l.interp.Code()
+	l.capsule = c
 	return l, nil
 }
 
-// Capsule returns the code capsule backing the logic.
+// Capsule returns the code capsule backing the logic. Its Code is the
+// interpreter's: read it, do not modify it.
 func (l *VMLogic) Capsule() vm.Capsule { return l.capsule }
 
 // encodedCapsule returns the capsule's encoding. The slice is the

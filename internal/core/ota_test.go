@@ -289,3 +289,30 @@ func TestVMActivationDoesNotAllocate(t *testing.T) {
 		t.Fatalf("VM-to-VM activation allocates %v times, want 0", allocs)
 	}
 }
+
+// stageCapsuleAllocs is what staging a capsule costs: the VMLogic and
+// the interpreter, plus the interpreter's code copy, two stacks and
+// memory. The logic keeps no second copy of the code, and an
+// interpreter without extension opcodes makes no opcode table.
+const stageCapsuleAllocs = 6
+
+// TestStageCapsuleAllocs pins the allocations of staging one capsule
+// and checks that the staged logic's capsule shares the interpreter's
+// code.
+func TestStageCapsuleAllocs(t *testing.T) {
+	r := vmRig(t)
+	primary := r.nodes[ctrlA]
+	c := otaCapsule(t, "lts", 2, "70.0", "3.0")
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := primary.StageCapsule(c); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != stageCapsuleAllocs {
+		t.Errorf("StageCapsule allocates %v times, want %d", allocs, stageCapsuleAllocs)
+	}
+	staged := primary.replica("lts").staged
+	if code := staged.Capsule().Code; &code[0] != &staged.interp.Code()[0] || &code[0] == &c.Code[0] {
+		t.Error("the staged capsule's code is not the interpreter's own copy")
+	}
+}

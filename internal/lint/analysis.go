@@ -2,7 +2,7 @@
 // that machine-enforce the determinism and safety conventions the
 // simulation's byte-identical-per-seed contract rests on (map-iteration
 // order, wall-clock isolation, single-threaded engine code, event-bus
-// ordering, float accumulation order).
+// ordering and borrowing, float accumulation order).
 //
 // The framework mirrors the golang.org/x/tools/go/analysis shapes
 // (Analyzer, Pass, Diagnostic) so the analyzers port mechanically to a

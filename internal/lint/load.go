@@ -130,6 +130,7 @@ func check(fset *token.FileSet, imp types.Importer, path string, filenames []str
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
 		Uses:       make(map[*ast.Ident]types.Object),
+		Implicits:  make(map[ast.Node]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
 	conf := types.Config{Importer: imp}

@@ -19,3 +19,23 @@ func GoodRecordThenPublish(from, to *Bus) {
 		to.Publish(ev)
 	}
 }
+
+// GoodCopyEvent keeps copies only: the struct behind the pointer, its
+// fields, and values computed from the event. Locals that alias the
+// event die with the call.
+func GoodCopyEvent(b *KindBus) (*[]Actuation, map[string]int) {
+	acts := new([]Actuation)
+	last := make(map[string]int)
+	b.Subscribe(func(ev Kind) {
+		alias := ev
+		if act, ok := alias.(*Actuation); ok {
+			*acts = append(*acts, *act)
+			last[act.Task] = act.At
+		}
+		if w, ok := ev.(Wrapped); ok {
+			inner := w.Inner
+			last[w.Cell] = inner.When()
+		}
+	})
+	return acts, last
+}

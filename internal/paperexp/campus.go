@@ -53,7 +53,7 @@ func runFederation(p Param, seed uint64) (map[string]float64, error) {
 				migratedAt = e.At
 			}
 		case evm.CellEvent:
-			if act, ok := e.Inner.(evm.ActuationEvent); ok && act.Task == "w-loop" && e.Cell == "east" {
+			if act, ok := e.Inner.(*evm.ActuationEvent); ok && act.Task == "w-loop" && e.Cell == "east" {
 				resumed++
 			}
 		}
@@ -100,10 +100,14 @@ func runPipeline(_ Param, seed uint64) (map[string]float64, error) {
 		return nil, err
 	}
 	defer exp.Cleanup()
-	log := exp.Cell.Events().Log()
+	acts := 0
+	exp.Cell.Events().Subscribe(func(ev evm.Event) {
+		if _, ok := ev.(*evm.ActuationEvent); ok {
+			acts++
+		}
+	})
 	exp.Cell.Run(10 * time.Second)
-	isAct := func(ev evm.Event) bool { _, ok := ev.(evm.ActuationEvent); return ok }
-	pre := log.Count(isAct)
+	pre := acts
 	if err := exp.Cell.ApplyFaultPlan(evm.PipelinePrimaryCrashPlan(0)); err != nil {
 		return nil, err
 	}
@@ -111,7 +115,7 @@ func runPipeline(_ Param, seed uint64) (map[string]float64, error) {
 	m := exp.Metrics()
 	return map[string]float64{
 		"actuations_before": float64(pre),
-		"actuations_after":  float64(log.Count(isAct) - pre),
+		"actuations_after":  float64(acts - pre),
 		"active_controller": m["active_controller"],
 		"relayed_frags":     m["relayed_frags"],
 		"line_duty":         m["line_duty"],
@@ -129,10 +133,12 @@ func runSever(_ Param, seed uint64) (map[string]float64, error) {
 		return nil, err
 	}
 	defer exp.Cleanup()
-	log := exp.Campus.Events().Log()
-	exp.Campus.Run(40 * time.Second)
+	checkers := evm.DefaultInvariants()
 	rebalances, longWay := 0, 0
-	for _, ev := range log.Events() {
+	exp.Campus.Events().Subscribe(func(ev evm.Event) {
+		for _, c := range checkers {
+			c.Observe(ev)
+		}
 		switch e := ev.(type) {
 		case evm.InterCellMigrationEvent:
 			if e.Rebalance {
@@ -143,8 +149,11 @@ func runSever(_ Param, seed uint64) (map[string]float64, error) {
 				longWay++
 			}
 		}
-	}
-	if vs := evm.CheckEvents(log.Events(), evm.DefaultInvariants()...); len(vs) > 0 {
+	})
+	exp.Campus.Run(40 * time.Second)
+	// The checkers watched the run live; CheckEvents with no events
+	// to replay collects what they found.
+	if vs := evm.CheckEvents(nil, checkers...); len(vs) > 0 {
 		return nil, fmt.Errorf("%d invariant violations, first %s", len(vs), vs[0])
 	}
 	bb := exp.Campus.Backbone().Stats()
@@ -168,7 +177,20 @@ func runOTA(p Param, seed uint64) (map[string]float64, error) {
 		return nil, err
 	}
 	defer campus.Stop()
-	log := campus.Events().Log()
+	m := map[string]float64{"deliveries": 0, "rollbacks": 0}
+	campus.Events().Subscribe(func(ev evm.Event) {
+		switch e := ev.(type) {
+		case evm.CapsuleDeliveryEvent:
+			m["deliveries"]++
+		case evm.RollbackEvent:
+			m["rollbacks"]++
+			m["rollback_s"] = e.At.Seconds()
+		case evm.RolloutEvent:
+			if e.Phase == evm.RolloutPhaseComplete {
+				m["completed_s"] = e.At.Seconds()
+			}
+		}
+	})
 	var rollout *evm.Rollout
 	want := evm.RolloutComplete
 	if p.Label == "bad-capsule" {
@@ -204,25 +226,8 @@ func runOTA(p Param, seed uint64) (map[string]float64, error) {
 		return nil, fmt.Errorf("rollout ended %s (%s), want %s", rollout.State(), rollout.Reason(), want)
 	}
 	bb := campus.Backbone().Stats()
-	m := map[string]float64{
-		"stages":             float64(len(rollout.Stages())),
-		"deliveries":         0,
-		"rollbacks":          0,
-		"backbone_sent":      float64(bb.Sent),
-		"backbone_delivered": float64(bb.Delivered),
-	}
-	for _, ev := range log.Events() {
-		switch e := ev.(type) {
-		case evm.CapsuleDeliveryEvent:
-			m["deliveries"]++
-		case evm.RollbackEvent:
-			m["rollbacks"]++
-			m["rollback_s"] = e.At.Seconds()
-		case evm.RolloutEvent:
-			if e.Phase == evm.RolloutPhaseComplete {
-				m["completed_s"] = e.At.Seconds()
-			}
-		}
-	}
+	m["stages"] = float64(len(rollout.Stages()))
+	m["backbone_sent"] = float64(bb.Sent)
+	m["backbone_delivered"] = float64(bb.Delivered)
 	return m, nil
 }

@@ -49,8 +49,11 @@ func (e Experiment) Sweep(p Param) (map[string]evm.MetricSummary, error) {
 // Table returns every paper experiment in evmbench's order.
 func Table() []Experiment {
 	return []Experiment{
+		// E1 and E5 run on a loss-free channel, where nothing the seed
+		// drives reaches the plant: every seed gives the same metrics
+		// (testdata/fig6 pins seeds 1 and 2 equal), so one is enough.
 		{Name: "e1", Title: "Fig. 6(b): LTS fail-over timeline (fault 300 s, paper switch ~600 s)",
-			Params: []Param{{Label: "window=1200"}}, Seeds: seeds(3), Run: runFig6},
+			Params: []Param{{Label: "window=1200"}}, Seeds: seeds(1), Run: runFig6},
 		{Name: "e2", Title: "fail-over latency vs packet loss (deviation fault at 30 s)",
 			Params: []Param{{"per=0.0", 0}, {"per=0.1", 0.1}, {"per=0.2", 0.2}, {"per=0.3", 0.3}},
 			Seeds:  seeds(10), Run: runFailoverVsLoss},
@@ -60,7 +63,7 @@ func Table() []Experiment {
 		{Name: "e4", Title: "AM time-sync jitter over 10,000 pulses to 10 nodes (paper: sub-150 us)",
 			Params: []Param{{Label: "nodes=10"}}, Seeds: seeds(3), Run: runSyncJitter},
 		{Name: "e5", Title: "control cycle latency over 120 s (paper: <= 1/3 of a <= 250 ms cycle)",
-			Params: []Param{{Label: "cycle=250ms"}}, Seeds: seeds(3), Run: runControlCycle},
+			Params: []Param{{Label: "cycle=250ms"}}, Seeds: seeds(1), Run: runControlCycle},
 		{Name: "e6", Title: "task migration cost vs state size",
 			Params: []Param{{"state=64B", 64}, {"state=512B", 512}, {"state=2048B", 2048}, {"state=8192B", 8192}},
 			Seeds:  seeds(3), Run: runMigration},

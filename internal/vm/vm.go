@@ -113,7 +113,8 @@ type Interp struct {
 	halted bool
 }
 
-// New creates an interpreter for the given code with default limits.
+// New creates an interpreter for the given code with default limits. It
+// runs its own copy of the code.
 func New(code []byte, host Host) *Interp {
 	return &Interp{
 		code: append([]byte(nil), code...),
@@ -121,17 +122,25 @@ func New(code []byte, host Host) *Interp {
 		ret:  make([]int64, 0, DefaultStackDepth),
 		mem:  make([]int64, DefaultMemWords),
 		host: host,
-		ext:  make(map[Op]ExtOp),
 	}
 }
 
-// RegisterOp installs a runtime extension opcode (>= ExtBase).
+// Code returns the program the interpreter runs: its own copy, which
+// callers may keep and read but must not modify.
+func (in *Interp) Code() []byte { return in.code }
+
+// RegisterOp installs a runtime extension opcode (>= ExtBase). The
+// extension table is made on the first call, so an interpreter without
+// extensions carries none.
 func (in *Interp) RegisterOp(code Op, name string, fn func(*Interp) error) error {
 	if code < ExtBase {
 		return fmt.Errorf("vm: extension opcode %#x below ExtBase", byte(code))
 	}
 	if _, dup := in.ext[code]; dup {
 		return fmt.Errorf("vm: opcode %#x already registered", byte(code))
+	}
+	if in.ext == nil {
+		in.ext = make(map[Op]ExtOp)
 	}
 	in.ext[code] = ExtOp{Name: name, Fn: fn}
 	return nil

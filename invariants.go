@@ -175,7 +175,7 @@ func (c *singleMasterInvariant) Name() string { return "single-master-per-task" 
 func (c *singleMasterInvariant) Observe(ev Event) {
 	cell, inner := splitEvent(ev)
 	c.tracker.observe(cell, inner)
-	act, ok := inner.(ActuationEvent)
+	act, ok := inner.(*ActuationEvent)
 	if !ok {
 		return
 	}
@@ -226,7 +226,7 @@ func (c *demotedSilenceInvariant) Name() string { return "no-actuation-from-demo
 func (c *demotedSilenceInvariant) Observe(ev Event) {
 	cell, inner := splitEvent(ev)
 	c.tracker.observe(cell, inner)
-	act, ok := inner.(ActuationEvent)
+	act, ok := inner.(*ActuationEvent)
 	if !ok {
 		return
 	}
@@ -334,7 +334,7 @@ func (c *actuationDeadlineInvariant) Name() string { return "actuation-deadline"
 func (c *actuationDeadlineInvariant) Observe(ev Event) {
 	_, inner := splitEvent(ev)
 	switch act := inner.(type) {
-	case ActuationEvent:
+	case *ActuationEvent:
 		if last, ok := c.lastAct[act.Task]; ok && act.At-last > c.bound {
 			c.violations = append(c.violations, Violation{
 				At: act.At, Checker: c.Name(),
@@ -400,7 +400,7 @@ func (c *failoverLatencyInvariant) Observe(ev Event) {
 	cell, inner := splitEvent(ev)
 	c.expire(inner.When())
 	switch e := inner.(type) {
-	case ActuationEvent:
+	case *ActuationEvent:
 		src := masterRef{cell, e.Node}
 		if _, known := c.tracker.masters[e.Task]; !known {
 			c.tracker.masters[e.Task] = src

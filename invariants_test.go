@@ -72,11 +72,11 @@ func TestInvariantCheckersDetectViolations(t *testing.T) {
 
 	t.Run("single-master", func(t *testing.T) {
 		events := []Event{
-			ActuationEvent{At: sec(1), Node: 3, Task: "loop"},
+			&ActuationEvent{At: sec(1), Node: 3, Task: "loop"},
 			FailoverEvent{At: sec(2), Task: "loop", From: 3, To: 4},
-			ActuationEvent{At: sec(3), Node: 4, Task: "loop"},
+			&ActuationEvent{At: sec(3), Node: 4, Task: "loop"},
 			// 3 was demoted at 2s; actuating at 10s is a second master.
-			ActuationEvent{At: sec(10), Node: 3, Task: "loop"},
+			&ActuationEvent{At: sec(10), Node: 3, Task: "loop"},
 		}
 		vs := CheckEvents(events, NewSingleMasterInvariant(0))
 		if len(vs) != 1 {
@@ -86,10 +86,10 @@ func TestInvariantCheckersDetectViolations(t *testing.T) {
 
 	t.Run("single-master-grace", func(t *testing.T) {
 		events := []Event{
-			ActuationEvent{At: sec(1), Node: 3, Task: "loop"},
+			&ActuationEvent{At: sec(1), Node: 3, Task: "loop"},
 			FailoverEvent{At: sec(2), Task: "loop", From: 3, To: 4},
 			// In-flight actuation right after the switch: not a violation.
-			ActuationEvent{At: sec(2) + 100*time.Millisecond, Node: 3, Task: "loop"},
+			&ActuationEvent{At: sec(2) + 100*time.Millisecond, Node: 3, Task: "loop"},
 		}
 		if vs := CheckEvents(events, NewSingleMasterInvariant(0)); len(vs) != 0 {
 			t.Fatalf("grace-window actuation flagged: %v", vs)
@@ -98,13 +98,13 @@ func TestInvariantCheckersDetectViolations(t *testing.T) {
 
 	t.Run("recovered-stale-replica-grace", func(t *testing.T) {
 		events := []Event{
-			CellEvent{Cell: "west", Inner: ActuationEvent{At: sec(1), Node: 3, Task: "loop"}},
+			CellEvent{Cell: "west", Inner: &ActuationEvent{At: sec(1), Node: 3, Task: "loop"}},
 			InterCellMigrationEvent{At: sec(5), Task: "loop", FromCell: "west", ToCell: "east", From: 3, To: 7},
 			// Radio back at 20s: one demotion round-trip is allowed...
 			CellEvent{Cell: "west", Inner: FaultEvent{At: sec(20), Kind: FaultRecover, Node: 3}},
-			CellEvent{Cell: "west", Inner: ActuationEvent{At: sec(20) + 300*time.Millisecond, Node: 3, Task: "loop"}},
+			CellEvent{Cell: "west", Inner: &ActuationEvent{At: sec(20) + 300*time.Millisecond, Node: 3, Task: "loop"}},
 			// ...but persisting past the grace window is split-brain.
-			CellEvent{Cell: "west", Inner: ActuationEvent{At: sec(25), Node: 3, Task: "loop"}},
+			CellEvent{Cell: "west", Inner: &ActuationEvent{At: sec(25), Node: 3, Task: "loop"}},
 		}
 		vs := CheckEvents(events, NewSingleMasterInvariant(0), NewDemotedSilenceInvariant(0))
 		if len(vs) != 2 {
@@ -138,10 +138,10 @@ func TestInvariantCheckersDetectViolations(t *testing.T) {
 
 	t.Run("actuation-deadline", func(t *testing.T) {
 		events := []Event{
-			ActuationEvent{At: sec(1), Node: 3, Task: "loop"},
-			ActuationEvent{At: sec(2), Node: 3, Task: "loop"},
+			&ActuationEvent{At: sec(1), Node: 3, Task: "loop"},
+			&ActuationEvent{At: sec(2), Node: 3, Task: "loop"},
 			// 18s of silence with nothing on record to excuse it.
-			ActuationEvent{At: sec(20), Node: 3, Task: "loop"},
+			&ActuationEvent{At: sec(20), Node: 3, Task: "loop"},
 		}
 		vs := CheckEvents(events, NewActuationDeadlineInvariant(10*time.Second))
 		if len(vs) != 1 {
@@ -149,20 +149,20 @@ func TestInvariantCheckersDetectViolations(t *testing.T) {
 		}
 		// The same gap across a recorded transition is excused.
 		events = []Event{
-			ActuationEvent{At: sec(1), Node: 3, Task: "loop"},
-			ActuationEvent{At: sec(2), Node: 3, Task: "loop"},
+			&ActuationEvent{At: sec(1), Node: 3, Task: "loop"},
+			&ActuationEvent{At: sec(2), Node: 3, Task: "loop"},
 			FaultEvent{At: sec(3), Kind: FaultCrash, Node: 3},
 			FailoverEvent{At: sec(5), Task: "loop", From: 3, To: 4},
-			ActuationEvent{At: sec(12), Node: 4, Task: "loop"},
+			&ActuationEvent{At: sec(12), Node: 4, Task: "loop"},
 		}
 		if vs := CheckEvents(events, NewActuationDeadlineInvariant(10*time.Second)); len(vs) != 0 {
 			t.Fatalf("excused gap flagged: %v", vs)
 		}
 		// A rollout's mode/rollback transitions excuse pauses too.
 		events = []Event{
-			ActuationEvent{At: sec(1), Node: 3, Task: "loop"},
+			&ActuationEvent{At: sec(1), Node: 3, Task: "loop"},
 			RollbackEvent{At: sec(2), Task: "loop", FromVersion: 2, ToVersion: 1},
-			ActuationEvent{At: sec(11), Node: 3, Task: "loop"},
+			&ActuationEvent{At: sec(11), Node: 3, Task: "loop"},
 		}
 		if vs := CheckEvents(events, NewActuationDeadlineInvariant(10*time.Second)); len(vs) != 0 {
 			t.Fatalf("post-rollback gap flagged: %v", vs)
@@ -171,7 +171,7 @@ func TestInvariantCheckersDetectViolations(t *testing.T) {
 
 	t.Run("failover-latency", func(t *testing.T) {
 		events := []Event{
-			ActuationEvent{At: sec(1), Node: 3, Task: "loop"},
+			&ActuationEvent{At: sec(1), Node: 3, Task: "loop"},
 			FaultEvent{At: sec(2), Kind: FaultCrash, Node: 3},
 			// Nothing replaces the master; any event past the bound
 			// proves the deadline blown.
@@ -186,7 +186,7 @@ func TestInvariantCheckersDetectViolations(t *testing.T) {
 		}
 		// An in-time fail-over disarms the deadline.
 		events = []Event{
-			ActuationEvent{At: sec(1), Node: 3, Task: "loop"},
+			&ActuationEvent{At: sec(1), Node: 3, Task: "loop"},
 			FaultEvent{At: sec(2), Kind: FaultCrash, Node: 3},
 			FailoverEvent{At: sec(4), Task: "loop", From: 3, To: 4},
 			JoinEvent{At: sec(20), Node: 9},
@@ -196,7 +196,7 @@ func TestInvariantCheckersDetectViolations(t *testing.T) {
 		}
 		// A recovered master disarms it too: no fail-over was due.
 		events = []Event{
-			ActuationEvent{At: sec(1), Node: 3, Task: "loop"},
+			&ActuationEvent{At: sec(1), Node: 3, Task: "loop"},
 			FaultEvent{At: sec(2), Kind: FaultCrash, Node: 3},
 			FaultEvent{At: sec(4), Kind: FaultRecover, Node: 3},
 			JoinEvent{At: sec(20), Node: 9},
@@ -206,7 +206,7 @@ func TestInvariantCheckersDetectViolations(t *testing.T) {
 		}
 		// A stream that ends mid-deadline proves nothing: no violation.
 		events = []Event{
-			ActuationEvent{At: sec(1), Node: 3, Task: "loop"},
+			&ActuationEvent{At: sec(1), Node: 3, Task: "loop"},
 			FaultEvent{At: sec(2), Kind: FaultCrash, Node: 3},
 		}
 		if vs := CheckEvents(events, NewFailoverLatencyInvariant(5*time.Second)); len(vs) != 0 {

@@ -699,7 +699,7 @@ func (r *Rollout) startHealthWindow() {
 			ch.Observe(ev)
 		}
 		_, inner := splitEvent(ev)
-		if act, ok := inner.(ActuationEvent); ok && watched[act.Task] {
+		if act, ok := inner.(*ActuationEvent); ok && watched[act.Task] {
 			r.lastAct[act.Task] = act.At
 		}
 	})

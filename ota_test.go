@@ -305,7 +305,7 @@ func TestOTABadCapsuleRollback(t *testing.T) {
 		case RollbackEvent:
 			rollbacks = append(rollbacks, e)
 		case CellEvent:
-			if act, ok := e.Inner.(ActuationEvent); ok && act.Task == "a-press-0" &&
+			if act, ok := e.Inner.(*ActuationEvent); ok && act.Task == "a-press-0" &&
 				len(rollbacks) > 0 && act.At > rollbacks[0].At {
 				resumedAfter++
 			}
@@ -575,7 +575,7 @@ func TestModeChangeLineSwitchesLawsUnderLoss(t *testing.T) {
 		switch e := ev.(type) {
 		case ModeChangeEvent:
 			modeChanges++
-		case ActuationEvent:
+		case *ActuationEvent:
 			switch e.Task {
 			case ModeLinePurgeTask:
 				purgeTimes = append(purgeTimes, e.At)

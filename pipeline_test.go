@@ -18,7 +18,7 @@ func TestPipelineMultiHopControl(t *testing.T) {
 	defer exp.Cleanup()
 	log := exp.Cell.Events().Log()
 	exp.Cell.Run(10 * time.Second)
-	isAct := func(ev Event) bool { _, ok := ev.(ActuationEvent); return ok }
+	isAct := func(ev Event) bool { _, ok := ev.(*ActuationEvent); return ok }
 	pre := log.Count(isAct)
 	if pre == 0 {
 		t.Fatal("no actuations reached the gateway over the line")
@@ -27,7 +27,7 @@ func TestPipelineMultiHopControl(t *testing.T) {
 	// proof the message crossed the relays, since the primary is three
 	// hops from the gateway.
 	for _, ev := range log.Events() {
-		if act, ok := ev.(ActuationEvent); ok && act.Node != PipePrimary {
+		if act, ok := ev.(*ActuationEvent); ok && act.Node != PipePrimary {
 			t.Fatalf("pre-crash actuation from node %d, want primary %d", act.Node, PipePrimary)
 		}
 	}
@@ -49,7 +49,7 @@ func TestPipelineMultiHopControl(t *testing.T) {
 	}
 	backupActs := 0
 	for _, ev := range log.Events() {
-		if act, ok := ev.(ActuationEvent); ok && act.Node == PipeBackup {
+		if act, ok := ev.(*ActuationEvent); ok && act.Node == PipeBackup {
 			backupActs++
 		}
 	}

@@ -374,7 +374,7 @@ func TestRebalanceHomeAfterRecovery(t *testing.T) {
 		if !ok || ce.Cell != "unit-a" || ce.When() <= lastRebalanceAt {
 			continue
 		}
-		if act, isAct := ce.Inner.(ActuationEvent); isAct && strings.HasPrefix(act.Task, "a-loop-") {
+		if act, isAct := ce.Inner.(*ActuationEvent); isAct && strings.HasPrefix(act.Task, "a-loop-") {
 			resumed++
 		}
 	}
@@ -388,7 +388,7 @@ func TestRebalanceHomeAfterRecovery(t *testing.T) {
 		if !ok || ce.Cell == "unit-a" || ce.When() <= lastRebalanceAt+time.Second {
 			continue
 		}
-		if act, isAct := ce.Inner.(ActuationEvent); isAct && strings.HasPrefix(act.Task, "a-loop-") {
+		if act, isAct := ce.Inner.(*ActuationEvent); isAct && strings.HasPrefix(act.Task, "a-loop-") {
 			t.Fatalf("retired foreign replica of %s still actuating in %s at %v",
 				act.Task, ce.Cell, ce.When())
 		}
@@ -456,7 +456,7 @@ func TestForeignTaskAdoptionLocalFailover(t *testing.T) {
 		if !ok || ce.Cell != "east" || ce.When() <= 15*time.Second+time.Millisecond {
 			continue
 		}
-		if act, isAct := ce.Inner.(ActuationEvent); isAct && act.Task == "w-loop" {
+		if act, isAct := ce.Inner.(*ActuationEvent); isAct && act.Task == "w-loop" {
 			resumed++
 		}
 	}
@@ -592,7 +592,7 @@ func TestEscalationOutOfHostRetiresStaleCopies(t *testing.T) {
 			continue
 		}
 		switch e := ce.Inner.(type) {
-		case ActuationEvent:
+		case *ActuationEvent:
 			if e.Task == "a-loop" {
 				t.Fatalf("stale copy of a-loop actuated in recovered cell b at %v", e.At)
 			}

@@ -85,7 +85,7 @@ func TestRandomFieldByteIdenticalStreams(t *testing.T) {
 			t.Fatal(err)
 		}
 		exp.Cell.Run(40 * time.Second)
-		acts := log.Count(func(ev Event) bool { _, ok := ev.(ActuationEvent); return ok })
+		acts := log.Count(func(ev Event) bool { _, ok := ev.(*ActuationEvent); return ok })
 		return log.Strings(), acts, exp.Metrics()["coverage"]
 	}
 	lines, acts, coverage := run()

@@ -114,11 +114,13 @@ func TestUnrecordedPlantRecordsNothing(t *testing.T) {
 	}
 }
 
-// TestSteadyStateAllocatesOnlyActuationEvents: once a gas plant that
-// records nothing is warm, the only allocation left in its control loop
-// is the ActuationEvent each accepted actuation boxes onto the event
-// bus. Over 40 s after a 20 s warm-up, allocations equal actuations.
-func TestSteadyStateAllocatesOnlyActuationEvents(t *testing.T) {
+// TestSteadyStateAllocatesNothing: once a gas plant that records
+// nothing is warm, its control loop allocates nothing. Sensor fan-out,
+// replica steps, health bundles and actuations all run on owned
+// buffers, and each accepted actuation is published as the cell's one
+// borrowed *ActuationEvent. The 40 s after a 20 s warm-up must not
+// allocate at all, though they accept hundreds of actuations.
+func TestSteadyStateAllocatesNothing(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, seed := range []uint64{1, 2, 3} {
 		cfg := DefaultGasPlantConfig()
@@ -131,10 +133,13 @@ func TestSteadyStateAllocatesOnlyActuationEvents(t *testing.T) {
 		s.Run(40 * time.Second)
 		runtime.ReadMemStats(&m1)
 		allocs := m1.Mallocs - m0.Mallocs
-		acts := uint64(s.GW.Stats().ActuationsOK - before)
+		acts := s.GW.Stats().ActuationsOK - before
 		t.Logf("seed %d: %d allocs for %d actuations", seed, allocs, acts)
-		if acts == 0 || allocs != acts {
-			t.Errorf("seed %d: %d allocs over 40 s of steady state for %d accepted actuations, want one each", seed, allocs, acts)
+		if acts == 0 {
+			t.Fatalf("seed %d: no actuation accepted over 40 s of steady state", seed)
+		}
+		if allocs != 0 {
+			t.Errorf("seed %d: %d allocs over 40 s of steady state (%d accepted actuations), want 0", seed, allocs, acts)
 		}
 	}
 }

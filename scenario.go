@@ -255,9 +255,7 @@ func NewGasPlant(cfg GasPlantConfig) (*GasPlant, error) {
 	}
 	s := &GasPlant{Cell: cell, Plant: p, GW: gw, VC: vc}
 	// Publish accepted actuations on the cell's event bus.
-	gw.SetActuateSink(func(src radio.NodeID, task string, port uint8, value float64) {
-		cell.bus.publish(ActuationEvent{At: cell.Now(), Node: src, Task: task, Port: port, Value: value})
-	})
+	gw.SetActuateSink(cell.publishActuation)
 
 	// Plant dynamics integrate at a finer step than the control cycle.
 	const plantDT = 50 * time.Millisecond
@@ -311,7 +309,7 @@ func (s *GasPlant) Record() {
 // actuation the gateway accepts from now on.
 func (s *GasPlant) onActuation(fn func(time.Duration)) {
 	s.Cell.Events().Subscribe(func(ev Event) {
-		if _, ok := ev.(ActuationEvent); ok {
+		if _, ok := ev.(*ActuationEvent); ok {
 			fn(s.Cell.Now() - s.GW.LastPollAt())
 		}
 	})

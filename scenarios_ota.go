@@ -361,7 +361,7 @@ func buildModeChangeLineScenario(spec RunSpec) (*Experiment, error) {
 	}
 	normalActs, purgeActs := 0, 0
 	sub := cell.Events().Subscribe(func(ev Event) {
-		if act, ok := ev.(ActuationEvent); ok {
+		if act, ok := ev.(*ActuationEvent); ok {
 			switch act.Task {
 			case ModeLineNormalTask:
 				normalActs++

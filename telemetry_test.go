@@ -37,7 +37,7 @@ func TestEventKindDeclarations(t *testing.T) {
 		counters []string
 	}{
 		{FailoverEvent{}, "failovers", []string{MetricFailovers}},
-		{ActuationEvent{}, "actuations", []string{MetricActuations}},
+		{&ActuationEvent{}, "actuations", []string{MetricActuations}},
 		{MigrationEvent{}, "migrations", []string{MetricMigrations}},
 		{JoinEvent{}, "joins", []string{MetricJoins}},
 		{ModeChangeEvent{}, "mode_changes", []string{MetricModeChanges}},
@@ -78,7 +78,7 @@ func TestEventKindDeclarations(t *testing.T) {
 	values := make(map[string]bool)
 	bumped := make(map[string]bool)
 	for _, c := range cases {
-		rv := reflect.ValueOf(c.ev)
+		rv := reflect.Indirect(reflect.ValueOf(c.ev))
 		kinds[rv.Type().Name()] = true
 		for i := 0; i < rv.NumField(); i++ {
 			if f := rv.Field(i); f.Kind() == reflect.String {
@@ -157,7 +157,11 @@ func declaredKinds(t *testing.T) (kinds, consts []string) {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:
 				if d.Recv != nil && d.Name.Name == "series" {
-					kinds = append(kinds, d.Recv.List[0].Type.(*ast.Ident).Name)
+					recv := d.Recv.List[0].Type
+					if star, ok := recv.(*ast.StarExpr); ok {
+						recv = star.X
+					}
+					kinds = append(kinds, recv.(*ast.Ident).Name)
 				}
 			case *ast.GenDecl:
 				for _, spec := range d.Specs {

@@ -76,7 +76,7 @@ func installEventSpans(bus *Bus, t *span.Tracer) {
 					span.Arg{Key: "to", Val: strconv.Itoa(int(e.To))})
 				delete(crashOpen, key)
 			}
-		case ActuationEvent:
+		case *ActuationEvent:
 			if last, ok := lastAct[e.Task]; ok {
 				t.Complete("actuation-interval", "evm", "actuation", last, e.At,
 					span.Arg{Key: "task", Val: e.Task})
