@@ -72,3 +72,34 @@ func TestCheckpointTickDoesNotAllocate(t *testing.T) {
 		t.Fatalf("5 checkpoint ticks: %v allocs, want 0", allocs)
 	}
 }
+
+// TestCampusSteadyStateAllocatesNothing: once warm, a campus allocates
+// nothing per control cycle. Each cell's actuation reaches campus
+// subscribers in the one CellEvent its bridge boxed at construction,
+// each feed tick sends the slice its unit built once, and the
+// checkpoint tick refreshes exports in place.
+func TestCampusSteadyStateAllocatesNothing(t *testing.T) {
+	campus, err := NewCampus(CampusConfig{Seed: 1}, refineryUnit("a"), otaUnit("b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer campus.Stop()
+	acts := 0
+	campus.Events().Subscribe(func(ev Event) {
+		if ce, ok := ev.(CellEvent); ok {
+			if _, ok := ce.Inner.(*ActuationEvent); ok {
+				acts++
+			}
+		}
+	})
+	campus.Run(5 * time.Second)
+	before := acts
+	allocs := testing.AllocsPerRun(1, func() { campus.Run(10 * time.Second) })
+	t.Logf("%v allocs per 10 s; %d campus actuations over the warm-up and measured runs", allocs, acts-before)
+	if acts == before {
+		t.Fatal("no actuation reached the campus stream in steady state")
+	}
+	if allocs != 0 {
+		t.Fatalf("warm campus: %v allocs per 10 s, want 0", allocs)
+	}
+}

@@ -2,7 +2,9 @@ package evm
 
 import (
 	"errors"
+	"maps"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 )
@@ -427,6 +429,62 @@ func TestLoggedEventsSurviveLaterPublishes(t *testing.T) {
 		}
 		if got := CheckEvents(log.Events(), checkers()...); !reflect.DeepEqual(got, res.Violations) {
 			t.Errorf("%s: replaying the log finds %d violations, live checking %d", spec.Scenario, len(got), len(res.Violations))
+		}
+	}
+}
+
+// TestLoggedCampusActuationsSurviveSharedWrapper: a campus forwards each
+// cell's borrowed actuation in one CellEvent per cell, boxed once and
+// published again for every actuation. The campus EventLog must copy the
+// wrapped actuation (keep), so each logged actuation still renders what
+// a subscriber saw at delivery, not the cell's latest one.
+func TestLoggedCampusActuationsSurviveSharedWrapper(t *testing.T) {
+	isAct := func(ev Event) bool {
+		ce, ok := ev.(CellEvent)
+		if !ok {
+			return false
+		}
+		_, ok = ce.Inner.(*ActuationEvent)
+		return ok
+	}
+	var live []string
+	var log *EventLog
+	res := (&Runner{
+		Instrument: func(_ RunSpec, exp *Experiment) func(map[string]float64) {
+			exp.Events().Subscribe(func(ev Event) {
+				if isAct(ev) {
+					live = append(live, ev.String())
+				}
+			})
+			log = exp.Events().Log()
+			return nil
+		},
+	}).RunOne(RunSpec{Scenario: ScenarioOTACampus, Seed: 1, Horizon: 20 * time.Second})
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	var logged []string
+	byCell := map[string][]string{}
+	for _, ev := range log.Events() {
+		if isAct(ev) {
+			logged = append(logged, ev.String())
+			cell := ev.(CellEvent).Cell
+			byCell[cell] = append(byCell[cell], ev.String())
+		}
+	}
+	if len(live) == 0 {
+		t.Fatal("no actuation reached the campus stream")
+	}
+	if !reflect.DeepEqual(logged, live) {
+		t.Errorf("the log renders %d actuations that differ from the %d formatted at delivery", len(logged), len(live))
+	}
+	// Without the copy, each cell's logged actuations would all render
+	// as that cell's last one.
+	for _, cell := range slices.Sorted(maps.Keys(byCell)) {
+		acts := byCell[cell]
+		last := acts[len(acts)-1]
+		if !slices.ContainsFunc(acts, func(s string) bool { return s != last }) {
+			t.Errorf("cell %s: all %d logged actuations render as its last one: %s", cell, len(acts), last)
 		}
 	}
 }

@@ -482,7 +482,9 @@ func (c *Cell) StartSensorFeed(src NodeID, period time.Duration, sample func() [
 // list unicast destinations, since a single-hop broadcast reaches only a
 // line cell's immediate neighbors and the link-layer line routes relay
 // unicasts station by station. A Broadcast destination is one
-// single-hop send; StartSensorFeed is that form.
+// single-hop send; StartSensorFeed is that form. Each tick encodes
+// sample()'s readings before the next tick and keeps no reference to
+// them, so sample may return the same slice every time.
 func (c *Cell) StartSensorFeedTo(src NodeID, period time.Duration, sample func() []SensorReading, dsts ...NodeID) (*sim.Ticker, error) {
 	link := c.net.Link(src)
 	if link == nil {

@@ -16,6 +16,9 @@ import (
 type FeedSpec struct {
 	Source NodeID
 	Period time.Duration
+	// Sample returns the readings to send this tick. The feed encodes
+	// them before the next tick and keeps no reference, so Sample may
+	// return the same slice every time.
 	Sample func() []SensorReading
 }
 
@@ -221,11 +224,19 @@ func NewCampus(cfg CampusConfig, specs ...CellSpec) (*Campus, error) {
 		c.specs = append(c.specs, cs)
 		// Merge the cell's events into the campus stream, tagged with
 		// the cell name. Cells share one engine, so the merged order is
-		// the global virtual-time order and fully deterministic.
+		// the global virtual-time order and fully deterministic. The
+		// cell's borrowed actuation is forwarded in a wrapper boxed
+		// once here, so an actuation allocates nothing on its way to
+		// campus subscribers either; every other kind is wrapped anew.
 		cellName := name
+		var act Event = CellEvent{Cell: cellName, Inner: &cell.act}
 		cell.Events().Subscribe(func(ev Event) {
+			out := act
+			if ev != Event(&cell.act) {
+				out = CellEvent{Cell: cellName, Inner: ev}
+			}
 			//evm:allow-eventorder synchronous bus-to-bus bridge: cells share one engine, campus subscribers never publish back into a cell bus, so delivery cannot re-enter or reorder
-			c.events.publish(CellEvent{Cell: cellName, Inner: ev})
+			c.events.publish(out)
 		})
 		if err := cell.Deploy(cs.VC); err != nil {
 			c.Stop()

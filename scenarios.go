@@ -58,6 +58,12 @@ func buildGasPlantScenario(spec RunSpec) (*Experiment, error) {
 	}, nil
 }
 
+// fixedFeed is a feed sample that returns the same readings slice every
+// tick, so a tick allocates nothing.
+func fixedFeed(readings ...SensorReading) func() []SensorReading {
+	return func() []SensorReading { return readings }
+}
+
 // buildEightControllerScenario mirrors the paper's deployment ("8
 // different controllers are used"): four control loops, each with a
 // primary/backup pair, spread over eight controller nodes on a 5x2 grid
@@ -93,12 +99,10 @@ func buildEightControllerScenario(spec RunSpec) (*Experiment, error) {
 	if err := cell.Deploy(vc); err != nil {
 		return nil, err
 	}
-	feed, err := cell.StartSensorFeed(1, 250*time.Millisecond, func() []SensorReading {
-		return []SensorReading{
-			{Port: 0, Value: 50}, {Port: 1, Value: 49},
-			{Port: 2, Value: 51}, {Port: 3, Value: 50},
-		}
-	})
+	feed, err := cell.StartSensorFeed(1, 250*time.Millisecond, fixedFeed(
+		SensorReading{Port: 0, Value: 50}, SensorReading{Port: 1, Value: 49},
+		SensorReading{Port: 2, Value: 51}, SensorReading{Port: 3, Value: 50},
+	))
 	if err != nil {
 		return nil, err
 	}
@@ -168,9 +172,8 @@ func buildCapacityScenario(spec RunSpec) (*Experiment, error) {
 	if err := cell.Deploy(vc); err != nil {
 		return nil, err
 	}
-	feed, err := cell.StartSensorFeed(gwNode, 250*time.Millisecond, func() []SensorReading {
-		return []SensorReading{{Port: 0, Value: 49}, {Port: 1, Value: 51}}
-	})
+	feed, err := cell.StartSensorFeed(gwNode, 250*time.Millisecond,
+		fixedFeed(SensorReading{Port: 0, Value: 49}, SensorReading{Port: 1, Value: 51}))
 	if err != nil {
 		return nil, err
 	}

@@ -88,12 +88,10 @@ func refineryUnit(letter string) CellSpec {
 		Feed: &FeedSpec{
 			Source: 1,
 			Period: 250 * time.Millisecond,
-			Sample: func() []SensorReading {
-				return []SensorReading{
-					{Port: 0, Value: 50}, {Port: 1, Value: 49},
-					{Port: 2, Value: 51}, {Port: 3, Value: 50},
-				}
-			},
+			Sample: fixedFeed(
+				SensorReading{Port: 0, Value: 50}, SensorReading{Port: 1, Value: 49},
+				SensorReading{Port: 2, Value: 51}, SensorReading{Port: 3, Value: 50},
+			),
 		},
 	}
 }
@@ -258,9 +256,7 @@ func buildCampusFailoverScenario(spec RunSpec) (*Experiment, error) {
 			Feed: &FeedSpec{
 				Source: 1,
 				Period: 250 * time.Millisecond,
-				Sample: func() []SensorReading {
-					return []SensorReading{{Port: 0, Value: 50}}
-				},
+				Sample: fixedFeed(SensorReading{Port: 0, Value: 50}),
 			},
 		}
 	}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"time"
+
+	"evm/internal/vm"
 )
 
 // OTA scenario names (the fixed table in registry.go).
@@ -93,19 +95,19 @@ func OTABadCapsule(taskID string, version uint8) (Capsule, error) {
 }
 
 // RegisterOTACapsules registers capsule versions v1 (the deployed law)
-// and v2 (the retuned law) for every listed task.
+// and v2 (the retuned law) for every listed task. Each law is assembled
+// once; Register copies the code, so every task's capsule shares it.
 func RegisterOTACapsules(store *CapsuleStore, tasks []string) error {
-	versions := []struct {
+	for _, ver := range []struct {
 		v   uint8
 		src string
-	}{{1, otaLawV1}, {2, otaLawV2}}
-	for _, task := range tasks {
-		for _, ver := range versions {
-			c, err := AssembleCapsule(task, ver.v, ver.src)
-			if err != nil {
-				return err
-			}
-			if err := store.Register(c); err != nil {
+	}{{1, otaLawV1}, {2, otaLawV2}} {
+		code, err := vm.Assemble(ver.src)
+		if err != nil {
+			return err
+		}
+		for _, task := range tasks {
+			if err := store.Register(Capsule{TaskID: task, Version: ver.v, Code: code}); err != nil {
 				return err
 			}
 		}
@@ -115,8 +117,10 @@ func RegisterOTACapsules(store *CapsuleStore, tasks []string) error {
 
 // otaUnit declares one ota-campus cell: OTACellNodes nodes on a 4x2
 // grid, two VM-law pressure loops on candidate pairs 3/4 and 5/6, and a
-// synthetic two-port feed.
+// synthetic two-port feed. The v1 law is assembled once per unit; every
+// replica's interpreter copies it.
 func otaUnit(letter string) CellSpec {
+	lawV1, lawErr := vm.Assemble(otaLawV1)
 	tasks := make([]TaskSpec, 0, 2)
 	for i := 0; i < 2; i++ {
 		taskID := fmt.Sprintf("%s-press-%d", letter, i)
@@ -131,11 +135,10 @@ func otaUnit(letter string) CellSpec {
 			DeviationWindow: 4,
 			SilenceWindow:   8,
 			MakeLogic: func() (TaskLogic, error) {
-				c, err := AssembleCapsule(taskID, 1, otaLawV1)
-				if err != nil {
-					return nil, err
+				if lawErr != nil {
+					return nil, lawErr
 				}
-				return NewVMLogic(c)
+				return NewVMLogic(Capsule{TaskID: taskID, Version: 1, Code: lawV1})
 			},
 		})
 	}
@@ -152,9 +155,7 @@ func otaUnit(letter string) CellSpec {
 		Feed: &FeedSpec{
 			Source: 1,
 			Period: 250 * time.Millisecond,
-			Sample: func() []SensorReading {
-				return []SensorReading{{Port: 0, Value: 48}, {Port: 1, Value: 46}}
-			},
+			Sample: fixedFeed(SensorReading{Port: 0, Value: 48}, SensorReading{Port: 1, Value: 46}),
 		},
 	}
 }
@@ -354,8 +355,7 @@ func buildModeChangeLineScenario(spec RunSpec) (*Experiment, error) {
 		n.SetModeTasks(ModeLinePurge, []string{ModeLinePurgeTask})
 	}
 	feed, err := cell.StartSensorFeedTo(ModeLineGateway, 250*time.Millisecond,
-		func() []SensorReading { return []SensorReading{{Port: 0, Value: 48}} },
-		ModeLinePrimary, ModeLineBackup)
+		fixedFeed(SensorReading{Port: 0, Value: 48}), ModeLinePrimary, ModeLineBackup)
 	if err != nil {
 		return nil, err
 	}

@@ -71,8 +71,7 @@ func buildPipelineScenario(spec RunSpec) (*Experiment, error) {
 		return nil, err
 	}
 	feed, err := cell.StartSensorFeedTo(PipeGateway, 250*time.Millisecond,
-		func() []SensorReading { return []SensorReading{{Port: 0, Value: 50}} },
-		PipePrimary, PipeBackup)
+		fixedFeed(SensorReading{Port: 0, Value: 50}), PipePrimary, PipeBackup)
 	if err != nil {
 		return nil, err
 	}
