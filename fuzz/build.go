@@ -88,15 +88,14 @@ func taskSpecs(c CellGen, store *evm.CapsuleStore) []evm.TaskSpec {
 	return tasks
 }
 
-// feedSample synthesizes one near-setpoint reading per loop.
+// feedSample synthesizes one near-setpoint reading per loop, built once
+// and returned on every feed tick.
 func feedSample(tasks int) func() []evm.SensorReading {
-	return func() []evm.SensorReading {
-		out := make([]evm.SensorReading, tasks)
-		for i := range out {
-			out[i] = evm.SensorReading{Port: uint8(i), Value: float64(48 + i)}
-		}
-		return out
+	out := make([]evm.SensorReading, tasks)
+	for i := range out {
+		out[i] = evm.SensorReading{Port: uint8(i), Value: float64(48 + i)}
 	}
+	return func() []evm.SensorReading { return out }
 }
 
 func placementFor(c CellGen) evm.Placement {

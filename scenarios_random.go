@@ -58,13 +58,11 @@ func buildRandomFieldScenario(spec RunSpec) (*Experiment, error) {
 	if err := cell.Deploy(vc); err != nil {
 		return nil, err
 	}
-	feed, err := cell.StartSensorFeed(1, time.Second, func() []SensorReading {
-		out := make([]SensorReading, 8)
-		for i := range out {
-			out[i] = SensorReading{Port: uint8(i), Value: 50 + float64(i%3) - 1}
-		}
-		return out
-	})
+	readings := make([]SensorReading, 8)
+	for i := range readings {
+		readings[i] = SensorReading{Port: uint8(i), Value: 50 + float64(i%3) - 1}
+	}
+	feed, err := cell.StartSensorFeed(1, time.Second, fixedFeed(readings...))
 	if err != nil {
 		cell.Stop()
 		return nil, err
