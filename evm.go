@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"evm/internal/core"
+	"evm/internal/gateway"
 	"evm/internal/radio"
 	"evm/internal/rtlink"
 	"evm/internal/sim"
@@ -132,6 +133,8 @@ type Cell struct {
 	// act is the one ActuationEvent every accepted actuation is written
 	// into and published by address (see publishActuation).
 	act ActuationEvent
+	// sink is the actuation sink's operation switch (installActuationSink).
+	sink gateway.Switch
 }
 
 // NewCellWith builds a cell from functional options: membership, node
@@ -350,11 +353,11 @@ func (c *Cell) Deploy(vc VCConfig) error {
 }
 
 // installActuationSink puts a minimal actuation receiver on a gateway
-// node that hosts no runtime: accepted actuations are published as
-// actuation events on the cell's bus, so synthetic-feed scenarios observe
-// the control loop closing just like the gas-plant gateway does. A full
-// gateway runtime (gateway.New) installs its own handler and replaces
-// the sink.
+// node that hosts no runtime: an operation switch, starting empty, whose
+// accepted actuations are published as actuation events on the cell's
+// bus, so synthetic-feed scenarios close the control loop just like the
+// gas-plant gateway does. A full gateway runtime (gateway.New) installs
+// its own handler and replaces the sink.
 func (c *Cell) installActuationSink(vc VCConfig) {
 	gw := vc.Gateway
 	if gw == 0 || c.nodes[gw] != nil {
@@ -368,18 +371,18 @@ func (c *Cell) installActuationSink(vc VCConfig) {
 	for i, t := range vc.Tasks {
 		ids[i] = t.ID
 	}
-	var taskIDs wire.Interner = ids
+	c.sink = gateway.NewSwitch(ids, nil)
 	link.SetHandler(func(msg rtlink.Message) {
-		if msg.Kind != wire.KindActuate {
-			return
+		if act, ok := c.sink.Pass(msg); ok {
+			c.publishActuation(msg.Src, act.TaskID, act.Port, act.Value)
 		}
-		act, err := wire.DecodeActuateInterned(msg.Payload, taskIDs)
-		if err != nil {
-			return
-		}
-		c.publishActuation(msg.Src, act.TaskID, act.Port, act.Value)
 	})
 }
+
+// ActuationsDenied counts the actuations the cell's actuation sink
+// refused because their sender was not the task's Active node. A
+// gas-plant cell's gateway runtime counts its own (gateway.Stats).
+func (c *Cell) ActuationsDenied() int { return c.sink.Denied() }
 
 // publishActuation publishes an accepted actuation on the cell's bus. It
 // rewrites the cell's one ActuationEvent and publishes its address, so a

@@ -614,7 +614,7 @@ func (n *Node) reportFault(r *replica, reason wire.FaultReason, magnitude float6
 
 // onRoleChange applies the head's arbitration decision.
 func (n *Node) onRoleChange(msg rtlink.Message) {
-	rc, err := wire.DecodeRoleChange(msg.Payload)
+	rc, err := wire.DecodeRoleChangeInterned(msg.Payload, (*taskIDs)(n))
 	if err != nil {
 		return
 	}

@@ -3,9 +3,8 @@
 // through a gateway that speaks RT-Link on the wireless side and ModBus
 // toward the (simulated) UniSim workstation.
 //
-// The gateway also hosts the "operation switch" (OS-1 in Fig. 6(a)): for
-// each actuator it tracks which controller node is Active and forwards
-// only that node's commands to the plant.
+// The gateway also hosts the "operation switch" (OS-1 in Fig. 6(a), see
+// Switch): only the Active controller's commands reach the plant.
 package gateway
 
 import (
@@ -163,8 +162,7 @@ type Gateway struct {
 	cfg    Config
 	ticker *sim.Ticker
 	stats  Stats
-	active map[string]radio.NodeID
-	ids    wire.Interner // canonical task IDs for decoded actuations
+	sw     Switch
 
 	lastPollAt time.Duration
 	// readings and snap are pollOnce's reading list and encode buffer,
@@ -187,29 +185,27 @@ func New(eng *sim.Engine, link *rtlink.Link, ps *PlantServer, cfg Config) (*Gate
 		return nil, fmt.Errorf("gateway: poll period %v", cfg.Poll)
 	}
 	g := &Gateway{
-		eng:    eng,
-		link:   link,
-		cli:    &modbus.Client{UnitID: ps.Srv.UnitID},
-		ps:     ps,
-		cfg:    cfg,
-		active: make(map[string]radio.NodeID, len(cfg.ActiveNode)),
+		eng:  eng,
+		link: link,
+		cli:  &modbus.Client{UnitID: ps.Srv.UnitID},
+		ps:   ps,
+		cfg:  cfg,
+		sw:   NewSwitch(sim.SortedKeys(cfg.ActiveNode), cfg.ActiveNode),
 	}
-	for task, node := range cfg.ActiveNode {
-		g.active[task] = node
-	}
-	g.ids = wire.IDs(sim.SortedKeys(cfg.ActiveNode))
 	link.SetHandler(g.onMessage)
 	return g, nil
 }
 
-// Stats returns a copy of the counters.
-func (g *Gateway) Stats() Stats { return g.stats }
+// Stats returns a copy of the counters; ActuationsDenied includes the
+// operation switch's denials.
+func (g *Gateway) Stats() Stats {
+	s := g.stats
+	s.ActuationsDenied += g.sw.Denied()
+	return s
+}
 
 // ActiveNode returns the operation switch position for a task.
-func (g *Gateway) ActiveNode(task string) (radio.NodeID, bool) {
-	n, ok := g.active[task]
-	return n, ok
-}
+func (g *Gateway) ActiveNode(task string) (radio.NodeID, bool) { return g.sw.Active(task) }
 
 // Start begins the poll/broadcast cycle.
 func (g *Gateway) Start() {
@@ -264,30 +260,11 @@ func (g *Gateway) pollOnce() {
 	}
 }
 
-// onMessage handles actuation commands and operation-switch updates.
+// onMessage writes each actuation the operation switch lets through to
+// its plant register.
 func (g *Gateway) onMessage(msg rtlink.Message) {
-	switch msg.Kind {
-	case wire.KindActuate:
-		g.onActuate(msg)
-	case wire.KindRoleChange:
-		rc, err := wire.DecodeRoleChange(msg.Payload)
-		if err != nil {
-			return
-		}
-		if rc.Role == wire.RoleActive {
-			g.active[rc.TaskID] = radio.NodeID(rc.Node)
-		}
-	}
-}
-
-func (g *Gateway) onActuate(msg rtlink.Message) {
-	act, err := wire.DecodeActuateInterned(msg.Payload, g.ids)
-	if err != nil {
-		return
-	}
-	// Operation switch: only the Active controller reaches the plant.
-	if allowed, ok := g.active[act.TaskID]; ok && allowed != msg.Src {
-		g.stats.ActuationsDenied++
+	act, ok := g.sw.Pass(msg)
+	if !ok {
 		return
 	}
 	for _, am := range g.cfg.Actuators {

@@ -218,3 +218,24 @@ func TestBundleProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRoleChangeDecodeInterned: an interned role change equals the plain
+// decode, carries the interner's own task ID string and allocates nothing.
+func TestRoleChangeDecodeInterned(t *testing.T) {
+	in := RoleChange{Node: 4, TaskID: "lts-level", Role: RoleActive, Seq: 5}
+	b, err := in.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids Interner = IDs{"chiller-temp", "lts-level"}
+	out, err := DecodeRoleChangeInterned(b, ids)
+	if err != nil || out != in {
+		t.Fatalf("interned decode: %+v, %v", out, err)
+	}
+	if unsafe.StringData(out.TaskID) != unsafe.StringData(ids.(IDs)[1]) {
+		t.Fatal("decoded task ID is not the interned string")
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = DecodeRoleChangeInterned(b, ids) }); n != 0 {
+		t.Fatalf("interned role-change decode allocates %.0f times", n)
+	}
+}

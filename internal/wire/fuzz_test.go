@@ -92,6 +92,7 @@ func FuzzDecode(f *testing.F) {
 		// Decoders without an encoder of their own: no panic.
 		_, _ = DecodeSensors(b)
 		_, _ = DecodeActuateInterned(b, IDs{"lts-level"})
+		_, _ = DecodeRoleChangeInterned(b, IDs{"lts-level"})
 		_, _ = HealthBundleSender(b)
 		var snap SensorSnapshot
 		_ = DecodeSnapshotInto(b, &snap)
