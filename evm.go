@@ -132,9 +132,8 @@ type Cell struct {
 	bus  *Bus
 	// act is the one ActuationEvent every accepted actuation is written
 	// into and published by address (see publishActuation).
-	act ActuationEvent
-	// sink is the actuation sink's operation switch (installActuationSink).
-	sink gateway.Switch
+	act  ActuationEvent
+	sink gateway.Switch // the actuation sink's operation switch
 }
 
 // NewCellWith builds a cell from functional options: membership, node
@@ -353,18 +352,12 @@ func (c *Cell) Deploy(vc VCConfig) error {
 }
 
 // installActuationSink puts a minimal actuation receiver on a gateway
-// node that hosts no runtime: an operation switch, starting empty, whose
-// accepted actuations are published as actuation events on the cell's
-// bus, so synthetic-feed scenarios close the control loop just like the
-// gas-plant gateway does. A full gateway runtime (gateway.New) installs
-// its own handler and replaces the sink.
+// node that hosts no runtime: an empty operation switch that publishes
+// what it lets through as actuation events on the cell's bus, as the
+// gas-plant gateway does. A full gateway runtime (gateway.New) replaces it.
 func (c *Cell) installActuationSink(vc VCConfig) {
-	gw := vc.Gateway
-	if gw == 0 || c.nodes[gw] != nil {
-		return
-	}
-	link := c.net.Link(gw)
-	if link == nil {
+	link := c.net.Link(vc.Gateway)
+	if vc.Gateway == 0 || c.nodes[vc.Gateway] != nil || link == nil {
 		return
 	}
 	ids := make(wire.IDs, len(vc.Tasks))
@@ -379,9 +372,8 @@ func (c *Cell) installActuationSink(vc VCConfig) {
 	})
 }
 
-// ActuationsDenied counts the actuations the cell's actuation sink
-// refused because their sender was not the task's Active node. A
-// gas-plant cell's gateway runtime counts its own (gateway.Stats).
+// ActuationsDenied counts the actuations the cell's actuation sink refused
+// (see gateway.Switch); a gas-plant cell's gateway runtime counts its own.
 func (c *Cell) ActuationsDenied() int { return c.sink.Denied() }
 
 // publishActuation publishes an accepted actuation on the cell's bus. It

@@ -88,8 +88,7 @@ func taskSpecs(c CellGen, store *evm.CapsuleStore) []evm.TaskSpec {
 	return tasks
 }
 
-// feedSample synthesizes one near-setpoint reading per loop, built once
-// and returned on every feed tick.
+// feedSample synthesizes one fixed near-setpoint reading per loop.
 func feedSample(tasks int) func() []evm.SensorReading {
 	out := make([]evm.SensorReading, tasks)
 	for i := range out {

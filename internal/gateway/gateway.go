@@ -196,16 +196,12 @@ func New(eng *sim.Engine, link *rtlink.Link, ps *PlantServer, cfg Config) (*Gate
 	return g, nil
 }
 
-// Stats returns a copy of the counters; ActuationsDenied includes the
-// operation switch's denials.
+// Stats returns a copy of the counters, the switch's denials included.
 func (g *Gateway) Stats() Stats {
 	s := g.stats
-	s.ActuationsDenied += g.sw.Denied()
+	s.ActuationsDenied += g.sw.denied
 	return s
 }
-
-// ActiveNode returns the operation switch position for a task.
-func (g *Gateway) ActiveNode(task string) (radio.NodeID, bool) { return g.sw.Active(task) }
 
 // Start begins the poll/broadcast cycle.
 func (g *Gateway) Start() {
@@ -260,8 +256,7 @@ func (g *Gateway) pollOnce() {
 	}
 }
 
-// onMessage writes each actuation the operation switch lets through to
-// its plant register.
+// onMessage writes each actuation the switch lets through to the plant.
 func (g *Gateway) onMessage(msg rtlink.Message) {
 	act, ok := g.sw.Pass(msg)
 	if !ok {

@@ -141,7 +141,7 @@ func TestOperationSwitchDeniesNonActive(t *testing.T) {
 	if r.gw.Stats().ActuationsDenied == 0 {
 		t.Fatal("denial not counted")
 	}
-	if n, ok := r.gw.ActiveNode("lts"); !ok || n != 99 {
+	if n, ok := r.gw.sw.active["lts"]; !ok || n != 99 {
 		t.Fatalf("switch position = %v", n)
 	}
 }

@@ -8,62 +8,39 @@ import (
 	"evm/internal/wire"
 )
 
-// Switch is the operation switch (OS-1 in Fig. 6(a)): per task, only the
-// node the head last made Active reaches the plant. The gateway runtime
-// and every cell's actuation sink pass their messages through one.
-//
-// A RoleActive role change moves the switch; other roles do not. A task
-// with no entry lets any sender through, so a switch fences a task from
-// its first RoleActive on. The gateway starts at Config.ActiveNode; a
-// cell's sink starts empty. Seeded from each task's first candidate, a
-// sink that never hears a promotion (the head broadcasts it once, and
-// broadcasts are not relayed along a line) would hold the plant on the old
-// primary for good: the multi-hop pipeline's backup would never actuate.
-// Head.AdoptTask sends no RoleActive, so an adopted foreign task passes
-// unfenced until the hosting head fails it over.
+// Switch is the operation switch: per task, only the node named by the
+// last RoleActive role change reaches the plant; a task with no entry
+// passes any sender. A cell's sink starts empty, since a seeded one that
+// missed a promotion (broadcasts are single-hop) would pin the old primary
+// for good. Head.AdoptTask sends no RoleActive: adopted tasks pass unfenced.
 type Switch struct {
 	ids    wire.Interner // canonical task IDs, boxed once, not per message
 	active map[string]radio.NodeID
 	denied int
 }
 
-// NewSwitch returns a switch interning task IDs against ids, positioned
-// at a copy of active (nil: empty).
+// NewSwitch returns a switch over task IDs ids, set to a copy of active.
 func NewSwitch(ids wire.IDs, active map[string]radio.NodeID) Switch {
-	s := Switch{ids: ids, active: make(map[string]radio.NodeID, len(active))}
-	maps.Copy(s.active, active)
-	return s
+	return Switch{ids: ids, active: maps.Collect(maps.All(active))}
 }
 
-// Pass feeds one received message to the switch. It returns an actuation
-// and true only for an actuation the switch lets through; a denied one is
-// counted. Role changes, other kinds and undecodable payloads return
-// false.
+// Pass feeds the switch one received message. It returns an actuation
+// and true only if the switch lets it through, and counts a refused one.
 func (s *Switch) Pass(msg rtlink.Message) (wire.Actuate, bool) {
 	switch msg.Kind {
 	case wire.KindRoleChange:
-		rc, err := wire.DecodeRoleChangeInterned(msg.Payload, s.ids)
-		if err == nil && rc.Role == wire.RoleActive {
+		if rc, err := wire.DecodeRoleChangeInterned(msg.Payload, s.ids); err == nil && rc.Role == wire.RoleActive {
 			s.active[rc.TaskID] = radio.NodeID(rc.Node)
 		}
 	case wire.KindActuate:
 		act, err := wire.DecodeActuateInterned(msg.Payload, s.ids)
-		if err != nil {
-			break
-		}
-		if allowed, ok := s.active[act.TaskID]; ok && allowed != msg.Src {
+		if allowed, ok := s.active[act.TaskID]; err == nil && ok && allowed != msg.Src {
 			s.denied++
 			break
 		}
-		return act, true
+		return act, err == nil
 	}
 	return wire.Actuate{}, false
-}
-
-// Active returns the switch position for a task.
-func (s *Switch) Active(task string) (radio.NodeID, bool) {
-	n, ok := s.active[task]
-	return n, ok
 }
 
 // Denied counts the actuations the switch refused.

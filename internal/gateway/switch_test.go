@@ -45,12 +45,12 @@ func TestOnlyRoleActiveMovesSwitch(t *testing.T) {
 		if _, ok := sw.Pass(roleMsg(t, 3, "lts", role)); ok {
 			t.Fatalf("%v role change returned an actuation", role)
 		}
-		if n, _ := sw.Active("lts"); n != 2 {
+		if n := sw.active["lts"]; n != 2 {
 			t.Fatalf("%v moved the switch to %v", role, n)
 		}
 	}
 	sw.Pass(roleMsg(t, 3, "lts", wire.RoleActive))
-	if n, ok := sw.Active("lts"); !ok || n != 3 {
+	if n, ok := sw.active["lts"]; !ok || n != 3 {
 		t.Fatalf("RoleActive left the switch at %v, %v", n, ok)
 	}
 	if _, ok := sw.Pass(actuateMsg(t, 3, "lts")); !ok {

@@ -534,8 +534,7 @@ func (rc RoleChange) Encode() ([]byte, error) {
 // DecodeRoleChange unpacks a role change.
 func DecodeRoleChange(b []byte) (RoleChange, error) { return DecodeRoleChangeInterned(b, nil) }
 
-// DecodeRoleChangeInterned unpacks a role change, taking its task ID from
-// ids.
+// DecodeRoleChangeInterned unpacks a role change, taking its task ID from ids.
 func DecodeRoleChangeInterned(b []byte, ids Interner) (RoleChange, error) {
 	r := reader{buf: b, ids: ids}
 	var rc RoleChange
