@@ -158,9 +158,9 @@ func run() error {
 	fmt.Printf("\nrollout %s; v2 law active: output %.1f (3 x (70-40))\n\n", rollout.State(), out)
 
 	// The bad batch: v3 attests fine but never actuates. The health
-	// window after activation trips missed-actuation and the subsystem
-	// reverts the task to v2 automatically — state intact, the loop
-	// resumes where v2 left off.
+	// window after activation trips missed-actuation, and the subsystem
+	// swaps the v2 code back into the running interpreter: the loop
+	// resumes on v2 with the state the interpreter holds.
 	bad, err := evm.AssembleCapsule("north-loop", 3, v3Source)
 	if err != nil {
 		return err

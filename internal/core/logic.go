@@ -146,47 +146,42 @@ func (h *vmHost) Out(port uint8, v int64) error {
 // the program (memory persists across cycles — it is the controller
 // state) and runs it to completion under a gas bound.
 type VMLogic struct {
-	// capsule.Code is the interpreter's own copy of the code, so the
-	// logic holds the program once.
-	capsule vm.Capsule
-	// encoded is the capsule's encoding, made on first use and kept: the
-	// capsule never changes, and every checkpoint ships it.
-	encoded []byte
-	interp  *vm.Interp
-	host    vmHost
+	// code is the capsule the interpreter runs: own, or a staged capsule
+	// ActivateStaged swapped in.
+	code   *VerifiedCapsule
+	own    VerifiedCapsule
+	interp *vm.Interp
+	host   vmHost
 }
 
 var _ TaskLogic = (*VMLogic)(nil)
 
 // NewVMLogic instantiates the capsule after attestation-style re-encoding
 // checks (the capsule is assumed already attested by the migration path).
-// Each Step runs under vm.DefaultGas.
+// The logic keeps the encoding, which checkpoints and migrations ship, and
+// its interpreter runs the code inside it: one copy of the program. Each
+// Step runs under vm.DefaultGas.
 func NewVMLogic(c vm.Capsule) (*VMLogic, error) {
 	if len(c.Code) == 0 {
 		return nil, errors.New("core: empty capsule")
 	}
-	l := &VMLogic{}
-	l.interp = vm.New(c.Code, &l.host)
-	c.Code = l.interp.Code()
-	l.capsule = c
+	enc, err := c.Encode()
+	if err != nil {
+		return nil, err
+	}
+	// The encoding ends with the code and its 8-byte checksum.
+	c.Code = enc[len(enc)-8-len(c.Code) : len(enc)-8]
+	l := &VMLogic{own: VerifiedCapsule{Capsule: c, Encoded: enc}}
+	l.interp = vm.New(nil, &l.host)
+	l.swap(&l.own)
 	return l, nil
 }
 
-// Capsule returns the code capsule backing the logic. Its Code is the
-// interpreter's: read it, do not modify it.
-func (l *VMLogic) Capsule() vm.Capsule { return l.capsule }
-
-// encodedCapsule returns the capsule's encoding. The slice is the
-// logic's own: callers read it or copy it, never modify it.
-func (l *VMLogic) encodedCapsule() ([]byte, error) {
-	if l.encoded == nil {
-		enc, err := l.capsule.Encode()
-		if err != nil {
-			return nil, err
-		}
-		l.encoded = enc
-	}
-	return l.encoded, nil
+// swap makes c the capsule the logic runs, keeping the interpreter's
+// state when its pc lies in c's code and starting fresh otherwise.
+func (l *VMLogic) swap(c *VerifiedCapsule) {
+	_ = l.interp.SwapCode(c.Code)
+	l.code = c
 }
 
 // Step implements TaskLogic.
@@ -196,10 +191,10 @@ func (l *VMLogic) Step(input, dt float64) (float64, error) {
 	l.host.hasOut = false
 	l.interp.Reset()
 	if err := l.interp.Run(vm.DefaultGas); err != nil {
-		return 0, fmt.Errorf("capsule %s: %w", l.capsule.TaskID, err)
+		return 0, fmt.Errorf("capsule %s: %w", l.code.TaskID, err)
 	}
 	if !l.host.hasOut {
-		return 0, fmt.Errorf("core: capsule %s produced no output", l.capsule.TaskID)
+		return 0, fmt.Errorf("core: capsule %s produced no output", l.code.TaskID)
 	}
 	return vm.FromQ(l.host.output), nil
 }

@@ -20,11 +20,7 @@ func (n *Node) MigrateTask(taskID string, dest radio.NodeID) error {
 		return fmt.Errorf("core: node %v holds no task %s", n.id, taskID)
 	}
 	if vl, isVM := r.logic.(*VMLogic); isVM {
-		enc, err := vl.encodedCapsule()
-		if err != nil {
-			return err
-		}
-		n.send(rtlink.Message{Dst: dest, Kind: wire.KindCapsule, Payload: enc})
+		n.send(rtlink.Message{Dst: dest, Kind: wire.KindCapsule, Payload: vl.code.Encoded})
 	}
 	blob, err := r.logic.AppendSnapshot(nil)
 	if err != nil {
@@ -150,11 +146,7 @@ func (n *Node) ExportTask(taskID string, ex *wire.TaskExport) error {
 	}
 	ex.TaskID, ex.Seq, ex.Capsule = taskID, r.outSeq, ex.Capsule[:0]
 	if vl, isVM := r.logic.(*VMLogic); isVM {
-		enc, err := vl.encodedCapsule()
-		if err != nil {
-			return err
-		}
-		ex.Capsule = append(ex.Capsule, enc...)
+		ex.Capsule = append(ex.Capsule, vl.code.Encoded...)
 	}
 	blob, err := r.logic.AppendSnapshot(ex.Blob[:0])
 	if err != nil {

@@ -49,13 +49,12 @@ type replica struct {
 	roleSeq uint32 // last applied role-change sequence
 	enabled bool   // mode gating
 
-	// OTA staging (see ota.go): staged holds an attested-but-inactive
-	// capsule logic awaiting the rollout commit point; prev retains the
-	// previously active logic (state intact) for rollback.
-	staged        *VMLogic
-	stagedVersion uint8
-	prev          TaskLogic
-	prevVersion   uint8
+	// OTA (see ota.go): staged awaits the rollout commit point; after
+	// ActivateStaged, outgoing is the code it swapped out, or native the
+	// non-VM logic it replaced, kept for RevertCapsule.
+	staged   *VerifiedCapsule
+	outgoing *VerifiedCapsule
+	native   TaskLogic
 }
 
 // Node is the EVM runtime on one physical node: it executes its task

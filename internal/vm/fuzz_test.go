@@ -92,9 +92,11 @@ func FuzzVMDecodeRun(f *testing.F) {
 // FuzzVMLoadState: LoadState never panics on arbitrary bytes. Input it
 // rejects leaves the interpreter's state exactly as it was; input it
 // accepts re-encodes to itself, so the decoder admits only what
-// AppendState can produce. The interpreter is stopped inside a call with
-// some memory set, so "unchanged" is not an empty state. Seeds are
-// encodings of reachable states and damaged or foreign-sized ones.
+// AppendState can produce. An accepted state then meets SwapCode to
+// shorter code, which keeps it or resets it as its pc decides. The
+// interpreter is stopped inside a call with some memory set, so
+// "unchanged" is not an empty state. Seeds are encodings of reachable
+// states and damaged or foreign-sized ones.
 func FuzzVMLoadState(f *testing.F) {
 	code, err := Assemble("PUSH -5\nCALL sub\nHALT\nsub:\nPUSH 7\nRET")
 	if err != nil {
@@ -129,6 +131,18 @@ func FuzzVMLoadState(f *testing.F) {
 		}
 		if got := in.AppendState(nil); !bytes.Equal(got, b) {
 			t.Fatalf("accepted input re-encodes differently:\n in %x\nout %x", b, got)
+		}
+		// Swapping in shorter code keeps the loaded state when its pc
+		// fits and resets it to a fresh interpreter's otherwise.
+		short := code[:len(code)/2]
+		pc := in.PC()
+		fits := pc <= len(short)
+		want := b
+		if !fits {
+			want = New(short, nil).AppendState(nil)
+		}
+		if err := in.SwapCode(short); (err == nil) != fits || !bytes.Equal(in.AppendState(nil), want) {
+			t.Fatalf("SwapCode of pc %d into %d bytes: err %v, state %x", pc, len(short), err, in.AppendState(nil))
 		}
 	})
 }

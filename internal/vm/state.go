@@ -94,21 +94,18 @@ func loadWords(dst []int64, b []byte) []int64 {
 	return dst
 }
 
-// CopyStateFrom replaces the interpreter's execution state with src's,
-// as AppendState on src then LoadState on in would, without the bytes.
-// LoadState's checks hold: src's pc must lie in this interpreter's code,
-// its stacks must fit DefaultStackDepth and its memory must have exactly
-// this interpreter's word count. On error the interpreter is left
-// unchanged. It copies into the interpreter's own slices, so it
-// allocates nothing.
-func (in *Interp) CopyStateFrom(src *Interp) error {
-	if src.pc > len(in.code) || len(src.data) > DefaultStackDepth || len(src.ret) > DefaultStackDepth ||
-		len(src.mem) != len(in.mem) {
-		return errBadState
+// SwapCode makes code the interpreter's program in place of its current
+// one, sharing the slice: the caller must not modify it afterwards. The
+// execution state is kept when LoadState would accept it for the new
+// code, that is when the pc lies in it (the stacks and memory are the
+// interpreter's own). Otherwise the state resets to a fresh interpreter's,
+// memory zeroed, and SwapCode returns an error. It allocates nothing.
+func (in *Interp) SwapCode(code []byte) error {
+	in.code = code
+	if in.pc <= len(code) {
+		return nil
 	}
-	in.pc, in.halted = src.pc, src.halted
-	in.data = append(in.data[:0], src.data...)
-	in.ret = append(in.ret[:0], src.ret...)
-	copy(in.mem, src.mem)
-	return nil
+	in.Reset()
+	clear(in.mem)
+	return errBadState
 }

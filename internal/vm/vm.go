@@ -125,8 +125,8 @@ func New(code []byte, host Host) *Interp {
 	}
 }
 
-// Code returns the program the interpreter runs: its own copy, which
-// callers may keep and read but must not modify.
+// Code returns the program the interpreter runs (New's copy or SwapCode's
+// slice). Callers may keep and read it but must not modify it.
 func (in *Interp) Code() []byte { return in.code }
 
 // RegisterOp installs a runtime extension opcode (>= ExtBase). The

@@ -583,11 +583,12 @@ func TestProgramFallsOffEndHalts(t *testing.T) {
 	}
 }
 
-// TestCopyStateFromMatchesBytes: copying state interpreter to
-// interpreter gives what AppendState then LoadState gives, allocates
-// nothing, and, like LoadState, refuses a pc past the target's code or a
-// memory of another word count, leaving the target unchanged.
-func TestCopyStateFromMatchesBytes(t *testing.T) {
+// TestSwapCodeKeepsOrResetsState: swapping in code that the pc fits
+// keeps the whole execution state, and code too short for the pc resets
+// it to a fresh interpreter's, memory included. Either way the
+// interpreter runs the caller's slice, not a copy, and the swap
+// allocates nothing.
+func TestSwapCodeKeepsOrResetsState(t *testing.T) {
 	code, err := Assemble(`
 		PUSH 7
 		PUSH 0
@@ -598,43 +599,38 @@ func TestCopyStateFromMatchesBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := New(code, nil)
-	if err := src.Run(DefaultGas); err != nil {
+	longer := append(append([]byte(nil), code...), byte(OpNop))
+	short := code[:1]
+	in := New(code, nil)
+	if err := in.Run(DefaultGas); err != nil {
 		t.Fatal(err)
 	}
-	want := New(code, nil)
-	if err := want.LoadState(src.AppendState(nil)); err != nil {
-		t.Fatal(err)
+	state := in.AppendState(nil)
+	if err := in.SwapCode(longer); err != nil {
+		t.Fatalf("swap with the pc in the new code: %v", err)
 	}
-	got := New(code, nil)
-	if err := got.CopyStateFrom(src); err != nil {
-		t.Fatal(err)
+	if got := in.AppendState(nil); !bytes.Equal(got, state) {
+		t.Fatalf("state after a fitting swap %x, want %x", got, state)
 	}
-	if !bytes.Equal(got.AppendState(nil), want.AppendState(nil)) {
-		t.Fatalf("copied state %x, loaded state %x", got.AppendState(nil), want.AppendState(nil))
+	if &in.Code()[0] != &longer[0] {
+		t.Fatal("SwapCode copied the code")
 	}
-	if allocs := testing.AllocsPerRun(100, func() { _ = got.CopyStateFrom(src) }); allocs != 0 {
-		t.Fatalf("CopyStateFrom allocates %v times, want 0", allocs)
+	if err := in.SwapCode(short); err == nil {
+		t.Fatal("SwapCode kept a pc past the new code")
 	}
-
-	short := New(code[:1], nil)
-	fresh := short.AppendState(nil)
-	if err := short.LoadState(src.AppendState(nil)); err == nil {
-		t.Fatal("LoadState accepted a pc past the code")
+	if got, want := in.AppendState(nil), New(short, nil).AppendState(nil); !bytes.Equal(got, want) {
+		t.Fatalf("state after a refused swap %x, want a fresh interpreter's %x", got, want)
 	}
-	if err := short.CopyStateFrom(src); err == nil {
-		t.Fatal("CopyStateFrom accepted a pc past the code")
+	if &in.Code()[0] != &short[0] {
+		t.Fatal("SwapCode did not install the code it refused the state for")
 	}
-	if !bytes.Equal(short.AppendState(nil), fresh) {
-		t.Fatal("a refused copy changed the interpreter")
-	}
-	small := New(code, nil)
-	small.mem = make([]int64, 8)
-	fresh = small.AppendState(nil)
-	if err := small.CopyStateFrom(src); err == nil {
-		t.Fatal("CopyStateFrom accepted a memory of another word count")
-	}
-	if !bytes.Equal(small.AppendState(nil), fresh) {
-		t.Fatal("a refused copy changed the interpreter")
+	allocs := testing.AllocsPerRun(100, func() {
+		_ = in.SwapCode(code)
+		_ = in.Run(DefaultGas)
+		_ = in.SwapCode(longer) // keeps
+		_ = in.SwapCode(short)  // resets
+	})
+	if allocs != 0 {
+		t.Fatalf("SwapCode allocates %v times, want 0", allocs)
 	}
 }

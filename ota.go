@@ -8,9 +8,9 @@ import (
 	"sync"
 	"time"
 
+	"evm/internal/core"
 	"evm/internal/sim"
 	"evm/internal/span"
-	"evm/internal/vm"
 	"evm/internal/wire"
 )
 
@@ -543,7 +543,7 @@ func (r *Rollout) addCatchUpStage() bool {
 }
 
 // onPrepare lands one prepare leg in a hosting cell: attest the capsule
-// (vm.Decode verifies the checksum) and stage it on every replica
+// (core.VerifyCapsule checks the checksum) and stage it on every replica
 // holder. Holders retired since the start-of-rollout snapshot (a
 // rebalance or migration moved the replica away) are dropped from the
 // target list — the catch-up rescan finds wherever the replica went —
@@ -559,7 +559,8 @@ func (r *Rollout) onPrepare(cell int, payload []byte) {
 		r.fail("decode")
 		return
 	}
-	capsule, err := vm.Decode(msg.Capsule)
+	// msg.Capsule is the decoder's copy: one verified capsule per leg.
+	capsule, err := core.VerifyCapsule(msg.Capsule)
 	if err != nil {
 		r.fail("attestation")
 		return
