@@ -20,14 +20,12 @@ import (
 // MaxRetries attempts).
 //
 // The link fields describe the full-mesh link every cell pair gets when
-// CampusConfig.Links is empty, and the defaults an explicit link's zero
-// Latency and BandwidthBPS inherit.
+// CampusConfig.Links is empty, and the default an explicit link's zero
+// Latency inherits. Every link serializes at backboneBPS.
 type BackboneConfig struct {
 	// Latency is the one-way gateway-to-gateway propagation delay of a
 	// default (mesh) link.
 	Latency time.Duration
-	// BandwidthBPS is the serialization rate (default: 10 Mbit/s).
-	BandwidthBPS float64
 	// PER is the per-hop loss probability in [0, 1).
 	PER float64
 	// RetryAfter is the end-to-end retransmit delay after a lost hop.
@@ -40,21 +38,20 @@ type BackboneConfig struct {
 // one-way latency (plant backhaul, not a LAN switch), 10 Mbit/s, lossless.
 func DefaultBackboneConfig() BackboneConfig {
 	return BackboneConfig{
-		Latency:      20 * time.Millisecond,
-		BandwidthBPS: 10_000_000,
-		PER:          0,
-		RetryAfter:   100 * time.Millisecond,
-		MaxRetries:   10,
+		Latency:    20 * time.Millisecond,
+		PER:        0,
+		RetryAfter: 100 * time.Millisecond,
+		MaxRetries: 10,
 	}
 }
+
+// backboneBPS is every backbone link's serialization rate, 10 Mbit/s.
+const backboneBPS = 10_000_000
 
 func (c BackboneConfig) withDefaults() BackboneConfig {
 	d := DefaultBackboneConfig()
 	if c.Latency <= 0 {
 		c.Latency = d.Latency
-	}
-	if c.BandwidthBPS <= 0 {
-		c.BandwidthBPS = d.BandwidthBPS
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = d.RetryAfter
@@ -72,14 +69,12 @@ func (c BackboneConfig) validate() error {
 	return nil
 }
 
-// LinkConfig describes one explicit backbone link. Zero fields inherit
-// the backbone's defaults (PER inherits 0, not the mesh default: an
+// LinkConfig describes one explicit backbone link. A zero Latency
+// inherits the backbone's; PER does not inherit the mesh default (an
 // explicit link is lossless unless said otherwise).
 type LinkConfig struct {
 	// Latency is the link's one-way propagation delay.
 	Latency time.Duration
-	// BandwidthBPS is the link's serialization rate.
-	BandwidthBPS float64
 	// PER is the per-hop loss probability in [0, 1).
 	PER float64
 }
@@ -146,7 +141,7 @@ func newBackbone(eng *sim.Engine, rng *sim.RNG, cfg BackboneConfig, names []stri
 		b.next[i] = make([]int, n)
 	}
 	if len(links) == 0 {
-		mesh := &LinkConfig{Latency: cfg.Latency, BandwidthBPS: cfg.BandwidthBPS, PER: cfg.PER}
+		mesh := &LinkConfig{Latency: cfg.Latency, PER: cfg.PER}
 		for i := range n {
 			for j := range n {
 				if i != j {
@@ -178,7 +173,7 @@ func (b *Backbone) cellIndex(name string) (int, bool) {
 }
 
 // addLink adds (or replaces) a bidirectional link between two named
-// cells. Zero LinkConfig fields inherit the backbone defaults.
+// cells. A zero Latency inherits the backbone's.
 func (b *Backbone) addLink(l BackboneLink) error {
 	ai, ci, err := b.resolveLink(l.A, l.B)
 	if err != nil {
@@ -190,9 +185,6 @@ func (b *Backbone) addLink(l BackboneLink) error {
 	}
 	if cfg.Latency <= 0 {
 		cfg.Latency = b.cfg.Latency
-	}
-	if cfg.BandwidthBPS <= 0 {
-		cfg.BandwidthBPS = b.cfg.BandwidthBPS
 	}
 	b.links[ai][ci], b.links[ci][ai] = &cfg, &cfg
 	return nil
@@ -369,7 +361,7 @@ func (b *Backbone) pathNames(path []int) []string {
 
 // transferTime returns one hop's latency plus serialization for a payload.
 func (b *Backbone) transferTime(link *LinkConfig, bytes int) time.Duration {
-	ser := time.Duration(float64(bytes*8) / link.BandwidthBPS * float64(time.Second))
+	ser := time.Duration(float64(bytes*8) / backboneBPS * float64(time.Second))
 	return link.Latency + ser
 }
 

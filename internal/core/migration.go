@@ -217,13 +217,7 @@ func (n *Node) RetireTask(taskID string) error {
 	}
 	i, _ := n.replicaIndex(taskID)
 	n.replicas = slices.Delete(slices.Clone(n.replicas), i, i+1)
-	kept := make(rtos.TaskSet, 0, len(n.taskset))
-	for _, t := range n.taskset {
-		if t.ID != rtos.TaskID(taskID) {
-			kept = append(kept, t)
-		}
-	}
-	n.taskset = kept
+	n.taskset = n.taskset.Without(rtos.TaskID(taskID))
 	return nil
 }
 

@@ -1,0 +1,128 @@
+package core
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+	"time"
+
+	"evm/internal/radio"
+	"evm/internal/wire"
+)
+
+// TestImportTaskAndAdoptState covers the out-of-band transfer path the
+// federation layer uses: what ImportTask refuses, and what ImportTask and
+// AdoptState restore. Each case runs on a fresh rig after the primary
+// exported its replica twice, 3 s apart (old and cur).
+func TestImportTaskAndAdoptState(t *testing.T) {
+	capsule := proportionalCapsule(t)
+	flipped, err := capsule.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped[len(flipped)-9] ^= 1 // last code byte, just before the checksum
+	hog := testSpec()
+	hog.ID, hog.WCET = "hog", hog.Period
+
+	cases := []struct {
+		name string
+		node radio.NodeID
+		// apply transfers an export into n and returns the export it used.
+		apply   func(n *Node, old, cur wire.TaskExport) (wire.TaskExport, error)
+		wantErr string // refusals: a fragment of the error
+		role    wire.Role
+		master  radio.NodeID // the replica's activeNode after the transfer
+	}{
+		{
+			name: "export names another task", node: spareID, wantErr: "export names task",
+			apply: func(n *Node, _, cur wire.TaskExport) (wire.TaskExport, error) {
+				cur.TaskID = "other"
+				return cur, n.ImportTask(testSpec(), cur, true)
+			},
+		},
+		{
+			name: "task already held", node: ctrlB, wantErr: "already holds",
+			apply: func(n *Node, _, cur wire.TaskExport) (wire.TaskExport, error) {
+				return cur, n.ImportTask(testSpec(), cur, true)
+			},
+		},
+		{
+			name: "capsule fails attestation", node: spareID, wantErr: "attestation",
+			apply: func(n *Node, _, cur wire.TaskExport) (wire.TaskExport, error) {
+				cur.Capsule = flipped
+				return cur, n.ImportTask(testSpec(), cur, true)
+			},
+		},
+		{
+			name: "node cannot schedule", node: ctrlA, wantErr: "cannot schedule",
+			apply: func(n *Node, _, _ wire.TaskExport) (wire.TaskExport, error) {
+				ex := wire.TaskExport{TaskID: "hog"}
+				return ex, n.ImportTask(hog, ex, true)
+			},
+		},
+		{
+			name: "import activates", node: spareID, role: wire.RoleActive, master: spareID,
+			apply: func(n *Node, _, cur wire.TaskExport) (wire.TaskExport, error) {
+				return cur, n.ImportTask(testSpec(), cur, true)
+			},
+		},
+		{
+			name: "adopt overwrites a replica", node: ctrlB, role: wire.RoleBackup, master: ctrlA,
+			apply: func(n *Node, old, _ wire.TaskExport) (wire.TaskExport, error) {
+				return old, n.AdoptState(testSpec(), old)
+			},
+		},
+		{
+			name: "adopt without a replica imports a backup", node: spareID, role: wire.RoleBackup, master: ctrlA,
+			apply: func(n *Node, _, cur wire.TaskExport) (wire.TaskExport, error) {
+				return cur, n.AdoptState(testSpec(), cur)
+			},
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			r := newRig(t, defaultCfg())
+			var old, cur wire.TaskExport
+			r.run(t, 3*time.Second)
+			if err := r.nodes[ctrlA].ExportTask("lts", &old); err != nil {
+				t.Fatal(err)
+			}
+			r.run(t, 3*time.Second)
+			if err := r.nodes[ctrlA].ExportTask("lts", &cur); err != nil {
+				t.Fatal(err)
+			}
+			if bytes.Equal(old.Blob, cur.Blob) || old.Seq == cur.Seq {
+				t.Fatal("premise: the two exports are equal")
+			}
+			n := r.nodes[c.node]
+			replicas, in := n.ReplicaCount(), n.Stats().MigrationsIn
+			ex, err := c.apply(n, old, cur)
+			if c.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+					t.Fatalf("err = %v, want one naming %q", err, c.wantErr)
+				}
+				if n.ReplicaCount() != replicas || n.Stats().MigrationsIn != in {
+					t.Fatal("a refused transfer changed the node")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := n.Stats().MigrationsIn; got != in+1 {
+				t.Fatalf("MigrationsIn %d -> %d, want +1", in, got)
+			}
+			rep := n.replica(ex.TaskID)
+			if rep == nil || rep.role != c.role || rep.activeNode != c.master {
+				t.Fatalf("replica %+v, want role %v with master %v", rep, c.role, c.master)
+			}
+			var back wire.TaskExport
+			if err := n.ExportTask(ex.TaskID, &back); err != nil {
+				t.Fatal(err)
+			}
+			if back.Seq != ex.Seq || !bytes.Equal(back.Blob, ex.Blob) {
+				t.Fatalf("restored seq %d state %x, want %d %x", back.Seq, back.Blob, ex.Seq, ex.Blob)
+			}
+		})
+	}
+}

@@ -144,11 +144,9 @@ func NewNode(net *rtlink.Network, link *rtlink.Link, cfg VCConfig) (*Node, error
 		if ro.Active {
 			role = wire.RoleActive
 		}
-		grown, ok := rtos.Admit(n.taskset, spec.RTOSTask(), rtos.TestRTA)
-		if !ok {
+		if !n.ensureAdmitted(spec) {
 			return nil, fmt.Errorf("core: node %v cannot schedule task %s", n.id, spec.ID)
 		}
-		n.taskset = grown
 		n.putReplica(&replica{
 			spec:       spec,
 			logic:      logic,

@@ -11,7 +11,7 @@ type AdmissionTest int
 
 // Admission tests. TestUB is the Liu-Layland utilization bound (cheap,
 // sufficient but not necessary); TestRTA is exact response-time analysis
-// for fixed priorities with deadlines <= periods.
+// for fixed priorities.
 const (
 	TestUB AdmissionTest = iota + 1
 	TestRTA
@@ -37,23 +37,14 @@ func UtilizationBound(n int) float64 {
 	return float64(n) * (math.Pow(2, 1/float64(n)) - 1)
 }
 
-// SchedulableUB applies the utilization-bound test. It is sufficient only
-// for implicit deadlines; sets with constrained deadlines fall back to RTA.
+// SchedulableUB applies the utilization-bound test.
 func SchedulableUB(ts TaskSet) bool {
-	if len(ts) == 0 {
-		return true
-	}
-	for _, t := range ts {
-		if t.EffectiveDeadline() != t.Period {
-			return SchedulableRTA(ts)
-		}
-	}
 	return ts.Utilization() <= UtilizationBound(len(ts))
 }
 
 // ResponseTime computes the worst-case response time of task in the set
 // using the standard recurrence R = C + sum_hp ceil(R/T_j) C_j. It returns
-// false if the recurrence diverges past the deadline.
+// false if the recurrence diverges past the deadline (the period).
 func ResponseTime(ts TaskSet, id TaskID) (time.Duration, bool) {
 	target, ok := ts.Find(id)
 	if !ok {
@@ -69,7 +60,6 @@ func ResponseTime(ts TaskSet, id TaskID) (time.Duration, bool) {
 			hp = append(hp, t)
 		}
 	}
-	deadline := target.EffectiveDeadline()
 	r := target.WCET
 	for iter := 0; iter < 1000; iter++ {
 		interference := time.Duration(0)
@@ -79,9 +69,9 @@ func ResponseTime(ts TaskSet, id TaskID) (time.Duration, bool) {
 		}
 		next := target.WCET + interference
 		if next == r {
-			return r, r <= deadline
+			return r, r <= target.Period
 		}
-		if next > deadline {
+		if next > target.Period {
 			return next, false
 		}
 		r = next
@@ -129,32 +119,4 @@ func Admit(ts TaskSet, task Task, test AdmissionTest) (TaskSet, bool) {
 		return ts, false
 	}
 	return grown, true
-}
-
-// Hyperperiod returns the LCM of all task periods (capped at 1h to avoid
-// overflow on pathological sets).
-func Hyperperiod(ts TaskSet) time.Duration {
-	const cap = time.Hour
-	h := time.Duration(1)
-	for _, t := range ts {
-		h = lcm(h, t.Period)
-		if h > cap {
-			return cap
-		}
-	}
-	return h
-}
-
-func gcd(a, b time.Duration) time.Duration {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}
-
-func lcm(a, b time.Duration) time.Duration {
-	if a == 0 || b == 0 {
-		return 0
-	}
-	return a / gcd(a, b) * b
 }

@@ -113,17 +113,6 @@ func TestRTARejectsInfeasible(t *testing.T) {
 	}
 }
 
-func TestConstrainedDeadlineFallsBackToRTA(t *testing.T) {
-	// Low utilization but a deadline tighter than interference allows.
-	ts := TaskSet{
-		{ID: "a", Period: ms(100), WCET: ms(30), Priority: 1},
-		{ID: "b", Period: ms(1000), WCET: ms(50), Deadline: ms(60), Priority: 2},
-	}
-	if SchedulableUB(ts) {
-		t.Fatal("UB path accepted constrained-deadline set that RTA rejects")
-	}
-}
-
 func TestAdmitGrowsSet(t *testing.T) {
 	base := AssignRM(TaskSet{{ID: "a", Period: ms(100), WCET: ms(20)}})
 	grown, ok := Admit(base, Task{ID: "b", Period: ms(50), WCET: ms(10)}, TestRTA)
@@ -176,31 +165,17 @@ func TestUBNeverAcceptsWhatRTARejects(t *testing.T) {
 	}
 }
 
-func TestHyperperiod(t *testing.T) {
-	ts := TaskSet{
-		{ID: "a", Period: ms(20), WCET: ms(1)},
-		{ID: "b", Period: ms(30), WCET: ms(1)},
-	}
-	if h := Hyperperiod(ts); h != ms(60) {
-		t.Fatalf("hyperperiod = %v, want 60ms", h)
-	}
-}
-
 func TestPriorityAssignment(t *testing.T) {
 	ts := TaskSet{
 		{ID: "slow", Period: ms(300), WCET: ms(10)},
 		{ID: "fast", Period: ms(50), WCET: ms(5)},
-		{ID: "mid", Period: ms(100), WCET: ms(10), Deadline: ms(30)},
+		{ID: "mid", Period: ms(100), WCET: ms(10)},
 	}
 	rm := AssignRM(ts)
-	fast, _ := rm.Find("fast")
-	if fast.Priority != 1 {
-		t.Fatalf("RM: fast priority = %d, want 1", fast.Priority)
-	}
-	dm := AssignDM(ts)
-	mid, _ := dm.Find("mid")
-	if mid.Priority != 1 {
-		t.Fatalf("DM: mid (D=30ms) priority = %d, want 1", mid.Priority)
+	for want, id := range []TaskID{"fast", "mid", "slow"} {
+		if task, _ := rm.Find(id); task.Priority != want+1 {
+			t.Fatalf("RM: %s priority = %d, want %d", id, task.Priority, want+1)
+		}
 	}
 }
 
@@ -210,7 +185,6 @@ func TestTaskValidation(t *testing.T) {
 		{ID: "x", Period: 0, WCET: ms(1)},
 		{ID: "x", Period: ms(10), WCET: 0},
 		{ID: "x", Period: ms(10), WCET: ms(20)},
-		{ID: "x", Period: ms(10), WCET: ms(5), Deadline: ms(2)},
 	}
 	for i, b := range bad {
 		if err := b.Validate(); err == nil {
@@ -240,5 +214,115 @@ func TestTaskSetHelpers(t *testing.T) {
 	less := ts.Without("a")
 	if len(less) != 1 || less[0].ID != "b" {
 		t.Fatalf("Without = %+v", less)
+	}
+}
+
+// simulateWorstResponse schedules ts fixed-priority preemptively in 1 ms
+// steps from a critical instant (every task released at 0) over one
+// hyperperiod and returns each task's worst response time. It fails the
+// test if a job is still running when its successor is released.
+func simulateWorstResponse(t *testing.T, ts TaskSet) map[TaskID]time.Duration {
+	t.Helper()
+	hyper := ms(1)
+	for _, task := range ts {
+		a, b := hyper, task.Period
+		for b != 0 {
+			a, b = b, a%b
+		}
+		hyper = hyper / a * task.Period
+	}
+	left := make([]time.Duration, len(ts)) // work left in the current job
+	released := make([]time.Duration, len(ts))
+	worst := make(map[TaskID]time.Duration, len(ts))
+	for now := time.Duration(0); now < hyper; now += ms(1) {
+		run := -1
+		for i, task := range ts {
+			if now%task.Period == 0 {
+				if left[i] > 0 {
+					t.Fatalf("%s misses its deadline at %v", task.ID, now)
+				}
+				left[i], released[i] = task.WCET, now
+			}
+			if left[i] > 0 && (run < 0 || task.Priority < ts[run].Priority) {
+				run = i
+			}
+		}
+		if run < 0 {
+			continue
+		}
+		if left[run] -= ms(1); left[run] == 0 {
+			id := ts[run].ID
+			worst[id] = max(worst[id], now+ms(1)-released[run])
+		}
+	}
+	return worst
+}
+
+func TestResponseTimeMatchesSimulation(t *testing.T) {
+	sets := []struct {
+		name string
+		ts   TaskSet
+	}{
+		{"classic", TaskSet{
+			{ID: "t1", Period: ms(50), WCET: ms(10)},
+			{ID: "t2", Period: ms(80), WCET: ms(20)},
+			{ID: "t3", Period: ms(100), WCET: ms(30)},
+		}},
+		{"harmonic-above-ub", TaskSet{
+			{ID: "a", Period: ms(100), WCET: ms(50)},
+			{ID: "b", Period: ms(200), WCET: ms(80)},
+		}},
+		{"three-rates", TaskSet{
+			{ID: "x", Period: ms(100), WCET: ms(10)},
+			{ID: "y", Period: ms(40), WCET: ms(10)},
+			{ID: "z", Period: ms(250), WCET: ms(30)},
+		}},
+		{"four-tasks", TaskSet{
+			{ID: "p", Period: ms(20), WCET: ms(3)},
+			{ID: "q", Period: ms(30), WCET: ms(7)},
+			{ID: "r", Period: ms(60), WCET: ms(9)},
+			{ID: "s", Period: ms(120), WCET: ms(12)},
+		}},
+	}
+	for _, set := range sets {
+		t.Run(set.name, func(t *testing.T) {
+			ts := AssignRM(set.ts)
+			worst := simulateWorstResponse(t, ts)
+			for _, task := range ts {
+				want, ok := ResponseTime(ts, task.ID)
+				if !ok {
+					t.Fatalf("RTA rejects %s", task.ID)
+				}
+				if worst[task.ID] != want {
+					t.Errorf("%s: simulated worst response %v, RTA %v", task.ID, worst[task.ID], want)
+				}
+			}
+		})
+	}
+}
+
+func TestRMOptimalAmongFixedPriorities(t *testing.T) {
+	// Liu and Layland: with implicit deadlines, when any fixed-priority
+	// order schedules a set, the rate-monotonic order does too.
+	orders := [][3]int{{1, 2, 3}, {1, 3, 2}, {2, 1, 3}, {2, 3, 1}, {3, 1, 2}, {3, 2, 1}}
+	f := func(p, c [3]uint8) bool {
+		ts := make(TaskSet, 3)
+		for i := range ts {
+			period := ms(int(p[i]%20)*10 + 10)
+			ts[i] = Task{ID: TaskID(rune('a' + i)), Period: period, WCET: period * time.Duration(c[i]%5+1) / 10}
+		}
+		rm := SchedulableRTA(AssignRM(ts))
+		for _, order := range orders {
+			for i := range ts {
+				ts[i].Priority = order[i]
+			}
+			if SchedulableRTA(ts) && !rm {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
 	}
 }

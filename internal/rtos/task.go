@@ -1,9 +1,8 @@
-// Package rtos models the nano-RK resource kernel the EVM runs on: a
-// fully-preemptive fixed-priority real-time task model with CPU, network
-// and energy reservations, classical schedulability analysis (Liu-Layland
-// utilization bound and exact response-time analysis), rate- and
-// deadline-monotonic priority assignment, and a discrete-event executor
-// that simulates preemptive scheduling on virtual time.
+// Package rtos is the admission control of the nano-RK resource kernel
+// the EVM runs on: periodic tasks with implicit deadlines under fully
+// preemptive fixed priorities, rate-monotonic priority assignment, and
+// classical schedulability analysis (Liu-Layland utilization bound and
+// exact response-time analysis).
 //
 // The EVM (internal/core) uses this package for runtime admission control:
 // a migrated or replicated task is only activated on a node if the node's
@@ -19,25 +18,16 @@ import (
 // TaskID names a task within a node.
 type TaskID string
 
-// Task is a periodic real-time task in the nano-RK sense.
+// Task is a periodic real-time task in the nano-RK sense. Its deadline
+// is implicit: each job must finish before the next is released.
 type Task struct {
-	ID       TaskID
-	Period   time.Duration
-	WCET     time.Duration // worst-case execution time per job
-	Deadline time.Duration // relative; 0 means implicit (= Period)
-	Phase    time.Duration // release offset of the first job
+	ID     TaskID
+	Period time.Duration
+	WCET   time.Duration // worst-case execution time per job
 	// Priority is the fixed scheduling priority; lower value = higher
-	// priority (nano-RK convention). Assign with AssignRM/AssignDM or
-	// set explicitly.
+	// priority (nano-RK convention). Assign with AssignRM or set
+	// explicitly.
 	Priority int
-}
-
-// EffectiveDeadline returns the relative deadline (Period when implicit).
-func (t Task) EffectiveDeadline() time.Duration {
-	if t.Deadline > 0 {
-		return t.Deadline
-	}
-	return t.Period
 }
 
 // Utilization returns WCET/Period.
@@ -61,9 +51,6 @@ func (t Task) Validate() error {
 	}
 	if t.WCET > t.Period {
 		return fmt.Errorf("rtos: task %s wcet %v exceeds period %v", t.ID, t.WCET, t.Period)
-	}
-	if t.Deadline < 0 || (t.Deadline > 0 && t.Deadline < t.WCET) {
-		return fmt.Errorf("rtos: task %s deadline %v infeasible", t.ID, t.Deadline)
 	}
 	return nil
 }
@@ -95,22 +82,6 @@ func (ts TaskSet) Utilization() float64 {
 	return u
 }
 
-// ByPriority returns a copy sorted by ascending priority value (highest
-// priority first), ties broken by shorter period then ID.
-func (ts TaskSet) ByPriority() TaskSet {
-	out := append(TaskSet(nil), ts...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Priority != out[j].Priority {
-			return out[i].Priority < out[j].Priority
-		}
-		if out[i].Period != out[j].Period {
-			return out[i].Period < out[j].Period
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
-}
-
 // Find returns the task with the given ID.
 func (ts TaskSet) Find(id TaskID) (Task, bool) {
 	for _, t := range ts {
@@ -139,23 +110,6 @@ func AssignRM(ts TaskSet) TaskSet {
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Period != out[j].Period {
 			return out[i].Period < out[j].Period
-		}
-		return out[i].ID < out[j].ID
-	})
-	for i := range out {
-		out[i].Priority = i + 1
-	}
-	return out
-}
-
-// AssignDM assigns deadline-monotonic priorities (shorter relative
-// deadline = higher priority).
-func AssignDM(ts TaskSet) TaskSet {
-	out := append(TaskSet(nil), ts...)
-	sort.Slice(out, func(i, j int) bool {
-		di, dj := out[i].EffectiveDeadline(), out[j].EffectiveDeadline()
-		if di != dj {
-			return di < dj
 		}
 		return out[i].ID < out[j].ID
 	})

@@ -38,15 +38,9 @@ type GasPlantConfig struct {
 	Seed uint64
 	// ControlPeriod is the cycle time (paper: 1/4 s or less).
 	ControlPeriod time.Duration
-	// Setpoint is the LTS level target in percent.
-	Setpoint float64
-	// DeviationTol / DeviationWindow / SilenceWindow set the backup's
-	// fault-detection policy.
-	DeviationTol    float64
+	// DeviationWindow is the number of consecutive deviating cycles
+	// before a backup reports a fault.
 	DeviationWindow int
-	SilenceWindow   int
-	// DormantAfter is the Indicator -> Dormant delay (paper: 200 s).
-	DormantAfter time.Duration
 	// PER forces a fixed link loss rate in [0,1]; 0 gives a perfect
 	// channel.
 	PER float64
@@ -54,17 +48,23 @@ type GasPlantConfig struct {
 	UseVM bool
 }
 
-// DefaultGasPlantConfig mirrors the paper's numbers: 250 ms cycle,
-// 50% level setpoint, 200 s dormant delay.
+// The gas plant's fixed paper values: the LTS level setpoint, the
+// backups' deviation tolerance and silence window, and the Indicator ->
+// Dormant delay (paper: 200 s).
+const (
+	gasSetpoint      = 50
+	gasDeviationTol  = 10
+	gasSilenceWindow = 8
+	gasDormantAfter  = 200 * time.Second
+)
+
+// DefaultGasPlantConfig mirrors the paper's numbers: a 250 ms cycle and
+// an 8-cycle deviation window.
 func DefaultGasPlantConfig() GasPlantConfig {
 	return GasPlantConfig{
 		Seed:            1,
 		ControlPeriod:   250 * time.Millisecond,
-		Setpoint:        50,
-		DeviationTol:    10,
 		DeviationWindow: 8,
-		SilenceWindow:   8,
-		DormantAfter:    200 * time.Second,
 		PER:             0,
 	}
 }
@@ -125,7 +125,7 @@ func ltsPIDFactory(cfg GasPlantConfig) func() (TaskLogic, error) {
 		return NewPIDLogic(PIDParams{
 			Kp: 1.2, Ki: 0.08, Kd: 0.2,
 			OutMin: 0, OutMax: 100,
-			Setpoint: cfg.Setpoint,
+			Setpoint: gasSetpoint,
 			CutoffHz: 0.2, RateHz: rate,
 			Reverse: true,
 		})
@@ -189,9 +189,9 @@ func NewGasPlant(cfg GasPlantConfig) (*GasPlant, error) {
 		Period:          cfg.ControlPeriod,
 		WCET:            5 * time.Millisecond,
 		Candidates:      []NodeID{GasCtrlAID, GasCtrlBID},
-		DeviationTol:    cfg.DeviationTol,
+		DeviationTol:    gasDeviationTol,
 		DeviationWindow: cfg.DeviationWindow,
-		SilenceWindow:   cfg.SilenceWindow,
+		SilenceWindow:   gasSilenceWindow,
 		MakeLogic:       factory,
 	}
 	chillerSpec := TaskSpec{
@@ -201,19 +201,15 @@ func NewGasPlant(cfg GasPlantConfig) (*GasPlant, error) {
 		Period:          cfg.ControlPeriod,
 		WCET:            5 * time.Millisecond,
 		Candidates:      []NodeID{GasCtrlBID, GasCtrlAID},
-		DeviationTol:    cfg.DeviationTol,
+		DeviationTol:    gasDeviationTol,
 		DeviationWindow: cfg.DeviationWindow,
-		SilenceWindow:   cfg.SilenceWindow,
+		SilenceWindow:   gasSilenceWindow,
 		MakeLogic:       chillerPIDFactory(cfg),
 	}
 	// The composition loop's output hunts with the tower-feed
 	// oscillation, so a one-cycle observation skew (lost sensor
 	// broadcast at a backup) produces large transient deviations; its
 	// tolerance must cover that volatility.
-	reboilTol := cfg.DeviationTol
-	if reboilTol < 35 {
-		reboilTol = 35
-	}
 	reboilSpec := TaskSpec{
 		ID:              ReboilTaskID,
 		SensorPort:      gateway.PortBottomsC3,
@@ -221,9 +217,9 @@ func NewGasPlant(cfg GasPlantConfig) (*GasPlant, error) {
 		Period:          cfg.ControlPeriod,
 		WCET:            5 * time.Millisecond,
 		Candidates:      []NodeID{GasSensorID, GasActID},
-		DeviationTol:    reboilTol,
+		DeviationTol:    max(gasDeviationTol, 35),
 		DeviationWindow: cfg.DeviationWindow,
-		SilenceWindow:   cfg.SilenceWindow,
+		SilenceWindow:   gasSilenceWindow,
 		MakeLogic:       reboilPIDFactory(cfg),
 	}
 	vc := VCConfig{
@@ -231,7 +227,7 @@ func NewGasPlant(cfg GasPlantConfig) (*GasPlant, error) {
 		Head:         GasHeadID,
 		Gateway:      GasGatewayID,
 		Tasks:        []TaskSpec{spec, chillerSpec, reboilSpec},
-		DormantAfter: cfg.DormantAfter,
+		DormantAfter: gasDormantAfter,
 	}
 	if err := cell.Deploy(vc); err != nil {
 		return nil, err
