@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"testing"
 	"time"
 
@@ -389,6 +390,34 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// vmLogicByteBudget caps the heap bytes of one NewVMLogic on a small
+// capsule: the logic with its capsule encoding, and an interpreter whose
+// stacks and memory are built on first use. It measures 336 B; it was
+// 3,408 B while every interpreter got a 2 KiB memory and two 512 B
+// stacks up front, although no shipped law touches memory.
+const vmLogicByteBudget = 512
+
+func TestNewVMLogicAllocBudget(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	c := proportionalCapsule(t)
+	logics := make([]*VMLogic, 100)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := range logics {
+		l, err := NewVMLogic(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		logics[i] = l
+	}
+	runtime.ReadMemStats(&m1)
+	per := (m1.TotalAlloc - m0.TotalAlloc) / uint64(len(logics))
+	t.Logf("NewVMLogic: %d B per logic (budget %d)", per, vmLogicByteBudget)
+	if per > vmLogicByteBudget {
+		t.Fatalf("NewVMLogic takes %d B per logic, budget %d: an interpreter builds state before it is used again", per, vmLogicByteBudget)
 	}
 }
 

@@ -158,10 +158,12 @@ func (n *Node) ExportTask(taskID string, ex *wire.TaskExport) error {
 
 // ImportTask installs a replica of a foreign task delivered out-of-band
 // (cross-cell migration over the federation backbone). The capsule, when
-// present, is attested by vm.Decode; the task passes schedulability
-// admission like any migrated task; the state snapshot is restored; and
-// with activate the replica starts as the task's master immediately —
-// the importing cell's head does not arbitrate foreign tasks.
+// present, is attested by vm.Decode; the state snapshot is restored into
+// the new logic; the task passes schedulability admission like any
+// migrated task; and with activate the replica starts as the task's
+// master immediately — the importing cell's head does not arbitrate
+// foreign tasks. A refused import leaves the node as it was: no replica
+// and no admission slot.
 func (n *Node) ImportTask(spec TaskSpec, ex wire.TaskExport, activate bool) error {
 	if err := spec.Validate(); err != nil {
 		return err
@@ -189,15 +191,15 @@ func (n *Node) ImportTask(spec TaskSpec, ex wire.TaskExport, activate bool) erro
 			return err
 		}
 	}
+	if len(ex.Blob) > 0 {
+		if err := logic.Restore(ex.Blob); err != nil {
+			return fmt.Errorf("restore %s: %w", spec.ID, err)
+		}
+	}
 	if !n.ensureAdmitted(spec) {
 		return fmt.Errorf("core: node %v cannot schedule imported task %s", n.id, spec.ID)
 	}
 	r := n.installReplica(spec, logic)
-	if len(ex.Blob) > 0 {
-		if err := r.logic.Restore(ex.Blob); err != nil {
-			return fmt.Errorf("restore %s: %w", spec.ID, err)
-		}
-	}
 	r.outSeq = ex.Seq
 	if activate {
 		r.role = wire.RoleActive

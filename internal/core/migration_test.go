@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -11,7 +13,8 @@ import (
 )
 
 // TestImportTaskAndAdoptState covers the out-of-band transfer path the
-// federation layer uses: what ImportTask refuses, and what ImportTask and
+// federation layer uses: what ImportTask refuses, leaving the node with
+// the replicas and admitted tasks it had, and what ImportTask and
 // AdoptState restore. Each case runs on a fresh rig after the primary
 // exported its replica twice, 3 s apart (old and cur).
 func TestImportTaskAndAdoptState(t *testing.T) {
@@ -61,6 +64,24 @@ func TestImportTaskAndAdoptState(t *testing.T) {
 			},
 		},
 		{
+			name: "state fails restore", node: spareID, wantErr: "restore lts",
+			apply: func(n *Node, _, cur wire.TaskExport) (wire.TaskExport, error) {
+				cur.Blob = cur.Blob[:3]
+				return cur, n.ImportTask(testSpec(), cur, true)
+			},
+		},
+		{
+			name: "import after a refused restore", node: spareID, role: wire.RoleActive, master: spareID,
+			apply: func(n *Node, _, cur wire.TaskExport) (wire.TaskExport, error) {
+				bad := cur
+				bad.Blob = cur.Blob[:3]
+				if err := n.ImportTask(testSpec(), bad, true); err == nil {
+					return bad, errors.New("a 3-byte state was imported")
+				}
+				return cur, n.ImportTask(testSpec(), cur, true)
+			},
+		},
+		{
 			name: "import activates", node: spareID, role: wire.RoleActive, master: spareID,
 			apply: func(n *Node, _, cur wire.TaskExport) (wire.TaskExport, error) {
 				return cur, n.ImportTask(testSpec(), cur, true)
@@ -95,13 +116,13 @@ func TestImportTaskAndAdoptState(t *testing.T) {
 				t.Fatal("premise: the two exports are equal")
 			}
 			n := r.nodes[c.node]
-			replicas, in := n.ReplicaCount(), n.Stats().MigrationsIn
+			replicas, in, taskset := n.ReplicaCount(), n.Stats().MigrationsIn, slices.Clone(n.taskset)
 			ex, err := c.apply(n, old, cur)
 			if c.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), c.wantErr) {
 					t.Fatalf("err = %v, want one naming %q", err, c.wantErr)
 				}
-				if n.ReplicaCount() != replicas || n.Stats().MigrationsIn != in {
+				if n.ReplicaCount() != replicas || n.Stats().MigrationsIn != in || !slices.Equal(n.taskset, taskset) {
 					t.Fatal("a refused transfer changed the node")
 				}
 				return

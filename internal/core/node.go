@@ -123,13 +123,11 @@ func NewNode(net *rtlink.Network, link *rtlink.Link, cfg VCConfig) (*Node, error
 		return nil, err
 	}
 	n := &Node{
-		eng:           net.Engine(),
-		link:          link,
-		net:           net,
-		cfg:           cfg,
-		id:            link.ID(),
-		computeFaults: make(map[string]float64),
-		modeTasks:     make(map[uint8]map[string]bool),
+		eng:  net.Engine(),
+		link: link,
+		net:  net,
+		cfg:  cfg,
+		id:   link.ID(),
 	}
 	for _, spec := range cfg.Tasks {
 		ro := cfg.InitialRole(spec.ID, n.id)
@@ -197,6 +195,9 @@ func (n *Node) SetModeTasks(mode uint8, taskIDs []string) {
 	for _, id := range taskIDs {
 		m[id] = true
 	}
+	if n.modeTasks == nil {
+		n.modeTasks = make(map[uint8]map[string]bool)
+	}
 	n.modeTasks[mode] = m
 }
 
@@ -205,6 +206,9 @@ func (n *Node) Mode() uint8 { return n.mode }
 
 // InjectComputeFault makes the node's replica output a fixed wrong value.
 func (n *Node) InjectComputeFault(taskID string, wrongOutput float64) {
+	if n.computeFaults == nil {
+		n.computeFaults = make(map[string]float64)
+	}
 	n.computeFaults[taskID] = wrongOutput
 }
 

@@ -85,17 +85,18 @@ func TestTableDeterministic(t *testing.T) {
 // Allocation caps for paper runs at their first seed, set just above the
 // measured counts as the root package's hotPathAllocBudget is. A warm
 // gas plant allocates nothing per control cycle, so E1 (1000 s of
-// Fig. 6, every parameter point) measures 395, and 408 to 410 under
-// -race; E2's PER 0.1 point, the lossy path, measures 390 (403 to 405
-// under -race). ota (three 30 s rollouts plus the bad-capsule rollback)
-// measures 8,369, and 8,754 to 8,785 under -race; it counts the three
-// event kinds it reports with a subscriber instead of logging the whole
-// campus stream, a warm campus allocates nothing per actuation or feed
-// tick, and staging a capsule builds no interpreter.
+// Fig. 6, every parameter point) measures 346, and 359 under -race;
+// E2's PER 0.1 point, the lossy path, measures 363 (376 under -race).
+// ota (three 30 s rollouts plus the bad-capsule rollback) measures
+// 7,185, and 7,594 under -race; it counts the three event kinds it
+// reports with a subscriber instead of logging the whole campus stream,
+// a warm campus allocates nothing per actuation or feed tick, staging a
+// capsule builds no interpreter, and an interpreter builds its stacks
+// and memory only when a law uses them.
 const (
-	fig6AllocBudget    = 450
-	e2LossyAllocBudget = 450
-	otaAllocBudget     = 9_000
+	fig6AllocBudget    = 400
+	e2LossyAllocBudget = 420
+	otaAllocBudget     = 7_800
 )
 
 func TestPaperAllocBudget(t *testing.T) {

@@ -2,6 +2,7 @@ package radio
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -106,5 +107,52 @@ func TestCertainLossDrawsAreSkippedExactly(t *testing.T) {
 		if gotJitters != want {
 			t.Fatalf("%s: sync jitter after %d deliveries\n got  %s\n want %s", c.name, deliveries, gotJitters, want)
 		}
+	}
+}
+
+// TestLosslessMediumMakesNoBurstState: broadcasts on a lossless medium
+// make no burst state, in links or in the pair table, yet leave the
+// stream where drawing every loss would. A later ForcePER(0.1) makes each
+// pair's state on its first draw and loses exactly the frames a medium
+// that drew from the start loses.
+func TestLosslessMediumMakesNoBurstState(t *testing.T) {
+	const n, frames = 5, 20
+	run := func(draw bool) (got string, m *Medium) {
+		eng, m := newTestMedium(t, perfectConfig())
+		var rs []*Radio
+		for i := 1; i <= n; i++ {
+			r := attach(t, m, NodeID(i), Position{X: float64(3 * (i - 1))})
+			r.SetState(StateRX)
+			rs = append(rs, r)
+		}
+		m.lossless = !draw
+		for k := range frames {
+			sendAt(t, eng, rs[0], time.Duration(k)*time.Millisecond)
+		}
+		if !draw {
+			if len(m.links) != 0 || slices.ContainsFunc(m.pairs, func(ls *linkState) bool { return ls != nil }) {
+				t.Fatalf("lossless broadcasts made burst state: %d links, pair table %v", len(m.links), m.pairs)
+			}
+		}
+		m.ForcePER(0.1)
+		for k := range frames {
+			sendAt(t, eng, rs[0], time.Duration(frames+k)*time.Millisecond)
+		}
+		for _, r := range rs[1:] {
+			got += fmt.Sprintf("%v received %d lost %d; ", r.ID(), r.Received(), r.Drops(DropLoss))
+		}
+		jitter := m.BroadcastSync()
+		for _, r := range rs {
+			got += fmt.Sprintf("%v jitter %v; ", r.ID(), jitter[r.ID()])
+		}
+		return got, m
+	}
+	got, m := run(false)
+	want, _ := run(true)
+	if got != want {
+		t.Fatalf("lazy burst state changed the run:\n got  %s\n want %s", got, want)
+	}
+	if m.Stats().DroppedLoss == 0 || len(m.links) != n-1 {
+		t.Fatalf("after ForcePER(0.1): %d frames lost, %d links; want some lost and %d links", m.Stats().DroppedLoss, len(m.links), n-1)
 	}
 }

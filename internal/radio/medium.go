@@ -133,14 +133,18 @@ type Medium struct {
 	// state or outOfRange (see pair), so the per-receiver work of a
 	// transmission reads the table instead of taking distances and
 	// hashing link keys. An in-range entry is nil until the pair's first
-	// loss draw fetches it from links. Attach and Detach drop the table;
-	// the next transmission rebuilds it and renumbers Radio.idx. They
-	// also replace radios rather than edit it in place, so a frame whose
-	// receive handler attaches or detaches a radio finishes delivery
-	// against the radios and table it started with.
+	// loss draw fetches it from links. On a lossless medium a pair with
+	// no state in links keeps a nil entry and gets no state made: it is
+	// in the Good state, where lossDraw skips its draws, so a run that
+	// cannot lose a frame builds no burst state. Attach and Detach drop
+	// the table; the next transmission rebuilds it and renumbers
+	// Radio.idx. They also replace radios rather than edit it in place,
+	// so a frame whose receive handler attaches or detaches a radio
+	// finishes delivery against the radios and table it started with.
 	pairs []*linkState
 	// links is the canonical burst state of each unordered pair; it
 	// outlives pairs, so a pair's state survives Detach and re-Attach.
+	// It is made with the first pair's state.
 	links map[linkKey]*linkState
 	stats Stats
 	// forcedPER overrides the distance model when >= 0 (used by
@@ -157,12 +161,7 @@ type Medium struct {
 
 // NewMedium creates a medium on the given engine with its own PRNG stream.
 func NewMedium(eng *sim.Engine, rng *sim.RNG, cfg Config) *Medium {
-	m := &Medium{
-		eng:   eng,
-		rng:   rng,
-		cfg:   cfg,
-		links: make(map[linkKey]*linkState),
-	}
+	m := &Medium{eng: eng, rng: rng, cfg: cfg}
 	m.ForcePER(-1)
 	return m
 }
@@ -250,17 +249,26 @@ func (m *Medium) Nodes() []NodeID {
 	return ids
 }
 
+// link returns the burst state of the pair a, b, making it on first use.
 func (m *Medium) link(a, b NodeID) *linkState {
-	if a > b {
-		a, b = b, a
-	}
-	k := linkKey{a, b}
+	k := pairKey(a, b)
 	ls, ok := m.links[k]
 	if !ok {
+		if m.links == nil {
+			m.links = make(map[linkKey]*linkState)
+		}
 		ls = &linkState{}
 		m.links[k] = ls
 	}
 	return ls
+}
+
+// pairKey returns the links key of the unordered pair a, b.
+func pairKey(a, b NodeID) linkKey {
+	if a > b {
+		a, b = b, a
+	}
+	return linkKey{a, b}
 }
 
 // index returns r's position in m.radios, rebuilding the pair table if
@@ -493,10 +501,18 @@ func (m *Medium) traceDrop(tx *transmission, r *Radio, reason string) {
 // distance PER with the Gilbert-Elliott burst overlay. It makes two
 // draws from the medium's stream. On a lossless medium both outcomes
 // are certain for a pair in the Good state, so it skips the two values
-// instead of drawing them.
+// instead of drawing them; a pair with no burst state yet is in the
+// Good state, and gets none made.
 func (m *Medium) lossDraw(tx, rx *Radio, pair **linkState) bool {
 	if *pair == nil {
-		*pair = m.link(tx.id, rx.id)
+		if m.lossless {
+			if *pair = m.links[pairKey(tx.id, rx.id)]; *pair == nil {
+				m.rng.Skip(2)
+				return false
+			}
+		} else {
+			*pair = m.link(tx.id, rx.id)
+		}
 	}
 	ls := *pair
 	if m.lossless && !ls.bad {

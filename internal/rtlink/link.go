@@ -35,7 +35,7 @@ type Link struct {
 	spare   [][]byte
 	split   []fragment // Send's scratch list of a message's fragments
 	nextID  uint16
-	reasm   *reassembler
+	reasm   reassembler
 	handler func(Message)
 	routes  map[radio.NodeID]radio.NodeID
 	stats   LinkStats
@@ -80,8 +80,14 @@ func (l *Link) QueueLen() int { return len(l.txq) - l.txHead }
 // bytes must copy them.
 func (l *Link) SetHandler(fn func(Message)) { l.handler = fn }
 
-// SetRoute installs dst -> nextHop for multi-hop forwarding.
-func (l *Link) SetRoute(dst, nextHop radio.NodeID) { l.routes[dst] = nextHop }
+// SetRoute installs dst -> nextHop for multi-hop forwarding. The route
+// table is made on the first route.
+func (l *Link) SetRoute(dst, nextHop radio.NodeID) {
+	if l.routes == nil {
+		l.routes = make(map[radio.NodeID]radio.NodeID)
+	}
+	l.routes[dst] = nextHop
+}
 
 // nextHop resolves the link-layer hop for an end-to-end destination.
 func (l *Link) nextHop(dst radio.NodeID) radio.NodeID {

@@ -122,10 +122,12 @@ func appendFragments(dst []fragment, msg Message, msgID uint16, maxChunk int) ([
 // chunks into a new message.
 const reasmWindow = 1024
 
-// reassembler collects fragments into whole messages.
+// reassembler collects fragments into whole messages. Its zero value is
+// ready to use.
 type reassembler struct {
 	// partial holds each source's incomplete messages in arrival order;
-	// a source with none has no entry.
+	// a source with none has no entry. It is made with the first
+	// fragment of a multi-fragment message.
 	partial map[radio.NodeID][]*reasmState
 }
 
@@ -136,10 +138,6 @@ type reasmState struct {
 	chunks [][]byte
 	kind   Kind
 	dst    radio.NodeID
-}
-
-func newReassembler() *reassembler {
-	return &reassembler{partial: make(map[radio.NodeID][]*reasmState)}
 }
 
 // add returns the completed message when the final fragment arrives.
@@ -161,6 +159,9 @@ func (r *reassembler) add(f fragment) (Message, bool) {
 	if at < 0 {
 		at = len(parts)
 		parts = append(parts, &reasmState{msgID: f.msgID, total: f.total, chunks: make([][]byte, f.total), kind: f.kind, dst: f.dst})
+		if r.partial == nil {
+			r.partial = make(map[radio.NodeID][]*reasmState)
+		}
 		r.partial[f.src] = parts
 	}
 	st := parts[at]

@@ -270,12 +270,7 @@ func (n *Network) Join(id radio.NodeID) (*Link, error) {
 	if n.Link(id) != nil {
 		return nil, fmt.Errorf("rtlink: node %v already joined", id)
 	}
-	l := &Link{
-		net:    n,
-		r:      r,
-		reasm:  newReassembler(),
-		routes: make(map[radio.NodeID]radio.NodeID),
-	}
+	l := &Link{net: n, r: r}
 	// A link joining mid-frame takes the transitions of this frame's
 	// windows that are still to come: a window already open when it
 	// joins still closes on it.

@@ -22,7 +22,7 @@ func TestFragmentationRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		r := newReassembler()
+		r := &reassembler{}
 		for i, fr := range frags {
 			// Encode/decode each fragment as it would travel on air.
 			dec, err := decodeFragment(fr.appendTo(nil))
@@ -58,7 +58,7 @@ func TestReassemblyShuffledOrderProperty(t *testing.T) {
 			return false
 		}
 		rng.Shuffle(len(frags), func(i, j int) { frags[i], frags[j] = frags[j], frags[i] })
-		r := newReassembler()
+		r := &reassembler{}
 		var got Message
 		done := false
 		for _, fr := range frags {

@@ -137,7 +137,7 @@ func TestFragmentRoundTrip(t *testing.T) {
 }
 
 func TestReassemblerOutOfOrderAndDup(t *testing.T) {
-	r := newReassembler()
+	r := &reassembler{}
 	mk := func(idx uint8) fragment {
 		return fragment{src: 1, dst: 2, msgID: 5, idx: idx, total: 3, chunk: []byte{idx}}
 	}
@@ -164,7 +164,7 @@ func TestReassemblerOutOfOrderAndDup(t *testing.T) {
 // ID wraps, its stale chunks must not splice into the new message that
 // reuses the ID.
 func TestReassemblerEvictsStalePartial(t *testing.T) {
-	r := newReassembler()
+	r := &reassembler{}
 	frag := func(id uint16, idx uint8, b byte) fragment {
 		return fragment{src: 1, dst: 2, kind: 3, msgID: id, idx: idx, total: 3, chunk: []byte{b}}
 	}
@@ -194,7 +194,7 @@ func TestReassemblerEvictsStalePartial(t *testing.T) {
 // messages from the same source complete, as long as it stays within the
 // eviction window (relayed unicast lagging behind direct broadcasts).
 func TestReassemblerToleratesInterleaving(t *testing.T) {
-	r := newReassembler()
+	r := &reassembler{}
 	frag := func(id uint16, idx, total uint8) fragment {
 		return fragment{src: 1, dst: 2, msgID: id, idx: idx, total: total, chunk: []byte{idx}}
 	}

@@ -39,7 +39,7 @@ func (n *refNet) link(id radio.NodeID) *Link {
 }
 
 func (n *refNet) join(id radio.NodeID) *Link {
-	l := &Link{net: n.stub, r: n.med.Radio(id), reasm: newReassembler(), routes: make(map[radio.NodeID]radio.NodeID)}
+	l := &Link{net: n.stub, r: n.med.Radio(id)}
 	l.r.SetHandler(l.onFrame)
 	if int(id) >= len(n.byID) {
 		n.byID = append(n.byID, make([]*Link, int(id)+1-len(n.byID))...)

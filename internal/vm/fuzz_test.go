@@ -115,9 +115,10 @@ func FuzzVMLoadState(f *testing.F) {
 		f.Add(good)
 		f.Add(good[:len(good)-8])
 	}
-	short := New(code, nil)
-	short.mem = short.mem[:0]
-	f.Add(short.AppendState(nil))
+	// A state whose memory section holds no words at all.
+	fresh0 := New(code, nil).AppendState(nil)
+	memAt := len(fresh0) - 4 - 8*DefaultMemWords
+	f.Add(append(fresh0[:memAt:memAt], 0, 0, 0, 0))
 	f.Add([]byte{})
 	f.Add([]byte{0x45, 0x56, 0x4d, 0x53, 0, 0, 0, 0, 1})
 	f.Fuzz(func(t *testing.T, b []byte) {

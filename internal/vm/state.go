@@ -25,10 +25,11 @@ const stateHeader = 4 + 4 + 1
 var errBadState = errors.New("vm: malformed state encoding")
 
 // AppendState appends the interpreter's execution state (pc, both stacks,
-// memory, halted flag) to dst and returns the extended slice. It
+// memory, halted flag) to dst and returns the extended slice. The memory
+// is always DefaultMemWords words, zeros when it was never written. It
 // allocates only when dst lacks the capacity, and then once.
 func (in *Interp) AppendState(dst []byte) []byte {
-	dst = slices.Grow(dst, stateHeader+3*4+8*(len(in.data)+len(in.ret)+len(in.mem)))
+	dst = slices.Grow(dst, stateHeader+3*4+8*(len(in.data)+len(in.ret)+DefaultMemWords))
 	dst = binary.BigEndian.AppendUint32(dst, stateMagic)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(in.pc))
 	if in.halted {
@@ -36,11 +37,21 @@ func (in *Interp) AppendState(dst []byte) []byte {
 	} else {
 		dst = append(dst, 0)
 	}
-	for _, sl := range [...][]int64{in.data, in.ret, in.mem} {
-		dst = binary.BigEndian.AppendUint32(dst, uint32(len(sl)))
-		for _, v := range sl {
-			dst = binary.BigEndian.AppendUint64(dst, uint64(v))
-		}
+	for _, sl := range [...][]int64{in.data, in.ret} {
+		dst = appendWords(dst, sl)
+	}
+	if in.mem == nil {
+		dst = binary.BigEndian.AppendUint32(dst, DefaultMemWords)
+		return append(dst, make([]byte, 8*DefaultMemWords)...)
+	}
+	return appendWords(dst, in.mem)
+}
+
+// appendWords appends the length-prefixed big-endian words of sl to dst.
+func appendWords(dst []byte, sl []int64) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(sl)))
+	for _, v := range sl {
+		dst = binary.BigEndian.AppendUint64(dst, uint64(v))
 	}
 	return dst
 }
@@ -48,10 +59,12 @@ func (in *Interp) AppendState(dst []byte) []byte {
 // LoadState replaces the interpreter's execution state with one encoded
 // by AppendState. The whole encoding is checked first: the pc must lie in
 // the code, each stack must fit DefaultStackDepth, the memory must have
-// exactly the interpreter's word count, the halted flag must be 0 or 1
-// and nothing may trail the memory. On error the interpreter is left
-// unchanged. LoadState decodes into the interpreter's own slices, so it
-// allocates nothing and keeps no reference to b.
+// exactly DefaultMemWords words, the halted flag must be 0 or 1 and
+// nothing may trail the memory. On error the interpreter is left
+// unchanged. LoadState decodes into the interpreter's own slices and
+// keeps no reference to b. It allocates only to grow a stack past its
+// capacity, and allocates the memory once, on the first nonzero memory
+// it loads: an all-zero memory leaves a never-written one unallocated.
 func (in *Interp) LoadState(b []byte) error {
 	if len(b) < stateHeader || binary.BigEndian.Uint32(b) != stateMagic || b[8] > 1 {
 		return errBadState
@@ -63,7 +76,7 @@ func (in *Interp) LoadState(b []byte) error {
 	// Find the three length-prefixed sections before changing anything.
 	var words [3][]byte
 	off := stateHeader
-	for i, limit := range [...]int{DefaultStackDepth, DefaultStackDepth, len(in.mem)} {
+	for i, limit := range [...]int{DefaultStackDepth, DefaultStackDepth, DefaultMemWords} {
 		if off+4 > len(b) {
 			return errBadState
 		}
@@ -75,19 +88,27 @@ func (in *Interp) LoadState(b []byte) error {
 		words[i] = b[off : off+8*int(n)]
 		off += 8 * int(n)
 	}
-	if len(words[2]) != 8*len(in.mem) || off != len(b) {
+	if len(words[2]) != 8*DefaultMemWords || off != len(b) {
 		return errBadState
 	}
 	in.pc = int(pc)
 	in.halted = b[8] == 1
 	in.data = loadWords(in.data[:0], words[0])
 	in.ret = loadWords(in.ret[:0], words[1])
+	if in.mem == nil {
+		if !slices.ContainsFunc(words[2], func(c byte) bool { return c != 0 }) {
+			return nil
+		}
+		in.mem = make([]int64, DefaultMemWords)
+	}
 	loadWords(in.mem[:0], words[2])
 	return nil
 }
 
-// loadWords appends the big-endian words in b to dst.
+// loadWords appends the big-endian words in b to dst, growing it at most
+// once.
 func loadWords(dst []int64, b []byte) []int64 {
+	dst = slices.Grow(dst, len(b)/8)
 	for i := 0; i < len(b); i += 8 {
 		dst = append(dst, int64(binary.BigEndian.Uint64(b[i:])))
 	}

@@ -103,10 +103,14 @@ type ExtOp struct {
 
 // Interp is one interpreter instance executing one program.
 type Interp struct {
-	code   []byte
-	pc     int
-	data   []int64
-	ret    []int64
+	code []byte
+	pc   int
+	// data and ret grow by append up to DefaultStackDepth values each.
+	data []int64
+	ret  []int64
+	// mem is the DefaultMemWords-word memory. It is nil, and reads as
+	// zeros, until the first nonzero write (SetMem, STORE or LoadState),
+	// so a program that never stores carries none.
 	mem    []int64
 	host   Host
 	ext    map[Op]ExtOp
@@ -114,15 +118,12 @@ type Interp struct {
 }
 
 // New creates an interpreter for the given code with default limits. It
-// runs its own copy of the code.
+// runs its own copy of the code. The stacks and memory are built on first
+// use: the stacks grow as values are pushed, and the memory is allocated
+// once, on the first nonzero write, so a program that never stores to
+// memory costs no memory at all.
 func New(code []byte, host Host) *Interp {
-	return &Interp{
-		code: append([]byte(nil), code...),
-		data: make([]int64, 0, DefaultStackDepth),
-		ret:  make([]int64, 0, DefaultStackDepth),
-		mem:  make([]int64, DefaultMemWords),
-		host: host,
-	}
+	return &Interp{code: append([]byte(nil), code...), host: host}
 }
 
 // Code returns the program the interpreter runs (New's copy or SwapCode's
@@ -157,7 +158,7 @@ func (in *Interp) Depth() int { return len(in.data) }
 
 // Push pushes a value onto the data stack (for host use and extensions).
 func (in *Interp) Push(v int64) error {
-	if len(in.data) >= cap(in.data) {
+	if len(in.data) >= DefaultStackDepth {
 		return ErrStackOverflow
 	}
 	in.data = append(in.data, v)
@@ -182,18 +183,30 @@ func (in *Interp) Peek() (int64, error) {
 	return in.data[len(in.data)-1], nil
 }
 
-// Mem returns the memory word at addr.
+// Mem returns the memory word at addr. An interpreter that has never
+// stored a nonzero word reads zeros without allocating.
 func (in *Interp) Mem(addr int) (int64, error) {
-	if addr < 0 || addr >= len(in.mem) {
+	if addr < 0 || addr >= DefaultMemWords {
 		return 0, ErrBadAddress
+	}
+	if in.mem == nil {
+		return 0, nil
 	}
 	return in.mem[addr], nil
 }
 
-// SetMem writes the memory word at addr.
+// SetMem writes the memory word at addr. The memory is allocated once, on
+// the first nonzero write; writing zero to a memory that is still all
+// zeros allocates nothing.
 func (in *Interp) SetMem(addr int, v int64) error {
-	if addr < 0 || addr >= len(in.mem) {
+	if addr < 0 || addr >= DefaultMemWords {
 		return ErrBadAddress
+	}
+	if in.mem == nil {
+		if v == 0 {
+			return nil
+		}
+		in.mem = make([]int64, DefaultMemWords)
 	}
 	in.mem[addr] = v
 	return nil
@@ -446,7 +459,7 @@ func (in *Interp) step() error {
 		if err != nil {
 			return err
 		}
-		if len(in.ret) >= cap(in.ret) {
+		if len(in.ret) >= DefaultStackDepth {
 			return ErrStackOverflow
 		}
 		in.ret = append(in.ret, int64(in.pc))

@@ -235,11 +235,30 @@ func TestStackUnderflow(t *testing.T) {
 	}
 }
 
+// TestStackOverflow: the stacks grow by append, so the bound is
+// DefaultStackDepth, not a capacity: the 65th push, by PUSH or Push, and
+// the 65th nested CALL overflow, and the stack keeps its 64 values.
 func TestStackOverflow(t *testing.T) {
-	src := "start:\nPUSH 1\nJMP start"
-	in := New(mustAssemble(t, src), nil)
-	if err := in.Run(10000); !errors.Is(err, ErrStackOverflow) {
-		t.Fatalf("err = %v, want overflow", err)
+	for _, c := range []struct {
+		src   string
+		depth func(in *Interp) int
+	}{
+		{"start:\nPUSH 1\nJMP start", (*Interp).Depth},
+		{"start:\nCALL start", func(in *Interp) int { return len(in.ret) }},
+	} {
+		in := New(mustAssemble(t, c.src), nil)
+		if err := in.Run(10000); !errors.Is(err, ErrStackOverflow) || c.depth(in) != DefaultStackDepth {
+			t.Fatalf("%q: %v at depth %d, want overflow at %d", c.src, err, c.depth(in), DefaultStackDepth)
+		}
+	}
+	in := New(nil, nil)
+	for i := range DefaultStackDepth {
+		if err := in.Push(int64(i)); err != nil {
+			t.Fatalf("push %d: %v", i+1, err)
+		}
+	}
+	if err := in.Push(0); !errors.Is(err, ErrStackOverflow) || in.Depth() != DefaultStackDepth {
+		t.Fatalf("push %d: %v at depth %d, want overflow at %d", DefaultStackDepth+1, err, in.Depth(), DefaultStackDepth)
 	}
 }
 
@@ -445,6 +464,109 @@ func TestStateCodecDoesNotAllocate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("AppendState + LoadState: %v allocs, want 0", allocs)
+	}
+}
+
+// freshState is the encoding of a fresh interpreter's state: magic, pc
+// 0, not halted, two empty stacks and 256 zero memory words.
+var freshState = "45564d53" + "00000000" + "00" + "00000000" + "00000000" +
+	"00000100" + strings.Repeat("0000000000000000", DefaultMemWords)
+
+// TestFreshInterpreterIsLazy: a fresh interpreter has no memory and no
+// stacks, yet encodes exactly the full-size zero state, so checkpoints,
+// migrations and their transfer times do not depend on whether the
+// memory was ever written. Loading, and storing zero, allocate nothing
+// and leave the memory unallocated.
+func TestFreshInterpreterIsLazy(t *testing.T) {
+	in := New(mustAssemble(t, "PUSH 3\nLOAD\nPUSH 0\nPUSH 5\nSTORE\nHALT"), nil)
+	if in.mem != nil || in.data != nil || in.ret != nil {
+		t.Fatalf("fresh interpreter holds mem %d, data %d, ret %d words", len(in.mem), cap(in.data), cap(in.ret))
+	}
+	if got := hex.EncodeToString(in.AppendState(nil)); got != freshState {
+		t.Fatalf("fresh state encodes as\n%s\nwant\n%s", got, freshState)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		in.Reset()
+		if err := in.Run(DefaultGas); err != nil {
+			t.Fatal(err)
+		}
+		if v, err := in.Mem(7); v != 0 || err != nil {
+			t.Fatalf("Mem(7) = %d, %v on a fresh memory", v, err)
+		}
+		if err := in.SetMem(DefaultMemWords-1, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 || in.mem != nil {
+		t.Fatalf("LOAD and zero stores: %v allocs, memory allocated %v; want 0 and false", allocs, in.mem != nil)
+	}
+	for _, addr := range []int{-1, DefaultMemWords} {
+		if _, err := in.Mem(addr); !errors.Is(err, ErrBadAddress) {
+			t.Fatalf("Mem(%d) on a fresh memory: %v, want ErrBadAddress", addr, err)
+		}
+		if err := in.SetMem(addr, 0); !errors.Is(err, ErrBadAddress) {
+			t.Fatalf("SetMem(%d, 0) on a fresh memory: %v, want ErrBadAddress", addr, err)
+		}
+	}
+}
+
+// TestMemoryAllocatesOnceOnFirstNonzeroWrite: an all-zero state loads
+// without making the memory; the first nonzero STORE, SetMem or loaded
+// memory makes it, in one allocation, and later writes reuse it.
+func TestMemoryAllocatesOnceOnFirstNonzeroWrite(t *testing.T) {
+	code := mustAssemble(t, goldenCallSrc)
+	zero := New(code, nil)
+	if err := zero.Run(2); !errors.Is(err, ErrGasExhausted) {
+		t.Fatal(err)
+	}
+	zeroState := zero.AppendState(nil)
+	nonzero := goldenCallInterp(t).AppendState(nil)
+
+	in := New(code, nil)
+	if err := in.LoadState(zeroState); err != nil {
+		t.Fatal(err)
+	}
+	if in.mem != nil {
+		t.Fatal("an all-zero memory was allocated on load")
+	}
+	if got := in.AppendState(nil); !bytes.Equal(got, zeroState) {
+		t.Fatalf("loaded zero state re-encodes as %x", got)
+	}
+	for _, c := range []struct {
+		name  string
+		in    *Interp
+		write func(in *Interp) error
+	}{
+		{"STORE", New(mustAssemble(t, "PUSH 9\nPUSH 5\nSTORE\nHALT"), nil), func(in *Interp) error {
+			in.Reset()
+			return in.Run(DefaultGas)
+		}},
+		{"SetMem", New(code, nil), func(in *Interp) error {
+			if err := in.SetMem(5, 9); err != nil {
+				return err
+			}
+			return in.SetMem(6, 10)
+		}},
+		{"LoadState", New(code, nil), func(in *Interp) error { return in.LoadState(nonzero) }},
+	} {
+		// AllocsPerRun's warm-up run grows the stacks, so only the
+		// memory is left to count.
+		n := testing.AllocsPerRun(10, func() {
+			c.in.mem = nil
+			if err := c.write(c.in); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n != 1 || c.in.mem == nil {
+			t.Errorf("%s into a fresh memory: %v allocs, memory allocated %v; want 1 and true", c.name, n, c.in.mem != nil)
+		}
+	}
+	// A memory written back to zero stays allocated and encodes the same.
+	in = New(code, nil)
+	_ = in.SetMem(5, 9)
+	_ = in.SetMem(5, 0)
+	if got := hex.EncodeToString(in.AppendState(nil)); got != freshState {
+		t.Fatalf("zeroed memory encodes as\n%s\nwant\n%s", got, freshState)
 	}
 }
 
