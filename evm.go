@@ -121,6 +121,9 @@ type Cell struct {
 	net   *rtlink.Network
 	ids   []NodeID
 	nodes map[NodeID]*Node
+	// watchdogs are the watchdog groups of the deployed runtimes: one
+	// from Deploy, one more per AddNodeRuntime.
+	watchdogs []*core.Watchdogs
 
 	// link and slotsPerNode are the TDMA framing and per-member TX slot
 	// budget the schedule was built with; AddNodeRuntime reuses both.
@@ -313,19 +316,20 @@ func (c *Cell) Nodes() []*Node {
 }
 
 // Deploy instantiates the EVM runtime on every member except the
-// configured gateway, and starts the TDMA network. On failure no runtime
-// is left running: nodes started before the error are stopped again.
+// configured gateway, starts their watchdogs as one group
+// (core.StartWatchdogs) and starts the TDMA network. On failure no
+// runtime is left: the nodes built before the error are removed again,
+// and no watchdog has started.
 func (c *Cell) Deploy(vc VCConfig) error {
 	// NewNode validates too, but a cell whose only member is the gateway
 	// builds no node, so only this check rejects an invalid vc there.
 	if err := vc.Validate(); err != nil {
 		return err
 	}
-	var started []NodeID
+	var built []*Node
 	fail := func(err error) error {
-		for _, id := range started {
-			c.nodes[id].Stop()
-			delete(c.nodes, id)
+		for _, n := range built {
+			delete(c.nodes, n.ID())
 		}
 		return err
 	}
@@ -342,10 +346,10 @@ func (c *Cell) Deploy(vc VCConfig) error {
 			return fail(err)
 		}
 		c.wireNodeEvents(node)
-		node.Start()
 		c.nodes[id] = node
-		started = append(started, id)
+		built = append(built, node)
 	}
+	c.watchdogs = append(c.watchdogs, core.StartWatchdogs(built))
 	c.installActuationSink(vc)
 	c.net.Start()
 	return nil
@@ -454,12 +458,13 @@ func (c *Cell) AddNodeRuntime(id NodeID, vc VCConfig) (*Node, error) {
 		return nil, err
 	}
 	c.wireNodeEvents(node)
-	node.Start()
+	watchdog := core.StartWatchdogs([]*Node{node})
 	if err := link.Send(rtlink.Message{Dst: vc.Head, Kind: wire.KindJoin, Payload: payload}); err != nil {
-		node.Stop()
+		watchdog.Stop()
 		rollback()
 		return nil, err
 	}
+	c.watchdogs = append(c.watchdogs, watchdog)
 	c.ids = grown
 	c.nodes[id] = node
 	return node, nil
@@ -518,10 +523,13 @@ func (c *Cell) Run(d time.Duration) {
 // Now returns the current virtual time.
 func (c *Cell) Now() time.Duration { return c.eng.Now() }
 
-// Stop halts the network and all node runtimes. Nodes stop in sorted
-// ID order so any teardown side effects land deterministically.
+// Stop halts the network, the watchdogs and all node runtimes. Nodes stop
+// in sorted ID order so any teardown side effects land deterministically.
 func (c *Cell) Stop() {
 	c.net.Stop()
+	for _, w := range c.watchdogs {
+		w.Stop()
+	}
 	for _, id := range sim.SortedKeys(c.nodes) {
 		c.nodes[id].Stop()
 	}

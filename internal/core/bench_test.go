@@ -38,6 +38,7 @@ func newFanout(tb testing.TB, per float64) (*radio.Medium, func()) {
 		readings[i] = wire.SensorReading{Port: uint8(i), Value: 50}
 	}
 	var gwLink *rtlink.Link
+	var runtimes []*Node
 	for _, id := range ids {
 		link, err := net.Join(id)
 		if err != nil {
@@ -51,8 +52,9 @@ func newFanout(tb testing.TB, per float64) (*radio.Medium, func()) {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		node.Start()
+		runtimes = append(runtimes, node)
 	}
+	StartWatchdogs(runtimes)
 	snapshot, err := wire.SensorSnapshot{Readings: readings}.Encode()
 	if err != nil {
 		tb.Fatal(err)

@@ -102,6 +102,7 @@ func newRig(t *testing.T, cfg VCConfig) *rig {
 		sensor: func() float64 { return 50 },
 		cfg:    cfg,
 	}
+	var runtimes []*Node
 	for _, id := range ids {
 		link, err := net.Join(id)
 		if err != nil {
@@ -123,9 +124,10 @@ func newRig(t *testing.T, cfg VCConfig) *rig {
 		if err != nil {
 			t.Fatal(err)
 		}
-		node.Start()
 		r.nodes[id] = node
+		runtimes = append(runtimes, node)
 	}
+	StartWatchdogs(runtimes)
 	// The gateway stub broadcasts the sensor snapshot every 250 ms.
 	r.ticker = eng.Every(250*time.Millisecond, func() {
 		payload, err := wire.SensorSnapshot{Readings: []wire.SensorReading{{Port: 0, Value: r.sensor()}}}.Encode()

@@ -77,7 +77,8 @@ type Node struct {
 	taskset  rtos.TaskSet
 	head     *Head
 	stats    NodeStats
-	watchdog *sim.Ticker
+	// stopped is set by Stop; the node's watchdog group skips its check.
+	stopped bool
 
 	// computeFaults forces a replica's output to a fixed wrong value
 	// (Fig. 6 failure injection: Ctrl-A "sets a wrong valve output
@@ -217,17 +218,73 @@ func (n *Node) ClearComputeFault(taskID string) {
 	delete(n.computeFaults, taskID)
 }
 
-// Start launches the per-node silent-primary watchdog.
-func (n *Node) Start() {
-	period := n.minPeriod()
-	n.watchdog = n.eng.Every(period, n.watchdogTick)
+// Watchdogs runs the silent-primary watchdog (watchdogTick) of a group of
+// nodes on one sim.Ticker per distinct watchdog period, not one per node.
+//
+// The grouping keeps the engine's firing order. Tickers started back to
+// back at one instant with one period get consecutive sequence numbers,
+// so they fire back to back; each reschedules itself as it fires, and
+// the checks run in between queue no engine event exactly one period
+// ahead (their link fragments go to positions the frame loop reserved,
+// and a fail-over's dormant timer is DormantAfter ahead), so they keep
+// firing back to back forever. One ticker that runs the checks in start
+// order therefore runs each check where the node's own ticker would have
+// fired. Tickers of different periods that meet at one instant fire in
+// the order their last reschedules were queued, longer period first; a
+// group's ticker reschedules where its nodes' tickers did, so grouping
+// keeps that order too. A node that Node.Stop has stopped leaves its
+// group: the ticker skips its check, which queued nothing, so the order
+// of the remaining checks is kept.
+type Watchdogs struct {
+	tickers []*sim.Ticker
 }
 
-// Stop halts the watchdog.
-func (n *Node) Stop() {
-	if n.watchdog != nil {
-		n.watchdog.Stop()
+// StartWatchdogs starts the watchdogs of nodes, which share one engine,
+// as one group: one ticker per distinct period in first-appearance
+// order, each running its nodes' checks in the order given.
+func StartWatchdogs(nodes []*Node) *Watchdogs {
+	periods := make([]time.Duration, len(nodes))
+	for i, n := range nodes {
+		periods[i] = n.minPeriod()
 	}
+	// byPeriod holds the nodes one group after another, and each group's
+	// ticker runs its subslice. It has room for every node, so no append
+	// moves a group already sliced.
+	byPeriod := make([]*Node, 0, len(nodes))
+	w := &Watchdogs{}
+	for i, p := range periods {
+		if slices.Contains(periods[:i], p) {
+			continue // an earlier node started this period's group
+		}
+		start := len(byPeriod)
+		for j := i; j < len(nodes); j++ {
+			if periods[j] == p {
+				byPeriod = append(byPeriod, nodes[j])
+			}
+		}
+		group := byPeriod[start:]
+		w.tickers = append(w.tickers, nodes[i].eng.Every(p, func() {
+			for _, n := range group {
+				if !n.stopped {
+					n.watchdogTick()
+				}
+			}
+		}))
+	}
+	return w
+}
+
+// Stop cancels the group's tickers.
+func (w *Watchdogs) Stop() {
+	for _, t := range w.tickers {
+		t.Stop()
+	}
+}
+
+// Stop halts the node's watchdog, which its group skips from now on,
+// and cancels the head's pending dormant timers.
+func (n *Node) Stop() {
+	n.stopped = true
 	if n.head != nil {
 		n.head.stop()
 	}

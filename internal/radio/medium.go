@@ -506,7 +506,12 @@ func (m *Medium) traceDrop(tx *transmission, r *Radio, reason string) {
 func (m *Medium) lossDraw(tx, rx *Radio, pair **linkState) bool {
 	if *pair == nil {
 		if m.lossless {
-			if *pair = m.links[pairKey(tx.id, rx.id)]; *pair == nil {
+			// links stays empty until a lossy channel makes burst state,
+			// so a medium that was always lossless skips the probe too.
+			if len(m.links) > 0 {
+				*pair = m.links[pairKey(tx.id, rx.id)]
+			}
+			if *pair == nil {
 				m.rng.Skip(2)
 				return false
 			}
