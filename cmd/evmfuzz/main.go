@@ -7,9 +7,10 @@
 // still-failing reproduction, written as a JSON repro plus a
 // self-contained Go regression test.
 //
-//	evmfuzz -n 1000 -seeds 3              # 3000-run sweep, exit 1 on any violation
-//	evmfuzz -seed 42 -print               # show the spec seed 42 generates
-//	evmfuzz -repro fuzzout/repro-....json # replay a recorded failure
+//	evmfuzz -n 1000 -seeds 3                # 3000-run sweep, exit 1 on any violation
+//	evmfuzz -profile lossy -n 2000 -seeds 3 # the same without the loss gates
+//	evmfuzz -seed 42 -print                 # show the spec seed 42 generates
+//	evmfuzz -repro fuzzout/repro-....json   # replay a recorded failure
 //
 // Everything is deterministic: the same -seed/-n/-seeds flags reproduce
 // byte-identical specs and campus event streams on every machine.
@@ -29,7 +30,7 @@ func main() {
 		n       = flag.Int("n", 100, "number of generated specs")
 		seeds   = flag.Int("seeds", 3, "run seeds per spec")
 		seed    = flag.Uint64("seed", 1, "base generator seed (spec i uses seed+i)")
-		profile = flag.String("profile", "default", "generator profile: default or multihop")
+		profile = flag.String("profile", "default", "generator profile: default, multihop, or lossy (default without the loss gates)")
 		workers = flag.Int("workers", 0, "parallel runner workers (0 = GOMAXPROCS)")
 		out     = flag.String("out", "fuzzout", "directory for repro artifacts")
 		shrinks = flag.Int("shrink", 3, "max failures to shrink and write artifacts for")
@@ -47,6 +48,8 @@ func main() {
 	case "default":
 	case "multihop":
 		prof = fuzz.MultihopProfile()
+	case "lossy":
+		prof.LossGates = false
 	default:
 		fmt.Fprintf(os.Stderr, "evmfuzz: unknown profile %q\n", *profile)
 		os.Exit(2)

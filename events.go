@@ -20,7 +20,7 @@ import (
 // cycle, points at a buffer the cell reuses for the next actuation:
 // read its fields, or copy the struct, but do not keep the pointer (or
 // a CellEvent wrapping it) after the callback returns. EventLog keeps
-// copies, so a logged event stays valid.
+// copies (Keep), so a logged event stays valid.
 type Event interface {
 	// When returns the virtual time at which the event occurred.
 	When() time.Duration
@@ -280,8 +280,8 @@ func (s *Subscription) Cancel() {
 }
 
 // Subscribe registers fn for every subsequent event. fn borrows each
-// event for the call only (see Event): to keep one, copy it, as
-// EventLog does. Do not call Cell.Run from inside a callback.
+// event for the call only (see Event): to keep one, pass it through
+// Keep, as EventLog does. Do not call Cell.Run from inside a callback.
 func (b *Bus) Subscribe(fn func(Event)) *Subscription {
 	sub := &Subscription{bus: b, fn: fn}
 	b.subs = append(b.subs, sub)
@@ -320,21 +320,23 @@ func (b *Bus) publish(ev Event) {
 // experiment post-processing and determinism checks.
 func (b *Bus) Log() *EventLog {
 	l := &EventLog{}
-	l.sub = b.Subscribe(func(ev Event) { l.events = append(l.events, keep(ev)) })
+	l.sub = b.Subscribe(func(ev Event) { l.events = append(l.events, Keep(ev)) })
 	return l
 }
 
-// keep returns ev in a form that outlives the callback it was delivered
+// Keep returns ev in a form that outlives the callback it was delivered
 // to: a borrowed *ActuationEvent, bare or wrapped in a CellEvent, is
-// copied; every other kind is a value and is returned as is.
-func keep(ev Event) Event {
+// copied; every other kind is a value and is returned as is. A kept
+// event renders (String, EventRow) exactly as it did at delivery, from
+// any goroutine.
+func Keep(ev Event) Event {
 	switch e := ev.(type) {
 	case *ActuationEvent:
 		c := *e
 		return &c
 	case CellEvent:
 		if act, ok := e.Inner.(*ActuationEvent); ok {
-			e.Inner = keep(act)
+			e.Inner = Keep(act)
 			return e
 		}
 	}

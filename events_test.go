@@ -2,6 +2,7 @@ package evm
 
 import (
 	"errors"
+	"fmt"
 	"maps"
 	"reflect"
 	"slices"
@@ -436,7 +437,7 @@ func TestLoggedEventsSurviveLaterPublishes(t *testing.T) {
 // TestLoggedCampusActuationsSurviveSharedWrapper: a campus forwards each
 // cell's borrowed actuation in one CellEvent per cell, boxed once and
 // published again for every actuation. The campus EventLog must copy the
-// wrapped actuation (keep), so each logged actuation still renders what
+// wrapped actuation (Keep), so each logged actuation still renders what
 // a subscriber saw at delivery, not the cell's latest one.
 func TestLoggedCampusActuationsSurviveSharedWrapper(t *testing.T) {
 	isAct := func(ev Event) bool {
@@ -485,6 +486,52 @@ func TestLoggedCampusActuationsSurviveSharedWrapper(t *testing.T) {
 		last := acts[len(acts)-1]
 		if !slices.ContainsFunc(acts, func(s string) bool { return s != last }) {
 			t.Errorf("cell %s: all %d logged actuations render as its last one: %s", cell, len(acts), last)
+		}
+	}
+}
+
+// TestKeptEventsRenderAsPublished: a subscriber that keeps each event
+// through Keep and renders it after the run reads what a subscriber that
+// renders at delivery read, for every built-in scenario. evmd serves its
+// event records this way, so a kind whose kept form drifts (a borrowed
+// pointer, or a slice the publisher reuses) would change a served line.
+func TestKeptEventsRenderAsPublished(t *testing.T) {
+	kinds := map[string]bool{}
+	for _, name := range Scenarios() {
+		for seed := uint64(1); seed <= 3; seed++ {
+			var live []string
+			var kept []Event
+			res := (&Runner{
+				Instrument: func(_ RunSpec, exp *Experiment) func(map[string]float64) {
+					exp.Events().Subscribe(func(ev Event) { live = append(live, ev.String()) })
+					exp.Events().Subscribe(func(ev Event) {
+						kept = append(kept, Keep(ev))
+					})
+					return nil
+				},
+			}).RunOne(RunSpec{Scenario: name, Seed: seed, Horizon: 20 * time.Second})
+			if res.Err != nil {
+				t.Fatalf("%s seed %d: %v", name, seed, res.Err)
+			}
+			if len(kept) != len(live) {
+				t.Fatalf("%s seed %d: kept %d events, rendered %d", name, seed, len(kept), len(live))
+			}
+			for i, ev := range kept {
+				if got := ev.String(); got != live[i] {
+					t.Fatalf("%s seed %d: event %d renders %q, at delivery %q", name, seed, i, got, live[i])
+				}
+				if ce, ok := ev.(CellEvent); ok {
+					ev = ce.Inner
+				}
+				kinds[fmt.Sprintf("%T", ev)] = true
+			}
+		}
+	}
+	// The kinds a kept copy could share state with the publisher through:
+	// the borrowed actuation and the slice-carrying kinds.
+	for _, kind := range []string{"*evm.ActuationEvent", "evm.BackboneRouteEvent", "evm.RolloutEvent", "evm.CellOverloadEvent"} {
+		if !kinds[kind] {
+			t.Errorf("no scenario published a %s; kinds checked: %v", kind, slices.Sorted(maps.Keys(kinds)))
 		}
 	}
 }

@@ -310,8 +310,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 // handleEvents streams the run's event records from the start: SSE when
 // the client asks for text/event-stream (or ?format=sse), NDJSON
-// otherwise. Each wakeup writes every record logged since the last one
-// and flushes once. The stream ends when the run completes; a
+// otherwise. Each wakeup renders and writes every event logged since the
+// last one and flushes once. The stream ends when the run completes; a
 // disconnected client unblocks via the context watcher.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	run := s.fetchRun(w, r)
@@ -336,22 +336,22 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}()
 	enc := json.NewEncoder(w)
 	for i := 0; ; {
-		recs, ok := run.stream.from(i, func() bool { return ctx.Err() != nil })
+		evs, ok := run.stream.from(i, func() bool { return ctx.Err() != nil })
 		if !ok {
 			return
 		}
-		for _, rec := range recs {
+		for _, ev := range evs {
 			if sse {
 				fmt.Fprint(w, "data: ")
 			}
-			if err := enc.Encode(rec); err != nil {
+			if err := enc.Encode(record(ev)); err != nil {
 				return
 			}
 			if sse {
 				fmt.Fprint(w, "\n")
 			}
 		}
-		i += len(recs)
+		i += len(evs)
 		if flusher != nil {
 			flusher.Flush()
 		}

@@ -20,10 +20,17 @@ type EventRecord struct {
 	Event  string  `json:"event"`
 }
 
-// stream is one run's append-only observation log: the event records,
-// then, once the run is finalized, the virtual time it ended at and its
-// final metric map. That is all a finished run keeps of its telemetry:
-// samples are derived from it on request (Run.Samples). Writers (the
+// record renders a kept event as the line evmd serves for it: the events
+// endpoint, Run.Events and SerialEvents all go through it.
+func record(ev evm.Event) EventRecord {
+	t, cell, series := evm.EventRow(ev)
+	return EventRecord{T: t, Cell: cell, Series: series, Event: ev.String()}
+}
+
+// stream is one run's append-only observation log: the kept events
+// (evm.Keep), then, once the run is finalized, the virtual time it ended
+// at and its final metric map. That is all a finished run keeps of its
+// telemetry: records and samples are rendered on request. Writers (the
 // run's worker goroutine) append under mu; readers follow the log by
 // index and block on cond until more arrives or the stream closes. Late
 // subscribers replay from the start — runs are deterministic and
@@ -32,7 +39,7 @@ type EventRecord struct {
 type stream struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
-	events  []EventRecord
+	events  []evm.Event
 	horizon time.Duration      // set once, by finalize
 	metrics map[string]float64 // set once, by finalize; the run status shares it
 	closed  bool
@@ -45,14 +52,13 @@ func newStream() *stream {
 	return s
 }
 
-// observe appends one bus event as a stream record. It runs
+// observe appends one bus event, kept past the callback. It runs
 // synchronously on the simulation goroutine, so ordering is the bus's
 // deterministic publication order.
 func (s *stream) observe(ev evm.Event) {
-	t, cell, series := evm.EventRow(ev)
-	rec := EventRecord{T: t, Cell: cell, Series: series, Event: ev.String()}
+	ev = evm.Keep(ev)
 	s.mu.Lock()
-	s.events = append(s.events, rec)
+	s.events = append(s.events, ev)
 	s.cond.Broadcast()
 	s.mu.Unlock()
 }
@@ -74,13 +80,14 @@ func (s *stream) close() {
 	s.mu.Unlock()
 }
 
-// from returns every record from index i on that exists, blocking until
+// from returns every event from index i on that exists, blocking until
 // there is at least one. ok is false once the stream is closed and fully
 // drained, or when cancel (checked after every wakeup) reports the reader
 // is gone; callers pair it with a goroutine that broadcasts on context
-// cancellation. The records are returned without a copy: the log only
-// appends, so the writer never touches an index below its length again.
-func (s *stream) from(i int, cancelled func() bool) ([]EventRecord, bool) {
+// cancellation. The events are returned without a copy: the log only
+// appends, so the writer never touches an index below its length again,
+// and a kept event is never written after it is appended.
+func (s *stream) from(i int, cancelled func() bool) ([]evm.Event, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
@@ -103,7 +110,7 @@ func (s *stream) wake() {
 }
 
 // lens returns the current event and sample counts: one sample per
-// event record, plus one per final metric once the run is finalized.
+// event, plus one per final metric once the run is finalized.
 func (s *stream) lens() (events, samples int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -118,21 +125,26 @@ func (s *stream) final() map[string]float64 {
 	return s.metrics
 }
 
-// snapshotEvents copies the event records seen so far.
+// snapshotEvents renders the events seen so far as records.
 func (s *stream) snapshotEvents() []EventRecord {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]EventRecord(nil), s.events...)
+	evs := s.events
+	s.mu.Unlock()
+	out := make([]EventRecord, len(evs))
+	for i, ev := range evs {
+		out[i] = record(ev)
+	}
+	return out
 }
 
-// samples folds the records seen so far — then, once the run is
+// samples folds the events seen so far — then, once the run is
 // finalized, its metrics — through tel into flat samples.
 func (s *stream) samples(tel *evm.Telemetry) []evm.Sample {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]evm.Sample, 0, len(s.events)+len(s.metrics))
-	for _, rec := range s.events {
-		out = append(out, tel.Row(rec.T, rec.Cell, rec.Series))
+	for _, ev := range s.events {
+		out = append(out, tel.Sample(ev))
 	}
 	return tel.AppendMetricSamples(out, s.horizon, s.metrics)
 }
@@ -142,7 +154,7 @@ func (s *stream) samples(tel *evm.Telemetry) []evm.Sample {
 func (r *Run) Events() []EventRecord { return r.stream.snapshotEvents() }
 
 // Samples returns the run's flat telemetry samples so far, derived from
-// its event records and, once it has finished, its final metrics.
+// its events and, once it has finished, its final metrics.
 func (r *Run) Samples() []evm.Sample {
 	return r.stream.samples(evm.NewTelemetry(r.ID, r.Tenant, r.Spec))
 }

@@ -1,9 +1,12 @@
 package evmd
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -214,16 +217,117 @@ func TestStatusAndSamplesReadDuringRun(t *testing.T) {
 	}
 }
 
+// TestFollowersStreamReferenceBytes: readers that follow a run's events
+// as NDJSON while the run appends receive exactly the bytes of its
+// SerialEvents reference. The run is held at event pauseAt until every
+// reader has its first line, so each one renders kept events while the
+// simulation goroutine appends more; under -race that checks a kept
+// event is never written after it is logged.
+func TestFollowersStreamReferenceBytes(t *testing.T) {
+	spec := evm.RunSpec{Scenario: evm.ScenarioCampusFailover, Seed: 7, Horizon: 20 * time.Second}
+	ref, err := SerialEvents(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	for _, rec := range ref {
+		if err := enc.Encode(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s := NewServer(Config{Workers: 1, QueueDepth: 4})
+	defer s.Drain(0)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	held, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	resume := func() { once.Do(func() { close(release) }) }
+	defer resume()
+	build := func(spec evm.RunSpec) (*evm.Experiment, error) {
+		exp, err := evm.BuildScenario(spec)
+		if err != nil {
+			return nil, err
+		}
+		n := 0
+		exp.Events().Subscribe(func(evm.Event) {
+			if n++; n == pauseAt {
+				close(held)
+				<-release
+			}
+		})
+		return exp, nil
+	}
+	runs, err := s.admit("acme", build, []evm.RunSpec{spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-held:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("run never published event %d", pauseAt)
+	}
+
+	const readers = 4
+	got := make([][]byte, readers)
+	var first, done sync.WaitGroup
+	first.Add(readers)
+	done.Add(readers)
+	for i := range readers {
+		go func() {
+			defer done.Done()
+			started := false
+			defer func() {
+				if !started {
+					first.Done()
+				}
+			}()
+			resp, err := http.Get(ts.URL + "/v1/runs/" + runs[0].ID + "/events")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			br := bufio.NewReader(resp.Body)
+			line, err := br.ReadBytes('\n')
+			if err != nil {
+				t.Errorf("reader %d: first line: %v", i, err)
+				return
+			}
+			started = true
+			first.Done()
+			rest, err := io.ReadAll(br)
+			if err != nil {
+				t.Errorf("reader %d: %v", i, err)
+			}
+			got[i] = append(line, rest...)
+		}()
+	}
+	first.Wait()
+	resume()
+	done.Wait()
+	if st := waitState(t, runs[0]); st != RunDone {
+		t.Fatalf("run ended %s", st)
+	}
+	for i, b := range got {
+		if !bytes.Equal(b, want.Bytes()) {
+			t.Errorf("reader %d differs from the SerialEvents NDJSON:\n%s", i, firstDiff(b, want.Bytes()))
+		}
+	}
+}
+
 // TestRetainedHeapPerRun gates what the daemon keeps of a finished run:
 // over 256 finished eight-controller runs of 2 s, as the service
-// benchmark submits them, the live heap grows by less than 10 kB a run.
-// A finished run keeps its status, its event records and its final
-// metric map; its telemetry samples are derived on request.
+// benchmark submits them, the live heap grows by less than 4.5 kB a run
+// (3.3 kB when this test runs alone). A finished run keeps its status,
+// its kept events and its final metric map; its event records and
+// telemetry samples are rendered on request.
 func TestRetainedHeapPerRun(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's bookkeeping inflates the live heap")
 	}
-	const runs, budget = 256, 10_000
+	const runs, budget = 256, 4_500
 	s := NewServer(Config{Workers: 2, QueueDepth: runs})
 	defer s.Drain(0)
 	finish := func(n int) {

@@ -29,6 +29,10 @@ type Profile struct {
 	RolloutWeight float64
 	// HorizonMinMS/HorizonMaxMS bound the virtual run length.
 	HorizonMinMS, HorizonMaxMS int64
+	// LossGates keeps crashes, recoveries and outages out of lossy
+	// cells (genFaultTimeline). Off, the generator places them in any
+	// cell: the lossy profile, which measures safety under loss.
+	LossGates bool
 }
 
 // DefaultProfile is the sweep profile: mostly multi-cell campuses with
@@ -43,6 +47,7 @@ func DefaultProfile() Profile {
 		RolloutWeight:  0.2,
 		HorizonMinMS:   20_000,
 		HorizonMaxMS:   32_000,
+		LossGates:      true,
 	}
 }
 
@@ -306,6 +311,7 @@ func genFaultTimeline(rng *sim.RNG, s *Spec, p Profile) {
 	// fail-over, after which the generator's master bookkeeping — and
 	// therefore its guarantee that every crash leaves a usable candidate
 	// — no longer holds. The same goes for cells with baseline loss.
+	// These loss gates hold while p.LossGates is on.
 	bursted := make([]bool, len(s.Cells))
 	t := int64(6000 + rng.Intn(2000))
 	for windows := 0; windows < budget && t < s.HorizonMS-9000; windows++ {
@@ -318,7 +324,7 @@ func genFaultTimeline(rng *sim.RNG, s *Spec, p Profile) {
 				continue
 			}
 			victim := rng.Intn(len(s.Cells))
-			if s.Cells[victim].PER > 0 {
+			if p.LossGates && s.Cells[victim].PER > 0 {
 				continue
 			}
 			outageDone = true
@@ -329,7 +335,7 @@ func genFaultTimeline(rng *sim.RNG, s *Spec, p Profile) {
 			t += forMS
 		case 1: // candidate crash (± recovery), loss-free cells only
 			ci := rng.Intn(len(s.Cells))
-			if s.Cells[ci].PER > 0 || bursted[ci] {
+			if p.LossGates && (s.Cells[ci].PER > 0 || bursted[ci]) {
 				continue
 			}
 			task := rng.Intn(s.Cells[ci].Tasks)
@@ -343,7 +349,7 @@ func genFaultTimeline(rng *sim.RNG, s *Spec, p Profile) {
 			// resumes actuating until the head's re-demotion reaches it,
 			// and baseline loss can push that exchange past the
 			// invariant grace.
-			if s.Cells[ci].PER == 0 && rng.Float64() < 0.6 {
+			if (!p.LossGates || s.Cells[ci].PER == 0) && rng.Float64() < 0.6 {
 				rec := t + int64(3000+rng.Intn(4000))
 				s.Faults = append(s.Faults, FaultGen{AtMS: rec, Kind: KindRecover, Cell: s.Cells[ci].Name, Node: node})
 				t = rec

@@ -12,7 +12,9 @@ import (
 // mapping seed → spec is a pure function (byte-identical JSON on every
 // call) and every generated spec passes Validate.
 func TestGenerateDeterministicAndValid(t *testing.T) {
-	for _, prof := range []Profile{DefaultProfile(), MultihopProfile()} {
+	lossy := DefaultProfile()
+	lossy.LossGates = false
+	for _, prof := range []Profile{DefaultProfile(), MultihopProfile(), lossy} {
 		for seed := uint64(1); seed <= 300; seed++ {
 			a := GenerateWith(seed, prof)
 			b := GenerateWith(seed, prof)
@@ -112,5 +114,33 @@ func TestGeneratedFaultsAreSerialized(t *testing.T) {
 				last = f.AtMS
 			}
 		}
+	}
+}
+
+// TestLossGatesKeepFaultsOutOfLossyCells: with Profile.LossGates on, no
+// crash, recovery or outage targets a cell with baseline loss; with it
+// off (evmfuzz -profile lossy), some do.
+func TestLossGatesKeepFaultsOutOfLossyCells(t *testing.T) {
+	lossyTargets := func(p Profile) int {
+		n := 0
+		for _, s := range GenerateCorpus(1, 400, p) {
+			for _, f := range s.Faults {
+				switch f.Kind {
+				case KindCrash, KindRecover, KindOutage:
+					if s.Cells[s.cell(f.Cell)].PER > 0 {
+						n++
+					}
+				}
+			}
+		}
+		return n
+	}
+	p := DefaultProfile()
+	if n := lossyTargets(p); n != 0 {
+		t.Errorf("with the loss gates on, %d faults target a lossy cell", n)
+	}
+	p.LossGates = false
+	if lossyTargets(p) == 0 {
+		t.Error("with the loss gates off, no fault targets a lossy cell")
 	}
 }

@@ -29,13 +29,12 @@ type Sample struct {
 	Value    float64 `json:"value"`
 }
 
-// Telemetry folds one run's rows into Samples. A row is one observation
-// of the run's event stream: its virtual time in seconds, the cell it is
-// attributed to ("" outside a campus) and its series (EventRow). Row is
-// the one fold every sample surface goes through: Sample for a live bus
-// event, Runner.EventDir for a recorded log, evmd for the event records a
-// run keeps. Feed it the rows in publication order; equal-seed runs yield
-// identical samples.
+// Telemetry folds one run's events into Samples. An event's row is its
+// virtual time in seconds, the cell it is attributed to ("" outside a
+// campus) and its series (EventRow). Sample is the one fold every sample
+// surface goes through: Runner.EventDir for a recorded log, evmd for the
+// events a run keeps (Keep). Feed it the events in publication order;
+// equal-seed runs yield identical samples.
 type Telemetry struct {
 	run    Sample // the run's identity columns, copied into every sample
 	counts map[seriesKey]float64
@@ -62,20 +61,16 @@ func EventRow(ev Event) (t float64, cell, series string) {
 	return ev.When().Seconds(), cell, ev.series()
 }
 
-// Row returns the sample of one row at virtual time at (seconds): the
-// count of rows seen so far on its (cell, series) pair, this one
-// included.
-func (t *Telemetry) Row(at float64, cell, series string) Sample {
+// Sample returns the sample of the event's row (EventRow): the count of
+// events seen so far on its (cell, series) pair, this one included.
+func (t *Telemetry) Sample(ev Event) Sample {
 	sm := t.run
-	sm.T, sm.Cell, sm.Series = at, cell, series
-	key := seriesKey{cell, series}
+	sm.T, sm.Cell, sm.Series = EventRow(ev)
+	key := seriesKey{sm.Cell, sm.Series}
 	t.counts[key]++
 	sm.Value = t.counts[key]
 	return sm
 }
-
-// Sample returns the sample of the event's row (EventRow).
-func (t *Telemetry) Sample(ev Event) Sample { return t.Row(EventRow(ev)) }
 
 // AppendMetricSamples appends one "metric.<name>" sample per final run
 // metric to dst, stamped at now, in sorted key order, and returns the
