@@ -6,13 +6,24 @@
 //	evmsim -fault 300s -horizon 1000s -window 1200 -csv fig6.csv
 //	evmsim -crash            # silent node crash instead of wrong output
 //	evmsim -per 0.2          # 20% packet loss on every link
+//
+// The CSV is the flat evm.Sample format, one row per series per second
+// of plant time:
+//
+//	t,run,tenant,scenario,seed,cell,series,value
+//	1,,,gas-plant,1,,lts_level_pct,50.047832743398246
+//	1,,,gas-plant,1,,sepliq_kmolh,97.6997702807231
+//	...
+//	1,,,gas-plant,1,,active_node,2
+//	2,,,gas-plant,1,,lts_level_pct,50.09687287356118
+//	...
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
+	"math"
 	"time"
 
 	"evm"
@@ -36,6 +47,9 @@ func run() error {
 		csvPath = flag.String("csv", "", "write the recorded series to this CSV file")
 	)
 	flag.Parse()
+	if *horizon <= 0 || *faultAt < 0 || *faultAt >= *horizon {
+		return fmt.Errorf("want 0 <= -fault < -horizon, got -fault %v -horizon %v", *faultAt, *horizon)
+	}
 
 	cfg := evm.DefaultGasPlantConfig()
 	cfg.Seed = *seed
@@ -99,13 +113,26 @@ func run() error {
 		fmt.Printf("actuation latency  max %v (%.1f%% of the control cycle)\n",
 			max, 100*max.Seconds()/cfg.ControlPeriod.Seconds())
 	}
-	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
-		if err != nil {
-			return err
+	// The fault's shape, read from the recorded rows after it.
+	levelMin, feedPeak := math.Inf(1), math.Inf(-1)
+	samples := s.Samples()
+	for _, sm := range samples {
+		if sm.T <= (*faultAt).Seconds() {
+			continue
 		}
-		defer f.Close()
-		if err := s.Recorder().WriteCSV(f); err != nil {
+		switch sm.Series {
+		case "lts_level_pct":
+			levelMin = min(levelMin, sm.Value)
+		case "towerfeed_kmolh":
+			feedPeak = max(feedPeak, sm.Value)
+		}
+	}
+	if !math.IsInf(levelMin, 1) {
+		fmt.Printf("LTS level min      %.2f%% after the fault\n", levelMin)
+		fmt.Printf("tower feed peak    %.1f kmol/h after the fault\n", feedPeak)
+	}
+	if *csvPath != "" {
+		if err := evm.WriteSamplesFile(*csvPath, samples); err != nil {
 			return err
 		}
 		fmt.Printf("series written to  %s\n", *csvPath)

@@ -11,7 +11,6 @@ import (
 	"evm/internal/radio"
 	"evm/internal/rtos"
 	"evm/internal/sim"
-	"evm/internal/trace"
 	"evm/internal/vm"
 )
 
@@ -141,7 +140,7 @@ func runSyncJitter(_ Param, seed uint64) (map[string]float64, error) {
 			us = append(us, float64(jitter[id].Microseconds()))
 		}
 	}
-	st := trace.Summarize(us)
+	st := evm.Summarize(us)
 	return map[string]float64{"mean_us": st.Mean, "p95_us": st.P95, "p99_us": st.P99, "max_us": st.Max}, nil
 }
 
@@ -155,7 +154,12 @@ func runControlCycle(_ Param, seed uint64) (map[string]float64, error) {
 	}
 	s.Record()
 	s.Run(120 * time.Second)
-	st := trace.DurationStats(s.ActuationLatencies())
+	lats := s.ActuationLatencies()
+	ns := make([]float64, len(lats))
+	for i, l := range lats {
+		ns[i] = float64(l)
+	}
+	st := evm.Summarize(ns)
 	ms := float64(time.Millisecond)
 	return map[string]float64{
 		"actuations":    float64(st.N),

@@ -16,9 +16,12 @@ const fig6GoldenPath = "testdata/fig6/digests.txt"
 // fig6Digest builds the default gas plant at seed, calls Record right
 // after NewGasPlant and runs one timeline: the Fig. 6 compute fault at
 // 120 s with a 300 s horizon, or a silent crash of the primary at 60 s
-// stopped at 120 s. It returns a line naming the run, its CSV row and
-// latency counts, and a SHA-256 over Recorder().WriteCSV followed by
-// every ActuationLatencies() value in nanoseconds.
+// stopped at 120 s. It returns a line naming the run, its sample and
+// latency counts, and a SHA-256 over the WriteSamplesCSV bytes of
+// Samples() followed by every ActuationLatencies() value in
+// nanoseconds. The seed column is hashed as 0, so equal lines for
+// seeds 1 and 2 show a recording that does not depend on the seed (the
+// stamp itself is checked by TestUnrecordedPlantRecordsNothing).
 func fig6Digest(t *testing.T, seed uint64, crash bool) string {
 	t.Helper()
 	cfg := DefaultGasPlantConfig()
@@ -34,20 +37,21 @@ func fig6Digest(t *testing.T, seed uint64, crash bool) string {
 	} else if _, err := s.RunFig6(120*time.Second, 300*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	var csv strings.Builder
-	if err := s.Recorder().WriteCSV(&csv); err != nil {
-		t.Fatal(err)
+	samples := s.Samples()
+	for i := range samples {
+		samples[i].Seed = 0
 	}
 	lats := s.ActuationLatencies()
 	h := sha256.New()
 	fmt.Fprintln(h, "csv")
-	h.Write([]byte(csv.String()))
+	if err := WriteSamplesCSV(h, samples); err != nil {
+		t.Fatal(err)
+	}
 	fmt.Fprintln(h, "latencies")
 	for _, l := range lats {
 		fmt.Fprintln(h, int64(l))
 	}
-	rows := strings.Count(csv.String(), "\n") - 1
-	return fmt.Sprintf("%s seed=%d rows=%d latencies=%d %x", name, seed, rows, len(lats), h.Sum(nil))
+	return fmt.Sprintf("%s seed=%d rows=%d latencies=%d %x", name, seed, len(samples), len(lats), h.Sum(nil))
 }
 
 // TestFig6RecordingGolden pins what a gas plant records once Record is
@@ -83,13 +87,16 @@ func TestFig6RecordingGolden(t *testing.T) {
 }
 
 // TestUnrecordedPlantRecordsNothing: a plant that never called Record
-// has an empty recorder and no latencies, and a second Record call
-// neither restarts nor duplicates the recording.
+// has no samples and no latencies, and a second Record call neither
+// restarts nor duplicates the recording: one row per series per tick,
+// in fig6Series order, stamped with the scenario and the plant's seed.
 func TestUnrecordedPlantRecordsNothing(t *testing.T) {
-	s := newGasPlant(t, DefaultGasPlantConfig())
+	cfg := DefaultGasPlantConfig()
+	cfg.Seed = 3
+	s := newGasPlant(t, cfg)
 	s.Run(10 * time.Second)
-	if names := s.Recorder().Names(); len(names) != 0 {
-		t.Fatalf("unrecorded plant has series %v", names)
+	if n := len(s.Samples()); n != 0 {
+		t.Fatalf("unrecorded plant has %d samples", n)
 	}
 	if lats := s.ActuationLatencies(); len(lats) != 0 {
 		t.Fatalf("unrecorded plant has %d latencies", len(lats))
@@ -107,9 +114,15 @@ func TestUnrecordedPlantRecordsNothing(t *testing.T) {
 	}
 	// Ticks fall 1 s, 2 s, ... after Record; the one at the horizon does
 	// not fire.
-	for _, name := range s.Recorder().Names() {
-		if n := s.Recorder().Series(name).Len(); n != 9 {
-			t.Fatalf("series %s has %d samples over 10 s, want 9", name, n)
+	samples := s.Samples()
+	if got, want := len(samples), 9*len(fig6Series); got != want {
+		t.Fatalf("%d samples over 10 s, want %d (9 ticks of %d series)", got, want, len(fig6Series))
+	}
+	for i, sm := range samples {
+		tick, k := i/len(fig6Series), i%len(fig6Series)
+		want := Sample{T: float64(11 + tick), Scenario: ScenarioGasPlant, Seed: 3, Series: fig6Series[k], Value: sm.Value}
+		if sm != want {
+			t.Fatalf("sample %d = %+v, want %+v", i, sm, want)
 		}
 	}
 }

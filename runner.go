@@ -3,16 +3,17 @@ package evm
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/bits"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"time"
 
 	"evm/internal/sim"
 	"evm/internal/span"
-	"evm/internal/trace"
 )
 
 // RunResult is one completed grid point: the spec, the scenario's metrics
@@ -317,11 +318,50 @@ func (m MetricSummary) String() string {
 		m.N, m.Mean, m.Min, m.Max, m.P50, m.P95, m.P99)
 }
 
+// Summarize computes the summary statistics of values; it returns the
+// zero MetricSummary for empty input. The mean sums a sorted copy, so
+// equal value sets summarize byte-identically in any order.
+func Summarize(values []float64) MetricSummary {
+	if len(values) == 0 {
+		return MetricSummary{}
+	}
+	sorted := append([]float64(nil), values...)
+	sort.Float64s(sorted)
+	var sum float64
+	for _, v := range sorted {
+		sum += v
+	}
+	return MetricSummary{
+		N:    len(sorted),
+		Mean: sum / float64(len(sorted)),
+		Min:  sorted[0],
+		Max:  sorted[len(sorted)-1],
+		P50:  percentile(sorted, 0.50),
+		P95:  percentile(sorted, 0.95),
+		P99:  percentile(sorted, 0.99),
+	}
+}
+
+// percentile returns the p-quantile (nearest-rank on a sorted slice).
+func percentile(sorted []float64, p float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	idx := int(math.Ceil(p*float64(len(sorted)))) - 1
+	if idx < 0 {
+		idx = 0
+	}
+	if idx >= len(sorted) {
+		idx = len(sorted) - 1
+	}
+	return sorted[idx]
+}
+
 // Aggregate groups successful results by scenario and summarizes every
 // metric. The outer key is the scenario name, the inner key the metric.
 func Aggregate(results []RunResult) map[string]map[string]MetricSummary {
 	// Collect per-metric value lists in result order; all arithmetic
-	// (including the mean's float sum) happens in trace.Summarize over
+	// (including the mean's float sum) happens in Summarize over
 	// the sorted copy, so equal result sets aggregate byte-identically.
 	vals := make(map[string]map[string][]float64)
 	for _, r := range results {
@@ -342,11 +382,7 @@ func Aggregate(results []RunResult) map[string]map[string]MetricSummary {
 		byMetric := vals[sc]
 		out[sc] = make(map[string]MetricSummary, len(byMetric))
 		for _, k := range sim.SortedKeys(byMetric) {
-			st := trace.Summarize(byMetric[k])
-			out[sc][k] = MetricSummary{
-				N: st.N, Mean: st.Mean, Min: st.Min, Max: st.Max,
-				P50: st.P50, P95: st.P95, P99: st.P99,
-			}
+			out[sc][k] = Summarize(byMetric[k])
 		}
 	}
 	return out

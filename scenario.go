@@ -8,7 +8,6 @@ import (
 	"evm/internal/gateway"
 	"evm/internal/plant"
 	"evm/internal/radio"
-	"evm/internal/trace"
 	"evm/internal/vm"
 )
 
@@ -79,8 +78,11 @@ type GasPlant struct {
 	GW    *gateway.Gateway
 	VC    VCConfig
 
-	// rec holds the Fig. 6(b) series; nil until Record.
-	rec *trace.Recorder
+	seed uint64 // stamped on every Sample
+	// recording is set by Record; fig6 holds one row per 1 s tick from
+	// then on, expanded into Samples on request.
+	recording bool
+	fig6      []fig6Row
 	// actLatencies collects gateway-measured sensor-to-actuation
 	// latencies (experiment E5) from Record on.
 	actLatencies []time.Duration
@@ -249,7 +251,7 @@ func NewGasPlant(cfg GasPlantConfig) (*GasPlant, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &GasPlant{Cell: cell, Plant: p, GW: gw, VC: vc}
+	s := &GasPlant{Cell: cell, Plant: p, GW: gw, VC: vc, seed: cfg.Seed}
 	// Publish accepted actuations on the cell's event bus.
 	gw.SetActuateSink(cell.publishActuation)
 
@@ -260,43 +262,42 @@ func NewGasPlant(cfg GasPlantConfig) (*GasPlant, error) {
 	return s, nil
 }
 
-// fig6Series names the Fig. 6(b) series in recording (and CSV column)
+// fig6Series names the Fig. 6(b) series in recording (and Samples)
 // order.
 var fig6Series = [...]string{
 	"lts_level_pct", "sepliq_kmolh", "ltsliq_kmolh", "towerfeed_kmolh", "valve_pct",
 	"lts_temp_c", "chiller_duty_pct", "bottoms_c3_frac", "reboil_duty_pct", "active_node",
 }
 
+// fig6Row is one Fig. 6(b) tick: its time and the fig6Series values.
+type fig6Row struct {
+	t time.Duration
+	v [len(fig6Series)]float64
+}
+
 // Record starts recording, from the moment it is called, the Fig. 6(b)
 // series (LTS level, the three flows, valve, LTS temperature, chiller
 // and reboil duty, bottoms propane and the LTS loop's active node,
 // sampled once per second of plant time, first one second after the
-// call) and the E5 latency of every accepted actuation: the time from
-// the gateway's latest sensor poll to the actuation's arrival. Call it
-// right after NewGasPlant to record the whole run. A second call does
-// nothing.
+// call; read them with Samples) and the E5 latency of every accepted
+// actuation: the time from the gateway's latest sensor poll to the
+// actuation's arrival. Call it right after NewGasPlant to record the
+// whole run. A second call does nothing.
 func (s *GasPlant) Record() {
-	if s.rec != nil {
+	if s.recording {
 		return
 	}
-	s.rec = trace.NewRecorder()
-	var series [len(fig6Series)]*trace.Series
-	for i, name := range fig6Series {
-		series[i] = s.rec.Series(name)
-	}
+	s.recording = true
 	s.Cell.Engine().Every(time.Second, func() {
-		now := s.Cell.Now()
 		f := s.Plant.Flows()
 		active := 0.0
 		if id, ok := s.Cell.Node(GasHeadID).Head().ActiveNode(LTSTaskID); ok {
 			active = float64(id)
 		}
-		for i, v := range [len(fig6Series)]float64{
+		s.fig6 = append(s.fig6, fig6Row{t: s.Cell.Now(), v: [len(fig6Series)]float64{
 			s.Plant.LTSLevelPct(), f.SepLiq, f.LTSLiq, f.TowerFeed, s.Plant.ValveOpenPct(),
 			s.Plant.LTSTempC(), s.Plant.ChillerDutyPct(), s.Plant.BottomsC3(), s.Plant.ReboilDutyPct(), active,
-		} {
-			series[i].Add(now, v)
-		}
+		}})
 	})
 	s.onActuation(func(lat time.Duration) { s.actLatencies = append(s.actLatencies, lat) })
 }
@@ -311,13 +312,18 @@ func (s *GasPlant) onActuation(fn func(time.Duration)) {
 	})
 }
 
-// Recorder returns the Fig. 6(b) series recorded since Record was
-// called; without Record it returns an empty recorder.
-func (s *GasPlant) Recorder() *trace.Recorder {
-	if s.rec == nil {
-		return trace.NewRecorder()
+// Samples returns the Fig. 6(b) series recorded since Record was
+// called: per tick, in time order, one sample per series in fig6Series
+// order, stamped with the gas-plant scenario and the plant's seed.
+// Without Record it returns none.
+func (s *GasPlant) Samples() []Sample {
+	out := make([]Sample, 0, len(s.fig6)*len(fig6Series))
+	for _, r := range s.fig6 {
+		for i, name := range fig6Series {
+			out = append(out, Sample{T: r.t.Seconds(), Scenario: ScenarioGasPlant, Seed: s.seed, Series: name, Value: r.v[i]})
+		}
 	}
-	return s.rec
+	return out
 }
 
 // ActuationLatencies returns a copy of the gateway-measured
@@ -381,8 +387,8 @@ type Fig6Result struct {
 
 // RunFig6 executes the full Fig. 6(b) timeline: steady state, primary
 // fault at faultAt, detection and fail-over by the EVM, recovery until
-// horizon. It returns the shape summary; after Record, the series are
-// in Recorder().
+// horizon. It returns the shape summary; after Record, Samples holds
+// the series.
 func (s *GasPlant) RunFig6(faultAt, horizon time.Duration) (Fig6Result, error) {
 	if faultAt >= horizon {
 		return Fig6Result{}, fmt.Errorf("evm: fault at %v after horizon %v", faultAt, horizon)

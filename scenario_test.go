@@ -66,11 +66,11 @@ func TestFig6ShapeReproduced(t *testing.T) {
 	if s.ActiveController() != GasCtrlBID {
 		t.Fatalf("active controller = %v after Fig6, want Ctrl-B", s.ActiveController())
 	}
-	// The recorder holds every Fig. 6(b) series.
+	// The samples hold every Fig. 6(b) series.
 	for _, name := range []string{"lts_level_pct", "sepliq_kmolh", "ltsliq_kmolh", "towerfeed_kmolh"} {
 		found := false
-		for _, n := range s.Recorder().Names() {
-			if n == name {
+		for _, sm := range s.Samples() {
+			if sm.Series == name {
 				found = true
 			}
 		}

@@ -6,7 +6,6 @@ import (
 
 	"evm/internal/sim"
 	"evm/internal/span"
-	"evm/internal/trace"
 )
 
 // Causal tracing facade: EnableTracing attaches a seeded span.Tracer to a
@@ -101,7 +100,7 @@ func TraceMetrics(t *span.Tracer) map[string]float64 {
 		if len(ds) == 0 {
 			continue
 		}
-		st := trace.Summarize(ds)
+		st := Summarize(ds)
 		out["span_"+name+"_count"] = float64(st.N)
 		out["span_"+name+"_p50_ms"] = st.P50
 		out["span_"+name+"_p95_ms"] = st.P95

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 )
@@ -149,6 +150,42 @@ func TestAggregatePercentiles(t *testing.T) {
 	want := "n=100 mean=50.500 min=1.000 max=100.000 p50=50.000 p95=95.000 p99=99.000"
 	if got := sum.String(); got != want {
 		t.Fatalf("summary string = %q, want %q", got, want)
+	}
+}
+
+func TestSummarize(t *testing.T) {
+	vals := []float64{5, 1, 4, 2, 3}
+	st := Summarize(vals)
+	if st.N != 5 || st.Min != 1 || st.Max != 5 {
+		t.Fatalf("stats = %+v", st)
+	}
+	if math.Abs(st.Mean-3) > 1e-9 {
+		t.Fatalf("mean = %f", st.Mean)
+	}
+	if st.P50 != 3 {
+		t.Fatalf("p50 = %f", st.P50)
+	}
+	if st.P99 != 5 {
+		t.Fatalf("p99 = %f", st.P99)
+	}
+}
+
+func TestSummarizeEmpty(t *testing.T) {
+	if st := Summarize(nil); st.N != 0 {
+		t.Fatal("empty stats not zero")
+	}
+}
+
+func TestPercentileNearestRank(t *testing.T) {
+	sorted := []float64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
+	if p := percentile(sorted, 0.5); p != 50 {
+		t.Fatalf("p50 = %f", p)
+	}
+	if p := percentile(sorted, 0.95); p != 100 {
+		t.Fatalf("p95 = %f", p)
+	}
+	if p := percentile(sorted, 0.01); p != 10 {
+		t.Fatalf("p1 = %f", p)
 	}
 }
 
