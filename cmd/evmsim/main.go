@@ -117,7 +117,7 @@ func run() error {
 	levelMin, feedPeak := math.Inf(1), math.Inf(-1)
 	samples := s.Samples()
 	for _, sm := range samples {
-		if sm.T <= (*faultAt).Seconds() {
+		if sm.T <= faultAt.Seconds() {
 			continue
 		}
 		switch sm.Series {

@@ -67,14 +67,12 @@ func TestFig6ShapeReproduced(t *testing.T) {
 		t.Fatalf("active controller = %v after Fig6, want Ctrl-B", s.ActiveController())
 	}
 	// The samples hold every Fig. 6(b) series.
+	recorded := make(map[string]bool)
+	for _, sm := range s.Samples() {
+		recorded[sm.Series] = true
+	}
 	for _, name := range []string{"lts_level_pct", "sepliq_kmolh", "ltsliq_kmolh", "towerfeed_kmolh"} {
-		found := false
-		for _, sm := range s.Samples() {
-			if sm.Series == name {
-				found = true
-			}
-		}
-		if !found {
+		if !recorded[name] {
 			t.Fatalf("series %s missing", name)
 		}
 	}
