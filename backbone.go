@@ -554,12 +554,15 @@ type BackboneEvent struct {
 func (e BackboneEvent) When() time.Duration { return e.At }
 
 // String implements Event.
-func (e BackboneEvent) String() string {
+func (e BackboneEvent) String() string { return string(e.appendText(make([]byte, 0, lineCap))) }
+
+func (e BackboneEvent) appendText(dst []byte) []byte {
+	dst = appendField(appendStamp(dst, e.At, "backbone"), "kind", string(e.Kind))
+	dst = appendField(appendField(dst, "from", e.From), "to", e.To)
 	if e.Via != "" {
-		return fmt.Sprintf("%v backbone kind=%s from=%s to=%s via=%s bytes=%d",
-			e.At, e.Kind, e.From, e.To, e.Via, e.Bytes)
+		dst = appendField(dst, "via", e.Via)
 	}
-	return fmt.Sprintf("%v backbone kind=%s from=%s to=%s bytes=%d", e.At, e.Kind, e.From, e.To, e.Bytes)
+	return appendInt(dst, "bytes", e.Bytes)
 }
 
 // backboneOutcomes declares each transfer outcome's series and counters.
@@ -593,13 +596,15 @@ type BackboneRouteEvent struct {
 func (e BackboneRouteEvent) When() time.Duration { return e.At }
 
 // String implements Event.
-func (e BackboneRouteEvent) String() string {
+func (e BackboneRouteEvent) String() string { return string(e.appendText(make([]byte, 0, lineCap))) }
+
+func (e BackboneRouteEvent) appendText(dst []byte) []byte {
 	kind := "backbone-route"
 	if e.Reroute {
 		kind = "backbone-reroute"
 	}
-	return fmt.Sprintf("%v %s from=%s to=%s path=%s bytes=%d",
-		e.At, kind, e.From, e.To, strings.Join(e.Path, ">"), e.Bytes)
+	dst = appendField(appendField(appendStamp(dst, e.At, kind), "from", e.From), "to", e.To)
+	return appendInt(appendJoined(dst, "path", e.Path, '>'), "bytes", e.Bytes)
 }
 
 func (BackboneRouteEvent) series() string         { return "backbone_routes" }
@@ -619,12 +624,15 @@ type BackboneLinkEvent struct {
 func (e BackboneLinkEvent) When() time.Duration { return e.At }
 
 // String implements Event.
-func (e BackboneLinkEvent) String() string {
+func (e BackboneLinkEvent) String() string { return string(e.appendText(make([]byte, 0, lineCap))) }
+
+func (e BackboneLinkEvent) appendText(dst []byte) []byte {
 	state := "down"
 	if e.Up {
 		state = "up"
 	}
-	return fmt.Sprintf("%v backbone-link a=%s b=%s state=%s", e.At, e.A, e.B, state)
+	dst = appendField(appendField(appendStamp(dst, e.At, "backbone-link"), "a", e.A), "b", e.B)
+	return appendField(dst, "state", state)
 }
 
 func (BackboneLinkEvent) series() string         { return "backbone_links" }

@@ -22,31 +22,36 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math"
+	"os"
 	"time"
 
 	"evm"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+func run(args []string, out io.Writer) error {
+	flags := flag.NewFlagSet("evmsim", flag.ExitOnError)
 	var (
-		faultAt = flag.Duration("fault", 300*time.Second, "fault injection time (T1)")
-		horizon = flag.Duration("horizon", 1000*time.Second, "simulation horizon")
-		window  = flag.Int("window", 1200, "backup deviation window in control cycles")
-		crash   = flag.Bool("crash", false, "crash the primary instead of injecting a wrong output")
-		per     = flag.Float64("per", 0, "forced packet error rate on every link")
-		seed    = flag.Uint64("seed", 1, "simulation seed")
-		useVM   = flag.Bool("vm", false, "run the control law as EVM byte code")
-		csvPath = flag.String("csv", "", "write the recorded series to this CSV file")
+		faultAt = flags.Duration("fault", 300*time.Second, "fault injection time (T1)")
+		horizon = flags.Duration("horizon", 1000*time.Second, "simulation horizon")
+		window  = flags.Int("window", 1200, "backup deviation window in control cycles")
+		crash   = flags.Bool("crash", false, "crash the primary instead of injecting a wrong output")
+		per     = flags.Float64("per", 0, "forced packet error rate on every link")
+		seed    = flags.Uint64("seed", 1, "simulation seed")
+		useVM   = flags.Bool("vm", false, "run the control law as EVM byte code")
+		csvPath = flags.String("csv", "", "write the recorded series to this CSV file")
 	)
-	flag.Parse()
+	if err := flags.Parse(args); err != nil {
+		return err
+	}
 	if *horizon <= 0 || *faultAt < 0 || *faultAt >= *horizon {
 		return fmt.Errorf("want 0 <= -fault < -horizon, got -fault %v -horizon %v", *faultAt, *horizon)
 	}
@@ -63,17 +68,28 @@ func run() error {
 	s.Record()
 
 	// The whole experiment is declarative: the fault is a plan applied to
-	// the cell, and observability rides the typed event bus.
-	var failoverAt time.Duration
+	// the cell, and observability rides the typed event bus. The fault
+	// hits the LTS loop's primary, so the fail-over it causes is the LTS
+	// task's first one at or after the fault; any fail-over before the
+	// fault is a false one (under loss, a backup can misjudge a healthy
+	// primary).
+	var (
+		failoverAt time.Duration
+		failedOver bool
+		prefault   []string
+	)
 	s.Cell.Events().Subscribe(func(ev evm.Event) {
 		switch e := ev.(type) {
 		case evm.FailoverEvent:
-			if failoverAt == 0 {
-				failoverAt = e.At
+			switch {
+			case e.At < *faultAt:
+				prefault = append(prefault, fmt.Sprintf("%s %v -> %v at %v", e.Task, e.From, e.To, e.At))
+			case e.Task == evm.LTSTaskID && !failedOver:
+				failoverAt, failedOver = e.At, true
 			}
-			fmt.Printf("[%10v] failover: %s %v -> %v\n", e.At, e.Task, e.From, e.To)
+			fmt.Fprintf(out, "[%10v] failover: %s %v -> %v\n", e.At, e.Task, e.From, e.To)
 		case evm.FaultEvent:
-			fmt.Printf("[%10v] fault injected: %s node %v\n", e.At, e.Kind, e.Node)
+			fmt.Fprintf(out, "[%10v] fault injected: %s node %v\n", e.At, e.Kind, e.Node)
 		}
 	})
 	plan := evm.PrimaryFaultPlan(*faultAt)
@@ -84,23 +100,26 @@ func run() error {
 		return err
 	}
 
-	fmt.Printf("gas plant under EVM control: cycle=%v, window=%d cycles, per=%.2f, plan=%s\n",
+	fmt.Fprintf(out, "gas plant under EVM control: cycle=%v, window=%d cycles, per=%.2f, plan=%s\n",
 		cfg.ControlPeriod, cfg.DeviationWindow, cfg.PER, plan.Label())
 	if !*crash {
-		fmt.Printf("at %v Ctrl-A will output 75%% instead of %.2f%%\n", *faultAt, s.Plant.NominalValvePct())
+		fmt.Fprintf(out, "at %v Ctrl-A will output 75%% instead of %.2f%%\n", *faultAt, s.Plant.NominalValvePct())
 	}
 	s.Run(*horizon)
 
-	fmt.Println("--- summary ---")
-	fmt.Printf("fault at           %v\n", *faultAt)
-	if failoverAt > 0 {
-		fmt.Printf("fail-over at       %v (detection+arbitration %v)\n", failoverAt, failoverAt-*faultAt)
-	} else {
-		fmt.Println("fail-over          did not occur")
+	fmt.Fprintln(out, "--- summary ---")
+	fmt.Fprintf(out, "fault at           %v\n", *faultAt)
+	for _, f := range prefault {
+		fmt.Fprintf(out, "pre-fault          %s (false fail-over)\n", f)
 	}
-	fmt.Printf("active controller  %v\n", s.ActiveController())
-	fmt.Printf("LTS level          %.2f%%\n", s.Plant.LTSLevelPct())
-	fmt.Printf("gateway            %d broadcasts, %d actuations ok, %d denied\n",
+	if failedOver {
+		fmt.Fprintf(out, "fail-over at       %v (detection+arbitration %v)\n", failoverAt, failoverAt-*faultAt)
+	} else {
+		fmt.Fprintf(out, "fail-over          %s did not fail over at or after the fault\n", evm.LTSTaskID)
+	}
+	fmt.Fprintf(out, "active controller  %v\n", s.ActiveController())
+	fmt.Fprintf(out, "LTS level          %.2f%%\n", s.Plant.LTSLevelPct())
+	fmt.Fprintf(out, "gateway            %d broadcasts, %d actuations ok, %d denied\n",
 		s.GW.Stats().SensorBroadcasts, s.GW.Stats().ActuationsOK, s.GW.Stats().ActuationsDenied)
 	lat := s.ActuationLatencies()
 	if len(lat) > 0 {
@@ -110,7 +129,7 @@ func run() error {
 				max = l
 			}
 		}
-		fmt.Printf("actuation latency  max %v (%.1f%% of the control cycle)\n",
+		fmt.Fprintf(out, "actuation latency  max %v (%.1f%% of the control cycle)\n",
 			max, 100*max.Seconds()/cfg.ControlPeriod.Seconds())
 	}
 	// The fault's shape, read from the recorded rows after it.
@@ -128,14 +147,14 @@ func run() error {
 		}
 	}
 	if !math.IsInf(levelMin, 1) {
-		fmt.Printf("LTS level min      %.2f%% after the fault\n", levelMin)
-		fmt.Printf("tower feed peak    %.1f kmol/h after the fault\n", feedPeak)
+		fmt.Fprintf(out, "LTS level min      %.2f%% after the fault\n", levelMin)
+		fmt.Fprintf(out, "tower feed peak    %.1f kmol/h after the fault\n", feedPeak)
 	}
 	if *csvPath != "" {
 		if err := evm.WriteSamplesFile(*csvPath, samples); err != nil {
 			return err
 		}
-		fmt.Printf("series written to  %s\n", *csvPath)
+		fmt.Fprintf(out, "series written to  %s\n", *csvPath)
 	}
 	return nil
 }

@@ -1,7 +1,6 @@
 package evm
 
 import (
-	"fmt"
 	"strconv"
 	"time"
 )
@@ -27,13 +26,72 @@ type Event interface {
 	// String renders a stable one-line form suitable for logging and
 	// byte-comparison across runs.
 	String() string
-	// series and counters are the event kind's one declaration of what it
-	// means to observers, written next to its String method: the
-	// telemetry series it lands on (SeriesName, Sample rows) and the
-	// Runner counters it bumps. They are unexported, so the set of kinds
-	// is closed and none can fall through to a default.
+	// appendText, series and counters are the event kind's one
+	// declaration of what it means to observers, written next to its
+	// String method: its one-line rendering appended to a buffer (String
+	// and AppendEvent), the telemetry series it lands on (SeriesName,
+	// Sample rows) and the Runner counters it bumps. They are unexported,
+	// so the set of kinds is closed and none can fall through to a
+	// default.
+	appendText(dst []byte) []byte
 	series() string
 	counters() counterSet
+}
+
+// AppendEvent appends ev's one-line rendering, the bytes of ev.String(),
+// to dst and returns the extended buffer. It allocates only when dst
+// must grow, so a caller rendering many events into one reused buffer
+// allocates nothing per event.
+func AppendEvent(dst []byte, ev Event) []byte { return ev.appendText(dst) }
+
+// lineCap is the capacity of the buffer String renders into. It holds
+// almost every line, and the compiler keeps it on the stack, so String
+// allocates only the string it returns (a CellEvent, whose inner event
+// appends through the interface, also the buffer).
+const lineCap = 128
+
+// appendStamp appends the event time as %v prints it, then a space and
+// the event's name.
+func appendStamp(dst []byte, at time.Duration, name string) []byte {
+	dst = append(dst, at.String()...)
+	dst = append(dst, ' ')
+	return append(dst, name...)
+}
+
+// appendField appends " key=value".
+func appendField(dst []byte, key, value string) []byte {
+	dst = append(dst, ' ')
+	dst = append(dst, key...)
+	dst = append(dst, '=')
+	return append(dst, value...)
+}
+
+// appendUint appends " key=n" in decimal, as %d prints n.
+func appendUint(dst []byte, key string, n uint64) []byte {
+	return strconv.AppendUint(appendField(dst, key, ""), n, 10)
+}
+
+// appendInt appends " key=n" in decimal, as %d prints n.
+func appendInt(dst []byte, key string, n int) []byte {
+	return strconv.AppendInt(appendField(dst, key, ""), int64(n), 10)
+}
+
+// appendFloat appends " key=v" in the shortest form that reads back
+// exactly ('g', -1).
+func appendFloat(dst []byte, key string, v float64) []byte {
+	return strconv.AppendFloat(appendField(dst, key, ""), v, 'g', -1, 64)
+}
+
+// appendJoined appends " key=" and then parts separated by sep.
+func appendJoined(dst []byte, key string, parts []string, sep byte) []byte {
+	dst = appendField(dst, key, "")
+	for i, p := range parts {
+		if i > 0 {
+			dst = append(dst, sep)
+		}
+		dst = append(dst, p...)
+	}
+	return dst
 }
 
 // counterSet is a set of Runner counters, one bit each; an event kind's
@@ -97,8 +155,11 @@ type FailoverEvent struct {
 func (e FailoverEvent) When() time.Duration { return e.At }
 
 // String implements Event.
-func (e FailoverEvent) String() string {
-	return fmt.Sprintf("%v failover task=%s from=%d to=%d", e.At, e.Task, e.From, e.To)
+func (e FailoverEvent) String() string { return string(e.appendText(make([]byte, 0, lineCap))) }
+
+func (e FailoverEvent) appendText(dst []byte) []byte {
+	dst = appendField(appendStamp(dst, e.At, "failover"), "task", e.Task)
+	return appendUint(appendUint(dst, "from", uint64(e.From)), "to", uint64(e.To))
 }
 
 func (FailoverEvent) series() string       { return "failovers" }
@@ -121,9 +182,12 @@ type ActuationEvent struct {
 func (e *ActuationEvent) When() time.Duration { return e.At }
 
 // String implements Event.
-func (e *ActuationEvent) String() string {
-	return fmt.Sprintf("%v actuation node=%d task=%s port=%d value=%s",
-		e.At, e.Node, e.Task, e.Port, strconv.FormatFloat(e.Value, 'g', -1, 64))
+func (e *ActuationEvent) String() string { return string(e.appendText(make([]byte, 0, lineCap))) }
+
+func (e *ActuationEvent) appendText(dst []byte) []byte {
+	dst = appendUint(appendStamp(dst, e.At, "actuation"), "node", uint64(e.Node))
+	dst = appendUint(appendField(dst, "task", e.Task), "port", uint64(e.Port))
+	return appendFloat(dst, "value", e.Value)
 }
 
 func (*ActuationEvent) series() string       { return "actuations" }
@@ -142,8 +206,11 @@ type MigrationEvent struct {
 func (e MigrationEvent) When() time.Duration { return e.At }
 
 // String implements Event.
-func (e MigrationEvent) String() string {
-	return fmt.Sprintf("%v migration task=%s from=%d to=%d", e.At, e.Task, e.From, e.To)
+func (e MigrationEvent) String() string { return string(e.appendText(make([]byte, 0, lineCap))) }
+
+func (e MigrationEvent) appendText(dst []byte) []byte {
+	dst = appendField(appendStamp(dst, e.At, "migration"), "task", e.Task)
+	return appendUint(appendUint(dst, "from", uint64(e.From)), "to", uint64(e.To))
 }
 
 func (MigrationEvent) series() string       { return "migrations" }
@@ -159,8 +226,10 @@ type JoinEvent struct {
 func (e JoinEvent) When() time.Duration { return e.At }
 
 // String implements Event.
-func (e JoinEvent) String() string {
-	return fmt.Sprintf("%v join node=%d", e.At, e.Node)
+func (e JoinEvent) String() string { return string(e.appendText(make([]byte, 0, lineCap))) }
+
+func (e JoinEvent) appendText(dst []byte) []byte {
+	return appendUint(appendStamp(dst, e.At, "join"), "node", uint64(e.Node))
 }
 
 func (JoinEvent) series() string       { return "joins" }
@@ -182,8 +251,11 @@ type ModeChangeEvent struct {
 func (e ModeChangeEvent) When() time.Duration { return e.At }
 
 // String implements Event.
-func (e ModeChangeEvent) String() string {
-	return fmt.Sprintf("%v mode-change head=%d mode=%d frame=%d", e.At, e.Node, e.Mode, e.AtFrame)
+func (e ModeChangeEvent) String() string { return string(e.appendText(make([]byte, 0, lineCap))) }
+
+func (e ModeChangeEvent) appendText(dst []byte) []byte {
+	dst = appendUint(appendStamp(dst, e.At, "mode-change"), "head", uint64(e.Node))
+	return appendUint(appendUint(dst, "mode", uint64(e.Mode)), "frame", e.AtFrame)
 }
 
 func (ModeChangeEvent) series() string       { return "mode_changes" }
@@ -222,9 +294,12 @@ type FaultEvent struct {
 func (e FaultEvent) When() time.Duration { return e.At }
 
 // String implements Event.
-func (e FaultEvent) String() string {
-	return fmt.Sprintf("%v fault kind=%s node=%d task=%s value=%s",
-		e.At, e.Kind, e.Node, e.Task, strconv.FormatFloat(e.Value, 'g', -1, 64))
+func (e FaultEvent) String() string { return string(e.appendText(make([]byte, 0, lineCap))) }
+
+func (e FaultEvent) appendText(dst []byte) []byte {
+	dst = appendField(appendStamp(dst, e.At, "fault"), "kind", string(e.Kind))
+	dst = appendField(appendUint(dst, "node", uint64(e.Node)), "task", e.Task)
+	return appendFloat(dst, "value", e.Value)
 }
 
 func (FaultEvent) series() string { return "faults" }

@@ -535,3 +535,89 @@ func TestKeptEventsRenderAsPublished(t *testing.T) {
 		}
 	}
 }
+
+// textCases lists every event kind, with each field variant that changes
+// its line, next to the line it must print.
+var textCases = []struct {
+	ev   Event
+	want string
+}{
+	{FailoverEvent{At: 1500 * time.Millisecond, Task: "lts-level", From: 2, To: 3},
+		"1.5s failover task=lts-level from=2 to=3"},
+	{&ActuationEvent{At: 250 * time.Millisecond, Node: 2, Task: "lts-level", Port: 1, Value: 11.48},
+		"250ms actuation node=2 task=lts-level port=1 value=11.48"},
+	{&ActuationEvent{At: 90061 * time.Second, Node: 65535, Port: 255, Value: -1e-7},
+		"25h1m1s actuation node=65535 task= port=255 value=-1e-07"},
+	{MigrationEvent{At: 2*time.Second + time.Nanosecond, Task: "loop", From: 5, To: 6},
+		"2.000000001s migration task=loop from=5 to=6"},
+	{JoinEvent{At: 0, Node: 7}, "0s join node=7"},
+	{ModeChangeEvent{At: 3 * time.Second, Node: 4, Mode: 2, AtFrame: 18446744073709551615},
+		"3s mode-change head=4 mode=2 frame=18446744073709551615"},
+	{FaultEvent{At: 30 * time.Second, Kind: FaultCompute, Node: 2, Task: "lts-level", Value: 75},
+		"30s fault kind=compute node=2 task=lts-level value=75"},
+	{FaultEvent{At: 5 * time.Microsecond, Kind: FaultPERBurst, Value: 0.3},
+		"5µs fault kind=per-burst node=0 task= value=0.3"},
+	{BackboneEvent{At: time.Second, From: "east", To: "west", Kind: BackboneSend, Bytes: 2069},
+		"1s backbone kind=send from=east to=west bytes=2069"},
+	{BackboneEvent{At: time.Second, From: "east", To: "west", Kind: BackboneDrop, Bytes: 12, Via: "mid"},
+		"1s backbone kind=drop from=east to=west via=mid bytes=12"},
+	{BackboneRouteEvent{At: time.Second, From: "east", To: "west", Path: []string{"east", "mid", "west"}, Bytes: 40},
+		"1s backbone-route from=east to=west path=east>mid>west bytes=40"},
+	{BackboneRouteEvent{At: time.Second, From: "a", To: "b", Reroute: true, Bytes: -1},
+		"1s backbone-reroute from=a to=b path= bytes=-1"},
+	{BackboneLinkEvent{At: time.Minute, A: "a", B: "b"}, "1m0s backbone-link a=a b=b state=down"},
+	{BackboneLinkEvent{At: time.Minute, A: "a", B: "b", Up: true}, "1m0s backbone-link a=a b=b state=up"},
+	{RolloutEvent{At: time.Second, Tasks: []string{"t1", "t2"}, Version: 2, Strategy: "canary",
+		Phase: RolloutPhaseStaged, Stage: -1, Cells: []string{"east"}},
+		"1s rollout phase=staged tasks=t1+t2 v=2 strategy=canary stage=-1 cells=east"},
+	{RolloutEvent{At: time.Second, Tasks: []string{"t1"}, Version: 3, Strategy: "all",
+		Phase: RolloutPhaseRolledBack, Stage: 1, Reason: "invariant:single-master"},
+		"1s rollout phase=rolled-back tasks=t1 v=3 strategy=all stage=1 cells= reason=invariant:single-master"},
+	{CapsuleDeliveryEvent{At: time.Second, Cell: "east", Node: 3, Task: "t1", Version: 2, OK: true},
+		"1s capsule-delivery cell=east node=3 task=t1 v=2 ok=true"},
+	{CapsuleDeliveryEvent{At: time.Second, Cell: "east", Node: 3, Task: "t1", Version: 2},
+		"1s capsule-delivery cell=east node=3 task=t1 v=2 ok=false"},
+	{RollbackEvent{At: time.Second, Task: "t1", FromVersion: 2, ToVersion: 1, Reason: "health", Cells: []string{"a", "b"}},
+		"1s rollback task=t1 from=v2 to=v1 cells=a+b reason=health"},
+	{CellEvent{Cell: "east", Inner: &ActuationEvent{At: time.Second, Node: 2, Task: "loop", Port: 1, Value: 0.5}},
+		"cell=east 1s actuation node=2 task=loop port=1 value=0.5"},
+	{CellEvent{Cell: "west", Inner: FaultEvent{At: time.Second, Kind: FaultCrash, Node: 4}},
+		"cell=west 1s fault kind=crash node=4 task= value=0"},
+	{CellOverloadEvent{At: time.Second, Cell: "east", Reason: "head-down", Tasks: []string{"a", "b", "c"}},
+		"1s cell-overload cell=east reason=head-down tasks=a+b+c"},
+	{CellRecoveredEvent{At: time.Second, Cell: "east"}, "1s cell-recovered cell=east"},
+	{InterCellMigrationEvent{At: time.Second, Task: "loop", FromCell: "east", ToCell: "west", From: 2, To: 9},
+		"1s intercell-migration task=loop from=east/2 to=west/9"},
+	{InterCellMigrationEvent{At: time.Second, Task: "loop", FromCell: "west", ToCell: "east", From: 9, To: 2, Rebalance: true},
+		"1s intercell-rebalance task=loop from=west/9 to=east/2"},
+	{RebalanceAbortEvent{At: time.Second, Task: "loop", Host: "west", Origin: "east", Reason: "timeout"},
+		"1s rebalance-abort task=loop host=west origin=east reason=timeout"},
+}
+
+// TestEventText pins every kind's line, through String and AppendEvent
+// (which appends to what the buffer holds).
+func TestEventText(t *testing.T) {
+	for _, c := range textCases {
+		if got := c.ev.String(); got != c.want {
+			t.Errorf("%T String:\n got %q\nwant %q", c.ev, got, c.want)
+		}
+		if got := string(AppendEvent([]byte("> "), c.ev)); got != "> "+c.want {
+			t.Errorf("%T AppendEvent:\n got %q\nwant %q", c.ev, got, "> "+c.want)
+		}
+	}
+}
+
+// TestAppendEventDoesNotAllocate: appending every kind's line to a buffer
+// with room allocates nothing.
+func TestAppendEventDoesNotAllocate(t *testing.T) {
+	buf := make([]byte, 0, 256)
+	allocs := testing.AllocsPerRun(10, func() {
+		for _, c := range textCases {
+			buf = AppendEvent(buf[:0], c.ev)
+		}
+	})
+	t.Logf("%.0f allocations to append %d lines", allocs, len(textCases))
+	if allocs != 0 {
+		t.Errorf("appending %d lines allocates %.0f times, want 0", len(textCases), allocs)
+	}
+}

@@ -310,9 +310,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 // handleEvents streams the run's event records from the start: SSE when
 // the client asks for text/event-stream (or ?format=sse), NDJSON
-// otherwise. Each wakeup renders and writes every event logged since the
-// last one and flushes once. The stream ends when the run completes; a
-// disconnected client unblocks via the context watcher.
+// otherwise. Each wakeup renders every event logged since the last one
+// into one reused line buffer (appendEventLine), writes each line, and
+// flushes once. The stream ends when the run completes; a disconnected
+// client unblocks via the context watcher.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	run := s.fetchRun(w, r)
 	if run == nil {
@@ -334,21 +335,16 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		<-ctx.Done()
 		run.stream.wake()
 	}()
-	enc := json.NewEncoder(w)
+	var line []byte // reused for every event: streaming allocates nothing per event
 	for i := 0; ; {
 		evs, ok := run.stream.from(i, func() bool { return ctx.Err() != nil })
 		if !ok {
 			return
 		}
 		for _, ev := range evs {
-			if sse {
-				fmt.Fprint(w, "data: ")
-			}
-			if err := enc.Encode(record(ev)); err != nil {
+			line = appendEventLine(line[:0], ev, sse)
+			if _, err := w.Write(line); err != nil {
 				return
-			}
-			if sse {
-				fmt.Fprint(w, "\n")
 			}
 		}
 		i += len(evs)
@@ -356,6 +352,15 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 		}
 	}
+}
+
+// appendEventLine appends ev's line as the events endpoint writes it: its
+// NDJSON record (appendRecord), framed as one SSE message when sse.
+func appendEventLine(dst []byte, ev evm.Event, sse bool) []byte {
+	if !sse {
+		return appendRecord(dst, ev)
+	}
+	return append(appendRecord(append(dst, "data: "...), ev), '\n')
 }
 
 func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {

@@ -1,6 +1,9 @@
 package evmd
 
 import (
+	"encoding/json"
+	"math"
+	"strconv"
 	"sync"
 	"time"
 
@@ -20,11 +23,87 @@ type EventRecord struct {
 	Event  string  `json:"event"`
 }
 
-// record renders a kept event as the line evmd serves for it: the events
-// endpoint, Run.Events and SerialEvents all go through it.
+// record renders a kept event as the record evmd serves for it
+// (Run.Events, SerialEvents); appendRecord writes the same record as the
+// events endpoint's line.
 func record(ev evm.Event) EventRecord {
 	t, cell, series := evm.EventRow(ev)
 	return EventRecord{T: t, Cell: cell, Series: series, Event: ev.String()}
+}
+
+// appendRecord appends the NDJSON line of ev's record to dst: exactly the
+// bytes json.NewEncoder(w).Encode(record(ev)) writes, newline included.
+// It renders the event into dst itself (evm.AppendEvent), so a caller
+// that reuses dst allocates nothing per event.
+func appendRecord(dst []byte, ev evm.Event) []byte {
+	t, cell, series := evm.EventRow(ev)
+	dst = appendRecordHead(dst, t, cell, series)
+	start := len(dst)
+	return endRecord(evm.AppendEvent(dst, ev), start)
+}
+
+// appendRecordHead appends a record's fields up to its event text:
+// "t" as encoding/json writes a float64, "cell" unless empty, "series",
+// and the event key with the opening quote of its value.
+func appendRecordHead(dst []byte, t float64, cell, series string) []byte {
+	dst = appendJSONFloat(append(dst, `{"t":`...), t)
+	if cell != "" {
+		dst = appendJSONString(append(dst, `,"cell":`...), cell)
+	}
+	dst = appendJSONString(append(dst, `,"series":`...), series)
+	return append(dst, `,"event":"`...)
+}
+
+// endRecord closes the record whose event text is dst[start:], the bytes
+// after appendRecordHead's opening quote, and ends the line. Text that
+// needs escaping is quoted by encoding/json instead.
+func endRecord(dst []byte, start int) []byte {
+	if plainJSON(dst[start:]) {
+		return append(dst, "\"}\n"...)
+	}
+	dst = appendJSONString(dst[:start-1], string(dst[start:]))
+	return append(dst, "}\n"...)
+}
+
+// appendJSONFloat appends f as encoding/json writes a float64: the
+// shortest 'f' form, or 'e' below 1e-6 and from 1e21, with a
+// two-digit negative exponent's leading zero trimmed (1e-07 → 1e-7).
+// f must be finite.
+func appendJSONFloat(dst []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst
+}
+
+// appendJSONString appends s as a JSON string, as encoding/json quotes
+// it: directly when it is plain, else through json.Marshal, which
+// escapes HTML characters and replaces invalid UTF-8.
+func appendJSONString(dst []byte, s string) []byte {
+	if !plainJSON(s) {
+		q, _ := json.Marshal(s) // a string always marshals
+		return append(dst, q...)
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
+}
+
+// plainJSON reports whether encoding/json quotes s as is: every byte
+// printable ASCII, and none of `"`, `\`, `<`, `>` or `&`.
+func plainJSON[T string | []byte](s T) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			return false
+		}
+	}
+	return true
 }
 
 // stream is one run's append-only observation log: the kept events
@@ -166,6 +245,16 @@ func (r *Run) Samples() []evm.Sample {
 // must be byte-identical to its SerialEvents output. evmload -verify and
 // the evmd test suite both compare against it.
 func SerialEvents(spec evm.RunSpec) ([]EventRecord, error) {
+	ref, err := serialStream(spec)
+	if err != nil {
+		return nil, err
+	}
+	return ref.snapshotEvents(), nil
+}
+
+// serialStream executes the spec synchronously and returns its closed
+// stream: the kept events evmd would log for it.
+func serialStream(spec evm.RunSpec) (*stream, error) {
 	ref := newStream()
 	runner := &evm.Runner{
 		Workers: 1,
@@ -179,5 +268,5 @@ func SerialEvents(spec evm.RunSpec) ([]EventRecord, error) {
 		return nil, res.Err
 	}
 	ref.close()
-	return ref.snapshotEvents(), nil
+	return ref, nil
 }

@@ -3,7 +3,7 @@ package evm
 import (
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 	"time"
 
 	"evm/internal/sim"
@@ -1060,8 +1060,13 @@ type CellEvent struct {
 func (e CellEvent) When() time.Duration { return e.Inner.When() }
 
 // String implements Event.
-func (e CellEvent) String() string {
-	return fmt.Sprintf("cell=%s %s", e.Cell, e.Inner.String())
+func (e CellEvent) String() string { return string(e.appendText(make([]byte, 0, lineCap))) }
+
+// appendText prefixes the inner event's line with "cell=<name> ".
+func (e CellEvent) appendText(dst []byte) []byte {
+	dst = append(dst, "cell="...)
+	dst = append(dst, e.Cell...)
+	return e.Inner.appendText(append(dst, ' '))
 }
 
 // series and counters are the inner event's: campus streams are named
@@ -1083,9 +1088,11 @@ type CellOverloadEvent struct {
 func (e CellOverloadEvent) When() time.Duration { return e.At }
 
 // String implements Event.
-func (e CellOverloadEvent) String() string {
-	return fmt.Sprintf("%v cell-overload cell=%s reason=%s tasks=%s",
-		e.At, e.Cell, e.Reason, strings.Join(e.Tasks, "+"))
+func (e CellOverloadEvent) String() string { return string(e.appendText(make([]byte, 0, lineCap))) }
+
+func (e CellOverloadEvent) appendText(dst []byte) []byte {
+	dst = appendField(appendStamp(dst, e.At, "cell-overload"), "cell", e.Cell)
+	return appendJoined(appendField(dst, "reason", e.Reason), "tasks", e.Tasks, '+')
 }
 
 func (CellOverloadEvent) series() string       { return "cell_overloads" }
@@ -1103,8 +1110,10 @@ type CellRecoveredEvent struct {
 func (e CellRecoveredEvent) When() time.Duration { return e.At }
 
 // String implements Event.
-func (e CellRecoveredEvent) String() string {
-	return fmt.Sprintf("%v cell-recovered cell=%s", e.At, e.Cell)
+func (e CellRecoveredEvent) String() string { return string(e.appendText(make([]byte, 0, lineCap))) }
+
+func (e CellRecoveredEvent) appendText(dst []byte) []byte {
+	return appendField(appendStamp(dst, e.At, "cell-recovered"), "cell", e.Cell)
 }
 
 func (CellRecoveredEvent) series() string       { return "cell_recoveries" }
@@ -1128,12 +1137,17 @@ func (e InterCellMigrationEvent) When() time.Duration { return e.At }
 
 // String implements Event.
 func (e InterCellMigrationEvent) String() string {
+	return string(e.appendText(make([]byte, 0, lineCap)))
+}
+
+func (e InterCellMigrationEvent) appendText(dst []byte) []byte {
 	kind := "intercell-migration"
 	if e.Rebalance {
 		kind = "intercell-rebalance"
 	}
-	return fmt.Sprintf("%v %s task=%s from=%s/%d to=%s/%d",
-		e.At, kind, e.Task, e.FromCell, e.From, e.ToCell, e.To)
+	dst = appendField(appendStamp(dst, e.At, kind), "task", e.Task)
+	dst = strconv.AppendUint(append(appendField(dst, "from", e.FromCell), '/'), uint64(e.From), 10)
+	return strconv.AppendUint(append(appendField(dst, "to", e.ToCell), '/'), uint64(e.To), 10)
 }
 
 func (InterCellMigrationEvent) series() string { return "intercell_migrations" }
@@ -1159,9 +1173,12 @@ type RebalanceAbortEvent struct {
 func (e RebalanceAbortEvent) When() time.Duration { return e.At }
 
 // String implements Event.
-func (e RebalanceAbortEvent) String() string {
-	return fmt.Sprintf("%v rebalance-abort task=%s host=%s origin=%s reason=%s",
-		e.At, e.Task, e.Host, e.Origin, e.Reason)
+func (e RebalanceAbortEvent) String() string { return string(e.appendText(make([]byte, 0, lineCap))) }
+
+func (e RebalanceAbortEvent) appendText(dst []byte) []byte {
+	dst = appendField(appendStamp(dst, e.At, "rebalance-abort"), "task", e.Task)
+	dst = appendField(appendField(dst, "host", e.Host), "origin", e.Origin)
+	return appendField(dst, "reason", e.Reason)
 }
 
 func (RebalanceAbortEvent) series() string       { return "rebalance_aborts" }

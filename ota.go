@@ -881,14 +881,17 @@ type RolloutEvent struct {
 func (e RolloutEvent) When() time.Duration { return e.At }
 
 // String implements Event.
-func (e RolloutEvent) String() string {
-	s := fmt.Sprintf("%v rollout phase=%s tasks=%s v=%d strategy=%s stage=%d cells=%s",
-		e.At, e.Phase, strings.Join(e.Tasks, "+"), e.Version, e.Strategy,
-		e.Stage, strings.Join(e.Cells, "+"))
+func (e RolloutEvent) String() string { return string(e.appendText(make([]byte, 0, lineCap))) }
+
+func (e RolloutEvent) appendText(dst []byte) []byte {
+	dst = appendField(appendStamp(dst, e.At, "rollout"), "phase", string(e.Phase))
+	dst = appendUint(appendJoined(dst, "tasks", e.Tasks, '+'), "v", uint64(e.Version))
+	dst = appendInt(appendField(dst, "strategy", e.Strategy), "stage", e.Stage)
+	dst = appendJoined(dst, "cells", e.Cells, '+')
 	if e.Reason != "" {
-		s += " reason=" + e.Reason
+		dst = appendField(dst, "reason", e.Reason)
 	}
-	return s
+	return dst
 }
 
 // series is rollout_phase.<phase>, so a dashboard plots rollout progress
@@ -914,9 +917,12 @@ type CapsuleDeliveryEvent struct {
 func (e CapsuleDeliveryEvent) When() time.Duration { return e.At }
 
 // String implements Event.
-func (e CapsuleDeliveryEvent) String() string {
-	return fmt.Sprintf("%v capsule-delivery cell=%s node=%d task=%s v=%d ok=%t",
-		e.At, e.Cell, e.Node, e.Task, e.Version, e.OK)
+func (e CapsuleDeliveryEvent) String() string { return string(e.appendText(make([]byte, 0, lineCap))) }
+
+func (e CapsuleDeliveryEvent) appendText(dst []byte) []byte {
+	dst = appendField(appendStamp(dst, e.At, "capsule-delivery"), "cell", e.Cell)
+	dst = appendField(appendUint(dst, "node", uint64(e.Node)), "task", e.Task)
+	return strconv.AppendBool(appendField(appendUint(dst, "v", uint64(e.Version)), "ok", ""), e.OK)
 }
 
 func (CapsuleDeliveryEvent) series() string       { return "capsule_deliveries" }
@@ -937,9 +943,13 @@ type RollbackEvent struct {
 func (e RollbackEvent) When() time.Duration { return e.At }
 
 // String implements Event.
-func (e RollbackEvent) String() string {
-	return fmt.Sprintf("%v rollback task=%s from=v%d to=v%d cells=%s reason=%s",
-		e.At, e.Task, e.FromVersion, e.ToVersion, strings.Join(e.Cells, "+"), e.Reason)
+func (e RollbackEvent) String() string { return string(e.appendText(make([]byte, 0, lineCap))) }
+
+func (e RollbackEvent) appendText(dst []byte) []byte {
+	dst = appendField(appendStamp(dst, e.At, "rollback"), "task", e.Task)
+	dst = strconv.AppendUint(appendField(dst, "from", "v"), uint64(e.FromVersion), 10)
+	dst = strconv.AppendUint(appendField(dst, "to", "v"), uint64(e.ToVersion), 10)
+	return appendField(appendJoined(dst, "cells", e.Cells, '+'), "reason", e.Reason)
 }
 
 func (RollbackEvent) series() string       { return "rollbacks" }
