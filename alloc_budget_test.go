@@ -17,11 +17,11 @@ import (
 // warm loop at zero), and construction builds only what the run uses: an
 // interpreter's stacks and memory, a loss-free medium's burst state and
 // a node's or link's maps wait for their first use, and the cell's
-// watchdogs share one ticker. The cap sits just above the measured 300
-// (313 under -race); a change that puts allocation back on the per-slot,
+// watchdogs share one ticker. The cap sits just above the measured 297
+// (311 under -race); a change that puts allocation back on the per-slot,
 // per-message or per-actuation path, or builds unused state again, fails
 // here.
-const hotPathAllocBudget = 344
+const hotPathAllocBudget = 341
 
 func TestHotPathAllocBudget(t *testing.T) {
 	got := testing.AllocsPerRun(5, func() {

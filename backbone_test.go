@@ -10,8 +10,8 @@ import (
 // federation building block for backbone and handshake tests.
 func smallUnit(name, prefix string) CellSpec {
 	return CellSpec{
-		Name:    name,
-		Options: []CellOption{WithNodeCount(6), WithSlotsPerNode(3), WithPER(0)},
+		Name:  name,
+		Nodes: Members(6), SlotsPerNode: 3,
 		VC: VCConfig{
 			Name: name, Head: 2, Gateway: 1,
 			Tasks: []TaskSpec{{

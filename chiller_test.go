@@ -123,10 +123,6 @@ func TestOverTheAirReprogramming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cell, err := NewCellWith(CellConfig{Seed: 5}, WithNodes(1, 2, 3, 4), WithPER(0))
-	if err != nil {
-		t.Fatal(err)
-	}
 	vc := VCConfig{
 		Name: "ota", Head: 4, Gateway: 1,
 		Tasks: []TaskSpec{{
@@ -137,16 +133,14 @@ func TestOverTheAirReprogramming(t *testing.T) {
 			MakeLogic: func() (TaskLogic, error) { return NewVMLogic(v1) },
 		}},
 	}
-	if err := cell.Deploy(vc); err != nil {
-		t.Fatal(err)
-	}
-	feed, err := cell.StartSensorFeed(1, 250*time.Millisecond, func() []SensorReading {
-		return []SensorReading{{Port: 0, Value: 40}}
-	})
+	cell, err := NewCell(CellSpec{Seed: 5, Nodes: Members(4), VC: vc,
+		Feed: &FeedSpec{Source: 1, Period: 250 * time.Millisecond, Sample: func() []SensorReading {
+			return []SensorReading{{Port: 0, Value: 40}}
+		}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer feed.Stop()
+	defer cell.Stop()
 	cell.Run(5 * time.Second)
 	if out, _ := cell.Node(2).LastOutput("loop"); math.Abs(out-20) > 0.1 {
 		t.Fatalf("v1 output = %f, want 20", out)

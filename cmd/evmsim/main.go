@@ -69,10 +69,11 @@ func run(args []string, out io.Writer) error {
 
 	// The whole experiment is declarative: the fault is a plan applied to
 	// the cell, and observability rides the typed event bus. The fault
-	// hits the LTS loop's primary, so the fail-over it causes is the LTS
-	// task's first one at or after the fault; any fail-over before the
-	// fault is a false one (under loss, a backup can misjudge a healthy
-	// primary).
+	// hits the LTS loop's master as the head sees it when the fault
+	// fires, so the fail-over it causes is the LTS task's first one at or
+	// after the fault; any fail-over before the fault is a false one
+	// (under loss, a backup can misjudge a healthy primary), and it may
+	// have moved the loop off Ctrl-A, the node the plan names.
 	var (
 		failoverAt time.Duration
 		failedOver bool
@@ -92,20 +93,24 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprintf(out, "[%10v] fault injected: %s node %v\n", e.At, e.Kind, e.Node)
 		}
 	})
-	plan := evm.PrimaryFaultPlan(*faultAt)
+	plan := evm.PrimaryFaultPlan
 	if *crash {
-		plan = evm.PrimaryCrashPlan(*faultAt)
+		plan = evm.PrimaryCrashPlan
 	}
-	if err := s.Cell.ApplyFaultPlan(plan); err != nil {
-		return err
-	}
+	var faultErr error
+	s.Cell.Engine().After(*faultAt, func() {
+		faultErr = s.Cell.ApplyFaultPlan(onNode(plan(0), s.ActiveController()))
+	})
 
 	fmt.Fprintf(out, "gas plant under EVM control: cycle=%v, window=%d cycles, per=%.2f, plan=%s\n",
-		cfg.ControlPeriod, cfg.DeviationWindow, cfg.PER, plan.Label())
+		cfg.ControlPeriod, cfg.DeviationWindow, cfg.PER, plan(*faultAt).Label())
 	if !*crash {
-		fmt.Fprintf(out, "at %v Ctrl-A will output 75%% instead of %.2f%%\n", *faultAt, s.Plant.NominalValvePct())
+		fmt.Fprintf(out, "at %v the %s master will output 75%% instead of %.2f%%\n", *faultAt, evm.LTSTaskID, s.Plant.NominalValvePct())
 	}
 	s.Run(*horizon)
+	if faultErr != nil {
+		return faultErr
+	}
 
 	fmt.Fprintln(out, "--- summary ---")
 	fmt.Fprintf(out, "fault at           %v\n", *faultAt)
@@ -157,4 +162,16 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "series written to  %s\n", *csvPath)
 	}
 	return nil
+}
+
+// onNode returns plan, whose one step faults Ctrl-A, with that step
+// aimed at node instead.
+func onNode(plan evm.FaultPlan, node evm.NodeID) evm.FaultPlan {
+	st := &plan.Steps[0]
+	if cf := st.ComputeFault; cf != nil {
+		cf.Node = node
+	} else {
+		st.CrashNode = node
+	}
+	return plan
 }

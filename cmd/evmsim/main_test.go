@@ -13,8 +13,8 @@ import (
 // LTS task's first fail-over at or after the fault, as the run's own log
 // lines show it, and every fail-over logged before the fault is listed as
 // a pre-fault one. At PER 0.3, seed 2, two loops fail over before the
-// fault at 30 s (chiller-temp at 10.5 s, then lts-level), so the LTS
-// primary the fault hits is already the backup and no fail-over follows.
+// fault at 30 s (chiller-temp at 10.5 s, then lts-level), and no
+// lts-level fail-over follows the fault within the horizon.
 func TestSummaryNamesTheFaultsFailover(t *testing.T) {
 	for _, c := range []struct {
 		args     []string
@@ -66,6 +66,43 @@ func TestSummaryNamesTheFaultsFailover(t *testing.T) {
 			}
 			if n := strings.Count(summary, "pre-fault "); n != len(prefault) {
 				t.Errorf("summary lists %d pre-fault fail-overs, the log %d:\n%s", n, len(prefault), summary)
+			}
+		})
+	}
+}
+
+// TestFaultHitsTheMasterWhenItFires: the fault goes to the node that is
+// the LTS loop's master at the fault time, not to Ctrl-A. At PER 0.3,
+// seed 2, a false fail-over moves lts-level from Ctrl-A (2) to Ctrl-B
+// (3) at 11.27 s, so the fault at 30 s must hit node 3, for the compute
+// fault and for -crash alike.
+func TestFaultHitsTheMasterWhenItFires(t *testing.T) {
+	for _, args := range [][]string{
+		{"-per", "0.3", "-seed", "2", "-fault", "30s", "-horizon", "40s", "-window", "8"},
+		{"-crash", "-per", "0.3", "-seed", "2", "-fault", "30s", "-horizon", "40s", "-window", "8"},
+	} {
+		t.Run(strings.Join(args, " "), func(t *testing.T) {
+			var out strings.Builder
+			if err := run(args, &out); err != nil {
+				t.Fatal(err)
+			}
+			master, faulted, moved := evm.GasCtrlAID.String(), "", false
+			for _, line := range strings.Split(out.String(), "\n") {
+				if _, rest, ok := strings.Cut(line, "] failover: "+evm.LTSTaskID+" "); ok {
+					f := strings.Fields(rest) // from, "->", to
+					master, moved = f[2], true
+				}
+				if _, rest, ok := strings.Cut(line, "] fault injected: "); ok {
+					f := strings.Fields(rest) // kind, "node", node
+					faulted = f[2]
+					break
+				}
+			}
+			if !moved {
+				t.Fatalf("lts-level did not fail over before the fault: this input no longer shows a moved master\n%s", out.String())
+			}
+			if faulted != master {
+				t.Errorf("fault hit %s, the lts-level master at the fault is %s\n%s", faulted, master, out.String())
 			}
 		})
 	}

@@ -4,10 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
+
+	"evm/internal/sim"
 )
 
 // testVC builds the standard 4-node component: gateway 1, candidates 2/3,
@@ -28,25 +32,24 @@ func testVC(window int) VCConfig {
 	}
 }
 
-func startFeed(t *testing.T, cell *Cell) {
+// testFeed is the feed of a testVC cell: the gateway sends port 0 at
+// the setpoint every 250 ms.
+func testFeed() *FeedSpec {
+	return &FeedSpec{Source: 1, Period: 250 * time.Millisecond, Sample: fixedFeed(SensorReading{Port: 0, Value: 50})}
+}
+
+// newTestCell builds spec with NewCell and fails the test on error.
+func newTestCell(t *testing.T, spec CellSpec) *Cell {
 	t.Helper()
-	_, err := cell.StartSensorFeed(1, 250*time.Millisecond, func() []SensorReading {
-		return []SensorReading{{Port: 0, Value: 50}}
-	})
+	cell, err := NewCell(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return cell
 }
 
 func TestEventBusPublishesFaultAndFailover(t *testing.T) {
-	cell, err := NewCellWith(CellConfig{Seed: 7}, WithNodes(1, 2, 3, 4), WithPER(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cell.Deploy(testVC(4)); err != nil {
-		t.Fatal(err)
-	}
-	startFeed(t, cell)
+	cell := newTestCell(t, CellSpec{Seed: 7, Nodes: Members(4), VC: testVC(4), Feed: testFeed()})
 	log := cell.Events().Log()
 	plan := FaultPlan{
 		Name: "byzantine",
@@ -102,14 +105,7 @@ func TestEventBusJoinAndMigration(t *testing.T) {
 // fault kind end to end: draining the primary below the 5% threshold
 // makes the head migrate its duties proactively (§3.1.1 op 5).
 func TestBatteryDrainFaultTriggersEnergyFailover(t *testing.T) {
-	cell, err := NewCellWith(CellConfig{Seed: 7}, WithNodes(1, 2, 3, 4), WithPER(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cell.Deploy(testVC(4)); err != nil {
-		t.Fatal(err)
-	}
-	startFeed(t, cell)
+	cell := newTestCell(t, CellSpec{Seed: 7, Nodes: Members(4), VC: testVC(4), Feed: testFeed()})
 	log := cell.Events().Log()
 	plan := FaultPlan{
 		Name: "energy",
@@ -148,13 +144,7 @@ func TestBatteryDrainFaultTriggersEnergyFailover(t *testing.T) {
 // the step publishes a FaultEvent and the node's clock error grows with
 // time since the last sync pulse.
 func TestClockDriftFaultSetsOscillator(t *testing.T) {
-	cell, err := NewCellWith(CellConfig{Seed: 7}, WithNodes(1, 2, 3, 4), WithPER(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cell.Deploy(testVC(4)); err != nil {
-		t.Fatal(err)
-	}
+	cell := newTestCell(t, CellSpec{Seed: 7, Nodes: Members(4), VC: testVC(4)})
 	log := cell.Events().Log()
 	plan := FaultPlan{
 		Name:  "drift",
@@ -214,8 +204,10 @@ func TestEventStreamDeterministic(t *testing.T) {
 	}
 }
 
+// TestDeployStopsStartedNodesOnFailure: a VC that cannot deploy fails
+// the cell's construction and leaves nothing behind (buildFails).
 func TestDeployStopsStartedNodesOnFailure(t *testing.T) {
-	// The second node's logic factory fails after the first node started.
+	// The second node's logic factory fails after the first node was built.
 	failing := testVC(4)
 	calls := 0
 	failing.Tasks[0].MakeLogic = func() (TaskLogic, error) {
@@ -241,26 +233,57 @@ func TestDeployStopsStartedNodesOnFailure(t *testing.T) {
 		{"candidate on gateway", onGateway, func(err error) bool { return err.Error() == invalid.Error() }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cell, err := NewCellWith(CellConfig{Seed: 1}, WithNodes(1, 2, 3, 4), WithPER(0))
-			if err != nil {
-				t.Fatal(err)
-			}
-			err = cell.Deploy(tc.vc)
-			if err == nil {
-				t.Fatal("Deploy succeeded")
-			}
+			err := buildFails(t, CellSpec{Seed: 1, Nodes: Members(4), VC: tc.vc})
 			if !tc.wantErr(err) {
-				t.Fatalf("Deploy error = %v", err)
-			}
-			if len(cell.nodes) != 0 {
-				t.Fatalf("%d node runtimes leaked after failed Deploy", len(cell.nodes))
-			}
-			// A started-then-stopped node must not leave its watchdog ticking.
-			if p := cell.Engine().Pending(); p != 0 {
-				t.Fatalf("%d events still pending after failed Deploy (leaked watchdog?)", p)
+				t.Fatalf("construction error = %v", err)
 			}
 		})
 	}
+}
+
+// TestFailedCellBuildLeavesNothing covers the spec's own error paths: a
+// bad spec, and a feed whose source or destination is not a member.
+func TestFailedCellBuildLeavesNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(*CellSpec)
+		want string
+	}{
+		{"no members", func(s *CellSpec) { s.Nodes = nil }, "at least one node"},
+		{"PER NaN", func(s *CellSpec) { s.PER = math.NaN() }, "packet error rate"},
+		{"placement overflow", func(s *CellSpec) { s.Placement = Grid(2, 1) }, "holds at most 2 nodes"},
+		{"feed source not a member", func(s *CellSpec) { s.Feed.Source = 9 }, "feed source"},
+		{"feed destination not a member", func(s *CellSpec) { s.Feed.To = []NodeID{2, 9} }, "feed destination"},
+		{"feed period", func(s *CellSpec) { s.Feed.Period = 0 }, "feed period"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := CellSpec{Seed: 1, Nodes: Members(4), VC: testVC(4), Feed: testFeed()}
+			tc.edit(&spec)
+			if err := buildFails(t, spec); !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("construction error = %v, want one naming %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// buildFails builds spec on an engine the test holds and wants the
+// construction to fail without leaving anything behind: buildCell
+// returns no cell, so no runtime is left, and no event is pending, so
+// no watchdog, frame loop or feed can run.
+func buildFails(t *testing.T, spec CellSpec) error {
+	t.Helper()
+	eng := sim.New()
+	cell, err := buildCell(eng, sim.NewRNG(spec.Seed), spec)
+	if err == nil {
+		t.Fatal("construction succeeded")
+	}
+	if cell != nil {
+		t.Fatal("failed construction returned a cell")
+	}
+	if p := eng.Pending(); p != 0 {
+		t.Fatalf("%d events pending after the failed construction", p)
+	}
+	return err
 }
 
 var errTestLogic = &logicError{}
@@ -285,16 +308,7 @@ func TestAddNodeRuntimeRollsBackOnFailure(t *testing.T) {
 		{"candidate on gateway", 2, onGateway},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cell, err := NewCellWith(CellConfig{Seed: 1},
-				WithNodes(1, 2, 3, 4, 5, 6, 7),
-				WithSlotsPerNode(tc.slots),
-				WithPER(0))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := cell.Deploy(testVC(4)); err != nil {
-				t.Fatal(err)
-			}
+			cell := newTestCell(t, CellSpec{Seed: 1, Nodes: Members(7), SlotsPerNode: tc.slots, VC: testVC(4)})
 			oldSched := cell.Network().Schedule()
 			before := len(cell.Members())
 			if _, err := cell.AddNodeRuntime(8, tc.vc); err == nil {
@@ -319,14 +333,8 @@ func TestAddNodeRuntimeRollsBackOnFailure(t *testing.T) {
 }
 
 func TestAddNodeRuntimeFromEventSubscriber(t *testing.T) {
-	cell, err := NewCellWith(CellConfig{Seed: 1}, WithNodes(1, 2, 3, 4, 5), WithPER(0))
-	if err != nil {
-		t.Fatal(err)
-	}
 	vc := testVC(4)
-	if err := cell.Deploy(vc); err != nil {
-		t.Fatal(err)
-	}
+	cell := newTestCell(t, CellSpec{Seed: 1, Nodes: Members(5), VC: vc})
 	// The head publishes JoinEvent while the radio medium is delivering
 	// the join frame, so this admission runs inside a receive handler.
 	var admitErr error
@@ -371,10 +379,7 @@ func TestBusCancelDuringPublish(t *testing.T) {
 }
 
 func TestPERBurstRestoresForcedRate(t *testing.T) {
-	cell, err := NewCellWith(CellConfig{Seed: 1}, WithNodes(1, 2, 3, 4), WithPER(0.3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	cell := newTestCell(t, CellSpec{Seed: 1, Nodes: Members(4), PER: 0.3, VC: testVC(4)})
 	if got := cell.Medium().ForcedPER(); got != 0.3 {
 		t.Fatalf("forced PER = %g, want 0.3", got)
 	}

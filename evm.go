@@ -11,18 +11,19 @@
 // re-optimizes the task assignment at runtime with a BQP solver — all
 // over an RT-Link-style TDMA network simulated on virtual time.
 //
-// Quick start:
+// Quick start: a cell is one CellSpec, plain data, and NewCell builds it,
+// deploys its Virtual Component and starts its feed:
 //
-//	cell, err := evm.NewCellWith(evm.CellConfig{Seed: 1}, evm.WithNodes(1, 2, 3, 4))
-//	// configure a Virtual Component and deploy it:
-//	err = cell.Deploy(vcConfig)
+//	cell, err := evm.NewCell(evm.CellSpec{Seed: 1, Nodes: evm.Members(4), VC: vc})
 //	cell.Run(10 * time.Second)
+//	cell.Stop()
 //
 // For the paper's hardware-in-loop gas-plant testbed, see NewGasPlant.
 package evm
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"evm/internal/core"
@@ -99,13 +100,108 @@ func EvaluateQoS(cfg VCConfig, nodes []*Node) QoSReport {
 	return core.EvaluateQoS(cfg, nodes)
 }
 
-// CellConfig parameterizes a TDMA cell.
-type CellConfig struct {
-	// Seed drives every random stream; equal seeds reproduce runs
-	// bit-for-bit.
+// CellSpec describes one cell as plain data: its members and where they
+// sit, its TDMA framing and channel, the Virtual Component deployed on it
+// and an optional synthetic feed. NewCell builds a standalone cell from
+// one; a campus topology is a list of them (NewCampus).
+type CellSpec struct {
+	// Name identifies the cell in campus events. Standalone cells leave
+	// it ""; NewCampus names an unnamed cell "cell-<i>".
+	Name string
+	// Seed drives every random stream of a standalone cell; equal seeds
+	// reproduce runs bit-for-bit. Campus cells ignore it: they draw from
+	// forks of the campus seed, so the whole campus reproduces from one
+	// number.
 	Seed uint64
 	// Link overrides the TDMA framing (zero value = defaults).
 	Link rtlink.Config
+	// Nodes are the members in admission order (Members(n) lists 1..n).
+	Nodes []NodeID
+	// Placement decides where members sit (zero value = Line(3)).
+	Placement Placement
+	// SlotsPerNode is the TX slots each member owns per TDMA frame (0 =
+	// 2: a controller sends an actuation and a health record every
+	// cycle). Runtimes admitted later with AddNodeRuntime get the same
+	// budget.
+	SlotsPerNode int
+	// Line replaces the full-mesh TDMA schedule with a multi-hop line
+	// schedule along member order (rtlink.BuildLineSchedule): each node's
+	// slots are heard only by its immediate line neighbors, so messages
+	// between distant stations are relayed hop by hop along static line
+	// routes the cell installs at construction. SlotsPerNode becomes the
+	// number of line rounds per frame.
+	Line bool
+	// PER forces a fixed packet error rate on every in-range link (radio
+	// range remains a hard cutoff). 0 is a perfect channel; above 0 the
+	// Gilbert-Elliott burst overlay is active.
+	PER float64
+	// VC is the cell's Virtual Component, deployed at construction.
+	VC VCConfig
+	// Feed, when set, starts a synthetic sensor feed at construction;
+	// Cell.Stop stops it.
+	Feed *FeedSpec
+}
+
+// FeedSpec declares a synthetic sensor feed, a stand-in for a plant
+// gateway: Source sends Sample() every Period.
+type FeedSpec struct {
+	Source NodeID
+	Period time.Duration
+	// Sample returns the readings to send this tick. The feed encodes
+	// them before the next tick and keeps no reference, so Sample may
+	// return the same slice every time.
+	Sample func() []SensorReading
+	// To lists the destinations each sample is sent to, in turn (empty =
+	// one Broadcast). A line cell lists unicast destinations: a
+	// single-hop broadcast reaches only the source's line neighbors,
+	// while the line routes relay unicasts station by station.
+	To []NodeID
+}
+
+// Members returns the node IDs 1..n, the membership of a synthetic cell.
+func Members(n int) []NodeID {
+	ids := make([]NodeID, n)
+	for i := range ids {
+		ids[i] = NodeID(i + 1)
+	}
+	return ids
+}
+
+// validate checks the spec before anything is built, so a failed
+// construction queues nothing.
+func (s *CellSpec) validate() error {
+	if len(s.Nodes) == 0 {
+		return fmt.Errorf("evm: cell needs at least one node")
+	}
+	if s.Placement.capacity > 0 && len(s.Nodes) > s.Placement.capacity {
+		return fmt.Errorf("evm: placement %s holds at most %d nodes, got %d",
+			s.Placement.name, s.Placement.capacity, len(s.Nodes))
+	}
+	if !(s.PER >= 0 && s.PER <= 1) { // NaN fails both
+		return fmt.Errorf("evm: packet error rate %g outside [0,1]", s.PER)
+	}
+	if s.SlotsPerNode < 0 {
+		return fmt.Errorf("evm: %d slots per node", s.SlotsPerNode)
+	}
+	// NewNode validates too, but a cell whose only member is the gateway
+	// builds no node, so only this check rejects an invalid VC there.
+	if err := s.VC.Validate(); err != nil {
+		return err
+	}
+	if f := s.Feed; f != nil {
+		if !slices.Contains(s.Nodes, f.Source) {
+			return fmt.Errorf("evm: feed source %v is not a member", f.Source)
+		}
+		if f.Period <= 0 {
+			return fmt.Errorf("evm: feed period %v", f.Period)
+		}
+		for _, dst := range f.To {
+			if dst != Broadcast && !slices.Contains(s.Nodes, dst) {
+				return fmt.Errorf("evm: feed destination %v is not a member", dst)
+			}
+		}
+	}
+	return nil
 }
 
 // Cell is one synchronized TDMA cell: the engine, medium, network and the
@@ -114,7 +210,6 @@ type CellConfig struct {
 // keeping a private radio medium and PRNG fork, so cells never hear each
 // other on the air.
 type Cell struct {
-	name  string
 	eng   *sim.Engine
 	rng   *sim.RNG
 	med   *radio.Medium
@@ -122,14 +217,14 @@ type Cell struct {
 	ids   []NodeID
 	nodes map[NodeID]*Node
 	// watchdogs are the watchdog groups of the deployed runtimes: one
-	// from Deploy, one more per AddNodeRuntime.
+	// from construction, one more per AddNodeRuntime.
 	watchdogs []*core.Watchdogs
+	feed      *sim.Ticker // nil without a FeedSpec
 
-	// link and slotsPerNode are the TDMA framing and per-member TX slot
-	// budget the schedule was built with; AddNodeRuntime reuses both.
-	link         rtlink.Config
-	slotsPerNode int
-	placement    Placement
+	// spec is the cell's spec with its defaults filled in: its name, the
+	// VC a campus reads the head from, and the framing, slot budget and
+	// placement AddNodeRuntime reuses.
+	spec CellSpec
 	// prng feeds random placements (nil for deterministic ones).
 	prng *sim.RNG
 	bus  *Bus
@@ -139,109 +234,116 @@ type Cell struct {
 	sink gateway.Switch // the actuation sink's operation switch
 }
 
-// NewCellWith builds a cell from functional options: membership, node
-// placement, slot budget and channel loss become declarative data.
+// NewCell builds a standalone cell on its own engine: it attaches the
+// members' radios at their placements, builds the TDMA schedule, deploys
+// the Virtual Component and starts the feed.
 //
-//	cell, err := evm.NewCellWith(evm.CellConfig{Seed: 1},
-//		evm.WithNodeCount(20),
-//		evm.WithPlacement(evm.Grid(5, 4)),
-//		evm.WithSlotsPerNode(3),
-//		evm.WithPER(0.1))
-//
-// Defaults: Line(3) placement, two TX slots per member (a controller
-// sends an actuation and a health record every cycle), and the
-// distance-based loss model.
-func NewCellWith(cfg CellConfig, opts ...CellOption) (*Cell, error) {
-	spec := cellSpec{placement: Line(3)}
-	for _, opt := range opts {
-		opt(&spec)
-	}
+//	cell, err := evm.NewCell(evm.CellSpec{
+//		Seed:         1,
+//		Nodes:        evm.Members(20),
+//		Placement:    evm.Grid(5, 4),
+//		SlotsPerNode: 3,
+//		PER:          0.1,
+//		VC:           vc,
+//		Feed:         &evm.FeedSpec{Source: 1, Period: 250 * time.Millisecond, Sample: sample},
+//	})
+func NewCell(spec CellSpec) (*Cell, error) {
+	return buildCell(sim.New(), sim.NewRNG(spec.Seed), spec)
+}
+
+// buildCell builds, deploys and feeds a cell on the given engine and RNG
+// stream. NewCell passes a fresh engine; NewCampus passes the shared
+// campus engine and a per-cell fork of the campus RNG, giving every cell
+// an isolated medium and loss stream on one deterministic timeline. The
+// spec is checked before anything is built, and a runtime that fails to
+// build fails the cell before its watchdogs, frame loop or feed are
+// queued, so a failed construction leaves nothing on eng.
+func buildCell(eng *sim.Engine, rng *sim.RNG, spec CellSpec) (*Cell, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
-	return newCell("", sim.New(), sim.NewRNG(cfg.Seed), cfg, spec)
-}
-
-// newCell builds a cell on the given engine and RNG stream. NewCellWith
-// passes a fresh engine; NewCampus passes the shared campus engine and a
-// per-cell fork of the campus RNG, giving every cell an isolated medium
-// and loss stream on one deterministic timeline.
-func newCell(name string, eng *sim.Engine, rng *sim.RNG, cfg CellConfig, spec cellSpec) (*Cell, error) {
-	if cfg.Link.SlotsPerFrame == 0 {
-		cfg.Link = rtlink.DefaultConfig()
+	spec.Nodes = slices.Clone(spec.Nodes)
+	if spec.Link.SlotsPerFrame == 0 {
+		spec.Link = rtlink.DefaultConfig()
 	}
-	if spec.slotsPerNode == 0 {
-		spec.slotsPerNode = 2
+	if spec.SlotsPerNode == 0 {
+		spec.SlotsPerNode = 2
+	}
+	if spec.Placement.at == nil {
+		spec.Placement = Line(3)
 	}
 	rcfg := radio.DefaultConfig()
-	if spec.hasPER && spec.per == 0 {
+	if spec.PER == 0 {
 		rcfg.RefPER = 0
 		rcfg.Burst = radio.GilbertElliott{}
 	}
 	med := radio.NewMedium(eng, rng.Fork(), rcfg)
 	c := &Cell{
-		name:         name,
-		link:         cfg.Link,
-		slotsPerNode: spec.slotsPerNode,
-		eng:          eng,
-		rng:          rng,
-		med:          med,
-		ids:          spec.ids,
-		nodes:        make(map[NodeID]*Node),
-		placement:    spec.placement,
-		bus:          &Bus{},
+		spec:  spec,
+		eng:   eng,
+		rng:   rng,
+		med:   med,
+		ids:   spec.Nodes,
+		nodes: make(map[NodeID]*Node),
+		bus:   &Bus{},
 	}
-	if spec.placement.random {
+	if spec.Placement.random {
 		c.prng = rng.Fork()
 	}
-	for i, id := range spec.ids {
-		if _, err := med.Attach(id, spec.placement.at(i, c.prng), radio.NewBattery(2600), radio.DefaultEnergyModel()); err != nil {
+	for i, id := range spec.Nodes {
+		if _, err := med.Attach(id, spec.Placement.at(i, c.prng), radio.NewBattery(2600), radio.DefaultEnergyModel()); err != nil {
 			return nil, err
 		}
 	}
-	sched, err := buildCellSchedule(spec, cfg.Link)
+	sched, err := buildCellSchedule(spec)
 	if err != nil {
 		return nil, err
 	}
-	net, err := rtlink.NewNetwork(med, cfg.Link, sched)
+	net, err := rtlink.NewNetwork(med, spec.Link, sched)
 	if err != nil {
 		return nil, err
 	}
-	for _, id := range spec.ids {
+	for _, id := range spec.Nodes {
 		if _, err := net.Join(id); err != nil {
 			return nil, err
 		}
 	}
-	if spec.line {
-		installLineRoutes(net, spec.lineOrderOrIDs())
+	if spec.Line {
+		installLineRoutes(net, spec.Nodes)
 	}
 	c.net = net
-	if spec.hasPER && spec.per > 0 {
-		med.ForcePER(spec.per)
+	if spec.PER > 0 {
+		med.ForcePER(spec.PER)
+	}
+	if err := c.deploy(spec.VC); err != nil {
+		return nil, err
+	}
+	if spec.Feed != nil {
+		c.startFeed(*spec.Feed)
 	}
 	return c, nil
 }
 
-// buildCellSchedule derives the cell's TDMA schedule from its options:
-// the default full mesh with the cell's slot budget of TX slots per
-// member, or — with WithLineSchedule — that many interleaved rounds of a
-// multi-hop line schedule in which each slot is heard only by the
-// owner's immediate line neighbors.
-func buildCellSchedule(spec cellSpec, link rtlink.Config) (rtlink.Schedule, error) {
-	if !spec.line {
-		return rtlink.BuildMeshScheduleK(spec.ids, link, spec.slotsPerNode)
+// buildCellSchedule derives the cell's TDMA schedule from its spec: the
+// default full mesh with the cell's slot budget of TX slots per member,
+// or, for a Line cell, that many interleaved rounds of a multi-hop line
+// schedule in which each slot is heard only by the owner's immediate
+// line neighbors.
+func buildCellSchedule(spec CellSpec) (rtlink.Schedule, error) {
+	if !spec.Line {
+		return rtlink.BuildMeshScheduleK(spec.Nodes, spec.Link, spec.SlotsPerNode)
 	}
-	order := spec.lineOrderOrIDs()
-	if spec.slotsPerNode*len(order)+1 > link.SlotsPerFrame {
+	order := spec.Nodes
+	if spec.SlotsPerNode*len(order)+1 > spec.Link.SlotsPerFrame {
 		return nil, fmt.Errorf("evm: line of %d x %d rounds does not fit in %d slots",
-			len(order), spec.slotsPerNode, link.SlotsPerFrame)
+			len(order), spec.SlotsPerNode, spec.Link.SlotsPerFrame)
 	}
-	base, err := rtlink.BuildLineSchedule(order, link)
+	base, err := rtlink.BuildLineSchedule(order, spec.Link)
 	if err != nil {
 		return nil, err
 	}
-	sched := make(rtlink.Schedule, spec.slotsPerNode*len(order))
-	for round := 0; round < spec.slotsPerNode; round++ {
+	sched := make(rtlink.Schedule, spec.SlotsPerNode*len(order))
+	for round := 0; round < spec.SlotsPerNode; round++ {
 		for slot, as := range base {
 			sched[slot+round*len(order)] = as
 		}
@@ -278,7 +380,7 @@ func installLineRoutes(net *rtlink.Network, order []NodeID) {
 }
 
 // Name returns the cell's campus name ("" for standalone cells).
-func (c *Cell) Name() string { return c.name }
+func (c *Cell) Name() string { return c.spec.Name }
 
 // Engine returns the virtual-time engine.
 func (c *Cell) Engine() *sim.Engine { return c.eng }
@@ -300,8 +402,7 @@ func (c *Cell) Events() *Bus { return c.bus }
 // Members returns the cell member IDs in admission order.
 func (c *Cell) Members() []NodeID { return append([]NodeID(nil), c.ids...) }
 
-// Node returns the EVM runtime deployed on id (nil before Deploy or for
-// the gateway).
+// Node returns the EVM runtime deployed on id (nil for the gateway).
 func (c *Cell) Node(id NodeID) *Node { return c.nodes[id] }
 
 // Nodes returns all deployed EVM runtimes.
@@ -315,35 +416,19 @@ func (c *Cell) Nodes() []*Node {
 	return out
 }
 
-// Deploy instantiates the EVM runtime on every member except the
-// configured gateway, starts their watchdogs as one group
-// (core.StartWatchdogs) and starts the TDMA network. On failure no
-// runtime is left: the nodes built before the error are removed again,
-// and no watchdog has started.
-func (c *Cell) Deploy(vc VCConfig) error {
-	// NewNode validates too, but a cell whose only member is the gateway
-	// builds no node, so only this check rejects an invalid vc there.
-	if err := vc.Validate(); err != nil {
-		return err
-	}
-	var built []*Node
-	fail := func(err error) error {
-		for _, n := range built {
-			delete(c.nodes, n.ID())
-		}
-		return err
-	}
+// deploy instantiates the EVM runtime on every member except the VC's
+// gateway, starts their watchdogs as one group (core.StartWatchdogs) and
+// starts the TDMA network. A runtime that fails to build fails the
+// deploy before any watchdog or frame is queued.
+func (c *Cell) deploy(vc VCConfig) error {
+	built := make([]*Node, 0, len(c.ids))
 	for _, id := range c.ids {
 		if id == vc.Gateway {
 			continue
 		}
-		link := c.net.Link(id)
-		if link == nil {
-			return fail(fmt.Errorf("evm: node %v not joined", id))
-		}
-		node, err := core.NewNode(c.net, link, vc)
+		node, err := core.NewNode(c.net, c.net.Link(id), vc)
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		c.wireNodeEvents(node)
 		c.nodes[id] = node
@@ -417,16 +502,17 @@ func (c *Cell) AddNodeRuntime(id NodeID, vc VCConfig) (*Node, error) {
 	if _, exists := c.nodes[id]; exists {
 		return nil, fmt.Errorf("evm: node %v already deployed", id)
 	}
-	if c.placement.capacity > 0 && len(c.ids) >= c.placement.capacity {
-		return nil, fmt.Errorf("evm: placement %s is full (%d nodes)", c.placement.name, len(c.ids))
+	placement := c.spec.Placement
+	if placement.capacity > 0 && len(c.ids) >= placement.capacity {
+		return nil, fmt.Errorf("evm: placement %s is full (%d nodes)", placement.name, len(c.ids))
 	}
-	pos := c.placement.at(len(c.ids), c.prng)
+	pos := placement.at(len(c.ids), c.prng)
 	if _, err := c.med.Attach(id, pos, radio.NewBattery(2600), radio.DefaultEnergyModel()); err != nil {
 		return nil, err
 	}
 	oldSched := c.net.Schedule()
 	grown := append(append([]NodeID(nil), c.ids...), id)
-	sched, err := rtlink.BuildMeshScheduleK(grown, c.link, c.slotsPerNode)
+	sched, err := rtlink.BuildMeshScheduleK(grown, c.spec.Link, c.spec.SlotsPerNode)
 	if err != nil {
 		c.med.Detach(id)
 		return nil, err
@@ -470,49 +556,26 @@ func (c *Cell) AddNodeRuntime(id NodeID, vc VCConfig) (*Node, error) {
 	return node, nil
 }
 
-// StartSensorFeed broadcasts synthetic sensor snapshots from src every
-// period — a stand-in for a plant gateway in examples and experiments.
-// Stop the returned ticker to end the feed.
-func (c *Cell) StartSensorFeed(src NodeID, period time.Duration, sample func() []SensorReading) (*sim.Ticker, error) {
-	return c.StartSensorFeedTo(src, period, sample, Broadcast)
-}
-
-// StartSensorFeedTo is StartSensorFeed with explicit destinations: each
-// sample is sent to every listed destination in turn. Multi-hop cells
-// list unicast destinations, since a single-hop broadcast reaches only a
-// line cell's immediate neighbors and the link-layer line routes relay
-// unicasts station by station. A Broadcast destination is one
-// single-hop send; StartSensorFeed is that form. Each tick encodes
-// sample()'s readings before the next tick and keeps no reference to
-// them, so sample may return the same slice every time.
-func (c *Cell) StartSensorFeedTo(src NodeID, period time.Duration, sample func() []SensorReading, dsts ...NodeID) (*sim.Ticker, error) {
-	link := c.net.Link(src)
-	if link == nil {
-		return nil, fmt.Errorf("evm: node %v not joined", src)
-	}
-	if period <= 0 {
-		return nil, fmt.Errorf("evm: feed period %v", period)
-	}
-	if len(dsts) == 0 {
-		return nil, fmt.Errorf("evm: unicast feed needs at least one destination")
-	}
-	for _, dst := range dsts {
-		if dst != Broadcast && c.net.Link(dst) == nil {
-			return nil, fmt.Errorf("evm: feed destination %v not joined", dst)
-		}
+// startFeed starts the cell's synthetic sensor feed (validated with its
+// spec). Each tick encodes Sample()'s readings before the next tick and
+// keeps no reference to them.
+func (c *Cell) startFeed(f FeedSpec) {
+	link := c.net.Link(f.Source)
+	to := f.To
+	if len(to) == 0 {
+		to = []NodeID{Broadcast}
 	}
 	var buf []byte // the link copies each snapshot in Send
-	tk := c.eng.Every(period, func() {
-		payload, err := wire.SensorSnapshot{Readings: sample()}.AppendTo(buf[:0])
+	c.feed = c.eng.Every(f.Period, func() {
+		payload, err := wire.SensorSnapshot{Readings: f.Sample()}.AppendTo(buf[:0])
 		if err != nil {
 			return
 		}
 		buf = payload
-		for _, dst := range dsts {
+		for _, dst := range to {
 			_ = link.Send(rtlink.Message{Dst: dst, Kind: wire.KindSensor, Payload: payload})
 		}
 	})
-	return tk, nil
 }
 
 // Run advances virtual time by d.
@@ -523,9 +586,13 @@ func (c *Cell) Run(d time.Duration) {
 // Now returns the current virtual time.
 func (c *Cell) Now() time.Duration { return c.eng.Now() }
 
-// Stop halts the network, the watchdogs and all node runtimes. Nodes stop
-// in sorted ID order so any teardown side effects land deterministically.
+// Stop halts the feed, the network, the watchdogs and all node runtimes.
+// Nodes stop in sorted ID order so any teardown side effects land
+// deterministically.
 func (c *Cell) Stop() {
+	if c.feed != nil {
+		c.feed.Stop()
+	}
 	c.net.Stop()
 	for _, w := range c.watchdogs {
 		w.Stop()

@@ -10,12 +10,6 @@ import (
 // Example deploys a minimal Virtual Component, injects a compute fault on
 // the primary and lets the EVM fail the task over to the backup.
 func Example() {
-	cell, err := evm.NewCellWith(evm.CellConfig{Seed: 7},
-		evm.WithNodes(1, 2, 3, 4), evm.WithPER(0))
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
 	vc := evm.VCConfig{
 		Name: "demo", Head: 4, Gateway: 1,
 		Tasks: []evm.TaskSpec{{
@@ -31,18 +25,19 @@ func Example() {
 			},
 		}},
 	}
-	if err := cell.Deploy(vc); err != nil {
-		fmt.Println(err)
-		return
-	}
-	feed, err := cell.StartSensorFeed(1, 250*time.Millisecond, func() []evm.SensorReading {
-		return []evm.SensorReading{{Port: 0, Value: 50}}
+	cell, err := evm.NewCell(evm.CellSpec{
+		Seed:  7,
+		Nodes: evm.Members(4),
+		VC:    vc,
+		Feed: &evm.FeedSpec{Source: 1, Period: 250 * time.Millisecond, Sample: func() []evm.SensorReading {
+			return []evm.SensorReading{{Port: 0, Value: 50}}
+		}},
 	})
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	defer feed.Stop()
+	defer cell.Stop()
 
 	cell.Run(5 * time.Second)
 	fmt.Println("before fault:", cell.Node(2).Role("loop"), "/", cell.Node(3).Role("loop"))

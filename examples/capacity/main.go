@@ -48,9 +48,23 @@ func main() {
 }
 
 func run() error {
-	cell, err := evm.NewCellWith(evm.CellConfig{Seed: 11},
-		evm.WithNodes(gwNode, ctrl1, ctrl2, headN),
-		evm.WithPER(0))
+	vc := evm.VCConfig{
+		Name:    "capacity",
+		Head:    headN,
+		Gateway: gwNode,
+		Tasks: []evm.TaskSpec{
+			task("loop-a", 0, 1, ctrl1, ctrl2),
+			task("loop-b", 1, 2, ctrl2, ctrl1),
+		},
+	}
+	cell, err := evm.NewCell(evm.CellSpec{
+		Seed:  11,
+		Nodes: []evm.NodeID{gwNode, ctrl1, ctrl2, headN},
+		VC:    vc,
+		Feed: &evm.FeedSpec{Source: gwNode, Period: 250 * time.Millisecond, Sample: func() []evm.SensorReading {
+			return []evm.SensorReading{{Port: 0, Value: 49}, {Port: 1, Value: 51}}
+		}},
+	})
 	if err != nil {
 		return err
 	}
@@ -65,25 +79,6 @@ func run() error {
 			fmt.Printf("[%8v] master switch: %q %v -> %v\n", e.At, e.Task, e.From, e.To)
 		}
 	})
-	vc := evm.VCConfig{
-		Name:    "capacity",
-		Head:    headN,
-		Gateway: gwNode,
-		Tasks: []evm.TaskSpec{
-			task("loop-a", 0, 1, ctrl1, ctrl2),
-			task("loop-b", 1, 2, ctrl2, ctrl1),
-		},
-	}
-	if err := cell.Deploy(vc); err != nil {
-		return err
-	}
-	feed, err := cell.StartSensorFeed(gwNode, 250*time.Millisecond, func() []evm.SensorReading {
-		return []evm.SensorReading{{Port: 0, Value: 49}, {Port: 1, Value: 51}}
-	})
-	if err != nil {
-		return err
-	}
-	defer feed.Stop()
 
 	head := cell.Node(headN).Head()
 	fmt.Println("running with 2 controllers...")

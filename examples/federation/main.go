@@ -30,13 +30,10 @@ func main() {
 // nodes 3/4, spares 5/6, and a synthetic sensor feed.
 func unit(name, taskID string) evm.CellSpec {
 	return evm.CellSpec{
-		Name: name,
-		Options: []evm.CellOption{
-			evm.WithNodeCount(6),
-			evm.WithPlacement(evm.Grid(3, 2)),
-			evm.WithSlotsPerNode(3),
-			evm.WithPER(0),
-		},
+		Name:         name,
+		Nodes:        evm.Members(6),
+		Placement:    evm.Grid(3, 2),
+		SlotsPerNode: 3,
 		VC: evm.VCConfig{
 			Name: name, Head: 2, Gateway: 1,
 			Tasks: []evm.TaskSpec{{

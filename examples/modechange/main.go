@@ -49,21 +49,22 @@ func main() {
 
 func run() error {
 	// The four nodes sit on a 2x2 grid — any placement works for a
-	// single-hop cell; the option form makes the topology explicit data.
-	cell, err := evm.NewCellWith(evm.CellConfig{Seed: 3},
-		evm.WithNodes(feeder, station, spare, headN),
-		evm.WithPlacement(evm.Grid(2, 2)),
-		evm.WithPER(0))
+	// single-hop cell; the spec makes the topology explicit data.
+	cell, err := evm.NewCell(evm.CellSpec{
+		Seed:      3,
+		Nodes:     []evm.NodeID{feeder, station, spare, headN},
+		Placement: evm.Grid(2, 2),
+		VC: evm.VCConfig{
+			Name:    "assembly-line",
+			Head:    headN,
+			Gateway: feeder,
+			Tasks:   []evm.TaskSpec{spec("red-station", 1), spec("blue-station", 2)},
+		},
+		Feed: &evm.FeedSpec{Source: feeder, Period: 250 * time.Millisecond, Sample: func() []evm.SensorReading {
+			return []evm.SensorReading{{Port: 0, Value: 48}}
+		}},
+	})
 	if err != nil {
-		return err
-	}
-	vc := evm.VCConfig{
-		Name:    "assembly-line",
-		Head:    headN,
-		Gateway: feeder,
-		Tasks:   []evm.TaskSpec{spec("red-station", 1), spec("blue-station", 2)},
-	}
-	if err := cell.Deploy(vc); err != nil {
 		return err
 	}
 	// Mode 1 builds red units, mode 2 blue units.
@@ -71,13 +72,6 @@ func run() error {
 		n.SetModeTasks(1, []string{"red-station"})
 		n.SetModeTasks(2, []string{"blue-station"})
 	}
-	feed, err := cell.StartSensorFeed(feeder, 250*time.Millisecond, func() []evm.SensorReading {
-		return []evm.SensorReading{{Port: 0, Value: 48}}
-	})
-	if err != nil {
-		return err
-	}
-	defer feed.Stop()
 
 	head := cell.Node(headN).Head()
 	report := func(tag string) {

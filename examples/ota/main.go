@@ -56,13 +56,10 @@ const v3Source = `
 // 3/4) running taskID on the v1 capsule.
 func unit(name, taskID string) evm.CellSpec {
 	return evm.CellSpec{
-		Name: name,
-		Options: []evm.CellOption{
-			evm.WithNodeCount(6),
-			evm.WithPlacement(evm.Grid(3, 2)),
-			evm.WithSlotsPerNode(3),
-			evm.WithPER(0),
-		},
+		Name:         name,
+		Nodes:        evm.Members(6),
+		Placement:    evm.Grid(3, 2),
+		SlotsPerNode: 3,
 		VC: evm.VCConfig{
 			Name: name, Head: 2, Gateway: 1,
 			Tasks: []evm.TaskSpec{{

@@ -3,9 +3,9 @@
 // sensor. The primary develops a compute fault; the backup detects it by
 // passive observation and the head fails the task over.
 //
-// It showcases the declarative experiment API: the cell is built from
-// functional options, the fault is a FaultPlan applied as data, and all
-// observability rides the typed event bus.
+// It showcases the declarative experiment API: the cell is one CellSpec,
+// the fault is a FaultPlan applied as data, and all observability rides
+// the typed event bus.
 package main
 
 import (
@@ -30,14 +30,6 @@ func main() {
 }
 
 func run() error {
-	cell, err := evm.NewCellWith(evm.CellConfig{Seed: 7},
-		evm.WithNodes(sensorNode, primary, backup, headNode),
-		evm.WithPlacement(evm.Line(3)),
-		evm.WithPER(0))
-	if err != nil {
-		return err
-	}
-
 	vc := evm.VCConfig{
 		Name:    "quickstart",
 		Head:    headNode,
@@ -63,18 +55,19 @@ func run() error {
 		}},
 		DormantAfter: 5 * time.Second,
 	}
-	if err := cell.Deploy(vc); err != nil {
-		return err
-	}
-
-	// Synthetic sensor: the measured value sits at the setpoint.
-	feed, err := cell.StartSensorFeed(sensorNode, 250*time.Millisecond, func() []evm.SensorReading {
-		return []evm.SensorReading{{Port: 0, Value: 50}}
+	cell, err := evm.NewCell(evm.CellSpec{
+		Seed:      7,
+		Nodes:     []evm.NodeID{sensorNode, primary, backup, headNode},
+		Placement: evm.Line(3),
+		VC:        vc,
+		// Synthetic sensor: the measured value sits at the setpoint.
+		Feed: &evm.FeedSpec{Source: sensorNode, Period: 250 * time.Millisecond, Sample: func() []evm.SensorReading {
+			return []evm.SensorReading{{Port: 0, Value: 50}}
+		}},
 	})
 	if err != nil {
 		return err
 	}
-	defer feed.Stop()
 
 	// Observability is a typed event stream, not per-object callbacks.
 	cell.Events().Subscribe(func(ev evm.Event) {

@@ -223,8 +223,8 @@ func (c *Cell) runFaultStep(st FaultStep) {
 	}
 	if b := st.PERBurst; b != nil {
 		// Restore whatever channel was in force when the burst started —
-		// a forced rate set through any path (WithPER, Medium.ForcePER)
-		// or the distance model (negative).
+		// a forced rate set through any path (CellSpec.PER,
+		// Medium.ForcePER) or the channel model (negative).
 		prev := c.med.ForcedPER()
 		c.med.ForcePER(b.PER)
 		c.bus.publish(FaultEvent{At: c.eng.Now(), Kind: FaultPERBurst, Value: b.PER})

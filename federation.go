@@ -11,35 +11,6 @@ import (
 	"evm/internal/wire"
 )
 
-// FeedSpec declares a synthetic sensor feed for one cell: Source
-// broadcasts Sample() every Period, standing in for a plant gateway.
-type FeedSpec struct {
-	Source NodeID
-	Period time.Duration
-	// Sample returns the readings to send this tick. The feed encodes
-	// them before the next tick and keeps no reference, so Sample may
-	// return the same slice every time.
-	Sample func() []SensorReading
-}
-
-// CellSpec declares one cell of a Campus: its name, topology options,
-// Virtual Component and optional synthetic feed. Specs are data — a
-// campus topology is a list of them.
-type CellSpec struct {
-	// Name identifies the cell in campus events ("cell-<i>" if empty).
-	Name string
-	// Config is the cell's TDMA framing. Seed is ignored:
-	// campus cells draw from forks of the campus seed so the whole
-	// campus reproduces from one number.
-	Config CellConfig
-	// Options configure membership and placement (WithNodes, WithPlacement...).
-	Options []CellOption
-	// VC is the cell's Virtual Component, deployed at construction.
-	VC VCConfig
-	// Feed, when set, starts a synthetic sensor feed on the cell.
-	Feed *FeedSpec
-}
-
 // CampusConfig parameterizes a Campus.
 type CampusConfig struct {
 	// Seed drives every random stream of every cell and the backbone;
@@ -145,7 +116,6 @@ type Campus struct {
 	eng      *sim.Engine
 	rng      *sim.RNG
 	cells    []*Cell
-	specs    []CellSpec
 	byName   map[string]int
 	backbone *Backbone
 	events   *Bus // the merged campus stream
@@ -160,7 +130,6 @@ type Campus struct {
 	tasks    []*taskPlacement
 	byTask   map[string]*taskPlacement
 	cellDown []bool // head-down state, for recovery events
-	feeds    []*sim.Ticker
 	ticker   *sim.Ticker
 
 	// capsules is the versioned capsule store for OTA rollouts.
@@ -168,8 +137,9 @@ type Campus struct {
 }
 
 // NewCampus builds the federation: cells in spec order on one shared
-// engine (each with a forked RNG and private radio medium), deployed
-// VCs, synthetic feeds, the backbone, and the coordinator.
+// engine, each built, deployed and fed the way NewCell builds a cell but
+// with a fork of the campus RNG and its own radio medium; then the
+// backbone and the coordinator.
 func NewCampus(cfg CampusConfig, specs ...CellSpec) (*Campus, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("evm: campus needs at least one cell")
@@ -198,58 +168,37 @@ func NewCampus(cfg CampusConfig, specs ...CellSpec) (*Campus, error) {
 	}
 	names := make([]string, len(specs))
 	for i, cs := range specs {
-		name := cs.Name
-		if name == "" {
-			name = fmt.Sprintf("cell-%d", i)
+		if cs.Name == "" {
+			cs.Name = fmt.Sprintf("cell-%d", i)
 		}
+		name := cs.Name
 		if _, dup := c.byName[name]; dup {
 			return nil, fmt.Errorf("evm: duplicate cell name %q", name)
 		}
 		c.byName[name] = i
 		names[i] = name
 
-		spec := cellSpec{placement: Line(3)}
-		for _, opt := range cs.Options {
-			opt(&spec)
-		}
-		if err := spec.validate(); err != nil {
-			return nil, fmt.Errorf("evm: cell %s: %w", name, err)
-		}
-		cell, err := newCell(name, c.eng, c.rng.Fork(), cs.Config, spec)
+		cell, err := buildCell(c.eng, c.rng.Fork(), cs)
 		if err != nil {
 			c.Stop()
 			return nil, fmt.Errorf("evm: cell %s: %w", name, err)
 		}
 		c.cells = append(c.cells, cell)
-		c.specs = append(c.specs, cs)
 		// Merge the cell's events into the campus stream, tagged with
 		// the cell name. Cells share one engine, so the merged order is
 		// the global virtual-time order and fully deterministic. The
 		// cell's borrowed actuation is forwarded in a wrapper boxed
 		// once here, so an actuation allocates nothing on its way to
 		// campus subscribers either; every other kind is wrapped anew.
-		cellName := name
-		var act Event = CellEvent{Cell: cellName, Inner: &cell.act}
+		var act Event = CellEvent{Cell: name, Inner: &cell.act}
 		cell.Events().Subscribe(func(ev Event) {
 			out := act
 			if ev != Event(&cell.act) {
-				out = CellEvent{Cell: cellName, Inner: ev}
+				out = CellEvent{Cell: name, Inner: ev}
 			}
 			//evm:allow-eventorder synchronous bus-to-bus bridge: cells share one engine, campus subscribers never publish back into a cell bus, so delivery cannot re-enter or reorder
 			c.events.publish(out)
 		})
-		if err := cell.Deploy(cs.VC); err != nil {
-			c.Stop()
-			return nil, fmt.Errorf("evm: cell %s: %w", name, err)
-		}
-		if f := cs.Feed; f != nil {
-			tk, err := cell.StartSensorFeed(f.Source, f.Period, f.Sample)
-			if err != nil {
-				c.Stop()
-				return nil, fmt.Errorf("evm: cell %s feed: %w", name, err)
-			}
-			c.feeds = append(c.feeds, tk)
-		}
 		for _, t := range cs.VC.Tasks {
 			// Task IDs must be campus-unique: a cell cannot host a
 			// foreign replica of a task ID its own head arbitrates.
@@ -331,13 +280,10 @@ func (c *Campus) Run(d time.Duration) {
 	_ = c.eng.RunUntil(c.eng.Now() + d)
 }
 
-// Stop halts the coordinator, every feed and every cell.
+// Stop halts the coordinator and every cell, feeds included.
 func (c *Campus) Stop() {
 	if c.ticker != nil {
 		c.ticker.Stop()
-	}
-	for _, f := range c.feeds {
-		f.Stop()
 	}
 	for _, cell := range c.cells {
 		cell.Stop()
@@ -440,7 +386,7 @@ func (c *Campus) nodeFailed(cell int, id NodeID) bool {
 
 // headDown reports whether a cell's configured head is unreachable.
 func (c *Campus) headDown(cell int) bool {
-	return c.nodeFailed(cell, c.specs[cell].VC.Head)
+	return c.nodeFailed(cell, c.cells[cell].spec.VC.Head)
 }
 
 // tick is the coordinator heartbeat: detect cell recoveries, checkpoint
@@ -542,7 +488,7 @@ func (c *Campus) demoteStaleMasters(origin int) {
 	if c.headDown(origin) {
 		return
 	}
-	hn := c.cells[origin].nodes[c.specs[origin].VC.Head]
+	hn := c.cells[origin].nodes[c.cells[origin].spec.VC.Head]
 	if hn == nil || hn.Head() == nil {
 		return
 	}
@@ -681,7 +627,7 @@ func (c *Campus) destNodes(cell int, taskID string) []NodeID {
 		out = append(out, id)
 	}
 	cellNodes := c.cells[cell].nodes
-	head := c.specs[cell].VC.Head
+	head := c.cells[cell].spec.VC.Head
 	sort.SliceStable(out, func(i, j int) bool {
 		if (out[i] == head) != (out[j] == head) {
 			return out[j] == head
@@ -732,7 +678,7 @@ func (c *Campus) deliver(p *taskPlacement, dst int, payload []byte) {
 			p.localCands = nil
 			// Realign the origin head's arbitration with the imported
 			// master, or its next health bundle would demote it.
-			if hn := c.cells[dst].nodes[c.specs[dst].VC.Head]; hn != nil && hn.Head() != nil && !c.headDown(dst) {
+			if hn := c.cells[dst].nodes[c.cells[dst].spec.VC.Head]; hn != nil && hn.Head() != nil && !c.headDown(dst) {
 				if old, ok := hn.Head().ActiveNode(ex.TaskID); ok && old != id {
 					hn.Head().Promote(ex.TaskID, id, old)
 				}
@@ -749,7 +695,7 @@ func (c *Campus) deliver(p *taskPlacement, dst int, payload []byte) {
 // fail-over instead of another backbone round-trip.
 func (c *Campus) adoptForeign(dst int, p *taskPlacement, ex wire.TaskExport) {
 	p.localCands = []NodeID{p.node}
-	headID := c.specs[dst].VC.Head
+	headID := c.cells[dst].spec.VC.Head
 	headNode := c.cells[dst].nodes[headID]
 	if headNode == nil || headNode.Head() == nil || c.nodeFailed(dst, headID) {
 		return // no live head to arbitrate; the coordinator stays in charge
@@ -900,7 +846,7 @@ func (c *Campus) onCommit(p *taskPlacement, hs *rebalanceHandshake) {
 		return
 	}
 	origin := p.origin
-	headNode := c.cells[origin].nodes[c.specs[origin].VC.Head]
+	headNode := c.cells[origin].nodes[c.cells[origin].spec.VC.Head]
 	if headNode == nil || headNode.Head() == nil || c.headDown(origin) {
 		c.abortRebalance(p, hs, "origin-relapsed")
 		return
@@ -967,7 +913,7 @@ func (c *Campus) retireForeignCopies(cell int, taskID string, cands []NodeID) {
 			_ = n.RetireTask(taskID)
 		}
 	}
-	if hn := c.cells[cell].nodes[c.specs[cell].VC.Head]; hn != nil && hn.Head() != nil {
+	if hn := c.cells[cell].nodes[c.cells[cell].spec.VC.Head]; hn != nil && hn.Head() != nil {
 		hn.Head().DropTask(taskID)
 	}
 }

@@ -202,8 +202,8 @@ func TestFederationRunnerParallelMatchesSerial(t *testing.T) {
 func TestBackboneLossRetransmits(t *testing.T) {
 	unit := func(name, prefix string) CellSpec {
 		return CellSpec{
-			Name:    name,
-			Options: []CellOption{WithNodeCount(5), WithSlotsPerNode(3), WithPER(0)},
+			Name:  name,
+			Nodes: Members(5), SlotsPerNode: 3,
 			VC: VCConfig{
 				Name: name, Head: 2, Gateway: 1,
 				Tasks: []TaskSpec{{
@@ -258,8 +258,8 @@ func TestBackboneLossRetransmits(t *testing.T) {
 func TestCampusRejectsDuplicateTaskIDs(t *testing.T) {
 	unit := func(name string) CellSpec {
 		return CellSpec{
-			Name:    name,
-			Options: []CellOption{WithNodeCount(4), WithPER(0)},
+			Name:  name,
+			Nodes: Members(4),
 			VC: VCConfig{
 				Name: name, Head: 2, Gateway: 1,
 				Tasks: []TaskSpec{{

@@ -115,13 +115,11 @@ func placementFor(c CellGen) evm.Placement {
 // campusCellSpec renders one generated cell as a declarative CellSpec.
 func campusCellSpec(c CellGen, store *evm.CapsuleStore) evm.CellSpec {
 	return evm.CellSpec{
-		Name: c.Name,
-		Options: []evm.CellOption{
-			evm.WithNodeCount(c.Nodes()),
-			evm.WithPlacement(placementFor(c)),
-			evm.WithSlotsPerNode(3),
-			evm.WithPER(c.PER),
-		},
+		Name:         c.Name,
+		Nodes:        evm.Members(c.Nodes()),
+		Placement:    placementFor(c),
+		SlotsPerNode: 3,
+		PER:          c.PER,
 		VC: evm.VCConfig{
 			Name: c.Name, Head: 2, Gateway: 1,
 			Tasks:        taskSpecs(c, store),
@@ -303,37 +301,22 @@ func buildCampus(s Spec, run evm.RunSpec) (*evm.Experiment, error) {
 func buildMultihop(s Spec, run evm.RunSpec) (*evm.Experiment, error) {
 	c := s.Cells[0]
 	order := LineOrder(c)
-	cell, err := evm.NewCellWith(evm.CellConfig{Seed: run.Seed},
-		evm.WithNodes(order...),
-		evm.WithPlacement(placementFor(c)),
-		evm.WithSlotsPerNode(3),
-		evm.WithPER(c.PER),
-		evm.WithLineSchedule(order...))
-	if err != nil {
-		return nil, err
-	}
-	vc := evm.VCConfig{
-		Name: c.Name, Head: 2, Gateway: 1,
-		Tasks:        taskSpecs(c, nil),
-		DormantAfter: 5 * time.Second,
-	}
-	if err := cell.Deploy(vc); err != nil {
-		cell.Stop()
-		return nil, err
-	}
-	dsts := make([]evm.NodeID, 0, 2*c.Tasks)
+	// The campus cell's spec, as a standalone line cell along order. It
+	// stays unnamed: a cell name is a campus tag. The feed is relayed
+	// to every controller, since a broadcast reaches only the gateway's
+	// line neighbors.
+	spec := campusCellSpec(c, nil)
+	spec.Name, spec.Seed, spec.Nodes, spec.Line = "", run.Seed, order, true
+	vc := spec.VC
 	for _, t := range vc.Tasks {
-		dsts = append(dsts, t.Candidates...)
+		spec.Feed.To = append(spec.Feed.To, t.Candidates...)
 	}
-	feed, err := cell.StartSensorFeedTo(1, time.Duration(c.PeriodMS)*time.Millisecond,
-		feedSample(c.Tasks), dsts...)
+	cell, err := evm.NewCell(spec)
 	if err != nil {
-		cell.Stop()
 		return nil, err
 	}
 	if plans := faultPlans(s); len(plans) > 0 {
 		if err := cell.ApplyFaultPlan(plans[0].plan); err != nil {
-			feed.Stop()
 			cell.Stop()
 			return nil, err
 		}
@@ -355,6 +338,6 @@ func buildMultihop(s Spec, run evm.RunSpec) (*evm.Experiment, error) {
 			}
 		},
 		QoS:     func() evm.QoSReport { return evm.EvaluateQoS(vc, cell.Nodes()) },
-		Cleanup: func() { feed.Stop(); cell.Stop() },
+		Cleanup: cell.Stop,
 	}, nil
 }

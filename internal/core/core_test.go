@@ -112,7 +112,7 @@ func newRig(t *testing.T, cfg VCConfig) *rig {
 			r.gwLink = link
 			link.SetHandler(func(m rtlink.Message) {
 				if m.Kind == wire.KindActuate {
-					act, err := wire.DecodeActuate(m.Payload)
+					act, err := wire.DecodeActuateInterned(m.Payload, nil)
 					if err == nil {
 						r.actuations = append(r.actuations, actRecord{src: m.Src, act: act, at: eng.Now()})
 					}

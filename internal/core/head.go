@@ -249,7 +249,7 @@ func (h *Head) failover(task string, suspect, reporter radio.NodeID) {
 		}
 		next = reporter
 	}
-	h.cooldown[task] = h.node.eng.Now() + 4*aliveWindow
+	h.cooldown[task] = h.node.eng.Now() + spec.failoverCooldown()
 	h.promote(task, next, suspect)
 }
 

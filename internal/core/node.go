@@ -653,7 +653,7 @@ func (n *Node) reportFault(r *replica, reason wire.FaultReason, magnitude float6
 	if n.eng.Now() < r.cooldownUntil {
 		return
 	}
-	r.cooldownUntil = n.eng.Now() + 4*time.Duration(r.spec.SilenceWindow)*r.spec.Period
+	r.cooldownUntil = n.eng.Now() + r.spec.failoverCooldown()
 	r.deviationCount = 0
 	payload, err := wire.FaultReport{
 		Reporter:  uint16(n.id),

@@ -57,6 +57,17 @@ type TaskSpec struct {
 	MakeLogic func() (TaskLogic, error)
 }
 
+// failoverCooldown is how long a fail-over report about the task is
+// held back: after the head decides a fail-over it takes no other report
+// about the task for this long, and after a backup reports a fault it
+// sends no other report about the task for this long. It is four
+// silence windows, a fixed multiple; deriving it from the schedule and
+// the fail-over-latency bound of TimingInvariants is open work (ROADMAP,
+// "Derive the cooldowns").
+func (s TaskSpec) failoverCooldown() time.Duration {
+	return 4 * time.Duration(s.SilenceWindow) * s.Period
+}
+
 // Validate checks the spec.
 func (s TaskSpec) Validate() error {
 	if s.ID == "" {

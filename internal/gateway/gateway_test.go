@@ -70,9 +70,9 @@ func TestSensorBroadcastsFlow(t *testing.T) {
 	var got []wire.SensorReading
 	r.ctrl.SetHandler(func(m rtlink.Message) {
 		if m.Kind == wire.KindSensor {
-			rd, err := wire.DecodeSensors(m.Payload)
-			if err == nil {
-				got = rd
+			var s wire.SensorSnapshot
+			if err := wire.DecodeSnapshotInto(m.Payload, &s); err == nil {
+				got = s.Readings
 			}
 		}
 	})

@@ -186,11 +186,6 @@ func (l *blobLogic) Restore(b []byte) error {
 // to node 3 and times it in 250 ms TDMA frames.
 func runMigration(p Param, seed uint64) (map[string]float64, error) {
 	size := int(p.X)
-	cell, err := evm.NewCellWith(evm.CellConfig{Seed: seed},
-		evm.WithNodes(1, 2, 3, 4), evm.WithPER(0))
-	if err != nil {
-		return nil, err
-	}
 	vc := evm.VCConfig{
 		Name: "mig", Head: 4, Gateway: 1,
 		Tasks: []evm.TaskSpec{{
@@ -203,7 +198,8 @@ func runMigration(p Param, seed uint64) (map[string]float64, error) {
 			},
 		}},
 	}
-	if err := cell.Deploy(vc); err != nil {
+	cell, err := evm.NewCell(evm.CellSpec{Seed: seed, Nodes: evm.Members(4), VC: vc})
+	if err != nil {
 		return nil, err
 	}
 	cell.Run(time.Second)
@@ -316,11 +312,6 @@ func runDegradation(p Param, seed uint64) (map[string]float64, error) {
 }
 
 func coverageAfterKills(seed uint64, kills int, reorganize bool) (float64, error) {
-	cell, err := evm.NewCellWith(evm.CellConfig{Seed: seed},
-		evm.WithNodeCount(6), evm.WithPER(0))
-	if err != nil {
-		return 0, err
-	}
 	vc := evm.VCConfig{
 		Name: "deg", Head: 6, Gateway: 1,
 		Tasks: []evm.TaskSpec{{
@@ -334,16 +325,18 @@ func coverageAfterKills(seed uint64, kills int, reorganize bool) (float64, error
 			},
 		}},
 	}
-	if err := cell.Deploy(vc); err != nil {
-		return 0, err
-	}
-	feed, err := cell.StartSensorFeed(1, 250*time.Millisecond, func() []evm.SensorReading {
-		return []evm.SensorReading{{Port: 0, Value: 50}}
+	cell, err := evm.NewCell(evm.CellSpec{
+		Seed:  seed,
+		Nodes: evm.Members(6),
+		VC:    vc,
+		Feed: &evm.FeedSpec{Source: 1, Period: 250 * time.Millisecond, Sample: func() []evm.SensorReading {
+			return []evm.SensorReading{{Port: 0, Value: 50}}
+		}},
 	})
 	if err != nil {
 		return 0, err
 	}
-	defer feed.Stop()
+	defer cell.Stop()
 	cell.Run(5 * time.Second)
 	if !reorganize {
 		for _, n := range cell.Nodes() {
@@ -434,11 +427,6 @@ func runAttestation(p Param, seed uint64) (map[string]float64, error) {
 // replication every p.X cycles (paper §3: "state is shared either
 // passively or actively").
 func runStateSharing(p Param, seed uint64) (map[string]float64, error) {
-	cell, err := evm.NewCellWith(evm.CellConfig{Seed: seed}, evm.WithNodes(1, 2, 3, 4), evm.WithSlotsPerNode(3))
-	if err != nil {
-		return nil, err
-	}
-	cell.Medium().ForcePER(0.3)
 	vc := evm.VCConfig{
 		Name: "share", Head: 4, Gateway: 1,
 		Tasks: []evm.TaskSpec{{
@@ -453,17 +441,22 @@ func runStateSharing(p Param, seed uint64) (map[string]float64, error) {
 			},
 		}},
 	}
-	if err := cell.Deploy(vc); err != nil {
-		return nil, err
-	}
 	rng := sim.NewRNG(seed + 6)
-	feed, err := cell.StartSensorFeed(1, 250*time.Millisecond, func() []evm.SensorReading {
-		return []evm.SensorReading{{Port: 0, Value: 45 + 10*rng.Float64()}}
+	// PER 0.3 in the spec keeps the channel's Gilbert-Elliott bursts on.
+	cell, err := evm.NewCell(evm.CellSpec{
+		Seed:         seed,
+		Nodes:        evm.Members(4),
+		SlotsPerNode: 3,
+		PER:          0.3,
+		VC:           vc,
+		Feed: &evm.FeedSpec{Source: 1, Period: 250 * time.Millisecond, Sample: func() []evm.SensorReading {
+			return []evm.SensorReading{{Port: 0, Value: 45 + 10*rng.Float64()}}
+		}},
 	})
 	if err != nil {
 		return nil, err
 	}
-	defer feed.Stop()
+	defer cell.Stop()
 	var totalDiff float64
 	samples := 0
 	probe := cell.Engine().Every(time.Second, func() {

@@ -102,19 +102,19 @@ func TestDegradationStaticBindingLosesTask(t *testing.T) {
 // Allocation caps for paper runs at their first seed, set just above the
 // measured counts as the root package's hotPathAllocBudget is. A warm
 // gas plant allocates nothing per control cycle, so E1 (1000 s of
-// Fig. 6, every parameter point) measures 341, and 354 under -race;
-// E2's PER 0.1 point, the lossy path, measures 358 (371 under -race).
+// Fig. 6, every parameter point) measures 338, and 351 under -race;
+// E2's PER 0.1 point, the lossy path, measures 355 (368 under -race).
 // ota (three 30 s rollouts plus the bad-capsule rollback) measures
-// 7,007, and about 7,405 under -race; it counts the three event kinds it
+// 6,807, and about 7,218 under -race; it counts the three event kinds it
 // reports with a subscriber instead of logging the whole campus stream,
 // a warm campus allocates nothing per actuation or feed tick, staging a
 // capsule builds no interpreter, an interpreter builds its stacks and
 // memory only when a law uses them, and each cell's watchdogs share one
 // ticker.
 const (
-	fig6AllocBudget    = 395
-	e2LossyAllocBudget = 415
-	otaAllocBudget     = 7_620
+	fig6AllocBudget    = 392
+	e2LossyAllocBudget = 412
+	otaAllocBudget     = 7_420
 )
 
 func TestPaperAllocBudget(t *testing.T) {

@@ -22,8 +22,8 @@ func TestHealthBundleRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := DecodeHealthBundle(b)
-	if err != nil {
+	var out HealthBundle
+	if err := DecodeHealthBundleInto(b, &out, nil); err != nil {
 		t.Fatal(err)
 	}
 	if out.Node != in.Node || out.Battery != in.Battery || len(out.Records) != 3 {
@@ -37,7 +37,7 @@ func TestHealthBundleRoundTrip(t *testing.T) {
 }
 
 // TestHealthBundleDecodeIntoInterned: decoding into a kept bundle through
-// an Interner yields the same records as DecodeHealthBundle, hands back the
+// an Interner yields the same records as decoding without one, hands back the
 // interner's own strings, and allocates nothing once the bundle's record
 // storage has grown.
 func TestHealthBundleDecodeIntoInterned(t *testing.T) {
@@ -58,7 +58,8 @@ func TestHealthBundleDecodeIntoInterned(t *testing.T) {
 	if err := DecodeHealthBundleInto(b, &out, ids); err != nil {
 		t.Fatal(err)
 	}
-	want, _ := DecodeHealthBundle(b)
+	var want HealthBundle
+	_ = DecodeHealthBundleInto(b, &want, nil)
 	if out.Node != want.Node || out.Battery != want.Battery || len(out.Records) != len(want.Records) {
 		t.Fatalf("bundle mismatch: %+v vs %+v", out, want)
 	}
@@ -89,7 +90,8 @@ func TestHealthBundleTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for cut := 1; cut < len(b); cut++ {
-		if _, err := DecodeHealthBundle(b[:cut]); !errors.Is(err, ErrTruncated) {
+		var hb HealthBundle
+		if err := DecodeHealthBundleInto(b[:cut], &hb, nil); !errors.Is(err, ErrTruncated) {
 			t.Fatalf("cut %d accepted", cut)
 		}
 		// The sender field alone survives any cut that keeps it.
@@ -105,8 +107,8 @@ func TestHealthBundleEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := DecodeHealthBundle(b)
-	if err != nil {
+	var out HealthBundle
+	if err := DecodeHealthBundleInto(b, &out, nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(out.Records) != 0 {
@@ -168,8 +170,8 @@ func TestSensorSnapshotTimestamp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := DecodeSnapshot(b)
-	if err != nil {
+	var out SensorSnapshot
+	if err := DecodeSnapshotInto(b, &out); err != nil {
 		t.Fatal(err)
 	}
 	if out.At != in.At || len(out.Readings) != 1 || out.Readings[0] != in.Readings[0] {
@@ -180,8 +182,7 @@ func TestSensorSnapshotTimestamp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err = DecodeSnapshot(legacy)
-	if err != nil {
+	if err := DecodeSnapshotInto(legacy, &out); err != nil {
 		t.Fatal(err)
 	}
 	if out.At != 0 {
@@ -207,8 +208,8 @@ func TestBundleProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := DecodeHealthBundle(b)
-		if err != nil {
+		var got HealthBundle
+		if err := DecodeHealthBundleInto(b, &got, nil); err != nil {
 			return false
 		}
 		return got.Node == node && got.Battery == battery &&

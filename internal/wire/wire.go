@@ -242,13 +242,6 @@ func (s SensorSnapshot) AppendTo(dst []byte) ([]byte, error) {
 	return w.buf, nil
 }
 
-// DecodeSnapshot unpacks a sensor snapshot.
-func DecodeSnapshot(b []byte) (SensorSnapshot, error) {
-	var s SensorSnapshot
-	err := DecodeSnapshotInto(b, &s)
-	return s, err
-}
-
 // DecodeSnapshotInto unpacks a snapshot into s, reusing the storage of
 // s.Readings, so a receiver that keeps one SensorSnapshot decodes every
 // cycle without allocating. On error s holds what was decoded so far.
@@ -281,15 +274,6 @@ func DecodeSnapshotInto(b []byte, s *SensorSnapshot) error {
 	return nil
 }
 
-// DecodeSensors unpacks just the readings of a snapshot.
-func DecodeSensors(b []byte) ([]SensorReading, error) {
-	s, err := DecodeSnapshot(b)
-	if err != nil {
-		return nil, err
-	}
-	return s.Readings, nil
-}
-
 // --- actuation ---------------------------------------------------------------
 
 // Actuate commands an actuator port.
@@ -318,11 +302,8 @@ func (a Actuate) AppendTo(dst []byte) ([]byte, error) {
 	return w.buf, nil
 }
 
-// DecodeActuate unpacks an actuation command.
-func DecodeActuate(b []byte) (Actuate, error) { return DecodeActuateInterned(b, nil) }
-
 // DecodeActuateInterned unpacks an actuation command, taking its task ID
-// from ids.
+// from ids (nil: a fresh string).
 func DecodeActuateInterned(b []byte, ids Interner) (Actuate, error) {
 	r := reader{buf: b, ids: ids}
 	var a Actuate
@@ -389,13 +370,6 @@ func (hb HealthBundle) AppendTo(dst []byte) ([]byte, error) {
 		}
 	}
 	return w.buf, nil
-}
-
-// DecodeHealthBundle unpacks a bundle.
-func DecodeHealthBundle(b []byte) (HealthBundle, error) {
-	var hb HealthBundle
-	err := DecodeHealthBundleInto(b, &hb, nil)
-	return hb, err
 }
 
 // HealthBundleSender returns the sender field of an encoded bundle, its
@@ -531,10 +505,8 @@ func (rc RoleChange) Encode() ([]byte, error) {
 	return w.buf, nil
 }
 
-// DecodeRoleChange unpacks a role change.
-func DecodeRoleChange(b []byte) (RoleChange, error) { return DecodeRoleChangeInterned(b, nil) }
-
-// DecodeRoleChangeInterned unpacks a role change, taking its task ID from ids.
+// DecodeRoleChangeInterned unpacks a role change, taking its task ID from
+// ids (nil: a fresh string).
 func DecodeRoleChangeInterned(b []byte, ids Interner) (RoleChange, error) {
 	r := reader{buf: b, ids: ids}
 	var rc RoleChange

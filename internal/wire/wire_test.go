@@ -11,12 +11,12 @@ func TestSensorsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := DecodeSensors(b)
-	if err != nil {
+	var out SensorSnapshot
+	if err := DecodeSnapshotInto(b, &out); err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 2 || out[0] != in[0] || out[1] != in[1] {
-		t.Fatalf("round trip: %+v", out)
+	if rd := out.Readings; len(rd) != 2 || rd[0] != in[0] || rd[1] != in[1] {
+		t.Fatalf("round trip: %+v", rd)
 	}
 }
 
@@ -25,7 +25,8 @@ func TestSensorsTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeSensors(b[:4]); !errors.Is(err, ErrTruncated) {
+	var out SensorSnapshot
+	if err := DecodeSnapshotInto(b[:4], &out); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("err = %v, want ErrTruncated", err)
 	}
 }
@@ -36,7 +37,7 @@ func TestActuateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := DecodeActuate(b)
+	out, err := DecodeActuateInterned(b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestRoleChangeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := DecodeRoleChange(b)
+	out, err := DecodeRoleChangeInterned(b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,10 +141,11 @@ func TestRoleStrings(t *testing.T) {
 }
 
 func TestEmptyDecodes(t *testing.T) {
-	if _, err := DecodeHealthBundle(nil); !errors.Is(err, ErrTruncated) {
+	var hb HealthBundle
+	if err := DecodeHealthBundleInto(nil, &hb, nil); !errors.Is(err, ErrTruncated) {
 		t.Fatal("nil health bundle decoded")
 	}
-	if _, err := DecodeActuate([]byte{1}); !errors.Is(err, ErrTruncated) {
+	if _, err := DecodeActuateInterned([]byte{1}, nil); !errors.Is(err, ErrTruncated) {
 		t.Fatal("short actuate decoded")
 	}
 	if _, err := DecodeJoin([]byte{}); !errors.Is(err, ErrTruncated) {

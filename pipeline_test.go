@@ -1,6 +1,7 @@
 package evm
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -114,28 +115,12 @@ func TestPipelineDeterminism(t *testing.T) {
 	}
 }
 
-// TestWithLineScheduleValidation covers the option's error paths: a
-// non-permutation order and an oversized line are rejected.
-func TestWithLineScheduleValidation(t *testing.T) {
-	if _, err := NewCellWith(CellConfig{Seed: 1},
-		WithNodes(1, 2, 3),
-		WithLineSchedule(1, 2)); err == nil {
-		t.Fatal("short line order accepted")
-	}
-	if _, err := NewCellWith(CellConfig{Seed: 1},
-		WithNodes(1, 2, 3),
-		WithLineSchedule(1, 2, 2)); err == nil {
-		t.Fatal("duplicate line order accepted")
-	}
-	if _, err := NewCellWith(CellConfig{Seed: 1},
-		WithNodes(1, 2, 3),
-		WithLineSchedule(1, 2, 9)); err == nil {
-		t.Fatal("line order naming a non-member accepted")
-	}
+// TestLineScheduleValidation: a line cell whose rounds do not fit the
+// frame is rejected, and its failed construction leaves nothing behind.
+func TestLineScheduleValidation(t *testing.T) {
 	// 30 nodes x 2 slots = 60 line slots: too many for a 50-slot frame.
-	if _, err := NewCellWith(CellConfig{Seed: 1},
-		WithNodeCount(30),
-		WithLineSchedule()); err == nil {
-		t.Fatal("oversized line schedule accepted")
+	err := buildFails(t, CellSpec{Seed: 1, Nodes: Members(30), Line: true, VC: testVC(4)})
+	if !strings.Contains(err.Error(), "does not fit") {
+		t.Fatalf("oversized line schedule: %v", err)
 	}
 }

@@ -197,8 +197,8 @@ func TestCampusBQPAvoidsMultiHopRoutes(t *testing.T) {
 func TestRingBackboneRouting(t *testing.T) {
 	unit := func(name string) CellSpec {
 		return CellSpec{
-			Name:    name,
-			Options: []CellOption{WithNodeCount(4), WithPER(0)},
+			Name:  name,
+			Nodes: Members(4),
 			VC: VCConfig{
 				Name: name, Head: 2, Gateway: 1,
 				Tasks: []TaskSpec{{
@@ -269,8 +269,8 @@ func TestRingBackboneRouting(t *testing.T) {
 func TestAddLinkValidation(t *testing.T) {
 	unit := func(name string) CellSpec {
 		return CellSpec{
-			Name:    name,
-			Options: []CellOption{WithNodeCount(4), WithPER(0)},
+			Name:  name,
+			Nodes: Members(4),
 			VC: VCConfig{
 				Name: name, Head: 2, Gateway: 1,
 				Tasks: []TaskSpec{{
@@ -473,8 +473,8 @@ func TestForeignTaskAdoptionLocalFailover(t *testing.T) {
 func TestEscalationBackToOriginIsHomecoming(t *testing.T) {
 	unit := func(name, prefix string, nodes int) CellSpec {
 		return CellSpec{
-			Name:    name,
-			Options: []CellOption{WithNodeCount(nodes), WithSlotsPerNode(3), WithPER(0)},
+			Name:  name,
+			Nodes: Members(nodes), SlotsPerNode: 3,
 			VC: VCConfig{
 				Name: name, Head: 2, Gateway: 1,
 				Tasks: []TaskSpec{{
@@ -536,8 +536,8 @@ func TestEscalationBackToOriginIsHomecoming(t *testing.T) {
 func TestEscalationOutOfHostRetiresStaleCopies(t *testing.T) {
 	unit := func(name, prefix string) CellSpec {
 		return CellSpec{
-			Name:    name,
-			Options: []CellOption{WithNodeCount(6), WithSlotsPerNode(3), WithPER(0)},
+			Name:  name,
+			Nodes: Members(6), SlotsPerNode: 3,
 			VC: VCConfig{
 				Name: name, Head: 2, Gateway: 1,
 				Tasks: []TaskSpec{{

@@ -51,15 +51,12 @@ func TestRandomFieldDeterministicDeploy(t *testing.T) {
 // 50-slot frame (the reason the scenario widens it), and the widened
 // frame admits the full membership with the default two TX slots each.
 func TestRandomFieldScheduleFeasibility(t *testing.T) {
-	if _, err := NewCellWith(CellConfig{Seed: 1},
-		WithNodeCount(RandomFieldNodes), WithPlacement(RandomUniform(20)), WithPER(0)); err == nil {
+	spec := CellSpec{Seed: 1, Nodes: Members(RandomFieldNodes), Placement: RandomUniform(20), VC: testVC(4)}
+	if _, err := NewCell(spec); err == nil {
 		t.Fatal("50 nodes fit the default 50-slot frame — feasibility guard lost")
 	}
-	cell, err := NewCellWith(CellConfig{Seed: 1, Link: randomFieldLink()},
-		WithNodeCount(RandomFieldNodes), WithPlacement(RandomUniform(20)), WithPER(0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec.Link = randomFieldLink()
+	cell := newTestCell(t, spec)
 	defer cell.Stop()
 	if got := len(cell.Members()); got != RandomFieldNodes {
 		t.Fatalf("cell admitted %d members, want %d", got, RandomFieldNodes)

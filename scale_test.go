@@ -18,10 +18,6 @@ func buildEightControllerVC(t *testing.T, seed uint64) (*Cell, VCConfig) {
 		ids = append(ids, i) // 8 controllers
 	}
 	ids = append(ids, 10) // head
-	cell, err := NewCellWith(CellConfig{Seed: seed}, WithNodes(ids...), WithSlotsPerNode(3), WithPER(0))
-	if err != nil {
-		t.Fatal(err)
-	}
 	tasks := make([]TaskSpec, 0, 4)
 	for i := 0; i < 4; i++ {
 		primary := NodeID(2 + 2*i)
@@ -43,15 +39,13 @@ func buildEightControllerVC(t *testing.T, seed uint64) (*Cell, VCConfig) {
 		})
 	}
 	vc := VCConfig{Name: "eight", Head: 10, Gateway: 1, Tasks: tasks, DormantAfter: 5 * time.Second}
-	if err := cell.Deploy(vc); err != nil {
-		t.Fatal(err)
-	}
-	_, err = cell.StartSensorFeed(1, 250*time.Millisecond, func() []SensorReading {
-		return []SensorReading{
-			{Port: 0, Value: 50}, {Port: 1, Value: 49},
-			{Port: 2, Value: 51}, {Port: 3, Value: 50},
-		}
-	})
+	cell, err := NewCell(CellSpec{Seed: seed, Nodes: ids, SlotsPerNode: 3, VC: vc,
+		Feed: &FeedSpec{Source: 1, Period: 250 * time.Millisecond, Sample: func() []SensorReading {
+			return []SensorReading{
+				{Port: 0, Value: 50}, {Port: 1, Value: 49},
+				{Port: 2, Value: 51}, {Port: 3, Value: 50},
+			}
+		}}})
 	if err != nil {
 		t.Fatal(err)
 	}

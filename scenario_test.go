@@ -142,8 +142,8 @@ func TestGasPlantUnderPacketLoss(t *testing.T) {
 	}
 }
 
-// TestGasPlantPERValidation: NewGasPlant passes its PER to WithPER,
-// whose range check also refuses NaN.
+// TestGasPlantPERValidation: NewGasPlant passes its PER to the cell's
+// CellSpec, whose range check also refuses NaN.
 func TestGasPlantPERValidation(t *testing.T) {
 	for _, tc := range []struct {
 		per float64

@@ -69,14 +69,6 @@ func fixedFeed(readings ...SensorReading) func() []SensorReading {
 // primary/backup pair, spread over eight controller nodes on a 5x2 grid
 // around a gateway and a head.
 func buildEightControllerScenario(spec RunSpec) (*Experiment, error) {
-	cell, err := NewCellWith(CellConfig{Seed: spec.Seed},
-		WithNodeCount(10),
-		WithPlacement(Grid(5, 2)),
-		WithSlotsPerNode(3),
-		WithPER(0))
-	if err != nil {
-		return nil, err
-	}
 	tasks := make([]TaskSpec, 0, 4)
 	for i := 0; i < 4; i++ {
 		tasks = append(tasks, TaskSpec{
@@ -96,13 +88,17 @@ func buildEightControllerScenario(spec RunSpec) (*Experiment, error) {
 		})
 	}
 	vc := VCConfig{Name: "eight", Head: 10, Gateway: 1, Tasks: tasks, DormantAfter: 5 * time.Second}
-	if err := cell.Deploy(vc); err != nil {
-		return nil, err
-	}
-	feed, err := cell.StartSensorFeed(1, 250*time.Millisecond, fixedFeed(
-		SensorReading{Port: 0, Value: 50}, SensorReading{Port: 1, Value: 49},
-		SensorReading{Port: 2, Value: 51}, SensorReading{Port: 3, Value: 50},
-	))
+	cell, err := NewCell(CellSpec{
+		Seed:         spec.Seed,
+		Nodes:        Members(10),
+		Placement:    Grid(5, 2),
+		SlotsPerNode: 3,
+		VC:           vc,
+		Feed: &FeedSpec{Source: 1, Period: 250 * time.Millisecond, Sample: fixedFeed(
+			SensorReading{Port: 0, Value: 50}, SensorReading{Port: 1, Value: 49},
+			SensorReading{Port: 2, Value: 51}, SensorReading{Port: 3, Value: 50},
+		)},
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -117,11 +113,8 @@ func buildEightControllerScenario(spec RunSpec) (*Experiment, error) {
 				"tasks":     float64(rep.Tasks),
 			}
 		},
-		QoS: func() QoSReport { return EvaluateQoS(vc, cell.Nodes()) },
-		Cleanup: func() {
-			feed.Stop()
-			cell.Stop()
-		},
+		QoS:     func() QoSReport { return EvaluateQoS(vc, cell.Nodes()) },
+		Cleanup: cell.Stop,
 	}, nil
 }
 
@@ -154,12 +147,6 @@ func buildCapacityScenario(spec RunSpec) (*Experiment, error) {
 			},
 		}
 	}
-	cell, err := NewCellWith(CellConfig{Seed: spec.Seed},
-		WithNodes(gwNode, ctrl1, ctrl2, headN),
-		WithPER(0))
-	if err != nil {
-		return nil, err
-	}
 	vc := VCConfig{
 		Name:    "capacity",
 		Head:    headN,
@@ -169,11 +156,13 @@ func buildCapacityScenario(spec RunSpec) (*Experiment, error) {
 			task("loop-b", 1, 2, ctrl2, ctrl1),
 		},
 	}
-	if err := cell.Deploy(vc); err != nil {
-		return nil, err
-	}
-	feed, err := cell.StartSensorFeed(gwNode, 250*time.Millisecond,
-		fixedFeed(SensorReading{Port: 0, Value: 49}, SensorReading{Port: 1, Value: 51}))
+	cell, err := NewCell(CellSpec{
+		Seed:  spec.Seed,
+		Nodes: []NodeID{gwNode, ctrl1, ctrl2, headN},
+		VC:    vc,
+		Feed: &FeedSpec{Source: gwNode, Period: 250 * time.Millisecond,
+			Sample: fixedFeed(SensorReading{Port: 0, Value: 49}, SensorReading{Port: 1, Value: 51})},
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -203,10 +192,7 @@ func buildCapacityScenario(spec RunSpec) (*Experiment, error) {
 				"reoptimizations": float64(head.Stats().Reoptimizations),
 			}
 		},
-		QoS: func() QoSReport { return EvaluateQoS(vc, cell.Nodes()) },
-		Cleanup: func() {
-			feed.Stop()
-			cell.Stop()
-		},
+		QoS:     func() QoSReport { return EvaluateQoS(vc, cell.Nodes()) },
+		Cleanup: cell.Stop,
 	}, nil
 }

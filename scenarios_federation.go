@@ -75,16 +75,13 @@ func refineryUnit(letter string) CellSpec {
 	}
 	name := "unit-" + letter
 	return CellSpec{
-		Name: name,
-		Options: []CellOption{
-			WithNodeCount(RefineryCellNodes),
-			WithPlacement(Grid(4, 4)),
-			// Three TX slots: after a fail-over one controller may hold
-			// two active loops (two actuations + one health bundle).
-			WithSlotsPerNode(3),
-			WithPER(0),
-		},
-		VC: VCConfig{Name: name, Head: 2, Gateway: 1, Tasks: tasks, DormantAfter: 5 * time.Second},
+		Name:      name,
+		Nodes:     Members(RefineryCellNodes),
+		Placement: Grid(4, 4),
+		// Three TX slots: after a fail-over one controller may hold two
+		// active loops (two actuations + one health bundle).
+		SlotsPerNode: 3,
+		VC:           VCConfig{Name: name, Head: 2, Gateway: 1, Tasks: tasks, DormantAfter: 5 * time.Second},
 		Feed: &FeedSpec{
 			Source: 1,
 			Period: 250 * time.Millisecond,
@@ -230,13 +227,10 @@ func RefineryOutagePlan(from, until time.Duration) FaultPlan {
 func buildCampusFailoverScenario(spec RunSpec) (*Experiment, error) {
 	unit := func(name, taskPrefix string) CellSpec {
 		return CellSpec{
-			Name: name,
-			Options: []CellOption{
-				WithNodeCount(6),
-				WithPlacement(Grid(3, 2)),
-				WithSlotsPerNode(3),
-				WithPER(0),
-			},
+			Name:         name,
+			Nodes:        Members(6),
+			Placement:    Grid(3, 2),
+			SlotsPerNode: 3,
 			VC: VCConfig{
 				Name: name, Head: 2, Gateway: 1,
 				Tasks: []TaskSpec{{

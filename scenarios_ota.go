@@ -144,14 +144,11 @@ func otaUnit(letter string) CellSpec {
 	}
 	name := "unit-" + letter
 	return CellSpec{
-		Name: name,
-		Options: []CellOption{
-			WithNodeCount(OTACellNodes),
-			WithPlacement(Grid(4, 2)),
-			WithSlotsPerNode(3),
-			WithPER(0),
-		},
-		VC: VCConfig{Name: name, Head: 2, Gateway: 1, Tasks: tasks, DormantAfter: 5 * time.Second},
+		Name:         name,
+		Nodes:        Members(OTACellNodes),
+		Placement:    Grid(4, 2),
+		SlotsPerNode: 3,
+		VC:           VCConfig{Name: name, Head: 2, Gateway: 1, Tasks: tasks, DormantAfter: 5 * time.Second},
 		Feed: &FeedSpec{
 			Source: 1,
 			Period: 250 * time.Millisecond,
@@ -327,16 +324,6 @@ func modeLineTask(id string, actuator uint8, setpoint float64) TaskSpec {
 // radio PER is 2% and a 30% burst covers the 18s switch, so mode
 // changes, sensor relaying and actuation relaying all run under loss.
 func buildModeChangeLineScenario(spec RunSpec) (*Experiment, error) {
-	line := modeLineOrder()
-	cell, err := NewCellWith(CellConfig{Seed: spec.Seed},
-		WithNodes(line...),
-		WithPlacement(Line(3)),
-		WithSlotsPerNode(3),
-		WithPER(0.02),
-		WithLineSchedule(line...))
-	if err != nil {
-		return nil, err
-	}
 	vc := VCConfig{
 		Name:    "mode-line",
 		Head:    ModeLineHead,
@@ -347,17 +334,23 @@ func buildModeChangeLineScenario(spec RunSpec) (*Experiment, error) {
 		},
 		DormantAfter: 5 * time.Second,
 	}
-	if err := cell.Deploy(vc); err != nil {
+	cell, err := NewCell(CellSpec{
+		Seed:         spec.Seed,
+		Nodes:        modeLineOrder(),
+		SlotsPerNode: 3,
+		Line:         true,
+		PER:          0.02,
+		VC:           vc,
+		Feed: &FeedSpec{Source: ModeLineGateway, Period: 250 * time.Millisecond,
+			Sample: fixedFeed(SensorReading{Port: 0, Value: 48}),
+			To:     []NodeID{ModeLinePrimary, ModeLineBackup}},
+	})
+	if err != nil {
 		return nil, err
 	}
 	for _, n := range cell.Nodes() {
 		n.SetModeTasks(ModeLineNormal, []string{ModeLineNormalTask})
 		n.SetModeTasks(ModeLinePurge, []string{ModeLinePurgeTask})
-	}
-	feed, err := cell.StartSensorFeedTo(ModeLineGateway, 250*time.Millisecond,
-		fixedFeed(SensorReading{Port: 0, Value: 48}), ModeLinePrimary, ModeLineBackup)
-	if err != nil {
-		return nil, err
 	}
 	normalActs, purgeActs := 0, 0
 	sub := cell.Events().Subscribe(func(ev Event) {
@@ -390,7 +383,6 @@ func buildModeChangeLineScenario(spec RunSpec) (*Experiment, error) {
 			{At: 17 * time.Second, PERBurst: &PERBurst{PER: 0.3, For: 3 * time.Second}},
 		},
 	}); err != nil {
-		feed.Stop()
 		cell.Stop()
 		return nil, err
 	}
@@ -407,7 +399,6 @@ func buildModeChangeLineScenario(spec RunSpec) (*Experiment, error) {
 		},
 		Cleanup: func() {
 			sub.Cancel()
-			feed.Stop()
 			cell.Stop()
 		},
 	}, nil

@@ -40,15 +40,6 @@ func pipelineLine() []NodeID {
 // controllers.
 func buildPipelineScenario(spec RunSpec) (*Experiment, error) {
 	line := pipelineLine()
-	cell, err := NewCellWith(CellConfig{Seed: spec.Seed},
-		WithNodes(line...),
-		WithPlacement(Line(3)),
-		WithSlotsPerNode(3),
-		WithPER(0),
-		WithLineSchedule(line...))
-	if err != nil {
-		return nil, err
-	}
 	vc := VCConfig{
 		Name:    "pipeline",
 		Head:    PipeHead,
@@ -67,11 +58,16 @@ func buildPipelineScenario(spec RunSpec) (*Experiment, error) {
 		}},
 		DormantAfter: 5 * time.Second,
 	}
-	if err := cell.Deploy(vc); err != nil {
-		return nil, err
-	}
-	feed, err := cell.StartSensorFeedTo(PipeGateway, 250*time.Millisecond,
-		fixedFeed(SensorReading{Port: 0, Value: 50}), PipePrimary, PipeBackup)
+	cell, err := NewCell(CellSpec{
+		Seed:         spec.Seed,
+		Nodes:        line,
+		SlotsPerNode: 3,
+		Line:         true,
+		VC:           vc,
+		Feed: &FeedSpec{Source: PipeGateway, Period: 250 * time.Millisecond,
+			Sample: fixedFeed(SensorReading{Port: 0, Value: 50}),
+			To:     []NodeID{PipePrimary, PipeBackup}},
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -99,10 +95,7 @@ func buildPipelineScenario(spec RunSpec) (*Experiment, error) {
 				"active_controller": active,
 			}
 		},
-		Cleanup: func() {
-			feed.Stop()
-			cell.Stop()
-		},
+		Cleanup: cell.Stop,
 	}, nil
 }
 

@@ -32,13 +32,6 @@ func randomFieldLink() rtlink.Config {
 // head 2, eight loops with primary/backup pairs on nodes 3..18, spares
 // up to 50.
 func buildRandomFieldScenario(spec RunSpec) (*Experiment, error) {
-	cell, err := NewCellWith(CellConfig{Seed: spec.Seed, Link: randomFieldLink()},
-		WithNodeCount(RandomFieldNodes),
-		WithPlacement(RandomUniform(20)),
-		WithPER(0))
-	if err != nil {
-		return nil, err
-	}
 	tasks := make([]TaskSpec, 0, 8)
 	for i := 0; i < 8; i++ {
 		tasks = append(tasks, TaskSpec{
@@ -55,16 +48,19 @@ func buildRandomFieldScenario(spec RunSpec) (*Experiment, error) {
 		})
 	}
 	vc := VCConfig{Name: "field", Head: 2, Gateway: 1, Tasks: tasks, DormantAfter: 5 * time.Second}
-	if err := cell.Deploy(vc); err != nil {
-		return nil, err
-	}
 	readings := make([]SensorReading, 8)
 	for i := range readings {
 		readings[i] = SensorReading{Port: uint8(i), Value: 50 + float64(i%3) - 1}
 	}
-	feed, err := cell.StartSensorFeed(1, time.Second, fixedFeed(readings...))
+	cell, err := NewCell(CellSpec{
+		Seed:      spec.Seed,
+		Link:      randomFieldLink(),
+		Nodes:     Members(RandomFieldNodes),
+		Placement: RandomUniform(20),
+		VC:        vc,
+		Feed:      &FeedSpec{Source: 1, Period: time.Second, Sample: fixedFeed(readings...)},
+	})
 	if err != nil {
-		cell.Stop()
 		return nil, err
 	}
 	return &Experiment{
@@ -79,10 +75,7 @@ func buildRandomFieldScenario(spec RunSpec) (*Experiment, error) {
 				"members":   float64(len(cell.Members())),
 			}
 		},
-		QoS: func() QoSReport { return EvaluateQoS(vc, cell.Nodes()) },
-		Cleanup: func() {
-			feed.Stop()
-			cell.Stop()
-		},
+		QoS:     func() QoSReport { return EvaluateQoS(vc, cell.Nodes()) },
+		Cleanup: cell.Stop,
 	}, nil
 }

@@ -18,61 +18,41 @@ func watchdogVC() VCConfig {
 	return VCConfig{Name: "watchdogs", Head: 7, Gateway: 1, Tasks: []TaskSpec{fast, slow}}
 }
 
-func newWatchdogCell(t *testing.T, ids ...NodeID) *Cell {
-	t.Helper()
-	cell, err := NewCellWith(CellConfig{Seed: 3}, WithNodes(ids...), WithPER(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cell
-}
-
-// TestDeployQueuesOneWatchdogPerPeriod pins the grouping: Deploy queues
-// the frame loop's start and one watchdog tick per distinct period, not
-// one per runtime.
+// TestDeployQueuesOneWatchdogPerPeriod pins the grouping: a cell's
+// construction queues the frame loop's start and one watchdog tick per
+// distinct period, not one per runtime.
 func TestDeployQueuesOneWatchdogPerPeriod(t *testing.T) {
-	cell := newWatchdogCell(t, 1, 2, 3, 4, 5, 6, 7)
-	eng := cell.Engine()
-	before := eng.Pending()
-	if err := cell.Deploy(watchdogVC()); err != nil {
-		t.Fatal(err)
-	}
+	cell := newTestCell(t, CellSpec{Seed: 3, Nodes: Members(7), VC: watchdogVC()})
 	if n := len(cell.Nodes()); n != 6 {
 		t.Fatalf("deployed %d runtimes, want 6", n)
 	}
 	const frameStart, periods = 1, 2
-	if got := eng.Pending() - before; got != frameStart+periods {
-		t.Fatalf("Deploy queued %d events, want %d: the frame start and one watchdog per period",
+	if got := cell.Engine().Pending(); got != frameStart+periods {
+		t.Fatalf("construction queued %d events, want %d: the frame start and one watchdog per period",
 			got, frameStart+periods)
 	}
 }
 
 // TestCellStopDrainsWatchdogs checks that after Stop nothing stays
-// queued: the watchdog tickers are cancelled, and the stopped frame loop
-// and slot events drain within a frame.
+// queued: the feed and the watchdog tickers are cancelled, and the
+// stopped frame loop and slot events drain within a frame.
 func TestCellStopDrainsWatchdogs(t *testing.T) {
-	cell := newWatchdogCell(t, 1, 2, 3, 4, 5, 6, 7)
-	eng := cell.Engine()
-	before := eng.Pending()
-	if err := cell.Deploy(watchdogVC()); err != nil {
-		t.Fatal(err)
-	}
+	cell := newTestCell(t, CellSpec{Seed: 3, Nodes: Members(7), VC: watchdogVC(), Feed: testFeed()})
 	if _, err := cell.AddNodeRuntime(8, watchdogVC()); err != nil {
 		t.Fatal(err)
 	}
 	cell.Run(3 * time.Second)
 	cell.Stop()
 	cell.Run(time.Second)
-	if got := eng.Pending(); got != before {
-		t.Fatalf("%d events queued after Stop, want %d as before Deploy", got, before)
+	if got := cell.Engine().Pending(); got != 0 {
+		t.Fatalf("%d events queued after Stop, want none", got)
 	}
 }
 
 // TestFailedDeployQueuesNoWatchdog builds a cell whose second runtime
-// cannot admit its tasks: Deploy fails after the first was built and
-// leaves nothing queued and no runtime behind.
+// cannot admit its tasks: construction fails after the first was built
+// and leaves nothing queued and no runtime behind (buildFails).
 func TestFailedDeployQueuesNoWatchdog(t *testing.T) {
-	cell := newWatchdogCell(t, 1, 2, 3, 4, 5)
 	vc := watchdogVC()
 	vc.Head = 5
 	for i := range vc.Tasks {
@@ -80,17 +60,7 @@ func TestFailedDeployQueuesNoWatchdog(t *testing.T) {
 	}
 	vc.Tasks[1].Period = vc.Tasks[0].Period
 	vc.Tasks[1].Candidates = []NodeID{4, 3} // node 3 holds both: 160% of its CPU
-	eng := cell.Engine()
-	before := eng.Pending()
-	if err := cell.Deploy(vc); err == nil {
-		t.Fatal("Deploy admitted two 80% tasks on one node")
-	}
-	if got := eng.Pending(); got != before {
-		t.Fatalf("%d events queued after a failed Deploy, want %d", got, before)
-	}
-	if n := len(cell.Nodes()); n != 0 {
-		t.Fatalf("%d runtimes left after a failed Deploy", n)
-	}
+	buildFails(t, CellSpec{Seed: 3, Nodes: Members(5), VC: vc})
 }
 
 // silentPrimaryReport crashes node 2, the primary of "loop", at crashAt
@@ -123,13 +93,9 @@ func silentPrimaryReport(t *testing.T, cell *Cell, reporter NodeID, crashAt, bou
 // differs from the primary's, so the deviation check is kept out of the
 // way: only the watchdog can report.
 func TestAddedNodeReportsSilentPrimary(t *testing.T) {
-	cell := newWatchdogCell(t, 1, 2, 3, 4)
 	vc := testVC(1 << 20)
 	vc.Tasks[0].Candidates = []NodeID{2, 5}
-	if err := cell.Deploy(vc); err != nil {
-		t.Fatal(err)
-	}
-	startFeed(t, cell)
+	cell := newTestCell(t, CellSpec{Seed: 3, Nodes: Members(4), VC: vc, Feed: testFeed()})
 	cell.Run(2 * time.Second)
 	if _, err := cell.AddNodeRuntime(5, vc); err != nil {
 		t.Fatal(err)
@@ -141,13 +107,9 @@ func TestAddedNodeReportsSilentPrimary(t *testing.T) {
 // in a grouped cell: the backup reports a crashed primary within
 // SilenceWindow periods of silence plus one period of ticker phase.
 func TestGroupedBackupReportsWithinSilenceWindow(t *testing.T) {
-	cell := newWatchdogCell(t, 1, 2, 3, 4, 5, 6)
 	vc := testVC(4)
 	vc.Head = 6
-	if err := cell.Deploy(vc); err != nil {
-		t.Fatal(err)
-	}
-	startFeed(t, cell)
+	cell := newTestCell(t, CellSpec{Seed: 3, Nodes: Members(6), VC: vc, Feed: testFeed()})
 	spec := vc.Tasks[0]
 	const crashAt = 5*time.Second + 110*time.Millisecond
 	bound := time.Duration(spec.SilenceWindow)*spec.Period + spec.Period
