@@ -4,6 +4,9 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"evm/internal/rtlink"
+	"evm/internal/wire"
 )
 
 func TestChillerLoopHoldsTemperature(t *testing.T) {
@@ -113,8 +116,9 @@ func TestAllThreeLoopsIndependentMasters(t *testing.T) {
 }
 
 func TestOverTheAirReprogramming(t *testing.T) {
-	// A new capsule shipped to a live node replaces its control law
-	// after attestation; a planned promotion activates it.
+	// A capsule frame reaching a live replica (the migration path, not a
+	// staged rollout) replaces its control law after attestation; a
+	// planned promotion activates it.
 	v1, err := AssembleCapsule("loop", 1, "PUSHQ 50.0\nIN 0\nSUB\nPUSHQ 2.0\nMULQ\nOUT 0\nHALT")
 	if err != nil {
 		t.Fatal(err)
@@ -145,9 +149,18 @@ func TestOverTheAirReprogramming(t *testing.T) {
 	if out, _ := cell.Node(2).LastOutput("loop"); math.Abs(out-20) > 0.1 {
 		t.Fatalf("v1 output = %f, want 20", out)
 	}
-	if err := cell.Node(2).DeployCapsule(v2, 3); err != nil {
-		t.Fatal(err)
+	// send delivers c to dst as a raw capsule frame from node 2's link.
+	send := func(c Capsule, dst NodeID) {
+		t.Helper()
+		enc, err := c.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cell.Network().Link(2).Send(rtlink.Message{Dst: dst, Kind: wire.KindCapsule, Payload: enc}); err != nil {
+			t.Fatal(err)
+		}
 	}
+	send(v2, 3)
 	cell.Run(5 * time.Second)
 	if out, _ := cell.Node(3).LastOutput("loop"); math.Abs(out-90) > 0.1 {
 		t.Fatalf("v2 output = %f, want 90", out)
@@ -157,11 +170,13 @@ func TestOverTheAirReprogramming(t *testing.T) {
 	if id, _ := cell.Node(4).Head().ActiveNode("loop"); id != 3 {
 		t.Fatalf("active = %v after planned promotion", id)
 	}
-	// Unknown task rejected.
+	// A capsule naming an unknown task is dropped.
 	bad := v2
 	bad.TaskID = "nope"
-	if err := cell.Node(2).DeployCapsule(bad, 3); err == nil {
-		t.Fatal("capsule for unknown task accepted")
+	send(bad, 3)
+	cell.Run(time.Second)
+	if cell.Node(3).HasReplica("nope") || cell.Node(3).ReplicaCount() != 1 {
+		t.Fatal("capsule for unknown task installed")
 	}
 }
 

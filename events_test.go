@@ -293,26 +293,35 @@ type logicError struct{}
 func (*logicError) Error() string { return "logic factory exploded" }
 
 func TestAddNodeRuntimeRollsBackOnFailure(t *testing.T) {
-	// An invalid VC (a controller on the gateway) fails in NewNode, after
-	// the radio, schedule and link are in place.
-	onGateway := testVC(4)
-	onGateway.Tasks[0].Candidates = []NodeID{8, onGateway.Gateway}
+	// A logic factory that fails on its third call, the new node's (2 and
+	// 3 deploy first), fails NewNode after the radio, schedule and link
+	// are in place.
+	explodes := testVC(4)
+	explodes.Tasks[0].Candidates = []NodeID{2, 3, 8}
+	made, makeLogic := 0, explodes.Tasks[0].MakeLogic
+	explodes.Tasks[0].MakeLogic = func() (TaskLogic, error) {
+		if made++; made > 2 {
+			return nil, errTestLogic
+		}
+		return makeLogic()
+	}
 	for _, tc := range []struct {
 		name  string
 		slots int
 		vc    VCConfig
+		cause error // nil: any error
 	}{
 		// 7 nodes x 7 slots + sync = 50 fills the default frame exactly,
 		// so admitting an 8th node cannot fit a schedule.
-		{"full TDMA frame", 7, testVC(4)},
-		{"candidate on gateway", 2, onGateway},
+		{"full TDMA frame", 7, testVC(4), nil},
+		{"logic factory fails for the new node", 2, explodes, errTestLogic},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cell := newTestCell(t, CellSpec{Seed: 1, Nodes: Members(7), SlotsPerNode: tc.slots, VC: testVC(4)})
+			cell := newTestCell(t, CellSpec{Seed: 1, Nodes: Members(7), SlotsPerNode: tc.slots, VC: tc.vc})
 			oldSched := cell.Network().Schedule()
 			before := len(cell.Members())
-			if _, err := cell.AddNodeRuntime(8, tc.vc); err == nil {
-				t.Fatal("AddNodeRuntime succeeded")
+			if _, err := cell.AddNodeRuntime(8); err == nil || tc.cause != nil && !errors.Is(err, tc.cause) {
+				t.Fatalf("AddNodeRuntime: %v, want a failure caused by %v", err, tc.cause)
 			}
 			if got := len(cell.Members()); got != before {
 				t.Fatalf("member list grew to %d after failed admission", got)
@@ -340,10 +349,10 @@ func TestAddNodeRuntimeFromEventSubscriber(t *testing.T) {
 	var admitErr error
 	cell.Events().Subscribe(func(ev Event) {
 		if j, ok := ev.(JoinEvent); ok && j.Node == 6 {
-			_, admitErr = cell.AddNodeRuntime(7, vc)
+			_, admitErr = cell.AddNodeRuntime(7)
 		}
 	})
-	if _, err := cell.AddNodeRuntime(6, vc); err != nil {
+	if _, err := cell.AddNodeRuntime(6); err != nil {
 		t.Fatal(err)
 	}
 	cell.Run(5 * time.Second)

@@ -214,16 +214,16 @@ type Cell struct {
 	rng   *sim.RNG
 	med   *radio.Medium
 	net   *rtlink.Network
-	ids   []NodeID
 	nodes map[NodeID]*Node
 	// watchdogs are the watchdog groups of the deployed runtimes: one
 	// from construction, one more per AddNodeRuntime.
 	watchdogs []*core.Watchdogs
 	feed      *sim.Ticker // nil without a FeedSpec
 
-	// spec is the cell's spec with its defaults filled in: its name, the
-	// VC a campus reads the head from, and the framing, slot budget and
-	// placement AddNodeRuntime reuses.
+	// spec is the cell's spec with its defaults filled in: its name, its
+	// members in admission order (AddNodeRuntime appends), the VC a
+	// campus reads the head from and AddNodeRuntime deploys, and the
+	// framing, slot budget and placement AddNodeRuntime reuses.
 	spec CellSpec
 	// prng feeds random placements (nil for deterministic ones).
 	prng *sim.RNG
@@ -283,7 +283,6 @@ func buildCell(eng *sim.Engine, rng *sim.RNG, spec CellSpec) (*Cell, error) {
 		eng:   eng,
 		rng:   rng,
 		med:   med,
-		ids:   spec.Nodes,
 		nodes: make(map[NodeID]*Node),
 		bus:   &Bus{},
 	}
@@ -400,7 +399,7 @@ func (c *Cell) Medium() *radio.Medium { return c.med }
 func (c *Cell) Events() *Bus { return c.bus }
 
 // Members returns the cell member IDs in admission order.
-func (c *Cell) Members() []NodeID { return append([]NodeID(nil), c.ids...) }
+func (c *Cell) Members() []NodeID { return slices.Clone(c.spec.Nodes) }
 
 // Node returns the EVM runtime deployed on id (nil for the gateway).
 func (c *Cell) Node(id NodeID) *Node { return c.nodes[id] }
@@ -408,7 +407,7 @@ func (c *Cell) Node(id NodeID) *Node { return c.nodes[id] }
 // Nodes returns all deployed EVM runtimes.
 func (c *Cell) Nodes() []*Node {
 	out := make([]*Node, 0, len(c.nodes))
-	for _, id := range c.ids {
+	for _, id := range c.spec.Nodes {
 		if n, ok := c.nodes[id]; ok {
 			out = append(out, n)
 		}
@@ -421,8 +420,8 @@ func (c *Cell) Nodes() []*Node {
 // starts the TDMA network. A runtime that fails to build fails the
 // deploy before any watchdog or frame is queued.
 func (c *Cell) deploy(vc VCConfig) error {
-	built := make([]*Node, 0, len(c.ids))
-	for _, id := range c.ids {
+	built := make([]*Node, 0, len(c.spec.Nodes))
+	for _, id := range c.spec.Nodes {
 		if id == vc.Gateway {
 			continue
 		}
@@ -493,26 +492,28 @@ func (c *Cell) wireNodeEvents(node *Node) {
 }
 
 // AddNodeRuntime admits a new node at runtime: attaches a radio, extends
-// the TDMA schedule with slots for it, joins the link layer and deploys
-// the EVM runtime (on-line capacity expansion, §4.2 objective 2). The new
-// node is placed by the cell's placement at the next free index. On any
-// failure the cell is rolled back to its previous state — no radio, slot
-// assignment, link or runtime is leaked.
-func (c *Cell) AddNodeRuntime(id NodeID, vc VCConfig) (*Node, error) {
+// the TDMA schedule with slots for it (by the rule buildCell uses, so a
+// Line cell grows its line and routes), joins the link layer and deploys
+// the cell's Virtual Component on it (on-line capacity expansion, §4.2
+// objective 2). The new node is placed by the cell's placement at the
+// next free index. On any failure the cell is rolled back to its
+// previous state — no radio, slot assignment, link or runtime is leaked.
+func (c *Cell) AddNodeRuntime(id NodeID) (*Node, error) {
 	if _, exists := c.nodes[id]; exists {
 		return nil, fmt.Errorf("evm: node %v already deployed", id)
 	}
 	placement := c.spec.Placement
-	if placement.capacity > 0 && len(c.ids) >= placement.capacity {
-		return nil, fmt.Errorf("evm: placement %s is full (%d nodes)", placement.name, len(c.ids))
+	if placement.capacity > 0 && len(c.spec.Nodes) >= placement.capacity {
+		return nil, fmt.Errorf("evm: placement %s is full (%d nodes)", placement.name, len(c.spec.Nodes))
 	}
-	pos := placement.at(len(c.ids), c.prng)
+	pos := placement.at(len(c.spec.Nodes), c.prng)
 	if _, err := c.med.Attach(id, pos, radio.NewBattery(2600), radio.DefaultEnergyModel()); err != nil {
 		return nil, err
 	}
 	oldSched := c.net.Schedule()
-	grown := append(append([]NodeID(nil), c.ids...), id)
-	sched, err := rtlink.BuildMeshScheduleK(grown, c.spec.Link, c.spec.SlotsPerNode)
+	grown := c.spec
+	grown.Nodes = append(slices.Clip(c.spec.Nodes), id)
+	sched, err := buildCellSchedule(grown)
 	if err != nil {
 		c.med.Detach(id)
 		return nil, err
@@ -532,7 +533,7 @@ func (c *Cell) AddNodeRuntime(id NodeID, vc VCConfig) (*Node, error) {
 		_ = c.net.SetSchedule(oldSched)
 		c.med.Detach(id)
 	}
-	node, err := core.NewNode(c.net, link, vc)
+	node, err := core.NewNode(c.net, link, c.spec.VC)
 	if err != nil {
 		rollback()
 		return nil, err
@@ -545,13 +546,18 @@ func (c *Cell) AddNodeRuntime(id NodeID, vc VCConfig) (*Node, error) {
 	}
 	c.wireNodeEvents(node)
 	watchdog := core.StartWatchdogs([]*Node{node})
-	if err := link.Send(rtlink.Message{Dst: vc.Head, Kind: wire.KindJoin, Payload: payload}); err != nil {
+	if grown.Line {
+		// The routes toward id that a failed send below leaves on the
+		// other stations relay nothing: no station addresses id.
+		installLineRoutes(c.net, grown.Nodes)
+	}
+	if err := link.Send(rtlink.Message{Dst: c.spec.VC.Head, Kind: wire.KindJoin, Payload: payload}); err != nil {
 		watchdog.Stop()
 		rollback()
 		return nil, err
 	}
 	c.watchdogs = append(c.watchdogs, watchdog)
-	c.ids = grown
+	c.spec = grown
 	c.nodes[id] = node
 	return node, nil
 }

@@ -86,7 +86,7 @@ func run() error {
 	fmt.Printf("members: %v\n", head.Members())
 
 	fmt.Printf("admitting node %v at runtime...\n", newNode)
-	added, err := cell.AddNodeRuntime(newNode, vc)
+	added, err := cell.AddNodeRuntime(newNode)
 	if err != nil {
 		return err
 	}

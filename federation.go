@@ -528,7 +528,7 @@ func (c *Campus) loads() (count []int, util []float64) {
 // the task currently occupies (hop distances are measured from it).
 func (c *Campus) condition(i, from, origin int, taskID string, count []int, util []float64) cellCondition {
 	capacity := 0.0
-	for _, id := range c.cells[i].ids {
+	for _, id := range c.cells[i].spec.Nodes {
 		if c.cells[i].nodes[id] != nil && !c.nodeFailed(i, id) {
 			capacity++
 		}
@@ -616,7 +616,7 @@ func (c *Campus) escalate(p *taskPlacement) {
 // in-cell fail-over.
 func (c *Campus) destNodes(cell int, taskID string) []NodeID {
 	var out []NodeID
-	for _, id := range c.cells[cell].ids {
+	for _, id := range c.cells[cell].spec.Nodes {
 		n := c.cells[cell].nodes[id]
 		if n == nil || c.nodeFailed(cell, id) {
 			continue
@@ -805,17 +805,12 @@ func (c *Campus) onPrepare(p *taskPlacement, hs *rebalanceHandshake, payload []b
 		return
 	}
 	destNode := c.cells[origin].nodes[dst]
-	if destNode.HasReplica(ex.TaskID) {
-		if err := destNode.AdoptState(p.spec, ex); err != nil {
-			c.abortRebalance(p, hs, "restore")
-			return
-		}
-	} else if err := destNode.ImportTask(p.spec, ex, false); err != nil {
+	held := destNode.HasReplica(ex.TaskID)
+	if err := destNode.ImportTask(p.spec, ex, false); err != nil {
 		c.abortRebalance(p, hs, "restore")
 		return
-	} else {
-		hs.imported = true
 	}
+	hs.imported = !held
 	hs.home = dst
 	hs.export = ex
 	commit, err := (wire.RebalanceMsg{Phase: wire.RebalanceCommit, TaskID: p.spec.ID}).Encode()

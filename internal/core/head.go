@@ -357,8 +357,9 @@ func (h *Head) Reoptimize(rng *sim.RNG) int {
 			continue
 		}
 		old := h.active[spec.ID]
-		// Ship state to the target if it is not a pre-provisioned
-		// candidate (it will instantiate from the shared spec).
+		// Ship the old master's code and state to every target: a
+		// candidate's replica takes them, and any other node installs
+		// the task from them (see Node.install).
 		if old != 0 && old != h.node.id {
 			h.CommandMigration(spec.ID, old, target)
 		} else if old == h.node.id {

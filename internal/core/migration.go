@@ -35,27 +35,6 @@ func (n *Node) MigrateTask(taskID string, dest radio.NodeID) error {
 	return nil
 }
 
-// DeployCapsule ships a (possibly brand-new) control-law capsule to dest
-// over the air: the receiver attests it, runs schedulability admission
-// and installs it as a replica of the task named by the capsule. This is
-// the EVM's runtime reprogramming path — new code reaches a live Virtual
-// Component without redeploying nodes.
-func (n *Node) DeployCapsule(c vm.Capsule, dest radio.NodeID) error {
-	if _, ok := n.cfg.TaskByID(c.TaskID); !ok {
-		return fmt.Errorf("core: capsule names unknown task %q", c.TaskID)
-	}
-	if dest == n.id {
-		return fmt.Errorf("core: deploy to self — install directly")
-	}
-	n.stats.MigrationsOut++
-	enc, err := c.Encode()
-	if err != nil {
-		return err
-	}
-	n.send(rtlink.Message{Dst: dest, Kind: wire.KindCapsule, Payload: enc})
-	return nil
-}
-
 // onMigrateCmd executes a head-ordered migration.
 func (n *Node) onMigrateCmd(msg rtlink.Message) {
 	mc, err := wire.DecodeMigrateCmd(msg.Payload)
@@ -75,18 +54,9 @@ func (n *Node) onCapsule(msg rtlink.Message) {
 	if err != nil {
 		return // attestation failed: drop
 	}
-	spec, ok := n.cfg.TaskByID(c.TaskID)
-	if !ok {
-		return
+	if spec, ok := n.cfg.TaskByID(c.TaskID); ok {
+		_, _ = n.install(spec, &c, nil, 0)
 	}
-	logic, err := NewVMLogic(c)
-	if err != nil {
-		return
-	}
-	if !n.ensureAdmitted(spec) {
-		return
-	}
-	n.installReplica(spec, logic)
 }
 
 // onState receives migrated task state. For tasks whose logic can be
@@ -97,25 +67,16 @@ func (n *Node) onState(msg rtlink.Message) {
 	if err != nil {
 		return
 	}
-	r := n.replica(sx.TaskID)
-	if r == nil {
-		spec, specOK := n.cfg.TaskByID(sx.TaskID)
-		if !specOK {
-			return
-		}
-		logic, err := spec.MakeLogic()
-		if err != nil {
-			return
-		}
-		if !n.ensureAdmitted(spec) {
-			return
-		}
-		r = n.installReplica(spec, logic)
+	spec, ok := n.cfg.TaskByID(sx.TaskID)
+	if r := n.replica(sx.TaskID); r != nil {
+		spec, ok = r.spec, true
 	}
-	if err := r.logic.Restore(sx.Blob); err != nil {
+	if !ok {
 		return
 	}
-	r.outSeq = sx.Seq
+	if _, err := n.install(spec, nil, sx.Blob, sx.Seq); err != nil {
+		return
+	}
 	n.stats.MigrationsIn++
 	if n.migrationSink != nil {
 		n.migrationSink(sx.TaskID, msg.Src)
@@ -156,14 +117,15 @@ func (n *Node) ExportTask(taskID string, ex *wire.TaskExport) error {
 	return nil
 }
 
-// ImportTask installs a replica of a foreign task delivered out-of-band
-// (cross-cell migration over the federation backbone). The capsule, when
-// present, is attested by vm.Decode; the state snapshot is restored into
-// the new logic; the task passes schedulability admission like any
-// migrated task; and with activate the replica starts as the task's
-// master immediately — the importing cell's head does not arbitrate
-// foreign tasks. A refused import leaves the node as it was: no replica
-// and no admission slot.
+// ImportTask installs a task delivered out-of-band (cross-cell migration
+// over the federation backbone). A node without a replica attests the
+// capsule, when present, with vm.Decode, restores the state snapshot into
+// the new logic and admits the task like any migrated task; with activate
+// the new replica starts as the task's master immediately — the importing
+// cell's head does not arbitrate foreign tasks. A replica the node
+// already holds (a rebalanced task returning to a home node that kept it
+// through the outage) keeps its role and code and takes the state. A
+// refused import leaves the node as it was.
 func (n *Node) ImportTask(spec TaskSpec, ex wire.TaskExport, activate bool) error {
 	if err := spec.Validate(); err != nil {
 		return err
@@ -171,37 +133,20 @@ func (n *Node) ImportTask(spec TaskSpec, ex wire.TaskExport, activate bool) erro
 	if spec.ID != ex.TaskID {
 		return fmt.Errorf("core: export names task %q, spec %q", ex.TaskID, spec.ID)
 	}
-	if n.replica(spec.ID) != nil {
-		return fmt.Errorf("core: node %v already holds task %s", n.id, spec.ID)
-	}
-	var logic TaskLogic
-	if len(ex.Capsule) > 0 {
-		c, err := vm.Decode(ex.Capsule) // attestation
+	held := n.HasReplica(spec.ID)
+	var code *vm.Capsule
+	if len(ex.Capsule) > 0 && !held {
+		c, err := vm.Decode(ex.Capsule)
 		if err != nil {
 			return fmt.Errorf("core: capsule attestation: %w", err)
 		}
-		logic, err = NewVMLogic(c)
-		if err != nil {
-			return err
-		}
-	} else {
-		var err error
-		logic, err = spec.MakeLogic()
-		if err != nil {
-			return err
-		}
+		code = &c
 	}
-	if len(ex.Blob) > 0 {
-		if err := logic.Restore(ex.Blob); err != nil {
-			return fmt.Errorf("restore %s: %w", spec.ID, err)
-		}
+	r, err := n.install(spec, code, ex.Blob, ex.Seq)
+	if err != nil {
+		return err
 	}
-	if !n.ensureAdmitted(spec) {
-		return fmt.Errorf("core: node %v cannot schedule imported task %s", n.id, spec.ID)
-	}
-	r := n.installReplica(spec, logic)
-	r.outSeq = ex.Seq
-	if activate {
+	if activate && !held {
 		r.role = wire.RoleActive
 		r.activeNode = n.id
 	}
@@ -221,53 +166,4 @@ func (n *Node) RetireTask(taskID string) error {
 	n.replicas = slices.Delete(slices.Clone(n.replicas), i, i+1)
 	n.taskset = n.taskset.Without(rtos.TaskID(taskID))
 	return nil
-}
-
-// AdoptState restores an out-of-band state snapshot into this node's
-// existing replica of the task (or imports a fresh replica when none
-// exists). Used when a rebalanced task returns to a home node that kept
-// its replica through the outage: the stale local state is overwritten
-// by the checkpoint the foreign host shipped back.
-func (n *Node) AdoptState(spec TaskSpec, ex wire.TaskExport) error {
-	r := n.replica(ex.TaskID)
-	if r == nil {
-		return n.ImportTask(spec, ex, false)
-	}
-	if len(ex.Blob) > 0 {
-		if err := r.logic.Restore(ex.Blob); err != nil {
-			return fmt.Errorf("restore %s: %w", ex.TaskID, err)
-		}
-	}
-	r.outSeq = ex.Seq
-	n.stats.MigrationsIn++
-	return nil
-}
-
-// ensureAdmitted runs schedulability admission for a task not yet in the
-// node's task set.
-func (n *Node) ensureAdmitted(spec TaskSpec) bool {
-	if _, has := n.taskset.Find(rtos.TaskID(spec.ID)); has {
-		return true
-	}
-	grown, ok := rtos.Admit(n.taskset, spec.RTOSTask(), rtos.TestRTA)
-	if !ok {
-		return false
-	}
-	n.taskset = grown
-	return true
-}
-
-// installReplica creates (or replaces) the local replica in Backup role;
-// activation is the head's decision.
-func (n *Node) installReplica(spec TaskSpec, logic TaskLogic) *replica {
-	r := n.replica(spec.ID)
-	if r == nil {
-		r = &replica{spec: spec, activeNode: spec.Candidates[0], enabled: true}
-		n.putReplica(r)
-	}
-	r.logic = logic
-	if r.role == 0 {
-		r.role = wire.RoleBackup
-	}
-	return r
 }

@@ -9,13 +9,15 @@ import (
 	"time"
 
 	"evm/internal/radio"
+	"evm/internal/rtlink"
 	"evm/internal/wire"
 )
 
 // TestImportTaskAndAdoptState covers the out-of-band transfer path the
 // federation layer uses: what ImportTask refuses, leaving the node with
-// the replicas and admitted tasks it had, and what ImportTask and
-// AdoptState restore. Each case runs on a fresh rig after the primary
+// the replicas and admitted tasks it had, and what it restores, into a
+// new replica or into one the node holds (adoption: the held replica
+// keeps its role). Each case runs on a fresh rig after the primary
 // exported its replica twice, 3 s apart (old and cur).
 func TestImportTaskAndAdoptState(t *testing.T) {
 	capsule := proportionalCapsule(t)
@@ -44,7 +46,7 @@ func TestImportTaskAndAdoptState(t *testing.T) {
 			},
 		},
 		{
-			name: "task already held", node: ctrlB, wantErr: "already holds",
+			name: "a held replica takes the state and keeps its role", node: ctrlB, role: wire.RoleBackup, master: ctrlA,
 			apply: func(n *Node, _, cur wire.TaskExport) (wire.TaskExport, error) {
 				return cur, n.ImportTask(testSpec(), cur, true)
 			},
@@ -90,13 +92,13 @@ func TestImportTaskAndAdoptState(t *testing.T) {
 		{
 			name: "adopt overwrites a replica", node: ctrlB, role: wire.RoleBackup, master: ctrlA,
 			apply: func(n *Node, old, _ wire.TaskExport) (wire.TaskExport, error) {
-				return old, n.AdoptState(testSpec(), old)
+				return old, n.ImportTask(testSpec(), old, false)
 			},
 		},
 		{
 			name: "adopt without a replica imports a backup", node: spareID, role: wire.RoleBackup, master: ctrlA,
 			apply: func(n *Node, _, cur wire.TaskExport) (wire.TaskExport, error) {
-				return cur, n.AdoptState(testSpec(), cur)
+				return cur, n.ImportTask(testSpec(), cur, false)
 			},
 		},
 	}
@@ -145,5 +147,36 @@ func TestImportTaskAndAdoptState(t *testing.T) {
 				t.Fatalf("restored seq %d state %x, want %d %x", back.Seq, back.Blob, ex.Seq, ex.Blob)
 			}
 		})
+	}
+}
+
+// TestRefusedStateLeavesNoReplica sends a migrated state that fails
+// Restore to a node without the task: the node must stay as it was, with
+// no replica and no admission slot, and a good state afterwards installs.
+func TestRefusedStateLeavesNoReplica(t *testing.T) {
+	r := newRig(t, defaultCfg())
+	r.run(t, 3*time.Second)
+	var ex wire.TaskExport
+	if err := r.nodes[ctrlA].ExportTask("lts", &ex); err != nil {
+		t.Fatal(err)
+	}
+	spare := r.nodes[spareID]
+	send := func(blob []byte) {
+		payload, err := wire.StateXfer{TaskID: "lts", Seq: ex.Seq, Blob: blob}.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.nodes[ctrlA].Link().Send(rtlink.Message{Dst: spareID, Kind: wire.KindState, Payload: payload}); err != nil {
+			t.Fatal(err)
+		}
+		r.run(t, time.Second)
+	}
+	send(ex.Blob[:3])
+	if n, slots := spare.ReplicaCount(), len(spare.taskset); n != 0 || slots != 0 || spare.Stats().MigrationsIn != 0 {
+		t.Fatalf("refused state left %d replicas and %d admitted tasks", n, slots)
+	}
+	send(ex.Blob)
+	if !spare.HasReplica("lts") || len(spare.taskset) != 1 || spare.Stats().MigrationsIn != 1 {
+		t.Fatal("a good state after a refused one was not installed")
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"evm/internal/rtlink"
 	"evm/internal/rtos"
 	"evm/internal/sim"
+	"evm/internal/vm"
 	"evm/internal/wire"
 )
 
@@ -48,6 +49,7 @@ type replica struct {
 
 	roleSeq uint32 // last applied role-change sequence
 	enabled bool   // mode gating
+	cold    bool   // made without state in a running component (see install)
 
 	// OTA (see ota.go): staged awaits the rollout commit point; after
 	// ActivateStaged, outgoing is the code it swapped out, or native the
@@ -117,8 +119,9 @@ func (n *Node) SetMigrationSink(fn func(taskID string, from radio.NodeID)) {
 	n.migrationSink = fn
 }
 
-// NewNode builds the EVM runtime for one member node. The node creates a
-// replica for every task that lists it as a candidate.
+// NewNode builds the EVM runtime for one member node. The node installs a
+// replica for every task that lists it as a candidate; one that joins a
+// running component starts cold (see install).
 func NewNode(net *rtlink.Network, link *rtlink.Link, cfg VCConfig) (*Node, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -135,24 +138,13 @@ func NewNode(net *rtlink.Network, link *rtlink.Link, cfg VCConfig) (*Node, error
 		if !ro.Holds {
 			continue
 		}
-		logic, err := spec.MakeLogic()
+		r, err := n.install(spec, nil, nil, 0)
 		if err != nil {
-			return nil, fmt.Errorf("task %s logic: %w", spec.ID, err)
+			return nil, err
 		}
-		role := wire.RoleBackup
 		if ro.Active {
-			role = wire.RoleActive
+			r.role = wire.RoleActive
 		}
-		if !n.ensureAdmitted(spec) {
-			return nil, fmt.Errorf("core: node %v cannot schedule task %s", n.id, spec.ID)
-		}
-		n.putReplica(&replica{
-			spec:       spec,
-			logic:      logic,
-			role:       role,
-			activeNode: spec.Candidates[0],
-			enabled:    true,
-		})
 	}
 	link.SetHandler(n.onMessage)
 	if n.id == cfg.Head {
@@ -329,6 +321,63 @@ func (n *Node) putReplica(r *replica) {
 	n.replicas = grown
 }
 
+// install is the one way a task enters the node or refreshes a replica it
+// holds (NewNode, onCapsule, onState, ImportTask). The logic comes from
+// code, an attested capsule, when given, else from the held replica, else
+// from spec.MakeLogic; a non-empty state and its output sequence seq are
+// restored into it. A new replica must pass schedulability admission
+// (§3.1.1 op 8) and starts as a Backup; a held one keeps its spec and
+// role. A refused install leaves the node as it was. A replica made
+// without state while the network runs (a runtime joining a running
+// component) is cold: its controller never saw the plant, so it skips
+// checkDeviation, but still watches for silence, until a state reaches it.
+func (n *Node) install(spec TaskSpec, code *vm.Capsule, state []byte, seq uint32) (*replica, error) {
+	r := n.replica(spec.ID)
+	var logic TaskLogic
+	var err error
+	switch {
+	case code != nil:
+		logic, err = NewVMLogic(*code)
+	case r != nil:
+		logic = r.logic
+	default:
+		logic, err = spec.MakeLogic()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("task %s logic: %w", spec.ID, err)
+	}
+	if len(state) > 0 {
+		if err := logic.Restore(state); err != nil {
+			return nil, fmt.Errorf("restore %s: %w", spec.ID, err)
+		}
+	}
+	if r == nil {
+		if !n.ensureAdmitted(spec) {
+			return nil, fmt.Errorf("core: node %v cannot schedule task %s", n.id, spec.ID)
+		}
+		r = &replica{spec: spec, role: wire.RoleBackup, activeNode: spec.Candidates[0], enabled: true}
+		n.putReplica(r)
+	}
+	switch {
+	case len(state) > 0:
+		r.outSeq, r.cold = seq, false
+	case logic != r.logic:
+		r.cold = n.net.Frame() > 0
+	}
+	r.logic = logic
+	return r, nil
+}
+
+// ensureAdmitted runs schedulability admission for a task the node does
+// not hold yet and adds it to the node's task set.
+func (n *Node) ensureAdmitted(spec TaskSpec) bool {
+	grown, ok := rtos.Admit(n.taskset, spec.RTOSTask(), rtos.TestRTA)
+	if ok {
+		n.taskset = grown
+	}
+	return ok
+}
+
 // send transmits a message, dispatching locally when the destination is
 // this node (the head talks to itself without the radio).
 func (n *Node) send(msg rtlink.Message) {
@@ -477,7 +526,7 @@ func (n *Node) onStateSync(msg rtlink.Message) {
 	if err := r.logic.Restore(sx.Blob); err != nil {
 		return
 	}
-	r.outSeq = sx.Seq
+	r.outSeq, r.cold = sx.Seq, false
 }
 
 func (n *Node) sendActuate(r *replica) {
@@ -559,7 +608,7 @@ func (n *Node) onHealth(msg rtlink.Message) {
 		}
 		r.lastPrimaryOut = rec.Output
 		r.havePrimary = true
-		if r.role == wire.RoleBackup {
+		if r.role == wire.RoleBackup && !r.cold {
 			n.checkDeviation(r, rec.Seq)
 		}
 	}

@@ -361,7 +361,7 @@ func (r *Rollout) collectTargets() {
 	for i, cell := range r.c.cells {
 		byTask := make(map[string][]NodeID)
 		for _, task := range r.spec.Tasks {
-			for _, id := range cell.ids {
+			for _, id := range cell.spec.Nodes {
 				if n := cell.nodes[id]; n != nil && n.HasReplica(task) {
 					byTask[task] = append(byTask[task], id)
 				}
@@ -496,7 +496,7 @@ func (r *Rollout) addCatchUpStage() bool {
 	extra := make(map[int]map[string][]NodeID)
 	for i, cell := range r.c.cells {
 		for _, task := range r.spec.Tasks {
-			for _, id := range cell.ids {
+			for _, id := range cell.spec.Nodes {
 				n := cell.nodes[id]
 				if n == nil || !n.HasReplica(task) || upgraded[rolloutActivation{cell: i, node: id, task: task}] {
 					continue

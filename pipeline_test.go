@@ -1,9 +1,12 @@
 package evm
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"evm/internal/sim"
 )
 
 // TestPipelineMultiHopControl drives the line-cell scenario end to end:
@@ -123,4 +126,55 @@ func TestLineScheduleValidation(t *testing.T) {
 	if !strings.Contains(err.Error(), "does not fit") {
 		t.Fatalf("oversized line schedule: %v", err)
 	}
+}
+
+// TestLineCellAdmitsAlongTheLine admits a sixth station at the far end of
+// the pipeline's line cell: the grown schedule keeps every member hearing
+// only its line neighbors, each member keeps its rounds of slots, and the
+// new station's join is relayed station by station to the head.
+func TestLineCellAdmitsAlongTheLine(t *testing.T) {
+	exp, err := BuildScenario(RunSpec{Scenario: ScenarioPipeline, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer exp.Cleanup()
+	cell := exp.Cell
+	log := cell.Events().Log()
+	cell.Run(2 * time.Second)
+	const station NodeID = 6
+	if _, err := cell.AddNodeRuntime(station); err != nil {
+		t.Fatal(err)
+	}
+	line := cell.Members()
+	sched := cell.Network().Schedule()
+	for _, slot := range sim.SortedKeys(sched) {
+		as := sched[slot]
+		i := slices.Index(line, as.Owner)
+		var want []NodeID
+		if i > 0 {
+			want = append(want, line[i-1])
+		}
+		if i >= 0 && i < len(line)-1 {
+			want = append(want, line[i+1])
+		}
+		if i < 0 || !slices.Equal(as.Listeners, want) {
+			t.Fatalf("slot %d: owner %v heard by %v, want its line neighbors %v of %v", slot, as.Owner, as.Listeners, want, line)
+		}
+	}
+	for _, id := range line {
+		if n := len(sched.OwnedSlots(id)); n != 3 {
+			t.Fatalf("station %v owns %d slots, want 3", id, n)
+		}
+	}
+	cell.Run(2 * time.Second)
+	var joined *JoinEvent
+	for _, ev := range log.Events() {
+		if j, ok := ev.(JoinEvent); ok && j.Node == station {
+			joined = &j
+		}
+	}
+	if joined == nil {
+		t.Fatalf("no JoinEvent for station %v within 2 s of its admission", station)
+	}
+	t.Logf("join of station %v heard at %v", station, joined.At)
 }

@@ -184,7 +184,7 @@ func TestCellAddNodeRuntime(t *testing.T) {
 	s := newGasPlant(t, DefaultGasPlantConfig())
 	s.Run(10 * time.Second)
 	const newID NodeID = 9
-	node, err := s.Cell.AddNodeRuntime(newID, s.VC)
+	node, err := s.Cell.AddNodeRuntime(newID)
 	if err != nil {
 		t.Fatal(err)
 	}

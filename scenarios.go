@@ -171,7 +171,7 @@ func buildCapacityScenario(spec RunSpec) (*Experiment, error) {
 	// re-optimize at 20 s.
 	moved := 0
 	cell.Engine().After(10*time.Second, func() {
-		_, _ = cell.AddNodeRuntime(newNode, vc)
+		_, _ = cell.AddNodeRuntime(newNode)
 	})
 	cell.Engine().After(15*time.Second, func() {
 		if cell.Node(newNode) != nil {

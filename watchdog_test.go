@@ -38,7 +38,7 @@ func TestDeployQueuesOneWatchdogPerPeriod(t *testing.T) {
 // stopped frame loop and slot events drain within a frame.
 func TestCellStopDrainsWatchdogs(t *testing.T) {
 	cell := newTestCell(t, CellSpec{Seed: 3, Nodes: Members(7), VC: watchdogVC(), Feed: testFeed()})
-	if _, err := cell.AddNodeRuntime(8, watchdogVC()); err != nil {
+	if _, err := cell.AddNodeRuntime(8); err != nil {
 		t.Fatal(err)
 	}
 	cell.Run(3 * time.Second)
@@ -89,18 +89,38 @@ func silentPrimaryReport(t *testing.T, cell *Cell, reporter NodeID, crashAt, bou
 
 // TestAddedNodeReportsSilentPrimary checks the group of one that
 // AddNodeRuntime starts: the runtime admitted later is the task's only
-// backup, and it reports the crashed primary. Its controller state
-// differs from the primary's, so the deviation check is kept out of the
-// way: only the watchdog can report.
+// backup, and it reports the crashed primary. It joined cold, so it does
+// not judge the primary's outputs, but it still watches for silence.
 func TestAddedNodeReportsSilentPrimary(t *testing.T) {
-	vc := testVC(1 << 20)
+	vc := testVC(4)
 	vc.Tasks[0].Candidates = []NodeID{2, 5}
 	cell := newTestCell(t, CellSpec{Seed: 3, Nodes: Members(4), VC: vc, Feed: testFeed()})
 	cell.Run(2 * time.Second)
-	if _, err := cell.AddNodeRuntime(5, vc); err != nil {
+	if _, err := cell.AddNodeRuntime(5); err != nil {
 		t.Fatal(err)
 	}
 	silentPrimaryReport(t, cell, 5, 6*time.Second, 10*time.Second)
+}
+
+// TestColdJoinerDoesNotJudge admits a backup into a running component
+// with no fault injected. The new replica's controller never saw the
+// plant, so its outputs differ from the warm primary's; it must not
+// report the healthy primary as deviating.
+func TestColdJoinerDoesNotJudge(t *testing.T) {
+	vc := testVC(4)
+	vc.Tasks[0].Candidates = []NodeID{2, 5}
+	cell := newTestCell(t, CellSpec{Seed: 3, Nodes: Members(4), VC: vc, Feed: testFeed()})
+	log := cell.Events().Log()
+	cell.Run(2 * time.Second)
+	if _, err := cell.AddNodeRuntime(5); err != nil {
+		t.Fatal(err)
+	}
+	cell.Run(10 * time.Second)
+	for _, ev := range log.Events() {
+		if fo, ok := ev.(FailoverEvent); ok {
+			t.Fatalf("fail-over with no fault: %v", fo)
+		}
+	}
 }
 
 // TestGroupedBackupReportsWithinSilenceWindow checks the detection bound
