@@ -107,7 +107,6 @@ func run() error {
 	}
 
 	st := srv.Stats()
-	fmt.Printf("\ndaemon counters: accepted=%d completed=%d peak-queue=%d\n",
-		st.Accepted, st.Completed, st.PeakQueueDepth)
+	fmt.Printf("\ndaemon counters: accepted=%d completed=%d\n", st.Accepted, st.Completed)
 	return nil
 }
