@@ -2,6 +2,7 @@ package vm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
@@ -96,7 +97,7 @@ func FuzzVMDecodeRun(f *testing.F) {
 // shorter code, which keeps it or resets it as its pc decides. The
 // interpreter is stopped inside a call with some memory set, so
 // "unchanged" is not an empty state. Seeds are encodings of reachable
-// states and damaged or foreign-sized ones.
+// states and damaged, oversized or non-canonical ones.
 func FuzzVMLoadState(f *testing.F) {
 	code, err := Assemble("PUSH -5\nCALL sub\nHALT\nsub:\nPUSH 7\nRET")
 	if err != nil {
@@ -115,10 +116,15 @@ func FuzzVMLoadState(f *testing.F) {
 		f.Add(good)
 		f.Add(good[:len(good)-8])
 	}
-	// A state whose memory section holds no words at all.
+	// The old fixed-size form of a zero memory (256 zero words, now
+	// refused), and a full-length memory whose last word is set.
 	fresh0 := New(code, nil).AppendState(nil)
-	memAt := len(fresh0) - 4 - 8*DefaultMemWords
-	f.Add(append(fresh0[:memAt:memAt], 0, 0, 0, 0))
+	memAt := len(fresh0) - 4
+	old := binary.BigEndian.AppendUint32(fresh0[:memAt:memAt], DefaultMemWords)
+	f.Add(append(old, make([]byte, 8*DefaultMemWords)...))
+	full := New(code, nil)
+	_ = full.SetMem(DefaultMemWords-1, -1)
+	f.Add(full.AppendState(nil))
 	f.Add([]byte{})
 	f.Add([]byte{0x45, 0x56, 0x4d, 0x53, 0, 0, 0, 0, 1})
 	f.Fuzz(func(t *testing.T, b []byte) {

@@ -14,6 +14,11 @@ import (
 //	magic u32 | pc u32 | halted u8 |
 //	len(data) u32, data i64... | len(ret) u32, ret i64... | len(mem) u32, mem i64...
 //
+// The memory section holds the words up to the last nonzero one; the
+// rest of the DefaultMemWords-word memory is zero. A never-written
+// memory is 0 words, so a fresh state is 21 bytes. Every state has
+// exactly one encoding: a memory section never ends in a zero word.
+//
 // The code is not part of the state; the caller pairs a state with the
 // capsule it came from.
 
@@ -26,10 +31,14 @@ var errBadState = errors.New("vm: malformed state encoding")
 
 // AppendState appends the interpreter's execution state (pc, both stacks,
 // memory, halted flag) to dst and returns the extended slice. The memory
-// is always DefaultMemWords words, zeros when it was never written. It
+// is written up to its last nonzero word, none when it is all zero. It
 // allocates only when dst lacks the capacity, and then once.
 func (in *Interp) AppendState(dst []byte) []byte {
-	dst = slices.Grow(dst, stateHeader+3*4+8*(len(in.data)+len(in.ret)+DefaultMemWords))
+	mem := in.mem
+	for len(mem) > 0 && mem[len(mem)-1] == 0 {
+		mem = mem[:len(mem)-1]
+	}
+	dst = slices.Grow(dst, stateHeader+3*4+8*(len(in.data)+len(in.ret)+len(mem)))
 	dst = binary.BigEndian.AppendUint32(dst, stateMagic)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(in.pc))
 	if in.halted {
@@ -37,14 +46,10 @@ func (in *Interp) AppendState(dst []byte) []byte {
 	} else {
 		dst = append(dst, 0)
 	}
-	for _, sl := range [...][]int64{in.data, in.ret} {
+	for _, sl := range [...][]int64{in.data, in.ret, mem} {
 		dst = appendWords(dst, sl)
 	}
-	if in.mem == nil {
-		dst = binary.BigEndian.AppendUint32(dst, DefaultMemWords)
-		return append(dst, make([]byte, 8*DefaultMemWords)...)
-	}
-	return appendWords(dst, in.mem)
+	return dst
 }
 
 // appendWords appends the length-prefixed big-endian words of sl to dst.
@@ -59,12 +64,13 @@ func appendWords(dst []byte, sl []int64) []byte {
 // LoadState replaces the interpreter's execution state with one encoded
 // by AppendState. The whole encoding is checked first: the pc must lie in
 // the code, each stack must fit DefaultStackDepth, the memory must have
-// exactly DefaultMemWords words, the halted flag must be 0 or 1 and
-// nothing may trail the memory. On error the interpreter is left
-// unchanged. LoadState decodes into the interpreter's own slices and
-// keeps no reference to b. It allocates only to grow a stack past its
-// capacity, and allocates the memory once, on the first nonzero memory
-// it loads: an all-zero memory leaves a never-written one unallocated.
+// at most DefaultMemWords words and must not end in a zero word, the
+// halted flag must be 0 or 1 and nothing may trail the memory. So only
+// AppendState's own encodings load. On error the interpreter is left
+// unchanged. LoadState decodes into the interpreter's own slices, zeroes
+// the memory past the loaded words and keeps no reference to b. It
+// allocates only to grow a stack past its capacity, and allocates the
+// memory once, when it loads a nonempty memory into a never-written one.
 func (in *Interp) LoadState(b []byte) error {
 	if len(b) < stateHeader || binary.BigEndian.Uint32(b) != stateMagic || b[8] > 1 {
 		return errBadState
@@ -88,20 +94,19 @@ func (in *Interp) LoadState(b []byte) error {
 		words[i] = b[off : off+8*int(n)]
 		off += 8 * int(n)
 	}
-	if len(words[2]) != 8*DefaultMemWords || off != len(b) {
+	mem := words[2]
+	if off != len(b) || len(mem) > 0 && binary.BigEndian.Uint64(mem[len(mem)-8:]) == 0 {
 		return errBadState
 	}
 	in.pc = int(pc)
 	in.halted = b[8] == 1
 	in.data = loadWords(in.data[:0], words[0])
 	in.ret = loadWords(in.ret[:0], words[1])
-	if in.mem == nil {
-		if !slices.ContainsFunc(words[2], func(c byte) bool { return c != 0 }) {
-			return nil
-		}
+	if in.mem == nil && len(mem) > 0 {
 		in.mem = make([]int64, DefaultMemWords)
 	}
-	loadWords(in.mem[:0], words[2])
+	n := len(loadWords(in.mem[:0], mem))
+	clear(in.mem[n:])
 	return nil
 }
 

@@ -352,7 +352,8 @@ const goldenCallSrc = "PUSH -5\nCALL sub\nHALT\nsub:\nPUSH 7\nRET"
 // goldenCallState pins the state encoding: a migration's payload length
 // sets its backbone transfer time, so any drift in the format would move
 // the scenario goldens. Magic "EVMS", pc 6, not halted, data [-5],
-// ret [5], then the 256 memory words.
+// ret [5], then the memory up to its last nonzero word: all 256 words,
+// since mem[255] is set.
 var goldenCallState = "45564d53" + "00000006" + "00" +
 	"00000001" + "fffffffffffffffb" +
 	"00000001" + "0000000000000005" +
@@ -402,18 +403,19 @@ func TestStateBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadStateRejects: every malformed or foreign-sized state is
-// refused and leaves the interpreter exactly as it was. A memory of any
-// other word count than the interpreter's own is refused: with none,
-// every LOAD and STORE would fail.
+// TestLoadStateRejects: every malformed, oversized or non-canonical
+// state is refused and leaves the interpreter exactly as it was. A
+// memory section that ends in a zero word is refused, the old 256-word
+// form of a zero memory among them, so each state has one encoding.
+// An empty memory section is the canonical zero memory and loads.
 func TestLoadStateRejects(t *testing.T) {
 	good := goldenCallInterp(t).AppendState(nil)
 	memAt := stateHeader + 4 + 8 + 4 + 8 // offset of the memory length
-	withMem := func(words int) []byte {
+	withMem := func(mem ...int64) []byte {
 		b := append([]byte(nil), good[:memAt]...)
-		b = binary.BigEndian.AppendUint32(b, uint32(words))
-		return append(b, make([]byte, 8*words)...)
+		return appendWords(b, mem)
 	}
+	zeros := func(n int) []int64 { return make([]int64, n) }
 	set := func(off int, v byte) []byte {
 		b := append([]byte(nil), good...)
 		b[off] = v
@@ -423,17 +425,18 @@ func TestLoadStateRejects(t *testing.T) {
 	deepStack = append(deepStack, make([]byte, 8*(DefaultStackDepth+1))...)
 	deepStack = append(deepStack, good[stateHeader+4+8:]...)
 	cases := map[string][]byte{
-		"empty":         nil,
-		"truncated":     good[:len(good)-1],
-		"header only":   good[:stateHeader],
-		"trailing byte": append(append([]byte(nil), good...), 0),
-		"bad magic":     set(0, 0x00),
-		"halted 2":      set(8, 2),
-		"pc past code":  set(7, byte(len(mustAssemble(t, goldenCallSrc))+1)),
-		"0-word mem":    withMem(0),
-		"255-word mem":  withMem(DefaultMemWords - 1),
-		"257-word mem":  withMem(DefaultMemWords + 1),
-		"deep stack":    deepStack,
+		"empty":                       nil,
+		"truncated":                   good[:len(good)-1],
+		"header only":                 good[:stateHeader],
+		"trailing byte":               append(append([]byte(nil), good...), 0),
+		"bad magic":                   set(0, 0x00),
+		"halted 2":                    set(8, 2),
+		"pc past code":                set(7, byte(len(mustAssemble(t, goldenCallSrc))+1)),
+		"255-word mem":                withMem(zeros(DefaultMemWords - 1)...),
+		"257-word mem":                withMem(append(zeros(DefaultMemWords), 1)...),
+		"trailing zero word":          withMem(0, 0, 0, 77, 0),
+		"256 zero words (old format)": withMem(zeros(DefaultMemWords)...),
+		"deep stack":                  deepStack,
 	}
 	for name, b := range cases {
 		in := New(mustAssemble(t, goldenCallSrc), nil)
@@ -447,6 +450,20 @@ func TestLoadStateRejects(t *testing.T) {
 		if !bytes.Equal(in.AppendState(nil), before) {
 			t.Errorf("%s: rejected state changed the interpreter", name)
 		}
+	}
+	// A 0-word memory loads as all zeros, over a memory that held words.
+	in := goldenCallInterp(t)
+	zeroMem := withMem()
+	if err := in.LoadState(zeroMem); err != nil {
+		t.Fatalf("0-word mem: %v", err)
+	}
+	for _, addr := range []int{3, DefaultMemWords - 1} {
+		if v, _ := in.Mem(addr); v != 0 {
+			t.Fatalf("0-word mem: Mem(%d) = %d after load, want 0", addr, v)
+		}
+	}
+	if got := in.AppendState(nil); !bytes.Equal(got, zeroMem) {
+		t.Fatalf("0-word mem re-encodes as %x", got)
 	}
 }
 
@@ -468,14 +485,13 @@ func TestStateCodecDoesNotAllocate(t *testing.T) {
 }
 
 // freshState is the encoding of a fresh interpreter's state: magic, pc
-// 0, not halted, two empty stacks and 256 zero memory words.
-var freshState = "45564d53" + "00000000" + "00" + "00000000" + "00000000" +
-	"00000100" + strings.Repeat("0000000000000000", DefaultMemWords)
+// 0, not halted, two empty stacks and 0 memory words.
+var freshState = "45564d53" + "00000000" + "00" + "00000000" + "00000000" + "00000000"
 
 // TestFreshInterpreterIsLazy: a fresh interpreter has no memory and no
-// stacks, yet encodes exactly the full-size zero state, so checkpoints,
-// migrations and their transfer times do not depend on whether the
-// memory was ever written. Loading, and storing zero, allocate nothing
+// stacks, and encodes the same state as one whose memory was written
+// back to zero, so checkpoints, migrations and their transfer times do
+// not depend on whether the memory was ever allocated. Loading, and storing zero, allocate nothing
 // and leave the memory unallocated.
 func TestFreshInterpreterIsLazy(t *testing.T) {
 	in := New(mustAssemble(t, "PUSH 3\nLOAD\nPUSH 0\nPUSH 5\nSTORE\nHALT"), nil)
