@@ -10,6 +10,7 @@ import (
 
 	"evm/internal/radio"
 	"evm/internal/rtlink"
+	"evm/internal/vm"
 	"evm/internal/wire"
 )
 
@@ -179,4 +180,145 @@ func TestRefusedStateLeavesNoReplica(t *testing.T) {
 	if !spare.HasReplica("lts") || len(spare.taskset) != 1 || spare.Stats().MigrationsIn != 1 {
 		t.Fatal("a good state after a refused one was not installed")
 	}
+}
+
+// vmInterp returns the interpreter of node id's lts replica.
+func (r *rig) vmInterp(t *testing.T, id radio.NodeID) *vm.Interp {
+	t.Helper()
+	rep := r.nodes[id].replica("lts")
+	if rep == nil {
+		t.Fatalf("node %v holds no lts replica", id)
+	}
+	return rep.logic.(*VMLogic).interp
+}
+
+// freshVMStateBytes caps the snapshot of a VM task whose memory was
+// never written: header, two stacks and an empty memory section. It
+// measures 21 B; it was 2,069 B while the state carried all 256 memory
+// words.
+const freshVMStateBytes = 32
+
+func TestFreshVMStateSizeBudget(t *testing.T) {
+	l, err := NewVMLogic(proportionalCapsule(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step := range 3 {
+		blob, err := l.AppendSnapshot(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("after %d steps: %d B (budget %d)", step, len(blob), freshVMStateBytes)
+		if len(blob) > freshVMStateBytes {
+			t.Fatalf("a never-written VM state encodes in %d B, budget %d", len(blob), freshVMStateBytes)
+		}
+		if _, err := l.Step(45, 0.25); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestFreshVMStateMigratesInOneFragment: a VM task's migration state
+// crosses RT-Link in one fragment. Two rigs run alike to 3 s; then one
+// migrates lts to the spare and the other sends the spare only the
+// capsule that MigrateTask sends first, so the difference in the
+// fragments each queues on the source link is the KindState message's.
+// It was 22 at MaxPayload 96 while the state carried all 256 memory
+// words. The link drops nothing, so each queued fragment is sent.
+func TestFreshVMStateMigratesInOneFragment(t *testing.T) {
+	queued := func(migrate bool) int {
+		r := vmRig(t)
+		r.run(t, 3*time.Second)
+		src := r.nodes[ctrlA]
+		q0 := src.Link().QueueLen()
+		if migrate {
+			if err := src.MigrateTask("lts", spareID); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			capsule := src.replica("lts").logic.(*VMLogic).code.Encoded
+			if err := src.Link().Send(rtlink.Message{Dst: spareID, Kind: wire.KindCapsule, Payload: capsule}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		n := src.Link().QueueLen() - q0
+		r.run(t, 3*time.Second)
+		want := 0
+		if migrate {
+			want = 1
+		}
+		if got := r.nodes[spareID].Stats().MigrationsIn; got != want {
+			t.Fatalf("migrate %v: the spare took %d migrations, want %d", migrate, got, want)
+		}
+		return n
+	}
+	if d := queued(true) - queued(false); d != 1 {
+		t.Fatalf("the state of a fresh VM task took %d fragments, want 1", d)
+	}
+}
+
+// TestVMStateWithInteriorZerosRoundTrips: a VM task whose memory holds
+// only word 200 (zeros before it, zeros after it) arrives with exactly
+// that memory, through MigrateTask over RT-Link and through
+// ExportTask/ImportTask.
+func TestVMStateWithInteriorZerosRoundTrips(t *testing.T) {
+	const addr, val = 200, -123456789
+	check := func(t *testing.T, r *rig, want []byte) {
+		t.Helper()
+		in := r.vmInterp(t, spareID)
+		for a := range vm.DefaultMemWords {
+			v, err := in.Mem(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := int64(0)
+			if a == addr {
+				want = val
+			}
+			if v != want {
+				t.Fatalf("spare's mem[%d] = %d after the transfer, want %d", a, v, want)
+			}
+		}
+		var back wire.TaskExport
+		if err := r.nodes[spareID].ExportTask("lts", &back); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(back.Blob, want) {
+			t.Fatalf("spare's state %x, want %x", back.Blob, want)
+		}
+	}
+	setUp := func(t *testing.T) (*rig, wire.TaskExport) {
+		r := vmRig(t)
+		r.run(t, 3*time.Second)
+		if err := r.vmInterp(t, ctrlA).SetMem(addr, val); err != nil {
+			t.Fatal(err)
+		}
+		var ex wire.TaskExport
+		if err := r.nodes[ctrlA].ExportTask("lts", &ex); err != nil {
+			t.Fatal(err)
+		}
+		// 21 B of header and empty stacks, then the memory section.
+		if words := (len(ex.Blob) - 21) / 8; words != addr+1 {
+			t.Fatalf("premise: the state carries %d memory words, want %d", words, addr+1)
+		}
+		return r, ex
+	}
+	t.Run("MigrateTask", func(t *testing.T) {
+		r, ex := setUp(t)
+		if err := r.nodes[ctrlA].MigrateTask("lts", spareID); err != nil {
+			t.Fatal(err)
+		}
+		r.run(t, 3*time.Second)
+		if r.nodes[spareID].Stats().MigrationsIn != 1 {
+			t.Fatal("the migration did not complete")
+		}
+		check(t, r, ex.Blob)
+	})
+	t.Run("ExportImport", func(t *testing.T) {
+		r, ex := setUp(t)
+		if err := r.nodes[spareID].ImportTask(r.cfg.Tasks[0], ex, false); err != nil {
+			t.Fatal(err)
+		}
+		check(t, r, ex.Blob)
+	})
 }
