@@ -12,6 +12,7 @@ import (
 	"evm/internal/rtos"
 	"evm/internal/sim"
 	"evm/internal/vm"
+	"evm/internal/wire"
 )
 
 // runFig6 reruns the Fig. 6(b) timeline at the paper's own pacing.
@@ -182,10 +183,26 @@ func (l *blobLogic) Restore(b []byte) error {
 	return nil
 }
 
-// runMigration migrates a task carrying p.X bytes of state from node 2
-// to node 3 and times it in 250 ms TDMA frames.
+// ltsVMRow is E6's byte-code row: the Fig. 6 LTS law as an EVM capsule,
+// whose migration ships the capsule and then the interpreter's state.
+const ltsVMRow = "lts-vm"
+
+// runMigration migrates a task from node 2 to node 3 and times it in
+// 250 ms TDMA frames. The task carries p.X bytes of opaque state, or on
+// the ltsVMRow it runs the Fig. 6 LTS law as byte code. state_bytes is
+// the snapshot the migration ships.
 func runMigration(p Param, seed uint64) (map[string]float64, error) {
 	size := int(p.X)
+	makeLogic := func() (evm.TaskLogic, error) {
+		return &blobLogic{state: make([]byte, size)}, nil
+	}
+	if p.Label == ltsVMRow {
+		c, err := evm.AssembleCapsule("t", 1, evm.LTSCapsuleSource)
+		if err != nil {
+			return nil, err
+		}
+		makeLogic = func() (evm.TaskLogic, error) { return evm.NewVMLogic(c) }
+	}
 	vc := evm.VCConfig{
 		Name: "mig", Head: 4, Gateway: 1,
 		Tasks: []evm.TaskSpec{{
@@ -193,9 +210,7 @@ func runMigration(p Param, seed uint64) (map[string]float64, error) {
 			Period: 250 * time.Millisecond, WCET: 5 * time.Millisecond,
 			Candidates:   []evm.NodeID{2},
 			DeviationTol: 1, DeviationWindow: 3, SilenceWindow: 8,
-			MakeLogic: func() (evm.TaskLogic, error) {
-				return &blobLogic{state: make([]byte, size)}, nil
-			},
+			MakeLogic: makeLogic,
 		}},
 	}
 	cell, err := evm.NewCell(evm.CellSpec{Seed: seed, Nodes: evm.Members(4), VC: vc})
@@ -210,17 +225,22 @@ func runMigration(p Param, seed uint64) (map[string]float64, error) {
 			done = ev.When()
 		}
 	})
+	var ex wire.TaskExport
+	if err := cell.Node(2).ExportTask("t", &ex); err != nil {
+		return nil, err
+	}
 	if err := cell.Node(2).MigrateTask("t", 3); err != nil {
 		return nil, err
 	}
 	cell.Run(300 * time.Second)
 	if done == 0 {
-		return nil, fmt.Errorf("migration of %dB never completed", size)
+		return nil, fmt.Errorf("migration of %s never completed", p.Label)
 	}
 	d := done - start
 	return map[string]float64{
 		"migration_ms": float64(d) / float64(time.Millisecond),
 		"frames":       d.Seconds() / 0.25,
+		"state_bytes":  float64(len(ex.Blob)),
 	}, nil
 }
 

@@ -65,7 +65,7 @@ func Table() []Experiment {
 		{Name: "e5", Title: "control cycle latency over 120 s (paper: <= 1/3 of a <= 250 ms cycle)",
 			Params: []Param{{Label: "cycle=250ms"}}, Seeds: seeds(1), Run: runControlCycle},
 		{Name: "e6", Title: "task migration cost vs state size",
-			Params: []Param{{"state=64B", 64}, {"state=512B", 512}, {"state=2048B", 2048}, {"state=8192B", 8192}},
+			Params: []Param{{"state=64B", 64}, {"state=512B", 512}, {"state=2048B", 2048}, {"state=8192B", 8192}, {Label: ltsVMRow}},
 			Seeds:  seeds(3), Run: runMigration},
 		{Name: "e7", Title: "runtime task assignment, BQP anneal vs greedy (and the exhaustive optimum up to 1,000 assignments)",
 			Params: []Param{{Label: "5x3"}, {Label: "4x3"}, {Label: "8x4"}, {Label: "16x8"}},
