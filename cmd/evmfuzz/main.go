@@ -9,6 +9,7 @@
 //
 //	evmfuzz -n 1000 -seeds 3                # 3000-run sweep, exit 1 on any violation
 //	evmfuzz -profile lossy -n 2000 -seeds 3 # the same without the loss gates
+//	evmfuzz -profile lossy-multihop -n 500  # multi-hop line cells with a cell PER
 //	evmfuzz -seed 42 -print                 # show the spec seed 42 generates
 //	evmfuzz -repro fuzzout/repro-....json   # replay a recorded failure
 //
@@ -30,7 +31,7 @@ func main() {
 		n       = flag.Int("n", 100, "number of generated specs")
 		seeds   = flag.Int("seeds", 3, "run seeds per spec")
 		seed    = flag.Uint64("seed", 1, "base generator seed (spec i uses seed+i)")
-		profile = flag.String("profile", "default", "generator profile: default, multihop, or lossy (default without the loss gates)")
+		profile = flag.String("profile", "default", "generator profile: default, multihop, lossy or lossy-multihop (lossy: default without the loss gates; lossy-multihop: multihop without them)")
 		workers = flag.Int("workers", 0, "parallel runner workers (0 = GOMAXPROCS)")
 		out     = flag.String("out", "fuzzout", "directory for repro artifacts")
 		shrinks = flag.Int("shrink", 3, "max failures to shrink and write artifacts for")
@@ -49,6 +50,9 @@ func main() {
 	case "multihop":
 		prof = fuzz.MultihopProfile()
 	case "lossy":
+		prof.LossGates = false
+	case "lossy-multihop":
+		prof = fuzz.MultihopProfile()
 		prof.LossGates = false
 	default:
 		fmt.Fprintf(os.Stderr, "evmfuzz: unknown profile %q\n", *profile)

@@ -92,10 +92,12 @@ func genMultihop(seed uint64, rng *sim.RNG, p Profile) Spec {
 	// implementation starts tripping checkers on pure physics.
 	tasks := 1
 	spares := 1 + rng.Intn(2)
-	// The channel stays perfect: per-hop loss compounds down the line
-	// and the Gilbert-Elliott overlay (active at any rate > 0) can
-	// swallow enough consecutive frames to fake a silent primary. The
-	// multi-hop exercise is relaying over the schedule, not loss.
+	// With the loss gates on, the channel stays perfect: per-hop loss
+	// compounds down the line and the Gilbert-Elliott overlay (active at
+	// any rate > 0) can swallow enough consecutive frames to fake a
+	// silent primary. The multi-hop exercise is then relaying over the
+	// schedule, not loss. With the gates off the cell gets a PER, drawn
+	// last so the rest of the spec matches the gated one.
 	cell := CellGen{
 		Name:      "field",
 		Tasks:     tasks,
@@ -151,6 +153,9 @@ func genMultihop(seed uint64, rng *sim.RNG, p Profile) Spec {
 			AtMS: t, Kind: KindDrift, Cell: cell.Name,
 			Node: 2 + 2*tasks + 1 + rng.Intn(spares), PPM: round2((rng.Float64()*2 - 1) * 250),
 		})
+	}
+	if !p.LossGates {
+		s.Cells[0].PER = round3(rng.Float64() * 0.12)
 	}
 	return s
 }

@@ -12,9 +12,9 @@ import (
 // mapping seed → spec is a pure function (byte-identical JSON on every
 // call) and every generated spec passes Validate.
 func TestGenerateDeterministicAndValid(t *testing.T) {
-	lossy := DefaultProfile()
-	lossy.LossGates = false
-	for _, prof := range []Profile{DefaultProfile(), MultihopProfile(), lossy} {
+	lossy, lossyMultihop := DefaultProfile(), MultihopProfile()
+	lossy.LossGates, lossyMultihop.LossGates = false, false
+	for _, prof := range []Profile{DefaultProfile(), MultihopProfile(), lossy, lossyMultihop} {
 		for seed := uint64(1); seed <= 300; seed++ {
 			a := GenerateWith(seed, prof)
 			b := GenerateWith(seed, prof)
@@ -69,6 +69,37 @@ func TestValidateRejectsUnknownNames(t *testing.T) {
 		if withStrategy(bad).Validate() == nil {
 			t.Errorf("strategy %q validated", bad)
 		}
+	}
+}
+
+// TestLossyMultihopAddsOnlyPER: without the loss gates a multi-hop
+// spec is the gated spec of the same seed plus a cell PER, drawn after
+// everything else, so turning the gates off moves no pinned multi-hop
+// spec. Some of the drawn rates are nonzero.
+func TestLossyMultihopAddsOnlyPER(t *testing.T) {
+	lossy := MultihopProfile()
+	lossy.LossGates = false
+	lossyCells := 0
+	for seed := uint64(1); seed <= 300; seed++ {
+		gated, ungated := GenerateWith(seed, MultihopProfile()), GenerateWith(seed, lossy)
+		if gated.Cells[0].PER != 0 {
+			t.Fatalf("seed %d: gated multi-hop cell has PER %v", seed, gated.Cells[0].PER)
+		}
+		if ungated.Cells[0].PER > 0 {
+			lossyCells++
+		}
+		ungated.Cells[0].PER = 0
+		ja, err := gated.MarshalIndent()
+		if err != nil {
+			t.Fatal(err)
+		}
+		jb, _ := ungated.MarshalIndent()
+		if !bytes.Equal(ja, jb) {
+			t.Fatalf("seed %d: lossy multi-hop spec differs from the gated one beyond its PER:\n%s\n----\n%s", seed, ja, jb)
+		}
+	}
+	if lossyCells == 0 {
+		t.Fatal("no lossy multi-hop spec in seeds 1..300 has a PER")
 	}
 }
 
